@@ -54,6 +54,7 @@ from .cubics import (
 )
 from .errors import (
     AlgebraMismatchError,
+    CliffordRelationError,
     DimensionMismatchError,
     IndefiniteSignatureError,
     OutsideConeError,

@@ -418,7 +418,6 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--eps2", required=True, help="LO:HI:STEP")
     s.add_argument("--grid", type=int, default=12)
     s.add_argument("--out", required=True)
-    s.add_argument("--seed", type=int, default=0)
     s.set_defaults(func=cmd_scan)
 
     t = sub.add_parser("selftest", help="run the invariant suite")

@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DimensionMismatchError, SpecError
+from .errors import CliffordRelationError, DimensionMismatchError, SpecError
 
 
 # ---------------------------------------------------------------------------
@@ -171,10 +171,13 @@ def _check_j_family(fam) -> None:
     for i, a in enumerate(fam):
         d = a.shape[0]
         eye = np.eye(d, dtype=np.int64)
-        assert np.array_equal(a.T, -a), "J must be skew"
-        assert np.array_equal(a.T @ a, eye), "J must be orthogonal"
+        if not np.array_equal(a.T, -a):
+            raise CliffordRelationError("J must be skew")
+        if not np.array_equal(a.T @ a, eye):
+            raise CliffordRelationError("J must be orthogonal")
         for b in fam[i + 1 :]:
-            assert np.array_equal(a @ b, -(b @ a)), "J's must anticommute"
+            if not np.array_equal(a @ b, -(b @ a)):
+                raise CliffordRelationError("J's must anticommute")
 
 
 def minimal_spinor_dim(dim_v: int, signature: tuple[int, int] | None = None) -> int:
@@ -335,7 +338,8 @@ def _check_clifford_relations(gammas, g_v, g_s) -> None:
     for a in range(n):
         for b in range(a, n):
             lhs = gammas[a].T @ gs @ gammas[b] + gammas[b].T @ gs @ gammas[a]
-            assert np.array_equal(lhs, 2 * gv[a, b] * gs), "Clifford relation failed"
+            if not np.array_equal(lhs, 2 * gv[a, b] * gs):
+                raise CliffordRelationError("Clifford relation failed")
 
 
 # ---------------------------------------------------------------------------

@@ -352,9 +352,11 @@ def _rank2_slice_points(q: InvariantCubic, grid: DiagonalGrid):
     return pts
 
 
-def _rank3_x3_values(q: InvariantCubic, x2: float, grid: DiagonalGrid) -> list[float]:
+def _rank3_x3_values(
+    q: InvariantCubic, x2: float, grid: DiagonalGrid, xs: np.ndarray
+) -> list[float]:
     a, b, c = q.coeffs
-    vals = list(np.geomspace(grid.lo, grid.hi, grid.n))
+    vals = list(xs)
     if grid.boundary_probes and a > 0.0 and c > 0.0:
         # feasibility boundary in x3: largest positive root of c t^3 + b x2 t^2 = a-scaled 1
         roots = np.roots([c, b * x2, 0.0, -1.0])
@@ -386,7 +388,7 @@ def _rank3_slice_points(q: InvariantCubic, grid: DiagonalGrid):
                 pts.append((float(x1), float(x2), float(x3)))
         return pts
     for x2 in xs:
-        for x3 in _rank3_x3_values(q, float(x2), grid):
+        for x3 in _rank3_x3_values(q, float(x2), grid, xs):
             x1 = (1.0 - b * x2 * x3**2 - c * x3**3) / (a * x2 * x3)
             if x1 > 0.0:
                 pts.append((float(x1), float(x2), float(x3)))
@@ -397,13 +399,118 @@ def _diag_point(q: InvariantCubic, coords) -> HermMatrix:
     return HermMatrix(q.cone.algebra, np.asarray(coords, dtype=float), {})
 
 
-def _constraint_violated(q: InvariantCubic, coords) -> bool:
-    """Sign of the vector-block diagonal of -Hess(log q): a x1 + b x3 <= 0
-    forces a non-positive tangent direction (rank 3 only)."""
+def _constraint_violated(q: InvariantCubic, x: np.ndarray) -> np.ndarray:
+    """Sign of the vector-block diagonal of -Hess(log q) at each row of x:
+    a x1 + b x3 <= 0 forces a non-positive tangent direction (rank 3 only)."""
     if q.cone.rank != 3:
-        return False
+        return np.zeros(len(x), dtype=bool)
     a, b, _ = q.coeffs
-    return a * coords[0] + b * coords[2] <= 0.0
+    return a * x[:, 0] + b * x[:, 2] <= 0.0
+
+
+# ---------------------------------------------------------------------------
+# Batched verdicts at diagonal points
+# ---------------------------------------------------------------------------
+#
+# At a diagonal point the gradient has no off-diagonal part, so -Hess(log q)
+# is a rank x rank core plus, on each off-diagonal block, a scalar times the
+# block's Gram matrix.  ker dq then splits the same way, and the leading
+# minors of the Jacobi-scaled restriction are those of a (rank-1)-square core
+# followed by det(core) times the running product of block signs (times the
+# pivots of the Jacobi-scaled Gram matrices, all 1 for the orthonormal bases
+# the library builds).  The kernel below evaluates that for a stack of points.
+# Every value that reaches the core repeats the float operations of
+# eval_cubic, gradient, cubic_hessian and tangent_restriction with zero
+# off-diagonal entries, in the same grouping: near-singular cores amplify a
+# last-bit change in an entry about 1e5-fold in min_minor.
+
+
+def _diagonal_parts(q: InvariantCubic, x: np.ndarray):
+    """q, its gradient and Hessian in the diagonal coordinates, and the
+    scalar of -Hess(log q) on each off-diagonal block, at the rows of x."""
+    if q.cone.rank == 2:
+        a, b = q.coeffs
+        x1, x2 = x.T
+        x2sq = x2**2
+        qx = a * x2**3 + b * x2 * (x1 * x2)
+        g = [b * x2sq, 3.0 * a * x2sq + 2.0 * b * x1 * x2]
+        h01 = 2.0 * b * x2
+        H = [[np.zeros_like(x1), h01], [h01, 6.0 * a * x2 + 2.0 * b * x1]]
+        blocks = [2.0 * b * x2 / qx]
+    else:
+        a, b, c = q.coeffs
+        x1, x2, x3 = x.T
+        x3sq = x3**2
+        qx = a * (x1 * x2 * x3) + b * (x3 * (x2 * x3)) + c * x3**3
+        g = [
+            a * (x2 * x3),
+            a * (x1 * x3) + b * x3sq,
+            a * (x1 * x2) + 2.0 * b * x2 * x3 + 3.0 * c * x3sq,
+        ]
+        h01, h02, h12 = a * x3, a * x2, a * x1 + 2.0 * b * x3
+        zero = np.zeros_like(x1)
+        H = [[zero, h01, h02], [h01, zero, h12], [h02, h12, 2.0 * b * x2 + 6.0 * c * x3]]
+        blocks = [2.0 * a * x3 / qx, 2.0 * a * x2 / qx, 2.0 * (a * x1 + b * x3) / qx]
+    g = np.stack(g, axis=-1)
+    H = np.stack([np.stack(row, axis=-1) for row in H], axis=-2)
+    return qx, g, H, np.stack(blocks, axis=-1)
+
+
+def _gram_pivots(q: InvariantCubic) -> np.ndarray:
+    """Ratios of consecutive leading minors (squared Cholesky diagonals) of
+    each Jacobi-scaled block Gram matrix, in flat off-diagonal order."""
+    out = []
+    for key in q.cone.algebra.offdiag_keys:
+        G = q.cone.algebra.spaces[key].gram
+        s = np.sqrt(np.diag(G))
+        out.append(np.diag(np.linalg.cholesky(G / np.outer(s, s))) ** 2)
+    return np.concatenate(out)
+
+
+def _diagonal_verdicts(q: InvariantCubic, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Verdict and min_minor of tangent_restriction at each row of x, an
+    (N, rank) stack of diagonal points with q > 0, at a cost independent of
+    the block dimensions."""
+    r = q.cone.rank
+    n = q.cone.dim_herm
+    qx, g, H, blocks = _diagonal_parts(q, x)
+    if np.any(qx <= 0.0):
+        raise OutsideConeError("projection onto the level set requires q(X) > 0")
+    off = np.abs(qx - 1.0) > 1e-9
+    if np.any(off):
+        x = x.copy()
+        x[off] /= qx[off, None] ** (1.0 / 3.0)
+        qx, g, H, blocks = _diagonal_parts(q, x)
+    qx = qx[:, None, None]
+    M = (g[:, :, None] * g[:, None, :] - qx * H) / qx**2
+    # np.linalg.norm in the dense path is sqrt(g.dot(g)) over the full
+    # zero-padded gradient, a BLAS dot that rounds differently from one over
+    # the rank entries alone.  g != 0 by Euler's identity x . grad q = 3 q > 0.
+    padded = np.zeros((len(x), n))
+    padded[:, :r] = g
+    u = g / np.sqrt([row.dot(row) for row in padded])[:, None]
+    # the axes other than the one most aligned with u, projected off u
+    keep = np.array([[i for i in range(r) if i != k] for k in range(r)])
+    keep = keep[np.argmax(np.abs(u), axis=1)]
+    u_keep = np.take_along_axis(u, keep, axis=1)
+    basis, _ = np.linalg.qr(np.eye(r)[keep].transpose(0, 2, 1) - u[:, :, None] * u_keep[:, None, :])
+    basisT = basis.transpose(0, 2, 1)
+    R = basisT @ M @ basis
+    R = 0.5 * (R + R.transpose(0, 2, 1))
+    d = np.sqrt(np.abs(np.diagonal(R, axis1=1, axis2=2)))
+    d = np.where(d == 0.0, 1.0, d)
+    Rn = R / (d[:, :, None] * d[:, None, :])
+    core = np.stack([np.linalg.det(Rn[:, : k + 1, : k + 1]) for k in range(r - 1)], axis=-1)
+    dims = [q.cone.algebra.dim(k) for k in q.cone.algebra.offdiag_keys]
+    signs = np.sign(blocks)
+    tail = core[:, -1:] * np.cumprod(np.repeat(signs, dims, axis=1) * _gram_pivots(q), axis=1)
+    minors = np.concatenate([core, tail], axis=1)
+    scale = np.maximum(np.max(np.abs(Rn), axis=(1, 2)), np.max(np.abs(signs), axis=1))
+    band = (MINOR_BAND * scale)[:, None]
+    degenerate = (scale == 0.0) | np.any(np.abs(minors) <= band, axis=1)
+    pd = np.all(minors > band, axis=1)
+    verdicts = np.where(degenerate, DEGENERATE, np.where(pd, PD, INDEFINITE)).astype(object)
+    return verdicts, np.min(minors, axis=1)
 
 
 def admissibility_on_diagonal(q: InvariantCubic, grid: DiagonalGrid | None = None) -> DiagonalReport:
@@ -414,23 +521,25 @@ def admissibility_on_diagonal(q: InvariantCubic, grid: DiagonalGrid | None = Non
     pts = _rank2_slice_points(q, grid) if q.cone.rank == 2 else _rank3_slice_points(q, grid)
     if not pts:
         raise OutsideConeError("empty feasible diagonal grid")
-    witnesses: list[DiagonalWitness] = []
-    min_minor = math.inf
-    min_coords = pts[0]
-    for coords in pts:
-        if _constraint_violated(q, coords):
-            witnesses.append(DiagonalWitness(coords, "constraint", math.nan))
-            continue
-        rep = tangent_restriction(q, _diag_point(q, coords))
-        mm = rep.min_minor
-        if mm < min_minor:
-            min_minor, min_coords = mm, coords
-        if rep.verdict != PD:
-            witnesses.append(DiagonalWitness(coords, rep.verdict, mm))
+    x = np.array(pts)
+    kinds = np.full(len(pts), "constraint", dtype=object)
+    minors = np.full(len(pts), math.nan)
+    inside = ~_constraint_violated(q, x)
+    if np.any(inside):
+        kinds[inside], minors[inside] = _diagonal_verdicts(q, x[inside])
+    # the first point at the smallest minor; constraint points carry none
+    ranked = np.where(np.isnan(minors), math.inf, minors)
+    i = int(np.argmin(ranked))
+    min_minor, min_coords = math.inf, pts[0]
+    if ranked[i] < math.inf:
+        min_minor, min_coords = float(minors[i]), pts[i]
+    witnesses = tuple(
+        DiagonalWitness(pts[j], kinds[j], float(minors[j])) for j in np.flatnonzero(kinds != PD)
+    )
     return DiagonalReport(
         all_pd=not witnesses,
         checked=len(pts),
-        witnesses=tuple(witnesses),
+        witnesses=witnesses,
         min_minor=min_minor,
         min_minor_coords=tuple(min_coords),
     )
@@ -454,18 +563,19 @@ def find_locally_admissible_point(q: InvariantCubic, search: SearchGrid | None =
     if a == 0.0:
         return None
     xs = np.geomspace(search.lo, search.hi, search.n)
+    pts = []
     for x2 in xs:
         for x3 in xs:
             x1 = (1.0 - b * x2 * x3**2 - c * x3**3) / (a * x2 * x3)
-            if x1 <= 0.0:
-                continue
-            coords = (float(x1), float(x2), float(x3))
-            if _constraint_violated(q, coords):
-                continue
-            rep = tangent_restriction(q, _diag_point(q, coords))
-            if rep.verdict == PD:
-                return rep
-    return None
+            if x1 > 0.0:
+                pts.append((float(x1), float(x2), float(x3)))
+    x = np.array(pts).reshape(-1, 3)
+    x = x[~_constraint_violated(q, x)]
+    if not len(x):
+        return None
+    found = np.flatnonzero(_diagonal_verdicts(q, x)[0] == PD)
+    # the dense restriction at that one point fills in the whole report
+    return tangent_restriction(q, _diag_point(q, x[found[0]])) if found.size else None
 
 
 # ---------------------------------------------------------------------------

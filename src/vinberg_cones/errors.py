@@ -23,3 +23,7 @@ class OutsideConeError(VinbergError, ArithmeticError):
 
 class SpecError(VinbergError, ValueError):
     """Malformed cone specification or serialized object."""
+
+
+class CliffordRelationError(VinbergError, ArithmeticError):
+    """A gamma or J family fails one of its exact integer relations."""

@@ -247,20 +247,34 @@ def herm_from_vector(algebra: NilAlgebra, vec) -> HermMatrix:
     return HermMatrix(algebra, diag, off)
 
 
+_POINT_KEYS = {"rank", "diag", "offdiag"}
+
+
 def herm_from_json(algebra: NilAlgebra, obj: dict) -> HermMatrix:
-    if int(obj.get("rank", -1)) != algebra.rank:
+    """Read {"rank", "diag", "offdiag": {"12": [...], ...}}; a block left out
+    is zero.  Unknown fields or block names and non-finite entries are
+    rejected, so a misspelled key is never read as zeros."""
+    if not isinstance(obj, dict):
+        raise SpecError("Hermitian-matrix JSON must be an object")
+    unknown = set(obj) - _POINT_KEYS
+    if unknown:
+        raise SpecError(f"unknown Hermitian-matrix fields: {sorted(unknown)}")
+    if obj.get("rank") != algebra.rank:
         raise SpecError("rank mismatch between matrix and algebra")
+    names = {f"{i}{j}": (i, j) for (i, j) in algebra.offdiag_keys}
+    offdiag = obj.get("offdiag", {})
+    if not isinstance(offdiag, dict):
+        raise SpecError("offdiag must be an object keyed by block name")
+    unknown = set(offdiag) - set(names)
+    if unknown:
+        raise SpecError(f"unknown offdiag blocks {sorted(unknown)}; expected {sorted(names)}")
     try:
-        diag = obj["diag"]
-        off = {
-            (i, j): np.asarray(obj.get("offdiag", {}).get(f"{i}{j}", np.zeros(algebra.dim((i, j)))), dtype=float)
-            for (i, j) in algebra.offdiag_keys
-        }
-        return HermMatrix(algebra, diag, off)
-    except SpecError:
-        raise
+        X = HermMatrix(algebra, obj["diag"], {names[name]: v for name, v in offdiag.items()})
     except (KeyError, TypeError, ValueError) as exc:
         raise SpecError(f"bad Hermitian-matrix JSON: {exc}") from exc
+    if not np.all(np.isfinite(X.to_vector())):
+        raise SpecError("Hermitian-matrix JSON has a non-finite entry")
+    return X
 
 
 def identity_triangular(algebra: NilAlgebra) -> TriangularElement:

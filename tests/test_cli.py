@@ -115,6 +115,19 @@ class TestEval:
         )
         assert cli.main(["eval", "--spec", spec3, "--op", "d", X]) == 2
 
+    @pytest.mark.parametrize(
+        "point,message",
+        [
+            ({"rank": 3, "diag": [1, 1, 1], "offdiag": {"31": [1]}}, "unknown offdiag blocks"),
+            ({"rank": 3, "diag": [1, 1, 1], "extra": 0}, "unknown Hermitian-matrix fields"),
+            ({"rank": 3, "diag": [1, float("nan"), 1]}, "non-finite"),
+        ],
+    )
+    def test_bad_point_rejected(self, spec3, tmp_path, capsys, point, message):
+        X = write_json(tmp_path / "X.json", point)
+        assert cli.main(["eval", "--spec", spec3, "--op", "decompose", X]) == 2
+        assert message in capsys.readouterr().err
+
     def test_chi_dprime(self, spec3, tmp_path, capsys):
         I = self.identity3(tmp_path)
         assert cli.main(["eval", "--spec", spec3, "--op", "chi", I]) == 0

@@ -1,4 +1,8 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -208,6 +212,40 @@ class TestInvariants:
         gam[0, 0, 0] += 1
         bad = CliffordModule(mod.v_space, mod.s0_space, mod.s1_space, gam)
         assert vc.verify_isometry(bad, 200, seed=0) > 0.1
+
+    def test_exact_checks_survive_optimized_mode(self):
+        # the integer relation checks must raise under `python -O`, which
+        # strips assert statements
+        code = """
+import sys
+import numpy as np
+from vinberg_cones import clifford
+from vinberg_cones.errors import CliffordRelationError
+fam = [np.array(j) for j in clifford._cl_neg_generators(3)]
+fam[0][0, 0] += 1
+mod = clifford.build_clifford_module(4)
+gam = np.array(mod.gammas)
+gam[0, 0, 0] += 1
+checks = [
+    lambda: clifford._check_j_family(fam),
+    lambda: clifford._check_clifford_relations(gam, mod.v_space.gram, np.eye(mod.dim_s)),
+]
+for check in checks:
+    try:
+        check()
+    except CliffordRelationError as exc:
+        print("raised", exc)
+print("optimize", sys.flags.optimize)
+"""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert out.returncode == 0, out.stderr
+        lines = out.stdout.splitlines()
+        assert lines[-1] == "optimize 1"
+        assert lines[:-1] == ["raised J must be skew", "raised Clifford relation failed"]
 
     def test_verify_isometry_rejects_zero_samples(self):
         mod = vc.build_clifford_module(1)

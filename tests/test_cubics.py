@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import vinberg_cones as vc
+from vinberg_cones import cubics
 from vinberg_cones.cubics import DEGENERATE, INDEFINITE, PD
 from vinberg_cones.errors import IndefiniteSignatureError, OutsideConeError, SpecError
 
@@ -331,6 +332,103 @@ class TestDiagonalSweeps:
         q = vc.InvariantCubic(cone, (-1.0, 0.0))  # negative multiple of x2^3
         with pytest.raises(OutsideConeError):
             vc.admissibility_on_diagonal(q, vc.DiagonalGrid(n=10))
+
+
+def diagonal_points(q, n: int = 12) -> np.ndarray:
+    """The sweep's slice points and, for rank-3 cubics with a determinant
+    term, the local search's grid points, less the slope-constraint ones."""
+    if q.cone.rank == 2:
+        return np.array(cubics._rank2_slice_points(q, vc.DiagonalGrid(n=n)))
+    pts = cubics._rank3_slice_points(q, vc.DiagonalGrid(n=n))
+    a, b, c = q.coeffs
+    if a != 0.0:
+        for x2 in np.geomspace(0.1, 10.0, n):
+            for x3 in np.geomspace(0.1, 10.0, n):
+                x1 = (1.0 - b * x2 * x3**2 - c * x3**3) / (a * x2 * x3)
+                if x1 > 0.0:
+                    pts.append((float(x1), float(x2), float(x3)))
+    x = np.array(pts)
+    return x[~cubics._constraint_violated(q, x)]
+
+
+def assert_kernel_matches_dense(q, x):
+    verdicts, minors = cubics._diagonal_verdicts(q, x)
+    for row, verdict, mm in zip(x, verdicts, minors):
+        rep = vc.tangent_restriction(q, vc.HermMatrix(q.cone.algebra, row, {}))
+        assert verdict == rep.verdict, row
+        want = rep.min_minor
+        assert mm == want or abs(mm - want) <= 1e-9 * max(abs(mm), abs(want)), row
+    return verdicts
+
+
+class TestDiagonalKernel:
+    """The batched diagonal kernel against the dense tangent_restriction,
+    point by point: same verdict, min_minor to 1e-9."""
+
+    @pytest.mark.parametrize("dim_v", [1, 4, 8])
+    @pytest.mark.parametrize("eps", [(0.0, 0.0), (0.5, -0.25), (1.0, 0.1), (-1.0, -0.5)])
+    def test_rank3(self, dim_v, eps):
+        q = vc.InvariantCubic.rank3_family(rank3_cone(dim_v), *eps)
+        assert_kernel_matches_dense(q, diagonal_points(q))
+
+    @pytest.mark.parametrize("dim_w", [1, 4])
+    @pytest.mark.parametrize("eps", [-1.0, 0.0, 0.5, 2.0])
+    def test_rank2(self, dim_w, eps):
+        q = vc.InvariantCubic.rank2_family(rank2_cone(dim_w), eps)
+        assert_kernel_matches_dense(q, diagonal_points(q, 40))
+
+    @pytest.mark.parametrize(
+        "cone,coeffs",
+        [
+            (rank3_cone(4), (0.0, 1.0, 0.0)),
+            (rank3_cone(4), (0.0, 1.0, 0.5)),
+            (rank3_cone(1), (0.0, 1.0, -0.5)),
+            (rank2_cone(4), (1.0, 0.0)),
+        ],
+    )
+    def test_degenerate_cubics(self, cone, coeffs):
+        q = vc.InvariantCubic(cone, coeffs)
+        verdicts = assert_kernel_matches_dense(q, diagonal_points(q, 8))
+        assert PD not in set(verdicts)
+
+    @pytest.mark.parametrize(
+        "eps", [(-1.5, -1.0), (-1.5, -0.75), (-1.5, -0.5), (-1.5, -0.25), (-0.5, -0.25)]
+    )
+    def test_ill_conditioned_cells(self, eps):
+        # min_minor ~ 2e-6 from cancellation at x1 ~ 100-700: a last-bit
+        # change in the core grows about 1e5-fold here
+        q = vc.InvariantCubic.rank3_family(rank3_cone(8), *eps)
+        assert_kernel_matches_dense(q, diagonal_points(q))
+
+    def test_non_orthonormal_block_gram(self):
+        gram = np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.3], [0.0, 0.3, 3.0]])
+        cone = vc.cone_from_algebra(vc.rank2_algebra(vc.MetricSpace(3, (3, 0), gram)))
+        q = vc.InvariantCubic.rank2_family(cone, 0.5)
+        assert_kernel_matches_dense(q, diagonal_points(q, 20))
+
+    @pytest.mark.parametrize("eps", [(0.0, 0.0), (0.5, -0.25), (-1.0, 0.5)])
+    def test_rank3_block_scalars_match_closed_form(self, eps):
+        cone = rank3_cone(4)
+        q = vc.InvariantCubic.rank3_family(cone, *eps)
+        x = np.random.default_rng(13).uniform(0.3, 2.5, (10, 3))
+        blocks = cubics._diagonal_parts(q, x)[3]
+        starts = np.cumsum([3] + [cone.algebra.dim(k) for k in cone.algebra.offdiag_keys])[:-1]
+        for row, got in zip(x, blocks):
+            M = rank3_diagonal_hessian(q, *row)
+            np.testing.assert_allclose(got, M[starts, starts], rtol=1e-12)
+
+    @pytest.mark.parametrize("eps", [-1.0, 0.5])
+    def test_rank2_block_scalars_match_closed_form(self, eps):
+        q = vc.InvariantCubic.rank2_family(rank2_cone(4), eps)
+        for x2 in (0.3, 1.0, 1.7):
+            x1 = (1.0 - eps * x2**3) / x2**2
+            blocks = cubics._diagonal_parts(q, np.array([[x1, x2]]))[3]
+            np.testing.assert_allclose(blocks[0], rank2_diagonal_hessian(q, x1, x2)[2, 2], rtol=1e-12)
+
+    def test_rejects_nonpositive_level(self):
+        q = vc.InvariantCubic.rank2_family(rank2_cone(1), 0.0)
+        with pytest.raises(OutsideConeError):
+            cubics._diagonal_verdicts(q, np.array([[-1.0, 1.0]]))
 
 
 class TestLocalSearch:

@@ -250,6 +250,27 @@ class TestVectorAndJson:
         with pytest.raises(SpecError):
             vc.herm_from_json(alg2(1), {"rank": 3, "diag": [1, 1, 1]})
 
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"rank": 3, "diag": [1, 1, 1], "offdiag": {"31": [1.0]}},  # misspelled block
+            {"rank": 3, "diag": [1, 1, 1], "offdiag": {"12": [0.0]}, "note": 1},
+            {"rank": 3, "diag": [1, float("nan"), 1]},
+            {"rank": 3, "diag": [1, 1, 1], "offdiag": {"23": [float("inf")]}},
+            {"rank": 3, "diag": [1, 1, 1], "offdiag": [[0.0]]},
+            {"rank": 3.5, "diag": [1, 1, 1]},
+            {"rank": "3", "diag": [1, 1, 1]},
+            [1, 1, 1],
+        ],
+    )
+    def test_json_rejects_unknown_keys_and_non_finite(self, obj):
+        with pytest.raises(SpecError):
+            vc.herm_from_json(alg3(1), obj)
+
+    def test_json_missing_block_is_zero(self):
+        X = vc.herm_from_json(alg3(1), {"rank": 3, "diag": [1, 2, 3], "offdiag": {"13": [0.5]}})
+        np.testing.assert_array_equal(X.to_vector(), [1, 2, 3, 0, 0.5, 0])
+
     def test_entries_are_immutable(self):
         X = vc.herm_identity(alg3(1))
         with pytest.raises(ValueError):
