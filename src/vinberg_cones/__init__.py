@@ -8,6 +8,7 @@ level hypersurfaces.
 """
 
 from .clifford import (
+    MAX_GAMMA_ENTRIES,
     CliffordModule,
     MetricSpace,
     build_clifford_module,
@@ -57,6 +58,7 @@ from .errors import (
     CliffordRelationError,
     DimensionMismatchError,
     IndefiniteSignatureError,
+    ModuleTooLargeError,
     OutsideConeError,
     SpecError,
     VinbergError,

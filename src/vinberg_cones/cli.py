@@ -2,9 +2,10 @@
 
 Subcommands: build a cone from a JSON spec, evaluate invariants on a point,
 scan the invariant-cubic parameter plane to CSV, and run the self-test
-suite.  Exit codes: 0 success, 1 invariant/domain failure, 2 usage or parse
-error, 3 unsupported configuration.  Identical inputs produce byte-identical
-outputs.
+suite.  Exit codes: 0 success, 1 invariant/domain failure (including a
+non-finite result), 2 usage or parse error, 3 unsupported configuration
+(including a Clifford module above the size bound).  Identical inputs
+produce byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -25,7 +26,13 @@ from .clifford import (
     clifford_mult,
     verify_isometry,
 )
-from .errors import IndefiniteSignatureError, OutsideConeError, SpecError, VinbergError
+from .errors import (
+    IndefiniteSignatureError,
+    ModuleTooLargeError,
+    OutsideConeError,
+    SpecError,
+    VinbergError,
+)
 from .nilalgebra import (
     anti_transpose,
     herm_from_json,
@@ -169,6 +176,14 @@ def cmd_build(args) -> int:
     return EXIT_OK
 
 
+def _all_finite(x) -> bool:
+    if isinstance(x, dict):
+        return all(_all_finite(v) for v in x.values())
+    if isinstance(x, (list, tuple)):
+        return all(_all_finite(v) for v in x)
+    return not isinstance(x, (float, np.floating)) or bool(np.isfinite(x))
+
+
 _EVAL_OPS = ("p", "d", "dprime", "chi", "membership", "decompose")
 
 
@@ -195,6 +210,8 @@ def cmd_eval(args) -> int:
         result["diag"] = list(A.diag)
         result["offdiag"] = {f"{i}{j}": list(A.offdiag[(i, j)]) for (i, j) in cone.algebra.offdiag_keys}
         result["residual"] = gc.max_residual
+    if not _all_finite(result):
+        raise OutsideConeError(f"{args.op} is not finite at this point: {dumps17(result)}")
     print(dumps17(result))
     return EXIT_OK
 
@@ -439,7 +456,7 @@ def main(argv=None) -> int:
     except SpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except IndefiniteSignatureError as exc:
+    except (IndefiniteSignatureError, ModuleTooLargeError) as exc:
         print(f"unsupported configuration: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
     except (OutsideConeError, VinbergError) as exc:

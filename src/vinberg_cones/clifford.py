@@ -21,7 +21,18 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import CliffordRelationError, DimensionMismatchError, SpecError
+from .errors import (
+    CliffordRelationError,
+    DimensionMismatchError,
+    ModuleTooLargeError,
+    SpecError,
+)
+
+# Largest dim_v * dim_s**2 that build_clifford_module accepts: the entries of
+# the dense gamma stack, and of the (dim_s, dim_s, dim_v) product tensor that
+# rank3_special builds from it.  dim_v = 18 (4.7M entries) is the largest
+# Euclidean module under it; dim_v = 19 would hold 20M entries.
+MAX_GAMMA_ENTRIES = 2**23
 
 
 # ---------------------------------------------------------------------------
@@ -167,17 +178,47 @@ def _cl_neg8_on_r16() -> tuple[np.ndarray, ...]:
     return fam
 
 
+def _signed_permutation(stack: np.ndarray, message: str) -> tuple[np.ndarray, np.ndarray]:
+    """(perm, sign) of a (k, d, d) stack of signed permutation matrices.
+
+    ``stack[a, perm[a, j], j] == sign[a, j]`` and every other entry is zero.
+    Raises :class:`CliffordRelationError` with ``message`` unless every matrix
+    has exactly one nonzero per row and the first nonzero of every column is
+    +/-1; then its d nonzeros fill d columns, one each.
+    """
+    nonzero = stack != 0
+    if not np.all(nonzero.sum(axis=2) == 1):
+        raise CliffordRelationError(message)
+    perm = nonzero.argmax(axis=1)
+    sign = stack[np.arange(len(stack))[:, None], perm, np.arange(stack.shape[2])]
+    if not np.all((sign == 1) | (sign == -1)):
+        raise CliffordRelationError(message)
+    return perm, sign
+
+
 def _check_j_family(fam) -> None:
-    for i, a in enumerate(fam):
-        d = a.shape[0]
-        eye = np.eye(d, dtype=np.int64)
-        if not np.array_equal(a.T, -a):
-            raise CliffordRelationError("J must be skew")
-        if not np.array_equal(a.T @ a, eye):
-            raise CliffordRelationError("J must be orthogonal")
-        for b in fam[i + 1 :]:
-            if not np.array_equal(a @ b, -(b @ a)):
-                raise CliffordRelationError("J's must anticommute")
+    """Exact check: each J is skew and orthogonal, and distinct J's anticommute.
+
+    An integer matrix is orthogonal exactly when it is a signed permutation,
+    so J_a J_b is the signed permutation j -> perm_a(perm_b(j)) with sign
+    sign_a(perm_b(j)) sign_b(j), and J_a J_b = -J_b J_a compares those arrays.
+    """
+    if not all(np.array_equal(J.T, -J) for J in fam):
+        raise CliffordRelationError("J must be skew")
+    if not fam:
+        return
+    perm, sign = _signed_permutation(np.stack(fam), "J must be orthogonal")
+    rows = np.arange(len(fam))[:, None, None]
+    comp_perm = perm[rows, perm[None]]
+    comp_sign = sign[rows, perm[None]] * sign[None]
+    anti = (comp_perm == comp_perm.swapaxes(0, 1)) & (comp_sign == -comp_sign.swapaxes(0, 1))
+    if not np.all(anti | np.eye(len(fam), dtype=bool)[:, :, None]):
+        raise CliffordRelationError("J's must anticommute")
+
+
+# Spinor dimensions for k = dim_v - 1 = 0..7 anticommuting complex
+# structures; each further 8 multiply the dimension by 16 (Hurwitz-Radon).
+_PERIOD8_SPINOR_DIMS = (1, 2, 4, 4, 8, 8, 8, 8)
 
 
 def minimal_spinor_dim(dim_v: int, signature: tuple[int, int] | None = None) -> int:
@@ -185,13 +226,15 @@ def minimal_spinor_dim(dim_v: int, signature: tuple[int, int] | None = None) -> 
 
     Euclidean: the minimal graded-module dimension (period-8 table,
     1,2,4,4,8,8,8,8,16,...).  Indefinite signatures use twice the Euclidean
-    value for p+q, on a split metric.
+    value for p+q, on a split metric.  Closed form: builds no generators.
     """
     if signature is None:
         signature = (dim_v, 0)
     p, q = signature
-    jf = _cl_neg_generators(p + q - 1)
-    d = jf[0].shape[0] if jf else 1
+    if p + q < 1:
+        raise DimensionMismatchError("dim_v must be >= 1")
+    periods, k = divmod(p + q - 1, 8)
+    d = 16**periods * _PERIOD8_SPINOR_DIMS[k]
     return d if q == 0 else 2 * d
 
 
@@ -262,13 +305,19 @@ class CliffordModule:
             p, q = (int(x) for x in obj["signature"])
             mult = int(obj["multiplicity"])
             gammas = np.asarray(obj["gammas"], dtype=np.int64)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise SpecError(f"bad Clifford-module JSON: {exc}") from exc
+        if gammas.ndim != 3 or p + q != dim_v:
+            raise SpecError(
+                "bad Clifford-module JSON: need signature p + q == dim_v and 3-d gammas"
+            )
         v_space = MetricSpace.canonical(p, q)
         dim_s = gammas.shape[1]
         s_gram = _spinor_gram(dim_s, euclidean=(q == 0))
         s_space = MetricSpace.with_gram(s_gram)
-        return cls(v_space, s_space, s_space, gammas, multiplicity=mult)
+        module = cls(v_space, s_space, s_space, gammas, multiplicity=mult)
+        _check_clifford_relations(module.gammas, v_space.gram, s_gram)
+        return module
 
 
 def _spinor_gram(dim_s: int, euclidean: bool) -> np.ndarray:
@@ -292,6 +341,10 @@ def build_clifford_module(
     rotation by pi/2 for timelike ones) acting on a split-metric plane, which
     doubles the spinor dimension.  Reducible modules are block-diagonal
     copies of the irreducible one.
+
+    Raises :class:`ModuleTooLargeError`, before building anything, when
+    dim_v * dim_s**2 (dim_s including the multiplicity) exceeds
+    ``MAX_GAMMA_ENTRIES``.
     """
     if dim_v < 1:
         raise DimensionMismatchError("dim_v must be >= 1")
@@ -302,6 +355,11 @@ def build_clifford_module(
     p, q = signature
     if p < 0 or q < 0 or p + q != dim_v:
         raise SpecError(f"signature {signature} incompatible with dim_v {dim_v}")
+    dim_s = minimal_spinor_dim(dim_v, signature) * multiplicity
+    if dim_v * dim_s**2 > MAX_GAMMA_ENTRIES:
+        raise ModuleTooLargeError(
+            f"dim_v * dim_s^2 = {dim_v} * {dim_s}^2 exceeds MAX_GAMMA_ENTRIES = {MAX_GAMMA_ENTRIES}"
+        )
 
     jf = _cl_neg_generators(dim_v - 1)
     d = jf[0].shape[0] if jf else 1
@@ -331,15 +389,40 @@ def build_clifford_module(
 
 
 def _check_clifford_relations(gammas, g_v, g_s) -> None:
-    """Exact integer check: Gamma_a^T G_S Gamma_b + (a <-> b) == 2 g_ab G_S."""
+    """Exact integer check: Gamma_a^T G_S Gamma_b + (a <-> b) == 2 g_ab G_S.
+
+    G_S must be diagonal and every gamma a signed permutation.  Then column j
+    of M_ab = Gamma_a^T G_S Gamma_b has its one nonzero in row
+    R[a, b, j] = perm_a^-1(perm_b(j)), with value
+    V[a, b, j] = sign_b(j) G_S[perm_b(j)] sign_a(R[a, b, j]).  Column j of
+    M_ab + M_ba - 2 g_ab G_S touches rows R[a, b, j], R[b, a, j] and j only,
+    so the relation holds exactly when the column sums to zero at each of
+    those rows.  Row R[b, a, j] of the pair (a, b) is row R of the pair
+    (b, a), so rows R and j over all ordered pairs cover all three; they are
+    compared at once in O(dim_v^2 dim_s).
+    """
     gs = np.asarray(g_s, dtype=np.int64)
     gv = np.asarray(np.round(g_v), dtype=np.int64)
-    n = gammas.shape[0]
-    for a in range(n):
-        for b in range(a, n):
-            lhs = gammas[a].T @ gs @ gammas[b] + gammas[b].T @ gs @ gammas[a]
-            if not np.array_equal(lhs, 2 * gv[a, b] * gs):
-                raise CliffordRelationError("Clifford relation failed")
+    gs_diag = np.diag(gs)
+    if not np.array_equal(gs, np.diag(gs_diag)):
+        raise CliffordRelationError("spinor metric must be diagonal")
+    perm, sign = _signed_permutation(np.asarray(gammas), "Clifford relation failed")
+    n, d = perm.shape
+    inverse = np.empty_like(perm)
+    inverse[np.arange(n)[:, None], perm] = np.arange(d)
+    rows = np.arange(n)[:, None, None]
+    R = inverse[rows, perm[None]]
+    V = (sign * gs_diag[perm])[None] * sign[rows, R]
+    Rt, Vt = R.swapaxes(0, 1), V.swapaxes(0, 1)
+    j = np.arange(d)
+    target = 2 * gv[:, :, None] * gs_diag
+
+    def column_sum_at(row):
+        return V * (R == row) + Vt * (Rt == row) - target * (j == row)
+
+    for row in (R, j):
+        if np.any(column_sum_at(row)):
+            raise CliffordRelationError("Clifford relation failed")
 
 
 # ---------------------------------------------------------------------------

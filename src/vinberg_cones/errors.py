@@ -27,3 +27,7 @@ class SpecError(VinbergError, ValueError):
 
 class CliffordRelationError(VinbergError, ArithmeticError):
     """A gamma or J family fails one of its exact integer relations."""
+
+
+class ModuleTooLargeError(VinbergError):
+    """A requested Clifford module exceeds the documented size bound."""

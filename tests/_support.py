@@ -77,6 +77,69 @@ def min_dim_by_radon(n_anticommuting: int) -> int:
     return d
 
 
+def _exact_float(*arrays) -> list:
+    """float64 copies of integer arrays whose dense products stay exact: every
+    entry and every partial sum of a triple product is an integer below 2**53."""
+    bound = max(int(np.max(np.abs(a), initial=0)) for a in arrays)
+    dim = max(a.shape[-1] for a in arrays)
+    if bound**3 * dim**2 >= 2**53:
+        raise ValueError("entries too large for an exact float64 product")
+    return [a.astype(np.float64) for a in arrays]
+
+
+def dense_check_clifford_relations(gammas, g_v, g_s) -> None:
+    """Dense oracle for clifford._check_clifford_relations: for every pair,
+    Gamma_a^T G_S Gamma_b + Gamma_b^T G_S Gamma_a == 2 g_ab G_S by full
+    matrix products (int64 matmul is not BLAS-backed and takes about 25 s at
+    dim_v = 17, so the exact integer products run in float64)."""
+    gs = np.asarray(g_s, dtype=np.int64)
+    gv = np.asarray(np.round(g_v), dtype=np.int64)
+    gam, gsf = _exact_float(np.asarray(gammas, dtype=np.int64), gs)
+    n = gam.shape[0]
+    for a in range(n):
+        for b in range(a, n):
+            lhs = gam[a].T @ gsf @ gam[b] + gam[b].T @ gsf @ gam[a]
+            if not np.array_equal(lhs, 2 * gv[a, b] * gsf):
+                raise vc.CliffordRelationError("Clifford relation failed")
+
+
+def dense_check_j_family(fam) -> None:
+    """Dense oracle for clifford._check_j_family: skew, J^T J == I and
+    pairwise anticommutation by full matrix products."""
+    for i, a in enumerate(fam):
+        (af,) = _exact_float(np.asarray(a, dtype=np.int64))
+        if not np.array_equal(af.T, -af):
+            raise vc.CliffordRelationError("J must be skew")
+        if not np.array_equal(af.T @ af, np.eye(af.shape[0])):
+            raise vc.CliffordRelationError("J must be orthogonal")
+        for b in fam[i + 1 :]:
+            (bf,) = _exact_float(np.asarray(b, dtype=np.int64))
+            if not np.array_equal(af @ bf, -(bf @ af)):
+                raise vc.CliffordRelationError("J's must anticommute")
+
+
+def corrupt_stack(stack: np.ndarray, kind: str, rng) -> np.ndarray:
+    """A copy of a (k, d, d) integer stack with one seeded corruption."""
+    out = np.array(stack, dtype=np.int64)
+    k, d, _ = out.shape
+    a = int(rng.integers(k))
+    i, j = (int(x) for x in rng.integers(d, size=2))
+    if kind == "bump":
+        out[a, i, j] += 1
+    elif kind == "flip-column":
+        out[a, :, j] *= -1
+    elif kind == "swap-columns":
+        j2 = (j + 1 + int(rng.integers(d - 1))) % d if d > 1 else j
+        out[a, :, [j, j2]] = out[a, :, [j2, j]]
+    elif kind == "duplicate":
+        out[a] = out[(a + 1) % k]
+    elif kind == "negate":
+        out[a] *= -1
+    else:
+        raise ValueError(kind)
+    return out
+
+
 def dense_symmetric_3x3(X) -> np.ndarray:
     """Self-adjoint instance (all blocks one-dimensional): the ordinary
     symmetric matrix with the same entries."""

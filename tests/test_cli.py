@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from vinberg_cones import cli
+from vinberg_cones import cone as cone_mod
 
 
 def write_json(path, obj):
@@ -60,6 +66,21 @@ class TestBuild:
     def test_zero_dim_rejected(self, tmp_path):
         spec = write_json(tmp_path / "s.json", {"rank": 3, "dim_v": 0})
         assert cli.main(["build", "--spec", spec]) == 2
+
+    def test_module_above_size_bound_exits_3(self, tmp_path):
+        # before the bound, this spec ran for over ten minutes with growing memory
+        spec = write_json(tmp_path / "s.json", {"rank": 3, "dim_v": 24})
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        out = subprocess.run(
+            [sys.executable, "-m", "vinberg_cones", "build", "--spec", spec],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=30,
+        )
+        assert out.returncode == 3
+        assert out.stdout == ""
+        assert "MAX_GAMMA_ENTRIES" in out.stderr
 
 
 class TestEval:
@@ -127,6 +148,28 @@ class TestEval:
         X = write_json(tmp_path / "X.json", point)
         assert cli.main(["eval", "--spec", spec3, "--op", "decompose", X]) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("op", ["p", "d", "dprime", "chi"])
+    def test_non_finite_result_fails(self, spec3, tmp_path, capsys, op):
+        # the p_i overflow at this scale: chi read nan and the others bare
+        # inf, with exit 0
+        X = write_json(tmp_path / "X.json", {"rank": 3, "diag": [1e200, 2e200, 3e200]})
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert cli.main(["eval", "--spec", spec3, "--op", op, X]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "not finite" in captured.err
+
+    def test_non_finite_decomposition_fails(self, spec3, tmp_path, capsys, monkeypatch):
+        real = cone_mod.group_coordinates
+
+        def overflowing(cone, X):
+            gc = real(cone, X)
+            return cone_mod.GroupCoordinates(gc.element, {"diag": float("inf")})
+
+        monkeypatch.setattr(cone_mod, "group_coordinates", overflowing)
+        assert cli.main(["eval", "--spec", spec3, "--op", "decompose", self.identity3(tmp_path)]) == 1
+        assert capsys.readouterr().out == ""
 
     def test_chi_dprime(self, spec3, tmp_path, capsys):
         I = self.identity3(tmp_path)

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import os
 import subprocess
@@ -8,10 +9,22 @@ import numpy as np
 import pytest
 
 import vinberg_cones as vc
+from vinberg_cones import clifford
 from vinberg_cones.clifford import CliffordModule, MetricSpace
-from vinberg_cones.errors import DimensionMismatchError, SpecError
+from vinberg_cones.errors import (
+    CliffordRelationError,
+    DimensionMismatchError,
+    ModuleTooLargeError,
+    SpecError,
+)
 
-from _support import hurwitz_radon, min_dim_by_radon
+from _support import (
+    corrupt_stack,
+    dense_check_clifford_relations,
+    dense_check_j_family,
+    hurwitz_radon,
+    min_dim_by_radon,
+)
 
 
 class TestMetricSpace:
@@ -44,18 +57,36 @@ class TestMetricSpace:
 class TestConstruction:
     # standard period-8 table of minimal graded-module dimensions
     @pytest.mark.parametrize(
-        "dim_v,expected", [(1, 1), (2, 2), (3, 4), (4, 4), (5, 8), (6, 8), (7, 8), (8, 8), (9, 16)]
+        "dim_v,expected",
+        [(1, 1), (2, 2), (3, 4), (4, 4), (5, 8), (6, 8), (7, 8), (8, 8), (9, 16)]
+        + [(10, 32), (11, 64), (12, 64), (13, 128), (16, 128), (17, 256)],
     )
     def test_minimal_spinor_dims(self, dim_v, expected):
         mod = vc.build_clifford_module(dim_v)
         assert mod.dim_s == expected
+        assert vc.minimal_spinor_dim(dim_v) == expected
 
-    @pytest.mark.parametrize("dim_v", range(1, 17))
+    @pytest.mark.parametrize("dim_v", range(1, 33))
     def test_dims_match_hurwitz_radon_bound(self, dim_v):
         # independent arithmetic oracle: gamma families need dim_v - 1
         # anticommuting complex structures, so dim S is the smallest d with
         # rho(d) >= dim_v
         assert vc.minimal_spinor_dim(dim_v) == min_dim_by_radon(dim_v)
+        assert vc.minimal_spinor_dim(dim_v, (dim_v - 1, 1)) == 2 * min_dim_by_radon(dim_v)
+
+    def test_size_bound_rejects_before_building(self):
+        clifford._cl_neg_generators.cache_clear()
+        with pytest.raises(ModuleTooLargeError):
+            vc.build_clifford_module(24)
+        with pytest.raises(ModuleTooLargeError):
+            vc.build_clifford_module(18, signature=(17, 1))
+        assert clifford._cl_neg_generators.cache_info().currsize == 0
+
+    def test_size_bound_counts_multiplicity(self):
+        # 9 * (16 m)^2 entries: m = 60 is under the bound, m = 61 above it
+        assert 9 * (vc.minimal_spinor_dim(9) * 60) ** 2 <= vc.MAX_GAMMA_ENTRIES
+        with pytest.raises(ModuleTooLargeError):
+            vc.build_clifford_module(9, multiplicity=61)
 
     def test_no_small_sign_matrix_family_below_minimum(self):
         # brute-force representation search: in dimensions 1-3 there is no
@@ -247,10 +278,124 @@ print("optimize", sys.flags.optimize)
         assert lines[-1] == "optimize 1"
         assert lines[:-1] == ["raised J must be skew", "raised Clifford relation failed"]
 
+    def test_signed_permutation_is_required(self):
+        # an integral Lorentz transformation of x^2 + y^2 - z^2: the dense
+        # relation holds, but the matrix is no signed permutation
+        gamma = np.array([[[1, 2, 2], [2, 1, 2], [2, 2, 3]]])
+        g_s = np.diag([1, 1, -1])
+        dense_check_clifford_relations(gamma, np.eye(1), g_s)
+        with pytest.raises(CliffordRelationError, match="Clifford relation failed"):
+            clifford._check_clifford_relations(gamma, np.eye(1), g_s)
+
+    def test_spinor_metric_must_be_diagonal(self):
+        with pytest.raises(CliffordRelationError, match="diagonal"):
+            clifford._check_clifford_relations(
+                np.eye(2, dtype=np.int64)[None], np.eye(1), np.array([[2, 1], [1, 2]])
+            )
+
+    @pytest.mark.parametrize(
+        "fam",
+        [
+            [2 * np.array([[0, 1], [-1, 0]])],
+            [np.array([[0, 1, 1], [-1, 0, 0], [-1, 0, 0]])],
+        ],
+        ids=["scaled", "two-per-row"],
+    )
+    def test_j_family_rejects_non_permutations(self, fam):
+        for check in (clifford._check_j_family, dense_check_j_family):
+            with pytest.raises(CliffordRelationError, match="J must be orthogonal"):
+                check(fam)
+
+    def test_j_family_rejects_non_commuting_permutations(self):
+        # two complex structures whose products J1 J2 and -J2 J1 carry the
+        # same sign in every column but permute the basis differently
+        def pairing(pairs):
+            J = np.zeros((8, 8), dtype=np.int64)
+            for i, k in pairs:
+                J[k, i], J[i, k] = 1, -1
+            return J
+
+        fam = [
+            pairing([(2, 0), (1, 5), (6, 3), (4, 7)]),
+            pairing([(0, 4), (1, 7), (2, 3), (5, 6)]),
+        ]
+        for check in (clifford._check_j_family, dense_check_j_family):
+            with pytest.raises(CliffordRelationError, match="anticommute"):
+                check(fam)
+
     def test_verify_isometry_rejects_zero_samples(self):
         mod = vc.build_clifford_module(1)
         with pytest.raises(ValueError):
             vc.verify_isometry(mod, 0)
+
+
+_CORRUPTIONS = (None, "bump", "flip-column", "swap-columns", "duplicate", "negate")
+_MODULE_CASES = [(dim_v, None, 1) for dim_v in range(1, 18)] + [
+    (3, (2, 1), 1),
+    (4, (1, 3), 1),
+    (8, (7, 1), 1),
+    (5, (3, 2), 2),
+    (5, None, 3),
+    (2, (1, 1), 3),
+]
+
+
+@functools.lru_cache(maxsize=None)
+def _module(dim_v, signature, mult):
+    return vc.build_clifford_module(dim_v, signature, mult)
+
+
+def _outcome(check, *args):
+    try:
+        check(*args)
+    except Exception as exc:  # the class is compared with the oracle's
+        return type(exc)
+    return None
+
+
+class TestExactChecksAgainstDenseOracle:
+    """The signed-permutation checks give the dense products' verdict."""
+
+    @pytest.mark.parametrize("kind", _CORRUPTIONS)
+    @pytest.mark.parametrize("case", _MODULE_CASES, ids=str)
+    def test_relations(self, case, kind):
+        mod = _module(*case)
+        gam = np.asarray(mod.gammas)
+        if kind is not None:
+            gam = corrupt_stack(gam, kind, np.random.default_rng(_MODULE_CASES.index(case)))
+        g_s = np.asarray(mod.s0_space.gram, dtype=np.int64)
+        args = (gam, mod.v_space.gram, g_s)
+        want = _outcome(dense_check_clifford_relations, *args)
+        assert _outcome(clifford._check_clifford_relations, *args) is want
+        if kind is None:
+            assert want is None
+        elif kind in ("bump", "duplicate") and case[0] > 1:
+            assert want is CliffordRelationError
+
+    @pytest.mark.parametrize("second", ["identity", "complex-structure"])
+    def test_relations_with_off_diagonal_metric(self, second):
+        # g_01 = 1: Gamma_0 = Gamma_1 = I satisfies the relation; I and a
+        # complex structure J do not (I J + J^T I = 0 != 2 I), although the
+        # rows of M_01 and M_10 then coincide and their values cancel
+        J = clifford._cl_neg_generators(1)[0]
+        gam = np.stack([np.eye(2, dtype=np.int64), J if second != "identity" else np.eye(2)])
+        args = (gam.astype(np.int64), np.ones((2, 2)), np.eye(2, dtype=np.int64))
+        want = _outcome(dense_check_clifford_relations, *args)
+        assert want is (None if second == "identity" else CliffordRelationError)
+        assert _outcome(clifford._check_clifford_relations, *args) is want
+
+    @pytest.mark.parametrize("kind", _CORRUPTIONS)
+    @pytest.mark.parametrize("k", range(17))
+    def test_j_family(self, k, kind):
+        fam = list(clifford._cl_neg_generators(k))
+        if kind is not None and fam:
+            fam = list(corrupt_stack(np.stack(fam), kind, np.random.default_rng(k)))
+        want = _outcome(dense_check_j_family, fam)
+        assert _outcome(clifford._check_j_family, fam) is want
+        if kind is None:
+            assert want is None
+        elif (kind == "bump" and k > 0) or (kind == "duplicate" and k > 1):
+            assert want is CliffordRelationError
 
 
 class TestSerialization:
@@ -275,3 +420,29 @@ class TestSerialization:
     def test_bad_json_rejected(self):
         with pytest.raises(SpecError):
             CliffordModule.from_json({"dim_v": 1})
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"dim_v": 2, "signature": [3, 0], "multiplicity": 1, "gammas": [[[1]], [[1]]]},
+            {"dim_v": 1, "signature": [1, 0], "multiplicity": 1, "gammas": [1]},
+            {"dim_v": 1, "signature": [1, 0], "multiplicity": 1, "gammas": [[[2**70]]]},
+        ],
+        ids=["signature-vs-dim", "not-3d", "overflow"],
+    )
+    def test_malformed_gammas_rejected(self, obj):
+        with pytest.raises(SpecError):
+            CliffordModule.from_json(obj)
+
+    @pytest.mark.parametrize("signature", [None, (2, 1)])
+    @pytest.mark.parametrize("kind", ["bump", "flip-column"])
+    def test_corrupted_json_rejected(self, kind, signature):
+        obj = vc.build_clifford_module(3, signature, multiplicity=2).to_json()
+        gam = np.array(obj["gammas"])
+        if kind == "bump":
+            gam[1, 0, 0] += 1
+        else:
+            gam[0, :, 0] *= -1
+        obj["gammas"] = gam.tolist()
+        with pytest.raises(CliffordRelationError):
+            CliffordModule.from_json(obj)
