@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -19,6 +20,7 @@ import numpy as np
 from . import cone as cone_mod
 from . import cubics as cubics_mod
 from .clifford import (
+    MAX_GAMMA_ENTRIES,
     CliffordModule,
     MetricSpace,
     build_clifford_module,
@@ -56,6 +58,10 @@ _SPEC_KEYS = {
     3: {"rank", "dim_v", "multiplicity", "mult", "signature", "seed"},
 }
 
+# Most values one scan range LO:HI:STEP may hold; a scan runs one cell per
+# pair of eps1 and eps2 values.
+MAX_RANGE_VALUES = 1000
+
 
 def _fmt(x) -> str:
     if isinstance(x, (bool, np.bool_)):
@@ -81,42 +87,54 @@ def dumps17(obj) -> str:
     return _fmt(obj)
 
 
-class _CorruptGamma:
-    """Test hook: returns a copy of a module with one gamma entry bumped."""
+def _corrupt_gamma(module: CliffordModule) -> CliffordModule:
+    """Test hook: a copy of a module with one gamma entry bumped."""
+    gam = np.array(module.gammas, dtype=np.int64)
+    gam[0, 0, 0] += 1
+    return CliffordModule(
+        module.v_space, module.s0_space, module.s1_space, gam, multiplicity=module.multiplicity
+    )
 
-    @staticmethod
-    def apply(module: CliffordModule) -> CliffordModule:
-        gam = np.array(module.gammas, dtype=np.int64)
-        gam[0, 0, 0] += 1
-        return CliffordModule(
-            module.v_space,
-            module.s0_space,
-            module.s1_space,
-            gam,
-            multiplicity=module.multiplicity,
-        )
+
+def _is_int(x) -> bool:
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 def parse_spec(obj: dict):
-    """Validate a cone spec and build the descriptor. Unknown keys rejected."""
+    """Validate a cone spec and build the descriptor.  Unknown keys and
+    values that are not exact integers are rejected (SpecError), and so is
+    a rank-2 space whose dim_w**2 exceeds MAX_GAMMA_ENTRIES
+    (ModuleTooLargeError), before anything is built."""
     if not isinstance(obj, dict):
         raise SpecError("spec must be a JSON object")
     rank = obj.get("rank")
-    if rank not in (2, 3):
+    if not _is_int(rank) or rank not in (2, 3):
         raise SpecError("spec needs rank 2 or 3")
     unknown = set(obj) - _SPEC_KEYS[rank]
     if unknown:
         raise SpecError(f"unknown spec fields: {sorted(unknown)}")
+    sig = obj.get("signature")
+    if sig is not None and not (isinstance(sig, (list, tuple)) and len(sig) == 2):
+        raise SpecError(f"signature must be a list [p, q], got {sig!r}")
+    ints = {k: v for k, v in obj.items() if k not in ("rank", "signature")}
+    ints.update(zip(("signature p", "signature q"), sig or ()))
+    for name, value in ints.items():
+        if not _is_int(value):
+            raise SpecError(f"spec field {name} must be an integer, got {value!r}")
     try:
-        seed = int(obj.get("seed", 0))
-        sig = obj.get("signature")
         if rank == 2:
             if "dim_w" not in obj:
                 raise SpecError("rank-2 spec needs dim_w")
-            dim_w = int(obj["dim_w"])
-            space = MetricSpace.canonical(*sig) if sig else MetricSpace.euclidean(dim_w)
-            if space.dim != dim_w:
+            dim_w = obj["dim_w"]
+            if dim_w < 1:
+                raise SpecError("dim_w must be >= 1")
+            if dim_w**2 > MAX_GAMMA_ENTRIES:
+                raise ModuleTooLargeError(
+                    f"dim_w^2 = {dim_w}^2 exceeds MAX_GAMMA_ENTRIES = {MAX_GAMMA_ENTRIES}"
+                )
+            if sig is not None and (min(sig) < 0 or sum(sig) != dim_w):
                 raise SpecError("signature inconsistent with dim_w")
+            space = MetricSpace.euclidean(dim_w) if sig is None else MetricSpace.canonical(*sig)
             algebra = rank2_algebra(space)
             module = None
         else:
@@ -124,16 +142,14 @@ def parse_spec(obj: dict):
                 raise SpecError("rank-3 spec needs dim_v")
             if "multiplicity" in obj and "mult" in obj:
                 raise SpecError("give either multiplicity or mult, not both")
-            dim_v = int(obj["dim_v"])
-            mult = int(obj.get("multiplicity", obj.get("mult", 1)))
-            signature = tuple(int(x) for x in sig) if sig else None
-            module = build_clifford_module(dim_v, signature, mult)
+            mult = obj.get("multiplicity", obj.get("mult", 1))
+            module = build_clifford_module(obj["dim_v"], None if sig is None else tuple(sig), mult)
             algebra = rank3_special(module)
     except SpecError:
         raise
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise SpecError(f"bad spec value: {exc}") from exc
-    return cone_mod.cone_from_algebra(algebra), module, seed
+    return cone_mod.cone_from_algebra(algebra), module, obj.get("seed", 0)
 
 
 def _load_json(path: str):
@@ -149,9 +165,12 @@ def _parse_range(text: str) -> list[float]:
         lo, hi, step = (float(t) for t in text.split(":"))
     except ValueError as exc:
         raise SpecError(f"range must be LO:HI:STEP, got {text!r}") from exc
-    if step <= 0 or hi < lo:
-        raise SpecError(f"bad range {text!r}")
-    n = int(round((hi - lo) / step)) + 1
+    if not all(map(math.isfinite, (lo, hi, step))) or step <= 0 or hi < lo:
+        raise SpecError(f"bad range {text!r}: need finite LO <= HI and STEP > 0")
+    span = (hi - lo) / step  # inf if the quotient overflows
+    n = int(round(span)) + 1 if span < MAX_RANGE_VALUES else MAX_RANGE_VALUES + 1
+    if n > MAX_RANGE_VALUES:
+        raise SpecError(f"range {text!r} holds more than MAX_RANGE_VALUES = {MAX_RANGE_VALUES} values")
     return [lo + k * step for k in range(n)]
 
 
@@ -206,9 +225,8 @@ def cmd_eval(args) -> int:
         result["member"] = cone_mod.membership(cone, X)
     else:
         gc = cone_mod.group_coordinates(cone, X)
-        A = gc.element
-        result["diag"] = list(A.diag)
-        result["offdiag"] = {f"{i}{j}": list(A.offdiag[(i, j)]) for (i, j) in cone.algebra.offdiag_keys}
+        A = gc.element.to_json()
+        result["diag"], result["offdiag"] = A["diag"], A["offdiag"]
         result["residual"] = gc.max_residual
     if not _all_finite(result):
         raise OutsideConeError(f"{args.op} is not finite at this point: {dumps17(result)}")
@@ -226,6 +244,8 @@ def cmd_scan(args) -> int:
         return EXIT_UNSUPPORTED
     eps1 = _parse_range(args.eps1)
     eps2 = _parse_range(args.eps2)
+    if args.grid < 1:
+        raise SpecError(f"--grid must be at least 1, got {args.grid}")
     grid = cubics_mod.DiagonalGrid(n=args.grid)
     search = cubics_mod.SearchGrid(n=max(8, args.grid))
     rows = cubics_mod.scan_parameter_plane(cone, eps1, eps2, grid, search)
@@ -271,14 +291,7 @@ def _invariant_suite(cone, module, seed: int):
         A, B, C = (random_triangular(alg, rng) for _ in range(3))
         left = triangular_product(triangular_product(A, B), C)
         right = triangular_product(A, triangular_product(B, C))
-        worst = max(
-            worst,
-            float(np.max(np.abs(left.diag - right.diag))),
-            max(
-                float(np.max(np.abs(left.offdiag[k] - right.offdiag[k])))
-                for k in alg.offdiag_keys
-            ),
-        )
+        worst = max(worst, float(np.max(np.abs(left.to_vector() - right.to_vector()))))
     yield "triangular-associativity", worst, 1e-12
 
     samples = [random_triangular(alg, rng) for _ in range(n_round)]
@@ -288,10 +301,7 @@ def _invariant_suite(cone, module, seed: int):
         gc = cone_mod.group_coordinates(cone, X)
         R = gc.element
         scale = max(1.0, float(np.max(np.abs(A.diag))))
-        err = float(np.max(np.abs(R.diag - A.diag))) / scale
-        for k in alg.offdiag_keys:
-            err = max(err, float(np.max(np.abs(R.offdiag[k] - A.offdiag[k]), initial=0.0)) / scale)
-        worst_rt = max(worst_rt, err)
+        worst_rt = max(worst_rt, float(np.max(np.abs(R.to_vector() - A.to_vector()))) / scale)
         ps = cone_mod.p_polynomials(cone, X)
         m = cone.rank
         for i in range(m):
@@ -360,34 +370,10 @@ def _invariant_suite(cone, module, seed: int):
                     continue
                 X = herm_from_vector(alg, X.to_vector() / qx ** (1.0 / 3.0))
                 M = cubics_mod.hessian_log(q, X)
-                fd = _fd_hessian_log(q, X)
+                fd = cubics_mod.fd_hessian_log(q, X)
                 scale = float(np.max(np.abs(M)))
                 worst = max(worst, float(np.max(np.abs(M - fd))) / scale)
         yield "hessian-log-vs-finite-differences", worst, 1e-5
-
-
-def _fd_hessian_log(q, X, h: float = 1e-5) -> np.ndarray:
-    x0 = X.to_vector()
-    alg = q.cone.algebra
-
-    def f(z):
-        return -np.log(cubics_mod.eval_cubic(q, herm_from_vector(alg, z)))
-
-    n = x0.size
-    H = np.zeros((n, n))
-    f0 = f(x0)
-    for i in range(n):
-        ei = np.zeros(n)
-        ei[i] = h
-        H[i, i] = (f(x0 + ei) - 2.0 * f0 + f(x0 - ei)) / h**2
-        for j in range(i + 1, n):
-            ej = np.zeros(n)
-            ej[j] = h
-            val = (f(x0 + ei + ej) - f(x0 + ei - ej) - f(x0 - ei + ej) + f(x0 - ei - ej)) / (
-                4.0 * h**2
-            )
-            H[i, j] = H[j, i] = val
-    return H
 
 
 def cmd_selftest(args) -> int:
@@ -398,7 +384,7 @@ def cmd_selftest(args) -> int:
         if module is None:
             print("corrupt-gamma requires a rank-3 spec", file=sys.stderr)
             return EXIT_UNSUPPORTED
-        module = _CorruptGamma.apply(module)
+        module = _corrupt_gamma(module)
         cone = cone_mod.cone_from_algebra(rank3_special(module))
     failures = 0
     for name, residual, threshold in _invariant_suite(cone, module, seed):

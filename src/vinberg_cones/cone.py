@@ -14,17 +14,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import (
-    AlgebraMismatchError,
-    IndefiniteSignatureError,
-    OutsideConeError,
-    SpecError,
-)
+from .errors import IndefiniteSignatureError, OutsideConeError, SpecError
 from .nilalgebra import (
     HermMatrix,
     NilAlgebra,
     TriangularElement,
     anti_transpose,
+    check_same_algebra,
     dual_algebra,
     herm_from_triangular,
 )
@@ -66,11 +62,6 @@ def dual_cone(cone: ConeDescriptor) -> ConeDescriptor:
     return cone_from_algebra(dual_algebra(cone.algebra))
 
 
-def _check_point(cone: ConeDescriptor, X: HermMatrix) -> None:
-    if X.algebra is not cone.algebra:
-        raise AlgebraMismatchError("point does not live over this cone's algebra")
-
-
 def _require_euclidean(cone: ConeDescriptor) -> None:
     if not cone.is_euclidean:
         raise IndefiniteSignatureError(
@@ -83,6 +74,20 @@ def _require_euclidean(cone: ConeDescriptor) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _det_form(alg: NilAlgebra, X: HermMatrix) -> float:
+    """x1 x2 x3 - x3 |x12|^2 - x2 |x13|^2 - x1 |x23|^2 + 2 <x12 . x23, x13>
+    on a rank-3 algebra of either kind."""
+    x1, x2, x3 = X.diag
+    x12, x13, x23 = X.offdiag[(1, 2)], X.offdiag[(1, 3)], X.offdiag[(2, 3)]
+    return (
+        x1 * x2 * x3
+        - x3 * alg.norm_sq((1, 2), x12)
+        - x2 * alg.norm_sq((1, 3), x13)
+        - x1 * alg.norm_sq((2, 3), x23)
+        + 2.0 * alg.ip((1, 3), alg.mult(x12, x23), x13)
+    )
+
+
 def det_cubic(cone: ConeDescriptor, X: HermMatrix) -> float:
     """The determinant cubic d(X) of a rank-3 special cone:
 
@@ -91,57 +96,47 @@ def det_cubic(cone: ConeDescriptor, X: HermMatrix) -> float:
     with s0, s1, v the entries at (1,2), (1,3), (2,3).  Equals the squared
     G-determinant: d(A . A^*) = (a11 a22 a33)^2.
     """
-    _check_point(cone, X)
-    alg = cone.algebra
-    if alg.kind != "rank3-special":
+    check_same_algebra(cone.algebra, X)
+    if cone.algebra.kind != "rank3-special":
         raise SpecError("determinant cubic requires a rank-3 special algebra")
-    x1, x2, x3 = X.diag
-    s0, s1, v = X.offdiag[(1, 2)], X.offdiag[(1, 3)], X.offdiag[(2, 3)]
-    return (
-        x1 * x2 * x3
-        - x3 * alg.norm_sq((1, 2), s0)
-        - x2 * alg.norm_sq((1, 3), s1)
-        - x1 * alg.norm_sq((2, 3), v)
-        + 2.0 * alg.ip((1, 3), alg.mult(s0, v), s1)
-    )
+    return _det_form(cone.algebra, X)
 
 
 def _p1_rank3(cone: ConeDescriptor, X: HermMatrix) -> float:
     """Degree-4 polynomial p_1 = x3 * pi^2 for any rank-3 algebra (the
     cleared form of the rational squared G-determinant)."""
     alg = cone.algebra
+    p1 = X.diag[2] * _det_form(alg, X)
     if alg.kind == "rank3-special":
-        return X.diag[2] * det_cubic(cone, X)
-    x1, x2, x3 = X.diag
-    e12, e13, e23 = X.offdiag[(1, 2)], X.offdiag[(1, 3)], X.offdiag[(2, 3)]
-    n12 = alg.norm_sq((1, 2), e12)
-    n13 = alg.norm_sq((1, 3), e13)
-    n23 = alg.norm_sq((2, 3), e23)
-    cross = alg.ip((1, 3), alg.mult(e12, e23), e13)
+        return p1
+    e13, e23 = X.offdiag[(1, 3)], X.offdiag[(2, 3)]
     adj = alg.mult_flat_right(e13, e23)
-    cubic = x1 * x2 * x3 - x1 * n23 - x2 * n13 - x3 * n12 + 2.0 * cross
-    return x3 * cubic + (n23 * n13 - alg.norm_sq((1, 2), adj))
+    return p1 + (alg.norm_sq((2, 3), e23) * alg.norm_sq((1, 3), e13) - alg.norm_sq((1, 2), adj))
+
+
+def _lower_p(cone: ConeDescriptor, X: HermMatrix) -> tuple[float, ...]:
+    """(p_2, ..., p_m), which involve only the entries below the first row."""
+    check_same_algebra(cone.algebra, X)
+    if cone.rank == 2:
+        return (X.diag[1],)
+    x2, x3 = X.diag[1:]
+    return (x3 * x2 - cone.algebra.norm_sq((2, 3), X.offdiag[(2, 3)]), x3)
 
 
 def p_polynomials(cone: ConeDescriptor, X: HermMatrix) -> tuple[float, ...]:
     """(p_1, ..., p_m): the homogeneous polynomials with
     a_ii(X)^2 = p_i / prod_{s>i} p_s; deg p_i = 2^(m-i)."""
-    _check_point(cone, X)
-    alg = cone.algebra
+    lower = _lower_p(cone, X)
     if cone.rank == 2:
         x1, x2 = X.diag
-        w = X.offdiag[(1, 2)]
-        return (x1 * x2 - alg.norm_sq((1, 2), w), x2)
-    x1, x2, x3 = X.diag
-    p3 = x3
-    p2 = x3 * x2 - alg.norm_sq((2, 3), X.offdiag[(2, 3)])
-    return (_p1_rank3(cone, X), p2, p3)
+        return (x1 * x2 - cone.algebra.norm_sq((1, 2), X.offdiag[(1, 2)]), *lower)
+    return (_p1_rank3(cone, X), *lower)
 
 
 def g_determinant_sq(cone: ConeDescriptor, X: HermMatrix) -> float:
     """pi^2(X): rank 2 -> p_1; rank-3 special -> the determinant cubic;
     rank-3 dual -> the degree-3 rational function p_1 / p_3."""
-    _check_point(cone, X)
+    check_same_algebra(cone.algebra, X)
     if cone.rank == 2:
         return p_polynomials(cone, X)[0]
     if cone.algebra.kind == "rank3-special":
@@ -154,7 +149,7 @@ def g_determinant_sq(cone: ConeDescriptor, X: HermMatrix) -> float:
 
 def membership(cone: ConeDescriptor, X: HermMatrix) -> bool:
     """Strict positivity of all m defining inequalities (open cone)."""
-    _check_point(cone, X)
+    check_same_algebra(cone.algebra, X)
     _require_euclidean(cone)
     if cone.rank == 2:
         p1, p2 = p_polynomials(cone, X)
@@ -186,7 +181,7 @@ def group_coordinates(cone: ConeDescriptor, X: HermMatrix) -> GroupCoordinates:
     diagonal.  Raises OutsideConeError whenever a diagonal radicand drops
     below the floor (the point is outside the open cone or too close to
     its boundary)."""
-    _check_point(cone, X)
+    check_same_algebra(cone.algebra, X)
     alg = cone.algebra
     if cone.rank == 2:
         x1, x2 = X.diag
@@ -218,12 +213,13 @@ def group_coordinates(cone: ConeDescriptor, X: HermMatrix) -> GroupCoordinates:
             alg, [math.sqrt(r1), a2, a3], {(1, 2): t0, (1, 3): t1, (2, 3): w}
         )
 
-    rebuilt = herm_from_triangular(A)
-    scale = max(1.0, float(np.max(np.abs(X.to_vector()))))
-    residuals = {"diag": float(np.max(np.abs(rebuilt.diag - X.diag))) / scale}
-    for (i, j) in alg.offdiag_keys:
-        err = float(np.max(np.abs(rebuilt.offdiag[(i, j)] - X.offdiag[(i, j)]), initial=0.0))
-        residuals[f"{i}{j}"] = err / scale
+    x = X.to_vector()
+    scale = max(1.0, float(np.max(np.abs(x))))
+    err = np.abs(herm_from_triangular(A).to_vector() - x)
+    residuals = {
+        key if key == "diag" else f"{key[0]}{key[1]}": float(np.max(err[sl], initial=0.0)) / scale
+        for key, sl in alg.layout.items()
+    }
     return GroupCoordinates(A, residuals)
 
 
@@ -269,7 +265,7 @@ def d_prime(cone: ConeDescriptor, X: HermMatrix) -> float:
     Agrees with the squared G-determinant of the anti-transposed point
     computed in the dual algebra, and d'(A^* . A) = (a11 a22 a33)^2.
     """
-    _check_point(cone, X)
+    check_same_algebra(cone.algebra, X)
     alg = cone.algebra
     if alg.kind != "rank3-special":
         raise SpecError("d' is defined on rank-3 special cones")
@@ -285,7 +281,7 @@ def d_prime(cone: ConeDescriptor, X: HermMatrix) -> float:
 def d_prime_via_dual(cone: ConeDescriptor, X: HermMatrix) -> float:
     """Independent evaluation of d' through the anti-transposition route:
     the rational squared G-determinant of t'(X) in the dual algebra."""
-    _check_point(cone, X)
+    check_same_algebra(cone.algebra, X)
     if cone.algebra.kind != "rank3-special":
         raise SpecError("d' is defined on rank-3 special cones")
     return g_determinant_sq(dual_cone(cone), anti_transpose(X))
@@ -298,7 +294,7 @@ def dual_membership(cone: ConeDescriptor, X: HermMatrix) -> bool:
     d'(X) > 0.  Equivalent to membership of the anti-transposed point in
     the dual-algebra cone.
     """
-    _check_point(cone, X)
+    check_same_algebra(cone.algebra, X)
     _require_euclidean(cone)
     if cone.rank == 2:
         p1, _ = p_polynomials(cone, X)

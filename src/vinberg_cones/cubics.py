@@ -8,9 +8,9 @@ A cubic q on the Hermitian space is invariant under the unipotent group
 
 The Hessian form g(q) = -Hess(log q) restricted to the tangent space of the
 level hypersurface {q = 1} is positive definite exactly for the admissible
-cubics; by invariance this can be decided on the diagonal slice.  Everything
-here works on flattened coordinate vectors laid out as
-[diag entries | block (1,2) | block (1,3) | block (2,3)].
+cubics; by invariance this can be decided on the diagonal slice.  Gradients
+and Hessians are in the flat coordinates of the algebra's layout (see
+README, Coordinates).
 """
 
 from __future__ import annotations
@@ -21,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cone import ConeDescriptor, _require_euclidean
-from .errors import AlgebraMismatchError, OutsideConeError, SpecError
-from .nilalgebra import HermMatrix, herm_from_vector
+from .cone import ConeDescriptor, _lower_p, _require_euclidean, det_cubic, p_polynomials
+from .errors import OutsideConeError, SpecError
+from .nilalgebra import HermMatrix, check_same_algebra, herm_from_vector
 
 MINOR_BAND = 1e-12  # minors within +/- band*scale count as degenerate
 
@@ -88,51 +88,22 @@ class InvariantCubic:
         return (b / a, c / a)
 
 
-def _layout(cone: ConeDescriptor):
-    alg = cone.algebra
-    m = alg.rank
-    slices = {"diag": slice(0, m)}
-    pos = m
-    for key in alg.offdiag_keys:
-        d = alg.dim(key)
-        slices[key] = slice(pos, pos + d)
-        pos += d
-    return slices
-
-
-def _check_cubic_point(q: InvariantCubic, X: HermMatrix) -> None:
-    if X.algebra is not q.cone.algebra:
-        raise AlgebraMismatchError("point does not live over the cubic's algebra")
-
-
 def eval_cubic(q: InvariantCubic, X: HermMatrix) -> float:
     """Exact polynomial evaluation; homogeneous of degree 3."""
-    _check_cubic_point(q, X)
-    alg = q.cone.algebra
     if q.cone.rank == 2:
         a, b = q.coeffs
-        x1, x2 = X.diag
-        p1 = x1 * x2 - alg.norm_sq((1, 2), X.offdiag[(1, 2)])
+        p1, x2 = p_polynomials(q.cone, X)
         return a * x2**3 + b * x2 * p1
     a, b, c = q.coeffs
-    x1, x2, x3 = X.diag
-    s0, s1, v = X.offdiag[(1, 2)], X.offdiag[(1, 3)], X.offdiag[(2, 3)]
-    d = (
-        x1 * x2 * x3
-        - x3 * alg.norm_sq((1, 2), s0)
-        - x2 * alg.norm_sq((1, 3), s1)
-        - x1 * alg.norm_sq((2, 3), v)
-        + 2.0 * alg.ip((1, 3), alg.mult(s0, v), s1)
-    )
-    p2p3 = x3 * (x2 * x3 - alg.norm_sq((2, 3), v))
-    return a * d + b * p2p3 + c * x3**3
+    p2, p3 = _lower_p(q.cone, X)
+    return a * det_cubic(q.cone, X) + b * (p2 * p3) + c * p3**3
 
 
 def gradient(q: InvariantCubic, X: HermMatrix) -> np.ndarray:
     """Gradient of q in flat coordinates (closed-form polynomials)."""
-    _check_cubic_point(q, X)
+    check_same_algebra(q.cone.algebra, X)
     alg = q.cone.algebra
-    lay = _layout(q.cone)
+    lay = alg.layout
     g = np.zeros(q.cone.dim_herm)
     if q.cone.rank == 2:
         a, b = q.coeffs
@@ -167,9 +138,9 @@ def gradient(q: InvariantCubic, X: HermMatrix) -> np.ndarray:
 
 def cubic_hessian(q: InvariantCubic, X: HermMatrix) -> np.ndarray:
     """Hessian of q in flat coordinates (constant + linear polynomial entries)."""
-    _check_cubic_point(q, X)
+    check_same_algebra(q.cone.algebra, X)
     alg = q.cone.algebra
-    lay = _layout(q.cone)
+    lay = alg.layout
     n = q.cone.dim_herm
     H = np.zeros((n, n))
     if q.cone.rank == 2:
@@ -222,6 +193,30 @@ def hessian_log(q: InvariantCubic, X: HermMatrix) -> np.ndarray:
     g = gradient(q, X)
     H = cubic_hessian(q, X)
     return (np.outer(g, g) - qx * H) / qx**2
+
+
+def fd_hessian_log(q: InvariantCubic, X: HermMatrix, h: float = 1e-5) -> np.ndarray:
+    """Central-difference -Hess(log q), the coarse numerical oracle that the
+    self-test and the tests hold hessian_log against."""
+    alg = q.cone.algebra
+    x0 = X.to_vector()
+
+    def f(z):
+        return -math.log(eval_cubic(q, herm_from_vector(alg, z)))
+
+    n = x0.size
+    E = h * np.eye(n)
+    H = np.zeros((n, n))
+    f0 = f(x0)
+    for i in range(n):
+        ei = E[i]
+        H[i, i] = (f(x0 + ei) - 2.0 * f0 + f(x0 - ei)) / h**2
+        for j in range(i + 1, n):
+            ej = E[j]
+            H[i, j] = H[j, i] = (
+                f(x0 + ei + ej) - f(x0 + ei - ej) - f(x0 - ei + ej) + f(x0 - ei - ej)
+            ) / (4.0 * h**2)
+    return H
 
 
 # ---------------------------------------------------------------------------
@@ -395,10 +390,6 @@ def _rank3_slice_points(q: InvariantCubic, grid: DiagonalGrid):
     return pts
 
 
-def _diag_point(q: InvariantCubic, coords) -> HermMatrix:
-    return HermMatrix(q.cone.algebra, np.asarray(coords, dtype=float), {})
-
-
 def _constraint_violated(q: InvariantCubic, x: np.ndarray) -> np.ndarray:
     """Sign of the vector-block diagonal of -Hess(log q) at each row of x:
     a x1 + b x3 <= 0 forces a non-positive tangent direction (rank 3 only)."""
@@ -420,9 +411,12 @@ def _constraint_violated(q: InvariantCubic, x: np.ndarray) -> np.ndarray:
 # pivots of the Jacobi-scaled Gram matrices, all 1 for the orthonormal bases
 # the library builds).  The kernel below evaluates that for a stack of points.
 # Every value that reaches the core repeats the float operations of
-# eval_cubic, gradient, cubic_hessian and tangent_restriction with zero
+# eval_cubic (d = x1 x2 x3 from det_cubic, p2 = x3 x2 and p3 = x3 from
+# cone._lower_p), gradient, cubic_hessian and tangent_restriction with zero
 # off-diagonal entries, in the same grouping: near-singular cores amplify a
-# last-bit change in an entry about 1e5-fold in min_minor.
+# last-bit change in an entry about 1e5-fold in min_minor.  Only the cube
+# x**3 may differ in its last bit, as numpy's array power and the scalar
+# power round differently.
 
 
 def _diagonal_parts(q: InvariantCubic, x: np.ndarray):
@@ -441,7 +435,7 @@ def _diagonal_parts(q: InvariantCubic, x: np.ndarray):
         a, b, c = q.coeffs
         x1, x2, x3 = x.T
         x3sq = x3**2
-        qx = a * (x1 * x2 * x3) + b * (x3 * (x2 * x3)) + c * x3**3
+        qx = a * (x1 * x2 * x3) + b * ((x3 * x2) * x3) + c * x3**3
         g = [
             a * (x2 * x3),
             a * (x1 * x3) + b * x3sq,
@@ -575,7 +569,7 @@ def find_locally_admissible_point(q: InvariantCubic, search: SearchGrid | None =
         return None
     found = np.flatnonzero(_diagonal_verdicts(q, x)[0] == PD)
     # the dense restriction at that one point fills in the whole report
-    return tangent_restriction(q, _diag_point(q, x[found[0]])) if found.size else None
+    return tangent_restriction(q, HermMatrix(q.cone.algebra, x[found[0]], {})) if found.size else None
 
 
 # ---------------------------------------------------------------------------

@@ -30,4 +30,5 @@ class CliffordRelationError(VinbergError, ArithmeticError):
 
 
 class ModuleTooLargeError(VinbergError):
-    """A requested Clifford module exceeds the documented size bound."""
+    """A requested Clifford module, or the entry space of a rank-2 spec,
+    exceeds the documented size bound MAX_GAMMA_ENTRIES."""

@@ -5,7 +5,8 @@ A rank-m Nil-algebra stores one metric space per strictly-upper slot (i, j)
 and, for rank 3, the single bilinear isometric product
 N_12 x N_23 -> N_13 as a dense tensor.  Triangular elements (the solvable
 group when the diagonal is positive) and Hermitian matrices are coordinate
-containers over a fixed algebra; all products needed downstream are
+containers over a fixed algebra, each one flat vector in the algebra's
+layout (see README, Coordinates); all products needed downstream are
 expressed through the product tensor and its two metric adjoints, so the
 same code runs on an algebra and on its anti-transposed dual.
 """
@@ -39,6 +40,9 @@ class NilAlgebra:
     clifford: CliffordModule | None = None
     kind: str = "rank2"
     _dual: "NilAlgebra | None" = field(default=None, repr=False)
+    # slice of the diagonal ("diag") and of each block in the flat vector
+    layout: dict = field(init=False, repr=False)
+    herm_dim: int = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.rank not in (2, 3):
@@ -46,6 +50,12 @@ class NilAlgebra:
         expect = [(i, j) for i in range(1, self.rank + 1) for j in range(i + 1, self.rank + 1)]
         if sorted(self.spaces) != expect:
             raise SpecError(f"spaces must be indexed by {expect}")
+        layout, pos = {"diag": slice(0, self.rank)}, self.rank
+        for key in expect:
+            layout[key] = slice(pos, pos + self.dim(key))
+            pos += self.dim(key)
+        object.__setattr__(self, "layout", layout)
+        object.__setattr__(self, "herm_dim", pos)
         if self.rank == 3:
             p = np.asarray(self.product, dtype=float)
             shape = (self.dim((1, 3)), self.dim((1, 2)), self.dim((2, 3)))
@@ -64,10 +74,6 @@ class NilAlgebra:
 
     def dim(self, key: Key) -> int:
         return self.spaces[key].dim
-
-    @property
-    def herm_dim(self) -> int:
-        return self.rank + sum(s.dim for s in self.spaces.values())
 
     @property
     def is_euclidean(self) -> bool:
@@ -157,94 +163,75 @@ def dual_algebra(algebra: NilAlgebra) -> NilAlgebra:
 # ---------------------------------------------------------------------------
 
 
-def _coerce_entries(algebra: NilAlgebra, diag, offdiag, what: str):
-    diag = np.asarray(diag, dtype=float)
-    if diag.shape != (algebra.rank,):
-        raise DimensionMismatchError(f"{what}: diag must have length {algebra.rank}")
-    out = {}
-    for key in algebra.offdiag_keys:
-        v = np.asarray(offdiag.get(key, np.zeros(algebra.dim(key))), dtype=float)
-        if v.shape != (algebra.dim(key),):
-            raise DimensionMismatchError(f"{what}: entry {key} has wrong dimension")
-        v = v.copy()
-        v.setflags(write=False)
-        out[key] = v
-    diag = diag.copy()
-    diag.setflags(write=False)
-    return diag, out
+class _FlatEntries:
+    """Diagonal plus strictly-upper blocks over a fixed algebra, held as one
+    read-only float vector in ``algebra.layout`` (see README, Coordinates).
+    ``diag`` and ``offdiag[key]`` are read-only views into it; a block left
+    out of ``offdiag`` is zero."""
+
+    __slots__ = ("algebra", "diag", "offdiag", "_vector")
+
+    def __init__(self, algebra: NilAlgebra, diag, offdiag: dict):
+        entries = {"diag": diag, **offdiag}
+        vec = np.zeros(algebra.herm_dim)
+        for key, sl in algebra.layout.items():
+            if key in entries:
+                entry = np.asarray(entries[key], dtype=float)
+                if entry.shape != (sl.stop - sl.start,):
+                    raise DimensionMismatchError(f"{type(self).__name__}: entry {key} has wrong dimension")
+                vec[sl] = entry
+        self._wrap(algebra, vec)
+
+    def _wrap(self, algebra: NilAlgebra, vec: np.ndarray) -> None:
+        vec.setflags(write=False)
+        views = {key: vec[sl] for key, sl in algebra.layout.items()}
+        fields = {"algebra": algebra, "_vector": vec, "diag": views.pop("diag"), "offdiag": views}
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def to_vector(self) -> np.ndarray:
+        """The flat coordinates (read-only)."""
+        return self._vector
+
+    def to_json(self) -> dict:
+        return {
+            "rank": self.algebra.rank,
+            "diag": list(self.diag),
+            "offdiag": {f"{i}{j}": list(self.offdiag[(i, j)]) for (i, j) in self.algebra.offdiag_keys},
+        }
 
 
-@dataclass(frozen=True, eq=False)
-class TriangularElement:
+class TriangularElement(_FlatEntries):
     """Upper-triangular generalized matrix D + N.  Elements of the Vinberg
     group have strictly positive diagonal; products may leave that set."""
 
-    algebra: NilAlgebra
-    diag: np.ndarray
-    offdiag: dict[Key, np.ndarray]
-
-    def __post_init__(self):
-        diag, off = _coerce_entries(self.algebra, self.diag, self.offdiag, "TriangularElement")
-        object.__setattr__(self, "diag", diag)
-        object.__setattr__(self, "offdiag", off)
+    __slots__ = ()
 
     @property
     def in_group(self) -> bool:
         return bool(np.all(self.diag > 0))
 
-    def to_json(self) -> dict:
-        return {
-            "rank": self.algebra.rank,
-            "diag": list(self.diag),
-            "offdiag": {f"{i}{j}": list(self.offdiag[(i, j)]) for (i, j) in self.algebra.offdiag_keys},
-        }
 
-
-@dataclass(frozen=True, eq=False)
-class HermMatrix:
+class HermMatrix(_FlatEntries):
     """Hermitian generalized matrix; only diagonal + upper entries stored."""
 
-    algebra: NilAlgebra
-    diag: np.ndarray
-    offdiag: dict[Key, np.ndarray]
-
-    def __post_init__(self):
-        diag, off = _coerce_entries(self.algebra, self.diag, self.offdiag, "HermMatrix")
-        object.__setattr__(self, "diag", diag)
-        object.__setattr__(self, "offdiag", off)
-
-    def to_vector(self) -> np.ndarray:
-        parts = [self.diag] + [self.offdiag[k] for k in self.algebra.offdiag_keys]
-        return np.concatenate(parts)
+    __slots__ = ()
 
     def scaled(self, lam: float) -> "HermMatrix":
-        return HermMatrix(
-            self.algebra,
-            lam * self.diag,
-            {k: lam * v for k, v in self.offdiag.items()},
-        )
-
-    def to_json(self) -> dict:
-        return {
-            "rank": self.algebra.rank,
-            "diag": list(self.diag),
-            "offdiag": {f"{i}{j}": list(self.offdiag[(i, j)]) for (i, j) in self.algebra.offdiag_keys},
-        }
+        return herm_from_vector(self.algebra, lam * self._vector)
 
 
 def herm_from_vector(algebra: NilAlgebra, vec) -> HermMatrix:
-    vec = np.asarray(vec, dtype=float)
+    """A Hermitian matrix holding a copy of the flat coordinates ``vec``."""
+    vec = np.array(vec, dtype=float)
     if vec.shape != (algebra.herm_dim,):
         raise DimensionMismatchError("vector length != Hermitian dimension")
-    m = algebra.rank
-    diag = vec[:m]
-    off = {}
-    pos = m
-    for key in algebra.offdiag_keys:
-        d = algebra.dim(key)
-        off[key] = vec[pos : pos + d]
-        pos += d
-    return HermMatrix(algebra, diag, off)
+    X = HermMatrix.__new__(HermMatrix)
+    X._wrap(algebra, vec)
+    return X
 
 
 _POINT_KEYS = {"rank", "diag", "offdiag"}
@@ -259,7 +246,7 @@ def herm_from_json(algebra: NilAlgebra, obj: dict) -> HermMatrix:
     unknown = set(obj) - _POINT_KEYS
     if unknown:
         raise SpecError(f"unknown Hermitian-matrix fields: {sorted(unknown)}")
-    if obj.get("rank") != algebra.rank:
+    if not isinstance(obj.get("rank"), int) or obj["rank"] != algebra.rank:
         raise SpecError("rank mismatch between matrix and algebra")
     names = {f"{i}{j}": (i, j) for (i, j) in algebra.offdiag_keys}
     offdiag = obj.get("offdiag", {})
@@ -303,14 +290,15 @@ def random_triangular(
 # ---------------------------------------------------------------------------
 
 
-def _same_algebra(a, b) -> None:
-    if a.algebra is not b.algebra:
+def check_same_algebra(algebra: NilAlgebra, *operands) -> None:
+    """Raise AlgebraMismatchError unless every operand lives over ``algebra``."""
+    if any(x.algebra is not algebra for x in operands):
         raise AlgebraMismatchError("operands live over different algebras")
 
 
 def triangular_product(A: TriangularElement, B: TriangularElement) -> TriangularElement:
     """Associative product in the solvable matrix algebra T(N)."""
-    _same_algebra(A, B)
+    check_same_algebra(A.algebra, B)
     alg = A.algebra
     diag = A.diag * B.diag
     off: dict[Key, np.ndarray] = {}
@@ -365,28 +353,21 @@ def herm_from_triangular_star(A: TriangularElement) -> HermMatrix:
     return HermMatrix(alg, [y1, y2, y3], {(1, 2): e12, (1, 3): e13, (2, 3): e23})
 
 
-def anti_transpose(X: HermMatrix) -> HermMatrix:
-    """Reflection across the anti-diagonal; lands in the dual algebra."""
-    alg = X.algebra
-    m = alg.rank
-    dual = dual_algebra(alg)
-    diag = X.diag[::-1]
+def anti_transpose(X):
+    """Reflection of a Hermitian matrix or a triangular element across the
+    anti-diagonal; lands in the dual algebra."""
+    m = X.algebra.rank
+    dual = dual_algebra(X.algebra)
     off = {(i, j): X.offdiag[(m + 1 - j, m + 1 - i)] for (i, j) in dual.offdiag_keys}
-    return HermMatrix(dual, diag, off)
+    return type(X)(dual, X.diag[::-1], off)
 
 
-def anti_transpose_triangular(A: TriangularElement) -> TriangularElement:
-    alg = A.algebra
-    m = alg.rank
-    dual = dual_algebra(alg)
-    diag = A.diag[::-1]
-    off = {(i, j): A.offdiag[(m + 1 - j, m + 1 - i)] for (i, j) in dual.offdiag_keys}
-    return TriangularElement(dual, diag, off)
+anti_transpose_triangular = anti_transpose
 
 
 def herm_pairing(X: HermMatrix, Y: HermMatrix) -> float:
     """Trace-form inner product sum_i x_i y_i + 2 sum_{i<j} <x_ij, y_ij>."""
-    _same_algebra(X, Y)
+    check_same_algebra(X.algebra, Y)
     alg = X.algebra
     total = float(X.diag @ Y.diag)
     for key in alg.offdiag_keys:

@@ -1,16 +1,16 @@
 """Shared fixtures and independent oracles for the test suite.
 
 The oracles here deliberately avoid the library's own computation paths:
-finite differences for Hessians, explicit closed forms at diagonal points,
-the Hurwitz-Radon bound for spinor dimensions, and dense 3x3 determinants
-for the self-adjoint instance.
+finite differences for Hessians (``cubics.fd_hessian_log``, shared with the
+self-test, which only evaluates q), explicit closed forms at diagonal
+points, the Hurwitz-Radon bound for spinor dimensions, and dense 3x3
+determinants for the self-adjoint instance.
 """
-
-import math
 
 import numpy as np
 
 import vinberg_cones as vc
+from vinberg_cones.cubics import fd_hessian_log  # noqa: F401  (re-exported for the tests)
 
 _CONES = {}
 
@@ -148,30 +148,6 @@ def dense_symmetric_3x3(X) -> np.ndarray:
     s1 = X.offdiag[(1, 3)][0]
     v = X.offdiag[(2, 3)][0]
     return np.array([[x1, s0, s1], [s0, x2, v], [s1, v, x3]])
-
-
-def fd_hessian_log(q, X, h: float = 1e-5) -> np.ndarray:
-    """Central-difference -Hess(log q), the coarse numerical oracle."""
-    alg = q.cone.algebra
-    x0 = X.to_vector()
-
-    def f(z):
-        return -math.log(vc.eval_cubic(q, vc.herm_from_vector(alg, z)))
-
-    n = x0.size
-    H = np.zeros((n, n))
-    f0 = f(x0)
-    for i in range(n):
-        ei = np.zeros(n)
-        ei[i] = h
-        H[i, i] = (f(x0 + ei) - 2.0 * f0 + f(x0 - ei)) / h**2
-        for j in range(i + 1, n):
-            ej = np.zeros(n)
-            ej[j] = h
-            H[i, j] = H[j, i] = (
-                f(x0 + ei + ej) - f(x0 + ei - ej) - f(x0 - ei + ej) + f(x0 - ei - ej)
-            ) / (4.0 * h**2)
-    return H
 
 
 def hessian_log_from_gradient_differences(q, X, h: float = 0.5) -> np.ndarray:

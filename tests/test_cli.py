@@ -261,3 +261,115 @@ class TestUsage:
 
     def test_missing_file(self):
         assert cli.main(["build", "--spec", "/nonexistent/spec.json"]) == 2
+
+
+def _run_cli(*args, timeout=30):
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    return subprocess.run(
+        [sys.executable, "-m", "vinberg_cones", *args],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+    )
+
+
+class TestScanBounds:
+    @pytest.mark.parametrize(
+        "eps1",
+        ["nan:1:1", "0:inf:1", "-inf:0:1", "0:1:nan", "0:1:inf", "-1e308:1e308:1", "0:1:1e-320"],
+    )
+    def test_non_finite_or_overflowing_range_exits_2(self, spec3, tmp_path, capsys, eps1):
+        out = tmp_path / "x.csv"
+        rc = cli.main(["scan", "--spec", spec3, f"--eps1={eps1}", "--eps2=0:0:1", "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "range" in err
+        assert not out.exists()
+
+    def test_range_above_bound_exits_2_quickly(self, spec3, tmp_path):
+        # before the bound, 0:1:1e-9 built 10^9 cells and ran past a 10 s timeout
+        out = _run_cli(
+            "scan", "--spec", spec3, "--eps1=0:1:1e-9", "--eps2=0:0:1", "--out", str(tmp_path / "x.csv"),
+            timeout=20,
+        )
+        assert out.returncode == 2
+        assert "MAX_RANGE_VALUES" in out.stderr
+        assert "Traceback" not in out.stderr
+
+    def test_range_bound_is_exact(self):
+        n = cli.MAX_RANGE_VALUES
+        assert len(cli._parse_range(f"0:{n - 1}:1")) == n
+        with pytest.raises(cli.SpecError, match="MAX_RANGE_VALUES"):
+            cli._parse_range(f"0:{n}:1")
+
+    @pytest.mark.parametrize("grid", ["0", "-3"])
+    def test_grid_below_one_exits_2(self, spec3, tmp_path, capsys, grid):
+        out = tmp_path / "x.csv"
+        rc = cli.main(
+            ["scan", "--spec", spec3, "--eps1=0:0:1", "--eps2=0:0:1", "--grid", grid, "--out", str(out)]
+        )
+        assert rc == 2
+        assert "--grid" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestSpecValues:
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"rank": 3, "dim_v": True},
+            {"rank": 3, "dim_v": 2.0},
+            {"rank": 3, "dim_v": "2"},
+            {"rank": 2, "dim_w": 2.7},
+            {"rank": 2, "dim_w": False},
+            {"rank": 3.0, "dim_v": 1},
+            {"rank": True, "dim_w": 1},
+            {"rank": 3, "dim_v": 1, "multiplicity": 1.5},
+            {"rank": 3, "dim_v": 1, "mult": True},
+            {"rank": 3, "dim_v": 1, "seed": 1.0},
+            {"rank": 2, "dim_w": 1, "seed": "1"},
+            {"rank": 2, "dim_w": 1, "signature": [1]},
+            {"rank": 2, "dim_w": 2, "signature": [1, 1, 0]},
+            {"rank": 2, "dim_w": 2, "signature": [1.0, 1]},
+            {"rank": 3, "dim_v": 2, "signature": [1, True]},
+            {"rank": 3, "dim_v": 2, "signature": "11"},
+            {"rank": 3, "dim_v": 2, "signature": {"p": 1, "q": 1}},
+            {"rank": 2, "dim_w": 0},
+            {"rank": 2, "dim_w": -5000},
+            {"rank": 2, "dim_w": 1, "signature": [-10**9, 10**9 + 1]},
+        ],
+    )
+    def test_non_integer_values_exit_2(self, tmp_path, capsys, spec):
+        path = write_json(tmp_path / "s.json", spec)
+        assert cli.main(["build", "--spec", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "positional argument" not in err
+
+    def test_parse_spec_returns_exact_values(self):
+        cone, module, seed = cli.parse_spec({"rank": 3, "dim_v": 2, "signature": [1, 1], "seed": 7})
+        assert (cone.dim_herm, module.dim_v, module.v_space.signature, seed) == (13, 2, (1, 1), 7)
+
+    def test_rank2_above_size_bound_exits_3_quickly(self, tmp_path):
+        # before the bound, dim_w = 20000 needed a 3 GB Gram matrix and hours of eigvalsh
+        spec = write_json(tmp_path / "s.json", {"rank": 2, "dim_w": 20000})
+        out = _run_cli("build", "--spec", spec)
+        assert out.returncode == 3
+        assert out.stdout == ""
+        assert "MAX_GAMMA_ENTRIES" in out.stderr
+
+    def test_rank2_size_bound_is_dim_w_squared(self):
+        dim_w = int(cli.MAX_GAMMA_ENTRIES**0.5) + 1
+        assert (dim_w - 1) ** 2 <= cli.MAX_GAMMA_ENTRIES < dim_w**2
+        with pytest.raises(cli.ModuleTooLargeError, match="dim_w"):
+            cli.parse_spec({"rank": 2, "dim_w": dim_w})
+        with pytest.raises(cli.ModuleTooLargeError):
+            cli.parse_spec({"rank": 2, "dim_w": dim_w, "signature": [dim_w, 0]})
+
+    def test_huge_dim_v_exits_3_quickly(self, tmp_path):
+        # the spinor dimension 16**(dim_v / 8) is never computed
+        spec = write_json(tmp_path / "s.json", {"rank": 3, "dim_v": 10**12})
+        out = _run_cli("build", "--spec", spec)
+        assert out.returncode == 3
+        assert "MAX_GAMMA_ENTRIES" in out.stderr

@@ -323,6 +323,23 @@ print("optimize", sys.flags.optimize)
             with pytest.raises(CliffordRelationError, match="anticommute"):
                 check(fam)
 
+    @pytest.mark.parametrize("dim_v, signature", [(3, None), (8, None), (3, (2, 1))])
+    def test_verify_isometry_matches_per_sample_definition(self, dim_v, signature):
+        # a corrupted module, so that the worst deviation is of order one
+        mod = vc.build_clifford_module(dim_v, signature)
+        gam = np.array(mod.gammas)
+        gam[-1, 0, 0] += 1
+        bad = CliffordModule(mod.v_space, mod.s0_space, mod.s1_space, gam)
+        rng = np.random.default_rng(11)
+        v = rng.uniform(-1.0, 1.0, (50, bad.dim_v))
+        s = rng.uniform(-1.0, 1.0, (50, bad.dim_s))
+        want = max(
+            abs(bad.s1_space.norm_sq(vc.clifford_mult(bad, vi, si)) - bad.v_space.norm_sq(vi) * bad.s0_space.norm_sq(si))
+            for vi, si in zip(v, s)
+        )
+        assert want > 0.01
+        assert vc.verify_isometry(bad, 50, seed=11) == pytest.approx(want, rel=1e-12)
+
     def test_verify_isometry_rejects_zero_samples(self):
         mod = vc.build_clifford_module(1)
         with pytest.raises(ValueError):

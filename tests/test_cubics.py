@@ -4,7 +4,7 @@ import pytest
 import vinberg_cones as vc
 from vinberg_cones import cubics
 from vinberg_cones.cubics import DEGENERATE, INDEFINITE, PD
-from vinberg_cones.errors import IndefiniteSignatureError, OutsideConeError, SpecError
+from vinberg_cones.errors import AlgebraMismatchError, IndefiniteSignatureError, OutsideConeError, SpecError
 
 from _support import (
     fd_hessian_log,
@@ -513,3 +513,60 @@ class TestUnimodularCubicCheck:
             X = vc.herm_from_triangular(vc.triangular_product(U, B))
             Y = vc.herm_from_triangular(B)
             assert vc.det_cubic(cone, X) == pytest.approx(vc.det_cubic(cone, Y), rel=1e-9)
+
+
+class TestOneFormulaPerInvariant:
+    @pytest.mark.parametrize("dim_v", [1, 4])
+    def test_eval_cubic_is_built_on_d_and_the_p_polynomials(self, dim_v):
+        cone = rank3_cone(dim_v)
+        rng = np.random.default_rng(41)
+        for coeffs in ((1.0, 0.5, -0.25), (2.0, -1.0, 0.5), (0.0, 1.0, 1.0)):
+            q = vc.InvariantCubic(cone, coeffs)
+            a, b, c = coeffs
+            for _ in range(10):
+                X = random_orbit_point(cone, rng)
+                _, p2, p3 = vc.p_polynomials(cone, X)
+                assert vc.eval_cubic(q, X) == a * vc.det_cubic(cone, X) + b * (p2 * p3) + c * p3**3
+
+    def test_rank2_eval_cubic_is_built_on_p1(self):
+        cone = rank2_cone(3)
+        q = vc.InvariantCubic(cone, (0.5, 2.0))
+        for _ in range(10):
+            X = random_orbit_point(cone, np.random.default_rng(42))
+            p1, x2 = vc.p_polynomials(cone, X)
+            assert vc.eval_cubic(q, X) == 0.5 * x2**3 + 2.0 * x2 * p1
+
+    @pytest.mark.parametrize("rank", [2, 3])
+    def test_kernel_q_groups_like_eval_cubic(self, rank):
+        # bit-identical without the cube term; numpy's array power x**3 may
+        # round its last bit unlike the scalar power eval_cubic takes
+        cone = rank2_cone(4) if rank == 2 else rank3_cone(8)
+        if rank == 2:
+            exact, cubed = [(0.0, 1.0), (0.0, -2.0)], [(0.3, 1.0), (-0.7, 1.0)]
+        else:
+            exact, cubed = [(1.0, 0.5, 0.0), (2.0, -1.5, 0.0)], [(1.0, 0.5, -0.25), (1.0, -1.5, 0.75)]
+        x = np.random.default_rng(43).uniform(0.01, 100.0, (200, rank))
+        for coeffs in exact + cubed:
+            q = vc.InvariantCubic(cone, coeffs)
+            qx = cubics._diagonal_parts(q, x)[0]
+            dense = np.array([vc.eval_cubic(q, vc.HermMatrix(cone.algebra, row, {})) for row in x])
+            if coeffs in exact:
+                assert qx.tolist() == dense.tolist()
+            else:
+                cube = abs(coeffs[0 if rank == 2 else 2]) * x[:, -1] ** 3
+                assert np.all(np.abs(qx - dense) <= 4.5e-16 * (np.abs(dense) + cube))
+
+    def test_det_cubic_needs_the_special_algebra(self):
+        dcone = vc.dual_cone(rank3_cone(1))
+        q = vc.InvariantCubic(dcone, (1.0, 0.0, 0.0))
+        with pytest.raises(SpecError):
+            vc.eval_cubic(q, vc.herm_identity(dcone.algebra))
+
+    @pytest.mark.parametrize("op", [vc.eval_cubic, vc.gradient, vc.cubic_hessian])
+    def test_point_over_another_algebra_rejected(self, op):
+        q = vc.InvariantCubic.rank3_family(rank3_cone(1), 0.5, 0.0)
+        with pytest.raises(AlgebraMismatchError):
+            op(q, vc.herm_identity(rank3_cone(2).algebra))
+
+    def test_finite_difference_oracle_is_the_library_copy(self):
+        assert fd_hessian_log is cubics.fd_hessian_log

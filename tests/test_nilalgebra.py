@@ -261,6 +261,9 @@ class TestVectorAndJson:
             {"rank": 3.5, "diag": [1, 1, 1]},
             {"rank": "3", "diag": [1, 1, 1]},
             [1, 1, 1],
+            {"rank": 3, "diag": None},
+            {"rank": 3.0, "diag": [1, 1, 1]},
+            {"rank": 3, "diag": [1, 1, 1], "offdiag": {"12": None}},
         ],
     )
     def test_json_rejects_unknown_keys_and_non_finite(self, obj):
@@ -275,3 +278,81 @@ class TestVectorAndJson:
         X = vc.herm_identity(alg3(1))
         with pytest.raises(ValueError):
             X.diag[0] = 5.0
+
+
+class TestFlatStorage:
+    @pytest.mark.parametrize("algebra", [alg2(4), alg3(1), alg3(4), alg3(3, mult=2)])
+    def test_layout_tiles_the_vector_in_block_order(self, algebra):
+        lay = algebra.layout
+        assert list(lay) == ["diag", *algebra.offdiag_keys]
+        assert lay["diag"] == slice(0, algebra.rank)
+        stops = [sl.stop for sl in lay.values()]
+        assert [sl.start for sl in lay.values()] == [0, *stops[:-1]]
+        assert stops[-1] == algebra.herm_dim
+        for key in algebra.offdiag_keys:
+            assert lay[key].stop - lay[key].start == algebra.dim(key)
+
+    @pytest.mark.parametrize("make", [vc.herm_from_triangular, lambda A: A])
+    def test_blocks_are_read_only_views_of_the_vector(self, make):
+        a = alg3(4)
+        X = make(vc.random_triangular(a, np.random.default_rng(13)))
+        vec = X.to_vector()
+        assert not vec.flags.writeable
+        np.testing.assert_array_equal(vec[a.layout["diag"]], X.diag)
+        for key in a.offdiag_keys:
+            assert np.shares_memory(X.offdiag[key], vec)
+            np.testing.assert_array_equal(vec[a.layout[key]], X.offdiag[key])
+            with pytest.raises(ValueError):
+                X.offdiag[key][0] = 1.0
+        assert np.shares_memory(X.diag, vec)
+
+    def test_from_vector_does_not_alias_its_input(self):
+        a = alg3(2)
+        vec = np.arange(a.herm_dim, dtype=float)
+        X = vc.herm_from_vector(a, vec)
+        vec[:] = -1.0
+        np.testing.assert_array_equal(X.to_vector(), np.arange(a.herm_dim))
+        assert vec.flags.writeable
+
+    def test_constructor_matches_flat_vector(self):
+        a = alg3(2)
+        X = vc.HermMatrix(a, [1.0, 2.0, 3.0], {(2, 3): [4.0, 5.0]})
+        expect = np.zeros(a.herm_dim)
+        expect[:3] = [1.0, 2.0, 3.0]
+        expect[a.layout[(2, 3)]] = [4.0, 5.0]
+        np.testing.assert_array_equal(X.to_vector(), expect)
+
+    @pytest.mark.parametrize("diag, off", [([1.0, 1.0], {}), ([1.0, 1.0, 1.0], {(1, 2): [1.0, 2.0]})])
+    def test_wrong_block_shape_rejected(self, diag, off):
+        with pytest.raises(DimensionMismatchError):
+            vc.HermMatrix(alg3(1), diag, off)
+
+    def test_attributes_cannot_be_rebound(self):
+        X = vc.herm_identity(alg3(1))
+        with pytest.raises(AttributeError):
+            X.diag = np.zeros(3)
+
+    def test_scaled_and_json_keep_the_layout(self):
+        a = alg3(2)
+        X = vc.herm_from_triangular(vc.random_triangular(a, np.random.default_rng(14)))
+        np.testing.assert_array_equal(X.scaled(2.0).to_vector(), 2.0 * X.to_vector())
+        A = vc.random_triangular(a, np.random.default_rng(15))
+        assert A.to_json() == vc.HermMatrix(a, A.diag, A.offdiag).to_json()
+
+    def test_anti_transpose_serves_both_containers(self):
+        a = alg3(4)
+        A = vc.random_triangular(a, np.random.default_rng(16))
+        B = vc.anti_transpose(A)
+        assert isinstance(B, vc.TriangularElement)
+        assert B.algebra is vc.dual_algebra(a)
+        np.testing.assert_array_equal(B.to_vector(), vc.anti_transpose_triangular(A).to_vector())
+        np.testing.assert_array_equal(B.diag, A.diag[::-1])
+        np.testing.assert_array_equal(B.offdiag[(1, 2)], A.offdiag[(2, 3)])
+        np.testing.assert_array_equal(B.offdiag[(1, 3)], A.offdiag[(1, 3)])
+        np.testing.assert_array_equal(B.offdiag[(2, 3)], A.offdiag[(1, 2)])
+
+    def test_pairing_checks_the_algebra(self):
+        X = vc.herm_identity(alg3(1))
+        Y = vc.herm_identity(alg3(2))
+        with pytest.raises(AlgebraMismatchError):
+            vc.herm_pairing(X, Y)
