@@ -61,6 +61,8 @@ _SPEC_KEYS = {
 # Most values one scan range LO:HI:STEP may hold; a scan runs one cell per
 # pair of eps1 and eps2 values.
 MAX_RANGE_VALUES = 1000
+# Largest scan --grid; a cell's diagonal sweep holds about grid**2 points.
+MAX_GRID = 400
 
 
 def _fmt(x) -> str:
@@ -244,8 +246,8 @@ def cmd_scan(args) -> int:
         return EXIT_UNSUPPORTED
     eps1 = _parse_range(args.eps1)
     eps2 = _parse_range(args.eps2)
-    if args.grid < 1:
-        raise SpecError(f"--grid must be at least 1, got {args.grid}")
+    if not 1 <= args.grid <= MAX_GRID:
+        raise SpecError(f"--grid must be from 1 to MAX_GRID = {MAX_GRID}, got {args.grid}")
     grid = cubics_mod.DiagonalGrid(n=args.grid)
     search = cubics_mod.SearchGrid(n=max(8, args.grid))
     rows = cubics_mod.scan_parameter_plane(cone, eps1, eps2, grid, search)

@@ -244,15 +244,15 @@ def _leading_minors(R: np.ndarray) -> np.ndarray:
     return np.array([np.linalg.det(R[: k + 1, : k + 1]) for k in range(R.shape[0])])
 
 
-def _verdict_from_minors(minors: np.ndarray, scale: float) -> str:
-    if scale == 0.0:
-        return DEGENERATE
-    band = MINOR_BAND * scale
-    if np.any(np.abs(minors) <= band):
-        return DEGENERATE
-    if np.all(minors > band):
-        return PD
-    return INDEFINITE
+def _verdict_from_minors(minors: np.ndarray, scale) -> np.ndarray:
+    """Verdict of each stack of leading minors (last axis) whose form has
+    the given largest entry: degenerate when a minor is within the band,
+    positive-definite when all are above it, else indefinite."""
+    scale = np.asarray(scale)
+    band = MINOR_BAND * scale[..., None]
+    degenerate = (scale == 0.0) | np.any(np.abs(minors) <= band, axis=-1)
+    pd = np.all(minors > band, axis=-1)
+    return np.where(degenerate, DEGENERATE, np.where(pd, PD, INDEFINITE)).astype(object)
 
 
 def tangent_restriction(q: InvariantCubic, X: HermMatrix) -> HessianReport:
@@ -291,7 +291,7 @@ def tangent_restriction(q: InvariantCubic, X: HermMatrix) -> HessianReport:
     Rn = R / np.outer(d, d)
     minors = _leading_minors(Rn)
     scale = float(np.max(np.abs(Rn)))
-    return HessianReport(X, M, basis, R, _verdict_from_minors(minors, scale), minors)
+    return HessianReport(X, M, basis, R, _verdict_from_minors(minors, scale).item(), minors)
 
 
 # ---------------------------------------------------------------------------
@@ -306,8 +306,20 @@ class DiagonalGrid:
     lo: float = 1e-2
     hi: float = 1e2
     n: int = 100
-    boundary_probes: bool = True
-    probe_max: float = 1e3
+
+
+# Rank-3 sweeps with a, c > 0 also probe each x2 row just inside its
+# feasibility boundary in x3 (at these relative offsets below it) and at 8
+# log-spaced x3 from grid.hi to PROBE_MAX; no sweep samples x3 > PROBE_MAX.
+BOUNDARY_OFFSETS = (1e-1, 1e-2, 1e-3, 1e-4)
+PROBE_MAX = 1e3
+
+
+@dataclass(frozen=True)
+class SearchGrid:
+    lo: float = 0.1
+    hi: float = 10.0
+    n: int = 20
 
 
 @dataclass(frozen=True)
@@ -326,68 +338,67 @@ class DiagonalReport:
     min_minor_coords: tuple[float, ...]
 
 
-def _rank2_slice_points(q: InvariantCubic, grid: DiagonalGrid):
-    a, b = q.coeffs
-    pts = []
-    if b == 0.0:
-        if a <= 0.0:
-            return pts
-        x2 = (1.0 / a) ** (1.0 / 3.0)
-        for x1 in np.geomspace(grid.lo, grid.hi, grid.n):
-            pts.append((float(x1), float(x2)))
-        return pts
-    hi = grid.hi
-    if b > 0.0 and a > 0.0:
-        # x1 > 0 bounds the slice: respace inside the feasible range
-        hi = min(hi, 0.999 * a ** (-1.0 / 3.0))
-    for x2 in np.geomspace(grid.lo, hi, grid.n):
-        x1 = (1.0 - a * x2**3) / (b * x2**2)
-        if x1 > 0.0:
-            pts.append((float(x1), float(x2)))
-    return pts
+def _boundary_probes(q: InvariantCubic, x2: np.ndarray) -> np.ndarray:
+    """x3 just inside the feasibility boundary of each x2 row: the largest
+    positive root of c t^3 + b x2 t^2 - 1 times (1 - offset), inf where there
+    is none.  The roots are the eigenvalues of the companion matrices that
+    np.roots builds, all rows in one call."""
+    _, b, c = q.coeffs
+    A = np.zeros((len(x2), 3, 3))
+    A[:, 0] = -np.stack([b * x2, np.zeros_like(x2), np.full_like(x2, -1.0)], axis=1) / c
+    A[:, 1, 0] = A[:, 2, 1] = 1.0
+    roots = np.linalg.eigvals(A)
+    real = (np.abs(roots.imag) < 1e-9) & (roots.real > 0.0)
+    t = np.max(np.where(real, roots.real, 0.0), axis=1)[:, None]
+    return np.where(t > 0.0, t * (1.0 - np.array(BOUNDARY_OFFSETS)), np.inf)
 
 
-def _rank3_x3_values(
-    q: InvariantCubic, x2: float, grid: DiagonalGrid, xs: np.ndarray
-) -> list[float]:
-    a, b, c = q.coeffs
-    vals = list(xs)
-    if grid.boundary_probes and a > 0.0 and c > 0.0:
-        # feasibility boundary in x3: largest positive root of c t^3 + b x2 t^2 = a-scaled 1
-        roots = np.roots([c, b * x2, 0.0, -1.0])
-        real = [r.real for r in roots if abs(r.imag) < 1e-9 and r.real > 0.0]
-        if real:
-            t = max(real)
-            vals.extend(t * (1.0 - d) for d in (1e-1, 1e-2, 1e-3, 1e-4))
-        # coarse large-x3 probes (relevant when b < 0 allows feasible large x3)
-        vals.extend(np.geomspace(grid.hi, grid.probe_max, 8))
-    return sorted(set(float(t) for t in vals if t <= grid.probe_max))
+def _slice_points(q: InvariantCubic, grid: DiagonalGrid | SearchGrid) -> np.ndarray:
+    """Diagonal points of {q = 1} as an (N, rank) array.
 
-
-def _rank3_slice_points(q: InvariantCubic, grid: DiagonalGrid):
-    a, b, c = q.coeffs
+    A DiagonalGrid gives the sweep's points: the log grid over the free
+    coordinates and, for rank 3 with a != 0, per x2 row the sorted distinct
+    x3 of the grid and the probes, up to PROBE_MAX.  A SearchGrid gives the
+    local search's x2 x x3 square (rank 3, a != 0).  Each point solves the
+    level set for one coordinate and is kept when that one is positive.
+    np.float_power rounds like the scalar ** of eval_cubic; numpy's array **
+    does not."""
+    pw = np.float_power
     xs = np.geomspace(grid.lo, grid.hi, grid.n)
-    pts = []
+    if q.cone.rank == 2:
+        a, b = q.coeffs
+        if b == 0.0:
+            if a <= 0.0:
+                return np.empty((0, 2))
+            return np.stack([xs, np.full_like(xs, (1.0 / a) ** (1.0 / 3.0))], axis=1)
+        if b > 0.0 and a > 0.0:
+            # x1 > 0 bounds the slice: respace inside the feasible range
+            xs = np.geomspace(grid.lo, min(grid.hi, 0.999 * a ** (-1.0 / 3.0)), grid.n)
+        x1 = (1.0 - a * pw(xs, 3)) / (b * pw(xs, 2))
+        return np.stack([x1, xs], axis=1)[x1 > 0.0]
+    a, b, c = q.coeffs
     if a == 0.0:
-        # q has no x1 dependence; the slice is swept by (x1, x3)
+        # q has no x1 dependence: the grid runs over (x1, x2) when b = 0 and
+        # over (x3, x1) otherwise, the first coordinate outer
+        u, v = (m.ravel() for m in np.meshgrid(xs, xs, indexing="ij"))
         if b == 0.0:
             if c <= 0.0:
-                return pts
-            x3 = (1.0 / c) ** (1.0 / 3.0)
-            return [(float(x1), float(x2), float(x3)) for x1 in xs for x2 in xs]
-        for x3 in xs:
-            x2 = (1.0 - c * x3**3) / (b * x3**2)
-            if x2 <= 0.0:
-                continue
-            for x1 in xs:
-                pts.append((float(x1), float(x2), float(x3)))
-        return pts
-    for x2 in xs:
-        for x3 in _rank3_x3_values(q, float(x2), grid, xs):
-            x1 = (1.0 - b * x2 * x3**2 - c * x3**3) / (a * x2 * x3)
-            if x1 > 0.0:
-                pts.append((float(x1), float(x2), float(x3)))
-    return pts
+                return np.empty((0, 3))
+            return np.stack([u, v, np.full_like(u, (1.0 / c) ** (1.0 / 3.0))], axis=1)
+        x2 = (1.0 - c * pw(u, 3)) / (b * pw(u, 2))
+        return np.stack([v, x2, u], axis=1)[x2 > 0.0]
+    # one row of x3 values per x2; inf marks no value
+    x3 = np.tile(xs, (len(xs), 1))
+    if isinstance(grid, DiagonalGrid):
+        if a > 0.0 and c > 0.0:
+            probes = np.geomspace(grid.hi, PROBE_MAX, 8)
+            x3 = np.hstack([x3, _boundary_probes(q, xs), np.tile(probes, (len(xs), 1))])
+        x3 = np.sort(np.where(x3 <= PROBE_MAX, x3, np.inf), axis=1)
+        x3[:, 1:][x3[:, 1:] == x3[:, :-1]] = np.inf
+    x2 = np.broadcast_to(xs[:, None], x3.shape)[np.isfinite(x3)]
+    x3 = x3[np.isfinite(x3)]
+    x1 = (1.0 - b * x2 * pw(x3, 2) - c * pw(x3, 3)) / (a * x2 * x3)
+    return np.stack([x1, x2, x3], axis=1)[x1 > 0.0]
 
 
 def _constraint_violated(q: InvariantCubic, x: np.ndarray) -> np.ndarray:
@@ -414,19 +425,20 @@ def _constraint_violated(q: InvariantCubic, x: np.ndarray) -> np.ndarray:
 # eval_cubic (d = x1 x2 x3 from det_cubic, p2 = x3 x2 and p3 = x3 from
 # cone._lower_p), gradient, cubic_hessian and tangent_restriction with zero
 # off-diagonal entries, in the same grouping: near-singular cores amplify a
-# last-bit change in an entry about 1e5-fold in min_minor.  Only the cube
-# x**3 may differ in its last bit, as numpy's array power and the scalar
-# power round differently.
+# last-bit change in an entry about 1e5-fold in min_minor.  Powers go through
+# np.float_power, which rounds like the scalar ** of the dense path; numpy's
+# array ** does not.
 
 
 def _diagonal_parts(q: InvariantCubic, x: np.ndarray):
     """q, its gradient and Hessian in the diagonal coordinates, and the
     scalar of -Hess(log q) on each off-diagonal block, at the rows of x."""
+    pw = np.float_power
     if q.cone.rank == 2:
         a, b = q.coeffs
         x1, x2 = x.T
-        x2sq = x2**2
-        qx = a * x2**3 + b * x2 * (x1 * x2)
+        x2sq = pw(x2, 2)
+        qx = a * pw(x2, 3) + b * x2 * (x1 * x2)
         g = [b * x2sq, 3.0 * a * x2sq + 2.0 * b * x1 * x2]
         h01 = 2.0 * b * x2
         H = [[np.zeros_like(x1), h01], [h01, 6.0 * a * x2 + 2.0 * b * x1]]
@@ -434,8 +446,8 @@ def _diagonal_parts(q: InvariantCubic, x: np.ndarray):
     else:
         a, b, c = q.coeffs
         x1, x2, x3 = x.T
-        x3sq = x3**2
-        qx = a * (x1 * x2 * x3) + b * ((x3 * x2) * x3) + c * x3**3
+        x3sq = pw(x3, 2)
+        qx = a * (x1 * x2 * x3) + b * ((x3 * x2) * x3) + c * pw(x3, 3)
         g = [
             a * (x2 * x3),
             a * (x1 * x3) + b * x3sq,
@@ -473,10 +485,10 @@ def _diagonal_verdicts(q: InvariantCubic, x: np.ndarray) -> tuple[np.ndarray, np
     off = np.abs(qx - 1.0) > 1e-9
     if np.any(off):
         x = x.copy()
-        x[off] /= qx[off, None] ** (1.0 / 3.0)
+        x[off] /= np.float_power(qx[off, None], 1.0 / 3.0)
         qx, g, H, blocks = _diagonal_parts(q, x)
     qx = qx[:, None, None]
-    M = (g[:, :, None] * g[:, None, :] - qx * H) / qx**2
+    M = (g[:, :, None] * g[:, None, :] - qx * H) / np.float_power(qx, 2)
     # np.linalg.norm in the dense path is sqrt(g.dot(g)) over the full
     # zero-padded gradient, a BLAS dot that rounds differently from one over
     # the rank entries alone.  g != 0 by Euler's identity x . grad q = 3 q > 0.
@@ -500,22 +512,17 @@ def _diagonal_verdicts(q: InvariantCubic, x: np.ndarray) -> tuple[np.ndarray, np
     tail = core[:, -1:] * np.cumprod(np.repeat(signs, dims, axis=1) * _gram_pivots(q), axis=1)
     minors = np.concatenate([core, tail], axis=1)
     scale = np.maximum(np.max(np.abs(Rn), axis=(1, 2)), np.max(np.abs(signs), axis=1))
-    band = (MINOR_BAND * scale)[:, None]
-    degenerate = (scale == 0.0) | np.any(np.abs(minors) <= band, axis=1)
-    pd = np.all(minors > band, axis=1)
-    verdicts = np.where(degenerate, DEGENERATE, np.where(pd, PD, INDEFINITE)).astype(object)
-    return verdicts, np.min(minors, axis=1)
+    return _verdict_from_minors(minors, scale), np.min(minors, axis=1)
 
 
 def admissibility_on_diagonal(q: InvariantCubic, grid: DiagonalGrid | None = None) -> DiagonalReport:
     """Sweep the diagonal slice of {q = 1}; admissibility of an invariant
     cubic reduces to positive definiteness there."""
     _require_euclidean(q.cone)
-    grid = grid or DiagonalGrid()
-    pts = _rank2_slice_points(q, grid) if q.cone.rank == 2 else _rank3_slice_points(q, grid)
-    if not pts:
+    x = _slice_points(q, grid or DiagonalGrid())
+    if not len(x):
         raise OutsideConeError("empty feasible diagonal grid")
-    x = np.array(pts)
+    pts = [tuple(row) for row in x.tolist()]
     kinds = np.full(len(pts), "constraint", dtype=object)
     minors = np.full(len(pts), math.nan)
     inside = ~_constraint_violated(q, x)
@@ -535,15 +542,8 @@ def admissibility_on_diagonal(q: InvariantCubic, grid: DiagonalGrid | None = Non
         checked=len(pts),
         witnesses=witnesses,
         min_minor=min_minor,
-        min_minor_coords=tuple(min_coords),
+        min_minor_coords=min_coords,
     )
-
-
-@dataclass(frozen=True)
-class SearchGrid:
-    lo: float = 0.1
-    hi: float = 10.0
-    n: int = 20
 
 
 def find_locally_admissible_point(q: InvariantCubic, search: SearchGrid | None = None):
@@ -552,18 +552,9 @@ def find_locally_admissible_point(q: InvariantCubic, search: SearchGrid | None =
     _require_euclidean(q.cone)
     if q.cone.rank != 3:
         raise SpecError("local-admissibility search is for rank-3 cones")
-    search = search or SearchGrid()
-    a, b, c = q.coeffs
-    if a == 0.0:
+    if q.coeffs[0] == 0.0:
         return None
-    xs = np.geomspace(search.lo, search.hi, search.n)
-    pts = []
-    for x2 in xs:
-        for x3 in xs:
-            x1 = (1.0 - b * x2 * x3**2 - c * x3**3) / (a * x2 * x3)
-            if x1 > 0.0:
-                pts.append((float(x1), float(x2), float(x3)))
-    x = np.array(pts).reshape(-1, 3)
+    x = _slice_points(q, search or SearchGrid())
     x = x[~_constraint_violated(q, x)]
     if not len(x):
         return None

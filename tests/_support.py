@@ -10,6 +10,7 @@ determinants for the self-adjoint instance.
 import numpy as np
 
 import vinberg_cones as vc
+from vinberg_cones.cubics import PROBE_MAX
 from vinberg_cones.cubics import fd_hessian_log  # noqa: F401  (re-exported for the tests)
 
 _CONES = {}
@@ -220,6 +221,87 @@ def rel_to_scale(got: np.ndarray, want: np.ndarray) -> float:
     """Max componentwise deviation relative to the oracle's matrix scale."""
     scale = float(np.max(np.abs(want)))
     return float(np.max(np.abs(got - want))) / scale
+
+
+# ---------------------------------------------------------------------------
+# Reference diagonal-slice generators: the point loops that cubics._slice_points
+# replaces, one np.roots per x2 row, kept as the oracle for its points and order
+# ---------------------------------------------------------------------------
+
+
+def reference_rank2_slice_points(q, grid):
+    a, b = q.coeffs
+    pts = []
+    if b == 0.0:
+        if a <= 0.0:
+            return pts
+        x2 = (1.0 / a) ** (1.0 / 3.0)
+        for x1 in np.geomspace(grid.lo, grid.hi, grid.n):
+            pts.append((float(x1), float(x2)))
+        return pts
+    hi = grid.hi
+    if b > 0.0 and a > 0.0:
+        # x1 > 0 bounds the slice: respace inside the feasible range
+        hi = min(hi, 0.999 * a ** (-1.0 / 3.0))
+    for x2 in np.geomspace(grid.lo, hi, grid.n):
+        x1 = (1.0 - a * x2**3) / (b * x2**2)
+        if x1 > 0.0:
+            pts.append((float(x1), float(x2)))
+    return pts
+
+
+def reference_rank3_x3_values(q, x2: float, grid, xs: np.ndarray) -> list:
+    a, b, c = q.coeffs
+    vals = list(xs)
+    if a > 0.0 and c > 0.0:
+        # feasibility boundary in x3: largest positive root of c t^3 + b x2 t^2 = a-scaled 1
+        roots = np.roots([c, b * x2, 0.0, -1.0])
+        real = [r.real for r in roots if abs(r.imag) < 1e-9 and r.real > 0.0]
+        if real:
+            t = max(real)
+            vals.extend(t * (1.0 - d) for d in (1e-1, 1e-2, 1e-3, 1e-4))
+        # coarse large-x3 probes (relevant when b < 0 allows feasible large x3)
+        vals.extend(np.geomspace(grid.hi, PROBE_MAX, 8))
+    return sorted(set(float(t) for t in vals if t <= PROBE_MAX))
+
+
+def reference_rank3_slice_points(q, grid):
+    a, b, c = q.coeffs
+    xs = np.geomspace(grid.lo, grid.hi, grid.n)
+    pts = []
+    if a == 0.0:
+        # q has no x1 dependence; the slice is swept by (x1, x3)
+        if b == 0.0:
+            if c <= 0.0:
+                return pts
+            x3 = (1.0 / c) ** (1.0 / 3.0)
+            return [(float(x1), float(x2), float(x3)) for x1 in xs for x2 in xs]
+        for x3 in xs:
+            x2 = (1.0 - c * x3**3) / (b * x3**2)
+            if x2 <= 0.0:
+                continue
+            for x1 in xs:
+                pts.append((float(x1), float(x2), float(x3)))
+        return pts
+    for x2 in xs:
+        for x3 in reference_rank3_x3_values(q, float(x2), grid, xs):
+            x1 = (1.0 - b * x2 * x3**2 - c * x3**3) / (a * x2 * x3)
+            if x1 > 0.0:
+                pts.append((float(x1), float(x2), float(x3)))
+    return pts
+
+
+def reference_search_points(q, search):
+    """The local search's x2 x x3 square (rank 3, a != 0)."""
+    a, b, c = q.coeffs
+    xs = np.geomspace(search.lo, search.hi, search.n)
+    pts = []
+    for x2 in xs:
+        for x3 in xs:
+            x1 = (1.0 - b * x2 * x3**2 - c * x3**3) / (a * x2 * x3)
+            if x1 > 0.0:
+                pts.append((float(x1), float(x2), float(x3)))
+    return pts
 
 
 def project_to_level_set(q, X):

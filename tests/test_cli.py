@@ -313,6 +313,25 @@ class TestScanBounds:
         assert "--grid" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_grid_above_bound_exits_2(self, spec3, tmp_path, capsys):
+        # a cell's sweep holds about grid**2 points; unbounded, memory had no limit
+        out = tmp_path / "x.csv"
+        grid = str(cli.MAX_GRID + 1)
+        rc = cli.main(
+            ["scan", "--spec", spec3, "--eps1=0:0:1", "--eps2=0:0:1", "--grid", grid, "--out", str(out)]
+        )
+        assert rc == 2
+        assert "MAX_GRID" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_grid_at_bound_runs(self, spec3, tmp_path):
+        out = tmp_path / "x.csv"
+        grid = str(cli.MAX_GRID)
+        rc = cli.main(
+            ["scan", "--spec", spec3, "--eps1=0:0:1", "--eps2=0:0:1", "--grid", grid, "--out", str(out)]
+        )
+        assert rc == 0 and out.exists()
+
 
 class TestSpecValues:
     @pytest.mark.parametrize(

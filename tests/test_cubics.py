@@ -15,6 +15,9 @@ from _support import (
     rank3_diagonal_hessian,
     rank2_cone,
     rank3_cone,
+    reference_rank2_slice_points,
+    reference_rank3_slice_points,
+    reference_search_points,
     rel_to_scale,
 )
 
@@ -337,18 +340,61 @@ class TestDiagonalSweeps:
 def diagonal_points(q, n: int = 12) -> np.ndarray:
     """The sweep's slice points and, for rank-3 cubics with a determinant
     term, the local search's grid points, less the slope-constraint ones."""
-    if q.cone.rank == 2:
-        return np.array(cubics._rank2_slice_points(q, vc.DiagonalGrid(n=n)))
-    pts = cubics._rank3_slice_points(q, vc.DiagonalGrid(n=n))
-    a, b, c = q.coeffs
-    if a != 0.0:
-        for x2 in np.geomspace(0.1, 10.0, n):
-            for x3 in np.geomspace(0.1, 10.0, n):
-                x1 = (1.0 - b * x2 * x3**2 - c * x3**3) / (a * x2 * x3)
-                if x1 > 0.0:
-                    pts.append((float(x1), float(x2), float(x3)))
-    x = np.array(pts)
+    x = cubics._slice_points(q, vc.DiagonalGrid(n=n))
+    if q.cone.rank == 3 and q.coeffs[0] != 0.0:
+        x = np.vstack([x, cubics._slice_points(q, vc.SearchGrid(n=n))])
     return x[~cubics._constraint_violated(q, x)]
+
+
+def _grid_id(grid) -> str:
+    return f"{grid.lo:g}-{grid.hi:g}-n{grid.n}"
+
+
+class TestSlicePoints:
+    """The vectorized sampler against the point loops it replaced: the same
+    points, bit for bit, in the same order."""
+
+    # b = 0; b < 0; a, b > 0 (respaced inside x1 > 0); a <= 0 < b
+    RANK2 = [(0.0, 0.0), (1.0, 0.0), (0.5, -1.0), (-2.0, -0.5), (0.3, 1.0), (2.0, 0.5), (-0.7, 1.0)]
+    # a = b = 0; a = 0 != b; a, c > 0 (boundary probes); c <= 0 or a < 0
+    RANK3 = [
+        (0.0, 0.0, 1.0),
+        (0.0, 0.0, -1.0),
+        (0.0, 1.0, 0.5),
+        (0.0, -1.0, -0.5),
+        (1.0, 0.5, 0.25),
+        (1.0, -1.5, 0.75),
+        (2.0, 1.0, 1e-3),
+        (1.0, 0.5, 0.0),
+        (1.0, -1.0, -0.5),
+        (-1.0, 0.5, 0.5),
+        (1.0, 0.0, 0.0),
+    ]
+    # the last grid reaches past PROBE_MAX, where the sweep stops
+    GRIDS = [vc.DiagonalGrid(n=n) for n in (1, 5, 12, 100)] + [vc.DiagonalGrid(0.5, 5e3, 30)]
+
+    @pytest.mark.parametrize("grid", GRIDS, ids=_grid_id)
+    @pytest.mark.parametrize("coeffs", RANK2)
+    def test_rank2_sweep(self, coeffs, grid):
+        q = vc.InvariantCubic(rank2_cone(1), coeffs)
+        want = np.array(reference_rank2_slice_points(q, grid)).reshape(-1, 2)
+        assert np.array_equal(cubics._slice_points(q, grid), want)
+
+    @pytest.mark.parametrize("grid", GRIDS, ids=_grid_id)
+    @pytest.mark.parametrize("coeffs", RANK3)
+    def test_rank3_sweep(self, coeffs, grid):
+        q = vc.InvariantCubic(rank3_cone(1), coeffs)
+        want = np.array(reference_rank3_slice_points(q, grid)).reshape(-1, 3)
+        assert np.array_equal(cubics._slice_points(q, grid), want)
+
+    SEARCHES = [vc.SearchGrid(), vc.SearchGrid(n=1), vc.SearchGrid(n=12), vc.SearchGrid(1.0, 10.0)]
+
+    @pytest.mark.parametrize("search", SEARCHES, ids=_grid_id)
+    @pytest.mark.parametrize("coeffs", [c for c in RANK3 if c[0] != 0.0])
+    def test_local_search_square(self, coeffs, search):
+        q = vc.InvariantCubic(rank3_cone(1), coeffs)
+        want = np.array(reference_search_points(q, search)).reshape(-1, 3)
+        assert np.array_equal(cubics._slice_points(q, search), want)
 
 
 def assert_kernel_matches_dense(q, x):
@@ -538,23 +584,26 @@ class TestOneFormulaPerInvariant:
 
     @pytest.mark.parametrize("rank", [2, 3])
     def test_kernel_q_groups_like_eval_cubic(self, rank):
-        # bit-identical without the cube term; numpy's array power x**3 may
-        # round its last bit unlike the scalar power eval_cubic takes
+        # bit-identical q, gradient and Hessian, cube terms included
         cone = rank2_cone(4) if rank == 2 else rank3_cone(8)
         if rank == 2:
-            exact, cubed = [(0.0, 1.0), (0.0, -2.0)], [(0.3, 1.0), (-0.7, 1.0)]
+            coeffs_list = [(0.0, 1.0), (0.0, -2.0), (0.3, 1.0), (-0.7, 1.0), (1.0, 0.0)]
         else:
-            exact, cubed = [(1.0, 0.5, 0.0), (2.0, -1.5, 0.0)], [(1.0, 0.5, -0.25), (1.0, -1.5, 0.75)]
+            coeffs_list = [
+                (1.0, 0.5, 0.0),
+                (2.0, -1.5, 0.0),
+                (1.0, 0.5, -0.25),
+                (1.0, -1.5, 0.75),
+                (0.0, 1.0, 0.5),
+            ]
         x = np.random.default_rng(43).uniform(0.01, 100.0, (200, rank))
-        for coeffs in exact + cubed:
+        for coeffs in coeffs_list:
             q = vc.InvariantCubic(cone, coeffs)
-            qx = cubics._diagonal_parts(q, x)[0]
-            dense = np.array([vc.eval_cubic(q, vc.HermMatrix(cone.algebra, row, {})) for row in x])
-            if coeffs in exact:
-                assert qx.tolist() == dense.tolist()
-            else:
-                cube = abs(coeffs[0 if rank == 2 else 2]) * x[:, -1] ** 3
-                assert np.all(np.abs(qx - dense) <= 4.5e-16 * (np.abs(dense) + cube))
+            qx, g, H, _ = cubics._diagonal_parts(q, x)
+            points = [vc.HermMatrix(cone.algebra, row, {}) for row in x]
+            assert qx.tolist() == [vc.eval_cubic(q, X) for X in points]
+            assert g.tolist() == [vc.gradient(q, X)[:rank].tolist() for X in points]
+            assert H.tolist() == [vc.cubic_hessian(q, X)[:rank, :rank].tolist() for X in points]
 
     def test_det_cubic_needs_the_special_algebra(self):
         dcone = vc.dual_cone(rank3_cone(1))
