@@ -16,7 +16,7 @@ signatures use a doubled spinor space with split metric.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -52,6 +52,7 @@ class MetricSpace:
     dim: int
     signature: tuple[int, int]
     gram: np.ndarray
+    gram_inv: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.dim < 1:
@@ -71,6 +72,9 @@ class MetricSpace:
             raise SpecError("declared signature does not match the gram matrix")
         g.setflags(write=False)
         object.__setattr__(self, "gram", g)
+        inv = np.linalg.inv(g)
+        inv.setflags(write=False)
+        object.__setattr__(self, "gram_inv", inv)
 
     @classmethod
     def euclidean(cls, dim: int) -> "MetricSpace":
@@ -93,9 +97,9 @@ class MetricSpace:
     def is_euclidean(self) -> bool:
         return self.signature == (self.dim, 0)
 
-    def ip(self, x, y) -> float:
-        """Inner product <x, y> in this space."""
-        return float(np.asarray(x) @ self.gram @ np.asarray(y))
+    def ip(self, x, y):
+        """Inner product <x, y> over the last axis (pairwise sums, as accurate as a dot)."""
+        return ((np.asarray(x) @ self.gram) * y).sum(-1)
 
     def norm_sq(self, x) -> float:
         return self.ip(x, x)
@@ -434,22 +438,22 @@ def _check_clifford_relations(gammas, g_v, g_s) -> None:
 
 
 def clifford_mult(module: CliffordModule, v, s0) -> np.ndarray:
-    """mu_v(s0) = sum_a v^a Gamma_a s0, an element of S1."""
+    """mu_v(s0) = sum_a v^a Gamma_a s0, an element of S1 (leading axes broadcast)."""
     v = np.asarray(v, dtype=float)
     s0 = np.asarray(s0, dtype=float)
-    if v.shape != (module.dim_v,) or s0.shape != (module.dim_s,):
+    if v.shape[-1:] != (module.dim_v,) or s0.shape[-1:] != (module.dim_s,):
         raise DimensionMismatchError("clifford_mult: dimension mismatch")
-    return np.einsum("a,aij,j->i", v, module.gammas, s0)
+    return np.einsum("...a,aij,...j->...i", v, module.gammas, s0)
 
 
 def clifford_bilinear(module: CliffordModule, s1, s0) -> np.ndarray:
     """The unique w in V with <w, v>_V = <s1, mu_v(s0)>_S1 for all v."""
     s1 = np.asarray(s1, dtype=float)
     s0 = np.asarray(s0, dtype=float)
-    if s1.shape != (module.dim_s,) or s0.shape != (module.dim_s,):
+    if s1.shape[-1:] != (module.dim_s,) or s0.shape[-1:] != (module.dim_s,):
         raise DimensionMismatchError("clifford_bilinear: dimension mismatch")
-    z = np.einsum("k,aki,i->a", module.s1_space.gram @ s1, module.gammas, s0)
-    return np.linalg.solve(module.v_space.gram, z)
+    z = np.einsum("...k,aki,...i->...a", s1 @ module.s1_space.gram, module.gammas, s0)
+    return z @ module.v_space.gram_inv
 
 
 def clifford_mult_adjoint(module: CliffordModule, v, s1) -> np.ndarray:
@@ -460,7 +464,7 @@ def clifford_mult_adjoint(module: CliffordModule, v, s1) -> np.ndarray:
     if v.shape != (module.dim_v,) or s1.shape != (module.dim_s,):
         raise DimensionMismatchError("clifford_mult_adjoint: dimension mismatch")
     z = module.mu(v).T @ (module.s1_space.gram @ s1)
-    return np.linalg.solve(module.s0_space.gram, z)
+    return z @ module.s0_space.gram_inv
 
 
 def verify_isometry(module: CliffordModule, n_samples: int = 1000, seed: int = 0) -> float:
@@ -473,9 +477,5 @@ def verify_isometry(module: CliffordModule, n_samples: int = 1000, seed: int = 0
     # mu_v(s) for all samples; contracting s first never holds an
     # (n_samples, dim_s, dim_s) intermediate
     out = np.einsum("na,aij,nj->ni", v, module.gammas, s, optimize=["einsum_path", (1, 2), (0, 1)])
-
-    def norm_sq(space: MetricSpace, x: np.ndarray) -> np.ndarray:
-        return np.sum((x @ space.gram) * x, axis=1)  # pairwise sums, as accurate as a dot
-
-    dev = norm_sq(module.s1_space, out) - norm_sq(module.v_space, v) * norm_sq(module.s0_space, s)
+    dev = module.s1_space.norm_sq(out) - module.v_space.norm_sq(v) * module.s0_space.norm_sq(s)
     return float(np.max(np.abs(dev)))

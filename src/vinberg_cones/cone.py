@@ -3,12 +3,12 @@
 Membership, the polynomials p_i, the squared G-determinant, group
 coordinates (generalized Cholesky decomposition of X = A . A^*), the
 characteristic function, and the dual cone {A^* . A} with its degree-3
-rational invariant.
+rational invariant.  Each takes one point or a stack of points (see README,
+Coordinates): floats and bools for one point, arrays for a stack.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -19,6 +19,7 @@ from .nilalgebra import (
     HermMatrix,
     NilAlgebra,
     TriangularElement,
+    _columns,
     anti_transpose,
     check_same_algebra,
     dual_algebra,
@@ -74,21 +75,25 @@ def _require_euclidean(cone: ConeDescriptor) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _det_form(alg: NilAlgebra, X: HermMatrix) -> float:
+def _truth(mask):
+    return bool(mask) if np.ndim(mask) == 0 else mask
+
+
+def _det_form(alg: NilAlgebra, X: HermMatrix):
     """x1 x2 x3 - x3 |x12|^2 - x2 |x13|^2 - x1 |x23|^2 + 2 <x12 . x23, x13>
     on a rank-3 algebra of either kind."""
-    x1, x2, x3 = X.diag
+    x1, x2, x3 = X.diag.T
     x12, x13, x23 = X.offdiag[(1, 2)], X.offdiag[(1, 3)], X.offdiag[(2, 3)]
     return (
         x1 * x2 * x3
         - x3 * alg.norm_sq((1, 2), x12)
         - x2 * alg.norm_sq((1, 3), x13)
         - x1 * alg.norm_sq((2, 3), x23)
-        + 2.0 * alg.ip((1, 3), alg.mult(x12, x23), x13)
+        + 2.0 * alg.ip((2, 3), alg.mult_flat_left(x12, x13), x23)  # <x12 . x23, x13>
     )
 
 
-def det_cubic(cone: ConeDescriptor, X: HermMatrix) -> float:
+def det_cubic(cone: ConeDescriptor, X: HermMatrix):
     """The determinant cubic d(X) of a rank-3 special cone:
 
         d = x1 x2 x3 - x3 |s0|^2 - x2 |s1|^2 - x1 |v|^2 + 2 <s0 . v, s1>
@@ -102,11 +107,11 @@ def det_cubic(cone: ConeDescriptor, X: HermMatrix) -> float:
     return _det_form(cone.algebra, X)
 
 
-def _p1_rank3(cone: ConeDescriptor, X: HermMatrix) -> float:
+def _p1_rank3(cone: ConeDescriptor, X: HermMatrix):
     """Degree-4 polynomial p_1 = x3 * pi^2 for any rank-3 algebra (the
     cleared form of the rational squared G-determinant)."""
     alg = cone.algebra
-    p1 = X.diag[2] * _det_form(alg, X)
+    p1 = X.diag.T[2] * _det_form(alg, X)
     if alg.kind == "rank3-special":
         return p1
     e13, e23 = X.offdiag[(1, 3)], X.offdiag[(2, 3)]
@@ -114,26 +119,26 @@ def _p1_rank3(cone: ConeDescriptor, X: HermMatrix) -> float:
     return p1 + (alg.norm_sq((2, 3), e23) * alg.norm_sq((1, 3), e13) - alg.norm_sq((1, 2), adj))
 
 
-def _lower_p(cone: ConeDescriptor, X: HermMatrix) -> tuple[float, ...]:
+def _lower_p(cone: ConeDescriptor, X: HermMatrix) -> tuple:
     """(p_2, ..., p_m), which involve only the entries below the first row."""
     check_same_algebra(cone.algebra, X)
     if cone.rank == 2:
-        return (X.diag[1],)
-    x2, x3 = X.diag[1:]
+        return (X.diag.T[1],)
+    _, x2, x3 = X.diag.T
     return (x3 * x2 - cone.algebra.norm_sq((2, 3), X.offdiag[(2, 3)]), x3)
 
 
-def p_polynomials(cone: ConeDescriptor, X: HermMatrix) -> tuple[float, ...]:
+def p_polynomials(cone: ConeDescriptor, X: HermMatrix) -> tuple:
     """(p_1, ..., p_m): the homogeneous polynomials with
     a_ii(X)^2 = p_i / prod_{s>i} p_s; deg p_i = 2^(m-i)."""
     lower = _lower_p(cone, X)
     if cone.rank == 2:
-        x1, x2 = X.diag
+        x1, x2 = X.diag.T
         return (x1 * x2 - cone.algebra.norm_sq((1, 2), X.offdiag[(1, 2)]), *lower)
     return (_p1_rank3(cone, X), *lower)
 
 
-def g_determinant_sq(cone: ConeDescriptor, X: HermMatrix) -> float:
+def g_determinant_sq(cone: ConeDescriptor, X: HermMatrix):
     """pi^2(X): rank 2 -> p_1; rank-3 special -> the determinant cubic;
     rank-3 dual -> the degree-3 rational function p_1 / p_3."""
     check_same_algebra(cone.algebra, X)
@@ -141,21 +146,17 @@ def g_determinant_sq(cone: ConeDescriptor, X: HermMatrix) -> float:
         return p_polynomials(cone, X)[0]
     if cone.algebra.kind == "rank3-special":
         return det_cubic(cone, X)
-    x3 = X.diag[2]
-    if x3 == 0.0:
+    x3 = X.diag.T[2]
+    if (x3 == 0.0).any():
         raise OutsideConeError("squared G-determinant undefined at x3 = 0")
     return _p1_rank3(cone, X) / x3
 
 
-def membership(cone: ConeDescriptor, X: HermMatrix) -> bool:
+def membership(cone: ConeDescriptor, X: HermMatrix):
     """Strict positivity of all m defining inequalities (open cone)."""
     check_same_algebra(cone.algebra, X)
     _require_euclidean(cone)
-    if cone.rank == 2:
-        p1, p2 = p_polynomials(cone, X)
-        return bool(p2 > 0.0 and p1 > 0.0)
-    p1, p2, p3 = p_polynomials(cone, X)
-    return bool(p3 > 0.0 and p2 > 0.0 and p1 > 0.0)
+    return _truth(np.logical_and.reduce([p > 0.0 for p in p_polynomials(cone, X)]))
 
 
 # ---------------------------------------------------------------------------
@@ -166,58 +167,57 @@ def membership(cone: ConeDescriptor, X: HermMatrix) -> bool:
 @dataclass(frozen=True, eq=False)
 class GroupCoordinates:
     """Result of decomposing X = A . A^*: the group element plus blockwise
-    reconstruction residuals (relative to the scale of X)."""
+    reconstruction residuals (relative to the scale of each point)."""
 
     element: TriangularElement
-    residuals: dict[str, float]
+    residuals: dict
 
     @property
-    def max_residual(self) -> float:
-        return max(self.residuals.values())
+    def max_residual(self):
+        return np.max(list(self.residuals.values()), axis=0)
+
+
+def _back_substitute(cone: ConeDescriptor, X: HermMatrix, floor: float) -> tuple:
+    """The radicands a_ii^2 (a tuple over i) and the off-diagonal blocks of
+    the A with positive diagonal and X = A . A^*, solved back to front.
+    Raises OutsideConeError whenever a radicand drops below ``floor``."""
+    alg = cone.algebra
+
+    def root(r, name):
+        if (r < floor).any():
+            raise OutsideConeError(f"{name} radicand <= 0")
+        return np.sqrt(r)[..., None]
+
+    if cone.rank == 2:
+        x1, x2 = X.diag.T
+        a12 = X.offdiag[(1, 2)] / root(x2, "x22")
+        r1 = x1 - alg.norm_sq((1, 2), a12)
+        root(r1, "x11")
+        return (r1, x2), {(1, 2): a12}
+    x1, x2, x3 = X.diag.T
+    a3 = root(x3, "x33")
+    w = X.offdiag[(2, 3)] / a3
+    t1 = X.offdiag[(1, 3)] / a3
+    r2 = x2 - alg.norm_sq((2, 3), w)
+    t0 = (X.offdiag[(1, 2)] - alg.mult_flat_right(t1, w)) / root(r2, "x22")
+    r1 = x1 - alg.norm_sq((1, 2), t0) - alg.norm_sq((1, 3), t1)
+    root(r1, "x11")
+    return (r1, r2, x3), {(1, 2): t0, (1, 3): t1, (2, 3): w}
 
 
 def group_coordinates(cone: ConeDescriptor, X: HermMatrix) -> GroupCoordinates:
-    """Solve X = A . A^* back-to-front for the unique A with positive
-    diagonal.  Raises OutsideConeError whenever a diagonal radicand drops
-    below the floor (the point is outside the open cone or too close to
-    its boundary)."""
+    """Solve X = A . A^* back-to-front for the unique A with positive diagonal
+    (at every point of a stack).  Raises OutsideConeError when a radicand is
+    below RADICAND_FLOOR: the point is outside the open cone or near its boundary."""
     check_same_algebra(cone.algebra, X)
     alg = cone.algebra
-    if cone.rank == 2:
-        x1, x2 = X.diag
-        x12 = X.offdiag[(1, 2)]
-        if x2 < RADICAND_FLOOR:
-            raise OutsideConeError("x22 radicand <= 0")
-        a2 = math.sqrt(x2)
-        a12 = x12 / a2
-        r1 = x1 - alg.norm_sq((1, 2), a12)
-        if r1 < RADICAND_FLOOR:
-            raise OutsideConeError("x11 radicand <= 0")
-        A = TriangularElement(alg, [math.sqrt(r1), a2], {(1, 2): a12})
-    else:
-        x1, x2, x3 = X.diag
-        if x3 < RADICAND_FLOOR:
-            raise OutsideConeError("x33 radicand <= 0")
-        a3 = math.sqrt(x3)
-        w = X.offdiag[(2, 3)] / a3
-        t1 = X.offdiag[(1, 3)] / a3
-        r2 = x2 - alg.norm_sq((2, 3), w)
-        if r2 < RADICAND_FLOOR:
-            raise OutsideConeError("x22 radicand <= 0")
-        a2 = math.sqrt(r2)
-        t0 = (X.offdiag[(1, 2)] - alg.mult_flat_right(t1, w)) / a2
-        r1 = x1 - alg.norm_sq((1, 2), t0) - alg.norm_sq((1, 3), t1)
-        if r1 < RADICAND_FLOOR:
-            raise OutsideConeError("x11 radicand <= 0")
-        A = TriangularElement(
-            alg, [math.sqrt(r1), a2, a3], {(1, 2): t0, (1, 3): t1, (2, 3): w}
-        )
-
+    radicands, off = _back_substitute(cone, X, RADICAND_FLOOR)
+    A = TriangularElement(alg, np.sqrt(_columns(*radicands)), off)
     x = X.to_vector()
-    scale = max(1.0, float(np.max(np.abs(x))))
+    scale = np.maximum(1.0, np.abs(x).max(-1))
     err = np.abs(herm_from_triangular(A).to_vector() - x)
     residuals = {
-        key if key == "diag" else f"{key[0]}{key[1]}": float(np.max(err[sl], initial=0.0)) / scale
+        key if key == "diag" else f"{key[0]}{key[1]}": err[..., sl].max(-1, initial=0.0) / scale
         for key, sl in alg.layout.items()
     }
     return GroupCoordinates(A, residuals)
@@ -234,14 +234,17 @@ def characteristic_exponents(cone: ConeDescriptor) -> tuple[Fraction, ...]:
     return tuple(n[i] - sum(n[:i], Fraction(0)) for i in range(cone.rank))
 
 
-def characteristic_function(cone: ConeDescriptor, X: HermMatrix) -> float:
-    """prod_i p_i(X)^(n_i - n_{i-1} - ... - n_1), evaluated through
-    logarithms of the (strictly positive) p_i."""
-    if not membership(cone, X):
+def characteristic_function(cone: ConeDescriptor, X: HermMatrix):
+    """prod_i p_i(X)^(n_i - n_{i-1} - ... - n_1) through log p_i = log a_ii^2 +
+    sum_{s>i} log p_s, with a_ii from the back-substitution of group
+    coordinates: the cancellation in p_1 stays out of the large exponents."""
+    if not np.all(membership(cone, X)):
         raise OutsideConeError("characteristic function defined on the open cone only")
-    ps = p_polynomials(cone, X)
-    exps = characteristic_exponents(cone)
-    return math.exp(sum(float(e) * math.log(p) for e, p in zip(exps, ps)))
+    log_p = []
+    # any positive radicand: the open cone has points at every scale
+    for r in reversed(_back_substitute(cone, X, np.finfo(float).tiny)[0]):
+        log_p.insert(0, np.log(r) + sum(log_p))
+    return np.exp(sum(float(e) * lp for e, lp in zip(characteristic_exponents(cone), log_p)))
 
 
 def characteristic_degree(cone: ConeDescriptor) -> Fraction:
@@ -256,7 +259,19 @@ def characteristic_degree(cone: ConeDescriptor) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def d_prime(cone: ConeDescriptor, X: HermMatrix) -> float:
+def _d_prime_parts(cone: ConeDescriptor, X: HermMatrix) -> tuple:
+    """d(X) and the gap |s0|^2 |s1|^2 - |b(s1, s0)|^2 of d' = d + gap / x1."""
+    check_same_algebra(cone.algebra, X)
+    alg = cone.algebra
+    if alg.kind != "rank3-special":
+        raise SpecError("d' is defined on rank-3 special cones")
+    s0, s1 = X.offdiag[(1, 2)], X.offdiag[(1, 3)]
+    b = alg.mult_flat_left(s0, s1)  # element of V: <b, v> = <s1, s0 . v>
+    gap = alg.norm_sq((1, 2), s0) * alg.norm_sq((1, 3), s1) - alg.norm_sq((2, 3), b)
+    return det_cubic(cone, X), gap
+
+
+def d_prime(cone: ConeDescriptor, X: HermMatrix):
     """Degree-3 rational invariant of the dual cone {A^* . A}:
 
         d'(X) = d(X) + (|s0|^2 |s1|^2 - |b(s1, s0)|^2) / x1
@@ -265,20 +280,14 @@ def d_prime(cone: ConeDescriptor, X: HermMatrix) -> float:
     Agrees with the squared G-determinant of the anti-transposed point
     computed in the dual algebra, and d'(A^* . A) = (a11 a22 a33)^2.
     """
-    check_same_algebra(cone.algebra, X)
-    alg = cone.algebra
-    if alg.kind != "rank3-special":
-        raise SpecError("d' is defined on rank-3 special cones")
-    x1 = X.diag[0]
-    if x1 == 0.0:
+    d, gap = _d_prime_parts(cone, X)
+    x1 = X.diag.T[0]
+    if (x1 == 0.0).any():
         raise OutsideConeError("d' undefined at x1 = 0")
-    s0, s1 = X.offdiag[(1, 2)], X.offdiag[(1, 3)]
-    b = alg.mult_flat_left(s0, s1)  # element of V: <b, v> = <s1, s0 . v>
-    corr = alg.norm_sq((1, 2), s0) * alg.norm_sq((1, 3), s1) - alg.norm_sq((2, 3), b)
-    return det_cubic(cone, X) + corr / x1
+    return d + gap / x1
 
 
-def d_prime_via_dual(cone: ConeDescriptor, X: HermMatrix) -> float:
+def d_prime_via_dual(cone: ConeDescriptor, X: HermMatrix):
     """Independent evaluation of d' through the anti-transposition route:
     the rational squared G-determinant of t'(X) in the dual algebra."""
     check_same_algebra(cone.algebra, X)
@@ -287,24 +296,20 @@ def d_prime_via_dual(cone: ConeDescriptor, X: HermMatrix) -> float:
     return g_determinant_sq(dual_cone(cone), anti_transpose(X))
 
 
-def dual_membership(cone: ConeDescriptor, X: HermMatrix) -> bool:
+def dual_membership(cone: ConeDescriptor, X: HermMatrix):
     """Membership in the dual cone {A^* . A}.
 
     Rank 2: x11 > 0 and pi^2 > 0.  Rank 3: x1 > 0, x1 x2 - |s0|^2 > 0 and
-    d'(X) > 0.  Equivalent to membership of the anti-transposed point in
-    the dual-algebra cone.
+    d'(X) > 0, tested as x1 d'(X) > 0.  Equivalent to membership of the
+    anti-transposed point in the dual-algebra cone.
     """
     check_same_algebra(cone.algebra, X)
     _require_euclidean(cone)
     if cone.rank == 2:
-        p1, _ = p_polynomials(cone, X)
-        return bool(X.diag[0] > 0.0 and p1 > 0.0)
-    alg = cone.algebra
-    if alg.kind != "rank3-special":
-        return membership(cone_from_algebra(dual_algebra(alg)), anti_transpose(X))
-    x1, x2, _ = X.diag
-    if x1 <= 0.0:
-        return False
-    if x1 * x2 - alg.norm_sq((1, 2), X.offdiag[(1, 2)]) <= 0.0:
-        return False
-    return bool(d_prime(cone, X) > 0.0)
+        return _truth((X.diag.T[0] > 0.0) & (p_polynomials(cone, X)[0] > 0.0))
+    if cone.algebra.kind != "rank3-special":
+        return membership(dual_cone(cone), anti_transpose(X))
+    x1, x2, _ = X.diag.T
+    d, gap = _d_prime_parts(cone, X)
+    p2_dual = x1 * x2 - cone.algebra.norm_sq((1, 2), X.offdiag[(1, 2)])
+    return _truth((x1 > 0.0) & (p2_dual > 0.0) & (x1 * d + gap > 0.0))

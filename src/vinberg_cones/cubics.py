@@ -88,15 +88,16 @@ class InvariantCubic:
         return (b / a, c / a)
 
 
-def eval_cubic(q: InvariantCubic, X: HermMatrix) -> float:
-    """Exact polynomial evaluation; homogeneous of degree 3."""
+def eval_cubic(q: InvariantCubic, X: HermMatrix):
+    """Exact polynomial evaluation; homogeneous of degree 3 (one point or a stack)."""
+    pw = np.float_power  # rounds one point and a stack alike, unlike **
     if q.cone.rank == 2:
         a, b = q.coeffs
         p1, x2 = p_polynomials(q.cone, X)
-        return a * x2**3 + b * x2 * p1
+        return a * pw(x2, 3) + b * x2 * p1
     a, b, c = q.coeffs
     p2, p3 = _lower_p(q.cone, X)
-    return a * det_cubic(q.cone, X) + b * (p2 * p3) + c * p3**3
+    return a * det_cubic(q.cone, X) + b * (p2 * p3) + c * pw(p3, 3)
 
 
 def gradient(q: InvariantCubic, X: HermMatrix) -> np.ndarray:
@@ -196,26 +197,28 @@ def hessian_log(q: InvariantCubic, X: HermMatrix) -> np.ndarray:
 
 
 def fd_hessian_log(q: InvariantCubic, X: HermMatrix, h: float = 1e-5) -> np.ndarray:
-    """Central-difference -Hess(log q), the coarse numerical oracle that the
-    self-test and the tests hold hessian_log against."""
-    alg = q.cone.algebra
+    """Central-difference -Hess(log q) with one Richardson step, (4 H(h) -
+    H(2h)) / 3: the coarse oracle that the self-test and the tests hold
+    hessian_log against (one step alone fails dim_v = 16 by truncation or
+    the small cones by rounding).  Each row's points are one stack."""
     x0 = X.to_vector()
+    n = x0.size
+    eye = np.eye(n)
+    steps = np.array([h, 2.0 * h])
+    richardson = np.array([4.0, -1.0]) / 3.0  # weights of H(h) and H(2h)
 
     def f(z):
-        return -math.log(eval_cubic(q, herm_from_vector(alg, z)))
+        return -np.log(eval_cubic(q, herm_from_vector(q.cone.algebra, z)))
 
-    n = x0.size
-    E = h * np.eye(n)
-    H = np.zeros((n, n))
     f0 = f(x0)
+    H = np.zeros((n, n))
     for i in range(n):
-        ei = E[i]
-        H[i, i] = (f(x0 + ei) - 2.0 * f0 + f(x0 - ei)) / h**2
-        for j in range(i + 1, n):
-            ej = E[j]
-            H[i, j] = H[j, i] = (
-                f(x0 + ei + ej) - f(x0 + ei - ej) - f(x0 - ei + ej) + f(x0 - ei - ej)
-            ) / (4.0 * h**2)
+        ei, ej = eye[i], eye[i + 1 :]
+        dirs = np.concatenate([[ei, -ei], ei + ej, ei - ej, ej - ei, -ei - ej])
+        fz = f((x0 + steps[:, None, None] * dirs).reshape(-1, n)).reshape(2, -1)
+        H[i, i] = richardson @ ((fz[:, 0] - 2.0 * f0 + fz[:, 1]) / steps**2)
+        pp, pm, mp, mm = np.split(fz[:, 2:], 4, axis=1)
+        H[i, i + 1 :] = H[i + 1 :, i] = richardson @ ((pp - pm - mp + mm) / (4.0 * steps[:, None] ** 2))
     return H
 
 
@@ -241,7 +244,8 @@ class HessianReport:
 
 
 def _leading_minors(R: np.ndarray) -> np.ndarray:
-    return np.array([np.linalg.det(R[: k + 1, : k + 1]) for k in range(R.shape[0])])
+    """Leading principal minors of R over its last two axes (last axis)."""
+    return np.stack([np.linalg.det(R[..., : k + 1, : k + 1]) for k in range(R.shape[-1])], axis=-1)
 
 
 def _verdict_from_minors(minors: np.ndarray, scale) -> np.ndarray:
@@ -462,17 +466,6 @@ def _diagonal_parts(q: InvariantCubic, x: np.ndarray):
     return qx, g, H, np.stack(blocks, axis=-1)
 
 
-def _gram_pivots(q: InvariantCubic) -> np.ndarray:
-    """Ratios of consecutive leading minors (squared Cholesky diagonals) of
-    each Jacobi-scaled block Gram matrix, in flat off-diagonal order."""
-    out = []
-    for key in q.cone.algebra.offdiag_keys:
-        G = q.cone.algebra.spaces[key].gram
-        s = np.sqrt(np.diag(G))
-        out.append(np.diag(np.linalg.cholesky(G / np.outer(s, s))) ** 2)
-    return np.concatenate(out)
-
-
 def _diagonal_verdicts(q: InvariantCubic, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Verdict and min_minor of tangent_restriction at each row of x, an
     (N, rank) stack of diagonal points with q > 0, at a cost independent of
@@ -506,10 +499,10 @@ def _diagonal_verdicts(q: InvariantCubic, x: np.ndarray) -> tuple[np.ndarray, np
     d = np.sqrt(np.abs(np.diagonal(R, axis1=1, axis2=2)))
     d = np.where(d == 0.0, 1.0, d)
     Rn = R / (d[:, :, None] * d[:, None, :])
-    core = np.stack([np.linalg.det(Rn[:, : k + 1, : k + 1]) for k in range(r - 1)], axis=-1)
+    core = _leading_minors(Rn)
     dims = [q.cone.algebra.dim(k) for k in q.cone.algebra.offdiag_keys]
     signs = np.sign(blocks)
-    tail = core[:, -1:] * np.cumprod(np.repeat(signs, dims, axis=1) * _gram_pivots(q), axis=1)
+    tail = core[:, -1:] * np.cumprod(np.repeat(signs, dims, axis=1) * q.cone.algebra.gram_pivots, axis=1)
     minors = np.concatenate([core, tail], axis=1)
     scale = np.maximum(np.max(np.abs(Rn), axis=(1, 2)), np.max(np.abs(signs), axis=1))
     return _verdict_from_minors(minors, scale), np.min(minors, axis=1)

@@ -14,6 +14,7 @@ same code runs on an algebra and on its anti-transposed dual.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -57,7 +58,7 @@ class NilAlgebra:
         object.__setattr__(self, "layout", layout)
         object.__setattr__(self, "herm_dim", pos)
         if self.rank == 3:
-            p = np.asarray(self.product, dtype=float)
+            p = np.ascontiguousarray(self.product, dtype=float)
             shape = (self.dim((1, 3)), self.dim((1, 2)), self.dim((2, 3)))
             if p.shape != shape:
                 raise DimensionMismatchError(f"product tensor shape {p.shape} != {shape}")
@@ -79,31 +80,49 @@ class NilAlgebra:
     def is_euclidean(self) -> bool:
         return all(s.is_euclidean for s in self.spaces.values())
 
-    def ip(self, key: Key, x, y) -> float:
+    @cached_property
+    def gram_pivots(self) -> np.ndarray:
+        """Ratios of consecutive leading minors (squared Cholesky diagonals) of
+        each Jacobi-scaled block Gram matrix, in flat off-diagonal order
+        (Euclidean algebras only; computed once)."""
+        out = []
+        for key in self.offdiag_keys:
+            G = self.spaces[key].gram
+            s = np.sqrt(np.diag(G))
+            out.append(np.diag(np.linalg.cholesky(G / np.outer(s, s))) ** 2)
+        return np.concatenate(out)
+
+    def ip(self, key: Key, x, y):
         return self.spaces[key].ip(x, y)
 
-    def norm_sq(self, key: Key, x) -> float:
+    def norm_sq(self, key: Key, x):
         return self.spaces[key].ip(x, x)
 
     # -- products ----------------------------------------------------------
+    # Block vectors or stacks of them.  The adjoints contract x13 first: the
+    # (d12, d23) matrix left is small where a (d13, d12) one would not be.
 
     def mult(self, x12, x23) -> np.ndarray:
         """The algebra product N_12 x N_23 -> N_13."""
         if self.rank != 3:
             raise SpecError("rank-2 algebra has no composable product")
-        return np.einsum("kia,i,a->k", self.product, x12, x23)
+        return np.einsum("kia,...i,...a->...k", self.product, x12, x23)
+
+    def _form13(self, x13) -> np.ndarray:
+        """The bilinear form (u, y) -> <x13, u . y>_13 as a (..., d12, d23) matrix."""
+        y = np.asarray(x13, dtype=float) @ self.spaces[(1, 3)].gram
+        P = self.product
+        return (y @ P.reshape(len(P), -1)).reshape(y.shape[:-1] + P.shape[1:])
 
     def mult_flat_right(self, x13, x23) -> np.ndarray:
         """x13 . x23^flat in N_12: <out, u>_12 = <x13, u . x23>_13 for all u."""
-        g13 = self.spaces[(1, 3)].gram
-        z = np.einsum("k,kia,a->i", g13 @ np.asarray(x13, dtype=float), self.product, x23)
-        return np.linalg.solve(self.spaces[(1, 2)].gram, z)
+        z = (self._form13(x13) @ np.asarray(x23, dtype=float)[..., None])[..., 0]
+        return z @ self.spaces[(1, 2)].gram_inv
 
     def mult_flat_left(self, x12, x13) -> np.ndarray:
         """x12^flat . x13 in N_23: <out, y>_23 = <x13, x12 . y>_13 for all y."""
-        g13 = self.spaces[(1, 3)].gram
-        z = np.einsum("k,kia,i->a", g13 @ np.asarray(x13, dtype=float), self.product, x12)
-        return np.linalg.solve(self.spaces[(2, 3)].gram, z)
+        z = (np.asarray(x12, dtype=float)[..., None, :] @ self._form13(x13))[..., 0, :]
+        return z @ self.spaces[(2, 3)].gram_inv
 
     def to_json(self) -> dict:
         out = {
@@ -165,26 +184,30 @@ def dual_algebra(algebra: NilAlgebra) -> NilAlgebra:
 
 class _FlatEntries:
     """Diagonal plus strictly-upper blocks over a fixed algebra, held as one
-    read-only float vector in ``algebra.layout`` (see README, Coordinates).
-    ``diag`` and ``offdiag[key]`` are read-only views into it; a block left
-    out of ``offdiag`` is zero."""
+    read-only float array in ``algebra.layout`` (see README, Coordinates) of
+    shape (herm_dim,), or (N, herm_dim) for a stack of N.  ``diag`` and
+    ``offdiag[key]`` are read-only views along its last axis and share their
+    leading shape; a block left out of ``offdiag`` is zero."""
 
     __slots__ = ("algebra", "diag", "offdiag", "_vector")
 
     def __init__(self, algebra: NilAlgebra, diag, offdiag: dict):
+        diag = np.asarray(diag, dtype=float)
+        vec = np.zeros(diag.shape[:-1] + (algebra.herm_dim,))
         entries = {"diag": diag, **offdiag}
-        vec = np.zeros(algebra.herm_dim)
         for key, sl in algebra.layout.items():
             if key in entries:
                 entry = np.asarray(entries[key], dtype=float)
-                if entry.shape != (sl.stop - sl.start,):
-                    raise DimensionMismatchError(f"{type(self).__name__}: entry {key} has wrong dimension")
-                vec[sl] = entry
+                if entry.shape != vec.shape[:-1] + (sl.stop - sl.start,):
+                    raise DimensionMismatchError(f"{type(self).__name__}: entry {key} has wrong shape")
+                vec[..., sl] = entry
         self._wrap(algebra, vec)
 
     def _wrap(self, algebra: NilAlgebra, vec: np.ndarray) -> None:
+        if vec.ndim not in (1, 2) or vec.shape[-1] != algebra.herm_dim:
+            raise DimensionMismatchError(f"{type(self).__name__}: flat shape {vec.shape} is wrong")
         vec.setflags(write=False)
-        views = {key: vec[sl] for key, sl in algebra.layout.items()}
+        views = {key: vec[..., sl] for key, sl in algebra.layout.items()}
         fields = {"algebra": algebra, "_vector": vec, "diag": views.pop("diag"), "offdiag": views}
         for name, value in fields.items():
             object.__setattr__(self, name, value)
@@ -212,7 +235,7 @@ class TriangularElement(_FlatEntries):
 
     @property
     def in_group(self) -> bool:
-        return bool(np.all(self.diag > 0))
+        return bool((self.diag > 0).all())
 
 
 class HermMatrix(_FlatEntries):
@@ -225,12 +248,10 @@ class HermMatrix(_FlatEntries):
 
 
 def herm_from_vector(algebra: NilAlgebra, vec) -> HermMatrix:
-    """A Hermitian matrix holding a copy of the flat coordinates ``vec``."""
-    vec = np.array(vec, dtype=float)
-    if vec.shape != (algebra.herm_dim,):
-        raise DimensionMismatchError("vector length != Hermitian dimension")
+    """A Hermitian matrix (or a stack of them) holding a copy of the flat
+    coordinates ``vec``, of shape (herm_dim,) or (N, herm_dim)."""
     X = HermMatrix.__new__(HermMatrix)
-    X._wrap(algebra, vec)
+    X._wrap(algebra, np.array(vec, dtype=float))
     return X
 
 
@@ -259,6 +280,8 @@ def herm_from_json(algebra: NilAlgebra, obj: dict) -> HermMatrix:
         X = HermMatrix(algebra, obj["diag"], {names[name]: v for name, v in offdiag.items()})
     except (KeyError, TypeError, ValueError) as exc:
         raise SpecError(f"bad Hermitian-matrix JSON: {exc}") from exc
+    if X.to_vector().ndim != 1:
+        raise SpecError("Hermitian-matrix JSON must hold one point, not a stack")
     if not np.all(np.isfinite(X.to_vector())):
         raise SpecError("Hermitian-matrix JSON has a non-finite entry")
     return X
@@ -300,57 +323,54 @@ def triangular_product(A: TriangularElement, B: TriangularElement) -> Triangular
     """Associative product in the solvable matrix algebra T(N)."""
     check_same_algebra(A.algebra, B)
     alg = A.algebra
-    diag = A.diag * B.diag
     off: dict[Key, np.ndarray] = {}
     for (i, j) in alg.offdiag_keys:
-        acc = A.diag[i - 1] * B.offdiag[(i, j)] + A.offdiag[(i, j)] * B.diag[j - 1]
+        acc = A.diag[..., i - 1, None] * B.offdiag[(i, j)] + A.offdiag[(i, j)] * B.diag[..., j - 1, None]
         for k in range(i + 1, j):
             acc = acc + alg.mult(A.offdiag[(i, k)], B.offdiag[(k, j)])
         off[(i, j)] = acc
-    return TriangularElement(alg, diag, off)
+    return TriangularElement(alg, A.diag * B.diag, off)
+
+
+def _columns(*values) -> np.ndarray:
+    """Per-point values, floats or the (N,) arrays of a stack, as the last axis."""
+    return np.array(values).T
 
 
 def herm_from_triangular(A: TriangularElement) -> HermMatrix:
     """The Hermitian matrix A . A^*; requires a positive diagonal."""
     if not A.in_group:
         raise SpecError("A . A^* requires a strictly positive diagonal")
-    alg = A.algebra
+    alg, a = A.algebra, A.diag
+    sq = (a * a).T  # a_ii^2 over the first axis
     if alg.rank == 2:
-        a1, a2 = A.diag
         w = A.offdiag[(1, 2)]
-        diag = [a1**2 + alg.norm_sq((1, 2), w), a2**2]
-        off = {(1, 2): a2 * w}
-        return HermMatrix(alg, diag, off)
-    a1, a2, a3 = A.diag
+        diag = _columns(sq[0] + alg.norm_sq((1, 2), w), sq[1])
+        return HermMatrix(alg, diag, {(1, 2): a[..., 1:2] * w})
     t0, t1, w = A.offdiag[(1, 2)], A.offdiag[(1, 3)], A.offdiag[(2, 3)]
-    x3 = a3**2
-    v = a3 * w
-    s1 = a3 * t1
-    x2 = a2**2 + alg.norm_sq((2, 3), w)
-    s0 = a2 * t0 + alg.mult_flat_right(t1, w)
-    x1 = a1**2 + alg.norm_sq((1, 2), t0) + alg.norm_sq((1, 3), t1)
-    return HermMatrix(alg, [x1, x2, x3], {(1, 2): s0, (1, 3): s1, (2, 3): v})
+    x1 = sq[0] + alg.norm_sq((1, 2), t0) + alg.norm_sq((1, 3), t1)
+    x2 = sq[1] + alg.norm_sq((2, 3), w)
+    s0 = a[..., 1:2] * t0 + alg.mult_flat_right(t1, w)
+    off = {(1, 2): s0, (1, 3): a[..., 2:3] * t1, (2, 3): a[..., 2:3] * w}
+    return HermMatrix(alg, _columns(x1, x2, sq[2]), off)
 
 
 def herm_from_triangular_star(A: TriangularElement) -> HermMatrix:
     """The Hermitian matrix A^* . A (a point of the dual cone)."""
     if not A.in_group:
         raise SpecError("A^* . A requires a strictly positive diagonal")
-    alg = A.algebra
+    alg, a = A.algebra, A.diag
+    sq = (a * a).T  # a_ii^2 over the first axis
     if alg.rank == 2:
-        a1, a2 = A.diag
         w = A.offdiag[(1, 2)]
-        diag = [a1**2, a2**2 + alg.norm_sq((1, 2), w)]
-        return HermMatrix(alg, diag, {(1, 2): a1 * w})
-    a1, a2, a3 = A.diag
+        diag = _columns(sq[0], sq[1] + alg.norm_sq((1, 2), w))
+        return HermMatrix(alg, diag, {(1, 2): a[..., 0:1] * w})
     t0, t1, w = A.offdiag[(1, 2)], A.offdiag[(1, 3)], A.offdiag[(2, 3)]
-    y1 = a1**2
-    e12 = a1 * t0
-    e13 = a1 * t1
-    y2 = a2**2 + alg.norm_sq((1, 2), t0)
-    e23 = a2 * w + alg.mult_flat_left(t0, t1)
-    y3 = a3**2 + alg.norm_sq((1, 3), t1) + alg.norm_sq((2, 3), w)
-    return HermMatrix(alg, [y1, y2, y3], {(1, 2): e12, (1, 3): e13, (2, 3): e23})
+    y2 = sq[1] + alg.norm_sq((1, 2), t0)
+    y3 = sq[2] + alg.norm_sq((1, 3), t1) + alg.norm_sq((2, 3), w)
+    e23 = a[..., 1:2] * w + alg.mult_flat_left(t0, t1)
+    off = {(1, 2): a[..., 0:1] * t0, (1, 3): a[..., 0:1] * t1, (2, 3): e23}
+    return HermMatrix(alg, _columns(sq[0], y2, y3), off)
 
 
 def anti_transpose(X):
@@ -359,17 +379,17 @@ def anti_transpose(X):
     m = X.algebra.rank
     dual = dual_algebra(X.algebra)
     off = {(i, j): X.offdiag[(m + 1 - j, m + 1 - i)] for (i, j) in dual.offdiag_keys}
-    return type(X)(dual, X.diag[::-1], off)
+    return type(X)(dual, X.diag[..., ::-1], off)
 
 
 anti_transpose_triangular = anti_transpose
 
 
-def herm_pairing(X: HermMatrix, Y: HermMatrix) -> float:
+def herm_pairing(X: HermMatrix, Y: HermMatrix):
     """Trace-form inner product sum_i x_i y_i + 2 sum_{i<j} <x_ij, y_ij>."""
     check_same_algebra(X.algebra, Y)
     alg = X.algebra
-    total = float(X.diag @ Y.diag)
+    total = (X.diag * Y.diag).sum(-1)
     for key in alg.offdiag_keys:
-        total += 2.0 * alg.ip(key, X.offdiag[key], Y.offdiag[key])
+        total = total + 2.0 * alg.ip(key, X.offdiag[key], Y.offdiag[key])
     return total

@@ -249,6 +249,14 @@ class TestSelftest:
         assert cli.main(["selftest", "--spec", spec3, "--seed", "5"]) == 0
         assert "decomposition-roundtrip" in capsys.readouterr().out
 
+    def test_dim_v_16_passes(self, tmp_path, capsys):
+        spec = write_json(tmp_path / "d16.json", {"rank": 3, "dim_v": 16})
+        assert cli.main(["selftest", "--spec", spec]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 14
+        assert all(line.startswith("PASS ") for line in lines[:-1]), lines
+        assert lines[-1] == "selftest passed (0 failing invariants)"
+
     def test_corrupt_gamma_negative_control(self, spec3, capsys):
         assert cli.main(["selftest", "--spec", spec3, "--corrupt-gamma"]) == 1
         out = capsys.readouterr().out

@@ -296,6 +296,13 @@ class TestCharacteristicFunction:
         with pytest.raises(OutsideConeError):
             vc.characteristic_function(cone, X)
 
+    @pytest.mark.parametrize("cone", [rank2_cone(4), rank3_cone(2)])
+    def test_defined_at_every_scale(self, cone):
+        # the decomposition's absolute RADICAND_FLOOR does not bound chi
+        X = vc.herm_identity(cone.algebra).scaled(1e-15)
+        expect = 1e-15 ** float(characteristic_degree(cone))
+        assert vc.characteristic_function(cone, X) == pytest.approx(expect, rel=1e-12)
+
 
 class TestDuality:
     def test_d_prime_identity(self):

@@ -264,6 +264,7 @@ class TestVectorAndJson:
             {"rank": 3, "diag": None},
             {"rank": 3.0, "diag": [1, 1, 1]},
             {"rank": 3, "diag": [1, 1, 1], "offdiag": {"12": None}},
+            {"rank": 3, "diag": [[1, 1, 1]]},  # a stack of one point
         ],
     )
     def test_json_rejects_unknown_keys_and_non_finite(self, obj):
