@@ -17,7 +17,7 @@ signatures use a doubled spinor space with split metric.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -29,10 +29,9 @@ from .errors import (
 )
 
 # Largest dim_v * dim_s**2 that build_clifford_module accepts: the entries of
-# the dense gamma stack, and of the (dim_s, dim_s, dim_v) product tensor that
-# rank3_special builds from it.  dim_v = 18 (4.7M entries) is the largest
-# Euclidean module under it; dim_v = 19 would hold 20M entries.  The CLI
-# holds the dim_w x dim_w Gram matrix of a rank-2 spec to the same bound.
+# the dense gamma stack.  dim_v = 18 (4.7M entries) is the largest Euclidean
+# module under it; dim_v = 19 would hold 20M entries.  The CLI holds the
+# dim_w x dim_w Gram matrix of a rank-2 spec to the same bound.
 MAX_GAMMA_ENTRIES = 2**23
 
 
@@ -183,22 +182,35 @@ def _cl_neg8_on_r16() -> tuple[np.ndarray, ...]:
     return fam
 
 
-def _signed_permutation(stack: np.ndarray, message: str) -> tuple[np.ndarray, np.ndarray]:
-    """(perm, sign) of a (k, d, d) stack of signed permutation matrices.
+def _monomial(stack: np.ndarray, message: str) -> tuple[np.ndarray, np.ndarray]:
+    """(perm, val) of a (k, d, d) stack of monomial matrices.
 
-    ``stack[a, perm[a, j], j] == sign[a, j]`` and every other entry is zero.
-    Raises :class:`CliffordRelationError` with ``message`` unless every matrix
-    has exactly one nonzero per row and the first nonzero of every column is
-    +/-1; then its d nonzeros fill d columns, one each.
+    ``stack[a, perm[a, j], j] == val[a, j] != 0`` and every other entry is
+    zero.  Raises :class:`CliffordRelationError` with ``message`` unless
+    every matrix has exactly one nonzero per row and a nonzero in every
+    column; then its d nonzeros fill d columns, one each.
     """
     nonzero = stack != 0
-    if not np.all(nonzero.sum(axis=2) == 1):
+    if not (np.all(nonzero.sum(axis=2) == 1) and np.all(nonzero.any(axis=1))):
         raise CliffordRelationError(message)
     perm = nonzero.argmax(axis=1)
-    sign = stack[np.arange(len(stack))[:, None], perm, np.arange(stack.shape[2])]
+    return perm, stack[np.arange(len(stack))[:, None], perm, np.arange(stack.shape[2])]
+
+
+def _signed_permutation(stack: np.ndarray, message: str) -> tuple[np.ndarray, np.ndarray]:
+    """(perm, sign) of a (k, d, d) stack of signed permutation matrices: the
+    :func:`_monomial` tables, with every nonzero +/-1 or the error raised."""
+    perm, sign = _monomial(stack, message)
     if not np.all((sign == 1) | (sign == -1)):
         raise CliffordRelationError(message)
     return perm, sign
+
+
+def _inverse_permutation(perm: np.ndarray) -> np.ndarray:
+    """Row-wise inverse of a (k, d) stack of permutations of range(d)."""
+    inv = np.empty_like(perm)
+    inv[np.arange(len(perm))[:, None], perm] = np.arange(perm.shape[1])
+    return inv
 
 
 def _check_j_family(fam) -> None:
@@ -287,6 +299,21 @@ class CliffordModule:
             and self.s0_space.is_euclidean
             and self.s1_space.is_euclidean
         )
+
+    @cached_property
+    def monomial_tables(self) -> tuple[np.ndarray, ...]:
+        """Index tables of the gammas, built once: (perm, val, inv, inv_val)
+        with ``Gamma_a e_j = val[a, j] e_perm[a, j]`` and, row by row,
+        ``e_k^T Gamma_a = inv_val[a, k] e_inv[a, k]^T``; values as floats.
+        Raises :class:`CliffordRelationError` unless every gamma is monomial
+        (one nonzero per row and per column)."""
+        perm, val = _monomial(self.gammas, "gammas must be monomial: one nonzero per row and per column")
+        inv = _inverse_permutation(perm)
+        val = val.astype(float)
+        tables = (perm, val, inv, np.take_along_axis(val, inv, axis=1))
+        for t in tables:
+            t.setflags(write=False)
+        return tables
 
     def mu(self, v: np.ndarray) -> np.ndarray:
         """Matrix of mu_v : S0 -> S1."""
@@ -415,10 +442,8 @@ def _check_clifford_relations(gammas, g_v, g_s) -> None:
         raise CliffordRelationError("spinor metric must be diagonal")
     perm, sign = _signed_permutation(np.asarray(gammas), "Clifford relation failed")
     n, d = perm.shape
-    inverse = np.empty_like(perm)
-    inverse[np.arange(n)[:, None], perm] = np.arange(d)
     rows = np.arange(n)[:, None, None]
-    R = inverse[rows, perm[None]]
+    R = _inverse_permutation(perm)[rows, perm[None]]
     V = (sign * gs_diag[perm])[None] * sign[rows, R]
     Rt, Vt = R.swapaxes(0, 1), V.swapaxes(0, 1)
     j = np.arange(d)

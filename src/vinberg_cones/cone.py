@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -26,6 +27,8 @@ from .nilalgebra import (
     herm_from_triangular,
 )
 
+# A radicand a_ii^2 at or below RADICAND_FLOOR * max |x| counts as outside the
+# open cone: the radicands scale like X, so the test does not depend on scale.
 RADICAND_FLOOR = 1e-14
 
 
@@ -46,6 +49,13 @@ class ConeDescriptor:
     @property
     def is_euclidean(self) -> bool:
         return self.algebra.is_euclidean
+
+    @cached_property
+    def characteristic_exponents(self) -> tuple[Fraction, ...]:
+        """Exponent of p_i in the characteristic function:
+        n_i - n_{i-1} - ... - n_1 (computed once per cone)."""
+        n = self.exponents
+        return tuple(n[i] - sum(n[:i], Fraction(0)) for i in range(self.rank))
 
 
 def cone_from_algebra(algebra: NilAlgebra) -> ConeDescriptor:
@@ -177,14 +187,15 @@ class GroupCoordinates:
         return np.max(list(self.residuals.values()), axis=0)
 
 
-def _back_substitute(cone: ConeDescriptor, X: HermMatrix, floor: float) -> tuple:
+def _back_substitute(cone: ConeDescriptor, X: HermMatrix, floor) -> tuple:
     """The radicands a_ii^2 (a tuple over i) and the off-diagonal blocks of
     the A with positive diagonal and X = A . A^*, solved back to front.
-    Raises OutsideConeError whenever a radicand drops below ``floor``."""
+    Raises OutsideConeError whenever a radicand is at or below ``floor`` (a
+    float, or one per point of a stack)."""
     alg = cone.algebra
 
     def root(r, name):
-        if (r < floor).any():
+        if (r <= floor).any():
             raise OutsideConeError(f"{name} radicand <= 0")
         return np.sqrt(r)[..., None]
 
@@ -208,13 +219,15 @@ def _back_substitute(cone: ConeDescriptor, X: HermMatrix, floor: float) -> tuple
 def group_coordinates(cone: ConeDescriptor, X: HermMatrix) -> GroupCoordinates:
     """Solve X = A . A^* back-to-front for the unique A with positive diagonal
     (at every point of a stack).  Raises OutsideConeError when a radicand is
-    below RADICAND_FLOOR: the point is outside the open cone or near its boundary."""
+    at or below RADICAND_FLOOR times the point's largest entry: the point is
+    outside the open cone or near its boundary."""
     check_same_algebra(cone.algebra, X)
     alg = cone.algebra
-    radicands, off = _back_substitute(cone, X, RADICAND_FLOOR)
-    A = TriangularElement(alg, np.sqrt(_columns(*radicands)), off)
     x = X.to_vector()
-    scale = np.maximum(1.0, np.abs(x).max(-1))
+    largest = np.abs(x).max(-1)
+    radicands, off = _back_substitute(cone, X, RADICAND_FLOOR * largest)
+    A = TriangularElement(alg, np.sqrt(_columns(*radicands)), off)
+    scale = np.maximum(1.0, largest)
     err = np.abs(herm_from_triangular(A).to_vector() - x)
     residuals = {
         key if key == "diag" else f"{key[0]}{key[1]}": err[..., sl].max(-1, initial=0.0) / scale
@@ -230,8 +243,7 @@ def group_coordinates(cone: ConeDescriptor, X: HermMatrix) -> GroupCoordinates:
 
 def characteristic_exponents(cone: ConeDescriptor) -> tuple[Fraction, ...]:
     """Exponent of p_i in the characteristic function: n_i - n_{i-1} - ... - n_1."""
-    n = cone.exponents
-    return tuple(n[i] - sum(n[:i], Fraction(0)) for i in range(cone.rank))
+    return cone.characteristic_exponents
 
 
 def characteristic_function(cone: ConeDescriptor, X: HermMatrix):
@@ -244,13 +256,13 @@ def characteristic_function(cone: ConeDescriptor, X: HermMatrix):
     # any positive radicand: the open cone has points at every scale
     for r in reversed(_back_substitute(cone, X, np.finfo(float).tiny)[0]):
         log_p.insert(0, np.log(r) + sum(log_p))
-    return np.exp(sum(float(e) * lp for e, lp in zip(characteristic_exponents(cone), log_p)))
+    return np.exp(sum(float(e) * lp for e, lp in zip(cone.characteristic_exponents, log_p)))
 
 
 def characteristic_degree(cone: ConeDescriptor) -> Fraction:
     """Homogeneity degree sum_i deg(p_i) * exponent_i (equals sum_i n_i)."""
     m = cone.rank
-    exps = characteristic_exponents(cone)
+    exps = cone.characteristic_exponents
     return sum((Fraction(2 ** (m - i - 1)) * exps[i] for i in range(m)), Fraction(0))
 
 

@@ -121,19 +121,14 @@ def gradient(q: InvariantCubic, X: HermMatrix) -> np.ndarray:
     g0, g1, gv = (alg.spaces[k].gram for k in ((1, 2), (1, 3), (2, 3)))
     g0s0, g1s1, gvv = g0 @ s0, g1 @ s1, gv @ v
     n0, n1, nv = s0 @ g0s0, s1 @ g1s1, v @ gvv
-    mu_s0_v = alg.mult(s0, v)
+    pair = alg.gamma_pairing(s1)  # <s0 . v, s1> = v . pair . s0
     g[0] = a * (x2 * x3 - nv)
     g[1] = a * (x1 * x3 - n1) + b * x3**2
     g[2] = a * (x1 * x2 - n0) + 2.0 * b * x2 * x3 - b * nv + 3.0 * c * x3**2
     # <s0 . v, s1> differentiated in each slot
-    g[lay[(1, 2)]] = -2.0 * a * x3 * g0s0 + 2.0 * a * np.einsum(
-        "kia,k,a->i", alg.product, g1s1, v
-    )
-    g[lay[(1, 3)]] = -2.0 * a * x2 * g1s1 + 2.0 * a * (g1 @ mu_s0_v)
-    g[lay[(2, 3)]] = (
-        -2.0 * (a * x1 + b * x3) * gvv
-        + 2.0 * a * np.einsum("kia,k,i->a", alg.product, g1s1, s0)
-    )
+    g[lay[(1, 2)]] = -2.0 * a * x3 * g0s0 + 2.0 * a * (v @ pair)
+    g[lay[(1, 3)]] = -2.0 * a * x2 * g1s1 + 2.0 * a * (g1 @ alg.mult(s0, v))
+    g[lay[(2, 3)]] = -2.0 * (a * x1 + b * x3) * gvv + 2.0 * a * (pair @ s0)
     return g
 
 
@@ -173,14 +168,13 @@ def cubic_hessian(q: InvariantCubic, X: HermMatrix) -> np.ndarray:
     H[s1sl, s1sl] = -2.0 * a * x2 * G1
     H[vsl, vsl] = -2.0 * (a * x1 + b * x3) * GV
     # cross blocks from 2 <s0 . v, s1>
-    mu_v = np.einsum("kia,a->ki", alg.product, v)  # S0 -> S1
-    blk_01 = 2.0 * a * (mu_v.T @ G1)  # d(s0) d(s1)
+    blk_01 = 2.0 * a * (alg.clifford.mu(v).T @ G1)  # d(s0) d(s1)
     H[s0sl, s1sl] = blk_01
     H[s1sl, s0sl] = blk_01.T
-    blk_0v = 2.0 * a * np.einsum("kia,k->ia", alg.product, G1 @ s1)  # d(s0) d(v)
+    blk_0v = 2.0 * a * alg.gamma_pairing(s1).T  # d(s0) d(v)
     H[s0sl, vsl] = blk_0v
     H[vsl, s0sl] = blk_0v.T
-    blk_1v = 2.0 * a * (G1 @ np.einsum("kia,i->ka", alg.product, s0))  # d(s1) d(v)
+    blk_1v = 2.0 * a * (G1 @ alg.gamma_images(s0).T)  # d(s1) d(v)
     H[s1sl, vsl] = blk_1v
     H[vsl, s1sl] = blk_1v.T
     return H

@@ -2,13 +2,14 @@
 Hermitian matrices.
 
 A rank-m Nil-algebra stores one metric space per strictly-upper slot (i, j)
-and, for rank 3, the single bilinear isometric product
-N_12 x N_23 -> N_13 as a dense tensor.  Triangular elements (the solvable
-group when the diagonal is positive) and Hermitian matrices are coordinate
-containers over a fixed algebra, each one flat vector in the algebra's
-layout (see README, Coordinates); all products needed downstream are
-expressed through the product tensor and its two metric adjoints, so the
-same code runs on an algebra and on its anti-transposed dual.
+and, for rank 3, the Clifford module whose multiplication is the single
+bilinear isometric product N_12 x N_23 -> N_13.  Triangular elements (the
+solvable group when the diagonal is positive) and Hermitian matrices are
+coordinate containers over a fixed algebra, each one flat vector in the
+algebra's layout (see README, Coordinates); all products needed downstream
+are expressed through the product and its two metric adjoints, gathers over
+the module's monomial gammas, so the same code runs on an algebra and on its
+anti-transposed dual.
 """
 
 from __future__ import annotations
@@ -28,16 +29,15 @@ Key = tuple[int, int]
 class NilAlgebra:
     """Upper-triangular generalized-matrix algebra of rank 2 or 3.
 
-    ``product`` (rank 3 only) has shape (d13, d12, d23) and encodes the
-    bilinear map N_12 x N_23 -> N_13:  (x . y)_k = product[k, i, a] x_i y_a.
-    ``kind`` distinguishes the special orientation (entry (1,2) even spinor,
-    (2,3) vector), for which the squared G-determinant is a cubic
-    polynomial, from its dual.
+    At rank 3 the bilinear map N_12 x N_23 -> N_13 is Clifford
+    multiplication (s0, v) -> mu_v(s0) of ``clifford``.  ``kind``
+    distinguishes the special orientation (entry (1,2) even spinor s0, (2,3)
+    vector v), for which the squared G-determinant is a cubic polynomial,
+    from its dual, which multiplies (v, s0) -> mu_v(s0).
     """
 
     rank: int
     spaces: dict[Key, MetricSpace]
-    product: np.ndarray | None = None
     clifford: CliffordModule | None = None
     kind: str = "rank2"
     _dual: "NilAlgebra | None" = field(default=None, repr=False)
@@ -57,15 +57,17 @@ class NilAlgebra:
             pos += self.dim(key)
         object.__setattr__(self, "layout", layout)
         object.__setattr__(self, "herm_dim", pos)
-        if self.rank == 3:
-            p = np.ascontiguousarray(self.product, dtype=float)
-            shape = (self.dim((1, 3)), self.dim((1, 2)), self.dim((2, 3)))
-            if p.shape != shape:
-                raise DimensionMismatchError(f"product tensor shape {p.shape} != {shape}")
-            p.setflags(write=False)
-            object.__setattr__(self, "product", p)
-        elif self.product is not None:
-            raise SpecError("rank-2 algebras have no product")
+        if self.rank == 2:
+            if self.clifford is not None:
+                raise SpecError("rank-2 algebras have no product")
+            return
+        if self.clifford is None or self.kind not in ("rank3-special", "rank3-dual"):
+            raise SpecError("rank-3 algebras need a Clifford module and a rank-3 kind")
+        dims = (self.dim((1, 2)), self.dim((1, 3)), self.dim((2, 3)))
+        s, v = self.clifford.dim_s, self.clifford.dim_v
+        if dims != ((s, s, v) if self._special else (v, s, s)):
+            raise DimensionMismatchError(f"block dimensions {dims} do not fit the Clifford module")
+        self._tables()  # built once; rejects gammas that are not monomial
 
     # -- structure ---------------------------------------------------------
 
@@ -99,30 +101,51 @@ class NilAlgebra:
         return self.spaces[key].ip(x, x)
 
     # -- products ----------------------------------------------------------
-    # Block vectors or stacks of them.  The adjoints contract x13 first: the
-    # (d12, d23) matrix left is small where a (d13, d12) one would not be.
+    # Rank 3 only, on block vectors or stacks of them.  The product is
+    # (s0, v) -> mu_v(s0) with (s0, v) in (N_12, N_23), or in (N_23, N_12)
+    # for the dual.  Every Gamma_a is monomial, so each product gathers one
+    # factor through the module's index tables into a (..., dim_v, dim_s)
+    # matrix and contracts the other against it in one matmul: O(dim_v dim_s).
+
+    @property
+    def _special(self) -> bool:
+        return self.kind == "rank3-special"
+
+    def _tables(self) -> tuple[np.ndarray, ...]:
+        if self.rank != 3:
+            raise SpecError("rank-2 algebra has no composable product")
+        return self.clifford.monomial_tables
+
+    def gamma_images(self, s0) -> np.ndarray:
+        """The (..., dim_v, dim_s) matrix whose row a is Gamma_a s0."""
+        _, _, inv, inv_val = self._tables()
+        return _gather(s0, inv, inv_val)
+
+    def gamma_pairing(self, x13) -> np.ndarray:
+        """The (..., dim_v, dim_s) matrix P with P[a, j] = <x13, Gamma_a e_j>_13,
+        so that <x13, mu_v(s0)>_13 = v . P . s0."""
+        perm, val, _, _ = self._tables()
+        return _gather(np.asarray(x13, dtype=float) @ self.spaces[(1, 3)].gram, perm, val)
 
     def mult(self, x12, x23) -> np.ndarray:
         """The algebra product N_12 x N_23 -> N_13."""
-        if self.rank != 3:
-            raise SpecError("rank-2 algebra has no composable product")
-        return np.einsum("kia,...i,...a->...k", self.product, x12, x23)
+        s0, v = (x12, x23) if self._special else (x23, x12)
+        return _row_times(v, self.gamma_images(s0))
 
-    def _form13(self, x13) -> np.ndarray:
-        """The bilinear form (u, y) -> <x13, u . y>_13 as a (..., d12, d23) matrix."""
-        y = np.asarray(x13, dtype=float) @ self.spaces[(1, 3)].gram
-        P = self.product
-        return (y @ P.reshape(len(P), -1)).reshape(y.shape[:-1] + P.shape[1:])
+    def _adjoint(self, x13, x, x_is_v: bool, key: Key) -> np.ndarray:
+        """The out in N_key with <out, u>_key = <x13, product of u and x>_13
+        for all u; x is the factor in V when x_is_v, else the one in S0."""
+        P = self.gamma_pairing(x13)
+        z = _row_times(x, P) if x_is_v else (P @ np.asarray(x, dtype=float)[..., None])[..., 0]
+        return z @ self.spaces[key].gram_inv
 
     def mult_flat_right(self, x13, x23) -> np.ndarray:
         """x13 . x23^flat in N_12: <out, u>_12 = <x13, u . x23>_13 for all u."""
-        z = (self._form13(x13) @ np.asarray(x23, dtype=float)[..., None])[..., 0]
-        return z @ self.spaces[(1, 2)].gram_inv
+        return self._adjoint(x13, x23, self._special, (1, 2))
 
     def mult_flat_left(self, x12, x13) -> np.ndarray:
         """x12^flat . x13 in N_23: <out, y>_23 = <x13, x12 . y>_13 for all y."""
-        z = (np.asarray(x12, dtype=float)[..., None, :] @ self._form13(x13))[..., 0, :]
-        return z @ self.spaces[(2, 3)].gram_inv
+        return self._adjoint(x13, x12, not self._special, (2, 3))
 
     def to_json(self) -> dict:
         out = {
@@ -138,6 +161,22 @@ class NilAlgebra:
         return out
 
 
+def _gather(x, index: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """values[a, j] * x[..., index[a, j]], of shape (..., dim_v, dim_s).  The
+    method ``take`` spares a single point the 2 us of ``np.take``'s wrapper,
+    and the product is taken in place: a stack's gather is large, and a
+    second array that size costs more to allocate than the gather itself."""
+    x = np.asarray(x, dtype=float)
+    out = x.take(index.ravel(), axis=-1).reshape(x.shape[:-1] + index.shape)
+    out *= values
+    return out
+
+
+def _row_times(x, M) -> np.ndarray:
+    """x . M over the last axes: (..., n) times (..., n, k) gives (..., k)."""
+    return (np.asarray(x, dtype=float)[..., None, :] @ M)[..., 0, :]
+
+
 def rank2_algebra(w_space: MetricSpace) -> NilAlgebra:
     """Rank-2 Nil-algebra with single entry space W at slot (1, 2)."""
     return NilAlgebra(2, {(1, 2): w_space}, kind="rank2")
@@ -145,13 +184,10 @@ def rank2_algebra(w_space: MetricSpace) -> NilAlgebra:
 
 def rank3_special(module: CliffordModule) -> NilAlgebra:
     """Rank-3 special Nil-algebra: (1,2) = S0, (1,3) = S1, (2,3) = V,
-    product (s0, v) -> mu_v(s0)."""
-    if module.s0_space.dim != module.s1_space.dim:
-        raise DimensionMismatchError("special algebra needs dim S0 == dim S1")
-    # product[k, i, a] = (Gamma_a)_{k i}
-    tensor = np.transpose(np.asarray(module.gammas, dtype=float), (1, 2, 0))
+    product (s0, v) -> mu_v(s0).  Raises CliffordRelationError unless every
+    gamma is monomial."""
     spaces = {(1, 2): module.s0_space, (1, 3): module.s1_space, (2, 3): module.v_space}
-    return NilAlgebra(3, spaces, tensor, clifford=module, kind="rank3-special")
+    return NilAlgebra(3, spaces, clifford=module, kind="rank3-special")
 
 
 def dual_algebra(algebra: NilAlgebra) -> NilAlgebra:
@@ -164,14 +200,10 @@ def dual_algebra(algebra: NilAlgebra) -> NilAlgebra:
         (i, j): algebra.spaces[(m + 1 - j, m + 1 - i)]
         for (i, j) in algebra.offdiag_keys
     }
-    tensor = None
-    if m == 3:
-        # dual product (u, w) = original product (w, u)
-        tensor = np.transpose(algebra.product, (0, 2, 1)).copy()
     kind = {"rank2": "rank2", "rank3-special": "rank3-dual", "rank3-dual": "rank3-special"}[
         algebra.kind
     ]
-    dual = NilAlgebra(m, spaces, tensor, clifford=algebra.clifford, kind=kind)
+    dual = NilAlgebra(m, spaces, clifford=algebra.clifford, kind=kind)
     object.__setattr__(dual, "_dual", algebra)
     object.__setattr__(algebra, "_dual", dual)
     return dual

@@ -3,8 +3,9 @@
 The oracles here deliberately avoid the library's own computation paths:
 finite differences for Hessians (``cubics.fd_hessian_log``, shared with the
 self-test, which only evaluates q), explicit closed forms at diagonal
-points, the Hurwitz-Radon bound for spinor dimensions, and dense 3x3
-determinants for the self-adjoint instance.
+points, the Hurwitz-Radon bound for spinor dimensions, the dense product
+tensor for the gathered algebra products, and dense 3x3 determinants for
+the self-adjoint instance.
 """
 
 import numpy as np
@@ -139,6 +140,91 @@ def corrupt_stack(stack: np.ndarray, kind: str, rng) -> np.ndarray:
     else:
         raise ValueError(kind)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Dense product oracle: the (d13, d12, d23) tensor of the rank-3 product,
+# built from the dense gammas and contracted in full, which the gathers of
+# NilAlgebra replace
+# ---------------------------------------------------------------------------
+
+
+# rank3_cone arguments (dim_v, multiplicity, signature) of the modules the
+# gathers are checked on
+PRODUCT_MODULES = [(d, 1, None) for d in range(1, 18)] + [
+    (3, 1, (2, 1)),
+    (4, 1, (1, 3)),
+    (4, 2, None),
+    (3, 3, None),
+]
+
+
+def dense_product_tensor(alg) -> np.ndarray:
+    """product[k, i, a] with (x12 . x23)_k = product[k, i, a] x12_i x23_a."""
+    P = np.transpose(np.asarray(alg.clifford.gammas, dtype=float), (1, 2, 0))  # (Gamma_a)_{k i}
+    return P if alg.kind == "rank3-special" else np.transpose(P, (0, 2, 1))
+
+
+def dense_mult(alg, x12, x23) -> np.ndarray:
+    return np.einsum("kia,...i,...a->...k", dense_product_tensor(alg), x12, x23)
+
+
+def _dense_form13(alg, x13) -> np.ndarray:
+    """(u, y) -> <x13, u . y>_13 as a (..., d12, d23) matrix."""
+    y = np.asarray(x13, dtype=float) @ alg.spaces[(1, 3)].gram
+    return np.einsum("...k,kia->...ia", y, dense_product_tensor(alg))
+
+
+def dense_mult_flat_right(alg, x13, x23) -> np.ndarray:
+    z = np.einsum("...ia,...a->...i", _dense_form13(alg, x13), x23)
+    return z @ alg.spaces[(1, 2)].gram_inv
+
+
+def dense_mult_flat_left(alg, x12, x13) -> np.ndarray:
+    z = np.einsum("...i,...ia->...a", x12, _dense_form13(alg, x13))
+    return z @ alg.spaces[(2, 3)].gram_inv
+
+
+def dense_cubic_derivatives(q, X) -> tuple[np.ndarray, np.ndarray]:
+    """Gradient and Hessian of a rank-3 invariant cubic at one point, each
+    term of 2 <s0 . v, s1> contracted against the dense tensor."""
+    alg = q.cone.algebra
+    P = dense_product_tensor(alg)
+    lay = alg.layout
+    a, b, c = q.coeffs
+    x1, x2, x3 = X.diag
+    s0, s1, v = X.offdiag[(1, 2)], X.offdiag[(1, 3)], X.offdiag[(2, 3)]
+    G0, G1, GV = (alg.spaces[k].gram for k in ((1, 2), (1, 3), (2, 3)))
+    s0sl, s1sl, vsl = lay[(1, 2)], lay[(1, 3)], lay[(2, 3)]
+    n0, n1, nv = s0 @ G0 @ s0, s1 @ G1 @ s1, v @ GV @ v
+    g = np.zeros(alg.herm_dim)
+    g[0] = a * (x2 * x3 - nv)
+    g[1] = a * (x1 * x3 - n1) + b * x3**2
+    g[2] = a * (x1 * x2 - n0) + 2.0 * b * x2 * x3 - b * nv + 3.0 * c * x3**2
+    g[s0sl] = -2.0 * a * x3 * (G0 @ s0) + 2.0 * a * np.einsum("kia,k,a->i", P, G1 @ s1, v)
+    g[s1sl] = -2.0 * a * x2 * (G1 @ s1) + 2.0 * a * (G1 @ dense_mult(alg, s0, v))
+    g[vsl] = -2.0 * (a * x1 + b * x3) * (GV @ v) + 2.0 * a * np.einsum("kia,k,i->a", P, G1 @ s1, s0)
+    H = np.zeros((alg.herm_dim, alg.herm_dim))
+    H[0, 1] = H[1, 0] = a * x3
+    H[0, 2] = H[2, 0] = a * x2
+    H[1, 2] = H[2, 1] = a * x1 + 2.0 * b * x3
+    H[2, 2] = 2.0 * b * x2 + 6.0 * c * x3
+    H[0, vsl] = H[vsl, 0] = -2.0 * a * (GV @ v)
+    H[1, s1sl] = H[s1sl, 1] = -2.0 * a * (G1 @ s1)
+    H[2, s0sl] = H[s0sl, 2] = -2.0 * a * (G0 @ s0)
+    H[2, vsl] = H[vsl, 2] = -2.0 * b * (GV @ v)
+    H[s0sl, s0sl] = -2.0 * a * x3 * G0
+    H[s1sl, s1sl] = -2.0 * a * x2 * G1
+    H[vsl, vsl] = -2.0 * (a * x1 + b * x3) * GV
+    blocks = (
+        (s0sl, s1sl, 2.0 * a * (np.einsum("kia,a->ki", P, v).T @ G1)),
+        (s0sl, vsl, 2.0 * a * np.einsum("kia,k->ia", P, G1 @ s1)),
+        (s1sl, vsl, 2.0 * a * (G1 @ np.einsum("kia,i->ka", P, s0))),
+    )
+    for rows, cols, blk in blocks:
+        H[rows, cols] = blk
+        H[cols, rows] = blk.T
+    return g, H
 
 
 def dense_symmetric_3x3(X) -> np.ndarray:

@@ -120,6 +120,17 @@ class TestEval:
         assert out["residual"] <= 1e-9
         assert len(out["diag"]) == 3
 
+    @pytest.mark.parametrize("scale", [1e-15, 1e15])
+    @pytest.mark.parametrize("rank", [2, 3])
+    def test_decompose_at_every_scale(self, tmp_path, capsys, rank, scale):
+        spec = write_json(tmp_path / "spec.json", {"rank": rank, "dim_v": 1} if rank == 3 else {"rank": 2, "dim_w": 2})
+        offdiag = {"12": [0, 0]} if rank == 2 else {"12": [0], "13": [0], "23": [0]}
+        X = write_json(tmp_path / "X.json", {"rank": rank, "diag": [scale] * rank, "offdiag": offdiag})
+        assert cli.main(["eval", "--spec", spec, "--op", "decompose", X]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["diag"] == pytest.approx([scale**0.5] * rank, rel=1e-15)
+        assert out["residual"] <= 1e-15
+
     def test_decompose_outside_cone_fails(self, spec3, tmp_path):
         X = write_json(
             tmp_path / "X.json",
@@ -261,6 +272,25 @@ class TestSelftest:
         assert cli.main(["selftest", "--spec", spec3, "--corrupt-gamma"]) == 1
         out = capsys.readouterr().out
         assert "FAIL clifford-isometry" in out
+
+    @pytest.mark.parametrize(
+        "spec",
+        [{"dim_v": 2}, {"dim_v": 8}, {"dim_v": 4, "multiplicity": 2}],
+        ids=str,
+    )
+    def test_corrupt_gamma_fails_the_same_invariants(self, tmp_path, capsys, spec):
+        # the bumped entry keeps the gammas monomial, so the algebra builds
+        # and the suite, not the constructor, reports the corruption
+        path = write_json(tmp_path / "spec.json", {"rank": 3, **spec})
+        assert cli.main(["selftest", "--spec", path, "--corrupt-gamma"]) == 1
+        failed = [line.split(":")[0] for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+        assert failed == [
+            "FAIL clifford-isometry",
+            "FAIL clifford-polarized-relation",
+            "FAIL diag-coordinate-identity",
+            "FAIL determinant-factorization",
+            "FAIL unipotent-invariance-p",
+        ]
 
 
 class TestUsage:

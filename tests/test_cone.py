@@ -205,6 +205,23 @@ class TestGroupCoordinates:
         with pytest.raises(OutsideConeError):
             vc.group_coordinates(cone, X)
 
+    @pytest.mark.parametrize("scale", [1e-15, 1e15])
+    @pytest.mark.parametrize("cone", [rank2_cone(1), rank2_cone(4), rank3_cone(1), rank3_cone(4)])
+    def test_decomposes_at_every_scale(self, cone, scale):
+        # the radicand floor is relative to the point, like the radicands
+        X = vc.herm_identity(cone.algebra).scaled(scale)
+        assert vc.membership(cone, X)
+        gc = vc.group_coordinates(cone, X)
+        np.testing.assert_allclose(gc.element.diag, math.sqrt(scale), rtol=1e-15)
+        assert gc.max_residual <= 1e-15
+
+    @pytest.mark.parametrize("scale", [1e-15, 1.0, 1e15])
+    def test_near_boundary_raises_at_every_scale(self, scale):
+        cone = rank3_cone(2)
+        X = vc.HermMatrix(cone.algebra, [scale, scale, 1e-16 * scale], {})
+        with pytest.raises(OutsideConeError, match="x33"):
+            vc.group_coordinates(cone, X)
+
     def test_decomposes_dual_algebra_points(self):
         # the same code runs in the dual algebra (used by the duality oracle)
         cone = rank3_cone(4)
@@ -260,6 +277,12 @@ class TestCharacteristicFunction:
         n1, n2, n3 = cone.exponents
         assert characteristic_exponents(cone) == (n1, n2 - n1, n3 - n2 - n1)
 
+    def test_exponents_computed_once_per_cone(self):
+        cone = vc.cone_from_algebra(rank3_cone(4).algebra)
+        first = characteristic_exponents(cone)
+        assert all(isinstance(e, Fraction) for e in first)
+        assert characteristic_exponents(cone) is first
+
     @pytest.mark.parametrize(
         "cone",
         [rank2_cone(3), rank2_cone(4), rank3_cone(1), rank3_cone(4), vc.dual_cone(rank3_cone(1, mult=2))],
@@ -298,7 +321,7 @@ class TestCharacteristicFunction:
 
     @pytest.mark.parametrize("cone", [rank2_cone(4), rank3_cone(2)])
     def test_defined_at_every_scale(self, cone):
-        # the decomposition's absolute RADICAND_FLOOR does not bound chi
+        # chi takes any positive radicand, not the decomposition's floor
         X = vc.herm_identity(cone.algebra).scaled(1e-15)
         expect = 1e-15 ** float(characteristic_degree(cone))
         assert vc.characteristic_function(cone, X) == pytest.approx(expect, rel=1e-12)

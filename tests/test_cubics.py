@@ -7,6 +7,8 @@ from vinberg_cones.cubics import DEGENERATE, INDEFINITE, PD
 from vinberg_cones.errors import AlgebraMismatchError, IndefiniteSignatureError, OutsideConeError, SpecError
 
 from _support import (
+    PRODUCT_MODULES,
+    dense_cubic_derivatives,
     fd_hessian_log,
     hessian_log_from_gradient_differences,
     project_to_level_set,
@@ -120,6 +122,16 @@ class TestDerivatives:
             M = vc.hessian_log(q, X)
             assert rel_to_scale(M, hessian_log_from_gradient_differences(q, X)) <= 1e-10
             checked += 1
+
+    @pytest.mark.parametrize("case", PRODUCT_MODULES, ids=str)
+    def test_gathers_match_dense_tensor(self, case):
+        cone = rank3_cone(*case)
+        rng = np.random.default_rng(case[0])
+        q = vc.InvariantCubic(cone, tuple(rng.uniform(-1, 1, 3)))
+        X = random_orbit_point(cone, rng)
+        g, H = dense_cubic_derivatives(q, X)
+        assert rel_to_scale(vc.gradient(q, X), g) <= 1e-12
+        assert rel_to_scale(vc.cubic_hessian(q, X), H) <= 1e-12
 
     def test_scaling_covariance(self):
         cone = rank3_cone(2)

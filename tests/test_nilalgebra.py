@@ -2,9 +2,22 @@ import numpy as np
 import pytest
 
 import vinberg_cones as vc
-from vinberg_cones.errors import AlgebraMismatchError, DimensionMismatchError, SpecError
+from vinberg_cones.errors import (
+    AlgebraMismatchError,
+    CliffordRelationError,
+    DimensionMismatchError,
+    SpecError,
+)
 
-from _support import max_block_error, rank2_cone, rank3_cone
+from _support import (
+    PRODUCT_MODULES,
+    dense_mult,
+    dense_mult_flat_left,
+    dense_mult_flat_right,
+    max_block_error,
+    rank2_cone,
+    rank3_cone,
+)
 
 
 def alg2(dim_w=1):
@@ -93,6 +106,63 @@ class TestDualAlgebra:
         v = rng.normal(size=d.dim((1, 2)))
         s0 = rng.normal(size=d.dim((2, 3)))
         np.testing.assert_allclose(d.mult(v, s0), a.mult(s0, v), atol=1e-14)
+
+
+def _rel_err(got, want) -> float:
+    assert got.shape == want.shape
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+class TestGathersAgainstDenseTensor:
+    @pytest.mark.parametrize("dual", [False, True], ids=["special", "dual"])
+    @pytest.mark.parametrize("stack", [(), (5,)], ids=["point", "stack"])
+    @pytest.mark.parametrize("case", PRODUCT_MODULES, ids=str)
+    def test_products(self, case, stack, dual):
+        alg = rank3_cone(*case).algebra
+        if dual:
+            alg = vc.dual_algebra(alg)
+        rng = np.random.default_rng(case[0])
+        x12, x13, x23 = (rng.uniform(-1, 1, stack + (alg.dim(k),)) for k in ((1, 2), (1, 3), (2, 3)))
+        assert _rel_err(alg.mult(x12, x23), dense_mult(alg, x12, x23)) <= 1e-12
+        assert _rel_err(alg.mult_flat_right(x13, x23), dense_mult_flat_right(alg, x13, x23)) <= 1e-12
+        assert _rel_err(alg.mult_flat_left(x12, x13), dense_mult_flat_left(alg, x12, x13)) <= 1e-12
+
+    @pytest.mark.parametrize("case", [(3, 1, None), (4, 1, (1, 3)), (3, 2, None)], ids=str)
+    def test_tables_rebuild_the_gammas(self, case):
+        module = rank3_cone(*case).algebra.clifford
+        perm, val, inv, inv_val = module.monomial_tables
+        n, d = perm.shape
+        dense = np.zeros((n, d, d))
+        dense[np.arange(n)[:, None], perm, np.arange(d)] = val
+        np.testing.assert_array_equal(dense, module.gammas)
+        np.testing.assert_array_equal(np.take_along_axis(perm, inv, axis=1), np.tile(np.arange(d), (n, 1)))
+        np.testing.assert_array_equal(dense[np.arange(n)[:, None], np.arange(d), inv], inv_val)
+
+
+class TestMonomialGammas:
+    """rank3_special multiplies through index tables, which exist only for
+    monomial gammas (one nonzero per row and per column)."""
+
+    def module_with(self, gamma_1):
+        mod = vc.build_clifford_module(2)
+        return vc.CliffordModule(mod.v_space, mod.s0_space, mod.s1_space, np.stack([np.eye(2, dtype=int), gamma_1]))
+
+    @pytest.mark.parametrize(
+        "gamma_1",
+        [[[1, 1], [-1, 1]], [[1, 0], [1, 0]], [[0, 0], [0, 1]]],
+        ids=["dense", "empty-column", "empty-row"],
+    )
+    def test_non_monomial_stack_rejected(self, gamma_1):
+        module = self.module_with(np.array(gamma_1))
+        with pytest.raises(CliffordRelationError, match="monomial"):
+            vc.rank3_special(module)
+
+    def test_scaled_entry_is_monomial(self):
+        # the self-test's --corrupt-gamma module: one entry bumped to 2
+        module = self.module_with(np.array([[0, 2], [-1, 0]]))
+        alg = vc.rank3_special(module)
+        np.testing.assert_array_equal(alg.mult([1.0, 1.0], [0.0, 1.0]), [2.0, -1.0])
+        np.testing.assert_array_equal(dense_mult(alg, [1.0, 1.0], [0.0, 1.0]), [2.0, -1.0])
 
 
 class TestTriangularProduct:
