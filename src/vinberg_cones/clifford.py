@@ -44,14 +44,23 @@ MAX_GAMMA_ENTRIES = 2**23
 class MetricSpace:
     """A finite-dimensional real vector space with a fixed inner product.
 
-    The Gram matrix is stored explicitly; canonical constructors produce
-    diagonal +/-1 matrices (identity in the Euclidean case).
+    The Gram matrix G and its inverse are stored explicitly; canonical
+    constructors produce diagonal +/-1 matrices (identity in the Euclidean
+    case), as does every module :func:`build_clifford_module` builds.  When
+    G is diagonal, ``weights`` and ``inv_weights`` hold the diagonals of G
+    and G^-1, and :meth:`lower` and :meth:`raise_` multiply by them
+    elementwise: x_j g_j rounds once, as in the dense product, so the values
+    are those of the dense products (an exact zero may change sign).
+    Otherwise both are None and the two methods take the dense products.
+    Every product with G or G^-1 in the library goes through these two.
     """
 
     dim: int
     signature: tuple[int, int]
     gram: np.ndarray
     gram_inv: np.ndarray = field(init=False, repr=False)
+    weights: np.ndarray | None = field(init=False, repr=False)
+    inv_weights: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.dim < 1:
@@ -74,6 +83,12 @@ class MetricSpace:
         inv = np.linalg.inv(g)
         inv.setflags(write=False)
         object.__setattr__(self, "gram_inv", inv)
+        # diag(G^-1), not 1 / diag(G): a division rounds differently
+        diagonal = all(np.count_nonzero(m - np.diag(np.diag(m))) == 0 for m in (g, inv))
+        for name, m in (("weights", g), ("inv_weights", inv)):
+            w = np.diag(m).copy()
+            w.setflags(write=False)
+            object.__setattr__(self, name, w if diagonal else None)
 
     @classmethod
     def euclidean(cls, dim: int) -> "MetricSpace":
@@ -96,9 +111,21 @@ class MetricSpace:
     def is_euclidean(self) -> bool:
         return self.signature == (self.dim, 0)
 
+    def lower(self, x) -> np.ndarray:
+        """x . G over the last axis: the covector <x, .> of x, or of each row."""
+        if self.weights is None:
+            return np.asarray(x) @ self.gram
+        return np.multiply(x, self.weights)
+
+    def raise_(self, z) -> np.ndarray:
+        """z . G^-1 over the last axis: the vector x with <x, .> = z, or one per row."""
+        if self.inv_weights is None:
+            return np.asarray(z) @ self.gram_inv
+        return np.multiply(z, self.inv_weights)
+
     def ip(self, x, y):
         """Inner product <x, y> over the last axis (pairwise sums, as accurate as a dot)."""
-        return ((np.asarray(x) @ self.gram) * y).sum(-1)
+        return (self.lower(x) * y).sum(-1)
 
     def norm_sq(self, x) -> float:
         return self.ip(x, x)
@@ -133,9 +160,9 @@ def _cd_mult(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _left_mult_matrix(u: np.ndarray) -> np.ndarray:
-    n = u.shape[0]
-    cols = [_cd_mult(u, e) for e in np.eye(n, dtype=np.int64)]
-    return np.stack(cols, axis=1)
+    """Matrix of y -> u y: every column u e_j in one recursion, u broadcast
+    along the columns of the identity."""
+    return _cd_mult(u[:, None], np.eye(u.shape[0], dtype=np.int64))
 
 
 @lru_cache(maxsize=None)
@@ -316,11 +343,17 @@ class CliffordModule:
         return tables
 
     def mu(self, v: np.ndarray) -> np.ndarray:
-        """Matrix of mu_v : S0 -> S1."""
+        """Matrix of mu_v : S0 -> S1, scattered from the index tables:
+        entry (perm[a, j], j) gains v^a val[a, j], in O(dim_v dim_s + dim_s^2)."""
         v = np.asarray(v, dtype=float)
         if v.shape != (self.dim_v,):
             raise DimensionMismatchError("v has wrong dimension")
-        return np.einsum("a,aij->ij", v, self.gammas)
+        perm, val, _, _ = self.monomial_tables
+        d = self.dim_s
+        # a sum per entry, not an assignment: gammas that only need to be
+        # monomial may share an entry
+        flat = np.bincount((perm * d + np.arange(d)).ravel(), (v[:, None] * val).ravel(), d * d)
+        return flat.reshape(d, d)
 
     def to_json(self) -> dict:
         return {
@@ -477,8 +510,8 @@ def clifford_bilinear(module: CliffordModule, s1, s0) -> np.ndarray:
     s0 = np.asarray(s0, dtype=float)
     if s1.shape[-1:] != (module.dim_s,) or s0.shape[-1:] != (module.dim_s,):
         raise DimensionMismatchError("clifford_bilinear: dimension mismatch")
-    z = np.einsum("...k,aki,...i->...a", s1 @ module.s1_space.gram, module.gammas, s0)
-    return z @ module.v_space.gram_inv
+    z = np.einsum("...k,aki,...i->...a", module.s1_space.lower(s1), module.gammas, s0)
+    return module.v_space.raise_(z)
 
 
 def clifford_mult_adjoint(module: CliffordModule, v, s1) -> np.ndarray:
@@ -488,8 +521,8 @@ def clifford_mult_adjoint(module: CliffordModule, v, s1) -> np.ndarray:
     s1 = np.asarray(s1, dtype=float)
     if v.shape != (module.dim_v,) or s1.shape != (module.dim_s,):
         raise DimensionMismatchError("clifford_mult_adjoint: dimension mismatch")
-    z = module.mu(v).T @ (module.s1_space.gram @ s1)
-    return z @ module.s0_space.gram_inv
+    z = module.mu(v).T @ module.s1_space.lower(s1)
+    return module.s0_space.raise_(z)
 
 
 def verify_isometry(module: CliffordModule, n_samples: int = 1000, seed: int = 0) -> float:

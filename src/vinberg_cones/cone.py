@@ -57,6 +57,11 @@ class ConeDescriptor:
         n = self.exponents
         return tuple(n[i] - sum(n[:i], Fraction(0)) for i in range(self.rank))
 
+    @cached_property
+    def dual(self) -> "ConeDescriptor":
+        """The cone of the anti-transposed dual algebra (built once per cone)."""
+        return cone_from_algebra(dual_algebra(self.algebra))
+
 
 def cone_from_algebra(algebra: NilAlgebra) -> ConeDescriptor:
     m = algebra.rank
@@ -70,7 +75,7 @@ def cone_from_algebra(algebra: NilAlgebra) -> ConeDescriptor:
 
 
 def dual_cone(cone: ConeDescriptor) -> ConeDescriptor:
-    return cone_from_algebra(dual_algebra(cone.algebra))
+    return cone.dual
 
 
 def _require_euclidean(cone: ConeDescriptor) -> None:

@@ -110,7 +110,7 @@ def gradient(q: InvariantCubic, X: HermMatrix) -> np.ndarray:
         a, b = q.coeffs
         x1, x2 = X.diag
         w = X.offdiag[(1, 2)]
-        gw = alg.spaces[(1, 2)].gram @ w
+        gw = alg.spaces[(1, 2)].lower(w)
         g[0] = b * x2**2
         g[1] = 3.0 * a * x2**2 + 2.0 * b * x1 * x2 - b * (w @ gw)
         g[lay[(1, 2)]] = -2.0 * b * x2 * gw
@@ -118,8 +118,8 @@ def gradient(q: InvariantCubic, X: HermMatrix) -> np.ndarray:
     a, b, c = q.coeffs
     x1, x2, x3 = X.diag
     s0, s1, v = X.offdiag[(1, 2)], X.offdiag[(1, 3)], X.offdiag[(2, 3)]
-    g0, g1, gv = (alg.spaces[k].gram for k in ((1, 2), (1, 3), (2, 3)))
-    g0s0, g1s1, gvv = g0 @ s0, g1 @ s1, gv @ v
+    S0, S1, SV = (alg.spaces[k] for k in ((1, 2), (1, 3), (2, 3)))
+    g0s0, g1s1, gvv = S0.lower(s0), S1.lower(s1), SV.lower(v)
     n0, n1, nv = s0 @ g0s0, s1 @ g1s1, v @ gvv
     pair = alg.gamma_pairing(s1)  # <s0 . v, s1> = v . pair . s0
     g[0] = a * (x2 * x3 - nv)
@@ -127,7 +127,7 @@ def gradient(q: InvariantCubic, X: HermMatrix) -> np.ndarray:
     g[2] = a * (x1 * x2 - n0) + 2.0 * b * x2 * x3 - b * nv + 3.0 * c * x3**2
     # <s0 . v, s1> differentiated in each slot
     g[lay[(1, 2)]] = -2.0 * a * x3 * g0s0 + 2.0 * a * (v @ pair)
-    g[lay[(1, 3)]] = -2.0 * a * x2 * g1s1 + 2.0 * a * (g1 @ alg.mult(s0, v))
+    g[lay[(1, 3)]] = -2.0 * a * x2 * g1s1 + 2.0 * a * S1.lower(alg.mult(s0, v))
     g[lay[(2, 3)]] = -2.0 * (a * x1 + b * x3) * gvv + 2.0 * a * (pair @ s0)
     return g
 
@@ -143,41 +143,48 @@ def cubic_hessian(q: InvariantCubic, X: HermMatrix) -> np.ndarray:
         a, b = q.coeffs
         x1, x2 = X.diag
         w = X.offdiag[(1, 2)]
-        G = alg.spaces[(1, 2)].gram
-        gw = G @ w
+        W = alg.spaces[(1, 2)]
+        gw = W.lower(w)
         H[0, 1] = H[1, 0] = 2.0 * b * x2
         H[1, 1] = 6.0 * a * x2 + 2.0 * b * x1
         H[1, lay[(1, 2)]] = -2.0 * b * gw
         H[lay[(1, 2)], 1] = -2.0 * b * gw
-        H[lay[(1, 2)], lay[(1, 2)]] = -2.0 * b * x2 * G
+        H[lay[(1, 2)], lay[(1, 2)]] = _gram_block(W, -2.0 * b * x2)
         return H
     a, b, c = q.coeffs
     x1, x2, x3 = X.diag
     s0, s1, v = X.offdiag[(1, 2)], X.offdiag[(1, 3)], X.offdiag[(2, 3)]
-    G0, G1, GV = (alg.spaces[k].gram for k in ((1, 2), (1, 3), (2, 3)))
+    S0, S1, SV = (alg.spaces[k] for k in ((1, 2), (1, 3), (2, 3)))
+    g0s0, g1s1, gvv = S0.lower(s0), S1.lower(s1), SV.lower(v)
     s0sl, s1sl, vsl = lay[(1, 2)], lay[(1, 3)], lay[(2, 3)]
     H[0, 1] = H[1, 0] = a * x3
     H[0, 2] = H[2, 0] = a * x2
     H[1, 2] = H[2, 1] = a * x1 + 2.0 * b * x3
     H[2, 2] = 2.0 * b * x2 + 6.0 * c * x3
-    H[0, vsl] = H[vsl, 0] = -2.0 * a * (GV @ v)
-    H[1, s1sl] = H[s1sl, 1] = -2.0 * a * (G1 @ s1)
-    H[2, s0sl] = H[s0sl, 2] = -2.0 * a * (G0 @ s0)
-    H[2, vsl] = H[vsl, 2] = -2.0 * b * (GV @ v)
-    H[s0sl, s0sl] = -2.0 * a * x3 * G0
-    H[s1sl, s1sl] = -2.0 * a * x2 * G1
-    H[vsl, vsl] = -2.0 * (a * x1 + b * x3) * GV
+    H[0, vsl] = H[vsl, 0] = -2.0 * a * gvv
+    H[1, s1sl] = H[s1sl, 1] = -2.0 * a * g1s1
+    H[2, s0sl] = H[s0sl, 2] = -2.0 * a * g0s0
+    H[2, vsl] = H[vsl, 2] = -2.0 * b * gvv
+    H[s0sl, s0sl] = _gram_block(S0, -2.0 * a * x3)
+    H[s1sl, s1sl] = _gram_block(S1, -2.0 * a * x2)
+    H[vsl, vsl] = _gram_block(SV, -2.0 * (a * x1 + b * x3))
     # cross blocks from 2 <s0 . v, s1>
-    blk_01 = 2.0 * a * (alg.clifford.mu(v).T @ G1)  # d(s0) d(s1)
+    blk_01 = 2.0 * a * S1.lower(alg.clifford.mu(v).T)  # d(s0) d(s1)
     H[s0sl, s1sl] = blk_01
     H[s1sl, s0sl] = blk_01.T
     blk_0v = 2.0 * a * alg.gamma_pairing(s1).T  # d(s0) d(v)
     H[s0sl, vsl] = blk_0v
     H[vsl, s0sl] = blk_0v.T
-    blk_1v = 2.0 * a * (G1 @ alg.gamma_images(s0).T)  # d(s1) d(v)
+    blk_1v = 2.0 * a * S1.lower(alg.gamma_images(s0)).T  # d(s1) d(v)
     H[s1sl, vsl] = blk_1v
     H[vsl, s1sl] = blk_1v.T
     return H
+
+
+def _gram_block(space, coef: float) -> np.ndarray:
+    """coef times the Gram matrix of ``space``: coef I lowered, so a diagonal
+    Gram fills the block from its weights."""
+    return space.lower(coef * np.eye(space.dim))
 
 
 def hessian_log(q: InvariantCubic, X: HermMatrix) -> np.ndarray:
@@ -478,10 +485,11 @@ def _diagonal_verdicts(q: InvariantCubic, x: np.ndarray) -> tuple[np.ndarray, np
     M = (g[:, :, None] * g[:, None, :] - qx * H) / np.float_power(qx, 2)
     # np.linalg.norm in the dense path is sqrt(g.dot(g)) over the full
     # zero-padded gradient, a BLAS dot that rounds differently from one over
-    # the rank entries alone.  g != 0 by Euler's identity x . grad q = 3 q > 0.
+    # the rank entries alone; a stacked (1, n) @ (n, 1) matmul rounds like it
+    # (einsum does not).  g != 0 by Euler's identity x . grad q = 3 q > 0.
     padded = np.zeros((len(x), n))
     padded[:, :r] = g
-    u = g / np.sqrt([row.dot(row) for row in padded])[:, None]
+    u = g / np.sqrt((padded[:, None, :] @ padded[:, :, None])[:, 0, 0])[:, None]
     # the axes other than the one most aligned with u, projected off u
     keep = np.array([[i for i in range(r) if i != k] for k in range(r)])
     keep = keep[np.argmax(np.abs(u), axis=1)]

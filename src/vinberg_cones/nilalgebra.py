@@ -125,7 +125,7 @@ class NilAlgebra:
         """The (..., dim_v, dim_s) matrix P with P[a, j] = <x13, Gamma_a e_j>_13,
         so that <x13, mu_v(s0)>_13 = v . P . s0."""
         perm, val, _, _ = self._tables()
-        return _gather(np.asarray(x13, dtype=float) @ self.spaces[(1, 3)].gram, perm, val)
+        return _gather(self.spaces[(1, 3)].lower(x13), perm, val)
 
     def mult(self, x12, x23) -> np.ndarray:
         """The algebra product N_12 x N_23 -> N_13."""
@@ -137,7 +137,7 @@ class NilAlgebra:
         for all u; x is the factor in V when x_is_v, else the one in S0."""
         P = self.gamma_pairing(x13)
         z = _row_times(x, P) if x_is_v else (P @ np.asarray(x, dtype=float)[..., None])[..., 0]
-        return z @ self.spaces[key].gram_inv
+        return self.spaces[key].raise_(z)
 
     def mult_flat_right(self, x13, x23) -> np.ndarray:
         """x13 . x23^flat in N_12: <out, u>_12 = <x13, u . x23>_13 for all u."""

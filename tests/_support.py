@@ -4,8 +4,9 @@ The oracles here deliberately avoid the library's own computation paths:
 finite differences for Hessians (``cubics.fd_hessian_log``, shared with the
 self-test, which only evaluates q), explicit closed forms at diagonal
 points, the Hurwitz-Radon bound for spinor dimensions, the dense product
-tensor for the gathered algebra products, and dense 3x3 determinants for
-the self-adjoint instance.
+tensor for the gathered algebra products, dense Gram products for the
+diagonal metric weights, and dense 3x3 determinants for the self-adjoint
+instance.
 """
 
 import numpy as np
@@ -185,26 +186,50 @@ def dense_mult_flat_left(alg, x12, x13) -> np.ndarray:
     return z @ alg.spaces[(2, 3)].gram_inv
 
 
-def dense_cubic_derivatives(q, X) -> tuple[np.ndarray, np.ndarray]:
-    """Gradient and Hessian of a rank-3 invariant cubic at one point, each
-    term of 2 <s0 . v, s1> contracted against the dense tensor."""
+def dense_cubic_derivatives(q, X, tensor: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """Gradient and Hessian of an invariant cubic at one point, every Gram
+    product a dense matmul.  At rank 3 the terms of 2 <s0 . v, s1> contract
+    the dense product tensor; with ``tensor=False`` they take the library's
+    gathers in the library's order of operations, the dense-Gram oracle."""
     alg = q.cone.algebra
-    P = dense_product_tensor(alg)
     lay = alg.layout
+    n = alg.herm_dim
+    g, H = np.zeros(n), np.zeros((n, n))
+    if q.cone.rank == 2:
+        a, b = q.coeffs
+        x1, x2 = X.diag
+        w, G, wsl = X.offdiag[(1, 2)], alg.spaces[(1, 2)].gram, lay[(1, 2)]
+        gw = G @ w
+        g[0] = b * x2**2
+        g[1] = 3.0 * a * x2**2 + 2.0 * b * x1 * x2 - b * (w @ gw)
+        g[wsl] = -2.0 * b * x2 * gw
+        H[0, 1] = H[1, 0] = 2.0 * b * x2
+        H[1, 1] = 6.0 * a * x2 + 2.0 * b * x1
+        H[1, wsl] = H[wsl, 1] = -2.0 * b * gw
+        H[wsl, wsl] = -2.0 * b * x2 * G
+        return g, H
     a, b, c = q.coeffs
     x1, x2, x3 = X.diag
     s0, s1, v = X.offdiag[(1, 2)], X.offdiag[(1, 3)], X.offdiag[(2, 3)]
     G0, G1, GV = (alg.spaces[k].gram for k in ((1, 2), (1, 3), (2, 3)))
     s0sl, s1sl, vsl = lay[(1, 2)], lay[(1, 3)], lay[(2, 3)]
-    n0, n1, nv = s0 @ G0 @ s0, s1 @ G1 @ s1, v @ GV @ v
-    g = np.zeros(alg.herm_dim)
+    # derivatives of <s0 . v, s1> in s0, in s1 before G1, and in v, and the
+    # blocks mu_v (S1 x S0), P^T (S0 x V) and Gamma_a s0 (S1 x V)
+    if tensor:
+        P, y = dense_product_tensor(alg), G1 @ s1
+        d_s0, d_s1, d_v = np.einsum("kia,k,a->i", P, y, v), dense_mult(alg, s0, v), np.einsum("kia,k,i->a", P, y, s0)
+        mu, pair_t, images = np.einsum("kia,a->ki", P, v), np.einsum("kia,k->ia", P, y), np.einsum("kia,i->ka", P, s0)
+    else:
+        pair = dense_gamma_pairing(alg, s1)
+        d_s0, d_s1, d_v = v @ pair, alg.mult(s0, v), pair @ s0
+        mu, pair_t, images = dense_mu(alg.clifford, v), pair.T, alg.gamma_images(s0).T
+    n0, n1, nv = s0 @ (G0 @ s0), s1 @ (G1 @ s1), v @ (GV @ v)
     g[0] = a * (x2 * x3 - nv)
     g[1] = a * (x1 * x3 - n1) + b * x3**2
     g[2] = a * (x1 * x2 - n0) + 2.0 * b * x2 * x3 - b * nv + 3.0 * c * x3**2
-    g[s0sl] = -2.0 * a * x3 * (G0 @ s0) + 2.0 * a * np.einsum("kia,k,a->i", P, G1 @ s1, v)
-    g[s1sl] = -2.0 * a * x2 * (G1 @ s1) + 2.0 * a * (G1 @ dense_mult(alg, s0, v))
-    g[vsl] = -2.0 * (a * x1 + b * x3) * (GV @ v) + 2.0 * a * np.einsum("kia,k,i->a", P, G1 @ s1, s0)
-    H = np.zeros((alg.herm_dim, alg.herm_dim))
+    g[s0sl] = -2.0 * a * x3 * (G0 @ s0) + 2.0 * a * d_s0
+    g[s1sl] = -2.0 * a * x2 * (G1 @ s1) + 2.0 * a * (G1 @ d_s1)
+    g[vsl] = -2.0 * (a * x1 + b * x3) * (GV @ v) + 2.0 * a * d_v
     H[0, 1] = H[1, 0] = a * x3
     H[0, 2] = H[2, 0] = a * x2
     H[1, 2] = H[2, 1] = a * x1 + 2.0 * b * x3
@@ -216,15 +241,57 @@ def dense_cubic_derivatives(q, X) -> tuple[np.ndarray, np.ndarray]:
     H[s0sl, s0sl] = -2.0 * a * x3 * G0
     H[s1sl, s1sl] = -2.0 * a * x2 * G1
     H[vsl, vsl] = -2.0 * (a * x1 + b * x3) * GV
-    blocks = (
-        (s0sl, s1sl, 2.0 * a * (np.einsum("kia,a->ki", P, v).T @ G1)),
-        (s0sl, vsl, 2.0 * a * np.einsum("kia,k->ia", P, G1 @ s1)),
-        (s1sl, vsl, 2.0 * a * (G1 @ np.einsum("kia,i->ka", P, s0))),
-    )
-    for rows, cols, blk in blocks:
+    for rows, cols, blk in (
+        (s0sl, s1sl, 2.0 * a * (mu.T @ G1)),
+        (s0sl, vsl, 2.0 * a * pair_t),
+        (s1sl, vsl, 2.0 * a * (G1 @ images)),
+    ):
         H[rows, cols] = blk
         H[cols, rows] = blk.T
     return g, H
+
+
+# ---------------------------------------------------------------------------
+# Dense-Gram oracle: every product with a Gram matrix or its inverse a full
+# matmul, which MetricSpace's weights replace on diagonal Gram matrices, and
+# mu_v as the einsum over the dense gammas that its scatter replaces
+# ---------------------------------------------------------------------------
+
+
+def dense_ip(space, x, y):
+    return ((np.asarray(x) @ space.gram) * y).sum(-1)
+
+
+def dense_mu(module, v) -> np.ndarray:
+    return np.einsum("a,aij->ij", v, module.gammas)
+
+
+def dense_gamma_pairing(alg, x13) -> np.ndarray:
+    perm, val, _, _ = alg.clifford.monomial_tables
+    # np.take returns a C-ordered array, as the library's gathers do; a stack
+    # laid out otherwise takes another matmul path, which rounds differently
+    return np.take(np.asarray(x13, dtype=float) @ alg.spaces[(1, 3)].gram, perm, axis=-1) * val
+
+
+def dense_flat_product(alg, x13, x, key) -> np.ndarray:
+    """mult_flat_right(x13, x) for key (1, 2), mult_flat_left(x, x13) for (2, 3)."""
+    P = dense_gamma_pairing(alg, x13)
+    x = np.asarray(x, dtype=float)
+    if (key == (1, 2)) == (alg.kind == "rank3-special"):  # x is the factor in V
+        z = (x[..., None, :] @ P)[..., 0, :]
+    else:
+        z = (P @ x[..., None])[..., 0]
+    return z @ alg.spaces[key].gram_inv
+
+
+def dense_clifford_bilinear(module, s1, s0) -> np.ndarray:
+    z = np.einsum("...k,aki,...i->...a", np.asarray(s1) @ module.s1_space.gram, module.gammas, s0)
+    return z @ module.v_space.gram_inv
+
+
+def dense_clifford_mult_adjoint(module, v, s1) -> np.ndarray:
+    z = dense_mu(module, v).T @ (module.s1_space.gram @ s1)
+    return z @ module.s0_space.gram_inv
 
 
 def dense_symmetric_3x3(X) -> np.ndarray:

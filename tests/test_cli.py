@@ -268,6 +268,26 @@ class TestSelftest:
         assert all(line.startswith("PASS ") for line in lines[:-1]), lines
         assert lines[-1] == "selftest passed (0 failing invariants)"
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"rank": 3, "dim_v": 2, "signature": [1, 1]},
+            {"rank": 3, "dim_v": 3, "signature": [2, 1]},
+            {"rank": 2, "dim_w": 3, "signature": [1, 2]},
+        ],
+        ids=str,
+    )
+    def test_indefinite_signature_passes(self, tmp_path, capsys, spec):
+        # chi and the pairing with the dual cone need the open cone of a
+        # Euclidean algebra; the suite skips them, as it skips the cubics
+        path = write_json(tmp_path / "spec.json", spec)
+        assert cli.main(["selftest", "--spec", path]) == 0
+        out = capsys.readouterr().out
+        assert "FAIL" not in out and out.splitlines()[-1] == "selftest passed (0 failing invariants)"
+        assert "unipotent-invariance-p" in out
+        for skipped in ("unipotent-invariance-chi", "dual-pairing-positivity", "hessian-log"):
+            assert skipped not in out
+
     def test_corrupt_gamma_negative_control(self, spec3, capsys):
         assert cli.main(["selftest", "--spec", spec3, "--corrupt-gamma"]) == 1
         out = capsys.readouterr().out

@@ -19,11 +19,14 @@ from vinberg_cones.errors import (
 )
 
 from _support import (
+    PRODUCT_MODULES,
     corrupt_stack,
     dense_check_clifford_relations,
     dense_check_j_family,
+    dense_mu,
     hurwitz_radon,
     min_dim_by_radon,
+    rank3_cone,
 )
 
 
@@ -106,6 +109,28 @@ class TestConstruction:
             ]
             assert not pairs, f"unexpected anticommuting pair in dim {d}"
 
+    def test_batched_left_multiplication_matches_per_column(self, monkeypatch):
+        # the generators as built column by column, one _cd_mult per basis vector
+        batched = {k: clifford._cl_neg_generators(k) for k in range(1, 16)}
+
+        def per_column(u):
+            return np.stack([clifford._cd_mult(u, e) for e in np.eye(len(u), dtype=np.int64)], axis=1)
+
+        monkeypatch.setattr(clifford, "_left_mult_matrix", per_column)
+        caches = (clifford._cl_neg_generators, clifford._cl_neg8_on_r16)
+        for cache in caches:
+            cache.cache_clear()
+        try:
+            for k, family in batched.items():
+                reference = clifford._cl_neg_generators(k)
+                assert len(reference) == len(family) == k
+                for got, want in zip(family, reference):
+                    assert got.dtype == want.dtype == np.int64
+                    np.testing.assert_array_equal(got, want)
+        finally:
+            for cache in caches:
+                cache.cache_clear()
+
     def test_multiplicity_scales_dimension(self):
         mod = vc.build_clifford_module(3, multiplicity=3)
         assert mod.dim_s == 12
@@ -174,6 +199,19 @@ class TestOperations:
             s /= np.linalg.norm(s)
             out = vc.clifford_mult(mod, v, s)
             assert out @ out == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("case", PRODUCT_MODULES, ids=str)
+    def test_mu_scatter_matches_einsum(self, case):
+        module = rank3_cone(*case).algebra.clifford
+        rng = np.random.default_rng(case[0])
+        for v in (rng.uniform(-1, 1, module.dim_v), np.eye(module.dim_v)[-1]):
+            np.testing.assert_array_equal(module.mu(v), dense_mu(module, v))
+
+    def test_mu_sums_gammas_that_share_an_entry(self):
+        # monomial but not a Clifford module: both gammas fill entry (0, 0)
+        space = MetricSpace.euclidean(2)
+        module = CliffordModule(space, space, space, np.array([np.eye(2), [[3, 0], [0, -1]]], dtype=np.int64))
+        np.testing.assert_array_equal(module.mu([0.5, 2.0]), [[6.5, 0.0], [0.0, -1.5]])
 
     def test_mult_dimension_mismatch(self):
         mod = vc.build_clifford_module(2)

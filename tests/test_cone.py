@@ -350,6 +350,19 @@ class TestDuality:
             routed = vc.d_prime_via_dual(cone, Y)
             assert direct == pytest.approx(routed, rel=1e-10)
 
+    def test_dual_cone_built_once(self):
+        cone = vc.cone_from_algebra(rank3_cone(4).algebra)
+        dual = vc.dual_cone(cone)
+        assert vc.dual_cone(cone) is dual
+        assert dual.algebra is vc.dual_algebra(cone.algebra)
+        fresh = vc.cone_from_algebra(vc.dual_algebra(cone.algebra))
+        assert dual.exponents == fresh.exponents and dual.dim_herm == fresh.dim_herm
+        Y = vc.herm_from_triangular_star(vc.random_triangular(cone.algebra, np.random.default_rng(14)))
+        Ys = vc.herm_from_vector(cone.algebra, np.stack([Y.to_vector(), 2.0 * Y.to_vector()]))
+        for point in (Y, Ys):
+            want = vc.g_determinant_sq(fresh, vc.anti_transpose(point))
+            np.testing.assert_array_equal(vc.d_prime_via_dual(cone, point), want)
+
     @pytest.mark.parametrize("dim_v", [2, 4])
     def test_dual_orbit_value(self, dim_v):
         # d'(A^* A) = (prod diag)^2, cross-checked by decomposing the
