@@ -124,7 +124,11 @@ class MetricSpace:
         return np.multiply(z, self.inv_weights)
 
     def ip(self, x, y):
-        """Inner product <x, y> over the last axis (pairwise sums, as accurate as a dot)."""
+        """Inner product <x, y> over the last axis (pairwise sums, as accurate as a dot).
+        Leading axes broadcast; a last axis other than ``dim`` raises."""
+        x, y = np.asarray(x), np.asarray(y)
+        if x.shape[-1:] != (self.dim,) or y.shape[-1:] != (self.dim,):
+            raise DimensionMismatchError(f"ip on a space of dim {self.dim}: shapes {x.shape}, {y.shape}")
         return (self.lower(x) * y).sum(-1)
 
     def norm_sq(self, x) -> float:

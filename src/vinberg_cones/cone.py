@@ -22,6 +22,7 @@ from .nilalgebra import (
     TriangularElement,
     _columns,
     anti_transpose,
+    block_norms,
     check_same_algebra,
     dual_algebra,
     herm_from_triangular,
@@ -94,18 +95,12 @@ def _truth(mask):
     return bool(mask) if np.ndim(mask) == 0 else mask
 
 
-def _det_form(alg: NilAlgebra, X: HermMatrix):
+def _det_form(alg: NilAlgebra, X: HermMatrix, n):
     """x1 x2 x3 - x3 |x12|^2 - x2 |x13|^2 - x1 |x23|^2 + 2 <x12 . x23, x13>
-    on a rank-3 algebra of either kind."""
+    on a rank-3 algebra of either kind; n is ``block_norms(X)``."""
     x1, x2, x3 = X.diag.T
-    x12, x13, x23 = X.offdiag[(1, 2)], X.offdiag[(1, 3)], X.offdiag[(2, 3)]
-    return (
-        x1 * x2 * x3
-        - x3 * alg.norm_sq((1, 2), x12)
-        - x2 * alg.norm_sq((1, 3), x13)
-        - x1 * alg.norm_sq((2, 3), x23)
-        + 2.0 * alg.ip((2, 3), alg.mult_flat_left(x12, x13), x23)  # <x12 . x23, x13>
-    )
+    trilinear = alg.trilinear(X.offdiag[(1, 2)], X.offdiag[(1, 3)], X.offdiag[(2, 3)])
+    return x1 * x2 * x3 - x3 * n[0] - x2 * n[1] - x1 * n[2] + 2.0 * trilinear
 
 
 def det_cubic(cone: ConeDescriptor, X: HermMatrix):
@@ -119,38 +114,40 @@ def det_cubic(cone: ConeDescriptor, X: HermMatrix):
     check_same_algebra(cone.algebra, X)
     if cone.algebra.kind != "rank3-special":
         raise SpecError("determinant cubic requires a rank-3 special algebra")
-    return _det_form(cone.algebra, X)
+    return _det_form(cone.algebra, X, block_norms(X))
 
 
-def _p1_rank3(cone: ConeDescriptor, X: HermMatrix):
+def _p1_rank3(cone: ConeDescriptor, X: HermMatrix, n):
     """Degree-4 polynomial p_1 = x3 * pi^2 for any rank-3 algebra (the
-    cleared form of the rational squared G-determinant)."""
+    cleared form of the rational squared G-determinant); n is
+    ``block_norms(X)``."""
     alg = cone.algebra
-    p1 = X.diag.T[2] * _det_form(alg, X)
+    p1 = X.diag.T[2] * _det_form(alg, X, n)
     if alg.kind == "rank3-special":
         return p1
-    e13, e23 = X.offdiag[(1, 3)], X.offdiag[(2, 3)]
-    adj = alg.mult_flat_right(e13, e23)
-    return p1 + (alg.norm_sq((2, 3), e23) * alg.norm_sq((1, 3), e13) - alg.norm_sq((1, 2), adj))
+    adj = alg.mult_flat_right(X.offdiag[(1, 3)], X.offdiag[(2, 3)])
+    return p1 + (n[2] * n[1] - alg.norm_sq((1, 2), adj))
 
 
-def _lower_p(cone: ConeDescriptor, X: HermMatrix) -> tuple:
-    """(p_2, ..., p_m), which involve only the entries below the first row."""
+def _lower_p(cone: ConeDescriptor, X: HermMatrix, n=None) -> tuple:
+    """(p_2, ..., p_m), which involve only the entries below the first row;
+    n is ``block_norms(X)`` when the caller has it."""
     check_same_algebra(cone.algebra, X)
     if cone.rank == 2:
         return (X.diag.T[1],)
     _, x2, x3 = X.diag.T
-    return (x3 * x2 - cone.algebra.norm_sq((2, 3), X.offdiag[(2, 3)]), x3)
+    return (x3 * x2 - (block_norms(X) if n is None else n)[2], x3)
 
 
 def p_polynomials(cone: ConeDescriptor, X: HermMatrix) -> tuple:
     """(p_1, ..., p_m): the homogeneous polynomials with
     a_ii(X)^2 = p_i / prod_{s>i} p_s; deg p_i = 2^(m-i)."""
-    lower = _lower_p(cone, X)
+    n = block_norms(X)
+    lower = _lower_p(cone, X, n)
     if cone.rank == 2:
         x1, x2 = X.diag.T
-        return (x1 * x2 - cone.algebra.norm_sq((1, 2), X.offdiag[(1, 2)]), *lower)
-    return (_p1_rank3(cone, X), *lower)
+        return (x1 * x2 - n[0], *lower)
+    return (_p1_rank3(cone, X, n), *lower)
 
 
 def g_determinant_sq(cone: ConeDescriptor, X: HermMatrix):
@@ -164,7 +161,7 @@ def g_determinant_sq(cone: ConeDescriptor, X: HermMatrix):
     x3 = X.diag.T[2]
     if (x3 == 0.0).any():
         raise OutsideConeError("squared G-determinant undefined at x3 = 0")
-    return _p1_rank3(cone, X) / x3
+    return _p1_rank3(cone, X, block_norms(X)) / x3
 
 
 def membership(cone: ConeDescriptor, X: HermMatrix):
@@ -195,12 +192,12 @@ class GroupCoordinates:
 def _back_substitute(cone: ConeDescriptor, X: HermMatrix, floor) -> tuple:
     """The radicands a_ii^2 (a tuple over i) and the off-diagonal blocks of
     the A with positive diagonal and X = A . A^*, solved back to front.
-    Raises OutsideConeError whenever a radicand is at or below ``floor`` (a
+    Raises OutsideConeError unless every radicand is above ``floor`` (a
     float, or one per point of a stack)."""
     alg = cone.algebra
 
     def root(r, name):
-        if (r <= floor).any():
+        if not (r > floor).all():
             raise OutsideConeError(f"{name} radicand <= 0")
         return np.sqrt(r)[..., None]
 
@@ -211,12 +208,12 @@ def _back_substitute(cone: ConeDescriptor, X: HermMatrix, floor) -> tuple:
         root(r1, "x11")
         return (r1, x2), {(1, 2): a12}
     x1, x2, x3 = X.diag.T
-    a3 = root(x3, "x33")
-    w = X.offdiag[(2, 3)] / a3
-    t1 = X.offdiag[(1, 3)] / a3
-    r2 = x2 - alg.norm_sq((2, 3), w)
+    y = X.to_vector() / root(x3, "x33")  # its (1,3) and (2,3) blocks are t1 and w
+    t1, w = y[..., alg.layout[(1, 3)]], y[..., alg.layout[(2, 3)]]
+    _, n13, n23 = alg.block_products(y, y).T
+    r2 = x2 - n23
     t0 = (X.offdiag[(1, 2)] - alg.mult_flat_right(t1, w)) / root(r2, "x22")
-    r1 = x1 - alg.norm_sq((1, 2), t0) - alg.norm_sq((1, 3), t1)
+    r1 = x1 - alg.norm_sq((1, 2), t0) - n13
     root(r1, "x11")
     return (r1, r2, x3), {(1, 2): t0, (1, 3): t1, (2, 3): w}
 
@@ -254,12 +251,14 @@ def characteristic_exponents(cone: ConeDescriptor) -> tuple[Fraction, ...]:
 def characteristic_function(cone: ConeDescriptor, X: HermMatrix):
     """prod_i p_i(X)^(n_i - n_{i-1} - ... - n_1) through log p_i = log a_ii^2 +
     sum_{s>i} log p_s, with a_ii from the back-substitution of group
-    coordinates: the cancellation in p_1 stays out of the large exponents."""
-    if not np.all(membership(cone, X)):
-        raise OutsideConeError("characteristic function defined on the open cone only")
+    coordinates: the cancellation in p_1 stays out of the large exponents.
+    Defined on the open cone, which is where every radicand a_ii^2 =
+    p_i / prod_{s>i} p_s is positive; raises OutsideConeError elsewhere."""
+    check_same_algebra(cone.algebra, X)
+    _require_euclidean(cone)
     log_p = []
     # any positive radicand: the open cone has points at every scale
-    for r in reversed(_back_substitute(cone, X, np.finfo(float).tiny)[0]):
+    for r in reversed(_back_substitute(cone, X, 0.0)[0]):
         log_p.insert(0, np.log(r) + sum(log_p))
     return np.exp(sum(float(e) * lp for e, lp in zip(cone.characteristic_exponents, log_p)))
 
@@ -277,15 +276,16 @@ def characteristic_degree(cone: ConeDescriptor) -> Fraction:
 
 
 def _d_prime_parts(cone: ConeDescriptor, X: HermMatrix) -> tuple:
-    """d(X) and the gap |s0|^2 |s1|^2 - |b(s1, s0)|^2 of d' = d + gap / x1."""
+    """d(X), the gap |s0|^2 |s1|^2 - |b(s1, s0)|^2 of d' = d + gap / x1, and
+    ``block_norms(X)``."""
     check_same_algebra(cone.algebra, X)
     alg = cone.algebra
     if alg.kind != "rank3-special":
         raise SpecError("d' is defined on rank-3 special cones")
-    s0, s1 = X.offdiag[(1, 2)], X.offdiag[(1, 3)]
-    b = alg.mult_flat_left(s0, s1)  # element of V: <b, v> = <s1, s0 . v>
-    gap = alg.norm_sq((1, 2), s0) * alg.norm_sq((1, 3), s1) - alg.norm_sq((2, 3), b)
-    return det_cubic(cone, X), gap
+    n = block_norms(X)
+    b = alg.mult_flat_left(X.offdiag[(1, 2)], X.offdiag[(1, 3)])  # in V: <b, v> = <s1, s0 . v>
+    gap = n[0] * n[1] - alg.norm_sq((2, 3), b)
+    return _det_form(alg, X, n), gap, n
 
 
 def d_prime(cone: ConeDescriptor, X: HermMatrix):
@@ -297,7 +297,7 @@ def d_prime(cone: ConeDescriptor, X: HermMatrix):
     Agrees with the squared G-determinant of the anti-transposed point
     computed in the dual algebra, and d'(A^* . A) = (a11 a22 a33)^2.
     """
-    d, gap = _d_prime_parts(cone, X)
+    d, gap, _ = _d_prime_parts(cone, X)
     x1 = X.diag.T[0]
     if (x1 == 0.0).any():
         raise OutsideConeError("d' undefined at x1 = 0")
@@ -327,6 +327,6 @@ def dual_membership(cone: ConeDescriptor, X: HermMatrix):
     if cone.algebra.kind != "rank3-special":
         return membership(dual_cone(cone), anti_transpose(X))
     x1, x2, _ = X.diag.T
-    d, gap = _d_prime_parts(cone, X)
-    p2_dual = x1 * x2 - cone.algebra.norm_sq((1, 2), X.offdiag[(1, 2)])
+    d, gap, n = _d_prime_parts(cone, X)
+    p2_dual = x1 * x2 - n[0]
     return _truth((x1 > 0.0) & (p2_dual > 0.0) & (x1 * d + gap > 0.0))

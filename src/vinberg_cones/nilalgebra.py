@@ -44,6 +44,7 @@ class NilAlgebra:
     # slice of the diagonal ("diag") and of each block in the flat vector
     layout: dict = field(init=False, repr=False)
     herm_dim: int = field(init=False, repr=False)
+    offdiag_keys: tuple[Key, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.rank not in (2, 3):
@@ -57,6 +58,7 @@ class NilAlgebra:
             pos += self.dim(key)
         object.__setattr__(self, "layout", layout)
         object.__setattr__(self, "herm_dim", pos)
+        object.__setattr__(self, "offdiag_keys", tuple(expect))
         if self.rank == 2:
             if self.clifford is not None:
                 raise SpecError("rank-2 algebras have no product")
@@ -71,14 +73,10 @@ class NilAlgebra:
 
     # -- structure ---------------------------------------------------------
 
-    @property
-    def offdiag_keys(self) -> list[Key]:
-        return sorted(self.spaces)
-
     def dim(self, key: Key) -> int:
         return self.spaces[key].dim
 
-    @property
+    @cached_property
     def is_euclidean(self) -> bool:
         return all(s.is_euclidean for s in self.spaces.values())
 
@@ -99,6 +97,39 @@ class NilAlgebra:
 
     def norm_sq(self, key: Key, x):
         return self.spaces[key].ip(x, x)
+
+    @cached_property
+    def _segments(self) -> tuple:
+        """The flat weight vector (1 on the diagonal, then every block's
+        ``MetricSpace.weights``; None if a block Gram is not diagonal) and
+        the start of each off-diagonal block (built on first use)."""
+        weights = [self.spaces[k].weights for k in self.offdiag_keys]
+        flat = None if any(w is None for w in weights) else np.concatenate([np.ones(self.rank), *weights])
+        return flat, np.array([self.layout[k].start for k in self.offdiag_keys])
+
+    def block_products(self, x, y) -> np.ndarray:
+        """<x_k, y_k>_k for every off-diagonal block k of two flat vectors (or
+        stacks), along a last axis in ``offdiag_keys`` order: one weighted
+        product and one segmented sum, which gives each row of a stack the
+        bits of its single point (a matmul against a block indicator would
+        not).  A non-diagonal block Gram takes the per-block
+        ``MetricSpace.ip``."""
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        if x.shape[-1:] != (self.herm_dim,) or y.shape[-1:] != (self.herm_dim,):
+            raise DimensionMismatchError(f"block_products: flat shapes {x.shape}, {y.shape} are wrong")
+        flat, starts = self._segments
+        if flat is None:
+            lay = self.layout
+            return np.stack([self.spaces[k].ip(x[..., lay[k]], y[..., lay[k]]) for k in self.offdiag_keys], -1)
+        return np.add.reduceat(x * flat * y, starts, axis=-1)
+
+    @cached_property
+    def anti_transpose_index(self) -> np.ndarray:
+        """The flat index of anti-transposition: the dual-algebra vector of
+        t'(X) is X's vector taken at it (built on first use)."""
+        m, flat = self.rank, np.arange(self.herm_dim)
+        blocks = [flat[self.layout[(m + 1 - j, m + 1 - i)]] for (i, j) in self.offdiag_keys]
+        return np.concatenate([flat[m - 1 :: -1], *blocks])
 
     # -- products ----------------------------------------------------------
     # Rank 3 only, on block vectors or stacks of them.  The product is
@@ -126,6 +157,12 @@ class NilAlgebra:
         so that <x13, mu_v(s0)>_13 = v . P . s0."""
         perm, val, _, _ = self._tables()
         return _gather(self.spaces[(1, 3)].lower(x13), perm, val)
+
+    def trilinear(self, x12, x13, x23):
+        """<x12 . x23, x13>_13 as v . P . s0, with P = gamma_pairing(x13) and
+        (s0, v) the factors of the product: one gather, no adjoint."""
+        s0, v = (x12, x23) if self._special else (x23, x12)
+        return (_row_times(v, self.gamma_pairing(x13)) * s0).sum(-1)
 
     def mult(self, x12, x23) -> np.ndarray:
         """The algebra product N_12 x N_23 -> N_13."""
@@ -244,6 +281,13 @@ class _FlatEntries:
         for name, value in fields.items():
             object.__setattr__(self, name, value)
 
+    @classmethod
+    def _from_flat(cls, algebra: NilAlgebra, vec: np.ndarray):
+        """Wrap the float array ``vec`` (taken over, not copied)."""
+        out = cls.__new__(cls)
+        out._wrap(algebra, vec)
+        return out
+
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
@@ -282,9 +326,7 @@ class HermMatrix(_FlatEntries):
 def herm_from_vector(algebra: NilAlgebra, vec) -> HermMatrix:
     """A Hermitian matrix (or a stack of them) holding a copy of the flat
     coordinates ``vec``, of shape (herm_dim,) or (N, herm_dim)."""
-    X = HermMatrix.__new__(HermMatrix)
-    X._wrap(algebra, np.array(vec, dtype=float))
-    return X
+    return HermMatrix._from_flat(algebra, np.array(vec, dtype=float))
 
 
 _POINT_KEYS = {"rank", "diag", "offdiag"}
@@ -369,19 +411,25 @@ def _columns(*values) -> np.ndarray:
     return np.array(values).T
 
 
+def block_norms(E) -> np.ndarray:
+    """|e_k|^2 for every off-diagonal block k of E, one row per block (each
+    an (N,) array for a stack)."""
+    v = E.to_vector()
+    return E.algebra.block_products(v, v).T
+
+
 def herm_from_triangular(A: TriangularElement) -> HermMatrix:
     """The Hermitian matrix A . A^*; requires a positive diagonal."""
     if not A.in_group:
         raise SpecError("A . A^* requires a strictly positive diagonal")
     alg, a = A.algebra, A.diag
-    sq = (a * a).T  # a_ii^2 over the first axis
+    sq, n = (a * a).T, block_norms(A)  # a_ii^2 and |a_ij|^2 over the first axis
     if alg.rank == 2:
-        w = A.offdiag[(1, 2)]
-        diag = _columns(sq[0] + alg.norm_sq((1, 2), w), sq[1])
-        return HermMatrix(alg, diag, {(1, 2): a[..., 1:2] * w})
+        diag = _columns(sq[0] + n[0], sq[1])
+        return HermMatrix(alg, diag, {(1, 2): a[..., 1:2] * A.offdiag[(1, 2)]})
     t0, t1, w = A.offdiag[(1, 2)], A.offdiag[(1, 3)], A.offdiag[(2, 3)]
-    x1 = sq[0] + alg.norm_sq((1, 2), t0) + alg.norm_sq((1, 3), t1)
-    x2 = sq[1] + alg.norm_sq((2, 3), w)
+    x1 = sq[0] + n[0] + n[1]
+    x2 = sq[1] + n[2]
     s0 = a[..., 1:2] * t0 + alg.mult_flat_right(t1, w)
     off = {(1, 2): s0, (1, 3): a[..., 2:3] * t1, (2, 3): a[..., 2:3] * w}
     return HermMatrix(alg, _columns(x1, x2, sq[2]), off)
@@ -392,14 +440,13 @@ def herm_from_triangular_star(A: TriangularElement) -> HermMatrix:
     if not A.in_group:
         raise SpecError("A^* . A requires a strictly positive diagonal")
     alg, a = A.algebra, A.diag
-    sq = (a * a).T  # a_ii^2 over the first axis
+    sq, n = (a * a).T, block_norms(A)  # a_ii^2 and |a_ij|^2 over the first axis
     if alg.rank == 2:
-        w = A.offdiag[(1, 2)]
-        diag = _columns(sq[0], sq[1] + alg.norm_sq((1, 2), w))
-        return HermMatrix(alg, diag, {(1, 2): a[..., 0:1] * w})
+        diag = _columns(sq[0], sq[1] + n[0])
+        return HermMatrix(alg, diag, {(1, 2): a[..., 0:1] * A.offdiag[(1, 2)]})
     t0, t1, w = A.offdiag[(1, 2)], A.offdiag[(1, 3)], A.offdiag[(2, 3)]
-    y2 = sq[1] + alg.norm_sq((1, 2), t0)
-    y3 = sq[2] + alg.norm_sq((1, 3), t1) + alg.norm_sq((2, 3), w)
+    y2 = sq[1] + n[0]
+    y3 = sq[2] + n[1] + n[2]
     e23 = a[..., 1:2] * w + alg.mult_flat_left(t0, t1)
     off = {(1, 2): a[..., 0:1] * t0, (1, 3): a[..., 0:1] * t1, (2, 3): e23}
     return HermMatrix(alg, _columns(sq[0], y2, y3), off)
@@ -407,11 +454,9 @@ def herm_from_triangular_star(A: TriangularElement) -> HermMatrix:
 
 def anti_transpose(X):
     """Reflection of a Hermitian matrix or a triangular element across the
-    anti-diagonal; lands in the dual algebra."""
-    m = X.algebra.rank
-    dual = dual_algebra(X.algebra)
-    off = {(i, j): X.offdiag[(m + 1 - j, m + 1 - i)] for (i, j) in dual.offdiag_keys}
-    return type(X)(dual, X.diag[..., ::-1], off)
+    anti-diagonal; lands in the dual algebra.  One take of the flat vector."""
+    alg = X.algebra
+    return type(X)._from_flat(dual_algebra(alg), X.to_vector().take(alg.anti_transpose_index, axis=-1))
 
 
 anti_transpose_triangular = anti_transpose
@@ -420,8 +465,5 @@ anti_transpose_triangular = anti_transpose
 def herm_pairing(X: HermMatrix, Y: HermMatrix):
     """Trace-form inner product sum_i x_i y_i + 2 sum_{i<j} <x_ij, y_ij>."""
     check_same_algebra(X.algebra, Y)
-    alg = X.algebra
-    total = (X.diag * Y.diag).sum(-1)
-    for key in alg.offdiag_keys:
-        total = total + 2.0 * alg.ip(key, X.offdiag[key], Y.offdiag[key])
-    return total
+    blocks = X.algebra.block_products(X.to_vector(), Y.to_vector())
+    return (X.diag * Y.diag).sum(-1) + 2.0 * blocks.sum(-1)

@@ -17,6 +17,20 @@ from vinberg_cones.cubics import fd_hessian_log  # noqa: F401  (re-exported for 
 
 _CONES = {}
 
+# metrics other than the library's +/-1 ones: diagonal with non-unit weights,
+# and non-diagonal (the dense fallback of the weight paths)
+SCALED_V = np.diag([2.0, 0.5, 3.0])
+SCALED_S = np.diag([2.0, 0.5, 3.0, 1.25])
+FULL_V = np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.3], [0.0, 0.3, 3.0]])
+FULL_S = np.array([[2.0, 0.5, 0.0, 0.1], [0.5, 1.0, 0.3, 0.0], [0.0, 0.3, 3.0, 0.2], [0.1, 0.0, 0.2, 1.5]])
+
+
+def regauged_module(v_gram, s_gram) -> "vc.CliffordModule":
+    """The gammas of build_clifford_module(3) under other metrics on V and S:
+    the gathers ignore the metrics, the pairings and adjoints use them."""
+    s_space = vc.MetricSpace.with_gram(s_gram)
+    return vc.CliffordModule(vc.MetricSpace.with_gram(v_gram), s_space, s_space, vc.build_clifford_module(3).gammas)
+
 
 def rank2_cone(dim_w: int):
     key = ("r2", dim_w)

@@ -327,6 +327,81 @@ class TestCharacteristicFunction:
         assert vc.characteristic_function(cone, X) == pytest.approx(expect, rel=1e-12)
 
 
+def _with_x1(cone, X, x1):
+    v = X.to_vector().copy()
+    v[..., 0] = x1
+    return vc.herm_from_vector(cone.algebra, v)
+
+
+def _p1_root(cone, X) -> float:
+    """The x1 at which p_1 vanishes, the rest of X fixed (p_1 is affine in
+    x1, with slope p_2 p_3 > 0 on the cone)."""
+    at0, at1 = (vc.p_polynomials(cone, _with_x1(cone, X, t))[0] for t in (0.0, 1.0))
+    return -at0 / (at1 - at0)
+
+
+CHI_DOMAIN_CONES = {"w4": rank2_cone(4), "d1": rank3_cone(1), "d8": rank3_cone(8), "dual-d4": vc.dual_cone(rank3_cone(4))}
+
+
+class TestCharacteristicDomain:
+    """chi takes its domain from the back-substitution radicands; since
+    a_ii^2 = p_i / prod_{s>i} p_s they are all positive exactly where every
+    p_i is, so chi must raise exactly where membership is False."""
+
+    @pytest.mark.parametrize(
+        "cone,diag,x12,signs",
+        [
+            (rank2_cone(1), [1.0, 1.0], 2.0, (-1, 1)),
+            (rank2_cone(1), [1.0, 1.0], 1.0, (0, 1)),
+            (rank2_cone(1), [-1.0, -1.0], 0.0, (1, -1)),
+            (rank2_cone(1), [1.0, 0.0], 0.0, (0, 0)),
+            (rank3_cone(1), [-1.0, 1.0, 1.0], 0.0, (-1, 1, 1)),
+            (rank3_cone(1), [0.0, 1.0, 1.0], 0.0, (0, 1, 1)),
+            (rank3_cone(1), [-1.0, -1.0, 1.0], 0.0, (1, -1, 1)),
+            (rank3_cone(1), [1.0, 0.0, 1.0], 0.0, (0, 0, 1)),
+            (rank3_cone(1), [-1.0, -1.0, -1.0], 0.0, (1, 1, -1)),
+            (rank3_cone(1), [1.0, 1.0, 0.0], 0.0, (0, 0, 0)),
+        ],
+    )
+    def test_each_p_i_at_or_below_zero_raises(self, cone, diag, x12, signs):
+        X = vc.HermMatrix(cone.algebra, diag, {(1, 2): [x12]})
+        assert tuple(np.sign(vc.p_polynomials(cone, X))) == signs
+        assert not vc.membership(cone, X)
+        with pytest.raises(OutsideConeError):
+            vc.characteristic_function(cone, X)
+        inside = vc.herm_identity(cone.algebra)
+        stack = vc.herm_from_vector(cone.algebra, np.stack([inside.to_vector(), X.to_vector()]))
+        with pytest.raises(OutsideConeError):  # one point outside fails the stack
+            vc.characteristic_function(cone, stack)
+
+    @pytest.mark.parametrize(
+        "cone", [rank3_cone(2, signature=(1, 1)), vc.cone_from_algebra(vc.rank2_algebra(vc.MetricSpace.canonical(1, 1)))]
+    )
+    def test_split_signature_raises(self, cone):
+        with pytest.raises(IndefiniteSignatureError):
+            vc.characteristic_function(cone, vc.herm_identity(cone.algebra))
+
+    @pytest.mark.parametrize("tag", list(CHI_DOMAIN_CONES))
+    def test_raises_exactly_where_membership_fails(self, tag):
+        # x1 straddles the root of p_1 at every seeded point.  Within about
+        # 300 ulps of x1 the two tests can disagree (the radicand and p_1
+        # round differently); 1e-12 of the point's scale is far outside that.
+        cone = CHI_DOMAIN_CONES[tag]
+        rng = np.random.default_rng(17)
+        for _ in range(20):
+            X = random_orbit_point(cone, rng)
+            root, scale = _p1_root(cone, X), np.abs(X.to_vector()).max()
+            for offset in (-1e-6, -1e-9, -1e-11, 1e-11, 1e-9, 1e-6):
+                Y = _with_x1(cone, X, root + offset * scale)
+                member = vc.membership(cone, Y)
+                assert member == (offset > 0)
+                if member:
+                    assert vc.characteristic_function(cone, Y) > 0.0
+                else:
+                    with pytest.raises(OutsideConeError):
+                        vc.characteristic_function(cone, Y)
+
+
 class TestDuality:
     def test_d_prime_identity(self):
         cone = rank3_cone(2)

@@ -9,7 +9,11 @@ import vinberg_cones as vc
 from vinberg_cones.clifford import CliffordModule, MetricSpace
 
 from _support import (
+    FULL_S,
+    FULL_V,
     PRODUCT_MODULES,
+    SCALED_S,
+    SCALED_V,
     dense_clifford_bilinear,
     dense_clifford_mult_adjoint,
     dense_cubic_derivatives,
@@ -18,21 +22,9 @@ from _support import (
     dense_ip,
     random_orbit_point,
     rank3_cone,
+    regauged_module,
     rel_to_scale,
 )
-
-SCALED_V = np.diag([2.0, 0.5, 3.0])
-SCALED_S = np.diag([2.0, 0.5, 3.0, 1.25])
-FULL_V = np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.3], [0.0, 0.3, 3.0]])
-FULL_S = np.array([[2.0, 0.5, 0.0, 0.1], [0.5, 1.0, 0.3, 0.0], [0.0, 0.3, 3.0, 0.2], [0.1, 0.0, 0.2, 1.5]])
-
-
-def regauged_module(v_gram, s_gram) -> CliffordModule:
-    """The gammas of build_clifford_module(3) under other metrics on V and S:
-    the gathers ignore the metrics, the pairings and adjoints use them."""
-    s_space = MetricSpace.with_gram(s_gram)
-    return CliffordModule(MetricSpace.with_gram(v_gram), s_space, s_space, vc.build_clifford_module(3).gammas)
-
 
 # modules with diagonal metrics: identity, +/-1 on V and S, a multiplicity,
 # and non-unit weights
