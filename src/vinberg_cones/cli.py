@@ -103,10 +103,16 @@ def _is_int(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
+def _check_seed(seed: int) -> None:
+    """numpy seeds are non-negative integers."""
+    if seed < 0:
+        raise SpecError(f"seed must be >= 0, got {seed}")
+
+
 def parse_spec(obj: dict):
-    """Validate a cone spec and build the descriptor.  Unknown keys and
-    values that are not exact integers are rejected (SpecError), and so is
-    a rank-2 space whose dim_w**2 exceeds MAX_GAMMA_ENTRIES
+    """Validate a cone spec and build the descriptor.  Unknown keys, values
+    that are not exact integers and a negative seed are rejected (SpecError),
+    and so is a rank-2 space whose dim_w**2 exceeds MAX_GAMMA_ENTRIES
     (ModuleTooLargeError), before anything is built."""
     if not isinstance(obj, dict):
         raise SpecError("spec must be a JSON object")
@@ -124,6 +130,7 @@ def parse_spec(obj: dict):
     for name, value in ints.items():
         if not _is_int(value):
             raise SpecError(f"spec field {name} must be an integer, got {value!r}")
+    _check_seed(obj.get("seed", 0))
     try:
         if rank == 2:
             if "dim_w" not in obj:
@@ -365,6 +372,7 @@ def cmd_selftest(args) -> int:
     spec = _load_json(args.spec) if args.spec else {"rank": 3, "dim_v": 1, "multiplicity": 1}
     cone, module, spec_seed = parse_spec(spec)
     seed = args.seed if args.seed is not None else spec_seed
+    _check_seed(seed)
     if args.corrupt_gamma:
         if module is None:
             print("corrupt-gamma requires a rank-3 spec", file=sys.stderr)

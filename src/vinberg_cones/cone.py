@@ -231,11 +231,10 @@ def group_coordinates(cone: ConeDescriptor, X: HermMatrix) -> GroupCoordinates:
     A = TriangularElement(alg, np.sqrt(_columns(*radicands)), off)
     scale = np.maximum(1.0, largest)
     err = np.abs(herm_from_triangular(A).to_vector() - x)
-    residuals = {
-        key if key == "diag" else f"{key[0]}{key[1]}": err[..., sl].max(-1, initial=0.0) / scale
-        for key, sl in alg.layout.items()
-    }
-    return GroupCoordinates(A, residuals)
+    # one max per layout slice: the diagonal from 0, each block from its start
+    worst = np.maximum.reduceat(err, np.concatenate(([0], alg._segments[1])), axis=-1) / scale[..., None]
+    names = ["diag", *(f"{i}{j}" for i, j in alg.offdiag_keys)]
+    return GroupCoordinates(A, dict(zip(names, worst.T)))  # points are at most a 2-D stack
 
 
 # ---------------------------------------------------------------------------

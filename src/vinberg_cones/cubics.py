@@ -192,9 +192,15 @@ def hessian_log(q: InvariantCubic, X: HermMatrix) -> np.ndarray:
     qx = eval_cubic(q, X)
     if qx == 0.0:
         raise OutsideConeError("log q singular: q(X) = 0")
-    g = gradient(q, X)
-    H = cubic_hessian(q, X)
-    return (np.outer(g, g) - qx * H) / qx**2
+    return _neg_hess_log(qx, gradient(q, X), cubic_hessian(q, X))
+
+
+def _neg_hess_log(qx, g, H) -> np.ndarray:
+    """(grad q grad q^T - q Hess q) / q^2 from q, its gradient and its
+    Hessian, at one point or a stack.  np.float_power rounds like the scalar
+    ** of one point; numpy's array ** does not."""
+    qx = np.asarray(qx)[..., None, None]
+    return (g[..., :, None] * g[..., None, :] - qx * H) / np.float_power(qx, 2)
 
 
 def fd_hessian_log(q: InvariantCubic, X: HermMatrix, h: float = 1e-5) -> np.ndarray:
@@ -244,11 +250,6 @@ class HessianReport:
         return float(np.min(self.leading_minors)) if self.leading_minors.size else math.nan
 
 
-def _leading_minors(R: np.ndarray) -> np.ndarray:
-    """Leading principal minors of R over its last two axes (last axis)."""
-    return np.stack([np.linalg.det(R[..., : k + 1, : k + 1]) for k in range(R.shape[-1])], axis=-1)
-
-
 def _verdict_from_minors(minors: np.ndarray, scale) -> np.ndarray:
     """Verdict of each stack of leading minors (last axis) whose form has
     the given largest entry: degenerate when a minor is within the band,
@@ -275,28 +276,40 @@ def tangent_restriction(q: InvariantCubic, X: HermMatrix) -> HessianReport:
         raise OutsideConeError("projection onto the level set requires q(X) > 0")
     if abs(qx - 1.0) > 1e-9:
         X = herm_from_vector(q.cone.algebra, X.to_vector() / qx ** (1.0 / 3.0))
-    M = hessian_log(q, X)
+        qx = eval_cubic(q, X)
     g = gradient(q, X)
+    M = _neg_hess_log(qx, g, cubic_hessian(q, X))
     gnorm = float(np.linalg.norm(g))
-    n = q.cone.dim_herm
     if gnorm <= 1e-300:
+        n = q.cone.dim_herm
         return HessianReport(
             X, M, np.zeros((n, 0)), np.zeros((0, 0)), DEGENERATE, np.array([])
         )
-    # coordinate-adapted orthonormal complement of the gradient: project the
-    # axes off u and drop the one most aligned with it (keeps the restricted
-    # form near-block-diagonal, so the minors stay well scaled)
-    u = g / gnorm
-    keep = [i for i in range(n) if i != int(np.argmax(np.abs(u)))]
-    basis, _ = np.linalg.qr(np.eye(n)[:, keep] - np.outer(u, u[keep]))
-    R = basis.T @ M @ basis
-    R = 0.5 * (R + R.T)
-    d = np.sqrt(np.abs(np.diag(R)))
-    d[d == 0.0] = 1.0
-    Rn = R / np.outer(d, d)
-    minors = _leading_minors(Rn)
-    scale = float(np.max(np.abs(Rn)))
+    basis, R, minors, scale = _restrict(M, g / gnorm)
     return HessianReport(X, M, basis, R, _verdict_from_minors(minors, scale).item(), minors)
+
+
+def _restrict(M, u):
+    """Restrict each form M (last two axes) to an orthonormal basis of the
+    complement of the unit vector u, at one point or a stack: the basis, the
+    symmetrized restricted form R, the leading principal minors of R after a
+    diagonal (Jacobi) rescaling, and that rescaled form's largest entry.
+
+    The basis is coordinate-adapted: the axes other than the one most aligned
+    with u, projected off u and orthonormalized (keeps the restricted form
+    near-block-diagonal, so the minors stay well scaled)."""
+    r = u.shape[-1]
+    keep = np.arange(r - 1)
+    keep = keep + (keep >= np.argmax(np.abs(u), axis=-1)[..., None])
+    u_keep = np.take_along_axis(u, keep, axis=-1)
+    basis, _ = np.linalg.qr(np.eye(r)[keep].swapaxes(-1, -2) - u[..., :, None] * u_keep[..., None, :])
+    R = basis.swapaxes(-1, -2) @ M @ basis
+    R = 0.5 * (R + R.swapaxes(-1, -2))
+    d = np.sqrt(np.abs(np.diagonal(R, axis1=-2, axis2=-1)))
+    d = np.where(d == 0.0, 1.0, d)
+    Rn = R / (d[..., :, None] * d[..., None, :])
+    minors = np.stack([np.linalg.det(Rn[..., : k + 1, : k + 1]) for k in range(r - 1)], axis=-1)
+    return basis, R, minors, np.max(np.abs(Rn), axis=(-2, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -425,14 +438,14 @@ def _constraint_violated(q: InvariantCubic, x: np.ndarray) -> np.ndarray:
 # minors of the Jacobi-scaled restriction are those of a (rank-1)-square core
 # followed by det(core) times the running product of block signs (times the
 # pivots of the Jacobi-scaled Gram matrices, all 1 for the orthonormal bases
-# the library builds).  The kernel below evaluates that for a stack of points.
-# Every value that reaches the core repeats the float operations of
-# eval_cubic (d = x1 x2 x3 from det_cubic, p2 = x3 x2 and p3 = x3 from
-# cone._lower_p), gradient, cubic_hessian and tangent_restriction with zero
-# off-diagonal entries, in the same grouping: near-singular cores amplify a
-# last-bit change in an entry about 1e5-fold in min_minor.  Powers go through
-# np.float_power, which rounds like the scalar ** of the dense path; numpy's
-# array ** does not.
+# the library builds).  The kernel below evaluates that for a stack of points,
+# through the dense path's _neg_hess_log and _restrict on the cores.  Every
+# value that reaches the core repeats the float operations of eval_cubic
+# (d = x1 x2 x3 from det_cubic, p2 = x3 x2 and p3 = x3 from cone._lower_p),
+# gradient and cubic_hessian with zero off-diagonal entries, in the same
+# grouping: near-singular cores amplify a last-bit change in an entry about
+# 1e5-fold in min_minor.  Powers go through np.float_power, which rounds like
+# the scalar ** of the dense path; numpy's array ** does not.
 
 
 def _diagonal_parts(q: InvariantCubic, x: np.ndarray):
@@ -471,8 +484,6 @@ def _diagonal_verdicts(q: InvariantCubic, x: np.ndarray) -> tuple[np.ndarray, np
     """Verdict and min_minor of tangent_restriction at each row of x, an
     (N, rank) stack of diagonal points with q > 0, at a cost independent of
     the block dimensions."""
-    r = q.cone.rank
-    n = q.cone.dim_herm
     qx, g, H, blocks = _diagonal_parts(q, x)
     if np.any(qx <= 0.0):
         raise OutsideConeError("projection onto the level set requires q(X) > 0")
@@ -481,48 +492,43 @@ def _diagonal_verdicts(q: InvariantCubic, x: np.ndarray) -> tuple[np.ndarray, np
         x = x.copy()
         x[off] /= np.float_power(qx[off, None], 1.0 / 3.0)
         qx, g, H, blocks = _diagonal_parts(q, x)
-    qx = qx[:, None, None]
-    M = (g[:, :, None] * g[:, None, :] - qx * H) / np.float_power(qx, 2)
     # np.linalg.norm in the dense path is sqrt(g.dot(g)) over the full
     # zero-padded gradient, a BLAS dot that rounds differently from one over
     # the rank entries alone; a stacked (1, n) @ (n, 1) matmul rounds like it
     # (einsum does not).  g != 0 by Euler's identity x . grad q = 3 q > 0.
-    padded = np.zeros((len(x), n))
-    padded[:, :r] = g
+    padded = np.zeros((len(x), q.cone.dim_herm))
+    padded[:, : q.cone.rank] = g
     u = g / np.sqrt((padded[:, None, :] @ padded[:, :, None])[:, 0, 0])[:, None]
-    # the axes other than the one most aligned with u, projected off u
-    keep = np.array([[i for i in range(r) if i != k] for k in range(r)])
-    keep = keep[np.argmax(np.abs(u), axis=1)]
-    u_keep = np.take_along_axis(u, keep, axis=1)
-    basis, _ = np.linalg.qr(np.eye(r)[keep].transpose(0, 2, 1) - u[:, :, None] * u_keep[:, None, :])
-    basisT = basis.transpose(0, 2, 1)
-    R = basisT @ M @ basis
-    R = 0.5 * (R + R.transpose(0, 2, 1))
-    d = np.sqrt(np.abs(np.diagonal(R, axis1=1, axis2=2)))
-    d = np.where(d == 0.0, 1.0, d)
-    Rn = R / (d[:, :, None] * d[:, None, :])
-    core = _leading_minors(Rn)
+    _, _, core, scale = _restrict(_neg_hess_log(qx, g, H), u)
     dims = [q.cone.algebra.dim(k) for k in q.cone.algebra.offdiag_keys]
     signs = np.sign(blocks)
     tail = core[:, -1:] * np.cumprod(np.repeat(signs, dims, axis=1) * q.cone.algebra.gram_pivots, axis=1)
     minors = np.concatenate([core, tail], axis=1)
-    scale = np.maximum(np.max(np.abs(Rn), axis=(1, 2)), np.max(np.abs(signs), axis=1))
+    scale = np.maximum(scale, np.max(np.abs(signs), axis=1))
     return _verdict_from_minors(minors, scale), np.min(minors, axis=1)
+
+
+def _classify_slice(q: InvariantCubic, grid: DiagonalGrid | SearchGrid):
+    """The diagonal points of {q = 1} on the grid, the kind of each (the
+    kernel's verdict, or "constraint" where the slope constraint fails) and
+    its min_minor (nan at constraint points)."""
+    x = _slice_points(q, grid)
+    kinds = np.full(len(x), "constraint", dtype=object)
+    minors = np.full(len(x), math.nan)
+    inside = ~_constraint_violated(q, x)
+    if np.any(inside):
+        kinds[inside], minors[inside] = _diagonal_verdicts(q, x[inside])
+    return x, kinds, minors
 
 
 def admissibility_on_diagonal(q: InvariantCubic, grid: DiagonalGrid | None = None) -> DiagonalReport:
     """Sweep the diagonal slice of {q = 1}; admissibility of an invariant
     cubic reduces to positive definiteness there."""
     _require_euclidean(q.cone)
-    x = _slice_points(q, grid or DiagonalGrid())
+    x, kinds, minors = _classify_slice(q, grid or DiagonalGrid())
     if not len(x):
         raise OutsideConeError("empty feasible diagonal grid")
     pts = [tuple(row) for row in x.tolist()]
-    kinds = np.full(len(pts), "constraint", dtype=object)
-    minors = np.full(len(pts), math.nan)
-    inside = ~_constraint_violated(q, x)
-    if np.any(inside):
-        kinds[inside], minors[inside] = _diagonal_verdicts(q, x[inside])
     # the first point at the smallest minor; constraint points carry none
     ranked = np.where(np.isnan(minors), math.inf, minors)
     i = int(np.argmin(ranked))
@@ -549,11 +555,8 @@ def find_locally_admissible_point(q: InvariantCubic, search: SearchGrid | None =
         raise SpecError("local-admissibility search is for rank-3 cones")
     if q.coeffs[0] == 0.0:
         return None
-    x = _slice_points(q, search or SearchGrid())
-    x = x[~_constraint_violated(q, x)]
-    if not len(x):
-        return None
-    found = np.flatnonzero(_diagonal_verdicts(q, x)[0] == PD)
+    x, kinds, _ = _classify_slice(q, search or SearchGrid())
+    found = np.flatnonzero(kinds == PD)
     # the dense restriction at that one point fills in the whole report
     return tangent_restriction(q, HermMatrix(q.cone.algebra, x[found[0]], {})) if found.size else None
 
@@ -593,35 +596,22 @@ def scan_parameter_plane(
     rows = []
     for e1 in eps1_values:
         for e2 in eps2_values:
-            q = InvariantCubic.rank3_family(cone, float(e1), float(e2))
+            e1, e2 = float(e1), float(e2)
+            q = InvariantCubic.rank3_family(cone, e1, e2)
             rep = admissibility_on_diagonal(q, grid)
-            if rep.all_pd:
-                rows.append(
-                    ScanCell(
-                        float(e1),
-                        float(e2),
-                        ADMISSIBLE_ON_SAMPLE,
-                        rep.min_minor_coords[1],
-                        rep.min_minor_coords[2],
-                        rep.min_minor,
-                    )
-                )
-                continue
             # a positive p3^3 coefficient breaks the slope constraint at large
             # x3, so such cells can never be admissible; PD islands at small
             # x3 do not upgrade them
-            breached = float(e2) > 0.0 or any(w.kind == "constraint" for w in rep.witnesses)
-            local = None if breached else find_locally_admissible_point(q, search)
-            if local is not None:
-                d = local.point.diag
-                rows.append(
-                    ScanCell(float(e1), float(e2), LOCALLY_ADMISSIBLE, d[1], d[2], local.min_minor)
-                )
-                continue
-            w = rep.witnesses[0]
-            rows.append(
-                ScanCell(float(e1), float(e2), NOT_ADMISSIBLE, w.coords[1], w.coords[2], w.min_minor)
-            )
+            breached = e2 > 0.0 or any(w.kind == "constraint" for w in rep.witnesses)
+            local = None if rep.all_pd or breached else find_locally_admissible_point(q, search)
+            if rep.all_pd:
+                kind, coords, minor = ADMISSIBLE_ON_SAMPLE, rep.min_minor_coords, rep.min_minor
+            elif local is not None:
+                kind, coords, minor = LOCALLY_ADMISSIBLE, local.point.diag, local.min_minor
+            else:
+                w = rep.witnesses[0]
+                kind, coords, minor = NOT_ADMISSIBLE, w.coords, w.min_minor
+            rows.append(ScanCell(e1, e2, kind, coords[1], coords[2], minor))
     return rows
 
 

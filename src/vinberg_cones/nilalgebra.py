@@ -334,7 +334,8 @@ _POINT_KEYS = {"rank", "diag", "offdiag"}
 
 def herm_from_json(algebra: NilAlgebra, obj: dict) -> HermMatrix:
     """Read {"rank", "diag", "offdiag": {"12": [...], ...}}; a block left out
-    is zero.  Unknown fields or block names and non-finite entries are
+    is zero.  Unknown fields or block names, entries that are not lists of
+    JSON numbers (strings and booleans included) and non-finite entries are
     rejected, so a misspelled key is never read as zeros."""
     if not isinstance(obj, dict):
         raise SpecError("Hermitian-matrix JSON must be an object")
@@ -350,12 +351,15 @@ def herm_from_json(algebra: NilAlgebra, obj: dict) -> HermMatrix:
     unknown = set(offdiag) - set(names)
     if unknown:
         raise SpecError(f"unknown offdiag blocks {sorted(unknown)}; expected {sorted(names)}")
+    for name, entry in {"diag": obj.get("diag"), **offdiag}.items():
+        if not isinstance(entry, (list, tuple)) or not all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) for v in entry
+        ):
+            raise SpecError(f"Hermitian-matrix entry {name} must be a list of JSON numbers, got {entry!r}")
     try:
         X = HermMatrix(algebra, obj["diag"], {names[name]: v for name, v in offdiag.items()})
-    except (KeyError, TypeError, ValueError) as exc:
+    except (DimensionMismatchError, OverflowError) as exc:  # an integer beyond float range overflows
         raise SpecError(f"bad Hermitian-matrix JSON: {exc}") from exc
-    if X.to_vector().ndim != 1:
-        raise SpecError("Hermitian-matrix JSON must hold one point, not a stack")
     if not np.all(np.isfinite(X.to_vector())):
         raise SpecError("Hermitian-matrix JSON has a non-finite entry")
     return X

@@ -153,6 +153,13 @@ class TestEval:
             ({"rank": 3, "diag": [1, 1, 1], "offdiag": {"31": [1]}}, "unknown offdiag blocks"),
             ({"rank": 3, "diag": [1, 1, 1], "extra": 0}, "unknown Hermitian-matrix fields"),
             ({"rank": 3, "diag": [1, float("nan"), 1]}, "non-finite"),
+            # strings and booleans were read as numbers, with exit 0
+            ({"rank": 3, "diag": [1, 2, "3"]}, "list of JSON numbers"),
+            ({"rank": 3, "diag": [True, 2, 3]}, "list of JSON numbers"),
+            ({"rank": 3, "diag": [1, 2, 3], "offdiag": {"12": ["0.5"]}}, "list of JSON numbers"),
+            ({"rank": 3, "diag": [1, 2, 3], "offdiag": {"23": [False]}}, "list of JSON numbers"),
+            # an integer beyond float range ended in a traceback
+            ({"rank": 3, "diag": [1, 2, 10**400]}, "int too large"),
         ],
     )
     def test_bad_point_rejected(self, spec3, tmp_path, capsys, point, message):
@@ -259,6 +266,22 @@ class TestSelftest:
     def test_spec_file(self, spec3, capsys):
         assert cli.main(["selftest", "--spec", spec3, "--seed", "5"]) == 0
         assert "decomposition-roundtrip" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("in_spec", [True, False], ids=["spec-seed", "seed-option"])
+    def test_negative_seed_exits_2(self, tmp_path, capsys, in_spec):
+        # numpy rejects a negative seed; it ended in a traceback (exit 1)
+        spec = write_json(tmp_path / "s.json", {"rank": 3, "dim_v": 1, "seed": -1})
+        assert cli.main(["selftest", *(["--spec", spec] if in_spec else ["--seed", "-5"])]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "seed must be >= 0" in captured.err
+
+    @pytest.mark.parametrize("seed", [0, 2**64])
+    def test_extreme_seeds_run(self, tmp_path, capsys, seed):
+        spec = write_json(tmp_path / "s.json", {"rank": 3, "dim_v": 1, "seed": seed})
+        assert cli.main(["selftest", "--spec", spec]) == 0
+        assert cli.main(["selftest", "--seed", str(seed)]) == 0
+        assert capsys.readouterr().out.count("selftest passed") == 2
 
     def test_dim_v_16_passes(self, tmp_path, capsys):
         spec = write_json(tmp_path / "d16.json", {"rank": 3, "dim_v": 16})

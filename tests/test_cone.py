@@ -193,6 +193,26 @@ class TestGroupCoordinates:
                 denom = float(np.prod(ps[i + 1 :])) if i + 1 < m else 1.0
                 assert A.diag[i] ** 2 * denom == pytest.approx(ps[i], rel=1e-10)
 
+    @pytest.mark.parametrize(
+        "cone", [rank2_cone(1), rank2_cone(4), rank3_cone(1), rank3_cone(8), vc.dual_cone(rank3_cone(4))]
+    )
+    def test_residuals_are_the_max_per_layout_slice(self, cone):
+        # reference: one max per slice of the layout, relative to the point's scale
+        alg = cone.algebra
+        rng = np.random.default_rng(8)
+        X = vc.herm_from_vector(alg, [random_orbit_point(cone, rng).to_vector() for _ in range(30)])
+        gc = vc.group_coordinates(cone, X)
+        err = np.abs(vc.herm_from_triangular(gc.element).to_vector() - X.to_vector())
+        scale = np.maximum(1.0, np.abs(X.to_vector()).max(-1))
+        names = {key: key if key == "diag" else f"{key[0]}{key[1]}" for key in alg.layout}
+        assert list(gc.residuals) == list(names.values())
+        assert any(np.any(r > 0.0) for r in gc.residuals.values())
+        for key, sl in alg.layout.items():
+            assert np.array_equal(gc.residuals[names[key]], err[:, sl].max(-1) / scale), key
+        for i in range(3):
+            single = vc.group_coordinates(cone, vc.herm_from_vector(alg, X.to_vector()[i])).residuals
+            assert all(np.array_equal(single[k], gc.residuals[k][i]) for k in single)
+
     def test_outside_cone_raises(self):
         cone = rank2_cone(1)
         X = vc.HermMatrix(cone.algebra, [1.0, 1.0], {(1, 2): [2.0]})

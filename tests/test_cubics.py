@@ -278,6 +278,80 @@ class TestTangentRestriction:
             vc.admissibility_on_diagonal(q, vc.DiagonalGrid(n=5))
 
 
+def random_forms(r: int, n: int, seed: int):
+    """n symmetric r x r forms of mixed scale and n unit vectors, one of
+    them along an axis and one with two equally aligned axes."""
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(n, r, r)) * 10.0 ** rng.uniform(-3, 3, size=(n, 1, 1))
+    u = rng.normal(size=(n, r))
+    u[0] = np.eye(r)[r - 1]
+    u[1, :2] = 1.0
+    return A + A.transpose(0, 2, 1), u / np.linalg.norm(u, axis=1, keepdims=True)
+
+
+class TestSharedSteps:
+    """The restriction and -Hess(log q) that the dense path and the diagonal
+    kernel share."""
+
+    @pytest.mark.parametrize("r", [2, 3, 27])
+    def test_stack_rows_equal_single_calls(self, r):
+        M, u = random_forms(r, 40, r)
+        stacked = cubics._restrict(M, u)
+        for i in range(len(M)):
+            for got, want in zip(stacked, cubics._restrict(M[i], u[i])):
+                assert np.array_equal(got[i], want), i
+
+    @pytest.mark.parametrize("r", [2, 3, 27])
+    def test_basis_orthonormal_and_orthogonal_to_u(self, r):
+        M, u = random_forms(r, 40, 100 + r)
+        basis, R, minors, scale = cubics._restrict(M, u)
+        assert basis.shape == (40, r, r - 1) and R.shape == (40, r - 1, r - 1) and minors.shape == (40, r - 1)
+        assert np.max(np.abs(u[:, None, :] @ basis)) <= 1e-14
+        np.testing.assert_allclose(basis.transpose(0, 2, 1) @ basis, np.broadcast_to(np.eye(r - 1), R.shape), atol=1e-14)
+        np.testing.assert_array_equal(R, R.transpose(0, 2, 1))
+        # the Jacobi scaling puts +/-1 on the diagonal; the first minor is that entry
+        np.testing.assert_allclose(np.abs(minors[:, 0]), 1.0, rtol=1e-15)
+        assert np.all(scale >= np.abs(minors[:, 0]))
+
+    @pytest.mark.parametrize(
+        "cone,coeffs",
+        [
+            (rank2_cone(4), (0.5, 1.0)),
+            (rank3_cone(1), (1.0, 0.5, -0.25)),
+            (rank3_cone(8), (1.0, -1.5, -0.5)),
+            (rank3_cone(8), (0.0, 1.0, 0.5)),
+        ],
+    )
+    def test_report_hessian_is_hessian_log(self, cone, coeffs):
+        q = vc.InvariantCubic(cone, coeffs)
+        rng = np.random.default_rng(31)
+        for _ in range(4):
+            X = random_orbit_point(cone, rng)
+            if vc.eval_cubic(q, X) <= 0.0:
+                continue
+            rep = vc.tangent_restriction(q, X)
+            assert np.array_equal(rep.hessian, vc.hessian_log(q, rep.point))
+
+    def test_one_evaluation_per_dense_call(self, monkeypatch):
+        cone = rank3_cone(4)
+        q = vc.InvariantCubic.rank3_family(cone, 0.5, -0.25)
+        X = vc.tangent_restriction(q, random_orbit_point(cone, np.random.default_rng(32))).point
+        calls = {"eval_cubic": 0, "gradient": 0, "cubic_hessian": 0}
+        for name in calls:
+            real = getattr(cubics, name)
+
+            def counted(*args, _real=real, _name=name):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(cubics, name, counted)
+        cubics.tangent_restriction(q, X)
+        assert calls == {"eval_cubic": 1, "gradient": 1, "cubic_hessian": 1}
+        # off the level set, q is evaluated again at the projected point only
+        cubics.tangent_restriction(q, X.scaled(2.0))
+        assert calls == {"eval_cubic": 3, "gradient": 2, "cubic_hessian": 2}
+
+
 class TestDegenerateCubics:
     def test_rank2_pure_x2_cube(self):
         cone = rank2_cone(3)

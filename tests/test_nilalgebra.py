@@ -335,6 +335,11 @@ class TestVectorAndJson:
             {"rank": 3.0, "diag": [1, 1, 1]},
             {"rank": 3, "diag": [1, 1, 1], "offdiag": {"12": None}},
             {"rank": 3, "diag": [[1, 1, 1]]},  # a stack of one point
+            {"rank": 3, "diag": [1, 2, "3"]},  # strings and booleans are not numbers
+            {"rank": 3, "diag": [True, 2, 3]},
+            {"rank": 3, "diag": [1, 1, 1], "offdiag": {"12": ["0.5"]}},
+            {"rank": 3, "diag": [1, 1, 1], "offdiag": {"13": [True]}},
+            {"rank": 3, "diag": [1, 1, 10**400]},  # beyond float range
         ],
     )
     def test_json_rejects_unknown_keys_and_non_finite(self, obj):
