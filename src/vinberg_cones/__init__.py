@@ -5,6 +5,10 @@ polynomials and characteristic functions, generalized Cholesky group
 coordinates, duality via anti-transposition, and classification of
 invariant cubics by positive-definiteness of the induced Hessian metric on
 level hypersurfaces.
+
+``cubics`` and the names it exports load on first use (PEP 562), so a
+process that never touches a cubic, such as the CLI's ``build`` and
+``eval``, does not import it.
 """
 
 from .clifford import (
@@ -34,24 +38,6 @@ from .cone import (
     group_coordinates,
     membership,
     p_polynomials,
-)
-from .cubics import (
-    DiagonalGrid,
-    DiagonalReport,
-    HessianReport,
-    InvariantCubic,
-    ScanCell,
-    SearchGrid,
-    admissibility_on_diagonal,
-    cubic_hessian,
-    eval_cubic,
-    find_locally_admissible_point,
-    gradient,
-    hessian_log,
-    no_g0_cubic_check,
-    scan_parameter_plane,
-    scan_to_csv,
-    tangent_restriction,
 )
 from .errors import (
     AlgebraMismatchError,
@@ -84,3 +70,29 @@ from .nilalgebra import (
 )
 
 __version__ = "0.1.0"
+
+_CUBICS_NAMES = (  # loaded on first use
+    "DiagonalGrid", "DiagonalReport", "HessianReport", "InvariantCubic", "ScanCell", "SearchGrid",
+    "admissibility_on_diagonal", "cubic_hessian", "eval_cubic", "find_locally_admissible_point", "gradient",
+    "hessian_log", "no_g0_cubic_check", "scan_parameter_plane", "scan_to_csv", "tangent_restriction",
+)
+
+
+def __getattr__(name: str):
+    """Import ``cubics`` on first access to it or to a name it exports, and
+    bind its names here so that later accesses are plain lookups."""
+    if name != "cubics" and name not in _CUBICS_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
+
+    cubics = importlib.import_module(f"{__name__}.cubics")  # ``from . import`` would call back here
+    globals().update({n: getattr(cubics, n) for n in _CUBICS_NAMES})
+    return globals()[name]
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), "cubics", *_CUBICS_NAMES})
+
+
+# the names ``from vinberg_cones import *`` takes, the lazy ones included
+__all__ = [n for n in __dir__() if not n.startswith("_")]

@@ -18,7 +18,6 @@ import sys
 import numpy as np
 
 from . import cone as cone_mod
-from . import cubics as cubics_mod
 from .clifford import (
     MAX_GAMMA_ENTRIES,
     CliffordModule,
@@ -37,6 +36,7 @@ from .errors import (
 )
 from .nilalgebra import (
     TriangularElement,
+    _uniform_entries,
     anti_transpose,
     herm_from_json,
     herm_from_triangular,
@@ -245,6 +245,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_scan(args) -> int:
+    from . import cubics as cubics_mod  # only scan and selftest load the cubics
+
     cone, _, _ = parse_spec(_load_json(args.spec))
     if cone.rank != 3:
         print("scan requires a rank-3 cone", file=sys.stderr)
@@ -268,13 +270,10 @@ def cmd_scan(args) -> int:
 
 
 def _draws(alg, rng, n: int, k: int = 1) -> list:
-    """k stacks of n group elements, drawn as n rounds of k random_triangular
-    calls, so that the rng order is that of drawing them one at a time."""
-    vecs = np.stack([random_triangular(alg, rng).to_vector() for _ in range(n * k)])
-    return [
-        TriangularElement(alg, v[:, : alg.rank], {key: v[:, alg.layout[key]] for key in alg.offdiag_keys})
-        for v in (vecs[j::k] for j in range(k))
-    ]
+    """k stacks of n group elements from one rng call, with the values of
+    drawing them one at a time by ``random_triangular``, in n rounds of k."""
+    rounds = _uniform_entries(alg, rng, (n, k))
+    return [TriangularElement._from_flat(alg, stack) for stack in rounds.transpose(1, 0, 2).copy()]
 
 
 def _invariant_suite(cone, module, seed: int):
@@ -347,6 +346,8 @@ def _invariant_suite(cone, module, seed: int):
     yield "anti-transpose-involution", worst(back.to_vector() - X.to_vector()), 1e-15
 
     if cone.is_euclidean:
+        from . import cubics as cubics_mod
+
         if cone.rank == 2:
             cubs = [cubics_mod.InvariantCubic.rank2_family(cone, e) for e in (0.0, 0.5)]
         else:

@@ -20,7 +20,6 @@ from .nilalgebra import (
     HermMatrix,
     NilAlgebra,
     TriangularElement,
-    _columns,
     anti_transpose,
     block_norms,
     check_same_algebra,
@@ -190,10 +189,12 @@ class GroupCoordinates:
 
 
 def _back_substitute(cone: ConeDescriptor, X: HermMatrix, floor) -> tuple:
-    """The radicands a_ii^2 (a tuple over i) and the off-diagonal blocks of
-    the A with positive diagonal and X = A . A^*, solved back to front.
-    Raises OutsideConeError unless every radicand is above ``floor`` (a
-    float, or one per point of a stack)."""
+    """The radicands a_ii^2 and their roots a_ii (tuples over i, each root
+    with a trailing axis of length 1), and the flat vector of the
+    off-diagonal blocks of the A with positive diagonal and X = A . A^*
+    (its diagonal left unset), solved back to front.  Raises
+    OutsideConeError unless every radicand is above ``floor`` (a float, or
+    one per point of a stack)."""
     alg = cone.algebra
 
     def root(r, name):
@@ -203,19 +204,20 @@ def _back_substitute(cone: ConeDescriptor, X: HermMatrix, floor) -> tuple:
 
     if cone.rank == 2:
         x1, x2 = X.diag.T
-        a12 = X.offdiag[(1, 2)] / root(x2, "x22")
-        r1 = x1 - alg.norm_sq((1, 2), a12)
-        root(r1, "x11")
-        return (r1, x2), {(1, 2): a12}
+        a2 = root(x2, "x22")
+        a = X.to_vector() / a2  # its (1,2) block is a12
+        r1 = x1 - alg.norm_sq((1, 2), a[..., alg.layout[(1, 2)]])
+        return (r1, x2), (root(r1, "x11"), a2), a
     x1, x2, x3 = X.diag.T
-    y = X.to_vector() / root(x3, "x33")  # its (1,3) and (2,3) blocks are t1 and w
-    t1, w = y[..., alg.layout[(1, 3)]], y[..., alg.layout[(2, 3)]]
-    _, n13, n23 = alg.block_products(y, y).T
+    a3 = root(x3, "x33")
+    a = X.to_vector() / a3  # its (1,3) and (2,3) blocks are t1 and w
+    t1, w = a[..., alg.layout[(1, 3)]], a[..., alg.layout[(2, 3)]]
+    _, n13, n23 = alg.block_products(a, a).T
     r2 = x2 - n23
-    t0 = (X.offdiag[(1, 2)] - alg.mult_flat_right(t1, w)) / root(r2, "x22")
-    r1 = x1 - alg.norm_sq((1, 2), t0) - n13
-    root(r1, "x11")
-    return (r1, r2, x3), {(1, 2): t0, (1, 3): t1, (2, 3): w}
+    a2 = root(r2, "x22")
+    a[..., alg.layout[(1, 2)]] = (X.offdiag[(1, 2)] - alg.mult_flat_right(t1, w)) / a2
+    r1 = x1 - alg.norm_sq((1, 2), a[..., alg.layout[(1, 2)]]) - n13  # |t0|^2
+    return (r1, r2, x3), (root(r1, "x11"), a2, a3), a
 
 
 def group_coordinates(cone: ConeDescriptor, X: HermMatrix) -> GroupCoordinates:
@@ -227,8 +229,9 @@ def group_coordinates(cone: ConeDescriptor, X: HermMatrix) -> GroupCoordinates:
     alg = cone.algebra
     x = X.to_vector()
     largest = np.abs(x).max(-1)
-    radicands, off = _back_substitute(cone, X, RADICAND_FLOOR * largest)
-    A = TriangularElement(alg, np.sqrt(_columns(*radicands)), off)
+    _, roots, a = _back_substitute(cone, X, RADICAND_FLOOR * largest)
+    a[..., : cone.rank] = np.concatenate(roots, axis=-1)
+    A = TriangularElement._from_flat(alg, a)
     scale = np.maximum(1.0, largest)
     err = np.abs(herm_from_triangular(A).to_vector() - x)
     # one max per layout slice: the diagonal from 0, each block from its start

@@ -124,6 +124,14 @@ class NilAlgebra:
         return np.add.reduceat(x * flat * y, starts, axis=-1)
 
     @cached_property
+    def block_rows_cols(self) -> tuple[np.ndarray, np.ndarray]:
+        """i - 1 and j - 1 for every off-diagonal flat entry, (i, j) being its
+        block: the diagonal entries of its row and its column (built on
+        first use)."""
+        sizes = [self.dim(k) for k in self.offdiag_keys]
+        return tuple(np.repeat([k[side] - 1 for k in self.offdiag_keys], sizes) for side in (0, 1))
+
+    @cached_property
     def anti_transpose_index(self) -> np.ndarray:
         """The flat index of anti-transposition: the dual-algebra vector of
         t'(X) is X's vector taken at it (built on first use)."""
@@ -381,9 +389,21 @@ def random_triangular(
 ) -> TriangularElement:
     """Random group element: diagonal uniform in diag_range, entries of every
     off-diagonal block uniform in off_range.  Deterministic given the rng."""
-    diag = rng.uniform(*diag_range, algebra.rank)
-    off = {k: rng.uniform(*off_range, algebra.dim(k)) for k in algebra.offdiag_keys}
-    return TriangularElement(algebra, diag, off)
+    return TriangularElement._from_flat(algebra, _uniform_entries(algebra, rng, (), diag_range, off_range))
+
+
+def _uniform_entries(algebra: NilAlgebra, rng, shape: tuple, diag_range=(0.5, 2.0), off_range=(-1.0, 1.0)):
+    """Flat vectors of leading shape ``shape``, the diagonal uniform in
+    diag_range and the other entries in off_range, from one rng call.  As
+    numpy's uniform(lo, hi) is lo + (hi - lo) * random(), the values and the
+    rng state after are those of drawing each vector's diagonal and then
+    each block with ``rng.uniform``, vector by vector in C order."""
+    m = algebra.rank
+    lo, hi = np.array([diag_range] * m + [off_range] * (algebra.herm_dim - m)).T
+    u = rng.random(tuple(shape) + (algebra.herm_dim,))
+    u *= hi - lo
+    u += lo
+    return u
 
 
 # ---------------------------------------------------------------------------
@@ -398,21 +418,16 @@ def check_same_algebra(algebra: NilAlgebra, *operands) -> None:
 
 
 def triangular_product(A: TriangularElement, B: TriangularElement) -> TriangularElement:
-    """Associative product in the solvable matrix algebra T(N)."""
+    """Associative product in the solvable matrix algebra T(N): block (i, j)
+    is a_ii b_ij + a_ij b_jj, plus a_12 . b_23 at (1, 3)."""
     check_same_algebra(A.algebra, B)
-    alg = A.algebra
-    off: dict[Key, np.ndarray] = {}
-    for (i, j) in alg.offdiag_keys:
-        acc = A.diag[..., i - 1, None] * B.offdiag[(i, j)] + A.offdiag[(i, j)] * B.diag[..., j - 1, None]
-        for k in range(i + 1, j):
-            acc = acc + alg.mult(A.offdiag[(i, k)], B.offdiag[(k, j)])
-        off[(i, j)] = acc
-    return TriangularElement(alg, A.diag * B.diag, off)
-
-
-def _columns(*values) -> np.ndarray:
-    """Per-point values, floats or the (N,) arrays of a stack, as the last axis."""
-    return np.array(values).T
+    alg, a, b = A.algebra, A.to_vector(), B.to_vector()
+    m, (rows, cols) = alg.rank, alg.block_rows_cols
+    off = a[..., rows] * b[..., m:] + a[..., m:] * b[..., cols]
+    out = np.concatenate((a[..., :m] * b[..., :m], off), axis=-1)
+    if m == 3:
+        out[..., alg.layout[(1, 3)]] += alg.mult(A.offdiag[(1, 2)], B.offdiag[(2, 3)])
+    return TriangularElement._from_flat(alg, out)
 
 
 def block_norms(E) -> np.ndarray:
@@ -422,38 +437,40 @@ def block_norms(E) -> np.ndarray:
     return E.algebra.block_products(v, v).T
 
 
+def _orbit_point(A: TriangularElement, star: bool) -> HermMatrix:
+    """A . A^*, or A^* . A when ``star``.  Diagonal entry i is a_ii^2 plus
+    |a_ij|^2 over the blocks of row i (of column i when ``star``), added in
+    flat order; block (i, j) is a_ij times a_jj (a_ii), plus at rank 3 the
+    one product term, a_13 . a_23^flat at (1, 2) (a_12^flat . a_13 at
+    (2, 3))."""
+    if not A.in_group:
+        raise SpecError(f"{'A^* . A' if star else 'A . A^*'} requires a strictly positive diagonal")
+    alg, v, a = A.algebra, A.to_vector(), A.diag
+    m, (rows, cols) = alg.rank, alg.block_rows_cols
+    diag, n = list((a * a).T), alg.block_products(v, v).T  # per-point values along the first axis
+    for k, (i, j) in enumerate(alg.offdiag_keys):
+        s = (j if star else i) - 1
+        diag[s] = diag[s] + n[k]
+    out = np.empty(v.shape)
+    out.T[:m] = diag
+    out[..., m:] = a[..., rows if star else cols] * v[..., m:]
+    if m == 3:
+        t0, t1, w = (A.offdiag[k] for k in alg.offdiag_keys)
+        if star:
+            out[..., alg.layout[(2, 3)]] += alg.mult_flat_left(t0, t1)
+        else:
+            out[..., alg.layout[(1, 2)]] += alg.mult_flat_right(t1, w)
+    return HermMatrix._from_flat(alg, out)
+
+
 def herm_from_triangular(A: TriangularElement) -> HermMatrix:
     """The Hermitian matrix A . A^*; requires a positive diagonal."""
-    if not A.in_group:
-        raise SpecError("A . A^* requires a strictly positive diagonal")
-    alg, a = A.algebra, A.diag
-    sq, n = (a * a).T, block_norms(A)  # a_ii^2 and |a_ij|^2 over the first axis
-    if alg.rank == 2:
-        diag = _columns(sq[0] + n[0], sq[1])
-        return HermMatrix(alg, diag, {(1, 2): a[..., 1:2] * A.offdiag[(1, 2)]})
-    t0, t1, w = A.offdiag[(1, 2)], A.offdiag[(1, 3)], A.offdiag[(2, 3)]
-    x1 = sq[0] + n[0] + n[1]
-    x2 = sq[1] + n[2]
-    s0 = a[..., 1:2] * t0 + alg.mult_flat_right(t1, w)
-    off = {(1, 2): s0, (1, 3): a[..., 2:3] * t1, (2, 3): a[..., 2:3] * w}
-    return HermMatrix(alg, _columns(x1, x2, sq[2]), off)
+    return _orbit_point(A, star=False)
 
 
 def herm_from_triangular_star(A: TriangularElement) -> HermMatrix:
     """The Hermitian matrix A^* . A (a point of the dual cone)."""
-    if not A.in_group:
-        raise SpecError("A^* . A requires a strictly positive diagonal")
-    alg, a = A.algebra, A.diag
-    sq, n = (a * a).T, block_norms(A)  # a_ii^2 and |a_ij|^2 over the first axis
-    if alg.rank == 2:
-        diag = _columns(sq[0], sq[1] + n[0])
-        return HermMatrix(alg, diag, {(1, 2): a[..., 0:1] * A.offdiag[(1, 2)]})
-    t0, t1, w = A.offdiag[(1, 2)], A.offdiag[(1, 3)], A.offdiag[(2, 3)]
-    y2 = sq[1] + n[0]
-    y3 = sq[2] + n[1] + n[2]
-    e23 = a[..., 1:2] * w + alg.mult_flat_left(t0, t1)
-    off = {(1, 2): a[..., 0:1] * t0, (1, 3): a[..., 0:1] * t1, (2, 3): e23}
-    return HermMatrix(alg, _columns(sq[0], y2, y3), off)
+    return _orbit_point(A, star=True)
 
 
 def anti_transpose(X):

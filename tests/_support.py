@@ -55,6 +55,17 @@ def random_dual_point(cone, rng):
     return vc.herm_from_triangular_star(vc.random_triangular(cone.algebra, rng))
 
 
+def per_block_draws(alg, rng, n: int) -> np.ndarray:
+    """n flat vectors drawn one group element at a time, each part by its own
+    rng.uniform call: the diagonal in [0.5, 2], then each block in [-1, 1]."""
+
+    def one():
+        diag = rng.uniform(0.5, 2.0, alg.rank)
+        return np.concatenate([diag, *(rng.uniform(-1.0, 1.0, alg.dim(k)) for k in alg.offdiag_keys)])
+
+    return np.array([one() for _ in range(n)])
+
+
 def max_block_error(A, B) -> float:
     """Max componentwise difference between two triangular elements."""
     err = float(np.max(np.abs(A.diag - B.diag)))

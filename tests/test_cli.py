@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -9,6 +10,8 @@ import pytest
 
 from vinberg_cones import cli
 from vinberg_cones import cone as cone_mod
+
+from _support import per_block_draws
 
 
 def write_json(path, obj):
@@ -473,3 +476,88 @@ class TestSpecValues:
         out = _run_cli("build", "--spec", spec)
         assert out.returncode == 3
         assert "MAX_GAMMA_ENTRIES" in out.stderr
+
+
+def per_sample_draws(alg, rng, n, k=1):
+    """The self-test's samples drawn one at a time, in n rounds of k: the
+    stream ``_draws`` reproduces."""
+    vecs = per_block_draws(alg, rng, n * k)
+    return [vecs[j::k] for j in range(k)]
+
+
+DRAW_CONES = {
+    "w4": {"rank": 2, "dim_w": 4},
+    "w9": {"rank": 2, "dim_w": 9},
+    "d1": {"rank": 3, "dim_v": 1},
+    "d8": {"rank": 3, "dim_v": 8},
+    "d4x2": {"rank": 3, "dim_v": 4, "multiplicity": 2},
+}
+
+
+class TestDraws:
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("tag", DRAW_CONES)
+    def test_one_call_gives_the_per_sample_stream(self, tag, k):
+        alg = cli.parse_spec(DRAW_CONES[tag])[0].algebra
+        for seed in (0, 1, 7, 2**64):
+            got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            for n in (1, 5, 50):
+                got = cli._draws(alg, got_rng, n, k)
+                want = per_sample_draws(alg, want_rng, n, k)
+                assert len(got) == k
+                for A, w in zip(got, want):
+                    assert isinstance(A, cli.TriangularElement) and A.algebra is alg
+                    assert np.array_equal(A.to_vector(), w)
+                    assert A.to_vector().flags.c_contiguous and not A.to_vector().flags.writeable
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def run_selftest(capsys, spec_path, seed="1") -> str:
+    assert cli.main(["selftest", "--spec", spec_path, "--seed", seed]) == 0
+    return capsys.readouterr().out
+
+
+class TestSelftestStdout:
+    """The full stdout, residual digits included."""
+
+    SPECS = {
+        "d1": {"rank": 3, "dim_v": 1, "multiplicity": 1},
+        "d8": {"rank": 3, "dim_v": 8},
+        "w9": {"rank": 2, "dim_w": 9},
+        "split-d2": {"rank": 3, "dim_v": 2, "signature": [1, 1]},
+    }
+    # sha256 of the stdout of ``selftest --seed 1`` when every sample was drawn
+    # one at a time, taken on x86-64 (numpy 2.4, OpenBLAS): another BLAS
+    # kernel or SIMD loop changes the last bits of some residuals
+    DIGESTS = {
+        "d1": "5b6999f91b0164a146507b612658a3a56985dcf5bf056282dc5fb5e77acd5b82",
+        "d8": "9cda8e3aa1b34db616e3dff080326201c391ffebdf395a2b4dbaa1c2b5ffb50c",
+        "w9": "d4a0306451b7e69ed37b48f3ac717a227881238aff1fd17922b61dc015f4ea9f",
+    }
+
+    def per_sample_stdout(self, capsys, monkeypatch, path) -> str:
+        def draws(alg, rng, n, k=1):
+            return [cli.TriangularElement._from_flat(alg, v.copy()) for v in per_sample_draws(alg, rng, n, k)]
+
+        def one(alg, rng):
+            return cli.TriangularElement._from_flat(alg, per_sample_draws(alg, rng, 1)[0][0].copy())
+
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_draws", draws)
+            m.setattr(cli, "random_triangular", one)
+            return run_selftest(capsys, path)
+
+    @pytest.mark.parametrize("tag", SPECS)
+    def test_same_bytes_as_drawing_one_sample_at_a_time(self, tmp_path, capsys, monkeypatch, tag):
+        path = write_json(tmp_path / "spec.json", self.SPECS[tag])
+        got = run_selftest(capsys, path)
+        assert got == self.per_sample_stdout(capsys, monkeypatch, path)
+        assert got.endswith("selftest passed (0 failing invariants)\n")
+
+    @pytest.mark.parametrize("tag", DIGESTS)
+    def test_digest(self, tmp_path, capsys, monkeypatch, tag):
+        path = write_json(tmp_path / "spec.json", self.SPECS[tag])
+        digest = hashlib.sha256(self.per_sample_stdout(capsys, monkeypatch, path).encode()).hexdigest()
+        if digest != self.DIGESTS[tag]:
+            pytest.skip("this host's arithmetic gives other residual bits than the recorded run")
+        assert hashlib.sha256(run_selftest(capsys, path).encode()).hexdigest() == self.DIGESTS[tag]

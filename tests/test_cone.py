@@ -213,6 +213,35 @@ class TestGroupCoordinates:
             single = vc.group_coordinates(cone, vc.herm_from_vector(alg, X.to_vector()[i])).residuals
             assert all(np.array_equal(single[k], gc.residuals[k][i]) for k in single)
 
+    @pytest.mark.parametrize(
+        "cone",
+        [rank2_cone(1), rank2_cone(4), rank3_cone(1), rank3_cone(8), rank3_cone(3, 2), vc.dual_cone(rank3_cone(4))],
+    )
+    def test_element_is_the_blockwise_back_substitution(self, cone):
+        # the element is written as one flat vector; each entry keeps the bits
+        # of solving X = A . A^* block by block, back to front
+        alg = cone.algebra
+        rng = np.random.default_rng(9)
+        X = vc.herm_from_vector(alg, [random_orbit_point(cone, rng).to_vector() for _ in range(6)])
+        for Z in (X, *(vc.herm_from_vector(alg, x) for x in X.to_vector()[:3])):
+            x = Z.diag.T
+            last = np.sqrt(x[-1])[..., None]
+            y = Z.to_vector() / last
+            if cone.rank == 2:
+                a12 = y[..., alg.layout[(1, 2)]]
+                diag = (x[0] - alg.norm_sq((1, 2), a12), x[1])
+                off = {(1, 2): a12}
+            else:
+                t1, w = y[..., alg.layout[(1, 3)]], y[..., alg.layout[(2, 3)]]
+                _, n13, n23 = alg.block_products(y, y).T
+                t0 = (Z.offdiag[(1, 2)] - alg.mult_flat_right(t1, w)) / np.sqrt(x[1] - n23)[..., None]
+                diag = (x[0] - alg.norm_sq((1, 2), t0) - n13, x[1] - n23, x[2])
+                off = {(1, 2): t0, (1, 3): t1, (2, 3): w}
+            want = vc.TriangularElement(alg, np.sqrt(np.array(diag).T), off)
+            got = vc.group_coordinates(cone, Z).element
+            assert np.array_equal(got.to_vector(), want.to_vector())
+            assert not got.to_vector().flags.writeable
+
     def test_outside_cone_raises(self):
         cone = rank2_cone(1)
         X = vc.HermMatrix(cone.algebra, [1.0, 1.0], {(1, 2): [2.0]})

@@ -10,13 +10,17 @@ from vinberg_cones.errors import (
 )
 
 from _support import (
+    FULL_S,
+    FULL_V,
     PRODUCT_MODULES,
     dense_mult,
     dense_mult_flat_left,
     dense_mult_flat_right,
     max_block_error,
+    per_block_draws,
     rank2_cone,
     rank3_cone,
+    regauged_module,
 )
 
 
@@ -432,3 +436,85 @@ class TestFlatStorage:
         Y = vc.herm_identity(alg3(2))
         with pytest.raises(AlgebraMismatchError):
             vc.herm_pairing(X, Y)
+
+def blockwise_product(A, B):
+    """A . B block by block: a_ii b_ij + a_ij b_jj, plus a_ik . b_kj for i < k < j."""
+    alg = A.algebra
+    off = {}
+    for (i, j) in alg.offdiag_keys:
+        acc = A.diag[..., i - 1, None] * B.offdiag[(i, j)] + A.offdiag[(i, j)] * B.diag[..., j - 1, None]
+        for k in range(i + 1, j):
+            acc = acc + alg.mult(A.offdiag[(i, k)], B.offdiag[(k, j)])
+        off[(i, j)] = acc
+    return vc.TriangularElement(alg, A.diag * B.diag, off)
+
+
+def blockwise_orbit_point(A, star):
+    """A . A^* (A^* . A when ``star``) block by block, through the constructor."""
+    alg, a = A.algebra, A.diag
+    sq, n = (a * a).T, vc.nilalgebra.block_norms(A)
+    if alg.rank == 2:
+        diag = (sq[0], sq[1] + n[0]) if star else (sq[0] + n[0], sq[1])
+        return vc.HermMatrix(alg, np.array(diag).T, {(1, 2): a[..., 0 if star else 1, None] * A.offdiag[(1, 2)]})
+    t0, t1, w = (A.offdiag[k] for k in alg.offdiag_keys)
+    if star:
+        diag = (sq[0], sq[1] + n[0], sq[2] + n[1] + n[2])
+        e23 = a[..., 1:2] * w + alg.mult_flat_left(t0, t1)
+        off = {(1, 2): a[..., 0:1] * t0, (1, 3): a[..., 0:1] * t1, (2, 3): e23}
+    else:
+        diag = (sq[0] + n[0] + n[1], sq[1] + n[2], sq[2])
+        s0 = a[..., 1:2] * t0 + alg.mult_flat_right(t1, w)
+        off = {(1, 2): s0, (1, 3): a[..., 2:3] * t1, (2, 3): a[..., 2:3] * w}
+    return vc.HermMatrix(alg, np.array(diag).T, off)
+
+
+FLAT_WRITE_ALGEBRAS = {
+    "w1": alg2(1),
+    "w4": alg2(4),
+    "w3-full-gram": vc.rank2_algebra(vc.MetricSpace.with_gram(FULL_V)),
+    "d1": alg3(1),
+    "d8": alg3(8),
+    "d3x2": alg3(3, mult=2),
+    "dual-d4": vc.dual_algebra(alg3(4)),
+    "split-d2": rank3_cone(2, 1, (1, 1)).algebra,
+    "full-gram": vc.rank3_special(regauged_module(FULL_V, FULL_S)),
+}
+
+
+@pytest.mark.parametrize("tag", FLAT_WRITE_ALGEBRAS)
+class TestFlatWrites:
+    """The orbit maps and the product write one flat vector; each entry has
+    the bits of the blockwise formula, for single points and for stacks."""
+
+    def elements(self, tag, seed):
+        alg = FLAT_WRITE_ALGEBRAS[tag]
+        rng = np.random.default_rng(seed)
+        singles = [vc.random_triangular(alg, rng) for _ in range(4)]
+        stack = vc.TriangularElement._from_flat(alg, per_block_draws(alg, rng, 5))
+        return [*singles, stack]
+
+    def test_orbit_maps(self, tag):
+        for A in self.elements(tag, 21):
+            for star, f in ((False, vc.herm_from_triangular), (True, vc.herm_from_triangular_star)):
+                got = f(A)
+                assert np.array_equal(got.to_vector(), blockwise_orbit_point(A, star).to_vector()), star
+                assert not got.to_vector().flags.writeable
+
+    def test_product(self, tag):
+        As, Bs = self.elements(tag, 22), self.elements(tag, 23)
+        for A, B in zip(As, Bs):
+            got = vc.triangular_product(A, B)
+            assert np.array_equal(got.to_vector(), blockwise_product(A, B).to_vector())
+            assert not got.to_vector().flags.writeable
+        # a single point times a stack broadcasts like the blockwise formula
+        for A, B in ((As[0], Bs[-1]), (As[-1], Bs[0])):
+            want = blockwise_product(A, B).to_vector()
+            assert want.shape == (5, A.algebra.herm_dim)
+            assert np.array_equal(vc.triangular_product(A, B).to_vector(), want)
+
+    def test_random_triangular_draws_block_by_block(self, tag):
+        alg = FLAT_WRITE_ALGEBRAS[tag]
+        got_rng, want_rng = np.random.default_rng(24), np.random.default_rng(24)
+        got = np.array([vc.random_triangular(alg, got_rng).to_vector() for _ in range(3)])
+        assert np.array_equal(got, per_block_draws(alg, want_rng, 3))
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
