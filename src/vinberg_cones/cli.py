@@ -22,6 +22,7 @@ from .clifford import (
     MAX_GAMMA_ENTRIES,
     CliffordModule,
     MetricSpace,
+    _is_int,
     build_clifford_module,
     clifford_bilinear,
     clifford_mult,
@@ -97,10 +98,6 @@ def _corrupt_gamma(module: CliffordModule) -> CliffordModule:
     return CliffordModule(
         module.v_space, module.s0_space, module.s1_space, gam, multiplicity=module.multiplicity
     )
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 def _check_seed(seed: int) -> None:

@@ -7,8 +7,8 @@ isometry identity
 
     <mu_v(s), mu_v(s)>_S1 = <v, v>_V * <s, s>_S0      mu_v = sum_a v^a Gamma_a
 
-exactly, because every Gamma_a is a signed permutation matrix (entries in
-{-1, 0, +1}) produced by the Cayley-Dickson tower (complexes, quaternions,
+exactly, because every Gamma_a is a signed permutation, built and checked
+as index tables by the Cayley-Dickson tower (complexes, quaternions,
 octonions) and the period-8 tensor recursion.  For Euclidean V the spinor
 dimension is the minimal one allowed by the Hurwitz-Radon bound; indefinite
 signatures use a doubled spinor space with split metric.
@@ -17,27 +17,38 @@ signatures use a doubled spinor space with split metric.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
-from .errors import (
-    CliffordRelationError,
-    DimensionMismatchError,
-    ModuleTooLargeError,
-    SpecError,
-)
+from .errors import CliffordRelationError, DimensionMismatchError, ModuleTooLargeError, SpecError
 
 # Largest dim_v * dim_s**2 that build_clifford_module accepts: the entries of
-# the dense gamma stack.  dim_v = 18 (4.7M entries) is the largest Euclidean
-# module under it; dim_v = 19 would hold 20M entries.  The CLI holds the
-# dim_w x dim_w Gram matrix of a rank-2 spec to the same bound.
+# the dense gamma stack (made on demand).  dim_v = 18 (4.7M entries) is the
+# largest Euclidean module under it; dim_v = 19 would hold 20M entries.  The
+# CLI holds the dim_w x dim_w Gram matrix of a rank-2 spec to the same bound.
 MAX_GAMMA_ENTRIES = 2**23
+
+
+def _is_int(x) -> bool:
+    """An exact integer: a Python or numpy int, not a bool or a float."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 # ---------------------------------------------------------------------------
 # Metric vector spaces
 # ---------------------------------------------------------------------------
+
+
+def _exact_diagonal(g: np.ndarray) -> np.ndarray | None:
+    """diag(g) if g is square and diagonal and ``np.linalg.eigvalsh`` returns
+    that diagonal exactly (LAPACK's dsyevd splits it into 1x1 blocks, and
+    rescales only a largest |entry| outside [2**-485, 2**485]), else None."""
+    if g.ndim != 2 or g.shape[0] != g.shape[1]:
+        return None
+    d = np.diag(g)
+    diagonal = np.count_nonzero(g) == np.count_nonzero(d)
+    return d if diagonal and 2.0**-400 <= np.max(np.abs(d), initial=0.0) <= 2.0**400 else None
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,6 +64,8 @@ class MetricSpace:
     are those of the dense products (an exact zero may change sign).
     Otherwise both are None and the two methods take the dense products.
     Every product with G or G^-1 in the library goes through these two.
+    A diagonal G takes its spectrum from its entries and its inverse from
+    reciprocals, with the values ``eigvalsh`` and ``inv`` give.
     """
 
     dim: int
@@ -73,14 +86,16 @@ class MetricSpace:
             raise DimensionMismatchError("gram matrix has wrong shape")
         if not np.allclose(g, g.T, atol=1e-12):
             raise SpecError("gram matrix must be symmetric")
-        ev = np.linalg.eigvalsh(g)
+        d = _exact_diagonal(g)
+        ev = np.linalg.eigvalsh(g) if d is None else d
         if np.min(np.abs(ev)) <= 1e-12 * max(1.0, np.max(np.abs(ev))):
             raise SpecError("gram matrix is degenerate")
         if (int(np.sum(ev > 0)), int(np.sum(ev < 0))) != (p, q):
             raise SpecError("declared signature does not match the gram matrix")
         g.setflags(write=False)
         object.__setattr__(self, "gram", g)
-        inv = np.linalg.inv(g)
+        # row i of I / g_ii keeps the signed zeros of LAPACK's solve
+        inv = np.linalg.inv(g) if d is None else np.eye(self.dim) / d[:, None]
         inv.setflags(write=False)
         object.__setattr__(self, "gram_inv", inv)
         # diag(G^-1), not 1 / diag(G): a division rounds differently
@@ -103,7 +118,8 @@ class MetricSpace:
     @classmethod
     def with_gram(cls, gram: np.ndarray) -> "MetricSpace":
         g = np.asarray(gram, dtype=float)
-        ev = np.linalg.eigvalsh(g)
+        d = _exact_diagonal(g)
+        ev = np.linalg.eigvalsh(g) if d is None else d
         sig = (int(np.sum(ev > 0)), int(np.sum(ev < 0)))
         return cls(g.shape[0], sig, g)
 
@@ -136,8 +152,38 @@ class MetricSpace:
 
 
 # ---------------------------------------------------------------------------
-# Cayley-Dickson tower: integer left-multiplication matrices
+# Cayley-Dickson tower and period-8 recursion on signed-permutation tables: a
+# stack of k matrices of size d is a pair (perm, sign) of (k, d) integer arrays,
+# M_a e_j = sign[a, j] e_perm[a, j]; leading axes broadcast
 # ---------------------------------------------------------------------------
+
+_TAU = (np.array([0, 1]), np.array([1, -1]))  # diag(1, -1)
+_EPS = (np.array([1, 0]), np.array([-1, 1]))  # [[0, 1], [-1, 0]]
+
+
+def _identity(d: int) -> tuple[np.ndarray, np.ndarray]:
+    return np.arange(d), np.ones(d, dtype=np.int64)
+
+
+def _kron(a, b):
+    """Tables of A (x) B, B of size n: column j n + l is
+    sign_a(j) sign_b(l) e_(perm_a(j) n + perm_b(l))."""
+    (pa, sa), (pb, sb) = a, b
+    perm = pa[..., :, None] * pb.shape[-1] + pb[..., None, :]
+    sign = sa[..., :, None] * sb[..., None, :]
+    shape = perm.shape[:-2] + (perm.shape[-2] * perm.shape[-1],)
+    return perm.reshape(shape), sign.reshape(shape)
+
+
+def _compose(a, b):
+    """Tables of A B: A B e_j = sign_a(perm_b(j)) sign_b(j) e_perm_a(perm_b(j))."""
+    (pa, sa), (pb, sb) = a, b
+    return pa[pb], sa[pb] * sb
+
+
+def _stack(*tables):
+    """One stack of the given matrices and stacks, in order."""
+    return tuple(np.vstack(parts) for parts in zip(*tables))
 
 
 def _cd_conj(x: np.ndarray) -> np.ndarray:
@@ -148,79 +194,45 @@ def _cd_conj(x: np.ndarray) -> np.ndarray:
 
 
 def _cd_mult(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    # (a, b)(c, d) = (ac - conj(d) b, d a + b conj(c))
+    # (a, b)(c, d) = (ac - conj(d) b, d a + b conj(c)), coordinates along axis 0
     n = x.shape[0]
     if n == 1:
         return x * y
     h = n // 2
     a, b = x[:h], x[h:]
     c, d = y[:h], y[h:]
-    return np.concatenate(
-        [
-            _cd_mult(a, c) - _cd_mult(_cd_conj(d), b),
-            _cd_mult(d, a) + _cd_mult(b, _cd_conj(c)),
-        ]
-    )
-
-
-def _left_mult_matrix(u: np.ndarray) -> np.ndarray:
-    """Matrix of y -> u y: every column u e_j in one recursion, u broadcast
-    along the columns of the identity."""
-    return _cd_mult(u[:, None], np.eye(u.shape[0], dtype=np.int64))
+    return np.concatenate([_cd_mult(a, c) - _cd_mult(_cd_conj(d), b), _cd_mult(d, a) + _cd_mult(b, _cd_conj(c))])
 
 
 @lru_cache(maxsize=None)
-def _cl_neg_generators(k: int) -> tuple[np.ndarray, ...]:
-    """k anticommuting skew-orthogonal integer matrices J_i with J_i^2 = -I.
-
-    Minimal dimension for every k (Hurwitz-Radon): base families come from
-    left multiplication by imaginary Cayley-Dickson units, larger k from the
-    period-8 tensor recursion J x omega, I x beta.
-    """
+def _cl_neg_generators(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """k anticommuting skew-orthogonal J_i with J_i^2 = -I as (k, d) tables, d
+    minimal (Hurwitz-Radon): for k <= 7 the left multiplications by imaginary
+    Cayley-Dickson units, beyond that the period-8 recursion J (x) omega,
+    I (x) beta, with beta eight generators on R^16 and omega their product."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    if k == 0:
-        return ()
     if k <= 7:
-        level = 1 if k == 1 else (2 if k <= 3 else 3)
-        dim = 2**level
-        units = np.eye(dim, dtype=np.int64)
-        fam = tuple(_left_mult_matrix(units[i]) for i in range(1, k + 1))
+        eye = np.eye(1 if k == 0 else 2 if k == 1 else 4 if k <= 3 else 8, dtype=np.int64)
+        # m[:, i, j] = e_(i+1) e_j: every unit times every basis vector in one product
+        m = _cd_mult(eye[:, 1 : k + 1, None], eye[:, None, :])
+        fam = (np.abs(m).argmax(axis=0), m.sum(axis=0))
     else:
+        beta = _stack(_kron(_TAU, _cl_neg_generators(7)), _kron(_EPS, _identity(8)))
+        omega = reduce(_compose, zip(*beta))
         base = _cl_neg_generators(k - 8)
-        beta = _cl_neg8_on_r16()
-        omega = beta[0]
-        for b in beta[1:]:
-            omega = omega @ b
-        d = base[0].shape[0] if base else 1
-        eye_d = np.eye(d, dtype=np.int64)
-        fam = tuple(np.kron(j, omega) for j in base) + tuple(
-            np.kron(eye_d, b) for b in beta
-        )
-    _check_j_family(fam)
-    for m in fam:
-        m.setflags(write=False)
-    return fam
-
-
-@lru_cache(maxsize=None)
-def _cl_neg8_on_r16() -> tuple[np.ndarray, ...]:
-    """Eight anticommuting skew-orthogonal generators on R^16."""
-    tau = np.array([[1, 0], [0, -1]], dtype=np.int64)
-    eps = np.array([[0, 1], [-1, 0]], dtype=np.int64)
-    oct7 = _cl_neg_generators(7)
-    fam = tuple(np.kron(tau, j) for j in oct7) + (np.kron(eps, np.eye(8, dtype=np.int64)),)
+        fam = _stack(_kron(base, omega), _kron(_identity(base[0].shape[1]), beta))
+    _check_j_family(*fam)
+    for t in fam:
+        t.setflags(write=False)
     return fam
 
 
 def _monomial(stack: np.ndarray, message: str) -> tuple[np.ndarray, np.ndarray]:
-    """(perm, val) of a (k, d, d) stack of monomial matrices.
-
-    ``stack[a, perm[a, j], j] == val[a, j] != 0`` and every other entry is
-    zero.  Raises :class:`CliffordRelationError` with ``message`` unless
-    every matrix has exactly one nonzero per row and a nonzero in every
-    column; then its d nonzeros fill d columns, one each.
-    """
+    """(perm, val) of a (k, d, d) stack of monomial matrices, with
+    ``stack[a, perm[a, j], j] == val[a, j] != 0`` and every other entry zero.
+    Raises :class:`CliffordRelationError` with ``message`` unless every matrix
+    has one nonzero per row and a nonzero in every column."""
     nonzero = stack != 0
     if not (np.all(nonzero.sum(axis=2) == 1) and np.all(nonzero.any(axis=1))):
         raise CliffordRelationError(message)
@@ -228,40 +240,25 @@ def _monomial(stack: np.ndarray, message: str) -> tuple[np.ndarray, np.ndarray]:
     return perm, stack[np.arange(len(stack))[:, None], perm, np.arange(stack.shape[2])]
 
 
-def _signed_permutation(stack: np.ndarray, message: str) -> tuple[np.ndarray, np.ndarray]:
-    """(perm, sign) of a (k, d, d) stack of signed permutation matrices: the
-    :func:`_monomial` tables, with every nonzero +/-1 or the error raised."""
-    perm, sign = _monomial(stack, message)
-    if not np.all((sign == 1) | (sign == -1)):
-        raise CliffordRelationError(message)
-    return perm, sign
+def _check_j_family(perm: np.ndarray, sign: np.ndarray) -> None:
+    """Exact check of a (k, d) table family: each J skew and orthogonal, and
+    distinct J's anticommuting, reporting the first failure in the dense
+    products' order (J_1 skew, orthogonal, against each later J; then J_2...).
 
-
-def _inverse_permutation(perm: np.ndarray) -> np.ndarray:
-    """Row-wise inverse of a (k, d) stack of permutations of range(d)."""
-    inv = np.empty_like(perm)
-    inv[np.arange(len(perm))[:, None], perm] = np.arange(perm.shape[1])
-    return inv
-
-
-def _check_j_family(fam) -> None:
-    """Exact check: each J is skew and orthogonal, and distinct J's anticommute.
-
-    An integer matrix is orthogonal exactly when it is a signed permutation,
-    so J_a J_b is the signed permutation j -> perm_a(perm_b(j)) with sign
-    sign_a(perm_b(j)) sign_b(j), and J_a J_b = -J_b J_a compares those arrays.
+    J^T = -J exactly when perm is an involution with sign(perm(j)) = -sign(j),
+    and signs +/-1 make it orthogonal.  J_a J_b is the signed permutation
+    perm_a o perm_b with signs sign_a(perm_b(j)) sign_b(j), compared with -J_b J_a.
     """
-    if not all(np.array_equal(J.T, -J) for J in fam):
-        raise CliffordRelationError("J must be skew")
-    if not fam:
-        return
-    perm, sign = _signed_permutation(np.stack(fam), "J must be orthogonal")
-    rows = np.arange(len(fam))[:, None, None]
+    rows = np.arange(len(perm))[:, None]
+    skew = np.all(perm[rows, perm] == np.arange(perm.shape[1]), axis=1) & np.all(sign[rows, perm] == -sign, axis=1)
+    rows = rows[:, :, None]
     comp_perm = perm[rows, perm[None]]
     comp_sign = sign[rows, perm[None]] * sign[None]
-    anti = (comp_perm == comp_perm.swapaxes(0, 1)) & (comp_sign == -comp_sign.swapaxes(0, 1))
-    if not np.all(anti | np.eye(len(fam), dtype=bool)[:, :, None]):
-        raise CliffordRelationError("J's must anticommute")
+    anti = np.all((comp_perm == comp_perm.swapaxes(0, 1)) & (comp_sign == -comp_sign.swapaxes(0, 1)), axis=2)
+    failed = np.stack([~skew, ~np.all(np.abs(sign) == 1, axis=1), np.triu(~anti, 1).any(axis=1)], axis=1)
+    if failed.any():
+        kind = np.argwhere(failed)[0, 1]
+        raise CliffordRelationError(("J must be skew", "J must be orthogonal", "J's must anticommute")[kind])
 
 
 # Spinor dimensions for k = dim_v - 1 = 0..7 anticommuting complex
@@ -291,29 +288,39 @@ def minimal_spinor_dim(dim_v: int, signature: tuple[int, int] | None = None) -> 
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class CliffordModule:
     """Graded Clifford module data: gamma maps S0 -> S1 plus the metrics.
 
-    ``gammas`` has shape (dim_v, dim_s, dim_s); ``gammas[a]`` is the matrix
-    of multiplication by the a-th canonical basis vector of V.
+    Made from the dense (dim_v, dim_s, dim_s) stack ``gammas`` (``gammas[a]``
+    multiplies by the a-th basis vector of V) or, as build_clifford_module
+    does, from (dim_v, dim_s) ``tables`` (perm, sign) with
+    ``Gamma_a e_j = sign[a, j] e_perm[a, j]``; each is derived from the other
+    on first read.
     """
 
     v_space: MetricSpace
     s0_space: MetricSpace
     s1_space: MetricSpace
-    gammas: np.ndarray
     multiplicity: int = 1
 
-    def __post_init__(self):
-        if self.s0_space.dim != self.s1_space.dim:
+    def __init__(self, v_space, s0_space, s1_space, gammas=None, multiplicity=1, *, tables=None):
+        if (gammas is None) == (tables is None):
+            raise TypeError("CliffordModule needs either gammas or tables")
+        fields = dict(v_space=v_space, s0_space=s0_space, s1_space=s1_space, multiplicity=multiplicity)
+        self.__dict__.update(fields, _tables=tables)  # past the frozen __setattr__
+        if s0_space.dim != s1_space.dim:
             raise DimensionMismatchError("graded module needs dim S0 == dim S1")
-        g = np.asarray(self.gammas)
-        expected = (self.v_space.dim, self.s1_space.dim, self.s0_space.dim)
+        expected = (v_space.dim, s1_space.dim, s0_space.dim)
+        if tables is not None:
+            if tables[0].shape != expected[:2]:
+                raise DimensionMismatchError(f"tables shape {tables[0].shape} != {expected[:2]}")
+            return
+        g = np.asarray(gammas)
         if g.shape != expected:
             raise DimensionMismatchError(f"gammas shape {g.shape} != {expected}")
         g.setflags(write=False)
-        object.__setattr__(self, "gammas", g)
+        self.__dict__["gammas"] = g
 
     @property
     def dim_v(self) -> int:
@@ -325,11 +332,18 @@ class CliffordModule:
 
     @property
     def is_euclidean(self) -> bool:
-        return (
-            self.v_space.is_euclidean
-            and self.s0_space.is_euclidean
-            and self.s1_space.is_euclidean
-        )
+        return all(s.is_euclidean for s in (self.v_space, self.s0_space, self.s1_space))
+
+    @cached_property
+    def gammas(self) -> np.ndarray:
+        """The read-only dense stack: as given, or an int64 stack scattered
+        from the tables on first read."""
+        perm, val, _, _ = self.monomial_tables
+        k, d = perm.shape
+        g = np.zeros((k, d, d), dtype=np.int64)
+        g[np.arange(k)[:, None], perm, np.arange(d)] = val
+        g.setflags(write=False)
+        return g
 
     @cached_property
     def monomial_tables(self) -> tuple[np.ndarray, ...]:
@@ -338,9 +352,9 @@ class CliffordModule:
         ``e_k^T Gamma_a = inv_val[a, k] e_inv[a, k]^T``; values as floats.
         Raises :class:`CliffordRelationError` unless every gamma is monomial
         (one nonzero per row and per column)."""
-        perm, val = _monomial(self.gammas, "gammas must be monomial: one nonzero per row and per column")
-        inv = _inverse_permutation(perm)
-        val = val.astype(float)
+        message = "gammas must be monomial: one nonzero per row and per column"
+        perm, val = self._tables or _monomial(self.gammas, message)
+        inv, val = np.argsort(perm, axis=1), val.astype(float)
         tables = (perm, val, inv, np.take_along_axis(val, inv, axis=1))
         for t in tables:
             t.setflags(write=False)
@@ -369,24 +383,26 @@ class CliffordModule:
 
     @classmethod
     def from_json(cls, obj: dict) -> "CliffordModule":
+        """The module of :meth:`to_json`; SpecError on a malformed object,
+        CliffordRelationError unless its gammas pass the exact checks."""
         try:
-            dim_v = int(obj["dim_v"])
-            p, q = (int(x) for x in obj["signature"])
-            mult = int(obj["multiplicity"])
-            gammas = np.asarray(obj["gammas"], dtype=np.int64)
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            dim_v, (p, q), mult = obj["dim_v"], obj["signature"], obj["multiplicity"]
+            gammas = np.asarray(obj["gammas"])
+        except (KeyError, TypeError, ValueError) as exc:
             raise SpecError(f"bad Clifford-module JSON: {exc}") from exc
-        if gammas.ndim != 3 or p + q != dim_v:
+        dim_s = gammas.shape[-1] if gammas.ndim else 0
+        ints = all(map(_is_int, (dim_v, p, q, mult))) and min(p, q) >= 0 and p + q == dim_v and mult >= 1
+        stack = gammas.dtype.kind == "i" and gammas.shape == (dim_v, dim_s, dim_s) and dim_s > 0
+        if not (ints and stack) or (q and dim_s % 2):
             raise SpecError(
-                "bad Clifford-module JSON: need signature p + q == dim_v and 3-d gammas"
+                "bad Clifford-module JSON: need integers (not bools or floats) p, q >= 0 with p + q == dim_v, "
+                "multiplicity >= 1 and a (dim_v, dim_s, dim_s) integer gamma stack, dim_s even if q > 0"
             )
         v_space = MetricSpace.canonical(p, q)
-        dim_s = gammas.shape[1]
         s_gram = _spinor_gram(dim_s, euclidean=(q == 0))
         s_space = MetricSpace.with_gram(s_gram)
-        module = cls(v_space, s_space, s_space, gammas, multiplicity=mult)
-        _check_clifford_relations(module.gammas, v_space.gram, s_gram)
-        return module
+        _check_clifford_relations(*_monomial(gammas, "Clifford relation failed"), v_space.gram, s_gram)
+        return cls(v_space, s_space, s_space, gammas, multiplicity=mult)
 
 
 def _spinor_gram(dim_s: int, euclidean: bool) -> np.ndarray:
@@ -396,11 +412,7 @@ def _spinor_gram(dim_s: int, euclidean: bool) -> np.ndarray:
     return np.diag(np.tile([1.0, -1.0], dim_s // 2))
 
 
-def build_clifford_module(
-    dim_v: int,
-    signature: tuple[int, int] | None = None,
-    multiplicity: int = 1,
-) -> CliffordModule:
+def build_clifford_module(dim_v: int, signature: tuple[int, int] | None = None, multiplicity: int = 1) -> CliffordModule:
     """Construct a graded module over Cl(V, g_V) with exact integer gammas.
 
     The Euclidean construction takes Gamma_1 = identity and Gamma_{1+i} = J_i
@@ -409,7 +421,8 @@ def build_clifford_module(
     are tensored with a 2x2 factor (identity for spacelike directions, a
     rotation by pi/2 for timelike ones) acting on a split-metric plane, which
     doubles the spinor dimension.  Reducible modules are block-diagonal
-    copies of the irreducible one.
+    copies of the irreducible one.  Every step runs on (perm, sign) tables,
+    and the module carries them as its ``monomial_tables``.
 
     Raises :class:`ModuleTooLargeError`, before building anything, when
     dim_v * dim_s**2 (dim_s including the multiplicity) exceeds
@@ -431,40 +444,22 @@ def build_clifford_module(
         raise ModuleTooLargeError(
             f"dim_v * dim_s^2 = {dim_v} * {dim_s}^2 exceeds MAX_GAMMA_ENTRIES = {MAX_GAMMA_ENTRIES}"
         )
-
     jf = _cl_neg_generators(dim_v - 1)
-    d = jf[0].shape[0] if jf else 1
-    eucl = [np.eye(d, dtype=np.int64)] + [j for j in jf]
-
-    if q == 0:
-        gammas = eucl
-        s_gram_core = np.eye(d, dtype=np.int64)
-    else:
-        eye2 = np.eye(2, dtype=np.int64)
-        eps = np.array([[0, 1], [-1, 0]], dtype=np.int64)
-        tau = np.array([[1, 0], [0, -1]], dtype=np.int64)
-        gammas = [np.kron(g, eye2 if a < p else eps) for a, g in enumerate(eucl)]
-        s_gram_core = np.kron(np.eye(d, dtype=np.int64), tau)
-
-    if multiplicity > 1:
-        eye_m = np.eye(multiplicity, dtype=np.int64)
-        gammas = [np.kron(eye_m, g) for g in gammas]
-        s_gram_core = np.kron(eye_m, s_gram_core)
-
+    gammas = _stack(_identity(jf[0].shape[1]), jf)
+    if q:
+        gammas = _kron(gammas, _stack(*[_identity(2)] * p, *[_EPS] * q))
+    gammas = _kron(_identity(multiplicity), gammas)
     v_space = MetricSpace.canonical(p, q)
-    s_space = MetricSpace.with_gram(s_gram_core.astype(float))
-    stack = np.stack(gammas).astype(np.int64)
-
-    _check_clifford_relations(stack, v_space.gram, s_gram_core)
-    return CliffordModule(v_space, s_space, s_space, stack, multiplicity=multiplicity)
+    s_space = MetricSpace.with_gram(_spinor_gram(dim_s, euclidean=(q == 0)))
+    _check_clifford_relations(*gammas, v_space.gram, s_space.gram)
+    return CliffordModule(v_space, s_space, s_space, tables=gammas, multiplicity=multiplicity)
 
 
-def _check_clifford_relations(gammas, g_v, g_s) -> None:
-    """Exact integer check: Gamma_a^T G_S Gamma_b + (a <-> b) == 2 g_ab G_S.
-
-    G_S must be diagonal and every gamma a signed permutation.  Then column j
-    of M_ab = Gamma_a^T G_S Gamma_b has its one nonzero in row
-    R[a, b, j] = perm_a^-1(perm_b(j)), with value
+def _check_clifford_relations(perm, sign, g_v, g_s) -> None:
+    """Exact check of (k, d) gamma tables: Gamma_a^T G_S Gamma_b + (a <-> b)
+    == 2 g_ab G_S.  G_S must be diagonal and every table a signed permutation
+    (perm a permutation, signs +/-1).  Then column j of M_ab = Gamma_a^T G_S Gamma_b
+    has its one nonzero in row R[a, b, j] = perm_a^-1(perm_b(j)), with value
     V[a, b, j] = sign_b(j) G_S[perm_b(j)] sign_a(R[a, b, j]).  Column j of
     M_ab + M_ba - 2 g_ab G_S touches rows R[a, b, j], R[b, a, j] and j only,
     so the relation holds exactly when the column sums to zero at each of
@@ -477,13 +472,14 @@ def _check_clifford_relations(gammas, g_v, g_s) -> None:
     gs_diag = np.diag(gs)
     if not np.array_equal(gs, np.diag(gs_diag)):
         raise CliffordRelationError("spinor metric must be diagonal")
-    perm, sign = _signed_permutation(np.asarray(gammas), "Clifford relation failed")
     n, d = perm.shape
+    j = np.arange(d)
+    if not (np.all(np.abs(sign) == 1) and np.all(np.sort(perm, axis=1) == j)):
+        raise CliffordRelationError("Clifford relation failed")
     rows = np.arange(n)[:, None, None]
-    R = _inverse_permutation(perm)[rows, perm[None]]
+    R = np.argsort(perm, axis=1)[rows, perm[None]]
     V = (sign * gs_diag[perm])[None] * sign[rows, R]
     Rt, Vt = R.swapaxes(0, 1), V.swapaxes(0, 1)
-    j = np.arange(d)
     target = 2 * gv[:, :, None] * gs_diag
 
     def column_sum_at(row):

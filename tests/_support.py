@@ -3,15 +3,19 @@
 The oracles here deliberately avoid the library's own computation paths:
 finite differences for Hessians (``cubics.fd_hessian_log``, shared with the
 self-test, which only evaluates q), explicit closed forms at diagonal
-points, the Hurwitz-Radon bound for spinor dimensions, the dense product
-tensor for the gathered algebra products, dense Gram products for the
-diagonal metric weights, and dense 3x3 determinants for the self-adjoint
-instance.
+points, the Hurwitz-Radon bound for spinor dimensions, the dense generator
+recursion for the table-built Clifford modules, the eigvalsh/inv route for
+diagonal metrics, the dense product tensor for the gathered algebra
+products, dense Gram products for the diagonal metric weights, and dense
+3x3 determinants for the self-adjoint instance.
 """
+
+from functools import lru_cache
 
 import numpy as np
 
 import vinberg_cones as vc
+from vinberg_cones import clifford
 from vinberg_cones.cubics import PROBE_MAX
 from vinberg_cones.cubics import fd_hessian_log  # noqa: F401  (re-exported for the tests)
 
@@ -146,6 +150,46 @@ def dense_check_j_family(fam) -> None:
                 raise vc.CliffordRelationError("J's must anticommute")
 
 
+def table_check_j_family(fam) -> None:
+    """clifford._check_j_family on the (perm, sign) tables of a dense family,
+    read as CliffordModule.from_json reads a gamma stack."""
+    if len(fam):
+        clifford._check_j_family(*clifford._monomial(np.stack(fam), "J must be orthogonal"))
+
+
+def table_check_clifford_relations(gammas, g_v, g_s) -> None:
+    """clifford._check_clifford_relations on the tables of a dense stack, the
+    way CliffordModule.from_json runs it."""
+    perm, sign = clifford._monomial(np.asarray(gammas), "Clifford relation failed")
+    clifford._check_clifford_relations(perm, sign, g_v, g_s)
+
+
+def dense_from_tables(perm, sign) -> np.ndarray:
+    """The (k, d, d) int64 stack with M[a] e_j = sign[a, j] e_perm[a, j], one
+    column at a time."""
+    k, d = np.shape(perm)
+    out = np.zeros((k, d, d), dtype=np.int64)
+    for a in range(k):
+        for j in range(d):
+            out[a, perm[a][j], j] = sign[a][j]
+    return out
+
+
+def corrupt_tables(perm, sign, kind: str, rng) -> tuple[np.ndarray, np.ndarray]:
+    """Copies of (k, d) tables, d >= 2, with one seeded corruption: two entries
+    of one perm row swapped, or one sign flipped."""
+    perm, sign = np.array(perm), np.array(sign)
+    a = int(rng.integers(len(perm)))
+    i, j = rng.choice(perm.shape[1], 2, replace=False)
+    if kind == "swap-perm":
+        perm[a, [i, j]] = perm[a, [j, i]]
+    elif kind == "flip-sign":
+        sign[a, i] *= -1
+    else:
+        raise ValueError(kind)
+    return perm, sign
+
+
 def corrupt_stack(stack: np.ndarray, kind: str, rng) -> np.ndarray:
     """A copy of a (k, d, d) integer stack with one seeded corruption."""
     out = np.array(stack, dtype=np.int64)
@@ -166,6 +210,85 @@ def corrupt_stack(stack: np.ndarray, kind: str, rng) -> np.ndarray:
     else:
         raise ValueError(kind)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Dense generator oracle: the Cayley-Dickson tower and the period-8 recursion
+# on dense integer matrices, every left multiplication built one column at a
+# time and every tensor step an np.kron, which the library's (perm, sign)
+# tables replace; and the eigvalsh/inv route of MetricSpace that its
+# diagonal branch replaces
+# ---------------------------------------------------------------------------
+
+_TAU = np.array([[1, 0], [0, -1]], dtype=np.int64)
+_EPS = np.array([[0, 1], [-1, 0]], dtype=np.int64)
+
+
+def _dense_left_mult(u: np.ndarray) -> np.ndarray:
+    """Matrix of y -> u y, column j the product u e_j."""
+    return np.stack([clifford._cd_mult(u, e) for e in np.eye(len(u), dtype=np.int64)], axis=1)
+
+
+@lru_cache(maxsize=None)
+def dense_cl_neg_generators(k: int) -> tuple[np.ndarray, ...]:
+    """k anticommuting skew-orthogonal integer matrices, as dense matrices."""
+    if k == 0:
+        return ()
+    if k <= 7:
+        units = np.eye(2 if k == 1 else 4 if k <= 3 else 8, dtype=np.int64)
+        return tuple(_dense_left_mult(units[i]) for i in range(1, k + 1))
+    oct7 = dense_cl_neg_generators(7)
+    beta = tuple(np.kron(_TAU, j) for j in oct7) + (np.kron(_EPS, np.eye(8, dtype=np.int64)),)
+    omega = beta[0]
+    for b in beta[1:]:
+        omega = omega @ b
+    base = dense_cl_neg_generators(k - 8)
+    eye_d = np.eye(base[0].shape[0] if base else 1, dtype=np.int64)
+    return tuple(np.kron(j, omega) for j in base) + tuple(np.kron(eye_d, b) for b in beta)
+
+
+def dense_module_stack(dim_v: int, signature=None, multiplicity: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """The int64 gamma stack and spinor Gram of build_clifford_module, built
+    with dense Kronecker products."""
+    p, q = signature or (dim_v, 0)
+    jf = dense_cl_neg_generators(dim_v - 1)
+    d = jf[0].shape[0] if jf else 1
+    gammas = [np.eye(d, dtype=np.int64), *jf]
+    s_gram = np.eye(d, dtype=np.int64)
+    if q:
+        gammas = [np.kron(g, np.eye(2, dtype=np.int64) if a < p else _EPS) for a, g in enumerate(gammas)]
+        s_gram = np.kron(s_gram, _TAU)
+    eye_m = np.eye(multiplicity, dtype=np.int64)
+    return np.stack([np.kron(eye_m, g) for g in gammas]), np.kron(eye_m, s_gram)
+
+
+def dense_metric_fields(dim, signature, gram) -> dict:
+    """gram, gram_inv, weights and inv_weights as MetricSpace made them with
+    np.linalg.eigvalsh and np.linalg.inv on every Gram matrix; raises the
+    same errors in the same order.  ``signature=None`` counts the signs of
+    eigvalsh, as MetricSpace.with_gram does."""
+    g = np.asarray(gram, dtype=float)
+    if signature is None:
+        ev = np.linalg.eigvalsh(g)
+        dim, signature = g.shape[0], (int(np.sum(ev > 0)), int(np.sum(ev < 0)))
+    if dim < 1:
+        raise vc.DimensionMismatchError("dim must be >= 1")
+    p, q = signature
+    if p < 0 or q < 0 or p + q != dim:
+        raise vc.SpecError(f"signature {signature} incompatible with dim {dim}")
+    if g.shape != (dim, dim):
+        raise vc.DimensionMismatchError("gram matrix has wrong shape")
+    if not np.allclose(g, g.T, atol=1e-12):
+        raise vc.SpecError("gram matrix must be symmetric")
+    ev = np.linalg.eigvalsh(g)
+    if np.min(np.abs(ev)) <= 1e-12 * max(1.0, np.max(np.abs(ev))):
+        raise vc.SpecError("gram matrix is degenerate")
+    if (int(np.sum(ev > 0)), int(np.sum(ev < 0))) != (p, q):
+        raise vc.SpecError("declared signature does not match the gram matrix")
+    inv = np.linalg.inv(g)
+    diagonal = all(np.count_nonzero(m - np.diag(np.diag(m))) == 0 for m in (g, inv))
+    weights = (np.diag(g).copy(), np.diag(inv).copy()) if diagonal else (None, None)
+    return {"signature": signature, "gram": g, "gram_inv": inv, "weights": weights[0], "inv_weights": weights[1]}
 
 
 # ---------------------------------------------------------------------------

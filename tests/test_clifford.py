@@ -20,13 +20,22 @@ from vinberg_cones.errors import (
 
 from _support import (
     PRODUCT_MODULES,
+    SCALED_S,
+    SCALED_V,
     corrupt_stack,
+    corrupt_tables,
     dense_check_clifford_relations,
     dense_check_j_family,
+    dense_cl_neg_generators,
+    dense_from_tables,
+    dense_metric_fields,
+    dense_module_stack,
     dense_mu,
     hurwitz_radon,
     min_dim_by_radon,
     rank3_cone,
+    table_check_clifford_relations,
+    table_check_j_family,
 )
 
 
@@ -109,27 +118,15 @@ class TestConstruction:
             ]
             assert not pairs, f"unexpected anticommuting pair in dim {d}"
 
-    def test_batched_left_multiplication_matches_per_column(self, monkeypatch):
-        # the generators as built column by column, one _cd_mult per basis vector
-        batched = {k: clifford._cl_neg_generators(k) for k in range(1, 16)}
-
-        def per_column(u):
-            return np.stack([clifford._cd_mult(u, e) for e in np.eye(len(u), dtype=np.int64)], axis=1)
-
-        monkeypatch.setattr(clifford, "_left_mult_matrix", per_column)
-        caches = (clifford._cl_neg_generators, clifford._cl_neg8_on_r16)
-        for cache in caches:
-            cache.cache_clear()
-        try:
-            for k, family in batched.items():
-                reference = clifford._cl_neg_generators(k)
-                assert len(reference) == len(family) == k
-                for got, want in zip(family, reference):
-                    assert got.dtype == want.dtype == np.int64
-                    np.testing.assert_array_equal(got, want)
-        finally:
-            for cache in caches:
-                cache.cache_clear()
+    def test_batched_left_multiplication_matches_per_column(self):
+        # the tables of one batched _cd_mult product, and of the period-8
+        # recursion on them, against the dense generators built column by
+        # column, one _cd_mult per basis vector
+        for k in range(1, 16):
+            perm, sign = clifford._cl_neg_generators(k)
+            assert perm.shape == sign.shape == (k, vc.minimal_spinor_dim(k + 1))
+            assert perm.dtype == sign.dtype == np.int64
+            np.testing.assert_array_equal(dense_from_tables(perm, sign), np.stack(dense_cl_neg_generators(k)))
 
     def test_multiplicity_scales_dimension(self):
         mod = vc.build_clifford_module(3, multiplicity=3)
@@ -284,20 +281,34 @@ class TestInvariants:
 
     def test_exact_checks_survive_optimized_mode(self):
         # the integer relation checks must raise under `python -O`, which
-        # strips assert statements
+        # strips assert statements: on a dense stack read as from_json reads
+        # it, and on J and gamma tables with a flipped sign or swapped perm
         code = """
 import sys
 import numpy as np
 from vinberg_cones import clifford
 from vinberg_cones.errors import CliffordRelationError
-fam = [np.array(j) for j in clifford._cl_neg_generators(3)]
-fam[0][0, 0] += 1
+perm, sign = (np.array(t) for t in clifford._cl_neg_generators(3))
+flipped = sign.copy()
+flipped[0, 0] *= -1
+swapped = perm.copy()
+swapped[0, [0, 1]] = swapped[0, [1, 0]]
 mod = clifford.build_clifford_module(4)
+gp, gv = mod.monomial_tables[:2]
+gp, gs = np.array(gp), gv.astype(np.int64)
+gs_flipped = gs.copy()
+gs_flipped[1, 2] *= -1
+gp_swapped = gp.copy()
+gp_swapped[2, [0, 3]] = gp_swapped[2, [3, 0]]
 gam = np.array(mod.gammas)
 gam[0, 0, 0] += 1
+g_v, g_s = mod.v_space.gram, np.eye(mod.dim_s)
 checks = [
-    lambda: clifford._check_j_family(fam),
-    lambda: clifford._check_clifford_relations(gam, mod.v_space.gram, np.eye(mod.dim_s)),
+    lambda: clifford._check_j_family(perm, flipped),
+    lambda: clifford._check_j_family(swapped, sign),
+    lambda: clifford._check_clifford_relations(*clifford._monomial(gam, "Clifford relation failed"), g_v, g_s),
+    lambda: clifford._check_clifford_relations(gp, gs_flipped, g_v, g_s),
+    lambda: clifford._check_clifford_relations(gp_swapped, gs, g_v, g_s),
 ]
 for check in checks:
     try:
@@ -314,7 +325,7 @@ print("optimize", sys.flags.optimize)
         assert out.returncode == 0, out.stderr
         lines = out.stdout.splitlines()
         assert lines[-1] == "optimize 1"
-        assert lines[:-1] == ["raised J must be skew", "raised Clifford relation failed"]
+        assert lines[:-1] == ["raised J must be skew"] * 2 + ["raised Clifford relation failed"] * 3
 
     def test_signed_permutation_is_required(self):
         # an integral Lorentz transformation of x^2 + y^2 - z^2: the dense
@@ -323,13 +334,11 @@ print("optimize", sys.flags.optimize)
         g_s = np.diag([1, 1, -1])
         dense_check_clifford_relations(gamma, np.eye(1), g_s)
         with pytest.raises(CliffordRelationError, match="Clifford relation failed"):
-            clifford._check_clifford_relations(gamma, np.eye(1), g_s)
+            table_check_clifford_relations(gamma, np.eye(1), g_s)
 
     def test_spinor_metric_must_be_diagonal(self):
         with pytest.raises(CliffordRelationError, match="diagonal"):
-            clifford._check_clifford_relations(
-                np.eye(2, dtype=np.int64)[None], np.eye(1), np.array([[2, 1], [1, 2]])
-            )
+            table_check_clifford_relations(np.eye(2, dtype=np.int64)[None], np.eye(1), np.array([[2, 1], [1, 2]]))
 
     @pytest.mark.parametrize(
         "fam",
@@ -340,7 +349,7 @@ print("optimize", sys.flags.optimize)
         ids=["scaled", "two-per-row"],
     )
     def test_j_family_rejects_non_permutations(self, fam):
-        for check in (clifford._check_j_family, dense_check_j_family):
+        for check in (table_check_j_family, dense_check_j_family):
             with pytest.raises(CliffordRelationError, match="J must be orthogonal"):
                 check(fam)
 
@@ -357,7 +366,7 @@ print("optimize", sys.flags.optimize)
             pairing([(2, 0), (1, 5), (6, 3), (4, 7)]),
             pairing([(0, 4), (1, 7), (2, 3), (5, 6)]),
         ]
-        for check in (clifford._check_j_family, dense_check_j_family):
+        for check in (table_check_j_family, dense_check_j_family):
             with pytest.raises(CliffordRelationError, match="anticommute"):
                 check(fam)
 
@@ -421,7 +430,7 @@ class TestExactChecksAgainstDenseOracle:
         g_s = np.asarray(mod.s0_space.gram, dtype=np.int64)
         args = (gam, mod.v_space.gram, g_s)
         want = _outcome(dense_check_clifford_relations, *args)
-        assert _outcome(clifford._check_clifford_relations, *args) is want
+        assert _outcome(table_check_clifford_relations, *args) is want
         if kind is None:
             assert want is None
         elif kind in ("bump", "duplicate") and case[0] > 1:
@@ -432,21 +441,21 @@ class TestExactChecksAgainstDenseOracle:
         # g_01 = 1: Gamma_0 = Gamma_1 = I satisfies the relation; I and a
         # complex structure J do not (I J + J^T I = 0 != 2 I), although the
         # rows of M_01 and M_10 then coincide and their values cancel
-        J = clifford._cl_neg_generators(1)[0]
+        J = dense_cl_neg_generators(1)[0]
         gam = np.stack([np.eye(2, dtype=np.int64), J if second != "identity" else np.eye(2)])
         args = (gam.astype(np.int64), np.ones((2, 2)), np.eye(2, dtype=np.int64))
         want = _outcome(dense_check_clifford_relations, *args)
         assert want is (None if second == "identity" else CliffordRelationError)
-        assert _outcome(clifford._check_clifford_relations, *args) is want
+        assert _outcome(table_check_clifford_relations, *args) is want
 
     @pytest.mark.parametrize("kind", _CORRUPTIONS)
     @pytest.mark.parametrize("k", range(17))
     def test_j_family(self, k, kind):
-        fam = list(clifford._cl_neg_generators(k))
+        fam = list(dense_cl_neg_generators(k))
         if kind is not None and fam:
             fam = list(corrupt_stack(np.stack(fam), kind, np.random.default_rng(k)))
         want = _outcome(dense_check_j_family, fam)
-        assert _outcome(clifford._check_j_family, fam) is want
+        assert _outcome(table_check_j_family, fam) is want
         if kind is None:
             assert want is None
         elif (kind == "bump" and k > 0) or (kind == "duplicate" and k > 1):
@@ -501,3 +510,224 @@ class TestSerialization:
         obj["gammas"] = gam.tolist()
         with pytest.raises(CliffordRelationError):
             CliffordModule.from_json(obj)
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"dim_v": 2.7},
+            {"dim_v": 2.0},
+            {"dim_v": True},
+            {"multiplicity": 1.9},
+            {"multiplicity": 0},
+            {"multiplicity": -3},
+            {"signature": [2.5, 0]},
+            {"signature": [3, -1]},
+            {"signature": [2]},
+            {"gammas": [[[1, 0], [0, 1]]]},
+            {"gammas": [[[1, 0]], [[0, 1]]]},
+            {"gammas": [[[1.0, 0.0], [0.0, 1.0]], [[0.0, -1.0], [1.0, 0.0]]]},
+            {"gammas": [[[True, False], [False, True]], [[False, True], [True, False]]]},
+            {"signature": [1, 1], "gammas": np.eye(3, dtype=int)[None].repeat(2, 0).tolist()},
+        ],
+        ids=[
+            "float-dim-v", "integral-float-dim-v", "bool-dim-v", "float-multiplicity", "zero-multiplicity",
+            "negative-multiplicity", "float-signature", "negative-signature", "short-signature",
+            "short-stack", "non-square-stack", "float-gammas", "bool-gammas", "odd-split-spinors",
+        ],
+    )
+    def test_bad_values_rejected(self, change):
+        # integers by the CLI's rule, multiplicity >= 1 and a (dim_v, dim_s,
+        # dim_s) integer stack, each a SpecError
+        obj = {**vc.build_clifford_module(2).to_json(), **change}
+        with pytest.raises(SpecError, match="bad Clifford-module JSON"):
+            CliffordModule.from_json(obj)
+
+    def test_numpy_integers_accepted(self):
+        obj = vc.build_clifford_module(3, (2, 1)).to_json()
+        obj.update(dim_v=np.int64(3), signature=[np.int32(2), np.int64(1)], multiplicity=np.int16(1))
+        back = CliffordModule.from_json(obj)
+        assert back.v_space.signature == (2, 1) and back.multiplicity == 1
+
+
+# build_clifford_module arguments (dim_v, signature, multiplicity) compared
+# with the dense recursion of the oracle
+_TABLE_CASES = (
+    [(d, None, 1) for d in range(1, 19)]
+    + [(sum(sig), sig, m) for sig in [(1, 1), (2, 1), (1, 3), (3, 2)] for m in (1, 2, 3)]
+    + [(d, None, m) for d in (1, 3, 8, 9) for m in (2, 3)]
+)
+
+
+def _same_bits(got, want) -> None:
+    if want is None:
+        assert got is None
+        return
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes()
+
+
+def _space_fields(space) -> dict:
+    return {name: getattr(space, name) for name in ("signature", "gram", "gram_inv", "weights", "inv_weights")}
+
+
+def _assert_same_space(got: dict, want: dict) -> None:
+    assert got.pop("signature") == want.pop("signature")
+    for name, value in want.items():
+        _same_bits(got[name], value)
+
+
+class TestTableBuild:
+    """build_clifford_module makes its tables in the Cayley-Dickson and
+    period-8 recursion; they equal, bit for bit, those read off the dense
+    recursion of the oracle, and so do the materialized gammas and the
+    metric spaces."""
+
+    @pytest.mark.parametrize("case", _TABLE_CASES, ids=str)
+    def test_matches_dense_oracle(self, case):
+        dim_v, signature, mult = case
+        gammas, s_gram = dense_module_stack(*case)
+        mod = vc.build_clifford_module(*case)
+        assert "gammas" not in vars(mod)
+        dense = CliffordModule(mod.v_space, mod.s0_space, mod.s1_space, gammas, multiplicity=mult)
+        for got, want in zip(mod.monomial_tables, dense.monomial_tables, strict=True):
+            _same_bits(got, want)
+        _same_bits(mod.gammas, gammas)
+        p, q = signature or (dim_v, 0)
+        v_gram = np.diag(np.concatenate([np.ones(p), -np.ones(q)]))
+        _assert_same_space(_space_fields(mod.v_space), dense_metric_fields(dim_v, (p, q), v_gram))
+        for space in (mod.s0_space, mod.s1_space):
+            _assert_same_space(_space_fields(space), dense_metric_fields(None, None, s_gram))
+
+    def test_orbit_chain_never_materializes_the_dense_stack(self):
+        mod = vc.build_clifford_module(16)
+        cone = vc.cone_from_algebra(vc.rank3_special(mod))
+        rng = np.random.default_rng(0)
+        A, B = (vc.random_triangular(cone.algebra, rng) for _ in range(2))
+        X, Y = vc.herm_from_triangular(A), vc.herm_from_triangular_star(A)
+        vc.group_coordinates(cone, X)
+        vc.p_polynomials(cone, X)
+        vc.characteristic_function(cone, X)
+        vc.det_cubic(cone, X)
+        vc.d_prime(cone, Y)
+        vc.d_prime_via_dual(cone, Y)
+        vc.dual_membership(cone, Y)
+        vc.herm_pairing(X, Y)
+        vc.triangular_product(A, B)
+        assert "gammas" not in vars(mod)
+        assert mod.gammas.shape == (16, 128, 128) and not mod.gammas.flags.writeable
+        assert "gammas" in vars(mod)
+
+    def test_dense_gammas_are_kept_as_given(self):
+        gam = np.array(vc.build_clifford_module(2).gammas, dtype=np.int32)
+        space = MetricSpace.euclidean(2)
+        mod = CliffordModule(space, space, space, gam)
+        assert mod.gammas.dtype == np.int32 and not mod.gammas.flags.writeable
+        np.testing.assert_array_equal(mod.monomial_tables[0], vc.build_clifford_module(2).monomial_tables[0])
+
+    def test_needs_exactly_one_of_gammas_and_tables(self):
+        mod = vc.build_clifford_module(2)
+        space = mod.v_space
+        with pytest.raises(TypeError):
+            CliffordModule(space, space, space)
+        with pytest.raises(TypeError):
+            CliffordModule(space, space, space, mod.gammas, tables=mod.monomial_tables[:2])
+        with pytest.raises(DimensionMismatchError):
+            CliffordModule(MetricSpace.euclidean(3), space, space, tables=mod.monomial_tables[:2])
+
+
+def _message(check, *args):
+    try:
+        check(*args)
+    except CliffordRelationError as exc:
+        return str(exc)
+    return None
+
+
+_TABLE_CORRUPTIONS = ("swap-perm", "flip-sign")
+
+
+class TestTableNegativeControls:
+    """A swapped perm entry or a flipped sign in a J family or a gamma table
+    makes the table checks raise the message of the dense oracle."""
+
+    @pytest.mark.parametrize("kind", _TABLE_CORRUPTIONS)
+    @pytest.mark.parametrize("k", range(1, 17))
+    def test_j_family(self, k, kind):
+        perm, sign = corrupt_tables(*clifford._cl_neg_generators(k), kind, np.random.default_rng(k))
+        want = _message(dense_check_j_family, list(dense_from_tables(perm, sign)))
+        assert want is not None
+        assert _message(clifford._check_j_family, perm, sign) == want
+
+    @pytest.mark.parametrize("kind", _TABLE_CORRUPTIONS)
+    @pytest.mark.parametrize("case", [c for c in _MODULE_CASES if c[0] > 1], ids=str)
+    def test_gammas(self, case, kind):
+        mod = _module(*case)
+        perm, val = mod.monomial_tables[:2]
+        perm, sign = corrupt_tables(perm, val.astype(np.int64), kind, np.random.default_rng(case[0]))
+        g_v, g_s = mod.v_space.gram, mod.s0_space.gram
+        want = _message(dense_check_clifford_relations, dense_from_tables(perm, sign), g_v, g_s)
+        assert want is not None
+        assert _message(clifford._check_clifford_relations, perm, sign, g_v, g_s) == want
+
+    def test_uncorrupted_tables_pass(self):
+        for k in range(17):
+            clifford._check_j_family(*clifford._cl_neg_generators(k))
+        mod = _module(5, (3, 2), 2)
+        perm, val = mod.monomial_tables[:2]
+        clifford._check_clifford_relations(perm, val.astype(np.int64), mod.v_space.gram, mod.s0_space.gram)
+
+
+# diagonal Gram matrices for the diagonal branch of MetricSpace
+_DIAGONAL_GRAMS = {
+    "identity": np.eye(4),
+    "signs": np.diag([1.0, -1.0, -1.0, 1.0]),
+    "split-128": np.diag(np.tile([1.0, -1.0], 64)),
+    "scaled-v": SCALED_V,
+    "scaled-s": SCALED_S,
+    "mixed": np.diag([3.0, -7.0, 0.1, -2.5e-3, 1e6]),
+    "zero-entry": np.diag([1.0, 0.0, -1.0]),
+    "near-zero": np.diag([1.0, -1e-13]),
+    "all-zero": np.zeros((2, 2)),
+    "wide-range": np.diag([1e-300, -1e300]),
+    "infinite": np.diag([1.0, np.inf]),
+}
+
+
+def _metric_outcome(make):
+    try:
+        fields = make()
+    except (SpecError, DimensionMismatchError) as exc:
+        return type(exc), str(exc)
+    return fields
+
+
+class TestMetricSpaceDiagonalBranch:
+    """A diagonal Gram takes its signature from the signs and its inverse
+    from reciprocals: every field and every error as the eigvalsh/inv route
+    gives it."""
+
+    @pytest.mark.parametrize("declared", ["with-gram", "true", "wrong"])
+    @pytest.mark.parametrize("name", list(_DIAGONAL_GRAMS))
+    def test_matches_eigvalsh_inv_route(self, name, declared):
+        g = _DIAGONAL_GRAMS[name]
+        n = len(g)
+        if declared == "with-gram":
+            got = _metric_outcome(lambda: _space_fields(MetricSpace.with_gram(g)))
+            want = _metric_outcome(lambda: dense_metric_fields(None, None, g))
+        else:
+            d = np.diag(g)
+            sig = (int(np.sum(d > 0)), int(np.sum(d < 0)))
+            if declared == "wrong":
+                sig = (n, 0) if sig != (n, 0) else (n - 1, 1)
+            got = _metric_outcome(lambda: _space_fields(MetricSpace(n, sig, g)))
+            want = _metric_outcome(lambda: dense_metric_fields(n, sig, g))
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            _assert_same_space(got, want)
+
+    def test_signed_zeros_of_the_inverse(self):
+        # LAPACK's solve leaves -0.0 off the diagonal in the rows of negative
+        # entries; the reciprocal route keeps them
+        space = MetricSpace.canonical(1, 2)
+        assert np.signbit(space.gram_inv).tolist() == [[False] * 3, [True] * 3, [True] * 3]
