@@ -65,7 +65,8 @@ class MetricSpace:
     Otherwise both are None and the two methods take the dense products.
     Every product with G or G^-1 in the library goes through these two.
     A diagonal G takes its spectrum from its entries and its inverse from
-    reciprocals, with the values ``eigvalsh`` and ``inv`` give.
+    reciprocals, with the values ``eigvalsh`` and ``inv`` give, and skips
+    the dense symmetry and off-diagonal scans.
     """
 
     dim: int
@@ -84,9 +85,9 @@ class MetricSpace:
         g = np.asarray(self.gram, dtype=float)
         if g.shape != (self.dim, self.dim):
             raise DimensionMismatchError("gram matrix has wrong shape")
-        if not np.allclose(g, g.T, atol=1e-12):
+        d = _exact_diagonal(g)  # a diagonal G is symmetric and needs no dense scan
+        if d is None and not np.allclose(g, g.T, atol=1e-12):
             raise SpecError("gram matrix must be symmetric")
-        d = _exact_diagonal(g)
         ev = np.linalg.eigvalsh(g) if d is None else d
         if np.min(np.abs(ev)) <= 1e-12 * max(1.0, np.max(np.abs(ev))):
             raise SpecError("gram matrix is degenerate")
@@ -99,7 +100,7 @@ class MetricSpace:
         inv.setflags(write=False)
         object.__setattr__(self, "gram_inv", inv)
         # diag(G^-1), not 1 / diag(G): a division rounds differently
-        diagonal = all(np.count_nonzero(m - np.diag(np.diag(m))) == 0 for m in (g, inv))
+        diagonal = d is not None or all(np.count_nonzero(m - np.diag(np.diag(m))) == 0 for m in (g, inv))
         for name, m in (("weights", g), ("inv_weights", inv)):
             w = np.diag(m).copy()
             w.setflags(write=False)

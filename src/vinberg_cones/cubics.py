@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -30,6 +31,9 @@ MINOR_BAND = 1e-12  # minors within +/- band*scale count as degenerate
 PD = "positive-definite"
 INDEFINITE = "indefinite"
 DEGENERATE = "degenerate"
+# the sweep carries each point's kind as its index here
+_KINDS = (PD, INDEFINITE, DEGENERATE, "constraint")
+_PD, _INDEFINITE, _DEGENERATE, _CONSTRAINT = range(len(_KINDS))
 
 
 # ---------------------------------------------------------------------------
@@ -251,14 +255,15 @@ class HessianReport:
 
 
 def _verdict_from_minors(minors: np.ndarray, scale) -> np.ndarray:
-    """Verdict of each stack of leading minors (last axis) whose form has
-    the given largest entry: degenerate when a minor is within the band,
-    positive-definite when all are above it, else indefinite."""
+    """Verdict code (index into _KINDS) of each stack of leading minors (last
+    axis) whose form has the given largest entry: degenerate when a minor is
+    within the band, positive-definite when all are above it, else
+    indefinite."""
     scale = np.asarray(scale)
     band = MINOR_BAND * scale[..., None]
-    degenerate = (scale == 0.0) | np.any(np.abs(minors) <= band, axis=-1)
-    pd = np.all(minors > band, axis=-1)
-    return np.where(degenerate, DEGENERATE, np.where(pd, PD, INDEFINITE)).astype(object)
+    degenerate = (scale == 0.0) | (np.abs(minors) <= band).any(axis=-1)
+    pd = (minors > band).all(axis=-1)
+    return np.where(degenerate, _DEGENERATE, np.where(pd, _PD, _INDEFINITE))
 
 
 def tangent_restriction(q: InvariantCubic, X: HermMatrix) -> HessianReport:
@@ -286,7 +291,7 @@ def tangent_restriction(q: InvariantCubic, X: HermMatrix) -> HessianReport:
             X, M, np.zeros((n, 0)), np.zeros((0, 0)), DEGENERATE, np.array([])
         )
     basis, R, minors, scale = _restrict(M, g / gnorm)
-    return HessianReport(X, M, basis, R, _verdict_from_minors(minors, scale).item(), minors)
+    return HessianReport(X, M, basis, R, _KINDS[_verdict_from_minors(minors, scale).item()], minors)
 
 
 def _restrict(M, u):
@@ -300,16 +305,16 @@ def _restrict(M, u):
     near-block-diagonal, so the minors stay well scaled)."""
     r = u.shape[-1]
     keep = np.arange(r - 1)
-    keep = keep + (keep >= np.argmax(np.abs(u), axis=-1)[..., None])
+    keep = keep + (keep >= np.abs(u).argmax(axis=-1)[..., None])
     u_keep = np.take_along_axis(u, keep, axis=-1)
     basis, _ = np.linalg.qr(np.eye(r)[keep].swapaxes(-1, -2) - u[..., :, None] * u_keep[..., None, :])
     R = basis.swapaxes(-1, -2) @ M @ basis
     R = 0.5 * (R + R.swapaxes(-1, -2))
-    d = np.sqrt(np.abs(np.diagonal(R, axis1=-2, axis2=-1)))
+    d = np.sqrt(np.abs(R.diagonal(axis1=-2, axis2=-1)))
     d = np.where(d == 0.0, 1.0, d)
     Rn = R / (d[..., :, None] * d[..., None, :])
     minors = np.stack([np.linalg.det(Rn[..., : k + 1, : k + 1]) for k in range(r - 1)], axis=-1)
-    return basis, R, minors, np.max(np.abs(Rn), axis=(-2, -1))
+    return basis, R, minors, np.abs(Rn).max(axis=(-2, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -317,13 +322,24 @@ def _restrict(M, u):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DiagonalGrid:
-    """Log-uniform sampling of the free diagonal coordinates of {q = 1}."""
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
-    lo: float = 1e-2
-    hi: float = 1e2
-    n: int = 100
+
+class _LogSpaced:
+    """The log-uniform spacing of a grid and its square of x3 rows, made on
+    first use and kept on the (frozen) grid object, so that every cubic swept
+    on it shares them."""
+
+    @cached_property
+    def _xs(self) -> np.ndarray:
+        return _read_only(np.geomspace(self.lo, self.hi, self.n))
+
+    @cached_property
+    def _rows(self) -> np.ndarray:
+        """The spacing once per row, a row of x3 values for each x2."""
+        return _read_only(np.tile(self._xs, (self.n, 1)))
 
 
 # Rank-3 sweeps with a, c > 0 also probe each x2 row just inside its
@@ -334,7 +350,22 @@ PROBE_MAX = 1e3
 
 
 @dataclass(frozen=True)
-class SearchGrid:
+class DiagonalGrid(_LogSpaced):
+    """Log-uniform sampling of the free diagonal coordinates of {q = 1}."""
+
+    lo: float = 1e-2
+    hi: float = 1e2
+    n: int = 100
+
+    @cached_property
+    def _probed_rows(self) -> np.ndarray:
+        """The x3 rows followed by the 8 large-x3 probes."""
+        probes = np.tile(np.geomspace(self.hi, PROBE_MAX, 8), (self.n, 1))
+        return _read_only(np.hstack([self._rows, probes]))
+
+
+@dataclass(frozen=True)
+class SearchGrid(_LogSpaced):
     lo: float = 0.1
     hi: float = 10.0
     n: int = 20
@@ -363,11 +394,12 @@ def _boundary_probes(q: InvariantCubic, x2: np.ndarray) -> np.ndarray:
     np.roots builds, all rows in one call."""
     _, b, c = q.coeffs
     A = np.zeros((len(x2), 3, 3))
-    A[:, 0] = -np.stack([b * x2, np.zeros_like(x2), np.full_like(x2, -1.0)], axis=1) / c
+    A[:, 0, 0] = -(b * x2) / c  # the first row is -(b x2, 0, -1) / c
+    A[:, 0, 1:] = -0.0 / c, 1.0 / c
     A[:, 1, 0] = A[:, 2, 1] = 1.0
     roots = np.linalg.eigvals(A)
     real = (np.abs(roots.imag) < 1e-9) & (roots.real > 0.0)
-    t = np.max(np.where(real, roots.real, 0.0), axis=1)[:, None]
+    t = np.where(real, roots.real, 0.0).max(axis=1)[:, None]
     return np.where(t > 0.0, t * (1.0 - np.array(BOUNDARY_OFFSETS)), np.inf)
 
 
@@ -382,7 +414,7 @@ def _slice_points(q: InvariantCubic, grid: DiagonalGrid | SearchGrid) -> np.ndar
     np.float_power rounds like the scalar ** of eval_cubic; numpy's array **
     does not."""
     pw = np.float_power
-    xs = np.geomspace(grid.lo, grid.hi, grid.n)
+    xs = grid._xs
     if q.cone.rank == 2:
         a, b = q.coeffs
         if b == 0.0:
@@ -405,16 +437,17 @@ def _slice_points(q: InvariantCubic, grid: DiagonalGrid | SearchGrid) -> np.ndar
             return np.stack([u, v, np.full_like(u, (1.0 / c) ** (1.0 / 3.0))], axis=1)
         x2 = (1.0 - c * pw(u, 3)) / (b * pw(u, 2))
         return np.stack([v, x2, u], axis=1)[x2 > 0.0]
-    # one row of x3 values per x2; inf marks no value
-    x3 = np.tile(xs, (len(xs), 1))
+    # one row of x3 values per x2 (sorted, so the order they come in does
+    # not matter); inf marks no value
+    x3 = grid._rows
     if isinstance(grid, DiagonalGrid):
         if a > 0.0 and c > 0.0:
-            probes = np.geomspace(grid.hi, PROBE_MAX, 8)
-            x3 = np.hstack([x3, _boundary_probes(q, xs), np.tile(probes, (len(xs), 1))])
+            x3 = np.hstack([grid._probed_rows, _boundary_probes(q, xs)])
         x3 = np.sort(np.where(x3 <= PROBE_MAX, x3, np.inf), axis=1)
         x3[:, 1:][x3[:, 1:] == x3[:, :-1]] = np.inf
-    x2 = np.broadcast_to(xs[:, None], x3.shape)[np.isfinite(x3)]
-    x3 = x3[np.isfinite(x3)]
+    kept = np.isfinite(x3)
+    x2 = np.broadcast_to(xs[:, None], x3.shape)[kept]
+    x3 = x3[kept]
     x1 = (1.0 - b * x2 * pw(x3, 2) - c * pw(x3, 3)) / (a * x2 * x3)
     return np.stack([x1, x2, x3], axis=1)[x1 > 0.0]
 
@@ -436,59 +469,87 @@ def _constraint_violated(q: InvariantCubic, x: np.ndarray) -> np.ndarray:
 # is a rank x rank core plus, on each off-diagonal block, a scalar times the
 # block's Gram matrix.  ker dq then splits the same way, and the leading
 # minors of the Jacobi-scaled restriction are those of a (rank-1)-square core
-# followed by det(core) times the running product of block signs (times the
-# pivots of the Jacobi-scaled Gram matrices, all 1 for the orthonormal bases
-# the library builds).  The kernel below evaluates that for a stack of points,
-# through the dense path's _neg_hess_log and _restrict on the cores.  Every
-# value that reaches the core repeats the float operations of eval_cubic
-# (d = x1 x2 x3 from det_cubic, p2 = x3 x2 and p3 = x3 from cone._lower_p),
-# gradient and cubic_hessian with zero off-diagonal entries, in the same
-# grouping: near-singular cores amplify a last-bit change in an entry about
-# 1e5-fold in min_minor.  Powers go through np.float_power, which rounds like
-# the scalar ** of the dense path; numpy's array ** does not.
+# followed by the tail det(core) times the running product of block signs
+# times the running product P of the pivots of the Jacobi-scaled Gram
+# matrices (P is all 1 for the orthonormal bases the library builds).  The
+# kernel below evaluates that for a stack of points, through the dense
+# path's _neg_hess_log and _restrict on the cores.  Every value that reaches
+# the core repeats the float operations of eval_cubic (d = x1 x2 x3 from
+# det_cubic, p2 = x3 x2 and p3 = x3 from cone._lower_p), gradient and
+# cubic_hessian with zero off-diagonal entries, in the same grouping:
+# near-singular cores amplify a last-bit change in an entry about 1e5-fold
+# in min_minor.  Powers go through np.float_power, which rounds like the
+# scalar ** of the dense path; numpy's array ** does not.
+#
+# The tail is never formed.  Within a block of sign s its signs are constant
+# (s = 1), alternate (s = -1) or vanish (s = 0), so the entries at the
+# block's even and at its odd offsets share one sign each, and a rounded
+# det(core) * P is monotone in P.  The entries at the smallest and the
+# largest P of each such class bound it: they carry its minimum, its
+# smallest magnitude and its sign, all that the verdict and min_minor read.
+# The kernel computes only those, at most four per block, as det(core) times
+# the sign product up to each times P there: the cumprod's values bit for
+# bit, as the signs are exact.
 
 
 def _diagonal_parts(q: InvariantCubic, x: np.ndarray):
     """q, its gradient and Hessian in the diagonal coordinates, and the
-    scalar of -Hess(log q) on each off-diagonal block, at the rows of x."""
+    scalar of -Hess(log q) on each off-diagonal block, at the rows of x.
+    Raises where q = 0, before the block scalars divide by it."""
     pw = np.float_power
-    if q.cone.rank == 2:
+    n, r = x.shape
+    g = np.empty((n, r))
+    H = np.zeros((n, r, r))
+    blocks = np.empty((n, len(q.cone.algebra.offdiag_keys)))
+    if r == 2:
         a, b = q.coeffs
         x1, x2 = x.T
         x2sq = pw(x2, 2)
         qx = a * pw(x2, 3) + b * x2 * (x1 * x2)
-        g = [b * x2sq, 3.0 * a * x2sq + 2.0 * b * x1 * x2]
-        h01 = 2.0 * b * x2
-        H = [[np.zeros_like(x1), h01], [h01, 6.0 * a * x2 + 2.0 * b * x1]]
-        blocks = [2.0 * b * x2 / qx]
+        g[:, 0] = b * x2sq
+        g[:, 1] = 3.0 * a * x2sq + 2.0 * b * x1 * x2
+        H[:, 0, 1] = H[:, 1, 0] = blocks[:, 0] = 2.0 * b * x2
+        H[:, 1, 1] = 6.0 * a * x2 + 2.0 * b * x1
     else:
         a, b, c = q.coeffs
         x1, x2, x3 = x.T
         x3sq = pw(x3, 2)
         qx = a * (x1 * x2 * x3) + b * ((x3 * x2) * x3) + c * pw(x3, 3)
-        g = [
-            a * (x2 * x3),
-            a * (x1 * x3) + b * x3sq,
-            a * (x1 * x2) + 2.0 * b * x2 * x3 + 3.0 * c * x3sq,
-        ]
-        h01, h02, h12 = a * x3, a * x2, a * x1 + 2.0 * b * x3
-        zero = np.zeros_like(x1)
-        H = [[zero, h01, h02], [h01, zero, h12], [h02, h12, 2.0 * b * x2 + 6.0 * c * x3]]
-        blocks = [2.0 * a * x3 / qx, 2.0 * a * x2 / qx, 2.0 * (a * x1 + b * x3) / qx]
-    g = np.stack(g, axis=-1)
-    H = np.stack([np.stack(row, axis=-1) for row in H], axis=-2)
-    return qx, g, H, np.stack(blocks, axis=-1)
+        g[:, 0] = a * (x2 * x3)
+        g[:, 1] = a * (x1 * x3) + b * x3sq
+        g[:, 2] = a * (x1 * x2) + 2.0 * b * x2 * x3 + 3.0 * c * x3sq
+        H[:, 0, 1] = H[:, 1, 0] = a * x3
+        H[:, 0, 2] = H[:, 2, 0] = a * x2
+        H[:, 1, 2] = H[:, 2, 1] = a * x1 + 2.0 * b * x3
+        H[:, 2, 2] = 2.0 * b * x2 + 6.0 * c * x3
+        blocks[:, 0] = 2.0 * a * x3
+        blocks[:, 1] = 2.0 * a * x2
+        blocks[:, 2] = 2.0 * (a * x1 + b * x3)
+    if (qx == 0.0).any():
+        raise OutsideConeError("projection onto the level set requires q(X) > 0")
+    blocks /= qx[:, None]
+    return qx, g, H, blocks
+
+
+def _tail_minors(alg, det_core: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    """The tail minors det(core) * cumprod(block signs x Gram pivots) at the
+    positions that stand for the whole tail (see above), bit for bit, for
+    each row of block signs."""
+    columns, P = alg._tail_entries
+    powers = np.concatenate([np.ones_like(signs), signs, signs * signs], axis=1)
+    return det_core[:, None] * (np.prod(powers[:, columns], axis=2) * P)
 
 
 def _diagonal_verdicts(q: InvariantCubic, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Verdict and min_minor of tangent_restriction at each row of x, an
-    (N, rank) stack of diagonal points with q > 0, at a cost independent of
-    the block dimensions."""
+    """Verdict code (index into _KINDS) and min_minor of tangent_restriction
+    at each row of x, an (N, rank) stack of diagonal points with q > 0.  Past
+    the cores a point costs O(blocks); the zero-padded gradient norm is the
+    one step whose cost grows with dim_herm."""
     qx, g, H, blocks = _diagonal_parts(q, x)
-    if np.any(qx <= 0.0):
+    if (qx <= 0.0).any():
         raise OutsideConeError("projection onto the level set requires q(X) > 0")
     off = np.abs(qx - 1.0) > 1e-9
-    if np.any(off):
+    if off.any():
         x = x.copy()
         x[off] /= np.float_power(qx[off, None], 1.0 / 3.0)
         qx, g, H, blocks = _diagonal_parts(q, x)
@@ -500,23 +561,21 @@ def _diagonal_verdicts(q: InvariantCubic, x: np.ndarray) -> tuple[np.ndarray, np
     padded[:, : q.cone.rank] = g
     u = g / np.sqrt((padded[:, None, :] @ padded[:, :, None])[:, 0, 0])[:, None]
     _, _, core, scale = _restrict(_neg_hess_log(qx, g, H), u)
-    dims = [q.cone.algebra.dim(k) for k in q.cone.algebra.offdiag_keys]
     signs = np.sign(blocks)
-    tail = core[:, -1:] * np.cumprod(np.repeat(signs, dims, axis=1) * q.cone.algebra.gram_pivots, axis=1)
-    minors = np.concatenate([core, tail], axis=1)
-    scale = np.maximum(scale, np.max(np.abs(signs), axis=1))
-    return _verdict_from_minors(minors, scale), np.min(minors, axis=1)
+    minors = np.concatenate([core, _tail_minors(q.cone.algebra, core[:, -1], signs)], axis=1)
+    scale = np.maximum(scale, np.abs(signs).max(axis=1))
+    return _verdict_from_minors(minors, scale), minors.min(axis=1)
 
 
 def _classify_slice(q: InvariantCubic, grid: DiagonalGrid | SearchGrid):
-    """The diagonal points of {q = 1} on the grid, the kind of each (the
-    kernel's verdict, or "constraint" where the slope constraint fails) and
+    """The diagonal points of {q = 1} on the grid, the kind code of each (the
+    kernel's verdict, or _CONSTRAINT where the slope constraint fails) and
     its min_minor (nan at constraint points)."""
     x = _slice_points(q, grid)
-    kinds = np.full(len(x), "constraint", dtype=object)
+    kinds = np.full(len(x), _CONSTRAINT)
     minors = np.full(len(x), math.nan)
     inside = ~_constraint_violated(q, x)
-    if np.any(inside):
+    if inside.any():
         kinds[inside], minors[inside] = _diagonal_verdicts(q, x[inside])
     return x, kinds, minors
 
@@ -528,22 +587,21 @@ def admissibility_on_diagonal(q: InvariantCubic, grid: DiagonalGrid | None = Non
     x, kinds, minors = _classify_slice(q, grid or DiagonalGrid())
     if not len(x):
         raise OutsideConeError("empty feasible diagonal grid")
-    pts = [tuple(row) for row in x.tolist()]
     # the first point at the smallest minor; constraint points carry none
     ranked = np.where(np.isnan(minors), math.inf, minors)
     i = int(np.argmin(ranked))
-    min_minor, min_coords = math.inf, pts[0]
-    if ranked[i] < math.inf:
-        min_minor, min_coords = float(minors[i]), pts[i]
+    min_minor, i = (float(minors[i]), i) if ranked[i] < math.inf else (math.inf, 0)
+    w = np.flatnonzero(kinds != _PD)
     witnesses = tuple(
-        DiagonalWitness(pts[j], kinds[j], float(minors[j])) for j in np.flatnonzero(kinds != PD)
+        DiagonalWitness(tuple(row), _KINDS[k], m)
+        for row, k, m in zip(x[w].tolist(), kinds[w].tolist(), minors[w].tolist())
     )
     return DiagonalReport(
         all_pd=not witnesses,
-        checked=len(pts),
+        checked=len(x),
         witnesses=witnesses,
         min_minor=min_minor,
-        min_minor_coords=min_coords,
+        min_minor_coords=tuple(x[i].tolist()),
     )
 
 
@@ -556,7 +614,7 @@ def find_locally_admissible_point(q: InvariantCubic, search: SearchGrid | None =
     if q.coeffs[0] == 0.0:
         return None
     x, kinds, _ = _classify_slice(q, search or SearchGrid())
-    found = np.flatnonzero(kinds == PD)
+    found = np.flatnonzero(kinds == _PD)
     # the dense restriction at that one point fills in the whole report
     return tangent_restriction(q, HermMatrix(q.cone.algebra, x[found[0]], {})) if found.size else None
 
@@ -593,6 +651,7 @@ def scan_parameter_plane(
     if cone.rank != 3:
         raise SpecError("parameter-plane scan is for rank-3 cones")
     _require_euclidean(cone)
+    grid, search = grid or DiagonalGrid(), search or SearchGrid()  # one spacing per plane
     rows = []
     for e1 in eps1_values:
         for e2 in eps2_values:

@@ -92,6 +92,24 @@ class NilAlgebra:
             out.append(np.diag(np.linalg.cholesky(G / np.outer(s, s))) ** 2)
         return np.concatenate(out)
 
+    @cached_property
+    def _tail_entries(self) -> tuple[np.ndarray, np.ndarray]:
+        """The positions of P = cumprod(gram_pivots) with the smallest and the
+        largest P among each block's even and among its odd offsets, which
+        stand for all of P in the diagonal kernel's tail minors (see
+        cubics._tail_minors).  Per position: the column, in [1 | signs |
+        signs^2] of the blocks, of each block's factor of the running sign
+        product up to it (none after it, its sign for an odd count, its
+        square for an even one), and P there (computed once)."""
+        P = np.cumprod(self.gram_pivots)
+        dims = np.array([self.dim(k) for k in self.offdiag_keys])
+        starts = np.cumsum(dims) - dims
+        classes = [start + np.arange(parity, m, 2) for start, m in zip(starts, dims) for parity in (0, 1)]
+        at = sorted({j for c in classes if c.size for j in (c[np.argmin(P[c])], c[np.argmax(P[c])])})
+        count = np.clip(np.array(at)[:, None] + 1 - starts, 0, dims)
+        power = np.where(count == 0, 0, 2 - count % 2)
+        return power * len(dims) + np.arange(len(dims)), P[at]
+
     def ip(self, key: Key, x, y):
         return self.spaces[key].ip(x, y)
 

@@ -6,17 +6,20 @@ self-test, which only evaluates q), explicit closed forms at diagonal
 points, the Hurwitz-Radon bound for spinor dimensions, the dense generator
 recursion for the table-built Clifford modules, the eigvalsh/inv route for
 diagonal metrics, the dense product tensor for the gathered algebra
-products, dense Gram products for the diagonal metric weights, and dense
-3x3 determinants for the self-adjoint instance.
+products, dense Gram products for the diagonal metric weights, dense 3x3
+determinants for the self-adjoint instance, and the diagonal kernel's tail
+formed entry by entry for the tail that ``cubics`` reads off per-block
+extremes.
 """
 
+import math
 from functools import lru_cache
 
 import numpy as np
 
 import vinberg_cones as vc
-from vinberg_cones import clifford
-from vinberg_cones.cubics import PROBE_MAX
+from vinberg_cones import clifford, cubics
+from vinberg_cones.cubics import DEGENERATE, INDEFINITE, PD, PROBE_MAX
 from vinberg_cones.cubics import fd_hessian_log  # noqa: F401  (re-exported for the tests)
 
 _CONES = {}
@@ -609,3 +612,95 @@ def project_to_level_set(q, X):
     qx = vc.eval_cubic(q, X)
     assert qx > 0.0
     return vc.herm_from_vector(q.cone.algebra, X.to_vector() / qx ** (1.0 / 3.0))
+
+
+# ---------------------------------------------------------------------------
+# Reference diagonal kernel: the tail det(core) * cumprod(block signs x Gram
+# pivots) formed over every off-diagonal coordinate (np.repeat, then cumprod),
+# the verdict rule run on all dim_herm - 1 minors, verdicts as strings, and
+# the reports built from them; the oracle for cubics._diagonal_verdicts and
+# the sweeps on top of it
+# ---------------------------------------------------------------------------
+
+
+def reference_verdicts_from_minors(minors, scale) -> np.ndarray:
+    scale = np.asarray(scale)
+    band = cubics.MINOR_BAND * scale[..., None]
+    degenerate = (scale == 0.0) | np.any(np.abs(minors) <= band, axis=-1)
+    pd = np.all(minors > band, axis=-1)
+    return np.where(degenerate, DEGENERATE, np.where(pd, PD, INDEFINITE)).astype(object)
+
+
+def reference_diagonal_verdicts(q, x) -> tuple[np.ndarray, np.ndarray]:
+    """Verdict strings and min_minor at each row of x, with every tail minor
+    formed."""
+    qx, g, H, blocks = cubics._diagonal_parts(q, x)
+    if np.any(qx <= 0.0):
+        raise vc.OutsideConeError("projection onto the level set requires q(X) > 0")
+    off = np.abs(qx - 1.0) > 1e-9
+    if np.any(off):
+        x = x.copy()
+        x[off] /= np.float_power(qx[off, None], 1.0 / 3.0)
+        qx, g, H, blocks = cubics._diagonal_parts(q, x)
+    padded = np.zeros((len(x), q.cone.dim_herm))
+    padded[:, : q.cone.rank] = g
+    u = g / np.sqrt((padded[:, None, :] @ padded[:, :, None])[:, 0, 0])[:, None]
+    _, _, core, scale = cubics._restrict(cubics._neg_hess_log(qx, g, H), u)
+    dims = [q.cone.algebra.dim(k) for k in q.cone.algebra.offdiag_keys]
+    signs = np.sign(blocks)
+    tail = core[:, -1:] * np.cumprod(np.repeat(signs, dims, axis=1) * q.cone.algebra.gram_pivots, axis=1)
+    minors = np.concatenate([core, tail], axis=1)
+    scale = np.maximum(scale, np.max(np.abs(signs), axis=1))
+    return reference_verdicts_from_minors(minors, scale), np.min(minors, axis=1)
+
+
+def reference_classify_slice(q, grid):
+    x = cubics._slice_points(q, grid)
+    kinds = np.full(len(x), "constraint", dtype=object)
+    minors = np.full(len(x), math.nan)
+    inside = ~cubics._constraint_violated(q, x)
+    if np.any(inside):
+        kinds[inside], minors[inside] = reference_diagonal_verdicts(q, x[inside])
+    return x, kinds, minors
+
+
+def reference_admissibility_on_diagonal(q, grid) -> "cubics.DiagonalReport":
+    x, kinds, minors = reference_classify_slice(q, grid)
+    if not len(x):
+        raise vc.OutsideConeError("empty feasible diagonal grid")
+    pts = [tuple(row) for row in x.tolist()]
+    ranked = np.where(np.isnan(minors), math.inf, minors)
+    i = int(np.argmin(ranked))
+    min_minor, min_coords = math.inf, pts[0]
+    if ranked[i] < math.inf:
+        min_minor, min_coords = float(minors[i]), pts[i]
+    witnesses = tuple(
+        cubics.DiagonalWitness(pts[j], kinds[j], float(minors[j])) for j in np.flatnonzero(kinds != PD)
+    )
+    return cubics.DiagonalReport(not witnesses, len(pts), witnesses, min_minor, min_coords)
+
+
+def reference_find_locally_admissible_point(q, search):
+    if q.coeffs[0] == 0.0:
+        return None
+    x, kinds, _ = reference_classify_slice(q, search)
+    found = np.flatnonzero(kinds == PD)
+    return vc.tangent_restriction(q, vc.HermMatrix(q.cone.algebra, x[found[0]], {})) if found.size else None
+
+
+def same_bits(a, b) -> bool:
+    """Equal values of equal Python types, nested through tuples and
+    dataclasses; NaN equals NaN and a zero equals only a zero of its sign."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, tuple):
+        return len(a) == len(b) and all(same_bits(u, v) for u, v in zip(a, b))
+    if isinstance(a, vc.HermMatrix):
+        return same_bits(a.to_vector(), b.to_vector())
+    if hasattr(a, "__dataclass_fields__"):
+        return all(same_bits(getattr(a, f), getattr(b, f)) for f in a.__dataclass_fields__)
+    if isinstance(a, float):
+        return math.copysign(1.0, a) == math.copysign(1.0, b) and (a == b or (a != a and b != b))
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and np.array_equal(a, b, equal_nan=a.dtype.kind == "f")
+    return a == b

@@ -408,6 +408,19 @@ class TestScanBounds:
         assert "MAX_GRID" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_extreme_cell_fails_without_a_numpy_warning(self, spec3, tmp_path):
+        # q rounds to 0 at kept slice points of this cell: the sweep raises
+        # before it divides the block scalars by q, so stderr holds only the
+        # failure line
+        out = tmp_path / "x.csv"
+        run = _run_cli(
+            "scan", "--spec", spec3, "--eps1=1e12:1e12:1", "--eps2=-1e12:-1e12:1", "--grid", "12",
+            "--out", str(out),
+        )
+        assert run.returncode == 1
+        assert run.stderr == "failure: projection onto the level set requires q(X) > 0\n"
+        assert not out.exists()
+
     def test_grid_at_bound_runs(self, spec3, tmp_path):
         out = tmp_path / "x.csv"
         grid = str(cli.MAX_GRID)

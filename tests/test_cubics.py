@@ -7,6 +7,8 @@ from vinberg_cones.cubics import DEGENERATE, INDEFINITE, PD
 from vinberg_cones.errors import AlgebraMismatchError, IndefiniteSignatureError, OutsideConeError, SpecError
 
 from _support import (
+    FULL_S,
+    FULL_V,
     PRODUCT_MODULES,
     dense_cubic_derivatives,
     fd_hessian_log,
@@ -17,10 +19,15 @@ from _support import (
     rank3_diagonal_hessian,
     rank2_cone,
     rank3_cone,
+    reference_admissibility_on_diagonal,
+    reference_diagonal_verdicts,
+    reference_find_locally_admissible_point,
     reference_rank2_slice_points,
     reference_rank3_slice_points,
     reference_search_points,
+    reference_verdicts_from_minors,
     rel_to_scale,
+    same_bits,
 )
 
 
@@ -484,7 +491,8 @@ class TestSlicePoints:
 
 
 def assert_kernel_matches_dense(q, x):
-    verdicts, minors = cubics._diagonal_verdicts(q, x)
+    codes, minors = cubics._diagonal_verdicts(q, x)
+    verdicts = [cubics._KINDS[k] for k in codes]
     for row, verdict, mm in zip(x, verdicts, minors):
         rep = vc.tangent_restriction(q, vc.HermMatrix(q.cone.algebra, row, {}))
         assert verdict == rep.verdict, row
@@ -561,6 +569,165 @@ class TestDiagonalKernel:
         q = vc.InvariantCubic.rank2_family(rank2_cone(1), 0.0)
         with pytest.raises(OutsideConeError):
             cubics._diagonal_verdicts(q, np.array([[-1.0, 1.0]]))
+
+
+# the ROADMAP epsilon plane, as the CLI's -2:2:0.5 and -1:1:0.25 ranges space it
+PLANE = [(-2.0 + 0.5 * i, -1.0 + 0.25 * j) for i in range(9) for j in range(9)]
+
+
+def assert_kernel_matches_oracle(q, x):
+    """The kernel's verdicts and min_minor equal those of the tail formed
+    entry by entry, bit for bit; returns how many points it compared."""
+    codes, minors = cubics._diagonal_verdicts(q, x)
+    want_kinds, want_minors = reference_diagonal_verdicts(q, x)
+    assert np.array_equal(np.array(cubics._KINDS, dtype=object)[codes], want_kinds)
+    assert np.array_equal(minors, want_minors, equal_nan=True)
+    return len(x)
+
+
+def assert_sweeps_match_oracle(q, grid, search=None):
+    """The kernel at every point of the sweep (and of the search grid), and
+    the reports built on it, against the oracle's."""
+    x = cubics._slice_points(q, grid)
+    if search is not None:
+        x = np.vstack([x, cubics._slice_points(q, search)])
+    x = x[~cubics._constraint_violated(q, x)]
+    n = assert_kernel_matches_oracle(q, x) if len(x) else 0
+    assert same_bits(vc.admissibility_on_diagonal(q, grid), reference_admissibility_on_diagonal(q, grid))
+    return n
+
+
+def signed_diagonal_points(q, n: int, seed: int) -> np.ndarray:
+    """Random diagonal points with q > 0, slope constraint or not, so that
+    each block scalar takes both signs."""
+    x = 10.0 ** np.random.default_rng(seed).uniform(-1.5, 1.5, (n, q.cone.rank))
+    qx = cubics._diagonal_parts(q, x)[0]
+    return x[qx > 0.0]
+
+
+class TestDiagonalKernelOracle:
+    """The kernel's tail, read off each block's sign and parity and the
+    cone's pivot extremes, against the tail formed over every off-diagonal
+    coordinate: verdicts and min_minor array_equal at every point."""
+
+    @pytest.mark.parametrize("dim_v", [1, 8, 16])
+    def test_roadmap_plane(self, dim_v):
+        cone = rank3_cone(dim_v)
+        grid, search = vc.DiagonalGrid(n=12), vc.SearchGrid(n=12)
+        checked = 0
+        for eps in PLANE:
+            q = vc.InvariantCubic.rank3_family(cone, *eps)
+            checked += assert_sweeps_match_oracle(q, grid, search)
+            if dim_v <= 8:  # the dense restriction at dim_v = 16 takes about 0.2 s
+                got = vc.find_locally_admissible_point(q, search)
+                assert same_bits(got, reference_find_locally_admissible_point(q, search)), eps
+        assert checked > 10_000
+
+    @pytest.mark.parametrize("dim_w", [1, 4])
+    @pytest.mark.parametrize("eps", [-2.0, -0.25, 0.0, 0.5, 2.0])
+    def test_rank2_families(self, dim_w, eps):
+        q = vc.InvariantCubic.rank2_family(rank2_cone(dim_w), eps)
+        for n in (12, 100):
+            assert assert_sweeps_match_oracle(q, vc.DiagonalGrid(n=n)) > 0
+
+    @pytest.mark.parametrize("gram", [FULL_V, FULL_S], ids=["dim3", "dim4"])
+    @pytest.mark.parametrize("coeffs", [(0.5, 1.0), (1.0, -1.0), (-0.3, 1.0)])
+    def test_non_orthonormal_block_gram(self, gram, coeffs):
+        # pivots other than 1; b < 0 makes the block sign -1, so the tail
+        # alternates in sign along the running pivot products
+        cone = vc.cone_from_algebra(vc.rank2_algebra(vc.MetricSpace.with_gram(gram)))
+        assert np.ptp(cone.algebra.gram_pivots) > 0.1
+        q = vc.InvariantCubic(cone, coeffs)
+        assert assert_sweeps_match_oracle(q, vc.DiagonalGrid(n=40)) > 0
+        assert_kernel_matches_oracle(q, signed_diagonal_points(q, 200, 7))
+
+    @pytest.mark.parametrize(
+        "cone,coeffs",
+        [
+            (rank3_cone(4), (0.0, 1.0, 0.0)),
+            (rank3_cone(4), (0.0, 1.0, 0.5)),
+            (rank3_cone(1), (0.0, 1.0, -0.5)),
+            (rank3_cone(3), (0.0, 0.0, 1.0)),
+            (rank2_cone(4), (1.0, 0.0)),
+            (rank2_cone(3), (1.0, 0.0)),
+        ],
+    )
+    def test_degenerate_cubics(self, cone, coeffs):
+        # zero block signs: a = 0 zeroes the first two rank-3 blocks (all
+        # three when b = 0 too), b = 0 the rank-2 block
+        q = vc.InvariantCubic(cone, coeffs)
+        x = cubics._slice_points(q, vc.DiagonalGrid(n=8))
+        assert np.any(cubics._diagonal_parts(q, x)[3] == 0.0)
+        assert assert_kernel_matches_oracle(q, x) > 0
+        codes, _ = cubics._diagonal_verdicts(q, x)
+        assert cubics._PD not in set(codes.tolist())
+
+    @pytest.mark.parametrize("dim_v", [1, 3])
+    def test_zero_last_block_sign(self, dim_v):
+        # a x1 + b x3 = 0 at x1 = x3 when a = -b: the last block's sign is 0
+        # after two positive blocks
+        q = vc.InvariantCubic(rank3_cone(dim_v), (1.0, -1.0, 0.5))
+        t, s = (m.ravel() for m in np.meshgrid(np.geomspace(0.1, 10.0, 9), np.geomspace(0.1, 10.0, 7)))
+        x = np.stack([t, s, t], axis=1)
+        assert np.all(cubics._diagonal_parts(q, x)[3][:, 2] == 0.0)
+        assert assert_kernel_matches_oracle(q, x) == len(x)
+
+    @pytest.mark.parametrize("cone", [rank3_cone(3), rank3_cone(1, 2)], ids=["4-4-3", "2-2-1"])
+    @pytest.mark.parametrize(
+        "coeffs", [(1.0, 0.5, -0.25), (1.0, -1.5, 0.75), (-1.0, 2.0, 0.5), (-1.0, -0.5, 1.0), (2.0, 1.0, 1e-3)]
+    )
+    def test_odd_and_even_block_dimensions(self, cone, coeffs):
+        q = vc.InvariantCubic(cone, coeffs)
+        search = vc.SearchGrid(n=12)
+        assert_sweeps_match_oracle(q, vc.DiagonalGrid(n=20), search)
+        x = signed_diagonal_points(q, 400, 11)
+        signs = np.sign(cubics._diagonal_parts(q, x)[3])
+        assert np.any(signs < 0.0) == (min(coeffs[:2]) < 0.0)
+        assert assert_kernel_matches_oracle(q, x) == len(x)
+        want = reference_find_locally_admissible_point(q, search)
+        assert same_bits(vc.find_locally_admissible_point(q, search), want)
+
+    @pytest.mark.parametrize(
+        "alg",
+        [
+            rank3_cone(3).algebra,
+            rank3_cone(1, 2).algebra,
+            vc.rank2_algebra(vc.MetricSpace.with_gram(FULL_V)),
+            vc.rank2_algebra(vc.MetricSpace.with_gram(FULL_S)),
+        ],
+        ids=["4-4-3", "2-2-1", "gram3", "gram4"],
+    )
+    def test_tail_stands_for_every_sign_pattern(self, alg):
+        # every pattern of block signs in {-1, 0, 1} against every kind of
+        # det(core): the kept entries have the whole tail's minimum and give
+        # the verdict rule the whole tail's outcome
+        nblocks = len(alg.offdiag_keys)
+        signs = np.array(np.meshgrid(*[[-1.0, 0.0, 1.0]] * nblocks)).reshape(nblocks, -1).T
+        dets = np.array([1.0, -1.0, 0.0, 3e-13, -3e-13, 0.7, np.nan])
+        signs, det_core = np.repeat(signs, len(dets), axis=0), np.tile(dets, len(signs))
+        dims = [alg.dim(k) for k in alg.offdiag_keys]
+        tail = det_core[:, None] * np.cumprod(np.repeat(signs, dims, axis=1) * alg.gram_pivots, axis=1)
+        kept = cubics._tail_minors(alg, det_core, signs)
+        assert np.array_equal(np.min(kept, axis=1), np.min(tail, axis=1), equal_nan=True)
+        scale = np.full(len(signs), 1.0)
+        want = reference_verdicts_from_minors(tail, scale)
+        assert np.array_equal(np.array(cubics._KINDS, dtype=object)[cubics._verdict_from_minors(kept, scale)], want)
+
+    def test_tail_entries(self):
+        # a dimension-4 block with unequal pivots: P at offsets 0 and 2
+        # (sign to the power 1, column 1 of [1 | s | s^2]) and 1 and 3
+        # (power 2, column 2) are all extremes of their parity
+        alg = vc.rank2_algebra(vc.MetricSpace.with_gram(FULL_S))
+        columns, values = alg._tail_entries
+        P = np.cumprod(alg.gram_pivots)
+        assert columns.tolist() == [[1], [2], [1], [2]]
+        assert values.tolist() == P.tolist()
+        # orthonormal blocks of dimensions 4, 4, 3: P is all 1, one entry per
+        # block and parity; the powers of the earlier blocks follow their
+        # parities, later blocks contribute 1 (column b of the first third)
+        columns, values = rank3_cone(3).algebra._tail_entries
+        assert values.tolist() == [1.0] * 6
+        assert columns.tolist() == [[3, 1, 2], [6, 1, 2], [6, 4, 2], [6, 7, 2], [6, 7, 5], [6, 7, 8]]
 
 
 class TestLocalSearch:
