@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -304,17 +305,41 @@ def _restrict(M, u):
     with u, projected off u and orthonormalized (keeps the restricted form
     near-block-diagonal, so the minors stay well scaled)."""
     r = u.shape[-1]
+    drop = np.abs(u).argmax(axis=-1)[..., None]
     keep = np.arange(r - 1)
-    keep = keep + (keep >= np.abs(u).argmax(axis=-1)[..., None])
-    u_keep = np.take_along_axis(u, keep, axis=-1)
+    keep = keep + (keep >= drop)
+    u_keep = u[np.arange(r) != drop].reshape(keep.shape)
     basis, _ = np.linalg.qr(np.eye(r)[keep].swapaxes(-1, -2) - u[..., :, None] * u_keep[..., None, :])
     R = basis.swapaxes(-1, -2) @ M @ basis
     R = 0.5 * (R + R.swapaxes(-1, -2))
     d = np.sqrt(np.abs(R.diagonal(axis1=-2, axis2=-1)))
-    d = np.where(d == 0.0, 1.0, d)
+    d[d == 0.0] = 1.0
     Rn = R / (d[..., :, None] * d[..., None, :])
-    minors = np.stack([np.linalg.det(Rn[..., : k + 1, : k + 1]) for k in range(r - 1)], axis=-1)
-    return basis, R, minors, np.abs(Rn).max(axis=(-2, -1))
+    return basis, R, _leading_minors(Rn), np.abs(Rn).max(axis=(-2, -1))
+
+
+def _leading_minors(A: np.ndarray) -> np.ndarray:
+    """Leading principal minors of each square form A (last two axes), at one
+    point or a stack: the running products of the pivots of one Gaussian
+    elimination without row exchanges, O(n^3) in all.  A row whose
+    elimination meets a zero or non-finite pivot (a zero row of a degenerate
+    cubic's form, say) has no such products; it takes each minor as its own
+    determinant instead."""
+    n = A.shape[-1]
+    U = A.copy()
+    minors = np.empty(A.shape[:-1])
+    minors[..., 0] = A[..., 0, 0]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for k in range(1, n):
+            U[..., k:, k:] -= U[..., k:, k - 1, None] * (U[..., None, k - 1, k:] / U[..., k - 1, k - 1, None, None])
+            minors[..., k] = minors[..., k - 1] * U[..., k, k]
+        pivots = U.diagonal(axis1=-2, axis2=-1)
+        if not (pivots.all() and np.isfinite(pivots).all()):
+            # a boolean index by the 0-d flag of one form selects it as a stack of one
+            bad = ((pivots == 0.0) | ~np.isfinite(pivots)).any(axis=-1)
+            A = A[bad]
+            minors[bad] = np.stack([np.linalg.det(A[..., : k + 1, : k + 1]) for k in range(n)], axis=-1)
+    return minors
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +355,15 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 class _LogSpaced:
     """The log-uniform spacing of a grid and its square of x3 rows, made on
     first use and kept on the (frozen) grid object, so that every cubic swept
-    on it shares them."""
+    on it shares them.  A grid is checked when it is made: finite
+    0 < lo <= hi and an integer n >= 1."""
+
+    def __post_init__(self):
+        lo, hi, n = self.lo, self.hi, self.n
+        if not (isinstance(lo, numbers.Real) and isinstance(hi, numbers.Real) and 0.0 < lo <= hi < math.inf):
+            raise SpecError(f"grid needs finite 0 < lo <= hi, got lo={lo!r}, hi={hi!r}")
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+            raise SpecError(f"grid needs an integer n >= 1, got n={n!r}")
 
     @cached_property
     def _xs(self) -> np.ndarray:
@@ -580,18 +613,25 @@ def _classify_slice(q: InvariantCubic, grid: DiagonalGrid | SearchGrid):
     return x, kinds, minors
 
 
+def _sweep_summary(x: np.ndarray, kinds: np.ndarray, minors: np.ndarray):
+    """What a sweep reads off its classified slice: the index of the first
+    point at the smallest minor and that minor (constraint points carry none;
+    index 0 and inf when no point does), and the indices of the points that
+    are not positive-definite, in order."""
+    if not len(x):
+        raise OutsideConeError("empty feasible diagonal grid")
+    ranked = np.where(np.isnan(minors), math.inf, minors)
+    i = int(np.argmin(ranked))
+    min_minor, i = (float(minors[i]), i) if ranked[i] < math.inf else (math.inf, 0)
+    return i, min_minor, np.flatnonzero(kinds != _PD)
+
+
 def admissibility_on_diagonal(q: InvariantCubic, grid: DiagonalGrid | None = None) -> DiagonalReport:
     """Sweep the diagonal slice of {q = 1}; admissibility of an invariant
     cubic reduces to positive definiteness there."""
     _require_euclidean(q.cone)
     x, kinds, minors = _classify_slice(q, grid or DiagonalGrid())
-    if not len(x):
-        raise OutsideConeError("empty feasible diagonal grid")
-    # the first point at the smallest minor; constraint points carry none
-    ranked = np.where(np.isnan(minors), math.inf, minors)
-    i = int(np.argmin(ranked))
-    min_minor, i = (float(minors[i]), i) if ranked[i] < math.inf else (math.inf, 0)
-    w = np.flatnonzero(kinds != _PD)
+    i, min_minor, w = _sweep_summary(x, kinds, minors)
     witnesses = tuple(
         DiagonalWitness(tuple(row), _KINDS[k], m)
         for row, k, m in zip(x[w].tolist(), kinds[w].tolist(), minors[w].tolist())
@@ -647,7 +687,9 @@ def scan_parameter_plane(
 ) -> list[ScanCell]:
     """Classify each (eps1, eps2) cell of the normalized rank-3 family by a
     diagonal sweep, falling back to a local-witness search.  Deterministic:
-    rows ordered by the input value order."""
+    rows ordered by the input value order.  Each cell reads the sweep's
+    point codes as admissibility_on_diagonal does, without building its
+    report."""
     if cone.rank != 3:
         raise SpecError("parameter-plane scan is for rank-3 cones")
     _require_euclidean(cone)
@@ -657,19 +699,19 @@ def scan_parameter_plane(
         for e2 in eps2_values:
             e1, e2 = float(e1), float(e2)
             q = InvariantCubic.rank3_family(cone, e1, e2)
-            rep = admissibility_on_diagonal(q, grid)
+            x, kinds, minors = _classify_slice(q, grid)
+            i, min_minor, w = _sweep_summary(x, kinds, minors)
             # a positive p3^3 coefficient breaks the slope constraint at large
             # x3, so such cells can never be admissible; PD islands at small
             # x3 do not upgrade them
-            breached = e2 > 0.0 or any(w.kind == "constraint" for w in rep.witnesses)
-            local = None if rep.all_pd or breached else find_locally_admissible_point(q, search)
-            if rep.all_pd:
-                kind, coords, minor = ADMISSIBLE_ON_SAMPLE, rep.min_minor_coords, rep.min_minor
+            breached = e2 > 0.0 or (kinds == _CONSTRAINT).any()
+            local = None if not w.size or breached else find_locally_admissible_point(q, search)
+            if not w.size:
+                kind, coords, minor = ADMISSIBLE_ON_SAMPLE, x[i].tolist(), min_minor
             elif local is not None:
                 kind, coords, minor = LOCALLY_ADMISSIBLE, local.point.diag, local.min_minor
             else:
-                w = rep.witnesses[0]
-                kind, coords, minor = NOT_ADMISSIBLE, w.coords, w.min_minor
+                kind, coords, minor = NOT_ADMISSIBLE, x[w[0]].tolist(), minors[w[0]].item()
             rows.append(ScanCell(e1, e2, kind, coords[1], coords[2], minor))
     return rows
 

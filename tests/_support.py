@@ -7,9 +7,11 @@ points, the Hurwitz-Radon bound for spinor dimensions, the dense generator
 recursion for the table-built Clifford modules, the eigvalsh/inv route for
 diagonal metrics, the dense product tensor for the gathered algebra
 products, dense Gram products for the diagonal metric weights, dense 3x3
-determinants for the self-adjoint instance, and the diagonal kernel's tail
+determinants for the self-adjoint instance, the diagonal kernel's tail
 formed entry by entry for the tail that ``cubics`` reads off per-block
-extremes.
+extremes, one determinant per leading minor for the minors that
+``cubics`` takes from the pivots of one elimination, and the scan loop
+built on the sweep's reports for the scan that reads the point codes.
 """
 
 import math
@@ -631,9 +633,10 @@ def reference_verdicts_from_minors(minors, scale) -> np.ndarray:
     return np.where(degenerate, DEGENERATE, np.where(pd, PD, INDEFINITE)).astype(object)
 
 
-def reference_diagonal_verdicts(q, x) -> tuple[np.ndarray, np.ndarray]:
-    """Verdict strings and min_minor at each row of x, with every tail minor
-    formed."""
+def kernel_core_forms(q, x):
+    """-Hess(log q) on the diagonal coordinates and the unit gradient u at
+    each row of x, projected onto {q = 1}, as the diagonal kernel builds them
+    for _restrict, and the block scalars there."""
     qx, g, H, blocks = cubics._diagonal_parts(q, x)
     if np.any(qx <= 0.0):
         raise vc.OutsideConeError("projection onto the level set requires q(X) > 0")
@@ -645,7 +648,14 @@ def reference_diagonal_verdicts(q, x) -> tuple[np.ndarray, np.ndarray]:
     padded = np.zeros((len(x), q.cone.dim_herm))
     padded[:, : q.cone.rank] = g
     u = g / np.sqrt((padded[:, None, :] @ padded[:, :, None])[:, 0, 0])[:, None]
-    _, _, core, scale = cubics._restrict(cubics._neg_hess_log(qx, g, H), u)
+    return cubics._neg_hess_log(qx, g, H), u, blocks
+
+
+def reference_diagonal_verdicts(q, x) -> tuple[np.ndarray, np.ndarray]:
+    """Verdict strings and min_minor at each row of x, with every tail minor
+    formed."""
+    M, u, blocks = kernel_core_forms(q, x)
+    _, _, core, scale = cubics._restrict(M, u)
     dims = [q.cone.algebra.dim(k) for k in q.cone.algebra.offdiag_keys]
     signs = np.sign(blocks)
     tail = core[:, -1:] * np.cumprod(np.repeat(signs, dims, axis=1) * q.cone.algebra.gram_pivots, axis=1)
@@ -686,6 +696,46 @@ def reference_find_locally_admissible_point(q, search):
     x, kinds, _ = reference_classify_slice(q, search)
     found = np.flatnonzero(kinds == PD)
     return vc.tangent_restriction(q, vc.HermMatrix(q.cone.algebra, x[found[0]], {})) if found.size else None
+
+
+# ---------------------------------------------------------------------------
+# Reference minors and scan: one determinant per leading minor, and the scan
+# loop that builds the sweep's report for every cell and reads its witnesses
+# ---------------------------------------------------------------------------
+
+
+def jacobi_scaled(R: np.ndarray) -> np.ndarray:
+    """R / (d d^T) with d = sqrt|diag R| (1 where that is 0), as _restrict
+    scales the restricted form before its minors."""
+    d = np.sqrt(np.abs(R.diagonal(axis1=-2, axis2=-1)))
+    d = np.where(d == 0.0, 1.0, d)
+    return R / (d[..., :, None] * d[..., None, :])
+
+
+def det_leading_minors(A: np.ndarray) -> np.ndarray:
+    """The leading principal minors of each form A (last two axes), one
+    np.linalg.det per minor."""
+    return np.stack([np.linalg.det(A[..., : k + 1, : k + 1]) for k in range(A.shape[-1])], axis=-1)
+
+
+def reference_scan_parameter_plane(cone, eps1_values, eps2_values, grid, search) -> list:
+    rows = []
+    for e1 in eps1_values:
+        for e2 in eps2_values:
+            e1, e2 = float(e1), float(e2)
+            q = vc.InvariantCubic.rank3_family(cone, e1, e2)
+            rep = vc.admissibility_on_diagonal(q, grid)
+            breached = e2 > 0.0 or any(w.kind == "constraint" for w in rep.witnesses)
+            local = None if rep.all_pd or breached else vc.find_locally_admissible_point(q, search)
+            if rep.all_pd:
+                kind, coords, minor = cubics.ADMISSIBLE_ON_SAMPLE, rep.min_minor_coords, rep.min_minor
+            elif local is not None:
+                kind, coords, minor = cubics.LOCALLY_ADMISSIBLE, local.point.diag, local.min_minor
+            else:
+                w = rep.witnesses[0]
+                kind, coords, minor = cubics.NOT_ADMISSIBLE, w.coords, w.min_minor
+            rows.append(cubics.ScanCell(e1, e2, kind, coords[1], coords[2], minor))
+    return rows
 
 
 def same_bits(a, b) -> bool:

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -11,8 +16,11 @@ from _support import (
     FULL_V,
     PRODUCT_MODULES,
     dense_cubic_derivatives,
+    det_leading_minors,
     fd_hessian_log,
     hessian_log_from_gradient_differences,
+    jacobi_scaled,
+    kernel_core_forms,
     project_to_level_set,
     random_orbit_point,
     rank2_diagonal_hessian,
@@ -24,6 +32,7 @@ from _support import (
     reference_find_locally_admissible_point,
     reference_rank2_slice_points,
     reference_rank3_slice_points,
+    reference_scan_parameter_plane,
     reference_search_points,
     reference_verdicts_from_minors,
     rel_to_scale,
@@ -359,6 +368,115 @@ class TestSharedSteps:
         assert calls == {"eval_cubic": 3, "gradient": 2, "cubic_hessian": 2}
 
 
+def zero_block_points() -> np.ndarray:
+    """Points with x1 = x3: a x1 + b x3 = 0 there when a = -b, so the last
+    block's sign is 0 after two positive blocks."""
+    t, s = (m.ravel() for m in np.meshgrid(np.geomspace(0.1, 10.0, 9), np.geomspace(0.1, 10.0, 7)))
+    return np.stack([t, s, t], axis=1)
+
+
+# cubics whose restricted forms have an exactly zero leading minor: a = 0
+# zeroes the first two rank-3 blocks (all three when b = 0 too), b = 0 the
+# rank-2 block, and a = -b at x1 = x3 the last rank-3 block
+ZERO_PIVOT_CUBICS = [
+    (rank3_cone(4), (0.0, 1.0, 0.0)),
+    (rank3_cone(4), (0.0, 1.0, 0.5)),
+    (rank3_cone(1), (0.0, 1.0, -0.5)),
+    (rank3_cone(3), (0.0, 0.0, 1.0)),
+    (rank2_cone(4), (1.0, 0.0)),
+    (rank2_cone(3), (1.0, 0.0)),
+    (rank3_cone(1), (1.0, -1.0, 0.5)),
+    (rank3_cone(3), (1.0, -1.0, 0.5)),
+]
+
+
+def zero_pivot_points(q) -> np.ndarray:
+    if q.coeffs[0] == -q.coeffs[1]:
+        return zero_block_points()
+    return cubics._slice_points(q, vc.DiagonalGrid(n=8))
+
+
+def assert_minors_match_oracle(minors, R, rel: float) -> float:
+    """The minors of _restrict against one det per minor of the Jacobi-scaled
+    R: bit for bit in every form with an exactly zero minor (those take the
+    det route), within rel of each minor elsewhere; returns the worst
+    relative deviation."""
+    want = det_leading_minors(jacobi_scaled(R))
+    zero = np.any(want == 0.0, axis=-1)
+    assert np.array_equal(minors[zero], want[zero])
+    got, want = minors[~zero], want[~zero]
+    dev = np.abs(got - want) / np.abs(want)
+    assert np.all(dev <= rel), float(np.max(dev))
+    return float(np.max(dev, initial=0.0))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestLeadingMinorsOracle:
+    """The pivot-product minors against one determinant per minor.  The
+    class runs with RuntimeWarnings as errors, and once more under
+    ``python -O`` (TestLeadingMinorsOptimized)."""
+
+    @pytest.mark.parametrize("r", [2, 3, 27])
+    def test_random_forms(self, r):
+        # worst deviation seen: 0 (r = 2), 4.0e-16 (r = 3), 1.6e-11 (r = 27)
+        M, u = random_forms(r, 40, 200 + r)
+        _, R, minors, _ = cubics._restrict(M, u)
+        assert_minors_match_oracle(minors, R, 1e-9)
+
+    def test_swap_form(self):
+        # the first pivot is 0: the det route, alone and inside a stack
+        A = np.array([[0.0, 1.0], [1.0, 0.0]])
+        assert np.array_equal(cubics._leading_minors(A), det_leading_minors(A))
+        stack = np.stack([np.eye(2), A, 2.0 * np.eye(2)])
+        assert np.array_equal(cubics._leading_minors(stack), [[1.0, 1.0], [0.0, -1.0], [2.0, 4.0]])
+
+    def test_zero_row_later(self):
+        A = np.diag([1.0, -2.0, 0.0, 3.0])
+        A[0, 3] = A[3, 0] = 0.5
+        assert np.array_equal(cubics._leading_minors(A), det_leading_minors(A))
+
+    @pytest.mark.parametrize("cone,coeffs", ZERO_PIVOT_CUBICS)
+    def test_zero_pivot_cubics_kernel_cores(self, cone, coeffs):
+        q = vc.InvariantCubic(cone, coeffs)
+        M, u, _ = kernel_core_forms(q, zero_pivot_points(q))
+        _, R, minors, _ = cubics._restrict(M, u)
+        assert np.any(det_leading_minors(jacobi_scaled(R)) == 0.0)
+        assert_minors_match_oracle(minors, R, 1e-9)
+
+    @pytest.mark.parametrize("cone,coeffs", ZERO_PIVOT_CUBICS)
+    def test_zero_pivot_cubics_dense(self, cone, coeffs):
+        q = vc.InvariantCubic(cone, coeffs)
+        for row in zero_pivot_points(q)[:10]:
+            rep = vc.tangent_restriction(q, vc.HermMatrix(cone.algebra, row, {}))
+            want = det_leading_minors(jacobi_scaled(rep.restricted))
+            assert np.any(want == 0.0)
+            assert np.array_equal(rep.leading_minors, want), row
+
+    def test_ill_conditioned_cells_dense(self):
+        # min_minor ~ 2e-6 from cancellation in the core (see TestDiagonalKernel)
+        for eps in [(-1.5, -1.0), (-0.5, -0.25)]:
+            q = vc.InvariantCubic.rank3_family(rank3_cone(8), *eps)
+            for row in diagonal_points(q)[::40]:
+                rep = vc.tangent_restriction(q, vc.HermMatrix(q.cone.algebra, row, {}))
+                # worst deviation seen: 1.7e-15
+                assert_minors_match_oracle(rep.leading_minors[None], rep.restricted[None], 1e-9)
+
+
+class TestLeadingMinorsOptimized:
+    def test_oracle_under_optimize_and_warnings_as_errors(self):
+        # the oracle class again in a fresh `python -O -W error::RuntimeWarning`:
+        # nothing the minors rely on is an assert, and no warning escapes
+        tests = Path(__file__).resolve().parent
+        env = dict(os.environ, PYTHONPATH=str(tests.parent / "src"))
+        cmd = [sys.executable, "-O", "-W", "error::RuntimeWarning", "-m", "pytest", "-q", "-p", "no:cacheprovider"]
+        out = subprocess.run(
+            cmd + [f"{Path(__file__).resolve()}::TestLeadingMinorsOracle"],
+            cwd=tests.parent, env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert out.returncode == 0, out.stdout + out.stderr
+        assert " passed" in out.stdout and "failed" not in out.stdout
+
+
 class TestDegenerateCubics:
     def test_rank2_pure_x2_cube(self):
         cone = rank2_cone(3)
@@ -422,6 +540,36 @@ class TestDiagonalSweeps:
         rep = vc.admissibility_on_diagonal(q, vc.DiagonalGrid(n=20))
         kinds = {w.kind for w in rep.witnesses}
         assert "constraint" in kinds
+
+    @pytest.mark.parametrize("Grid", [vc.DiagonalGrid, vc.SearchGrid])
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"lo": -1.0},
+            {"hi": np.inf},
+            {"lo": 0.0},
+            {"n": -1},
+            {"n": 0},
+            {"n": True},
+            {"n": 2.5},
+            {"lo": np.nan},
+            {"lo": 2.0, "hi": 1.0},
+        ],
+        ids=["lo-negative", "hi-inf", "lo-zero", "n-negative", "n-zero", "n-bool", "n-float", "lo-nan", "lo-above-hi"],
+    )
+    def test_bad_grid_rejected_when_made(self, Grid, kwargs):
+        # on dim_v = 1, q = d + 0.5 p2 p3 - 0.25 p3^3 used to sweep such grids:
+        # lo = -1 gave a witness outside the cone, hi = inf numpy warnings and
+        # all_pd on one point, lo = 0 and n = -1 numpy's ValueError, n = 0 an
+        # OutsideConeError
+        with pytest.raises(SpecError, match="grid needs"):
+            Grid(**kwargs)
+
+    def test_good_grid_edges_accepted(self):
+        q = vc.InvariantCubic.rank3_family(rank3_cone(1), 0.5, -0.25)
+        rep = vc.admissibility_on_diagonal(q, vc.DiagonalGrid(lo=1, hi=1, n=np.int64(1)))
+        assert rep.checked >= 1
+        assert vc.SearchGrid(lo=0.5, hi=0.5, n=1).n == 1
 
     def test_empty_grid_rejected(self):
         cone = rank2_cone(1)
@@ -641,17 +789,7 @@ class TestDiagonalKernelOracle:
         assert assert_sweeps_match_oracle(q, vc.DiagonalGrid(n=40)) > 0
         assert_kernel_matches_oracle(q, signed_diagonal_points(q, 200, 7))
 
-    @pytest.mark.parametrize(
-        "cone,coeffs",
-        [
-            (rank3_cone(4), (0.0, 1.0, 0.0)),
-            (rank3_cone(4), (0.0, 1.0, 0.5)),
-            (rank3_cone(1), (0.0, 1.0, -0.5)),
-            (rank3_cone(3), (0.0, 0.0, 1.0)),
-            (rank2_cone(4), (1.0, 0.0)),
-            (rank2_cone(3), (1.0, 0.0)),
-        ],
-    )
+    @pytest.mark.parametrize("cone,coeffs", ZERO_PIVOT_CUBICS[:6])
     def test_degenerate_cubics(self, cone, coeffs):
         # zero block signs: a = 0 zeroes the first two rank-3 blocks (all
         # three when b = 0 too), b = 0 the rank-2 block
@@ -667,8 +805,7 @@ class TestDiagonalKernelOracle:
         # a x1 + b x3 = 0 at x1 = x3 when a = -b: the last block's sign is 0
         # after two positive blocks
         q = vc.InvariantCubic(rank3_cone(dim_v), (1.0, -1.0, 0.5))
-        t, s = (m.ravel() for m in np.meshgrid(np.geomspace(0.1, 10.0, 9), np.geomspace(0.1, 10.0, 7)))
-        x = np.stack([t, s, t], axis=1)
+        x = zero_block_points()
         assert np.all(cubics._diagonal_parts(q, x)[3][:, 2] == 0.0)
         assert assert_kernel_matches_oracle(q, x) == len(x)
 
@@ -787,6 +924,73 @@ class TestScan:
     def test_rank2_rejected(self):
         with pytest.raises(SpecError):
             vc.scan_parameter_plane(rank2_cone(1), [0.0], [0.0])
+
+
+def assert_scan_matches_oracle(cone, e1, e2, grid, search) -> list:
+    """scan_parameter_plane against the scan loop built on the sweep's
+    reports: classification and witness bit for bit, min_minor to 1e-10
+    relative; returns the rows."""
+    got = vc.scan_parameter_plane(cone, e1, e2, grid, search)
+    want = reference_scan_parameter_plane(cone, e1, e2, grid, search)
+    assert len(got) == len(want) == len(e1) * len(e2)
+    for a, b in zip(got, want):
+        assert same_bits(
+            (a.eps1, a.eps2, a.classification, a.witness_x2, a.witness_x3),
+            (b.eps1, b.eps2, b.classification, b.witness_x2, b.witness_x3),
+        ), (b.eps1, b.eps2)
+        x, y = a.min_minor, b.min_minor
+        assert x == y or abs(x - y) <= 1e-10 * max(abs(x), abs(y)) or (np.isnan(x) and np.isnan(y)), (b.eps1, b.eps2)
+    return got
+
+
+class TestScanOracle:
+    """The scan reads the sweep's point codes; the oracle builds each cell's
+    DiagonalReport and reads its witnesses."""
+
+    @pytest.mark.parametrize("dim_v,n", [(1, 12), (8, 12), (8, 30)])
+    def test_roadmap_plane(self, dim_v, n):
+        e1, e2 = sorted({e for e, _ in PLANE}), sorted({e for _, e in PLANE})
+        rows = assert_scan_matches_oracle(rank3_cone(dim_v), e1, e2, vc.DiagonalGrid(n=n), vc.SearchGrid(n=n))
+        kinds = {(r.eps2 > 0.0, r.classification) for r in rows}
+        assert {(False, cubics.ADMISSIBLE_ON_SAMPLE), (True, cubics.NOT_ADMISSIBLE)} <= kinds
+
+    @pytest.mark.parametrize("dim_v", [1, 8])
+    def test_local_search_cells(self, dim_v):
+        # eps2 = -100 and -61.8 leave indefinite points at large x3 on the
+        # sweep (ROADMAP item 1), so these cells reach the local search,
+        # which finds a point; on the one-point search grid x2 = x3 = 100 it
+        # finds none and the cell keeps the sweep's first witness
+        cone, grid = rank3_cone(dim_v), vc.DiagonalGrid(n=12)
+        e1, e2 = [-2.0, -0.3529411764705883, 2.0], [-100.0, -61.77538417823236]
+        rows = assert_scan_matches_oracle(cone, e1, e2, grid, vc.SearchGrid(n=12))
+        assert sum(r.classification == cubics.LOCALLY_ADMISSIBLE for r in rows) == 4
+        (row,) = assert_scan_matches_oracle(cone, [2.0], [-100.0], grid, vc.SearchGrid(lo=100.0, hi=100.0, n=1))
+        assert row.classification == cubics.NOT_ADMISSIBLE and row.min_minor < 0.0
+
+    def test_constraint_point_skips_the_local_search(self, monkeypatch):
+        # x1 + eps1 x3 = (1 - eps2 x3^3) / (x2 x3) > 0 on the slice when
+        # eps2 <= 0, so only rounding could put a slope-constraint point on
+        # such a cell; planted on the sweep, it keeps the cell of
+        # test_local_search_cells not admissible, as in the oracle
+        classify = cubics._classify_slice
+
+        def with_constraint_point(q, grid):
+            x, kinds, minors = classify(q, grid)
+            if isinstance(grid, vc.DiagonalGrid):
+                kinds[-1], minors[-1] = cubics._CONSTRAINT, np.nan
+            return x, kinds, minors
+
+        monkeypatch.setattr(cubics, "_classify_slice", with_constraint_point)
+        grid, search = vc.DiagonalGrid(n=12), vc.SearchGrid(n=12)
+        (row,) = assert_scan_matches_oracle(rank3_cone(1), [2.0], [-100.0], grid, search)
+        assert row.classification == cubics.NOT_ADMISSIBLE
+
+    def test_empty_grid_still_raises(self):
+        # eps1 = 1e12 leaves no slice point with x1 > 0 on the grid
+        cone = rank3_cone(1)
+        for scan in (vc.scan_parameter_plane, reference_scan_parameter_plane):
+            with pytest.raises(OutsideConeError, match="empty feasible diagonal grid"):
+                scan(cone, [1e12], [0.0], vc.DiagonalGrid(n=12), vc.SearchGrid(n=12))
 
 
 class TestUnimodularCubicCheck:
