@@ -9,7 +9,8 @@ isometry identity
 
 exactly, because every Gamma_a is a signed permutation, built and checked
 as index tables by the Cayley-Dickson tower (complexes, quaternions,
-octonions) and the period-8 tensor recursion.  For Euclidean V the spinor
+octonions) and the period-8 tensor recursion; every Clifford operation and
+the relation check run on those tables.  For Euclidean V the spinor
 dimension is the minimal one allowed by the Hurwitz-Radon bound; indefinite
 signatures use a doubled spinor space with split metric.
 """
@@ -24,9 +25,10 @@ import numpy as np
 from .errors import CliffordRelationError, DimensionMismatchError, ModuleTooLargeError, SpecError
 
 # Largest dim_v * dim_s**2 that build_clifford_module accepts: the entries of
-# the dense gamma stack (made on demand).  dim_v = 18 (4.7M entries) is the
-# largest Euclidean module under it; dim_v = 19 would hold 20M entries.  The
-# CLI holds the dim_w x dim_w Gram matrix of a rank-2 spec to the same bound.
+# the dense gamma stack that to_json writes, unchanged although a module holds
+# tables.  dim_v = 18 (4.7M entries) is the largest Euclidean module under it;
+# dim_v = 19 would hold 20M entries.  The CLI holds the dim_w x dim_w Gram
+# matrix of a rank-2 spec to the same bound.
 MAX_GAMMA_ENTRIES = 2**23
 
 
@@ -293,11 +295,12 @@ def minimal_spinor_dim(dim_v: int, signature: tuple[int, int] | None = None) -> 
 class CliffordModule:
     """Graded Clifford module data: gamma maps S0 -> S1 plus the metrics.
 
-    Made from the dense (dim_v, dim_s, dim_s) stack ``gammas`` (``gammas[a]``
-    multiplies by the a-th basis vector of V) or, as build_clifford_module
-    does, from (dim_v, dim_s) ``tables`` (perm, sign) with
-    ``Gamma_a e_j = sign[a, j] e_perm[a, j]``; each is derived from the other
-    on first read.
+    A module is its index tables: (dim_v, dim_s) arrays (perm, val) with
+    ``Gamma_a e_j = val[a, j] e_perm[a, j]``, given as ``tables`` (as
+    build_clifford_module does) or read at construction from a dense
+    (dim_v, dim_s, dim_s) stack ``gammas`` (``gammas[a]`` multiplies by the
+    a-th basis vector of V), which raises CliffordRelationError after the
+    shape checks unless every gamma is monomial.
     """
 
     v_space: MetricSpace
@@ -308,20 +311,18 @@ class CliffordModule:
     def __init__(self, v_space, s0_space, s1_space, gammas=None, multiplicity=1, *, tables=None):
         if (gammas is None) == (tables is None):
             raise TypeError("CliffordModule needs either gammas or tables")
-        fields = dict(v_space=v_space, s0_space=s0_space, s1_space=s1_space, multiplicity=multiplicity)
-        self.__dict__.update(fields, _tables=tables)  # past the frozen __setattr__
         if s0_space.dim != s1_space.dim:
             raise DimensionMismatchError("graded module needs dim S0 == dim S1")
         expected = (v_space.dim, s1_space.dim, s0_space.dim)
-        if tables is not None:
-            if tables[0].shape != expected[:2]:
-                raise DimensionMismatchError(f"tables shape {tables[0].shape} != {expected[:2]}")
-            return
-        g = np.asarray(gammas)
-        if g.shape != expected:
-            raise DimensionMismatchError(f"gammas shape {g.shape} != {expected}")
-        g.setflags(write=False)
-        self.__dict__["gammas"] = g
+        if tables is None:
+            g = np.asarray(gammas)
+            if g.shape != expected:
+                raise DimensionMismatchError(f"gammas shape {g.shape} != {expected}")
+            tables = _monomial(g, "gammas must be monomial: one nonzero per row and per column")
+        elif tables[0].shape != expected[:2]:
+            raise DimensionMismatchError(f"tables shape {tables[0].shape} != {expected[:2]}")
+        fields = dict(v_space=v_space, s0_space=s0_space, s1_space=s1_space, multiplicity=multiplicity)
+        self.__dict__.update(fields, _tables=tables)  # past the frozen __setattr__
 
     @property
     def dim_v(self) -> int:
@@ -337,24 +338,21 @@ class CliffordModule:
 
     @cached_property
     def gammas(self) -> np.ndarray:
-        """The read-only dense stack: as given, or an int64 stack scattered
-        from the tables on first read."""
-        perm, val, _, _ = self.monomial_tables
+        """The read-only dense stack, scattered from the tables on first read,
+        in the dtype of their values; no operation reads it."""
+        perm, val = self._tables
         k, d = perm.shape
-        g = np.zeros((k, d, d), dtype=np.int64)
+        g = np.zeros((k, d, d), dtype=val.dtype)
         g[np.arange(k)[:, None], perm, np.arange(d)] = val
         g.setflags(write=False)
         return g
 
     @cached_property
     def monomial_tables(self) -> tuple[np.ndarray, ...]:
-        """Index tables of the gammas, built once: (perm, val, inv, inv_val)
+        """Index tables of the gammas, completed once: (perm, val, inv, inv_val)
         with ``Gamma_a e_j = val[a, j] e_perm[a, j]`` and, row by row,
-        ``e_k^T Gamma_a = inv_val[a, k] e_inv[a, k]^T``; values as floats.
-        Raises :class:`CliffordRelationError` unless every gamma is monomial
-        (one nonzero per row and per column)."""
-        message = "gammas must be monomial: one nonzero per row and per column"
-        perm, val = self._tables or _monomial(self.gammas, message)
+        ``e_k^T Gamma_a = inv_val[a, k] e_inv[a, k]^T``; values as floats."""
+        perm, val = self._tables
         inv, val = np.argsort(perm, axis=1), val.astype(float)
         tables = (perm, val, inv, np.take_along_axis(val, inv, axis=1))
         for t in tables:
@@ -373,6 +371,34 @@ class CliffordModule:
         # monomial may share an entry
         flat = np.bincount((perm * d + np.arange(d)).ravel(), (v[:, None] * val).ravel(), d * d)
         return flat.reshape(d, d)
+
+    # mult, bilinear and mult_adjoint, the unchecked cores of the public
+    # operations and of the NilAlgebra products, gather one factor through the
+    # tables and contract the other in one matmul: O(dim_v dim_s) per point.
+
+    def gamma_images(self, s0) -> np.ndarray:
+        """The (..., dim_v, dim_s) matrix whose row a is Gamma_a s0."""
+        _, _, inv, inv_val = self.monomial_tables
+        return _gather(s0, inv, inv_val)
+
+    def gamma_pairing(self, s1) -> np.ndarray:
+        """The (..., dim_v, dim_s) matrix P with P[a, j] = <s1, Gamma_a e_j>_S1,
+        so that <s1, mu_v(s0)>_S1 = v . P . s0."""
+        perm, val, _, _ = self.monomial_tables
+        return _gather(self.s1_space.lower(s1), perm, val)
+
+    def mult(self, v, s0) -> np.ndarray:
+        """mu_v(s0) in S1."""
+        return _row_times(v, self.gamma_images(s0))
+
+    def bilinear(self, s1, s0) -> np.ndarray:
+        """The w in V with <w, v>_V = <s1, mu_v(s0)>_S1 for all v."""
+        z = self.gamma_pairing(s1) @ np.asarray(s0, dtype=float)[..., None]
+        return self.v_space.raise_(z[..., 0])
+
+    def mult_adjoint(self, v, s1) -> np.ndarray:
+        """The u in S0 with <u, s>_S0 = <s1, mu_v(s)>_S1 for all s."""
+        return self.s0_space.raise_(_row_times(v, self.gamma_pairing(s1)))
 
     def to_json(self) -> dict:
         return {
@@ -402,8 +428,25 @@ class CliffordModule:
         v_space = MetricSpace.canonical(p, q)
         s_gram = _spinor_gram(dim_s, euclidean=(q == 0))
         s_space = MetricSpace.with_gram(s_gram)
-        _check_clifford_relations(*_monomial(gammas, "Clifford relation failed"), v_space.gram, s_gram)
-        return cls(v_space, s_space, s_space, gammas, multiplicity=mult)
+        tables = _monomial(gammas, "Clifford relation failed")
+        _check_clifford_relations(*tables, v_space.gram, s_gram)
+        return cls(v_space, s_space, s_space, multiplicity=mult, tables=tables)
+
+
+def _gather(x, index: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """values[a, j] * x[..., index[a, j]], of shape (..., dim_v, dim_s).  The
+    method ``take`` spares a single point the 2 us of ``np.take``'s wrapper,
+    and the product is taken in place: a stack's gather is large, and a
+    second array that size costs more to allocate than the gather itself."""
+    x = np.asarray(x, dtype=float)
+    out = x.take(index.ravel(), axis=-1).reshape(x.shape[:-1] + index.shape)
+    out *= values
+    return out
+
+
+def _row_times(x, M) -> np.ndarray:
+    """x . M over the last axes: (..., n) times (..., n, k) gives (..., k)."""
+    return (np.asarray(x, dtype=float)[..., None, :] @ M)[..., 0, :]
 
 
 def _spinor_gram(dim_s: int, euclidean: bool) -> np.ndarray:
@@ -456,74 +499,68 @@ def build_clifford_module(dim_v: int, signature: tuple[int, int] | None = None, 
     return CliffordModule(v_space, s_space, s_space, tables=gammas, multiplicity=multiplicity)
 
 
-def _check_clifford_relations(perm, sign, g_v, g_s) -> None:
-    """Exact check of (k, d) gamma tables: Gamma_a^T G_S Gamma_b + (a <-> b)
-    == 2 g_ab G_S.  G_S must be diagonal and every table a signed permutation
-    (perm a permutation, signs +/-1).  Then column j of M_ab = Gamma_a^T G_S Gamma_b
-    has its one nonzero in row R[a, b, j] = perm_a^-1(perm_b(j)), with value
-    V[a, b, j] = sign_b(j) G_S[perm_b(j)] sign_a(R[a, b, j]).  Column j of
-    M_ab + M_ba - 2 g_ab G_S touches rows R[a, b, j], R[b, a, j] and j only,
-    so the relation holds exactly when the column sums to zero at each of
-    those rows.  Row R[b, a, j] of the pair (a, b) is row R of the pair
-    (b, a), so rows R and j over all ordered pairs cover all three; they are
-    compared at once in O(dim_v^2 dim_s).
+def _relation_residual(perm, val, g_v, g_s) -> float:
+    """Largest |entry| of Gamma_a^T G_S Gamma_b + Gamma_b^T G_S Gamma_a - 2 g_ab G_S
+    over all a, b, from (k, d) tables of monomial gammas and a diagonal G_S,
+    in O(dim_v^2 dim_s).  Column j of M_ab = Gamma_a^T G_S Gamma_b has its one
+    nonzero in row R[a, b, j] = perm_a^-1(perm_b(j)), with value
+    V[a, b, j] = val_b(j) G_S[perm_b(j)] val_a(R[a, b, j]), so column j of the
+    residual is zero outside rows R[a, b, j], R[b, a, j] and j, and is the
+    column sum at each.  Rows R and j over all ordered pairs give every
+    entry.  On integer tables and metrics the entries are exact, those of the
+    dense products; on +/-1 metrics a zero residual forces |val| = 1 (the
+    a = b columns), so it is zero exactly when the relation holds.
     """
-    gs = np.asarray(g_s, dtype=np.int64)
-    gv = np.asarray(np.round(g_v), dtype=np.int64)
-    gs_diag = np.diag(gs)
-    if not np.array_equal(gs, np.diag(gs_diag)):
+    g_s = np.asarray(g_s, dtype=float)
+    gs = np.diag(g_s)
+    if not np.array_equal(g_s, np.diag(gs)):
         raise CliffordRelationError("spinor metric must be diagonal")
     n, d = perm.shape
     j = np.arange(d)
-    if not (np.all(np.abs(sign) == 1) and np.all(np.sort(perm, axis=1) == j)):
-        raise CliffordRelationError("Clifford relation failed")
     rows = np.arange(n)[:, None, None]
     R = np.argsort(perm, axis=1)[rows, perm[None]]
-    V = (sign * gs_diag[perm])[None] * sign[rows, R]
+    V = (val * gs[perm])[None] * val[rows, R]
     Rt, Vt = R.swapaxes(0, 1), V.swapaxes(0, 1)
-    target = 2 * gv[:, :, None] * gs_diag
+    target = 2.0 * np.asarray(g_v, dtype=float)[:, :, None] * gs
+    return float(max(np.max(np.abs(V * (R == row) + Vt * (Rt == row) - target * (j == row))) for row in (R, j)))
 
-    def column_sum_at(row):
-        return V * (R == row) + Vt * (Rt == row) - target * (j == row)
 
-    for row in (R, j):
-        if np.any(column_sum_at(row)):
-            raise CliffordRelationError("Clifford relation failed")
+def _check_clifford_relations(perm, val, g_v, g_s) -> None:
+    """Raise :class:`CliffordRelationError` unless the tables satisfy the
+    Clifford relation exactly (a zero :func:`_relation_residual`)."""
+    if _relation_residual(perm, val, g_v, g_s):
+        raise CliffordRelationError("Clifford relation failed")
 
 
 # ---------------------------------------------------------------------------
-# Operations
+# Operations: the dimension checks around the module's cores
 # ---------------------------------------------------------------------------
+
+
+def _check_last_axes(name: str, x, n: int, y, m: int) -> None:
+    if np.shape(x)[-1:] != (n,) or np.shape(y)[-1:] != (m,):
+        raise DimensionMismatchError(f"{name}: dimension mismatch")
 
 
 def clifford_mult(module: CliffordModule, v, s0) -> np.ndarray:
     """mu_v(s0) = sum_a v^a Gamma_a s0, an element of S1 (leading axes broadcast)."""
-    v = np.asarray(v, dtype=float)
-    s0 = np.asarray(s0, dtype=float)
-    if v.shape[-1:] != (module.dim_v,) or s0.shape[-1:] != (module.dim_s,):
-        raise DimensionMismatchError("clifford_mult: dimension mismatch")
-    return np.einsum("...a,aij,...j->...i", v, module.gammas, s0)
+    _check_last_axes("clifford_mult", v, module.dim_v, s0, module.dim_s)
+    return module.mult(v, s0)
 
 
 def clifford_bilinear(module: CliffordModule, s1, s0) -> np.ndarray:
-    """The unique w in V with <w, v>_V = <s1, mu_v(s0)>_S1 for all v."""
-    s1 = np.asarray(s1, dtype=float)
-    s0 = np.asarray(s0, dtype=float)
-    if s1.shape[-1:] != (module.dim_s,) or s0.shape[-1:] != (module.dim_s,):
-        raise DimensionMismatchError("clifford_bilinear: dimension mismatch")
-    z = np.einsum("...k,aki,...i->...a", module.s1_space.lower(s1), module.gammas, s0)
-    return module.v_space.raise_(z)
+    """The unique w in V with <w, v>_V = <s1, mu_v(s0)>_S1 for all v
+    (leading axes broadcast)."""
+    _check_last_axes("clifford_bilinear", s1, module.dim_s, s0, module.dim_s)
+    return module.bilinear(s1, s0)
 
 
 def clifford_mult_adjoint(module: CliffordModule, v, s1) -> np.ndarray:
     """Metric adjoint mu_v^# applied to s1: the S0 element with
-    <mu_v^#(s1), u>_S0 = <s1, mu_v(u)>_S1 for all u in S0."""
-    v = np.asarray(v, dtype=float)
-    s1 = np.asarray(s1, dtype=float)
-    if v.shape != (module.dim_v,) or s1.shape != (module.dim_s,):
-        raise DimensionMismatchError("clifford_mult_adjoint: dimension mismatch")
-    z = module.mu(v).T @ module.s1_space.lower(s1)
-    return module.s0_space.raise_(z)
+    <mu_v^#(s1), u>_S0 = <s1, mu_v(u)>_S1 for all u in S0 (leading axes
+    broadcast)."""
+    _check_last_axes("clifford_mult_adjoint", v, module.dim_v, s1, module.dim_s)
+    return module.mult_adjoint(v, s1)
 
 
 def verify_isometry(module: CliffordModule, n_samples: int = 1000, seed: int = 0) -> float:
@@ -533,8 +570,6 @@ def verify_isometry(module: CliffordModule, n_samples: int = 1000, seed: int = 0
     rng = np.random.default_rng(seed)
     v = rng.uniform(-1.0, 1.0, (n_samples, module.dim_v))
     s = rng.uniform(-1.0, 1.0, (n_samples, module.dim_s))
-    # mu_v(s) for all samples; contracting s first never holds an
-    # (n_samples, dim_s, dim_s) intermediate
-    out = np.einsum("na,aij,nj->ni", v, module.gammas, s, optimize=["einsum_path", (1, 2), (0, 1)])
+    out = module.mult(v, s)
     dev = module.s1_space.norm_sq(out) - module.v_space.norm_sq(v) * module.s0_space.norm_sq(s)
     return float(np.max(np.abs(dev)))

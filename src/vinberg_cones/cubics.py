@@ -126,7 +126,7 @@ def gradient(q: InvariantCubic, X: HermMatrix) -> np.ndarray:
     S0, S1, SV = (alg.spaces[k] for k in ((1, 2), (1, 3), (2, 3)))
     g0s0, g1s1, gvv = S0.lower(s0), S1.lower(s1), SV.lower(v)
     n0, n1, nv = s0 @ g0s0, s1 @ g1s1, v @ gvv
-    pair = alg.gamma_pairing(s1)  # <s0 . v, s1> = v . pair . s0
+    pair = alg.clifford.gamma_pairing(s1)  # <s0 . v, s1> = v . pair . s0
     g[0] = a * (x2 * x3 - nv)
     g[1] = a * (x1 * x3 - n1) + b * x3**2
     g[2] = a * (x1 * x2 - n0) + 2.0 * b * x2 * x3 - b * nv + 3.0 * c * x3**2
@@ -177,10 +177,10 @@ def cubic_hessian(q: InvariantCubic, X: HermMatrix) -> np.ndarray:
     blk_01 = 2.0 * a * S1.lower(alg.clifford.mu(v).T)  # d(s0) d(s1)
     H[s0sl, s1sl] = blk_01
     H[s1sl, s0sl] = blk_01.T
-    blk_0v = 2.0 * a * alg.gamma_pairing(s1).T  # d(s0) d(v)
+    blk_0v = 2.0 * a * alg.clifford.gamma_pairing(s1).T  # d(s0) d(v)
     H[s0sl, vsl] = blk_0v
     H[vsl, s0sl] = blk_0v.T
-    blk_1v = 2.0 * a * S1.lower(alg.gamma_images(s0)).T  # d(s1) d(v)
+    blk_1v = 2.0 * a * S1.lower(alg.clifford.gamma_images(s0)).T  # d(s1) d(v)
     H[s1sl, vsl] = blk_1v
     H[vsl, s1sl] = blk_1v.T
     return H

@@ -7,9 +7,9 @@ bilinear isometric product N_12 x N_23 -> N_13.  Triangular elements (the
 solvable group when the diagonal is positive) and Hermitian matrices are
 coordinate containers over a fixed algebra, each one flat vector in the
 algebra's layout (see README, Coordinates); all products needed downstream
-are expressed through the product and its two metric adjoints, gathers over
-the module's monomial gammas, so the same code runs on an algebra and on its
-anti-transposed dual.
+are expressed through the product and its two metric adjoints, the Clifford
+module's gathers over its monomial gammas, so the same code runs on an
+algebra and on its anti-transposed dual.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .clifford import CliffordModule, MetricSpace
+from .clifford import CliffordModule, MetricSpace, _row_times
 from .errors import AlgebraMismatchError, DimensionMismatchError, SpecError
 
 Key = tuple[int, int]
@@ -69,7 +69,6 @@ class NilAlgebra:
         s, v = self.clifford.dim_s, self.clifford.dim_v
         if dims != ((s, s, v) if self._special else (v, s, s)):
             raise DimensionMismatchError(f"block dimensions {dims} do not fit the Clifford module")
-        self._tables()  # built once; rejects gammas that are not monomial
 
     # -- structure ---------------------------------------------------------
 
@@ -160,55 +159,39 @@ class NilAlgebra:
     # -- products ----------------------------------------------------------
     # Rank 3 only, on block vectors or stacks of them.  The product is
     # (s0, v) -> mu_v(s0) with (s0, v) in (N_12, N_23), or in (N_23, N_12)
-    # for the dual.  Every Gamma_a is monomial, so each product gathers one
-    # factor through the module's index tables into a (..., dim_v, dim_s)
-    # matrix and contracts the other against it in one matmul: O(dim_v dim_s).
+    # for the dual; it and its two metric adjoints are the Clifford module's
+    # gathers (CliffordModule.mult, mult_adjoint and bilinear).
 
     @property
     def _special(self) -> bool:
         return self.kind == "rank3-special"
 
-    def _tables(self) -> tuple[np.ndarray, ...]:
+    def _module(self) -> CliffordModule:
         if self.rank != 3:
             raise SpecError("rank-2 algebra has no composable product")
-        return self.clifford.monomial_tables
-
-    def gamma_images(self, s0) -> np.ndarray:
-        """The (..., dim_v, dim_s) matrix whose row a is Gamma_a s0."""
-        _, _, inv, inv_val = self._tables()
-        return _gather(s0, inv, inv_val)
-
-    def gamma_pairing(self, x13) -> np.ndarray:
-        """The (..., dim_v, dim_s) matrix P with P[a, j] = <x13, Gamma_a e_j>_13,
-        so that <x13, mu_v(s0)>_13 = v . P . s0."""
-        perm, val, _, _ = self._tables()
-        return _gather(self.spaces[(1, 3)].lower(x13), perm, val)
+        return self.clifford
 
     def trilinear(self, x12, x13, x23):
-        """<x12 . x23, x13>_13 as v . P . s0, with P = gamma_pairing(x13) and
-        (s0, v) the factors of the product: one gather, no adjoint."""
+        """<x12 . x23, x13>_13 as v . P . s0, with P the module's
+        gamma_pairing(x13) and (s0, v) the factors of the product: one
+        gather, no adjoint."""
         s0, v = (x12, x23) if self._special else (x23, x12)
-        return (_row_times(v, self.gamma_pairing(x13)) * s0).sum(-1)
+        return (_row_times(v, self._module().gamma_pairing(x13)) * s0).sum(-1)
 
     def mult(self, x12, x23) -> np.ndarray:
         """The algebra product N_12 x N_23 -> N_13."""
         s0, v = (x12, x23) if self._special else (x23, x12)
-        return _row_times(v, self.gamma_images(s0))
-
-    def _adjoint(self, x13, x, x_is_v: bool, key: Key) -> np.ndarray:
-        """The out in N_key with <out, u>_key = <x13, product of u and x>_13
-        for all u; x is the factor in V when x_is_v, else the one in S0."""
-        P = self.gamma_pairing(x13)
-        z = _row_times(x, P) if x_is_v else (P @ np.asarray(x, dtype=float)[..., None])[..., 0]
-        return self.spaces[key].raise_(z)
+        return self._module().mult(v, s0)
 
     def mult_flat_right(self, x13, x23) -> np.ndarray:
         """x13 . x23^flat in N_12: <out, u>_12 = <x13, u . x23>_13 for all u."""
-        return self._adjoint(x13, x23, self._special, (1, 2))
+        module = self._module()
+        return module.mult_adjoint(x23, x13) if self._special else module.bilinear(x13, x23)
 
     def mult_flat_left(self, x12, x13) -> np.ndarray:
         """x12^flat . x13 in N_23: <out, y>_23 = <x13, x12 . y>_13 for all y."""
-        return self._adjoint(x13, x12, not self._special, (2, 3))
+        module = self._module()
+        return module.bilinear(x13, x12) if self._special else module.mult_adjoint(x12, x13)
 
     def to_json(self) -> dict:
         out = {
@@ -224,22 +207,6 @@ class NilAlgebra:
         return out
 
 
-def _gather(x, index: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """values[a, j] * x[..., index[a, j]], of shape (..., dim_v, dim_s).  The
-    method ``take`` spares a single point the 2 us of ``np.take``'s wrapper,
-    and the product is taken in place: a stack's gather is large, and a
-    second array that size costs more to allocate than the gather itself."""
-    x = np.asarray(x, dtype=float)
-    out = x.take(index.ravel(), axis=-1).reshape(x.shape[:-1] + index.shape)
-    out *= values
-    return out
-
-
-def _row_times(x, M) -> np.ndarray:
-    """x . M over the last axes: (..., n) times (..., n, k) gives (..., k)."""
-    return (np.asarray(x, dtype=float)[..., None, :] @ M)[..., 0, :]
-
-
 def rank2_algebra(w_space: MetricSpace) -> NilAlgebra:
     """Rank-2 Nil-algebra with single entry space W at slot (1, 2)."""
     return NilAlgebra(2, {(1, 2): w_space}, kind="rank2")
@@ -247,8 +214,7 @@ def rank2_algebra(w_space: MetricSpace) -> NilAlgebra:
 
 def rank3_special(module: CliffordModule) -> NilAlgebra:
     """Rank-3 special Nil-algebra: (1,2) = S0, (1,3) = S1, (2,3) = V,
-    product (s0, v) -> mu_v(s0).  Raises CliffordRelationError unless every
-    gamma is monomial."""
+    product (s0, v) -> mu_v(s0)."""
     spaces = {(1, 2): module.s0_space, (1, 3): module.s1_space, (2, 3): module.v_space}
     return NilAlgebra(3, spaces, clifford=module, kind="rank3-special")
 

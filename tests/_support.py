@@ -4,8 +4,9 @@ The oracles here deliberately avoid the library's own computation paths:
 finite differences for Hessians (``cubics.fd_hessian_log``, shared with the
 self-test, which only evaluates q), explicit closed forms at diagonal
 points, the Hurwitz-Radon bound for spinor dimensions, the dense generator
-recursion for the table-built Clifford modules, the eigvalsh/inv route for
-diagonal metrics, the dense product tensor for the gathered algebra
+recursion for the table-built Clifford modules, the dense polarized loop
+for the relation residual that ``clifford`` reads off the tables, the
+eigvalsh/inv route for diagonal metrics, the dense product tensor for the gathered algebra
 products, dense Gram products for the diagonal metric weights, dense 3x3
 determinants for the self-adjoint instance, the diagonal kernel's tail
 formed entry by entry for the tail that ``cubics`` reads off per-block
@@ -138,6 +139,20 @@ def dense_check_clifford_relations(gammas, g_v, g_s) -> None:
             lhs = gam[a].T @ gsf @ gam[b] + gam[b].T @ gsf @ gam[a]
             if not np.array_equal(lhs, 2 * gv[a, b] * gsf):
                 raise vc.CliffordRelationError("Clifford relation failed")
+
+
+def dense_polarized_residual(module) -> float:
+    """Dense oracle for clifford._relation_residual on a module: the largest
+    |entry| of Gamma_a^T G_S1 Gamma_b + Gamma_b^T G_S1 Gamma_a - 2 g_ab G_S0
+    over all pairs, by full matrix products of the dense gammas."""
+    largest = 0.0
+    g0, g1, gv = module.s0_space.gram, module.s1_space.gram, module.v_space.gram
+    gam = np.asarray(module.gammas, dtype=float)
+    for a in range(module.dim_v):
+        for b in range(module.dim_v):
+            lhs = gam[a].T @ g1 @ gam[b] + gam[b].T @ g1 @ gam[a]
+            largest = max(largest, float(np.max(np.abs(lhs - 2.0 * gv[a, b] * g0))))
+    return largest
 
 
 def dense_check_j_family(fam) -> None:
@@ -375,7 +390,7 @@ def dense_cubic_derivatives(q, X, tensor: bool = True) -> tuple[np.ndarray, np.n
     else:
         pair = dense_gamma_pairing(alg, s1)
         d_s0, d_s1, d_v = v @ pair, alg.mult(s0, v), pair @ s0
-        mu, pair_t, images = dense_mu(alg.clifford, v), pair.T, alg.gamma_images(s0).T
+        mu, pair_t, images = dense_mu(alg.clifford, v), pair.T, alg.clifford.gamma_images(s0).T
     n0, n1, nv = s0 @ (G0 @ s0), s1 @ (G1 @ s1), v @ (GV @ v)
     g[0] = a * (x2 * x3 - nv)
     g[1] = a * (x1 * x3 - n1) + b * x3**2

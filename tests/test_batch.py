@@ -139,6 +139,7 @@ def test_clifford_products_take_stacks(dim_v):
     s0, s1 = rng.uniform(-1.0, 1.0, (2, dim_v, module.dim_s))
     assert_stack_matches(lambda a: vc.clifford_mult(module, *a), (v, s0), list(zip(v, s0)))
     assert_stack_matches(lambda a: vc.clifford_bilinear(module, *a), (s1, s0), list(zip(s1, s0)))
+    assert_stack_matches(lambda a: vc.clifford_mult_adjoint(module, *a), (v, s1), list(zip(v, s1)))
 
 
 class TestSinglePointTypes:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import vinberg_cones as vc
-from vinberg_cones import clifford
+from vinberg_cones import cli, clifford
 from vinberg_cones.clifford import CliffordModule, MetricSpace
 from vinberg_cones.errors import (
     CliffordRelationError,
@@ -31,6 +31,7 @@ from _support import (
     dense_metric_fields,
     dense_module_stack,
     dense_mu,
+    dense_polarized_residual,
     hurwitz_radon,
     min_dim_by_radon,
     rank3_cone,
@@ -286,7 +287,7 @@ class TestInvariants:
         code = """
 import sys
 import numpy as np
-from vinberg_cones import clifford
+from vinberg_cones import cli, clifford
 from vinberg_cones.errors import CliffordRelationError
 perm, sign = (np.array(t) for t in clifford._cl_neg_generators(3))
 flipped = sign.copy()
@@ -372,10 +373,11 @@ print("optimize", sys.flags.optimize)
 
     @pytest.mark.parametrize("dim_v, signature", [(3, None), (8, None), (3, (2, 1))])
     def test_verify_isometry_matches_per_sample_definition(self, dim_v, signature):
-        # a corrupted module, so that the worst deviation is of order one
+        # a corrupted module, so that the worst deviation is of order one:
+        # one nonzero entry doubled keeps the gammas monomial
         mod = vc.build_clifford_module(dim_v, signature)
         gam = np.array(mod.gammas)
-        gam[-1, 0, 0] += 1
+        gam[-1, np.flatnonzero(gam[-1, :, 0])[0], 0] *= 2
         bad = CliffordModule(mod.v_space, mod.s0_space, mod.s1_space, gam)
         rng = np.random.default_rng(11)
         v = rng.uniform(-1.0, 1.0, (50, bad.dim_v))
@@ -435,6 +437,18 @@ class TestExactChecksAgainstDenseOracle:
             assert want is None
         elif kind in ("bump", "duplicate") and case[0] > 1:
             assert want is CliffordRelationError
+
+    @pytest.mark.parametrize("case", _MODULE_CASES, ids=str)
+    def test_relation_residual(self, case):
+        # the self-test's residual from the tables, bit for bit the dense
+        # polarized loop's, on the module and on its --corrupt-gamma copy
+        mod = _module(*case)
+        for module in (mod, cli._corrupt_gamma(mod)):
+            perm, val = module.monomial_tables[:2]
+            got = clifford._relation_residual(perm, val, module.v_space.gram, module.s1_space.gram)
+            want = dense_polarized_residual(module)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+            assert (got == 0.0) is (module is mod)
 
     @pytest.mark.parametrize("second", ["identity", "complex-structure"])
     def test_relations_with_off_diagonal_metric(self, second):
@@ -613,15 +627,33 @@ class TestTableBuild:
         vc.dual_membership(cone, Y)
         vc.herm_pairing(X, Y)
         vc.triangular_product(A, B)
+        rng = np.random.default_rng(1)
+        v, s0, s1 = rng.uniform(-1, 1, (3, mod.dim_v)), *rng.uniform(-1, 1, (2, 3, mod.dim_s))
+        vc.clifford_mult(mod, v, s0)
+        vc.clifford_bilinear(mod, s1, s0)
+        vc.clifford_mult_adjoint(mod, v, s1)
+        vc.verify_isometry(mod, 10)
         assert "gammas" not in vars(mod)
         assert mod.gammas.shape == (16, 128, 128) and not mod.gammas.flags.writeable
         assert "gammas" in vars(mod)
 
+    def test_self_test_never_materializes_the_dense_stack(self):
+        mod = vc.build_clifford_module(4)
+        residuals = list(cli._invariant_suite(vc.cone_from_algebra(vc.rank3_special(mod)), mod, 0))
+        assert [name for name, _, _ in residuals[:3]] == [
+            "clifford-isometry", "clifford-polarized-relation", "clifford-adjunction",
+        ]
+        assert "gammas" not in vars(mod)
+
     def test_dense_gammas_are_kept_as_given(self):
+        # read into tables at construction and scattered back, on first read,
+        # in the dtype they came in
         gam = np.array(vc.build_clifford_module(2).gammas, dtype=np.int32)
         space = MetricSpace.euclidean(2)
         mod = CliffordModule(space, space, space, gam)
+        assert "gammas" not in vars(mod)
         assert mod.gammas.dtype == np.int32 and not mod.gammas.flags.writeable
+        np.testing.assert_array_equal(mod.gammas, gam)
         np.testing.assert_array_equal(mod.monomial_tables[0], vc.build_clifford_module(2).monomial_tables[0])
 
     def test_needs_exactly_one_of_gammas_and_tables(self):

@@ -93,8 +93,8 @@ class TestAgainstDenseGrams:
     def test_gamma_pairing(self, make, dense):
         alg = vc.rank3_special(make())
         x13 = np.random.default_rng(2).uniform(-1, 1, (5, alg.dim((1, 3))))
-        _equal(alg.gamma_pairing(x13), dense_gamma_pairing(alg, x13), dense)
-        _equal(alg.gamma_pairing(x13[0]), dense_gamma_pairing(alg, x13[0]), dense)
+        _equal(alg.clifford.gamma_pairing(x13), dense_gamma_pairing(alg, x13), dense)
+        _equal(alg.clifford.gamma_pairing(x13[0]), dense_gamma_pairing(alg, x13[0]), dense)
 
     @pytest.mark.parametrize("dual", [False, True], ids=["special", "dual"])
     @pytest.mark.parametrize("make,dense", _module_cases())
@@ -109,17 +109,29 @@ class TestAgainstDenseGrams:
 
     @pytest.mark.parametrize("make,dense", _module_cases())
     def test_clifford_bilinear(self, make, dense):
+        # the gathered oracle with dense Grams (the algebra's mult_flat_left),
+        # and the einsum over the dense gammas at the non-diagonal bound
         module = make()
+        alg = vc.rank3_special(module)
         s1, s0 = np.random.default_rng(4).uniform(-1, 1, (2, 5, module.dim_s))
-        _equal(vc.clifford_bilinear(module, s1, s0), dense_clifford_bilinear(module, s1, s0), dense)
-        _equal(vc.clifford_bilinear(module, s1[0], s0[0]), dense_clifford_bilinear(module, s1[0], s0[0]), dense)
+        for sl in (slice(None), 0):  # a stack and one point
+            got = vc.clifford_bilinear(module, s1[sl], s0[sl])
+            _equal(got, dense_flat_product(alg, s1[sl], s0[sl], (2, 3)), dense)
+            assert rel_to_scale(got, dense_clifford_bilinear(module, s1[sl], s0[sl])) <= 1e-12
 
     @pytest.mark.parametrize("make,dense", _module_cases())
     def test_clifford_mult_adjoint(self, make, dense):
+        # the gathered oracle with dense Grams (the algebra's mult_flat_right),
+        # and mu_v^T over the dense gammas at the non-diagonal bound
         module = make()
+        alg = vc.rank3_special(module)
         rng = np.random.default_rng(5)
-        v, s1 = rng.uniform(-1, 1, module.dim_v), rng.uniform(-1, 1, module.dim_s)
-        _equal(vc.clifford_mult_adjoint(module, v, s1), dense_clifford_mult_adjoint(module, v, s1), dense)
+        v, s1 = rng.uniform(-1, 1, (5, module.dim_v)), rng.uniform(-1, 1, (5, module.dim_s))
+        _equal(vc.clifford_mult_adjoint(module, v, s1), dense_flat_product(alg, s1, v, (1, 2)), dense)
+        for vi, s1i in zip(v, s1):
+            got = vc.clifford_mult_adjoint(module, vi, s1i)
+            _equal(got, dense_flat_product(alg, s1i, vi, (1, 2)), dense)
+            assert rel_to_scale(got, dense_clifford_mult_adjoint(module, vi, s1i)) <= 1e-12
 
     @pytest.mark.parametrize("make,dense", _module_cases())
     def test_rank3_cubic_derivatives(self, make, dense):

@@ -144,8 +144,9 @@ class TestGathersAgainstDenseTensor:
 
 
 class TestMonomialGammas:
-    """rank3_special multiplies through index tables, which exist only for
-    monomial gammas (one nonzero per row and per column)."""
+    """A module is its index tables, which exist only for monomial gammas
+    (one nonzero per row and per column): the constructor reads a dense
+    stack into them or rejects it."""
 
     def module_with(self, gamma_1):
         mod = vc.build_clifford_module(2)
@@ -157,9 +158,8 @@ class TestMonomialGammas:
         ids=["dense", "empty-column", "empty-row"],
     )
     def test_non_monomial_stack_rejected(self, gamma_1):
-        module = self.module_with(np.array(gamma_1))
         with pytest.raises(CliffordRelationError, match="monomial"):
-            vc.rank3_special(module)
+            self.module_with(np.array(gamma_1))
 
     def test_scaled_entry_is_monomial(self):
         # the self-test's --corrupt-gamma module: one entry bumped to 2
