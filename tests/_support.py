@@ -6,13 +6,14 @@ self-test, which only evaluates q), explicit closed forms at diagonal
 points, the Hurwitz-Radon bound for spinor dimensions, the dense generator
 recursion for the table-built Clifford modules, the dense polarized loop
 for the relation residual that ``clifford`` reads off the tables, the
-eigvalsh/inv route for diagonal metrics, the dense product tensor for the gathered algebra
-products, dense Gram products for the diagonal metric weights, dense 3x3
-determinants for the self-adjoint instance, the diagonal kernel's tail
-formed entry by entry for the tail that ``cubics`` reads off per-block
-extremes, one determinant per leading minor for the minors that
-``cubics`` takes from the pivots of one elimination, and the scan loop
-built on the sweep's reports for the scan that reads the point codes.
+eigvalsh/inv route for diagonal metrics, the dense product tensor for the
+gathered algebra products, dense Gram products for the diagonal metric
+weights, dense 3x3 determinants for the self-adjoint instance, the
+diagonal kernel's tail formed entry by entry for the tail that ``cubics``
+reads off per-block extremes, one determinant per leading minor for the
+minors that ``cubics`` takes from the pivots of one elimination, and the
+scan loop built on the sweep's reports for the scan that reads the point
+codes.
 """
 
 import math

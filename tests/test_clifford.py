@@ -287,7 +287,7 @@ class TestInvariants:
         code = """
 import sys
 import numpy as np
-from vinberg_cones import cli, clifford
+from vinberg_cones import clifford
 from vinberg_cones.errors import CliffordRelationError
 perm, sign = (np.array(t) for t in clifford._cl_neg_generators(3))
 flipped = sign.copy()
