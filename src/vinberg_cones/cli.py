@@ -215,10 +215,10 @@ _EVAL_OPS = ("p", "d", "dprime", "chi", "membership", "decompose")
 
 
 def cmd_eval(args) -> int:
-    cone, _, _ = parse_spec(_load_json(args.spec))
-    if args.op not in _EVAL_OPS:
+    if args.op not in _EVAL_OPS:  # before the cone, whose build may be large
         print(f"unknown op {args.op!r}; choose from {_EVAL_OPS}", file=sys.stderr)
         return EXIT_USAGE
+    cone, _, _ = parse_spec(_load_json(args.spec))
     X = herm_from_json(cone.algebra, _load_json(args.point))
     result: dict = {"op": args.op}
     if args.op == "p":

@@ -57,7 +57,10 @@ class InvariantCubic:
         want = 2 if self.cone.rank == 2 else 3
         if len(self.coeffs) != want:
             raise SpecError(f"rank-{self.cone.rank} cubic needs {want} coefficients")
-        object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
+        coeffs = tuple(float(c) for c in self.coeffs)
+        if not all(map(math.isfinite, coeffs)):
+            raise SpecError(f"cubic coefficients must be finite, got {coeffs}")
+        object.__setattr__(self, "coeffs", coeffs)
 
     @classmethod
     def rank2_family(cls, cone: ConeDescriptor, eps: float) -> "InvariantCubic":
@@ -374,6 +377,12 @@ class _LogSpaced:
         """The spacing once per row, a row of x3 values for each x2."""
         return _read_only(np.tile(self._xs, (self.n, 1)))
 
+    @cached_property
+    def _square(self) -> tuple[np.ndarray, ...]:
+        """The sampler's (x2, x3, x3^2, x3^3) on these rows alone, which is
+        all a rank-3 slice takes from the grid unless probes join the rows."""
+        return tuple(map(_read_only, _row_points(self._xs, self._rows, isinstance(self, DiagonalGrid))))
+
 
 # Rank-3 sweeps with a, c > 0 also probe each x2 row just inside its
 # feasibility boundary in x3 (at these relative offsets below it) and at 8
@@ -436,6 +445,18 @@ def _boundary_probes(q: InvariantCubic, x2: np.ndarray) -> np.ndarray:
     return np.where(t > 0.0, t * (1.0 - np.array(BOUNDARY_OFFSETS)), np.inf)
 
 
+def _row_points(xs: np.ndarray, x3: np.ndarray, sweep: bool) -> tuple[np.ndarray, ...]:
+    """(x2, x3, x3^2, x3^3) at the finite x3 of each row, x2 = xs[row], row by
+    row; a sweep takes each row's x3 sorted, without duplicates and none above
+    PROBE_MAX (so the order they come in does not matter)."""
+    if sweep:
+        x3 = np.sort(np.where(x3 <= PROBE_MAX, x3, np.inf), axis=1)
+        x3[:, 1:][x3[:, 1:] == x3[:, :-1]] = np.inf
+    kept = np.isfinite(x3)
+    x3 = x3[kept]
+    return np.broadcast_to(xs[:, None], kept.shape)[kept], x3, np.float_power(x3, 2), np.float_power(x3, 3)
+
+
 def _slice_points(q: InvariantCubic, grid: DiagonalGrid | SearchGrid) -> np.ndarray:
     """Diagonal points of {q = 1} as an (N, rank) array.
 
@@ -470,18 +491,12 @@ def _slice_points(q: InvariantCubic, grid: DiagonalGrid | SearchGrid) -> np.ndar
             return np.stack([u, v, np.full_like(u, (1.0 / c) ** (1.0 / 3.0))], axis=1)
         x2 = (1.0 - c * pw(u, 3)) / (b * pw(u, 2))
         return np.stack([v, x2, u], axis=1)[x2 > 0.0]
-    # one row of x3 values per x2 (sorted, so the order they come in does
-    # not matter); inf marks no value
-    x3 = grid._rows
-    if isinstance(grid, DiagonalGrid):
-        if a > 0.0 and c > 0.0:
-            x3 = np.hstack([grid._probed_rows, _boundary_probes(q, xs)])
-        x3 = np.sort(np.where(x3 <= PROBE_MAX, x3, np.inf), axis=1)
-        x3[:, 1:][x3[:, 1:] == x3[:, :-1]] = np.inf
-    kept = np.isfinite(x3)
-    x2 = np.broadcast_to(xs[:, None], x3.shape)[kept]
-    x3 = x3[kept]
-    x1 = (1.0 - b * x2 * pw(x3, 2) - c * pw(x3, 3)) / (a * x2 * x3)
+    # one row of x3 values per x2; inf marks no value
+    if isinstance(grid, DiagonalGrid) and a > 0.0 and c > 0.0:
+        x2, x3, x3sq, x3cu = _row_points(xs, np.hstack([grid._probed_rows, _boundary_probes(q, xs)]), True)
+    else:
+        x2, x3, x3sq, x3cu = grid._square
+    x1 = (1.0 - b * x2 * x3sq - c * x3cu) / (a * x2 * x3)
     return np.stack([x1, x2, x3], axis=1)[x1 > 0.0]
 
 
@@ -525,36 +540,56 @@ def _constraint_violated(q: InvariantCubic, x: np.ndarray) -> np.ndarray:
 # bit, as the signs are exact.
 
 
+def _diagonal_q(q: InvariantCubic, x: np.ndarray) -> np.ndarray:
+    """q at the rows of x, grouped as eval_cubic groups it."""
+    pw = np.float_power
+    if x.shape[1] == 2:
+        a, b = q.coeffs
+        x1, x2 = x.T
+        return a * pw(x2, 3) + b * x2 * (x1 * x2)
+    a, b, c = q.coeffs
+    x1, x2, x3 = x.T
+    return a * (x1 * x2 * x3) + b * ((x3 * x2) * x3) + c * pw(x3, 3)
+
+
+def _diagonal_derivatives(q: InvariantCubic, x: np.ndarray):
+    """The entries of q's gradient and the upper entries {(i, j): ...} of its
+    Hessian in the diagonal coordinates, each an (N,) array over the rows of
+    x; the Hessian's other upper entries are 0."""
+    pw = np.float_power
+    if x.shape[1] == 2:
+        a, b = q.coeffs
+        x1, x2 = x.T
+        x2sq = pw(x2, 2)
+        g = (b * x2sq, 3.0 * a * x2sq + 2.0 * b * x1 * x2)
+        return g, {(0, 1): 2.0 * b * x2, (1, 1): 6.0 * a * x2 + 2.0 * b * x1}
+    a, b, c = q.coeffs
+    x1, x2, x3 = x.T
+    x3sq = pw(x3, 2)
+    g = (a * (x2 * x3), a * (x1 * x3) + b * x3sq, a * (x1 * x2) + 2.0 * b * x2 * x3 + 3.0 * c * x3sq)
+    H = {(0, 1): a * x3, (0, 2): a * x2, (1, 2): a * x1 + 2.0 * b * x3, (2, 2): 2.0 * b * x2 + 6.0 * c * x3}
+    return g, H
+
+
 def _diagonal_parts(q: InvariantCubic, x: np.ndarray):
     """q, its gradient and Hessian in the diagonal coordinates, and the
     scalar of -Hess(log q) on each off-diagonal block, at the rows of x.
     Raises where q = 0, before the block scalars divide by it."""
-    pw = np.float_power
     n, r = x.shape
     g = np.empty((n, r))
     H = np.zeros((n, r, r))
     blocks = np.empty((n, len(q.cone.algebra.offdiag_keys)))
+    qx = _diagonal_q(q, x)
+    gs, hs = _diagonal_derivatives(q, x)
+    for k, gk in enumerate(gs):
+        g[:, k] = gk
+    for (i, j), h in hs.items():
+        H[:, i, j] = H[:, j, i] = h
     if r == 2:
-        a, b = q.coeffs
-        x1, x2 = x.T
-        x2sq = pw(x2, 2)
-        qx = a * pw(x2, 3) + b * x2 * (x1 * x2)
-        g[:, 0] = b * x2sq
-        g[:, 1] = 3.0 * a * x2sq + 2.0 * b * x1 * x2
-        H[:, 0, 1] = H[:, 1, 0] = blocks[:, 0] = 2.0 * b * x2
-        H[:, 1, 1] = 6.0 * a * x2 + 2.0 * b * x1
+        blocks[:, 0] = hs[(0, 1)]
     else:
-        a, b, c = q.coeffs
+        a, b, _ = q.coeffs
         x1, x2, x3 = x.T
-        x3sq = pw(x3, 2)
-        qx = a * (x1 * x2 * x3) + b * ((x3 * x2) * x3) + c * pw(x3, 3)
-        g[:, 0] = a * (x2 * x3)
-        g[:, 1] = a * (x1 * x3) + b * x3sq
-        g[:, 2] = a * (x1 * x2) + 2.0 * b * x2 * x3 + 3.0 * c * x3sq
-        H[:, 0, 1] = H[:, 1, 0] = a * x3
-        H[:, 0, 2] = H[:, 2, 0] = a * x2
-        H[:, 1, 2] = H[:, 2, 1] = a * x1 + 2.0 * b * x3
-        H[:, 2, 2] = 2.0 * b * x2 + 6.0 * c * x3
         blocks[:, 0] = 2.0 * a * x3
         blocks[:, 1] = 2.0 * a * x2
         blocks[:, 2] = 2.0 * (a * x1 + b * x3)
@@ -600,38 +635,127 @@ def _diagonal_verdicts(q: InvariantCubic, x: np.ndarray) -> tuple[np.ndarray, np
     return _verdict_from_minors(minors, scale), minors.min(axis=1)
 
 
+# ---------------------------------------------------------------------------
+# The inertia rule and the closed-form core minor
+# ---------------------------------------------------------------------------
+#
+# Hess q (X) X = 2 grad q (X) and X^T Hess q (X) X = 6 q(X) > 0, so Hess q
+# splits Hess q-orthogonally into span X plus ker dq, and on {q = 1} the
+# metric g(q) is -Hess q on ker dq.  g(q) is therefore positive definite at
+# X exactly when Hess q (X) has inertia (1, n-1).  At a diagonal point that
+# reads b > 0 for q = a x2^3 + b x2 p1, and a > 0 and 4c x3^3 < q for
+# q = a d + b p2 p3 + c p3^3 (which implies the slope constraint).  The
+# sweeps take each point's positive-definite / not decision from this rule;
+# the kernel runs only where a minor is read: at a witness, and at the
+# positive-definite points that may hold the slice's smallest min_minor.
+# Those are the points whose closed-form core minor lies within ARGMIN_DELTA
+# of the smallest, 30 times the largest gap between it and the kernel's
+# (3.2e-4 relative, on the ROADMAP plane).
+
+MARGIN_BAND = 1e-12  # a margin 1 - t <= band * max(1, t) is not positive-definite
+ARGMIN_DELTA = 1e-2  # relative reach of the argmin candidates over the smallest
+
+
+def _inertia_pd(q: InvariantCubic, x: np.ndarray, qx: np.ndarray) -> np.ndarray:
+    """Whether g(q) is positive definite at each row of x, diagonal points
+    with q = qx > 0: b > 0 (rank 2), or a > 0 and a margin 1 - t,
+    t = 4c x3^3 / q, above MARGIN_BAND relative to max(1, t) (rank 3), so
+    that a margin of 0 is not positive-definite."""
+    if q.cone.rank == 2:
+        return np.full(len(x), q.coeffs[1] > 0.0)
+    a, _, c = q.coeffs
+    if not a > 0.0 or c <= 0.0:  # a margin of at least 1
+        return np.full(len(x), a > 0.0)
+    x3 = x[:, 2]
+    f = 4.0 * c * (x3 * x3 * x3)  # the margin times q, and its scale, need no division
+    return qx - f > MARGIN_BAND * np.maximum(qx, f)
+
+
+def _core_minors(x: np.ndarray, g, H) -> np.ndarray:
+    """The kernel's core minor det(Rn) in closed form at each rank-3 diagonal
+    point (rows of x), elementwise from _diagonal_derivatives' gradient
+    entries g and upper Hessian entries H (H_00 = H_11 = 0).  On g-perp the
+    g g^T term of -Hess(log q) vanishes, so R = -B^T H B / q.  There
+    det R = g^T adj(H) g / (|g| q)^2, where H x = 2g (Euler) makes
+    adj(H) g = det(H) x / 2; and R11 + R22 = (g^T H g / |g|^2 - tr H) / q.
+    _restrict's first basis vector is b1 ~ |g|^2 e_i - g_i g, i the first
+    axis it keeps (1 where |g_0| is the largest, else 0), which gives R11
+    from g_i and (H g)_i alone; det(Rn) = det R / |R11 R22|."""
+    g0, g1, g2 = g
+    h01, h02, h12, h22 = (H[k] for k in ((0, 1), (0, 2), (1, 2), (2, 2)))
+    hg0, hg1 = h01 * g1 + h02 * g2, h01 * g0 + h12 * g2
+    ghg = g0 * hg0 + g1 * hg1 + g2 * (h02 * g0 + h12 * g1 + h22 * g2)
+    nn = g0 * g0 + g1 * g1 + g2 * g2
+    first = np.abs(g0) >= np.maximum(np.abs(g1), np.abs(g2))
+    gi, hgi = np.where(first, g1, g0), np.where(first, hg1, hg0)
+    with np.errstate(all="ignore"):
+        r11 = gi * (gi * ghg - 2.0 * nn * hgi) / (nn * (nn - gi * gi))
+        gx = x[:, 0] * g0 + x[:, 1] * g1 + x[:, 2] * g2
+        return 0.5 * gx * h01 * (2.0 * h02 * h12 - h01 * h22) / (nn * np.abs(r11 * (h22 - ghg / nn - r11)))
+
+
+# ---------------------------------------------------------------------------
+# Sweeps over the classified slice
+# ---------------------------------------------------------------------------
+
+
 def _classify_slice(q: InvariantCubic, grid: DiagonalGrid | SearchGrid):
-    """The diagonal points of {q = 1} on the grid, the kind code of each (the
-    kernel's verdict, or _CONSTRAINT where the slope constraint fails) and
-    its min_minor (nan at constraint points)."""
+    """The diagonal points of {q = 1} on the grid, where the slope constraint
+    holds and where the inertia rule calls g(q) positive-definite."""
     x = _slice_points(q, grid)
-    kinds = np.full(len(x), _CONSTRAINT)
-    minors = np.full(len(x), math.nan)
     inside = ~_constraint_violated(q, x)
-    if inside.any():
-        kinds[inside], minors[inside] = _diagonal_verdicts(q, x[inside])
-    return x, kinds, minors
+    xs = x[inside]
+    qx = _diagonal_q(q, xs)
+    if (qx <= 0.0).any():
+        raise OutsideConeError("projection onto the level set requires q(X) > 0")
+    pd = np.zeros(len(x), dtype=bool)
+    pd[inside] = _inertia_pd(q, xs, qx)
+    return x, inside, pd
 
 
-def _sweep_summary(x: np.ndarray, kinds: np.ndarray, minors: np.ndarray):
-    """What a sweep reads off its classified slice: the index of the first
-    point at the smallest minor and that minor (constraint points carry none;
-    index 0 and inf when no point does), and the indices of the points that
-    are not positive-definite, in order."""
-    if not len(x):
-        raise OutsideConeError("empty feasible diagonal grid")
+def _candidate_minors(q: InvariantCubic, x: np.ndarray) -> np.ndarray:
+    """The kernel's min_minor at the rows of x (positive-definite slice
+    points) that may hold the smallest, nan at the others: for rank 3 the
+    rows whose closed-form core minor is within ARGMIN_DELTA relative of the
+    smallest, or is nan; for rank 2 all, as their minors tie."""
+    minors = np.full(len(x), math.nan)
+    if len(x):
+        rows = slice(None)
+        if q.cone.rank == 3:
+            core = _core_minors(x, *_diagonal_derivatives(q, x))
+            lo = float(np.fmin.reduce(core, initial=math.inf))
+            rows = ~(core > lo + ARGMIN_DELTA * abs(lo))
+        minors[rows] = _diagonal_verdicts(q, x[rows])[1]
+    return minors
+
+
+def _first_smallest(minors: np.ndarray):
+    """The index of the first of the smallest minors and that minor; index 0
+    and inf when none is a number."""
     ranked = np.where(np.isnan(minors), math.inf, minors)
-    i = int(np.argmin(ranked))
-    min_minor, i = (float(minors[i]), i) if ranked[i] < math.inf else (math.inf, 0)
-    return i, min_minor, np.flatnonzero(kinds != _PD)
+    i = int(np.argmin(ranked)) if ranked.size else 0
+    return (i, float(minors[i])) if ranked.size and ranked[i] < math.inf else (0, math.inf)
 
 
 def admissibility_on_diagonal(q: InvariantCubic, grid: DiagonalGrid | None = None) -> DiagonalReport:
     """Sweep the diagonal slice of {q = 1}; admissibility of an invariant
-    cubic reduces to positive definiteness there."""
+    cubic reduces to positive definiteness there, which the inertia rule
+    decides.  The kernel reads the witnesses' kinds and minors and the
+    minors of the argmin candidates."""
     _require_euclidean(q.cone)
-    x, kinds, minors = _classify_slice(q, grid or DiagonalGrid())
-    i, min_minor, w = _sweep_summary(x, kinds, minors)
+    x, inside, pd = _classify_slice(q, grid or DiagonalGrid())
+    if not len(x):
+        raise OutsideConeError("empty feasible diagonal grid")
+    kinds = np.where(pd, _PD, _CONSTRAINT)
+    minors = np.full(len(x), math.nan)
+    read = np.flatnonzero(inside & ~pd)
+    if read.size:
+        # degenerate where the minors all clear MINOR_BAND: on the rule's band
+        codes, minors[read] = _diagonal_verdicts(q, x[read])
+        kinds[read] = np.where(codes == _PD, _DEGENERATE, codes)
+    minors[pd] = _candidate_minors(q, x[pd])
+    i, min_minor = _first_smallest(minors)
+    w = np.flatnonzero(~pd)
     witnesses = tuple(
         DiagonalWitness(tuple(row), _KINDS[k], m)
         for row, k, m in zip(x[w].tolist(), kinds[w].tolist(), minors[w].tolist())
@@ -647,14 +771,14 @@ def admissibility_on_diagonal(q: InvariantCubic, grid: DiagonalGrid | None = Non
 
 def find_locally_admissible_point(q: InvariantCubic, search: SearchGrid | None = None):
     """Deterministic grid search over the diagonal slice; returns the first
-    point with a positive-definite restricted Hessian, or None."""
+    point that the inertia rule calls positive-definite, or None."""
     _require_euclidean(q.cone)
     if q.cone.rank != 3:
         raise SpecError("local-admissibility search is for rank-3 cones")
     if q.coeffs[0] == 0.0:
         return None
-    x, kinds, _ = _classify_slice(q, search or SearchGrid())
-    found = np.flatnonzero(kinds == _PD)
+    x, _, pd = _classify_slice(q, search or SearchGrid())
+    found = np.flatnonzero(pd)
     # the dense restriction at that one point fills in the whole report
     return tangent_restriction(q, HermMatrix(q.cone.algebra, x[found[0]], {})) if found.size else None
 
@@ -687,9 +811,10 @@ def scan_parameter_plane(
 ) -> list[ScanCell]:
     """Classify each (eps1, eps2) cell of the normalized rank-3 family by a
     diagonal sweep, falling back to a local-witness search.  Deterministic:
-    rows ordered by the input value order.  Each cell reads the sweep's
-    point codes as admissibility_on_diagonal does, without building its
-    report."""
+    rows ordered by the input value order.  Each cell gives the row that
+    admissibility_on_diagonal's report gives, with the kernel run only at
+    the argmin candidates of an all-positive-definite slice or else at the
+    first witness."""
     if cone.rank != 3:
         raise SpecError("parameter-plane scan is for rank-3 cones")
     _require_euclidean(cone)
@@ -699,20 +824,23 @@ def scan_parameter_plane(
         for e2 in eps2_values:
             e1, e2 = float(e1), float(e2)
             q = InvariantCubic.rank3_family(cone, e1, e2)
-            x, kinds, minors = _classify_slice(q, grid)
-            i, min_minor, w = _sweep_summary(x, kinds, minors)
+            x, inside, pd = _classify_slice(q, grid)
+            if not len(x):
+                raise OutsideConeError("empty feasible diagonal grid")
+            if pd.all():
+                i, minor = _first_smallest(_candidate_minors(q, x))
+                rows.append(ScanCell(e1, e2, ADMISSIBLE_ON_SAMPLE, *x[i, 1:].tolist(), minor))
+                continue
             # a positive p3^3 coefficient breaks the slope constraint at large
             # x3, so such cells can never be admissible; PD islands at small
             # x3 do not upgrade them
-            breached = e2 > 0.0 or (kinds == _CONSTRAINT).any()
-            local = None if not w.size or breached else find_locally_admissible_point(q, search)
-            if not w.size:
-                kind, coords, minor = ADMISSIBLE_ON_SAMPLE, x[i].tolist(), min_minor
-            elif local is not None:
-                kind, coords, minor = LOCALLY_ADMISSIBLE, local.point.diag, local.min_minor
-            else:
-                kind, coords, minor = NOT_ADMISSIBLE, x[w[0]].tolist(), minors[w[0]].item()
-            rows.append(ScanCell(e1, e2, kind, coords[1], coords[2], minor))
+            local = None if e2 > 0.0 or not inside.all() else find_locally_admissible_point(q, search)
+            if local is not None:
+                rows.append(ScanCell(e1, e2, LOCALLY_ADMISSIBLE, *local.point.diag[1:], local.min_minor))
+                continue
+            j = int(np.argmin(pd))  # the first witness, whose minor the row reads
+            minor = _diagonal_verdicts(q, x[j : j + 1])[1].item() if inside[j] else math.nan
+            rows.append(ScanCell(e1, e2, NOT_ADMISSIBLE, *x[j, 1:].tolist(), minor))
     return rows
 
 

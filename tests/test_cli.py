@@ -144,6 +144,17 @@ class TestEval:
     def test_unknown_op(self, spec3, tmp_path):
         assert cli.main(["eval", "--spec", spec3, "--op", "nope", self.identity3(tmp_path)]) == 2
 
+    def test_unknown_op_rejected_before_the_cone_is_built(self, tmp_path, monkeypatch, capsys):
+        # a d16 spec would first build the whole module and run its exact checks
+        spec = write_json(tmp_path / "d16.json", {"rank": 3, "dim_v": 16})
+
+        def no_build(obj):
+            raise AssertionError("parse_spec called for an unknown op")
+
+        monkeypatch.setattr(cli, "parse_spec", no_build)
+        assert cli.main(["eval", "--spec", spec, "--op", "nope", self.identity3(tmp_path)]) == 2
+        assert "unknown op 'nope'" in capsys.readouterr().err
+
     def test_wrong_shape_point_rejected(self, spec3, tmp_path):
         X = write_json(
             tmp_path / "X.json", {"rank": 3, "diag": [1, 1, 1], "offdiag": {"12": [0, 0]}}

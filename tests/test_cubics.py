@@ -28,6 +28,7 @@ from _support import (
     rank2_cone,
     rank3_cone,
     reference_admissibility_on_diagonal,
+    reference_classify_slice,
     reference_diagonal_verdicts,
     reference_find_locally_admissible_point,
     reference_rank2_slice_points,
@@ -72,6 +73,21 @@ class TestEval:
     def test_wrong_coefficient_count(self):
         with pytest.raises(SpecError):
             vc.InvariantCubic(rank2_cone(1), (1.0, 2.0, 3.0))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("rank,slot", [(2, 0), (2, 1), (3, 0), (3, 1), (3, 2)])
+    def test_non_finite_coefficient_rejected(self, rank, slot, bad):
+        # such coefficients used to reach the sampler and come back as an
+        # empty feasible grid
+        coeffs = [1.0] * rank
+        coeffs[slot] = bad
+        with pytest.raises(SpecError, match="finite"):
+            vc.InvariantCubic(rank2_cone(1) if rank == 2 else rank3_cone(1), coeffs)
+
+    @pytest.mark.parametrize("eps", [(np.nan, 0.0), (0.0, np.inf)])
+    def test_scan_rejects_non_finite_cell(self, eps):
+        with pytest.raises(SpecError, match="finite"):
+            vc.scan_parameter_plane(rank3_cone(1), [eps[0]], [eps[1]])
 
 
 CONFIGS = [
@@ -955,35 +971,54 @@ class TestScanOracle:
         assert {(False, cubics.ADMISSIBLE_ON_SAMPLE), (True, cubics.NOT_ADMISSIBLE)} <= kinds
 
     @pytest.mark.parametrize("dim_v", [1, 8])
-    def test_local_search_cells(self, dim_v):
-        # eps2 = -100 and -61.8 leave indefinite points at large x3 on the
-        # sweep (ROADMAP item 1), so these cells reach the local search,
-        # which finds a point; on the one-point search grid x2 = x3 = 100 it
-        # finds none and the cell keeps the sweep's first witness
+    def test_local_search_cells(self, dim_v, monkeypatch):
+        # eps2 = -100 and -61.8 leave points at large x3 whose kernel minors
+        # read indefinite (ROADMAP item 1), which once sent four of these
+        # cells to the local search; the inertia rule calls every point
+        # positive-definite, so each cell is admissible on the sample, on any
+        # search grid, and the search is never tried
         cone, grid = rank3_cone(dim_v), vc.DiagonalGrid(n=12)
         e1, e2 = [-2.0, -0.3529411764705883, 2.0], [-100.0, -61.77538417823236]
-        rows = assert_scan_matches_oracle(cone, e1, e2, grid, vc.SearchGrid(n=12))
-        assert sum(r.classification == cubics.LOCALLY_ADMISSIBLE for r in rows) == 4
-        (row,) = assert_scan_matches_oracle(cone, [2.0], [-100.0], grid, vc.SearchGrid(lo=100.0, hi=100.0, n=1))
-        assert row.classification == cubics.NOT_ADMISSIBLE and row.min_minor < 0.0
+        flagged = [
+            (a, b)
+            for a in e1
+            for b in e2
+            if set(reference_classify_slice(vc.InvariantCubic.rank3_family(cone, a, b), grid)[1]) != {PD}
+        ]
+        assert len(flagged) == 4
+
+        def no_search(q, search=None):
+            raise AssertionError("local search tried")
+
+        monkeypatch.setattr(cubics, "find_locally_admissible_point", no_search)
+        for search in (vc.SearchGrid(n=12), vc.SearchGrid(lo=100.0, hi=100.0, n=1)):
+            rows = assert_scan_matches_oracle(cone, e1, e2, grid, search)
+            assert {r.classification for r in rows} == {cubics.ADMISSIBLE_ON_SAMPLE}
 
     def test_constraint_point_skips_the_local_search(self, monkeypatch):
         # x1 + eps1 x3 = (1 - eps2 x3^3) / (x2 x3) > 0 on the slice when
         # eps2 <= 0, so only rounding could put a slope-constraint point on
-        # such a cell; planted on the sweep, it keeps the cell of
-        # test_local_search_cells not admissible, as in the oracle
+        # such a cell; planted last on the sweep's slice of an otherwise
+        # admissible cell, it is the cell's first witness, without a minor,
+        # and the local search is not tried
         classify = cubics._classify_slice
 
         def with_constraint_point(q, grid):
-            x, kinds, minors = classify(q, grid)
+            x, inside, pd = classify(q, grid)
             if isinstance(grid, vc.DiagonalGrid):
-                kinds[-1], minors[-1] = cubics._CONSTRAINT, np.nan
-            return x, kinds, minors
+                inside[-1] = pd[-1] = False
+            return x, inside, pd
+
+        def no_search(q, search=None):
+            raise AssertionError("local search tried")
 
         monkeypatch.setattr(cubics, "_classify_slice", with_constraint_point)
-        grid, search = vc.DiagonalGrid(n=12), vc.SearchGrid(n=12)
-        (row,) = assert_scan_matches_oracle(rank3_cone(1), [2.0], [-100.0], grid, search)
+        monkeypatch.setattr(cubics, "find_locally_admissible_point", no_search)
+        cone, grid, search = rank3_cone(1), vc.DiagonalGrid(n=12), vc.SearchGrid(n=12)
+        (row,) = assert_scan_matches_oracle(cone, [2.0], [-100.0], grid, search)
+        last = cubics._slice_points(vc.InvariantCubic.rank3_family(cone, 2.0, -100.0), grid)[-1]
         assert row.classification == cubics.NOT_ADMISSIBLE
+        assert (row.witness_x2, row.witness_x3) == tuple(last[1:].tolist()) and np.isnan(row.min_minor)
 
     def test_empty_grid_still_raises(self):
         # eps1 = 1e12 leaves no slice point with x1 > 0 on the grid
@@ -991,6 +1026,123 @@ class TestScanOracle:
         for scan in (vc.scan_parameter_plane, reference_scan_parameter_plane):
             with pytest.raises(OutsideConeError, match="empty feasible diagonal grid"):
                 scan(cone, [1e12], [0.0], vc.DiagonalGrid(n=12), vc.SearchGrid(n=12))
+
+
+class TestInertiaRule:
+    """The sweeps' positive-definite / not decision: g(q) is positive
+    definite at X exactly when Hess q (X) has inertia (1, n-1)."""
+
+    @pytest.mark.parametrize(
+        "cone", [rank3_cone(1), rank3_cone(2), rank2_cone(1), rank2_cone(2)], ids=["d1", "d2", "w1", "w2"]
+    )
+    def test_rule_is_the_inertia_of_the_hessian(self, cone):
+        # mixed-sign coefficients at in-cone diagonal points with q > 0,
+        # slope constraint or not; points where Hess q is near singular say
+        # nothing about the band and are skipped
+        rng = np.random.default_rng(23)
+        outcomes = []
+        while len(outcomes) < 300:
+            q = vc.InvariantCubic(cone, rng.uniform(-2.0, 2.0, cone.rank))
+            x = 10.0 ** rng.uniform(-1.0, 1.0, (8, cone.rank))
+            qx = cubics._diagonal_q(q, x)
+            x, qx = x[qx > 0.0], qx[qx > 0.0]
+            for row, pd in zip(x, cubics._inertia_pd(q, x, qx)):
+                ev = np.linalg.eigvalsh(vc.cubic_hessian(q, vc.HermMatrix(cone.algebra, row, {})))
+                if np.abs(ev).min() < 1e-9 * np.abs(ev).max():
+                    continue
+                assert pd == (np.count_nonzero(ev > 0.0) == 1), (q.coeffs, row)
+                outcomes.append(bool(pd))
+        assert 30 < sum(outcomes) < 270
+
+    def test_zero_margin_is_not_positive_definite(self):
+        # the (-1, 0.25) local-search probe at x3 = 1: 4c x3^3 = q exactly
+        q = vc.InvariantCubic.rank3_family(rank3_cone(1), -1.0, 0.25)
+        x = np.array([[1.75, 1.0, 1.0]])
+        qx = cubics._diagonal_q(q, x)
+        assert qx[0] == 4.0 * 0.25
+        assert not cubics._inertia_pd(q, x, qx)[0]
+
+    def test_far_point_is_positive_definite(self):
+        # eps = (-0.001, -1000) at x = (1e9 + 1.1, 0.01, 100): the margin
+        # 1 - 4c x3^3 / q is 4e9, while the kernel's minors read indefinite
+        # there (ROADMAP item 1)
+        q = vc.InvariantCubic.rank3_family(rank3_cone(1), -0.001, -1000.0)
+        grid = vc.DiagonalGrid(lo=0.01, hi=100.0, n=2)
+        x, inside, pd = cubics._classify_slice(q, grid)
+        (k,) = np.flatnonzero((x[:, 1] == 0.01) & (x[:, 2] == 100.0))
+        assert x[k, 0] == pytest.approx(1e9 + 1.1, rel=1e-15)
+        assert inside[k] and pd[k]
+        assert cubics._diagonal_verdicts(q, x[k : k + 1])[0].tolist() == [cubics._INDEFINITE]
+        assert vc.admissibility_on_diagonal(q, grid).all_pd
+
+    @pytest.mark.parametrize("dim_v", [1, 8])
+    def test_extended_plane_is_admissible_on_sample(self, dim_v):
+        # eps2 <= 0 throughout, so every cell is admissible; the kernel's
+        # minors alone flag 14 of the 216 cells
+        cone, grid = rank3_cone(dim_v), vc.DiagonalGrid(n=12)
+        e1, e2 = np.linspace(-2.0, 2.0, 18), -np.geomspace(0.5, 100.0, 12)
+        rows = vc.scan_parameter_plane(cone, e1, e2, grid, vc.SearchGrid(n=12))
+        assert len(rows) == 216
+        assert {r.classification for r in rows} == {cubics.ADMISSIBLE_ON_SAMPLE}
+        flagged = sum(
+            set(reference_classify_slice(vc.InvariantCubic.rank3_family(cone, a, b), grid)[1]) != {PD}
+            for a in e1
+            for b in e2
+        )
+        assert flagged == 14
+
+
+class TestArgminCandidates:
+    """The kernel runs only at the positive-definite points whose closed-form
+    core minor lies within ARGMIN_DELTA of the smallest; their smallest
+    min_minor is the slice's."""
+
+    @pytest.mark.parametrize("n", [8, 12, 30])
+    @pytest.mark.parametrize("dim_v", [1, 8, 16])
+    def test_candidate_minimum_is_the_full_kernels(self, dim_v, n):
+        cone, grid = rank3_cone(dim_v), vc.DiagonalGrid(n=n)
+        for eps in PLANE:
+            q = vc.InvariantCubic.rank3_family(cone, *eps)
+            x, _, pd = cubics._classify_slice(q, grid)
+            x = x[pd]
+            if not len(x):
+                continue
+            want = cubics._first_smallest(cubics._diagonal_verdicts(q, x)[1])
+            got = cubics._first_smallest(cubics._candidate_minors(q, x))
+            assert same_bits((tuple(x[got[0]].tolist()), got[1]), (tuple(x[want[0]].tolist()), want[1])), eps
+
+    def test_closed_form_core_minor_tracks_the_kernels(self):
+        # the closed form and the kernel round differently; the largest gap
+        # on the plane is 3.2e-4 relative, 30 times inside ARGMIN_DELTA
+        cone, grid = rank3_cone(8), vc.DiagonalGrid(n=12)
+        for eps in PLANE:
+            q = vc.InvariantCubic.rank3_family(cone, *eps)
+            x, _, pd = cubics._classify_slice(q, grid)
+            x = x[pd]
+            if len(x):
+                core = cubics._core_minors(x, *cubics._diagonal_derivatives(q, x))
+                want = cubics._diagonal_verdicts(q, x)[1]
+                assert np.max(np.abs(core - want) / np.abs(want)) < cubics.ARGMIN_DELTA / 30, eps
+
+    def test_kernel_sees_few_points_per_cell(self, monkeypatch):
+        # one kernel call per cell of the d8 plane at grid 12, at the first
+        # witness or at the argmin candidates; eps = (0, 0), where q = d and
+        # every point ties, takes the whole slice
+        seen = []
+        kernel = cubics._diagonal_verdicts
+
+        def counting(q, x):
+            seen.append(len(x))
+            return kernel(q, x)
+
+        monkeypatch.setattr(cubics, "_diagonal_verdicts", counting)
+        cone, grid, search = rank3_cone(8), vc.DiagonalGrid(n=12), vc.SearchGrid(n=12)
+        for eps in PLANE:
+            seen.clear()
+            vc.scan_parameter_plane(cone, [eps[0]], [eps[1]], grid, search)
+            assert len(seen) == 1, eps
+            if eps != (0.0, 0.0):
+                assert seen[0] <= 8, eps
 
 
 class TestUnimodularCubicCheck:
