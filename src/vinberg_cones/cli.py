@@ -176,7 +176,8 @@ def _parse_range(text: str) -> list[float]:
     if not all(map(math.isfinite, (lo, hi, step))) or step <= 0 or hi < lo:
         raise SpecError(f"bad range {text!r}: need finite LO <= HI and STEP > 0")
     span = (hi - lo) / step  # inf if the quotient overflows
-    n = int(round(span)) + 1 if span < MAX_RANGE_VALUES else MAX_RANGE_VALUES + 1
+    # every value up to HI, within 1e-9 of a step: 0:0.3:0.1 gives 4 values, 0:1:0.6 gives 2
+    n = math.floor(span + 1e-9) + 1 if span < MAX_RANGE_VALUES else MAX_RANGE_VALUES + 1
     if n > MAX_RANGE_VALUES:
         raise SpecError(f"range {text!r} holds more than MAX_RANGE_VALUES = {MAX_RANGE_VALUES} values")
     return [lo + k * step for k in range(n)]
@@ -256,9 +257,7 @@ def cmd_scan(args) -> int:
     eps2 = _parse_range(args.eps2)
     if not 1 <= args.grid <= MAX_GRID:
         raise SpecError(f"--grid must be from 1 to MAX_GRID = {MAX_GRID}, got {args.grid}")
-    grid = cubics_mod.DiagonalGrid(n=args.grid)
-    search = cubics_mod.SearchGrid(n=max(8, args.grid))
-    rows = cubics_mod.scan_parameter_plane(cone, eps1, eps2, grid, search)
+    rows = cubics_mod.scan_parameter_plane(cone, eps1, eps2, cubics_mod.DiagonalGrid(n=args.grid))
     cubics_mod.scan_to_csv(rows, args.out)
     print(f"wrote {len(rows)} rows to {args.out}")
     return EXIT_OK

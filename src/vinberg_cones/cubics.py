@@ -147,28 +147,19 @@ def cubic_hessian(q: InvariantCubic, X: HermMatrix) -> np.ndarray:
     lay = alg.layout
     n = q.cone.dim_herm
     H = np.zeros((n, n))
+    for (i, j), h in _diagonal_derivatives(q, X.diag)[1].items():
+        H[i, j] = H[j, i] = h
     if q.cone.rank == 2:
-        a, b = q.coeffs
-        x1, x2 = X.diag
-        w = X.offdiag[(1, 2)]
-        W = alg.spaces[(1, 2)]
-        gw = W.lower(w)
-        H[0, 1] = H[1, 0] = 2.0 * b * x2
-        H[1, 1] = 6.0 * a * x2 + 2.0 * b * x1
-        H[1, lay[(1, 2)]] = -2.0 * b * gw
-        H[lay[(1, 2)], 1] = -2.0 * b * gw
-        H[lay[(1, 2)], lay[(1, 2)]] = _gram_block(W, -2.0 * b * x2)
+        b, W, wsl = q.coeffs[1], alg.spaces[(1, 2)], lay[(1, 2)]
+        H[1, wsl] = H[wsl, 1] = -2.0 * b * W.lower(X.offdiag[(1, 2)])
+        H[wsl, wsl] = _gram_block(W, -2.0 * b * X.diag[1])
         return H
-    a, b, c = q.coeffs
+    a, b, _ = q.coeffs
     x1, x2, x3 = X.diag
     s0, s1, v = X.offdiag[(1, 2)], X.offdiag[(1, 3)], X.offdiag[(2, 3)]
     S0, S1, SV = (alg.spaces[k] for k in ((1, 2), (1, 3), (2, 3)))
     g0s0, g1s1, gvv = S0.lower(s0), S1.lower(s1), SV.lower(v)
     s0sl, s1sl, vsl = lay[(1, 2)], lay[(1, 3)], lay[(2, 3)]
-    H[0, 1] = H[1, 0] = a * x3
-    H[0, 2] = H[2, 0] = a * x2
-    H[1, 2] = H[2, 1] = a * x1 + 2.0 * b * x3
-    H[2, 2] = 2.0 * b * x2 + 6.0 * c * x3
     H[0, vsl] = H[vsl, 0] = -2.0 * a * gvv
     H[1, s1sl] = H[s1sl, 1] = -2.0 * a * g1s1
     H[2, s0sl] = H[s0sl, 2] = -2.0 * a * g0s0
@@ -356,7 +347,7 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 
 class _LogSpaced:
-    """The log-uniform spacing of a grid and its square of x3 rows, made on
+    """The log-uniform spacing of a grid and its square of points, made on
     first use and kept on the (frozen) grid object, so that every cubic swept
     on it shares them.  A grid is checked when it is made: finite
     0 < lo <= hi and an integer n >= 1."""
@@ -373,15 +364,12 @@ class _LogSpaced:
         return _read_only(np.geomspace(self.lo, self.hi, self.n))
 
     @cached_property
-    def _rows(self) -> np.ndarray:
-        """The spacing once per row, a row of x3 values for each x2."""
-        return _read_only(np.tile(self._xs, (self.n, 1)))
-
-    @cached_property
     def _square(self) -> tuple[np.ndarray, ...]:
-        """The sampler's (x2, x3, x3^2, x3^3) on these rows alone, which is
-        all a rank-3 slice takes from the grid unless probes join the rows."""
-        return tuple(map(_read_only, _row_points(self._xs, self._rows, isinstance(self, DiagonalGrid))))
+        """The sampler's (x2, x3, x3^2, x3^3) with the spacing as each x2's
+        row of x3, which is all a rank-3 slice takes from the grid unless
+        probes join the rows."""
+        rows = np.tile(self._xs, (self.n, 1))
+        return tuple(map(_read_only, _row_points(self._xs, rows, isinstance(self, DiagonalGrid))))
 
 
 # Rank-3 sweeps with a, c > 0 also probe each x2 row just inside its
@@ -401,9 +389,9 @@ class DiagonalGrid(_LogSpaced):
 
     @cached_property
     def _probed_rows(self) -> np.ndarray:
-        """The x3 rows followed by the 8 large-x3 probes."""
-        probes = np.tile(np.geomspace(self.hi, PROBE_MAX, 8), (self.n, 1))
-        return _read_only(np.hstack([self._rows, probes]))
+        """The spacing followed by the 8 large-x3 probes, a row of x3 for each x2."""
+        row = np.concatenate([self._xs, np.geomspace(self.hi, PROBE_MAX, 8)])
+        return _read_only(np.tile(row, (self.n, 1)))
 
 
 @dataclass(frozen=True)
@@ -555,9 +543,9 @@ def _diagonal_q(q: InvariantCubic, x: np.ndarray) -> np.ndarray:
 def _diagonal_derivatives(q: InvariantCubic, x: np.ndarray):
     """The entries of q's gradient and the upper entries {(i, j): ...} of its
     Hessian in the diagonal coordinates, each an (N,) array over the rows of
-    x; the Hessian's other upper entries are 0."""
+    x, or a number at one point x; the Hessian's other upper entries are 0."""
     pw = np.float_power
-    if x.shape[1] == 2:
+    if q.cone.rank == 2:
         a, b = q.coeffs
         x1, x2 = x.T
         x2sq = pw(x2, 2)
@@ -730,11 +718,11 @@ def _candidate_minors(q: InvariantCubic, x: np.ndarray) -> np.ndarray:
 
 
 def _first_smallest(minors: np.ndarray):
-    """The index of the first of the smallest minors and that minor; index 0
-    and inf when none is a number."""
+    """The index of the first of the smallest minors (a non-empty array) and
+    that minor; index 0 and inf when none is a number."""
     ranked = np.where(np.isnan(minors), math.inf, minors)
-    i = int(np.argmin(ranked)) if ranked.size else 0
-    return (i, float(minors[i])) if ranked.size and ranked[i] < math.inf else (0, math.inf)
+    i = int(np.argmin(ranked))
+    return (i, float(minors[i])) if ranked[i] < math.inf else (0, math.inf)
 
 
 def admissibility_on_diagonal(q: InvariantCubic, grid: DiagonalGrid | None = None) -> DiagonalReport:
@@ -775,7 +763,7 @@ def find_locally_admissible_point(q: InvariantCubic, search: SearchGrid | None =
     _require_euclidean(q.cone)
     if q.cone.rank != 3:
         raise SpecError("local-admissibility search is for rank-3 cones")
-    if q.coeffs[0] == 0.0:
+    if q.coeffs[0] == 0.0:  # no point is PD; the sampler's q can cancel to <= 0 at extreme c
         return None
     x, _, pd = _classify_slice(q, search or SearchGrid())
     found = np.flatnonzero(pd)
@@ -810,15 +798,16 @@ def scan_parameter_plane(
     search: SearchGrid | None = None,
 ) -> list[ScanCell]:
     """Classify each (eps1, eps2) cell of the normalized rank-3 family by a
-    diagonal sweep, falling back to a local-witness search.  Deterministic:
-    rows ordered by the input value order.  Each cell gives the row that
-    admissibility_on_diagonal's report gives, with the kernel run only at
-    the argmin candidates of an all-positive-definite slice or else at the
-    first witness."""
+    diagonal sweep.  Deterministic: rows ordered by the input value order.
+    Each cell gives the row that admissibility_on_diagonal's report gives,
+    with the kernel run only at the argmin candidates of an
+    all-positive-definite slice or else at the first witness.  No cell is
+    locally-admissible: by the inertia rule an eps2 <= 0 cell is
+    positive-definite at every slice point.  ``search`` is ignored."""
     if cone.rank != 3:
         raise SpecError("parameter-plane scan is for rank-3 cones")
     _require_euclidean(cone)
-    grid, search = grid or DiagonalGrid(), search or SearchGrid()  # one spacing per plane
+    grid = grid or DiagonalGrid()  # one spacing per plane
     rows = []
     for e1 in eps1_values:
         for e2 in eps2_values:
@@ -830,17 +819,10 @@ def scan_parameter_plane(
             if pd.all():
                 i, minor = _first_smallest(_candidate_minors(q, x))
                 rows.append(ScanCell(e1, e2, ADMISSIBLE_ON_SAMPLE, *x[i, 1:].tolist(), minor))
-                continue
-            # a positive p3^3 coefficient breaks the slope constraint at large
-            # x3, so such cells can never be admissible; PD islands at small
-            # x3 do not upgrade them
-            local = None if e2 > 0.0 or not inside.all() else find_locally_admissible_point(q, search)
-            if local is not None:
-                rows.append(ScanCell(e1, e2, LOCALLY_ADMISSIBLE, *local.point.diag[1:], local.min_minor))
-                continue
-            j = int(np.argmin(pd))  # the first witness, whose minor the row reads
-            minor = _diagonal_verdicts(q, x[j : j + 1])[1].item() if inside[j] else math.nan
-            rows.append(ScanCell(e1, e2, NOT_ADMISSIBLE, *x[j, 1:].tolist(), minor))
+            else:
+                j = int(np.argmin(pd))  # the first witness, whose minor the row reads
+                minor = _diagonal_verdicts(q, x[j : j + 1])[1].item() if inside[j] else math.nan
+                rows.append(ScanCell(e1, e2, NOT_ADMISSIBLE, *x[j, 1:].tolist(), minor))
     return rows
 
 

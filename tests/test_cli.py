@@ -392,6 +392,23 @@ class TestScanBounds:
         assert "MAX_RANGE_VALUES" in out.stderr
         assert "Traceback" not in out.stderr
 
+    @pytest.mark.parametrize("text,want", [("0:1:0.6", [0.0, 0.6]), ("0:10:6", [0.0, 6.0]), ("0:0:1", [0.0])])
+    def test_range_stops_at_hi(self, text, want):
+        # a fractional (HI - LO) / STEP above 0.5 once rounded up to a value past HI
+        assert cli._parse_range(text) == want
+
+    def test_range_values_fill_lo_to_hi(self):
+        # every value in [LO, HI] up to rounding, and the next step past HI
+        for lo in (-2.0, -0.5, 0.0, 0.1, 3.0):
+            for width in (0.0, 0.3, 1.0, 2.5, 7.0, 10.0):
+                for step in (0.1, 0.25, 0.3, 0.5, 0.6, 1.0, 1.5, 6.0, 20.0):
+                    hi = lo + width
+                    got = cli._parse_range(f"{lo!r}:{hi!r}:{step!r}")
+                    assert got[0] == lo and all(lo <= v <= hi + 1e-9 * step for v in got), (lo, hi, step)
+                    assert lo + len(got) * step > hi, (lo, hi, step)
+        assert len(cli._parse_range("0:0.3:0.1")) == 4
+        assert len(cli._parse_range("-2:2:0.5")) == 9
+
     def test_range_bound_is_exact(self):
         n = cli.MAX_RANGE_VALUES
         assert len(cli._parse_range(f"0:{n - 1}:1")) == n

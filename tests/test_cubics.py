@@ -907,6 +907,30 @@ class TestLocalSearch:
         rep = vc.find_locally_admissible_point(q, vc.SearchGrid(n=6))
         assert rep is None or rep.verdict == PD
 
+    @pytest.mark.parametrize(
+        "search", [vc.SearchGrid(), vc.SearchGrid(n=1), vc.SearchGrid(lo=1.0, hi=1.0, n=3)], ids=_grid_id
+    )
+    def test_no_point_without_the_det_term(self, search):
+        # a = 0: the inertia rule needs a > 0, so it calls no slice point
+        # positive-definite, whatever the signs of b and c, and the search
+        # finds nothing with or without its a = 0 return
+        cone = rank3_cone(1)
+        for b in (-1.0, 0.0, 1.0):
+            for c in (-1.0, 0.0, 1.0):
+                q = vc.InvariantCubic(cone, (0.0, b, c))
+                assert not cubics._classify_slice(q, search)[2].any(), (b, c)
+                assert vc.find_locally_admissible_point(q, search) is None, (b, c)
+
+    def test_no_point_without_the_det_term_at_extreme_c(self):
+        # q = p2 p3 - 1e20 p3^3 at x2 = 1e20, x3 = 1: the sampled q cancels
+        # to exactly 0, so the sweep of the slice raises; the search's a = 0
+        # return gives None before it samples
+        q = vc.InvariantCubic(rank3_cone(1), (0.0, 1.0, -1e20))
+        search = vc.SearchGrid(lo=1.0, hi=1.0, n=3)
+        with pytest.raises(OutsideConeError, match="requires q"):
+            cubics._classify_slice(q, search)
+        assert vc.find_locally_admissible_point(q, search) is None
+
 
 class TestScan:
     def test_classifications(self):
@@ -923,7 +947,7 @@ class TestScan:
         for e1 in (-0.5, 0.0, 0.5):
             assert by_cell[(e1, 0.0)] == "admissible-on-sample"
             assert by_cell[(e1, 0.25)] == "not-admissible"
-            assert by_cell[(e1, -0.25)] in ("admissible-on-sample", "locally-admissible")
+            assert by_cell[(e1, -0.25)] == "admissible-on-sample"
 
     def test_csv_deterministic(self, tmp_path):
         cone = rank3_cone(1)
@@ -969,6 +993,20 @@ class TestScanOracle:
         rows = assert_scan_matches_oracle(rank3_cone(dim_v), e1, e2, vc.DiagonalGrid(n=n), vc.SearchGrid(n=n))
         kinds = {(r.eps2 > 0.0, r.classification) for r in rows}
         assert {(False, cubics.ADMISSIBLE_ON_SAMPLE), (True, cubics.NOT_ADMISSIBLE)} <= kinds
+
+    @pytest.mark.parametrize("n", [1, 8, 12])
+    def test_wide_plane_never_needs_the_local_search(self, n):
+        # the oracle still falls back to the local search where a cell with
+        # eps2 <= 0 has a point that is not positive-definite; the inertia
+        # rule leaves no such point, so the scan, which has no fallback,
+        # gives the oracle's rows bit for bit and none is locally-admissible
+        e1 = np.linspace(-2.0, 2.0, 9).tolist()
+        e2 = [-100.0, -30.0, -5.0, -1.0, -0.25, -1e-300, -0.0, 0.0, 1e-300, 0.25, 1.0, 5.0, 30.0, 100.0]
+        cone, grid, search = rank3_cone(1), vc.DiagonalGrid(n=n), vc.SearchGrid(n=max(8, n))
+        got = vc.scan_parameter_plane(cone, e1, e2, grid, search)
+        assert same_bits(tuple(got), tuple(reference_scan_parameter_plane(cone, e1, e2, grid, search)))
+        assert cubics.LOCALLY_ADMISSIBLE not in {r.classification for r in got}
+        assert {r.classification for r in got if r.eps2 <= 0.0} == {cubics.ADMISSIBLE_ON_SAMPLE}
 
     @pytest.mark.parametrize("dim_v", [1, 8])
     def test_local_search_cells(self, dim_v, monkeypatch):
