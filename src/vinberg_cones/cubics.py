@@ -199,7 +199,13 @@ def _neg_hess_log(qx, g, H) -> np.ndarray:
     Hessian, at one point or a stack.  np.float_power rounds like the scalar
     ** of one point; numpy's array ** does not."""
     qx = np.asarray(qx)[..., None, None]
-    return (g[..., :, None] * g[..., None, :] - qx * H) / np.float_power(qx, 2)
+    return _neg_hess_log_entry(qx, np.float_power(qx, 2), g[..., :, None], g[..., None, :], H)
+
+
+def _neg_hess_log_entry(qx, qsq, gi, gj, hij):
+    """(gi gj - q hij) / q^2 given qsq = q^2: entries of -Hess(log q), as
+    floats or as arrays."""
+    return (gi * gj - qx * hij) / qsq
 
 
 def fd_hessian_log(q: InvariantCubic, X: HermMatrix, h: float = 1e-5) -> np.ndarray:
@@ -293,23 +299,32 @@ def _restrict(M, u):
     """Restrict each form M (last two axes) to an orthonormal basis of the
     complement of the unit vector u, at one point or a stack: the basis, the
     symmetrized restricted form R, the leading principal minors of R after a
-    diagonal (Jacobi) rescaling, and that rescaled form's largest entry.
+    diagonal (Jacobi) rescaling, and that rescaled form's largest entry."""
+    basis = _tangent_basis(u)
+    R = _restricted(M, basis)
+    d = np.sqrt(np.abs(R.diagonal(axis1=-2, axis2=-1)))
+    d[d == 0.0] = 1.0
+    Rn = R / (d[..., :, None] * d[..., None, :])
+    return basis, R, _leading_minors(Rn), np.abs(Rn).max(axis=(-2, -1))
 
-    The basis is coordinate-adapted: the axes other than the one most aligned
-    with u, projected off u and orthonormalized (keeps the restricted form
+
+def _tangent_basis(u):
+    """An orthonormal basis of the complement of each unit vector u (last
+    axis), coordinate-adapted: the axes other than the one most aligned with
+    u, projected off u and orthonormalized (keeps the restricted form
     near-block-diagonal, so the minors stay well scaled)."""
     r = u.shape[-1]
     drop = np.abs(u).argmax(axis=-1)[..., None]
     keep = np.arange(r - 1)
     keep = keep + (keep >= drop)
     u_keep = u[np.arange(r) != drop].reshape(keep.shape)
-    basis, _ = np.linalg.qr(np.eye(r)[keep].swapaxes(-1, -2) - u[..., :, None] * u_keep[..., None, :])
+    return np.linalg.qr((np.arange(r)[:, None] == keep[..., None, :]) - u[..., :, None] * u_keep[..., None, :])[0]
+
+
+def _restricted(M, basis):
+    """The symmetrized form basis^T M basis, at one point or a stack."""
     R = basis.swapaxes(-1, -2) @ M @ basis
-    R = 0.5 * (R + R.swapaxes(-1, -2))
-    d = np.sqrt(np.abs(R.diagonal(axis1=-2, axis2=-1)))
-    d[d == 0.0] = 1.0
-    Rn = R / (d[..., :, None] * d[..., None, :])
-    return basis, R, _leading_minors(Rn), np.abs(Rn).max(axis=(-2, -1))
+    return 0.5 * (R + R.swapaxes(-1, -2))
 
 
 def _leading_minors(A: np.ndarray) -> np.ndarray:
@@ -427,6 +442,8 @@ def _boundary_probes(q: InvariantCubic, x2: np.ndarray) -> np.ndarray:
     A[:, 0, 0] = -(b * x2) / c  # the first row is -(b x2, 0, -1) / c
     A[:, 0, 1:] = -0.0 / c, 1.0 / c
     A[:, 1, 0] = A[:, 2, 1] = 1.0
+    if not np.isfinite(A).all():
+        raise OutsideConeError("the feasibility boundary of the diagonal slice overflows")
     roots = np.linalg.eigvals(A)
     real = (np.abs(roots.imag) < 1e-9) & (roots.real > 0.0)
     t = np.where(real, roots.real, 0.0).max(axis=1)[:, None]
@@ -508,14 +525,20 @@ def _constraint_violated(q: InvariantCubic, x: np.ndarray) -> np.ndarray:
 # followed by the tail det(core) times the running product of block signs
 # times the running product P of the pivots of the Jacobi-scaled Gram
 # matrices (P is all 1 for the orthonormal bases the library builds).  The
-# kernel below evaluates that for a stack of points, through the dense
-# path's _neg_hess_log and _restrict on the cores.  Every value that reaches
+# kernel below evaluates that for a stack of points or at one point, through
+# the dense path's _neg_hess_log, tangent basis and restriction, and the
+# core's Jacobi scaling and minors entry by entry.  Every value that reaches
 # the core repeats the float operations of eval_cubic (d = x1 x2 x3 from
 # det_cubic, p2 = x3 x2 and p3 = x3 from cone._lower_p), gradient and
 # cubic_hessian with zero off-diagonal entries, in the same grouping:
 # near-singular cores amplify a last-bit change in an entry about 1e5-fold
 # in min_minor.  Powers go through np.float_power, which rounds like the
-# scalar ** of the dense path; numpy's array ** does not.
+# scalar ** of the dense path; numpy's array ** does not.  At one point q,
+# its derivatives and block scalars, the entries of -Hess(log q), the basis
+# input and the core's scaling and minors are Python floats, whose
+# arithmetic, ** and math.sqrt round as numpy's elementwise ufuncs do; the
+# gradient norm (a BLAS dot), the QR, the restriction (BLAS fused
+# multiply-adds) and the tail stay numpy calls.
 #
 # The tail is never formed.  Within a block of sign s its signs are constant
 # (s = 1), alternate (s = -1) or vanish (s = 0), so the entries at the
@@ -528,99 +551,177 @@ def _constraint_violated(q: InvariantCubic, x: np.ndarray) -> np.ndarray:
 # bit, as the signs are exact.
 
 
-def _diagonal_q(q: InvariantCubic, x: np.ndarray) -> np.ndarray:
-    """q at the rows of x, grouped as eval_cubic groups it."""
-    pw = np.float_power
-    if x.shape[1] == 2:
+def _unpack(x):
+    """The coordinate columns of x, or one point's floats, and the power that
+    rounds them as np.float_power does (Python's float ** does)."""
+    return (x.T, np.float_power) if isinstance(x, np.ndarray) else (x, pow)
+
+
+def _diagonal_q(q: InvariantCubic, x):
+    """q at the rows of x, or at one point x given as floats, grouped as
+    eval_cubic groups it."""
+    xs, pw = _unpack(x)
+    if q.cone.rank == 2:
         a, b = q.coeffs
-        x1, x2 = x.T
+        x1, x2 = xs
         return a * pw(x2, 3) + b * x2 * (x1 * x2)
     a, b, c = q.coeffs
-    x1, x2, x3 = x.T
+    x1, x2, x3 = xs
     return a * (x1 * x2 * x3) + b * ((x3 * x2) * x3) + c * pw(x3, 3)
 
 
-def _diagonal_derivatives(q: InvariantCubic, x: np.ndarray):
+def _diagonal_derivatives(q: InvariantCubic, x):
     """The entries of q's gradient and the upper entries {(i, j): ...} of its
     Hessian in the diagonal coordinates, each an (N,) array over the rows of
     x, or a number at one point x; the Hessian's other upper entries are 0."""
-    pw = np.float_power
+    xs, pw = _unpack(x)
     if q.cone.rank == 2:
         a, b = q.coeffs
-        x1, x2 = x.T
+        x1, x2 = xs
         x2sq = pw(x2, 2)
         g = (b * x2sq, 3.0 * a * x2sq + 2.0 * b * x1 * x2)
         return g, {(0, 1): 2.0 * b * x2, (1, 1): 6.0 * a * x2 + 2.0 * b * x1}
     a, b, c = q.coeffs
-    x1, x2, x3 = x.T
+    x1, x2, x3 = xs
     x3sq = pw(x3, 2)
     g = (a * (x2 * x3), a * (x1 * x3) + b * x3sq, a * (x1 * x2) + 2.0 * b * x2 * x3 + 3.0 * c * x3sq)
     H = {(0, 1): a * x3, (0, 2): a * x2, (1, 2): a * x1 + 2.0 * b * x3, (2, 2): 2.0 * b * x2 + 6.0 * c * x3}
     return g, H
 
 
+def _block_scalars(q: InvariantCubic, x, hs, qx) -> tuple:
+    """The scalar of -Hess(log q) on each off-diagonal block, from the rows
+    of x or one point, its Hessian entries hs and q = qx != 0 there."""
+    if q.cone.rank == 2:
+        return (hs[(0, 1)] / qx,)
+    a, b, _ = q.coeffs
+    x1, x2, x3 = _unpack(x)[0]
+    return (2.0 * a * x3 / qx, 2.0 * a * x2 / qx, 2.0 * (a * x1 + b * x3) / qx)
+
+
 def _diagonal_parts(q: InvariantCubic, x: np.ndarray):
     """q, its gradient and Hessian in the diagonal coordinates, and the
     scalar of -Hess(log q) on each off-diagonal block, at the rows of x.
     Raises where q = 0, before the block scalars divide by it."""
-    n, r = x.shape
-    g = np.empty((n, r))
-    H = np.zeros((n, r, r))
-    blocks = np.empty((n, len(q.cone.algebra.offdiag_keys)))
     qx = _diagonal_q(q, x)
     gs, hs = _diagonal_derivatives(q, x)
-    for k, gk in enumerate(gs):
-        g[:, k] = gk
-    for (i, j), h in hs.items():
-        H[:, i, j] = H[:, j, i] = h
-    if r == 2:
-        blocks[:, 0] = hs[(0, 1)]
-    else:
-        a, b, _ = q.coeffs
-        x1, x2, x3 = x.T
-        blocks[:, 0] = 2.0 * a * x3
-        blocks[:, 1] = 2.0 * a * x2
-        blocks[:, 2] = 2.0 * (a * x1 + b * x3)
     if (qx == 0.0).any():
         raise OutsideConeError("projection onto the level set requires q(X) > 0")
-    blocks /= qx[:, None]
-    return qx, g, H, blocks
+    H = np.zeros(x.shape + x.shape[1:])
+    for (i, j), h in hs.items():
+        H[:, i, j] = H[:, j, i] = h
+    return qx, np.array(gs).T, H, np.array(_block_scalars(q, x, hs, qx)).T
 
 
-def _tail_minors(alg, det_core: np.ndarray, signs: np.ndarray) -> np.ndarray:
+def _point_forms(q: InvariantCubic, x: list):
+    """The unit gradient, -Hess(log q) and the block scalars at one diagonal
+    point x (floats) with q > 0, projected onto {q = 1}: the stacked
+    kernel's steps on Python floats."""
+    qx = _diagonal_q(q, x)
+    if not qx > 0.0:
+        raise OutsideConeError("projection onto the level set requires q(X) > 0")
+    if abs(qx - 1.0) > 1e-9:
+        s = qx ** (1.0 / 3.0)
+        x = [xi / s for xi in x]
+        qx = _diagonal_q(q, x)
+    g, hs = _diagonal_derivatives(q, x)
+    padded = np.zeros(q.cone.dim_herm)
+    padded[: len(g)] = g
+    norm = math.sqrt(padded @ padded)  # the stacked kernel's BLAS dot
+    if not 0.0 < norm < math.inf:
+        raise OutsideConeError("the gradient norm is not finite at the level set")
+    qsq, r = qx**2, range(len(g))
+    M = [[_neg_hess_log_entry(qx, qsq, g[i], g[j], hs.get((min(i, j), max(i, j)), 0.0)) for j in r] for i in r]
+    return [gi / norm for gi in g], np.array(M), _block_scalars(q, x, hs, qx)
+
+
+def _scaled_core_minors(R):
+    """The leading minors of each symmetric core R (last two axes, at most
+    2 x 2) after _restrict's Jacobi scaling, and the scaled core's upper
+    entries, as lists of entries (floats at one point, columns over a
+    stack): _leading_minors, entry by entry."""
+    E, sqrt = (R.tolist(), math.sqrt) if R.ndim == 2 else (R.T, np.sqrt)  # E[i][j]: entry (j, i)
+    m = len(E)
+    d = [sqrt(abs(E[i][i])) for i in range(m)]
+    d = [di + (di == 0.0) for di in d]
+    n = [E[i][j] / (d[i] * d[j]) for i in range(m) for j in range(i, m)]
+    try:
+        pivots = n[:1] if m == 1 else [n[0], n[2] - n[1] * (n[1] / n[0])]
+    except ZeroDivisionError:  # a zero first pivot at one point
+        pivots = [0.0]
+    minors = [n[0]] + [n[0] * p for p in pivots[1:]]
+    if not all(_every((p != 0.0) & (p * 0.0 == 0.0)) for p in pivots):  # a zero or non-finite pivot
+        d = np.array(d).T
+        minors = list(_leading_minors(R / (d[..., :, None] * d[..., None, :])).T)
+    return minors, n
+
+
+def _every(mask) -> bool:
+    """Whether a mask holds at one point (a bool) or at every row of a stack."""
+    return mask.all() if isinstance(mask, np.ndarray) else mask
+
+
+def _tail_minors(alg, det_core, signs):
     """The tail minors det(core) * cumprod(block signs x Gram pivots) at the
     positions that stand for the whole tail (see above), bit for bit, for
-    each row of block signs."""
+    each row of block signs (last axis) or for one point's."""
     columns, P = alg._tail_entries
-    powers = np.concatenate([np.ones_like(signs), signs, signs * signs], axis=1)
-    return det_core[:, None] * (np.prod(powers[:, columns], axis=2) * P)
+    powers = np.concatenate([np.ones_like(signs), signs, signs * signs], axis=-1)
+    return np.asarray(det_core)[..., None] * (np.multiply.reduce(powers[..., columns], axis=-1) * P)
 
 
-def _diagonal_verdicts(q: InvariantCubic, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _diagonal_minors(q: InvariantCubic, x: np.ndarray):
+    """The leading minors of tangent_restriction's Jacobi-scaled form that
+    its verdict and min_minor read (core, then tail; last axis), the scaled
+    core's entries and the block signs, at each row of x, an (N, rank) stack
+    of diagonal points with q > 0, or at one point x of shape (rank,) (see
+    above).  Raises where the gradient norm or a minor is not finite."""
+    with np.errstate(all="ignore"):
+        if x.ndim == 1:
+            try:
+                u, M, blocks = _point_forms(q, x.tolist())
+            except (OverflowError, ZeroDivisionError):  # where a stack gets inf or nan
+                raise OutsideConeError("the level set overflows at a diagonal point") from None
+            au = [abs(ui) for ui in u]
+            drop = au.index(max(au))
+            keep = [k for k in range(len(u)) if k != drop]  # as _tangent_basis keeps them
+            basis = np.linalg.qr(np.array([[(i == k) - ui * u[k] for k in keep] for i, ui in enumerate(u)]))[0]
+        else:
+            qx, g, H, blocks = _diagonal_parts(q, x)
+            if (qx <= 0.0).any():
+                raise OutsideConeError("projection onto the level set requires q(X) > 0")
+            off = np.abs(qx - 1.0) > 1e-9
+            if off.any():
+                x = x.copy()
+                x[off] /= np.float_power(qx[off, None], 1.0 / 3.0)
+                qx, g, H, blocks = _diagonal_parts(q, x)
+            # np.linalg.norm in the dense path is sqrt(g.dot(g)) over the full
+            # zero-padded gradient, a BLAS dot that rounds differently from one
+            # over the rank entries alone; a stacked (1, n) @ (n, 1) matmul
+            # rounds like it (einsum does not).  g != 0 by Euler's identity
+            # x . grad q = 3 q > 0.
+            padded = np.zeros((len(x), q.cone.dim_herm))
+            padded[:, : q.cone.rank] = g
+            norm = np.sqrt((padded[:, None, :] @ padded[:, :, None])[:, 0, 0])
+            if not ((norm > 0.0) & (norm < math.inf)).all():
+                raise OutsideConeError("the gradient norm is not finite at the level set")
+            M, basis = _neg_hess_log(qx, g, H), _tangent_basis(g / norm[:, None])
+        core, scaled = _scaled_core_minors(_restricted(M, basis))
+        signs = np.sign(blocks)
+        minors = np.concatenate([np.array(core).T, _tail_minors(q.cone.algebra, core[-1], signs)], axis=-1)
+        if not np.isfinite(minors).all():
+            raise OutsideConeError("the minors of the Hessian metric are not finite at the level set")
+    return minors, scaled, signs
+
+
+def _diagonal_verdicts(q: InvariantCubic, x: np.ndarray):
     """Verdict code (index into _KINDS) and min_minor of tangent_restriction
-    at each row of x, an (N, rank) stack of diagonal points with q > 0.  Past
-    the cores a point costs O(blocks); the zero-padded gradient norm is the
-    one step whose cost grows with dim_herm."""
-    qx, g, H, blocks = _diagonal_parts(q, x)
-    if (qx <= 0.0).any():
-        raise OutsideConeError("projection onto the level set requires q(X) > 0")
-    off = np.abs(qx - 1.0) > 1e-9
-    if off.any():
-        x = x.copy()
-        x[off] /= np.float_power(qx[off, None], 1.0 / 3.0)
-        qx, g, H, blocks = _diagonal_parts(q, x)
-    # np.linalg.norm in the dense path is sqrt(g.dot(g)) over the full
-    # zero-padded gradient, a BLAS dot that rounds differently from one over
-    # the rank entries alone; a stacked (1, n) @ (n, 1) matmul rounds like it
-    # (einsum does not).  g != 0 by Euler's identity x . grad q = 3 q > 0.
-    padded = np.zeros((len(x), q.cone.dim_herm))
-    padded[:, : q.cone.rank] = g
-    u = g / np.sqrt((padded[:, None, :] @ padded[:, :, None])[:, 0, 0])[:, None]
-    _, _, core, scale = _restrict(_neg_hess_log(qx, g, H), u)
-    signs = np.sign(blocks)
-    minors = np.concatenate([core, _tail_minors(q.cone.algebra, core[:, -1], signs)], axis=1)
-    scale = np.maximum(scale, np.abs(signs).max(axis=1))
-    return _verdict_from_minors(minors, scale), minors.min(axis=1)
+    at each row of x, an (N, rank) stack of diagonal points with q > 0, or
+    at one point x of shape (rank,) as an int and a float."""
+    minors, scaled, signs = _diagonal_minors(q, x)
+    scale = np.abs(np.concatenate([np.array(scaled).T, signs], axis=-1)).max(axis=-1)
+    codes, mins = _verdict_from_minors(minors, scale), minors.min(axis=-1)
+    return (int(codes), float(mins)) if x.ndim == 1 else (codes, mins)
 
 
 # ---------------------------------------------------------------------------
@@ -687,6 +788,7 @@ def _core_minors(x: np.ndarray, g, H) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+@np.errstate(all="ignore")  # an overflow leaves a q that is not finite, which raises
 def _classify_slice(q: InvariantCubic, grid: DiagonalGrid | SearchGrid):
     """The diagonal points of {q = 1} on the grid, where the slope constraint
     holds and where the inertia rule calls g(q) positive-definite."""
@@ -694,7 +796,7 @@ def _classify_slice(q: InvariantCubic, grid: DiagonalGrid | SearchGrid):
     inside = ~_constraint_violated(q, x)
     xs = x[inside]
     qx = _diagonal_q(q, xs)
-    if (qx <= 0.0).any():
+    if not ((qx > 0.0) & (qx < math.inf)).all():
         raise OutsideConeError("projection onto the level set requires q(X) > 0")
     pd = np.zeros(len(x), dtype=bool)
     pd[inside] = _inertia_pd(q, xs, qx)
@@ -705,15 +807,16 @@ def _candidate_minors(q: InvariantCubic, x: np.ndarray) -> np.ndarray:
     """The kernel's min_minor at the rows of x (positive-definite slice
     points) that may hold the smallest, nan at the others: for rank 3 the
     rows whose closed-form core minor is within ARGMIN_DELTA relative of the
-    smallest, or is nan; for rank 2 all, as their minors tie."""
+    smallest, or is nan; for rank 2 all, as their minors tie.  A single
+    such row goes to the kernel as one point."""
     minors = np.full(len(x), math.nan)
     if len(x):
-        rows = slice(None)
+        rows = np.arange(len(x))
         if q.cone.rank == 3:
             core = _core_minors(x, *_diagonal_derivatives(q, x))
             lo = float(np.fmin.reduce(core, initial=math.inf))
-            rows = ~(core > lo + ARGMIN_DELTA * abs(lo))
-        minors[rows] = _diagonal_verdicts(q, x[rows])[1]
+            rows = np.flatnonzero(~(core > lo + ARGMIN_DELTA * abs(lo)))
+        minors[rows] = _diagonal_minors(q, x[rows[0]] if rows.size == 1 else x[rows])[0].min(axis=-1)
     return minors
 
 
@@ -821,7 +924,7 @@ def scan_parameter_plane(
                 rows.append(ScanCell(e1, e2, ADMISSIBLE_ON_SAMPLE, *x[i, 1:].tolist(), minor))
             else:
                 j = int(np.argmin(pd))  # the first witness, whose minor the row reads
-                minor = _diagonal_verdicts(q, x[j : j + 1])[1].item() if inside[j] else math.nan
+                minor = float(_diagonal_minors(q, x[j])[0].min()) if inside[j] else math.nan
                 rows.append(ScanCell(e1, e2, NOT_ADMISSIBLE, *x[j, 1:].tolist(), minor))
     return rows
 

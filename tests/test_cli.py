@@ -449,6 +449,27 @@ class TestScanBounds:
         assert run.stderr == "failure: projection onto the level set requires q(X) > 0\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "eps1,eps2",
+        [
+            ("0:0:1", "1e308:1e308:1"),
+            ("0:0:1", "-1e308:-1e308:1"),
+            ("-1e308:-1e308:1", "0:0:1"),
+            ("1e308:1e308:1", "0:0:1"),
+            ("1e308:1e308:1", "1:1:1"),
+        ],
+    )
+    def test_overflowing_cell_fails_with_one_line(self, spec3, tmp_path, monkeypatch, eps1, eps2):
+        # the slice's arithmetic overflows (the gradient norm, q, x1 or the
+        # boundary probes' companion matrices): exit 1 with one failure line
+        # and no CSV, and no RuntimeWarning, which this run turns into errors
+        monkeypatch.setenv("PYTHONWARNINGS", "error::RuntimeWarning")
+        out = tmp_path / "x.csv"
+        run = _run_cli("scan", "--spec", spec3, f"--eps1={eps1}", f"--eps2={eps2}", "--grid", "12", "--out", str(out))
+        assert run.returncode == 1
+        assert run.stderr.startswith("failure: ") and run.stderr.count("\n") == 1, run.stderr
+        assert not out.exists()
+
     def test_grid_at_bound_runs(self, spec3, tmp_path):
         out = tmp_path / "x.csv"
         grid = str(cli.MAX_GRID)

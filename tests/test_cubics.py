@@ -1164,23 +1164,101 @@ class TestArgminCandidates:
 
     def test_kernel_sees_few_points_per_cell(self, monkeypatch):
         # one kernel call per cell of the d8 plane at grid 12, at the first
-        # witness or at the argmin candidates; eps = (0, 0), where q = d and
+        # witness or at the argmin candidates, as one point (shape (3,)) in
+        # the 56 cells that read a single minor; eps = (0, 0), where q = d and
         # every point ties, takes the whole slice
         seen = []
-        kernel = cubics._diagonal_verdicts
+        kernel = cubics._diagonal_minors
 
-        def counting(q, x):
-            seen.append(len(x))
+        def recording(q, x):
+            seen.append(x.shape)
             return kernel(q, x)
 
-        monkeypatch.setattr(cubics, "_diagonal_verdicts", counting)
+        monkeypatch.setattr(cubics, "_diagonal_minors", recording)
         cone, grid, search = rank3_cone(8), vc.DiagonalGrid(n=12), vc.SearchGrid(n=12)
+        one_point = 0
         for eps in PLANE:
             seen.clear()
             vc.scan_parameter_plane(cone, [eps[0]], [eps[1]], grid, search)
             assert len(seen) == 1, eps
+            one_point += seen[0] == (3,)
             if eps != (0.0, 0.0):
-                assert seen[0] <= 8, eps
+                assert seen[0] == (3,) or 2 <= seen[0][0] <= 8, eps
+        assert one_point == 56
+
+
+def assert_point_calls_match_stack(q, grid) -> int:
+    """At every slice point inside the slope constraint, the kernel called on
+    that one point gives the minors, verdict code and min_minor of its row of
+    the stacked call, bit for bit, as an int and a float; returns how many
+    points it compared."""
+    x = cubics._slice_points(q, grid)
+    x = x[~cubics._constraint_violated(q, x)]
+    if not len(x):
+        return 0
+    minors = cubics._diagonal_minors(q, x)[0]
+    codes, mins = cubics._diagonal_verdicts(q, x)
+    for row, m, code, mm in zip(x, minors, codes.tolist(), mins.tolist()):
+        assert cubics._diagonal_minors(q, row)[0].tobytes() == m.tobytes(), row
+        assert same_bits(cubics._diagonal_verdicts(q, row), (code, mm)), row
+    return len(x)
+
+
+class TestOnePointKernel:
+    """The diagonal kernel at one point, shape (rank,), runs on Python floats
+    but for its gradient dot, QR, restriction and tail; every float equals
+    the stacked call's."""
+
+    @pytest.mark.parametrize("n", [8, 12])
+    @pytest.mark.parametrize("dim_v", [1, 8, 16])
+    def test_roadmap_plane(self, dim_v, n):
+        cone, grid = rank3_cone(dim_v), vc.DiagonalGrid(n=n)
+        checked = sum(assert_point_calls_match_stack(vc.InvariantCubic.rank3_family(cone, *e), grid) for e in PLANE)
+        assert checked > 80 * 4 * n
+
+    @pytest.mark.parametrize("dim_v", [1, 8])
+    @pytest.mark.parametrize("coeffs", [(0.0, 1.0, 0.0), (0.0, 1.0, 0.5), (0.0, 1.0, -0.5), (0.0, 2.0, 1.0)])
+    def test_cubics_without_the_det_term(self, dim_v, coeffs):
+        # zero block signs and zero pivots: the tail's signed zeros and the
+        # det route of the core's minors
+        q = vc.InvariantCubic(rank3_cone(dim_v), coeffs)
+        assert sum(assert_point_calls_match_stack(q, vc.DiagonalGrid(n=n)) for n in (8, 12)) > 0
+
+    @pytest.mark.parametrize("dim_w", [1, 4, 9])
+    @pytest.mark.parametrize("eps", [-2.0, -0.25, 0.0, 0.5, 2.0])
+    def test_rank2_families(self, dim_w, eps):
+        q = vc.InvariantCubic.rank2_family(rank2_cone(dim_w), eps)
+        assert sum(assert_point_calls_match_stack(q, vc.DiagonalGrid(n=n)) for n in (8, 12)) > 0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestOverflow:
+    """Cubics whose slice arithmetic overflows: the sweeps and the kernel
+    raise OutsideConeError, warning of nothing, where they used to report
+    nan or inf minors."""
+
+    @pytest.mark.parametrize("eps", [1e308, -1e308])
+    def test_rank2_family(self, eps):
+        q = vc.InvariantCubic.rank2_family(rank2_cone(4), eps)
+        with pytest.raises(OutsideConeError):
+            vc.admissibility_on_diagonal(q, vc.DiagonalGrid(n=12))
+
+    @pytest.mark.parametrize("dim_v", [1, 8])
+    def test_rank3_family(self, dim_v):
+        cone, grid = rank3_cone(dim_v), vc.DiagonalGrid(n=12)
+        q = vc.InvariantCubic.rank3_family(cone, 0.0, 1e308)
+        with pytest.raises(OutsideConeError):
+            vc.admissibility_on_diagonal(q, grid)
+        with pytest.raises(OutsideConeError):
+            vc.scan_parameter_plane(cone, [0.0], [1e308], grid)
+
+    def test_gradient_norm_at_one_point_and_in_a_stack(self):
+        # 3.0 * a overflows at eps = 1e308 before x2^2 scales it down
+        q = vc.InvariantCubic.rank2_family(rank2_cone(4), 1e308)
+        x = cubics._slice_points(q, vc.DiagonalGrid(n=12))
+        for points in (x[0], x[:1]):
+            with pytest.raises(OutsideConeError, match="gradient norm"):
+                cubics._diagonal_minors(q, points)
 
 
 class TestUnimodularCubicCheck:
