@@ -74,7 +74,7 @@ __version__ = "0.1.0"
 _CUBICS_NAMES = (  # loaded on first use
     "DiagonalGrid", "DiagonalReport", "HessianReport", "InvariantCubic", "ScanCell", "SearchGrid",
     "admissibility_on_diagonal", "cubic_hessian", "eval_cubic", "find_locally_admissible_point", "gradient",
-    "hessian_log", "no_g0_cubic_check", "scan_parameter_plane", "scan_to_csv", "tangent_restriction",
+    "hessian_log", "scan_parameter_plane", "scan_to_csv", "tangent_restriction",
 )
 
 

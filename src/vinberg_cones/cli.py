@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -257,8 +258,13 @@ def cmd_scan(args) -> int:
     eps2 = _parse_range(args.eps2)
     if not 1 <= args.grid <= MAX_GRID:
         raise SpecError(f"--grid must be from 1 to MAX_GRID = {MAX_GRID}, got {args.grid}")
+    if os.path.isdir(args.out) or not os.path.isdir(os.path.dirname(args.out) or "."):
+        raise SpecError(f"cannot write --out {args.out}: not a file in an existing directory")
     rows = cubics_mod.scan_parameter_plane(cone, eps1, eps2, cubics_mod.DiagonalGrid(n=args.grid))
-    cubics_mod.scan_to_csv(rows, args.out)
+    try:
+        cubics_mod.scan_to_csv(rows, args.out)
+    except OSError as exc:
+        raise SpecError(f"cannot write --out {args.out}: {exc}") from None
     print(f"wrote {len(rows)} rows to {args.out}")
     return EXIT_OK
 

@@ -187,11 +187,13 @@ def _gram_block(space, coef: float) -> np.ndarray:
 
 
 def hessian_log(q: InvariantCubic, X: HermMatrix) -> np.ndarray:
-    """-Hess(log q) at X, assembled exactly as (grad q grad q^T - q Hess q) / q^2."""
-    qx = eval_cubic(q, X)
-    if qx == 0.0:
-        raise OutsideConeError("log q singular: q(X) = 0")
-    return _neg_hess_log(qx, gradient(q, X), cubic_hessian(q, X))
+    """-Hess(log q) at X, assembled exactly as (grad q grad q^T - q Hess q) / q^2.
+    Raises where an entry is not finite: where q(X) = 0 or an overflow."""
+    with np.errstate(all="ignore"):
+        M = _neg_hess_log(eval_cubic(q, X), gradient(q, X), cubic_hessian(q, X))
+    if not np.isfinite(M).all():
+        raise OutsideConeError("-Hess(log q) is not finite at this point: q(X) = 0 or an overflow")
+    return M
 
 
 def _neg_hess_log(qx, g, H) -> np.ndarray:
@@ -252,7 +254,7 @@ class HessianReport:
 
     @property
     def min_minor(self) -> float:
-        return float(np.min(self.leading_minors)) if self.leading_minors.size else math.nan
+        return float(np.min(self.leading_minors))
 
 
 def _verdict_from_minors(minors: np.ndarray, scale) -> np.ndarray:
@@ -274,24 +276,25 @@ def tangent_restriction(q: InvariantCubic, X: HermMatrix) -> HessianReport:
     The minors are taken after a diagonal (Jacobi) rescaling of the
     restricted form; the rescaling is a congruence, so the sign pattern and
     the verdict agree with those of the raw form while staying meaningful
-    across the huge entry scales that extreme slice points produce.
+    across the huge entry scales that extreme slice points produce.  Raises,
+    as the kernel does, where q(X), the gradient norm or a minor is not finite.
     """
     _require_euclidean(q.cone)
-    qx = eval_cubic(q, X)
-    if qx <= 0.0:
-        raise OutsideConeError("projection onto the level set requires q(X) > 0")
-    if abs(qx - 1.0) > 1e-9:
-        X = herm_from_vector(q.cone.algebra, X.to_vector() / qx ** (1.0 / 3.0))
+    with np.errstate(all="ignore"):  # an overflow leaves a value that is not finite, which raises
         qx = eval_cubic(q, X)
-    g = gradient(q, X)
-    M = _neg_hess_log(qx, g, cubic_hessian(q, X))
-    gnorm = float(np.linalg.norm(g))
-    if gnorm <= 1e-300:
-        n = q.cone.dim_herm
-        return HessianReport(
-            X, M, np.zeros((n, 0)), np.zeros((0, 0)), DEGENERATE, np.array([])
-        )
-    basis, R, minors, scale = _restrict(M, g / gnorm)
+        if not 0.0 < qx < math.inf:
+            raise OutsideConeError("projection onto the level set requires q(X) > 0")
+        if abs(qx - 1.0) > 1e-9:
+            X = herm_from_vector(q.cone.algebra, X.to_vector() / qx ** (1.0 / 3.0))
+            qx = eval_cubic(q, X)
+        g = gradient(q, X)
+        gnorm = float(np.linalg.norm(g))
+        if not 0.0 < gnorm < math.inf:
+            raise OutsideConeError("the gradient norm is not finite at the level set")
+        M = _neg_hess_log(qx, g, cubic_hessian(q, X))
+        basis, R, minors, scale = _restrict(M, g / gnorm)
+        if not (np.isfinite(M).all() and np.isfinite(minors).all()):
+            raise OutsideConeError("the minors of the Hessian metric are not finite at the level set")
     return HessianReport(X, M, basis, R, _KINDS[_verdict_from_minors(minors, scale).item()], minors)
 
 
@@ -948,29 +951,3 @@ def scan_to_csv(rows: list[ScanCell], path) -> None:
                     _fmt17(r.min_minor),
                 ]
             )
-
-
-# ---------------------------------------------------------------------------
-# Degree bookkeeping for unimodular-invariant cubics
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class UnimodularCubicReport:
-    rank: int
-    pi_sq_degree: int
-    cubic_exists: bool
-    description: str
-
-
-def no_g0_cubic_check(cone: ConeDescriptor) -> UnimodularCubicReport:
-    """Invariants of the unimodular subgroup are generated by the squared
-    G-determinant, so a degree-3 invariant polynomial exists iff
-    deg(pi^2) divides 3."""
-    if cone.rank == 2:
-        return UnimodularCubicReport(
-            2, 2, False, "none exists: pi^2 has degree 2, which does not divide 3"
-        )
-    return UnimodularCubicReport(
-        3, 3, True, "unique up to scale: the determinant cubic d"
-    )

@@ -470,6 +470,45 @@ class TestScanBounds:
         assert run.stderr.startswith("failure: ") and run.stderr.count("\n") == 1, run.stderr
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_boundary_probes_fail_with_one_line(self, spec3, tmp_path, capsys):
+        # 1 / c overflows in the companion matrices of the boundary probes
+        out = tmp_path / "x.csv"
+        rc = cli.main(
+            ["scan", "--spec", spec3, "--eps1=0.5:0.5:1", "--eps2=5e-324:5e-324:1", "--grid", "12", "--out", str(out)]
+        )
+        assert rc == 1
+        assert capsys.readouterr().err == "failure: the feasibility boundary of the diagonal slice overflows\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("where", ["missing/x.csv", "."])
+    def test_unwritable_out_exits_2_before_the_scan(self, spec3, tmp_path, capsys, monkeypatch, where):
+        # a missing directory or a directory: the whole scan used to run
+        # first, then writing ended in a traceback (exit 1)
+        from vinberg_cones import cubics
+
+        monkeypatch.setattr(cubics, "scan_parameter_plane", lambda *a: pytest.fail("the scan ran"))
+        out = tmp_path / where
+        rc = cli.main(["scan", "--spec", spec3, "--eps1=0:0:1", "--eps2=0:0:1", "--grid", "8", "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write --out ") and err.count("\n") == 1, err
+        assert not (tmp_path / "missing").exists()
+
+    def test_failed_write_exits_2(self, spec3, tmp_path, capsys, monkeypatch):
+        from vinberg_cones import cubics
+
+        def refused(rows, path):
+            raise PermissionError(13, "Permission denied", str(path))
+
+        monkeypatch.setattr(cubics, "scan_to_csv", refused)
+        out = tmp_path / "x.csv"
+        rc = cli.main(["scan", "--spec", spec3, "--eps1=0:0:1", "--eps2=0:0:1", "--grid", "8", "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write --out ") and "Permission denied" in err and err.count("\n") == 1
+        assert not out.exists()
+
     def test_grid_at_bound_runs(self, spec3, tmp_path):
         out = tmp_path / "x.csv"
         grid = str(cli.MAX_GRID)

@@ -1187,13 +1187,13 @@ class TestArgminCandidates:
         assert one_point == 56
 
 
-def assert_point_calls_match_stack(q, grid) -> int:
-    """At every slice point inside the slope constraint, the kernel called on
-    that one point gives the minors, verdict code and min_minor of its row of
-    the stacked call, bit for bit, as an int and a float; returns how many
-    points it compared."""
+def assert_point_calls_match_stack(q, grid, scale: float = 1.0) -> int:
+    """At every slice point inside the slope constraint, times ``scale``, the
+    kernel called on that one point gives the minors, verdict code and
+    min_minor of its row of the stacked call, bit for bit, as an int and a
+    float; returns how many points it compared."""
     x = cubics._slice_points(q, grid)
-    x = x[~cubics._constraint_violated(q, x)]
+    x = scale * x[~cubics._constraint_violated(q, x)]
     if not len(x):
         return 0
     minors = cubics._diagonal_minors(q, x)[0]
@@ -1230,12 +1230,30 @@ class TestOnePointKernel:
         q = vc.InvariantCubic.rank2_family(rank2_cone(dim_w), eps)
         assert sum(assert_point_calls_match_stack(q, vc.DiagonalGrid(n=n)) for n in (8, 12)) > 0
 
+    @pytest.mark.parametrize("scale", [1.5, 1e-3])
+    def test_points_off_the_level_set(self, scale):
+        # both calls project each point onto {q = 1} first
+        cone, grid = rank3_cone(1), vc.DiagonalGrid(n=8)
+        checked = sum(assert_point_calls_match_stack(vc.InvariantCubic.rank3_family(cone, *e), grid, scale) for e in PLANE)
+        checked += assert_point_calls_match_stack(vc.InvariantCubic.rank2_family(rank2_cone(4), 0.5), grid, scale)
+        assert checked > 80 * 4 * 8
+
+    @pytest.mark.parametrize("scale", [0.0, -1.0])
+    def test_no_projection_where_q_is_not_positive(self, scale):
+        # q = 0 at every point (scale 0) or q = -1 (scale -1): one point
+        # raises as the stack does
+        q = vc.InvariantCubic.rank3_family(rank3_cone(1), 0.5, -0.25)
+        x = scale * cubics._slice_points(q, vc.DiagonalGrid(n=8))[:5]
+        for points in (x[0], x):
+            with pytest.raises(OutsideConeError, match=r"requires q\(X\) > 0"):
+                cubics._diagonal_minors(q, points)
+
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestOverflow:
-    """Cubics whose slice arithmetic overflows: the sweeps and the kernel
-    raise OutsideConeError, warning of nothing, where they used to report
-    nan or inf minors."""
+    """Cubics and points whose arithmetic overflows: the sweeps, the kernel
+    and the dense path raise OutsideConeError, warning of nothing, where
+    they used to report nan or inf minors."""
 
     @pytest.mark.parametrize("eps", [1e308, -1e308])
     def test_rank2_family(self, eps):
@@ -1260,18 +1278,54 @@ class TestOverflow:
             with pytest.raises(OutsideConeError, match="gradient norm"):
                 cubics._diagonal_minors(q, points)
 
+    def test_float_overflow_at_one_point(self):
+        # x3^3 overflows the Python float power of the one-point kernel
+        q = vc.InvariantCubic.rank3_family(rank3_cone(1), 0.0, 1.0)
+        with pytest.raises(OutsideConeError, match="overflows at a diagonal point"):
+            cubics._diagonal_minors(q, np.array([1.0, 1.0, 1e200]))
+
+    @pytest.mark.parametrize("tiny", [1e-100, 1e-160])
+    def test_minors_overflow_at_one_point_and_in_a_stack(self, tiny):
+        # q = 1 with a finite gradient, but the Jacobi-scaled core's
+        # off-diagonal entry is about 1/tiny^2, whose square overflows
+        cone = rank3_cone(1)
+        q = vc.InvariantCubic.rank3_family(cone, 0.0, 1.0)
+        x = np.array([tiny, tiny, 1.0])
+        for points in (x, x[None]):
+            with pytest.raises(OutsideConeError, match="minors"):
+                cubics._diagonal_minors(q, points)
+        with pytest.raises(OutsideConeError, match="minors"):
+            vc.tangent_restriction(q, vc.HermMatrix(cone.algebra, x, {}))
+
+    @staticmethod
+    def dense_point(case):
+        if case == "orbit-point-1e150":  # q itself overflows
+            cone = rank3_cone(1)
+            q = vc.InvariantCubic.rank3_family(cone, 0.5, -0.25)
+            A = vc.random_triangular(cone.algebra, np.random.default_rng(0))
+            return q, vc.herm_from_triangular(A).scaled(1e150)
+        if case == "w4-1e308":
+            cone = rank2_cone(4)
+            q = vc.InvariantCubic.rank2_family(cone, 1e308)
+        else:
+            cone = rank3_cone(1)
+            q = vc.InvariantCubic.rank3_family(cone, 0.0, 1e308)
+        with np.errstate(all="ignore"):
+            x = cubics._slice_points(q, vc.DiagonalGrid(n=12))[0]
+        return q, vc.HermMatrix(cone.algebra, x, {})
+
+    @pytest.mark.parametrize("case", ["w4-1e308", "d1-0-1e308", "orbit-point-1e150"])
+    def test_dense_path(self, case):
+        # tangent_restriction reported indefinite with a nan min_minor here,
+        # and hessian_log returned entries that are not finite
+        q, X = self.dense_point(case)
+        with pytest.raises(OutsideConeError):
+            vc.tangent_restriction(q, X)
+        with pytest.raises(OutsideConeError, match="not finite"):
+            vc.hessian_log(q, X)
+
 
 class TestUnimodularCubicCheck:
-    def test_rank2_none_exists(self):
-        rep = vc.no_g0_cubic_check(rank2_cone(5))
-        assert not rep.cubic_exists
-        assert rep.pi_sq_degree == 2
-
-    def test_rank3_unique(self):
-        rep = vc.no_g0_cubic_check(rank3_cone(2))
-        assert rep.cubic_exists
-        assert rep.pi_sq_degree == 3
-
     def test_rank3_det_invariance_spot_check(self):
         # unit-determinant slice: d((AB)(AB)^*) = d(B B^*) for unit-diagonal A
         cone = rank3_cone(4)

@@ -25,7 +25,7 @@ EXPORTED = [
     "eval_cubic", "find_locally_admissible_point", "g_determinant_sq", "gradient", "group_coordinates",
     "herm_from_json", "herm_from_triangular", "herm_from_triangular_star", "herm_from_vector", "herm_identity",
     "herm_pairing", "hessian_log", "identity_triangular", "membership", "minimal_spinor_dim", "nilalgebra",
-    "no_g0_cubic_check", "p_polynomials", "random_triangular", "rank2_algebra", "rank3_special",
+    "p_polynomials", "random_triangular", "rank2_algebra", "rank3_special",
     "scan_parameter_plane", "scan_to_csv", "tangent_restriction", "triangular_product", "verify_isometry",
 ]
 
