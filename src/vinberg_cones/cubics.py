@@ -269,6 +269,12 @@ def _verdict_from_minors(minors: np.ndarray, scale) -> np.ndarray:
     return np.where(degenerate, _DEGENERATE, np.where(pd, _PD, _INDEFINITE))
 
 
+def _q_error(qx) -> OutsideConeError:
+    """The error where a value of q(X) (a number or an array) is not finite or not positive."""
+    finite = np.isfinite(qx).all()
+    return OutsideConeError("projection onto the level set requires q(X) > 0" if finite else "q(X) is not finite")
+
+
 def tangent_restriction(q: InvariantCubic, X: HermMatrix) -> HessianReport:
     """Project X onto {q = 1} (requires q(X) > 0), restrict -Hess(log q) to
     an orthonormal basis of ker dq, and classify by leading principal minors.
@@ -283,7 +289,7 @@ def tangent_restriction(q: InvariantCubic, X: HermMatrix) -> HessianReport:
     with np.errstate(all="ignore"):  # an overflow leaves a value that is not finite, which raises
         qx = eval_cubic(q, X)
         if not 0.0 < qx < math.inf:
-            raise OutsideConeError("projection onto the level set requires q(X) > 0")
+            raise _q_error(qx)
         if abs(qx - 1.0) > 1e-9:
             X = herm_from_vector(q.cone.algebra, X.to_vector() / qx ** (1.0 / 3.0))
             qx = eval_cubic(q, X)
@@ -465,16 +471,17 @@ def _row_points(xs: np.ndarray, x3: np.ndarray, sweep: bool) -> tuple[np.ndarray
     return np.broadcast_to(xs[:, None], kept.shape)[kept], x3, np.float_power(x3, 2), np.float_power(x3, 3)
 
 
-def _slice_points(q: InvariantCubic, grid: DiagonalGrid | SearchGrid) -> np.ndarray:
+def _slice_points(q: InvariantCubic, grid: DiagonalGrid | SearchGrid, rows: int | None = None) -> np.ndarray:
     """Diagonal points of {q = 1} as an (N, rank) array.
 
     A DiagonalGrid gives the sweep's points: the log grid over the free
     coordinates and, for rank 3 with a != 0, per x2 row the sorted distinct
-    x3 of the grid and the probes, up to PROBE_MAX.  A SearchGrid gives the
-    local search's x2 x x3 square (rank 3, a != 0).  Each point solves the
-    level set for one coordinate and is kept when that one is positive.
-    np.float_power rounds like the scalar ** of eval_cubic; numpy's array **
-    does not."""
+    x3 of the grid and the probes, up to PROBE_MAX; with a, c > 0, ``rows``
+    keeps the first x2 rows alone, the slice's leading points bit for bit.
+    A SearchGrid gives the local search's x2 x x3 square (rank 3, a != 0).
+    Each point solves the level set for one coordinate and is kept when that
+    one is positive.  np.float_power rounds like the scalar ** of eval_cubic;
+    numpy's array ** does not."""
     pw = np.float_power
     xs = grid._xs
     if q.cone.rank == 2:
@@ -501,7 +508,8 @@ def _slice_points(q: InvariantCubic, grid: DiagonalGrid | SearchGrid) -> np.ndar
         return np.stack([v, x2, u], axis=1)[x2 > 0.0]
     # one row of x3 values per x2; inf marks no value
     if isinstance(grid, DiagonalGrid) and a > 0.0 and c > 0.0:
-        x2, x3, x3sq, x3cu = _row_points(xs, np.hstack([grid._probed_rows, _boundary_probes(q, xs)]), True)
+        xs = xs[:rows]
+        x2, x3, x3sq, x3cu = _row_points(xs, np.hstack([grid._probed_rows[:rows], _boundary_probes(q, xs)]), True)
     else:
         x2, x3, x3sq, x3cu = grid._square
     x1 = (1.0 - b * x2 * x3sq - c * x3cu) / (a * x2 * x3)
@@ -621,8 +629,8 @@ def _point_forms(q: InvariantCubic, x: list):
     point x (floats) with q > 0, projected onto {q = 1}: the stacked
     kernel's steps on Python floats."""
     qx = _diagonal_q(q, x)
-    if not qx > 0.0:
-        raise OutsideConeError("projection onto the level set requires q(X) > 0")
+    if not 0.0 < qx < math.inf:
+        raise _q_error(qx)
     if abs(qx - 1.0) > 1e-9:
         s = qx ** (1.0 / 3.0)
         x = [xi / s for xi in x]
@@ -691,8 +699,8 @@ def _diagonal_minors(q: InvariantCubic, x: np.ndarray):
             basis = np.linalg.qr(np.array([[(i == k) - ui * u[k] for k in keep] for i, ui in enumerate(u)]))[0]
         else:
             qx, g, H, blocks = _diagonal_parts(q, x)
-            if (qx <= 0.0).any():
-                raise OutsideConeError("projection onto the level set requires q(X) > 0")
+            if not ((qx > 0.0) & (qx < math.inf)).all():
+                raise _q_error(qx)
             off = np.abs(qx - 1.0) > 1e-9
             if off.any():
                 x = x.copy()
@@ -792,15 +800,16 @@ def _core_minors(x: np.ndarray, g, H) -> np.ndarray:
 
 
 @np.errstate(all="ignore")  # an overflow leaves a q that is not finite, which raises
-def _classify_slice(q: InvariantCubic, grid: DiagonalGrid | SearchGrid):
-    """The diagonal points of {q = 1} on the grid, where the slope constraint
-    holds and where the inertia rule calls g(q) positive-definite."""
-    x = _slice_points(q, grid)
+def _classify_slice(q: InvariantCubic, grid: DiagonalGrid | SearchGrid, rows: int | None = None):
+    """The diagonal points of {q = 1} on the grid, or in its first ``rows``
+    x2 rows (see _slice_points), where the slope constraint holds and where
+    the inertia rule calls g(q) positive-definite."""
+    x = _slice_points(q, grid, rows)
     inside = ~_constraint_violated(q, x)
     xs = x[inside]
     qx = _diagonal_q(q, xs)
     if not ((qx > 0.0) & (qx < math.inf)).all():
-        raise OutsideConeError("projection onto the level set requires q(X) > 0")
+        raise _q_error(qx)
     pd = np.zeros(len(x), dtype=bool)
     pd[inside] = _inertia_pd(q, xs, qx)
     return x, inside, pd
@@ -909,7 +918,8 @@ def scan_parameter_plane(
     with the kernel run only at the argmin candidates of an
     all-positive-definite slice or else at the first witness.  No cell is
     locally-admissible: by the inertia rule an eps2 <= 0 cell is
-    positive-definite at every slice point.  ``search`` is ignored."""
+    positive-definite at every slice point.  An eps2 > 0 cell classifies its
+    first x2 row alone where that row holds a witness.  ``search`` is ignored."""
     if cone.rank != 3:
         raise SpecError("parameter-plane scan is for rank-3 cones")
     _require_euclidean(cone)
@@ -919,7 +929,8 @@ def scan_parameter_plane(
         for e2 in eps2_values:
             e1, e2 = float(e1), float(e2)
             q = InvariantCubic.rank3_family(cone, e1, e2)
-            x, inside, pd = _classify_slice(q, grid)
+            first = _classify_slice(q, grid, 1) if e2 > 0.0 else None
+            x, inside, pd = first if first is not None and not first[2].all() else _classify_slice(q, grid)
             if not len(x):
                 raise OutsideConeError("empty feasible diagonal grid")
             if pd.all():

@@ -436,6 +436,21 @@ class TestScanBounds:
         assert "MAX_GRID" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("eps1,eps2,grid", [("-1e12:-1e12:1", "1e-8:1e-8:1", "8"), ("1:1:1", "1e-4:1e-4:1", "12")])
+    def test_eps2_positive_cells_exit_0(self, spec3, tmp_path, capsys, eps1, eps2, grid):
+        # the first cell's later x2 rows cancel q to <= 0, which once failed
+        # the scan; its first row holds the witness.  The second cell's first
+        # row holds none, so the whole slice is classified
+        out = tmp_path / "x.csv"
+        rc = cli.main(["scan", "--spec", spec3, f"--eps1={eps1}", f"--eps2={eps2}", "--grid", grid, "--out", str(out)])
+        assert rc == 0 and capsys.readouterr().err == ""
+        (row,) = out.read_text().splitlines()[1:]
+        if grid == "8":
+            *cell, minor = row.split(",")
+            assert cell == ["-1000000000000", "1e-08", "not-admissible", "0.01", "372.7593720314938"]
+            assert float(minor) == pytest.approx(0.99999999999998457, rel=1e-9)
+
     def test_extreme_cell_fails_without_a_numpy_warning(self, spec3, tmp_path):
         # q rounds to 0 at kept slice points of this cell: the sweep raises
         # before it divides the block scalars by q, so stderr holds only the

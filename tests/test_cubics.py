@@ -1,3 +1,4 @@
+import itertools
 import os
 import subprocess
 import sys
@@ -1066,6 +1067,78 @@ class TestScanOracle:
                 scan(cone, [1e12], [0.0], vc.DiagonalGrid(n=12), vc.SearchGrid(n=12))
 
 
+class TestFirstRowScan:
+    """A scan cell with eps2 > 0 classifies the first x2 row of its slice,
+    and the whole slice only where that row holds no witness (or no point):
+    its row reads the first witness, and a row-major slice holds it there."""
+
+    E1 = [-1e4, -100.0, -2.0, -0.5, 0.0, 0.5, 2.0, 100.0, 1e4]
+    E2 = [1e-300, 1e-6, 0.25, 1.0, 100.0]
+
+    @pytest.mark.parametrize("n", [1, 8, 12, 30])
+    @pytest.mark.parametrize("dim_v", [1, 8])
+    def test_first_row_is_the_leading_points_of_the_slice(self, dim_v, n):
+        cone, grid = rank3_cone(dim_v), vc.DiagonalGrid(n=n)
+        for e in itertools.product(self.E1, self.E2):
+            q = vc.InvariantCubic.rank3_family(cone, *e)
+            with np.errstate(all="ignore"):
+                whole, first = cubics._slice_points(q, grid), cubics._slice_points(q, grid, 1)
+            assert same_bits(first, whole[: len(first)]), e
+            assert (first[:, 1] == grid._xs[0]).all() and not (whole[len(first) :, 1] == grid._xs[0]).any(), e
+
+    @staticmethod
+    def spied_scan(monkeypatch, cone, e1, e2, grid):
+        """The scan's rows, checked against the oracle's bit for bit, and
+        for each cell the row arguments of its _classify_slice calls."""
+        classify, calls = cubics._classify_slice, []
+
+        def spy(q, grid, *rows):
+            calls.append((q.coeffs[1:], rows))
+            return classify(q, grid, *rows)
+
+        monkeypatch.setattr(cubics, "_classify_slice", spy)
+        got = vc.scan_parameter_plane(cone, e1, e2, grid)
+        monkeypatch.undo()
+        assert same_bits(tuple(got), tuple(reference_scan_parameter_plane(cone, e1, e2, grid, vc.SearchGrid(n=12))))
+        return got, [[rows for eps, rows in calls if eps == (r.eps1, r.eps2)] for r in got]
+
+    def test_first_row_without_a_witness_falls_back_to_the_slice(self, monkeypatch):
+        # ROADMAP item 1's misreads: the sweep's floor x2 >= 1e-2 misses the
+        # witnesses of these cells, so the first row has none and the whole
+        # slice is classified; the rows stay the oracle's bit for bit
+        cone, grid = rank3_cone(1), vc.DiagonalGrid(n=12)
+        for e in [(1.0, 1e-4), (100.0, 0.25), (1e4, 100.0)]:
+            (row,), calls = self.spied_scan(monkeypatch, cone, [e[0]], [e[1]], grid)
+            assert calls == [[(1,), ()]], e
+            assert row.classification == cubics.ADMISSIBLE_ON_SAMPLE, e
+
+    def test_roadmap_plane_reads_the_first_row_alone(self, monkeypatch):
+        # every eps2 > 0 cell of the dim_v = 8 plane has a witness in its
+        # first x2 row; the eps2 <= 0 cells classify the whole slice
+        e1, e2 = sorted({e for e, _ in PLANE}), sorted({e for _, e in PLANE})
+        rows, calls = self.spied_scan(monkeypatch, rank3_cone(8), e1, e2, vc.DiagonalGrid(n=12))
+        assert [c for r, c in zip(rows, calls) if r.eps2 > 0.0] == [[(1,)]] * 36
+        assert [c for r, c in zip(rows, calls) if r.eps2 <= 0.0] == [[()]] * 45
+
+    @pytest.mark.parametrize("e", [(-1e12, 1e-8), (-1e200, 1.0)])
+    def test_later_rows_that_raise_no_longer_abort_the_cell(self, e):
+        # q cancels to <= 0 at kept points of later x2 rows, so a sweep of
+        # the whole slice raises, as the scan once did; the scan now writes
+        # the first row's witness.  At (-1e12, 1e-8) the kernel's minor there
+        # is positive where the rule says not positive-definite (ROADMAP
+        # item 1)
+        cone, grid = rank3_cone(1), vc.DiagonalGrid(n=8)
+        (row,) = vc.scan_parameter_plane(cone, [e[0]], [e[1]], grid)
+        assert row.classification == cubics.NOT_ADMISSIBLE
+        if e[0] == -1e12:
+            assert (row.witness_x2, row.witness_x3) == (0.01, 372.7593720314938)
+            assert row.min_minor == pytest.approx(0.99999999999998457, rel=1e-9)
+        else:  # the slope constraint fails first: a witness without a minor
+            assert (row.witness_x2, row.witness_x3) == (0.01, 0.01) and np.isnan(row.min_minor)
+        with pytest.raises(OutsideConeError, match=r"requires q\(X\) > 0"):
+            vc.admissibility_on_diagonal(vc.InvariantCubic.rank3_family(cone, *e), grid)
+
+
 class TestInertiaRule:
     """The sweeps' positive-definite / not decision: g(q) is positive
     definite at X exactly when Hess q (X) has inertia (1, n-1)."""
@@ -1323,6 +1396,22 @@ class TestOverflow:
             vc.tangent_restriction(q, X)
         with pytest.raises(OutsideConeError, match="not finite"):
             vc.hessian_log(q, X)
+
+    def test_q_that_is_not_finite_is_named(self):
+        # q overflows to nan or inf: the dense path, the kernel and the sweep
+        # said "requires q(X) > 0" or named the gradient norm here, which
+        # names no overflow
+        cone, not_finite = rank3_cone(1), r"^q\(X\) is not finite$"
+        with pytest.raises(OutsideConeError, match=not_finite):
+            vc.tangent_restriction(*self.dense_point("orbit-point-1e150"))
+        q = vc.InvariantCubic.rank3_family(cone, 0.5, 0.0)
+        for points in (np.array([1e300, 1e300, 1.0]), np.array([[1e300, 1e300, 1.0]])):
+            with pytest.raises(OutsideConeError, match=not_finite):
+                cubics._diagonal_minors(q, points)
+        for e in [(0.0, -1e308), (-1e308, 0.0)]:
+            q = vc.InvariantCubic.rank3_family(cone, *e)
+            with pytest.raises(OutsideConeError, match=not_finite):
+                cubics._classify_slice(q, vc.DiagonalGrid(n=12))
 
 
 class TestUnimodularCubicCheck:
