@@ -8,9 +8,11 @@ A cubic q on the Hermitian space is invariant under the unipotent group
 
 The Hessian form g(q) = -Hess(log q) restricted to the tangent space of the
 level hypersurface {q = 1} is positive definite exactly for the admissible
-cubics; by invariance this can be decided on the diagonal slice.  Gradients
-and Hessians are in the flat coordinates of the algebra's layout (see
-README, Coordinates).
+cubics; by invariance this can be decided on the diagonal slice, where the
+inertia rule below decides each point in closed form.  At any other point
+the dense restriction decides by the signs of its elimination's pivots.
+Gradients and Hessians are in the flat coordinates of the algebra's layout
+(see README, Coordinates).
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .cone import ConeDescriptor, _lower_p, _require_euclidean, det_cubic, p_pol
 from .errors import OutsideConeError, SpecError
 from .nilalgebra import HermMatrix, check_same_algebra, herm_from_vector
 
-MINOR_BAND = 1e-12  # minors within +/- band*scale count as degenerate
+PIVOT_BAND = 1e-12  # dense pivots within +/- band*scale count as degenerate
 
 PD = "positive-definite"
 INDEFINITE = "indefinite"
@@ -257,18 +259,6 @@ class HessianReport:
         return float(np.min(self.leading_minors))
 
 
-def _verdict_from_minors(minors: np.ndarray, scale) -> np.ndarray:
-    """Verdict code (index into _KINDS) of each stack of leading minors (last
-    axis) whose form has the given largest entry: degenerate when a minor is
-    within the band, positive-definite when all are above it, else
-    indefinite."""
-    scale = np.asarray(scale)
-    band = MINOR_BAND * scale[..., None]
-    degenerate = (scale == 0.0) | (np.abs(minors) <= band).any(axis=-1)
-    pd = (minors > band).all(axis=-1)
-    return np.where(degenerate, _DEGENERATE, np.where(pd, _PD, _INDEFINITE))
-
-
 def _q_error(qx) -> OutsideConeError:
     """The error where a value of q(X) (a number or an array) is not finite or not positive."""
     finite = np.isfinite(qx).all()
@@ -277,13 +267,17 @@ def _q_error(qx) -> OutsideConeError:
 
 def tangent_restriction(q: InvariantCubic, X: HermMatrix) -> HessianReport:
     """Project X onto {q = 1} (requires q(X) > 0), restrict -Hess(log q) to
-    an orthonormal basis of ker dq, and classify by leading principal minors.
+    an orthonormal basis of ker dq, and classify by the signs of the pivots
+    of the elimination behind its leading principal minors (Sylvester's law
+    of inertia).
 
     The minors are taken after a diagonal (Jacobi) rescaling of the
-    restricted form; the rescaling is a congruence, so the sign pattern and
-    the verdict agree with those of the raw form while staying meaningful
-    across the huge entry scales that extreme slice points produce.  Raises,
-    as the kernel does, where q(X), the gradient norm or a minor is not finite.
+    restricted form; the rescaling is a congruence, so the signs agree with
+    those of the raw form while staying meaningful across the huge entry
+    scales that extreme slice points produce.  The pivots are the ratios of
+    successive minors; one within PIVOT_BAND times the scaled form's largest
+    entry of 0, or not a number, makes the form degenerate.  Raises, as the
+    kernel does, where q(X), the gradient norm or a minor is not finite.
     """
     _require_euclidean(q.cone)
     with np.errstate(all="ignore"):  # an overflow leaves a value that is not finite, which raises
@@ -301,7 +295,10 @@ def tangent_restriction(q: InvariantCubic, X: HermMatrix) -> HessianReport:
         basis, R, minors, scale = _restrict(M, g / gnorm)
         if not (np.isfinite(M).all() and np.isfinite(minors).all()):
             raise OutsideConeError("the minors of the Hessian metric are not finite at the level set")
-    return HessianReport(X, M, basis, R, _KINDS[_verdict_from_minors(minors, scale).item()], minors)
+        pivots = minors / np.concatenate([[1.0], minors[:-1]])  # their signs are the form's inertia
+        clear = np.abs(pivots) > PIVOT_BAND * scale
+    verdict = DEGENERATE if not clear.all() else PD if (pivots > 0.0).all() else INDEFINITE
+    return HessianReport(X, M, basis, R, verdict, minors)
 
 
 def _restrict(M, u):
@@ -555,8 +552,8 @@ def _constraint_violated(q: InvariantCubic, x: np.ndarray) -> np.ndarray:
 # (s = 1), alternate (s = -1) or vanish (s = 0), so the entries at the
 # block's even and at its odd offsets share one sign each, and a rounded
 # det(core) * P is monotone in P.  The entries at the smallest and the
-# largest P of each such class bound it: they carry its minimum, its
-# smallest magnitude and its sign, all that the verdict and min_minor read.
+# largest P of each such class bound it: they carry its minimum, all that
+# min_minor reads.
 # The kernel computes only those, at most four per block, as det(core) times
 # the sign product up to each times P there: the cumprod's values bit for
 # bit, as the signs are exact.
@@ -648,9 +645,8 @@ def _point_forms(q: InvariantCubic, x: list):
 
 def _scaled_core_minors(R):
     """The leading minors of each symmetric core R (last two axes, at most
-    2 x 2) after _restrict's Jacobi scaling, and the scaled core's upper
-    entries, as lists of entries (floats at one point, columns over a
-    stack): _leading_minors, entry by entry."""
+    2 x 2) after _restrict's Jacobi scaling, as a list of entries (floats at
+    one point, columns over a stack): _leading_minors, entry by entry."""
     E, sqrt = (R.tolist(), math.sqrt) if R.ndim == 2 else (R.T, np.sqrt)  # E[i][j]: entry (j, i)
     m = len(E)
     d = [sqrt(abs(E[i][i])) for i in range(m)]
@@ -664,7 +660,7 @@ def _scaled_core_minors(R):
     if not all(_every((p != 0.0) & (p * 0.0 == 0.0)) for p in pivots):  # a zero or non-finite pivot
         d = np.array(d).T
         minors = list(_leading_minors(R / (d[..., :, None] * d[..., None, :])).T)
-    return minors, n
+    return minors
 
 
 def _every(mask) -> bool:
@@ -683,10 +679,10 @@ def _tail_minors(alg, det_core, signs):
 
 def _diagonal_minors(q: InvariantCubic, x: np.ndarray):
     """The leading minors of tangent_restriction's Jacobi-scaled form that
-    its verdict and min_minor read (core, then tail; last axis), the scaled
-    core's entries and the block signs, at each row of x, an (N, rank) stack
-    of diagonal points with q > 0, or at one point x of shape (rank,) (see
-    above).  Raises where the gradient norm or a minor is not finite."""
+    its min_minor reads (core, then tail; last axis), at each row of x, an
+    (N, rank) stack of diagonal points with q > 0, or at one point x of
+    shape (rank,) (see above).  Raises where the gradient norm or a minor is
+    not finite."""
     with np.errstate(all="ignore"):
         if x.ndim == 1:
             try:
@@ -717,22 +713,11 @@ def _diagonal_minors(q: InvariantCubic, x: np.ndarray):
             if not ((norm > 0.0) & (norm < math.inf)).all():
                 raise OutsideConeError("the gradient norm is not finite at the level set")
             M, basis = _neg_hess_log(qx, g, H), _tangent_basis(g / norm[:, None])
-        core, scaled = _scaled_core_minors(_restricted(M, basis))
-        signs = np.sign(blocks)
-        minors = np.concatenate([np.array(core).T, _tail_minors(q.cone.algebra, core[-1], signs)], axis=-1)
+        core = _scaled_core_minors(_restricted(M, basis))
+        minors = np.concatenate([np.array(core).T, _tail_minors(q.cone.algebra, core[-1], np.sign(blocks))], axis=-1)
         if not np.isfinite(minors).all():
             raise OutsideConeError("the minors of the Hessian metric are not finite at the level set")
-    return minors, scaled, signs
-
-
-def _diagonal_verdicts(q: InvariantCubic, x: np.ndarray):
-    """Verdict code (index into _KINDS) and min_minor of tangent_restriction
-    at each row of x, an (N, rank) stack of diagonal points with q > 0, or
-    at one point x of shape (rank,) as an int and a float."""
-    minors, scaled, signs = _diagonal_minors(q, x)
-    scale = np.abs(np.concatenate([np.array(scaled).T, signs], axis=-1)).max(axis=-1)
-    codes, mins = _verdict_from_minors(minors, scale), minors.min(axis=-1)
-    return (int(codes), float(mins)) if x.ndim == 1 else (codes, mins)
+    return minors
 
 
 # ---------------------------------------------------------------------------
@@ -744,31 +729,33 @@ def _diagonal_verdicts(q: InvariantCubic, x: np.ndarray):
 # metric g(q) is -Hess q on ker dq.  g(q) is therefore positive definite at
 # X exactly when Hess q (X) has inertia (1, n-1).  At a diagonal point that
 # reads b > 0 for q = a x2^3 + b x2 p1, and a > 0 and 4c x3^3 < q for
-# q = a d + b p2 p3 + c p3^3 (which implies the slope constraint).  The
-# sweeps take each point's positive-definite / not decision from this rule;
-# the kernel runs only where a minor is read: at a witness, and at the
-# positive-definite points that may hold the slice's smallest min_minor.
-# Those are the points whose closed-form core minor lies within ARGMIN_DELTA
-# of the smallest, 30 times the largest gap between it and the kernel's
-# (3.2e-4 relative, on the ROADMAP plane).
+# q = a d + b p2 p3 + c p3^3 (which implies the slope constraint).  A zero
+# leading coefficient (b, a) gives g(q) a zero block, and a zero margin
+# q - 4c x3^3 a singular core: both are degenerate.  The sweeps take each
+# point's kind from this rule; the kernel runs only where a minor is read:
+# at a witness, and at the positive-definite points that may hold the
+# slice's smallest min_minor.  Those are the points whose closed-form core
+# minor lies within ARGMIN_DELTA of the smallest, 30 times the largest gap
+# between it and the kernel's (3.2e-4 relative, on the ROADMAP plane).
 
-MARGIN_BAND = 1e-12  # a margin 1 - t <= band * max(1, t) is not positive-definite
+MARGIN_BAND = 1e-12  # a margin |1 - t| <= band * max(1, t) is degenerate
 ARGMIN_DELTA = 1e-2  # relative reach of the argmin candidates over the smallest
 
 
-def _inertia_pd(q: InvariantCubic, x: np.ndarray, qx: np.ndarray) -> np.ndarray:
-    """Whether g(q) is positive definite at each row of x, diagonal points
-    with q = qx > 0: b > 0 (rank 2), or a > 0 and a margin 1 - t,
-    t = 4c x3^3 / q, above MARGIN_BAND relative to max(1, t) (rank 3), so
-    that a margin of 0 is not positive-definite."""
-    if q.cone.rank == 2:
-        return np.full(len(x), q.coeffs[1] > 0.0)
-    a, _, c = q.coeffs
-    if not a > 0.0 or c <= 0.0:  # a margin of at least 1
-        return np.full(len(x), a > 0.0)
+def _inertia_kinds(q: InvariantCubic, x: np.ndarray, qx: np.ndarray) -> np.ndarray:
+    """The kind code (index into _KINDS) of g(q) at each row of x, diagonal
+    points with q = qx > 0 inside the slope constraint.  Positive-definite
+    where b > 0 (rank 2), or a > 0 and a margin 1 - t, t = 4c x3^3 / q, above
+    MARGIN_BAND relative to max(1, t) (rank 3); degenerate where the leading
+    coefficient (b or a) is 0 or the margin is within the band, so a margin
+    of 0 is degenerate; indefinite elsewhere."""
+    lead = q.coeffs[1] if q.cone.rank == 2 else q.coeffs[0]
+    if q.cone.rank == 2 or not lead > 0.0 or q.coeffs[2] <= 0.0:  # a > 0, c <= 0: a margin of at least 1
+        return np.full(len(x), _PD if lead > 0.0 else _DEGENERATE if lead == 0.0 else _INDEFINITE)
     x3 = x[:, 2]
-    f = 4.0 * c * (x3 * x3 * x3)  # the margin times q, and its scale, need no division
-    return qx - f > MARGIN_BAND * np.maximum(qx, f)
+    f = 4.0 * q.coeffs[2] * (x3 * x3 * x3)  # the margin times q, and its scale, need no division
+    band = MARGIN_BAND * np.maximum(qx, f)
+    return np.where(qx - f > band, _PD, np.where(qx - f < -band, _INDEFINITE, _DEGENERATE))
 
 
 def _core_minors(x: np.ndarray, g, H) -> np.ndarray:
@@ -802,17 +789,17 @@ def _core_minors(x: np.ndarray, g, H) -> np.ndarray:
 @np.errstate(all="ignore")  # an overflow leaves a q that is not finite, which raises
 def _classify_slice(q: InvariantCubic, grid: DiagonalGrid | SearchGrid, rows: int | None = None):
     """The diagonal points of {q = 1} on the grid, or in its first ``rows``
-    x2 rows (see _slice_points), where the slope constraint holds and where
-    the inertia rule calls g(q) positive-definite."""
+    x2 rows (see _slice_points), and the kind code of each: constraint where
+    the slope constraint fails, else the inertia rule's."""
     x = _slice_points(q, grid, rows)
     inside = ~_constraint_violated(q, x)
     xs = x[inside]
     qx = _diagonal_q(q, xs)
     if not ((qx > 0.0) & (qx < math.inf)).all():
         raise _q_error(qx)
-    pd = np.zeros(len(x), dtype=bool)
-    pd[inside] = _inertia_pd(q, xs, qx)
-    return x, inside, pd
+    kinds = np.full(len(x), _CONSTRAINT)
+    kinds[inside] = _inertia_kinds(q, xs, qx)
+    return x, kinds
 
 
 def _candidate_minors(q: InvariantCubic, x: np.ndarray) -> np.ndarray:
@@ -828,7 +815,7 @@ def _candidate_minors(q: InvariantCubic, x: np.ndarray) -> np.ndarray:
             core = _core_minors(x, *_diagonal_derivatives(q, x))
             lo = float(np.fmin.reduce(core, initial=math.inf))
             rows = np.flatnonzero(~(core > lo + ARGMIN_DELTA * abs(lo)))
-        minors[rows] = _diagonal_minors(q, x[rows[0]] if rows.size == 1 else x[rows])[0].min(axis=-1)
+        minors[rows] = _diagonal_minors(q, x[rows[0]] if rows.size == 1 else x[rows]).min(axis=-1)
     return minors
 
 
@@ -843,19 +830,17 @@ def _first_smallest(minors: np.ndarray):
 def admissibility_on_diagonal(q: InvariantCubic, grid: DiagonalGrid | None = None) -> DiagonalReport:
     """Sweep the diagonal slice of {q = 1}; admissibility of an invariant
     cubic reduces to positive definiteness there, which the inertia rule
-    decides.  The kernel reads the witnesses' kinds and minors and the
-    minors of the argmin candidates."""
+    decides.  The kernel reads the minors of the witnesses inside the slope
+    constraint and of the argmin candidates."""
     _require_euclidean(q.cone)
-    x, inside, pd = _classify_slice(q, grid or DiagonalGrid())
+    x, kinds = _classify_slice(q, grid or DiagonalGrid())
     if not len(x):
         raise OutsideConeError("empty feasible diagonal grid")
-    kinds = np.where(pd, _PD, _CONSTRAINT)
+    pd = kinds == _PD
     minors = np.full(len(x), math.nan)
-    read = np.flatnonzero(inside & ~pd)
+    read = np.flatnonzero(~pd & (kinds != _CONSTRAINT))
     if read.size:
-        # degenerate where the minors all clear MINOR_BAND: on the rule's band
-        codes, minors[read] = _diagonal_verdicts(q, x[read])
-        kinds[read] = np.where(codes == _PD, _DEGENERATE, codes)
+        minors[read] = _diagonal_minors(q, x[read]).min(axis=-1)
     minors[pd] = _candidate_minors(q, x[pd])
     i, min_minor = _first_smallest(minors)
     w = np.flatnonzero(~pd)
@@ -880,8 +865,8 @@ def find_locally_admissible_point(q: InvariantCubic, search: SearchGrid | None =
         raise SpecError("local-admissibility search is for rank-3 cones")
     if q.coeffs[0] == 0.0:  # no point is PD; the sampler's q can cancel to <= 0 at extreme c
         return None
-    x, _, pd = _classify_slice(q, search or SearchGrid())
-    found = np.flatnonzero(pd)
+    x, kinds = _classify_slice(q, search or SearchGrid())
+    found = np.flatnonzero(kinds == _PD)
     # the dense restriction at that one point fills in the whole report
     return tangent_restriction(q, HermMatrix(q.cone.algebra, x[found[0]], {})) if found.size else None
 
@@ -930,15 +915,16 @@ def scan_parameter_plane(
             e1, e2 = float(e1), float(e2)
             q = InvariantCubic.rank3_family(cone, e1, e2)
             first = _classify_slice(q, grid, 1) if e2 > 0.0 else None
-            x, inside, pd = first if first is not None and not first[2].all() else _classify_slice(q, grid)
+            x, kinds = first if first is not None and (first[1] != _PD).any() else _classify_slice(q, grid)
             if not len(x):
                 raise OutsideConeError("empty feasible diagonal grid")
+            pd = kinds == _PD
             if pd.all():
                 i, minor = _first_smallest(_candidate_minors(q, x))
                 rows.append(ScanCell(e1, e2, ADMISSIBLE_ON_SAMPLE, *x[i, 1:].tolist(), minor))
             else:
                 j = int(np.argmin(pd))  # the first witness, whose minor the row reads
-                minor = float(_diagonal_minors(q, x[j])[0].min()) if inside[j] else math.nan
+                minor = float(_diagonal_minors(q, x[j]).min()) if kinds[j] != _CONSTRAINT else math.nan
                 rows.append(ScanCell(e1, e2, NOT_ADMISSIBLE, *x[j, 1:].tolist(), minor))
     return rows
 

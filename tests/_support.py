@@ -633,20 +633,24 @@ def project_to_level_set(q, X):
 
 
 # ---------------------------------------------------------------------------
-# Reference diagonal kernel: the tail det(core) * cumprod(block signs x Gram
-# pivots) formed over every off-diagonal coordinate (np.repeat, then cumprod),
-# the verdict rule run on all dim_herm - 1 minors, verdicts as strings, and
-# the reports built from them; the oracle for cubics._diagonal_verdicts and
-# the sweeps on top of it
+# Reference diagonal kernel: each point's kind from the eigvalsh inertia of
+# its restricted form, min_minor from the tail det(core) * cumprod(block
+# signs x Gram pivots) formed over every off-diagonal coordinate (np.repeat,
+# then cumprod), and the reports built from them; the oracle for the
+# inertia rule, cubics._diagonal_minors and the sweeps on top of them
 # ---------------------------------------------------------------------------
 
+EIGEN_BAND = 1e-12  # an eigenvalue within band * the largest magnitude of 0 is degenerate
 
-def reference_verdicts_from_minors(minors, scale) -> np.ndarray:
-    scale = np.asarray(scale)
-    band = cubics.MINOR_BAND * scale[..., None]
-    degenerate = (scale == 0.0) | np.any(np.abs(minors) <= band, axis=-1)
-    pd = np.all(minors > band, axis=-1)
-    return np.where(degenerate, DEGENERATE, np.where(pd, PD, INDEFINITE)).astype(object)
+
+def dense_inertia_kind(M):
+    """The kind of the symmetric form M from the eigvalsh of its Jacobi
+    scaling (a congruence), or None where an eigenvalue lies within 1e-9 of
+    0 relative to the largest, where floats cannot tell its sign."""
+    ev = np.linalg.eigvalsh(jacobi_scaled(M))
+    if np.abs(ev).min() <= 1e-9 * np.abs(ev).max():
+        return None
+    return PD if np.all(ev > 0.0) else INDEFINITE
 
 
 def kernel_core_forms(q, x):
@@ -667,17 +671,21 @@ def kernel_core_forms(q, x):
     return cubics._neg_hess_log(qx, g, H), u, blocks
 
 
-def reference_diagonal_verdicts(q, x) -> tuple[np.ndarray, np.ndarray]:
-    """Verdict strings and min_minor at each row of x, with every tail minor
-    formed."""
+def reference_diagonal_kinds(q, x) -> tuple[np.ndarray, np.ndarray]:
+    """Kind strings and min_minor at each row of x.  The restricted form at a
+    diagonal point is the core plus, on each off-diagonal block, the block's
+    scalar times its positive-definite Gram matrix: its eigenvalues have the
+    signs of the Jacobi-scaled core's eigvalsh and of the block scalars, one
+    per block coordinate.  Every tail minor is formed."""
     M, u, blocks = kernel_core_forms(q, x)
-    _, _, core, scale = cubics._restrict(M, u)
+    _, R, core, _ = cubics._restrict(M, u)
     dims = [q.cone.algebra.dim(k) for k in q.cone.algebra.offdiag_keys]
-    signs = np.sign(blocks)
-    tail = core[:, -1:] * np.cumprod(np.repeat(signs, dims, axis=1) * q.cone.algebra.gram_pivots, axis=1)
-    minors = np.concatenate([core, tail], axis=1)
-    scale = np.maximum(scale, np.max(np.abs(signs), axis=1))
-    return reference_verdicts_from_minors(minors, scale), np.min(minors, axis=1)
+    signs = np.repeat(np.sign(blocks), dims, axis=1)
+    tail = core[:, -1:] * np.cumprod(signs * q.cone.algebra.gram_pivots, axis=1)
+    ev = np.concatenate([np.linalg.eigvalsh(jacobi_scaled(R)), signs], axis=1)
+    degenerate = np.any(np.abs(ev) <= EIGEN_BAND * np.max(np.abs(ev), axis=1, keepdims=True), axis=1)
+    kinds = np.where(degenerate, DEGENERATE, np.where(np.all(ev > 0.0, axis=1), PD, INDEFINITE)).astype(object)
+    return kinds, np.min(np.concatenate([core, tail], axis=1), axis=1)
 
 
 def reference_classify_slice(q, grid):
@@ -686,7 +694,7 @@ def reference_classify_slice(q, grid):
     minors = np.full(len(x), math.nan)
     inside = ~cubics._constraint_violated(q, x)
     if np.any(inside):
-        kinds[inside], minors[inside] = reference_diagonal_verdicts(q, x[inside])
+        kinds[inside], minors[inside] = reference_diagonal_kinds(q, x[inside])
     return x, kinds, minors
 
 
