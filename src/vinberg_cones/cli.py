@@ -258,7 +258,7 @@ def cmd_scan(args) -> int:
     eps2 = _parse_range(args.eps2)
     if not 1 <= args.grid <= MAX_GRID:
         raise SpecError(f"--grid must be from 1 to MAX_GRID = {MAX_GRID}, got {args.grid}")
-    if os.path.isdir(args.out) or not os.path.isdir(os.path.dirname(args.out) or "."):
+    if not args.out or os.path.isdir(args.out) or not os.path.isdir(os.path.dirname(args.out) or "."):
         raise SpecError(f"cannot write --out {args.out}: not a file in an existing directory")
     rows = cubics_mod.scan_parameter_plane(cone, eps1, eps2, cubics_mod.DiagonalGrid(n=args.grid))
     try:

@@ -7,12 +7,12 @@ isometry identity
 
     <mu_v(s), mu_v(s)>_S1 = <v, v>_V * <s, s>_S0      mu_v = sum_a v^a Gamma_a
 
-exactly, because every Gamma_a is a signed permutation, built and checked
-as index tables by the Cayley-Dickson tower (complexes, quaternions,
-octonions) and the period-8 tensor recursion; every Clifford operation and
-the relation check run on those tables.  For Euclidean V the spinor
-dimension is the minimal one allowed by the Hurwitz-Radon bound; indefinite
-signatures use a doubled spinor space with split metric.
+exactly, because every Gamma_a is a signed permutation, built as index
+tables by the Cayley-Dickson tower (complexes, quaternions, octonions) and
+the period-8 tensor recursion, and checked once, by the Clifford relation
+on the module's tables; every operation runs on them.  For Euclidean V the
+spinor dimension is the minimal one allowed by the Hurwitz-Radon bound;
+indefinite signatures use a doubled spinor space with split metric.
 """
 
 from __future__ import annotations
@@ -207,16 +207,24 @@ def _cd_mult(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.concatenate([_cd_mult(a, c) - _cd_mult(_cd_conj(d), b), _cd_mult(d, a) + _cd_mult(b, _cd_conj(c))])
 
 
+# Spinor dimensions for k = dim_v - 1 = 0..7 anticommuting complex
+# structures; each further 8 multiply the dimension by 16 (Hurwitz-Radon).
+_PERIOD8_SPINOR_DIMS = (1, 2, 4, 4, 8, 8, 8, 8)
+
+
 @lru_cache(maxsize=None)
 def _cl_neg_generators(k: int) -> tuple[np.ndarray, np.ndarray]:
     """k anticommuting skew-orthogonal J_i with J_i^2 = -I as (k, d) tables, d
     minimal (Hurwitz-Radon): for k <= 7 the left multiplications by imaginary
     Cayley-Dickson units, beyond that the period-8 recursion J (x) omega,
-    I (x) beta, with beta eight generators on R^16 and omega their product."""
+    I (x) beta, with beta eight generators on R^16 and omega their product.
+    Unchecked here: with Gamma_0 = I, the module's relation check says at
+    its entries (0, i), (i, i) and (i, j) that the J's are skew, orthogonal
+    and anticommuting."""
     if k < 0:
         raise ValueError("k must be >= 0")
     if k <= 7:
-        eye = np.eye(1 if k == 0 else 2 if k == 1 else 4 if k <= 3 else 8, dtype=np.int64)
+        eye = np.eye(_PERIOD8_SPINOR_DIMS[k], dtype=np.int64)
         # m[:, i, j] = e_(i+1) e_j: every unit times every basis vector in one product
         m = _cd_mult(eye[:, 1 : k + 1, None], eye[:, None, :])
         fam = (np.abs(m).argmax(axis=0), m.sum(axis=0))
@@ -225,7 +233,6 @@ def _cl_neg_generators(k: int) -> tuple[np.ndarray, np.ndarray]:
         omega = reduce(_compose, zip(*beta))
         base = _cl_neg_generators(k - 8)
         fam = _stack(_kron(base, omega), _kron(_identity(base[0].shape[1]), beta))
-    _check_j_family(*fam)
     for t in fam:
         t.setflags(write=False)
     return fam
@@ -241,32 +248,6 @@ def _monomial(stack: np.ndarray, message: str) -> tuple[np.ndarray, np.ndarray]:
         raise CliffordRelationError(message)
     perm = nonzero.argmax(axis=1)
     return perm, stack[np.arange(len(stack))[:, None], perm, np.arange(stack.shape[2])]
-
-
-def _check_j_family(perm: np.ndarray, sign: np.ndarray) -> None:
-    """Exact check of a (k, d) table family: each J skew and orthogonal, and
-    distinct J's anticommuting, reporting the first failure in the dense
-    products' order (J_1 skew, orthogonal, against each later J; then J_2...).
-
-    J^T = -J exactly when perm is an involution with sign(perm(j)) = -sign(j),
-    and signs +/-1 make it orthogonal.  J_a J_b is the signed permutation
-    perm_a o perm_b with signs sign_a(perm_b(j)) sign_b(j), compared with -J_b J_a.
-    """
-    rows = np.arange(len(perm))[:, None]
-    skew = np.all(perm[rows, perm] == np.arange(perm.shape[1]), axis=1) & np.all(sign[rows, perm] == -sign, axis=1)
-    rows = rows[:, :, None]
-    comp_perm = perm[rows, perm[None]]
-    comp_sign = sign[rows, perm[None]] * sign[None]
-    anti = np.all((comp_perm == comp_perm.swapaxes(0, 1)) & (comp_sign == -comp_sign.swapaxes(0, 1)), axis=2)
-    failed = np.stack([~skew, ~np.all(np.abs(sign) == 1, axis=1), np.triu(~anti, 1).any(axis=1)], axis=1)
-    if failed.any():
-        kind = np.argwhere(failed)[0, 1]
-        raise CliffordRelationError(("J must be skew", "J must be orthogonal", "J's must anticommute")[kind])
-
-
-# Spinor dimensions for k = dim_v - 1 = 0..7 anticommuting complex
-# structures; each further 8 multiply the dimension by 16 (Hurwitz-Radon).
-_PERIOD8_SPINOR_DIMS = (1, 2, 4, 4, 8, 8, 8, 8)
 
 
 def minimal_spinor_dim(dim_v: int, signature: tuple[int, int] | None = None) -> int:

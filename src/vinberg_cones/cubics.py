@@ -610,11 +610,9 @@ def _block_scalars(q: InvariantCubic, x, hs, qx) -> tuple:
 def _diagonal_parts(q: InvariantCubic, x: np.ndarray):
     """q, its gradient and Hessian in the diagonal coordinates, and the
     scalar of -Hess(log q) on each off-diagonal block, at the rows of x.
-    Raises where q = 0, before the block scalars divide by it."""
+    The block scalars divide by q; the caller checks 0 < q < inf."""
     qx = _diagonal_q(q, x)
     gs, hs = _diagonal_derivatives(q, x)
-    if (qx == 0.0).any():
-        raise OutsideConeError("projection onto the level set requires q(X) > 0")
     H = np.zeros(x.shape + x.shape[1:])
     for (i, j), h in hs.items():
         H[:, i, j] = H[:, j, i] = h

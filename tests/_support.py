@@ -157,8 +157,8 @@ def dense_polarized_residual(module) -> float:
 
 
 def dense_check_j_family(fam) -> None:
-    """Dense oracle for clifford._check_j_family: skew, J^T J == I and
-    pairwise anticommutation by full matrix products."""
+    """Dense oracle for a J family: skew, J^T J == I and pairwise
+    anticommutation by full matrix products."""
     for i, a in enumerate(fam):
         (af,) = _exact_float(np.asarray(a, dtype=np.int64))
         if not np.array_equal(af.T, -af):
@@ -171,11 +171,21 @@ def dense_check_j_family(fam) -> None:
                 raise vc.CliffordRelationError("J's must anticommute")
 
 
+def j_relation_check(perm, sign) -> None:
+    """The check that covers a (k, d) J family in a built module:
+    clifford._check_clifford_relations on the tables of [I, J_1..J_k] with
+    identity metrics, whose entries (0, i), (i, i) and (i, j) say that the
+    J's are skew, orthogonal and anticommuting."""
+    k, d = np.shape(perm)
+    stack = clifford._stack(clifford._identity(d), (perm, sign))
+    clifford._check_clifford_relations(*stack, np.eye(k + 1), np.eye(d))
+
+
 def table_check_j_family(fam) -> None:
-    """clifford._check_j_family on the (perm, sign) tables of a dense family,
-    read as CliffordModule.from_json reads a gamma stack."""
-    if len(fam):
-        clifford._check_j_family(*clifford._monomial(np.stack(fam), "J must be orthogonal"))
+    """j_relation_check on the (perm, sign) tables of a dense family (on R^1
+    if it is empty), read as CliffordModule.from_json reads a gamma stack."""
+    stack = np.stack(fam) if len(fam) else np.zeros((0, 1, 1), dtype=np.int64)
+    j_relation_check(*clifford._monomial(stack, "Clifford relation failed"))
 
 
 def table_check_clifford_relations(gammas, g_v, g_s) -> None:

@@ -210,6 +210,15 @@ class TestEval:
         assert cli.main(["eval", "--spec", spec3, "--op", "dprime", I]) == 0
         assert json.loads(capsys.readouterr().out)["dprime"] == 1.0
 
+    @pytest.mark.parametrize("op", ["chi", "membership"])
+    def test_euclidean_only_op_on_indefinite_cone_exits_3(self, tmp_path, capsys, op):
+        spec = write_json(tmp_path / "s.json", {"rank": 3, "dim_v": 2, "signature": [1, 1]})
+        X = write_json(tmp_path / "X.json", {"rank": 3, "diag": [2, 2, 2]})
+        assert cli.main(["eval", "--spec", spec, "--op", op, X]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("unsupported configuration: ") and captured.err.count("\n") == 1
+
 
 class TestScan:
     def test_grid_cardinality_and_determinism(self, spec3, tmp_path, capsys):
@@ -269,6 +278,13 @@ class TestScan:
         )
         assert rc == 2
 
+    @pytest.mark.parametrize("eps1", ["a:b", "0:1", "0:1:x"])
+    def test_unparsable_range_exits_2(self, spec3, tmp_path, capsys, eps1):
+        rc = cli.main(["scan", "--spec", spec3, f"--eps1={eps1}", "--eps2=0:0:1", "--out", str(tmp_path / "x.csv")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: range must be LO:HI:STEP, got {eps1!r}\n"
+        assert not (tmp_path / "x.csv").exists()
+
 
 class TestSelftest:
     def test_default_spec_passes(self, capsys):
@@ -324,6 +340,12 @@ class TestSelftest:
         assert "unipotent-invariance-p" in out
         for skipped in ("unipotent-invariance-chi", "dual-pairing-positivity", "hessian-log"):
             assert skipped not in out
+
+    def test_corrupt_gamma_on_rank2_exits_3(self, spec2, capsys):
+        assert cli.main(["selftest", "--spec", spec2, "--corrupt-gamma"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "corrupt-gamma requires a rank-3 spec\n"
 
     def test_corrupt_gamma_negative_control(self, spec3, capsys):
         assert cli.main(["selftest", "--spec", spec3, "--corrupt-gamma"]) == 1
@@ -496,15 +518,17 @@ class TestScanBounds:
         assert capsys.readouterr().err == "failure: the feasibility boundary of the diagonal slice overflows\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize("where", ["missing/x.csv", "."])
+    @pytest.mark.parametrize("where", ["missing/x.csv", ".", ""])
     def test_unwritable_out_exits_2_before_the_scan(self, spec3, tmp_path, capsys, monkeypatch, where):
         # a missing directory or a directory: the whole scan used to run
-        # first, then writing ended in a traceback (exit 1)
+        # first, then writing ended in a traceback (exit 1); an empty --out
+        # (passed as is: tmp_path / "" is the directory) ran the scan, then
+        # failed to write
         from vinberg_cones import cubics
 
         monkeypatch.setattr(cubics, "scan_parameter_plane", lambda *a: pytest.fail("the scan ran"))
-        out = tmp_path / where
-        rc = cli.main(["scan", "--spec", spec3, "--eps1=0:0:1", "--eps2=0:0:1", "--grid", "8", "--out", str(out)])
+        out = str(tmp_path / where) if where else ""
+        rc = cli.main(["scan", "--spec", spec3, "--eps1=0:0:1", "--eps2=0:0:1", "--grid", "8", "--out", out])
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error: cannot write --out ") and err.count("\n") == 1, err
@@ -565,6 +589,22 @@ class TestSpecValues:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "positional argument" not in err
+
+    @pytest.mark.parametrize(
+        "spec,message",
+        [
+            ([{"rank": 3, "dim_v": 1}], "spec must be a JSON object"),
+            ({"rank": 2}, "rank-2 spec needs dim_w"),
+            ({"rank": 3}, "rank-3 spec needs dim_v"),
+        ],
+        ids=["array", "rank2-without-dim_w", "rank3-without-dim_v"],
+    )
+    def test_malformed_spec_exits_2(self, tmp_path, capsys, spec, message):
+        path = write_json(tmp_path / "s.json", spec)
+        assert cli.main(["build", "--spec", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
     def test_parse_spec_returns_exact_values(self):
         cone, module, seed = cli.parse_spec({"rank": 3, "dim_v": 2, "signature": [1, 1], "seed": 7})
