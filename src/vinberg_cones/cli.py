@@ -245,6 +245,12 @@ def cmd_eval(args) -> int:
 
 
 def cmd_scan(args) -> int:
+    eps1 = _parse_range(args.eps1)  # usage errors exit before the cone is built
+    eps2 = _parse_range(args.eps2)
+    if not 1 <= args.grid <= MAX_GRID:
+        raise SpecError(f"--grid must be from 1 to MAX_GRID = {MAX_GRID}, got {args.grid}")
+    if not args.out or os.path.isdir(args.out) or not os.path.isdir(os.path.dirname(args.out) or "."):
+        raise SpecError(f"cannot write --out {args.out}: not a file in an existing directory")
     from . import cubics as cubics_mod  # only scan and selftest load the cubics
 
     cone, _, _ = parse_spec(_load_json(args.spec))
@@ -254,12 +260,6 @@ def cmd_scan(args) -> int:
     if not cone.is_euclidean:
         print("scan requires a Euclidean cone", file=sys.stderr)
         return EXIT_UNSUPPORTED
-    eps1 = _parse_range(args.eps1)
-    eps2 = _parse_range(args.eps2)
-    if not 1 <= args.grid <= MAX_GRID:
-        raise SpecError(f"--grid must be from 1 to MAX_GRID = {MAX_GRID}, got {args.grid}")
-    if not args.out or os.path.isdir(args.out) or not os.path.isdir(os.path.dirname(args.out) or "."):
-        raise SpecError(f"cannot write --out {args.out}: not a file in an existing directory")
     rows = cubics_mod.scan_parameter_plane(cone, eps1, eps2, cubics_mod.DiagonalGrid(n=args.grid))
     try:
         cubics_mod.scan_to_csv(rows, args.out)

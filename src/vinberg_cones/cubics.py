@@ -438,19 +438,23 @@ class DiagonalReport:
     min_minor_coords: tuple[float, ...]
 
 
-def _boundary_probes(q: InvariantCubic, x2: np.ndarray) -> np.ndarray:
-    """x3 just inside the feasibility boundary of each x2 row: the largest
-    positive root of c t^3 + b x2 t^2 - 1 times (1 - offset), inf where there
-    is none.  The roots are the eigenvalues of the companion matrices that
-    np.roots builds, all rows in one call."""
+def _boundary_probes(q: InvariantCubic, x2):
+    """x3 just inside the feasibility boundary of each x2 row (an array), or
+    as a list for one x2 given as a float: the largest positive root of
+    c t^3 + b x2 t^2 - 1 times (1 - offset), inf where there is none.  The
+    roots are the eigenvalues of the companion matrices that np.roots builds,
+    all rows in one call."""
     _, b, c = q.coeffs
-    A = np.zeros((len(x2), 3, 3))
+    A = np.zeros((np.size(x2), 3, 3))
     A[:, 0, 0] = -(b * x2) / c  # the first row is -(b x2, 0, -1) / c
     A[:, 0, 1:] = -0.0 / c, 1.0 / c
     A[:, 1, 0] = A[:, 2, 1] = 1.0
     if not np.isfinite(A).all():
         raise OutsideConeError("the feasibility boundary of the diagonal slice overflows")
     roots = np.linalg.eigvals(A)
+    if not isinstance(x2, np.ndarray):  # the same steps on one row's floats
+        t = max(r.real if abs(r.imag) < 1e-9 and r.real > 0.0 else 0.0 for r in roots[0].tolist())
+        return [t * (1.0 - o) if t > 0.0 else math.inf for o in BOUNDARY_OFFSETS]
     real = (np.abs(roots.imag) < 1e-9) & (roots.real > 0.0)
     t = np.where(real, roots.real, 0.0).max(axis=1)[:, None]
     return np.where(t > 0.0, t * (1.0 - np.array(BOUNDARY_OFFSETS)), np.inf)
@@ -468,13 +472,12 @@ def _row_points(xs: np.ndarray, x3: np.ndarray, sweep: bool) -> tuple[np.ndarray
     return np.broadcast_to(xs[:, None], kept.shape)[kept], x3, np.float_power(x3, 2), np.float_power(x3, 3)
 
 
-def _slice_points(q: InvariantCubic, grid: DiagonalGrid | SearchGrid, rows: int | None = None) -> np.ndarray:
+def _slice_points(q: InvariantCubic, grid: DiagonalGrid | SearchGrid) -> np.ndarray:
     """Diagonal points of {q = 1} as an (N, rank) array.
 
     A DiagonalGrid gives the sweep's points: the log grid over the free
     coordinates and, for rank 3 with a != 0, per x2 row the sorted distinct
-    x3 of the grid and the probes, up to PROBE_MAX; with a, c > 0, ``rows``
-    keeps the first x2 rows alone, the slice's leading points bit for bit.
+    x3 of the grid and the probes, up to PROBE_MAX.
     A SearchGrid gives the local search's x2 x x3 square (rank 3, a != 0).
     Each point solves the level set for one coordinate and is kept when that
     one is positive.  np.float_power rounds like the scalar ** of eval_cubic;
@@ -505,21 +508,30 @@ def _slice_points(q: InvariantCubic, grid: DiagonalGrid | SearchGrid, rows: int 
         return np.stack([v, x2, u], axis=1)[x2 > 0.0]
     # one row of x3 values per x2; inf marks no value
     if isinstance(grid, DiagonalGrid) and a > 0.0 and c > 0.0:
-        xs = xs[:rows]
-        x2, x3, x3sq, x3cu = _row_points(xs, np.hstack([grid._probed_rows[:rows], _boundary_probes(q, xs)]), True)
+        x2, x3, x3sq, x3cu = _row_points(xs, np.hstack([grid._probed_rows, _boundary_probes(q, xs)]), True)
     else:
         x2, x3, x3sq, x3cu = grid._square
-    x1 = (1.0 - b * x2 * x3sq - c * x3cu) / (a * x2 * x3)
+    x1 = _level_x1(q, x2, x3, x3sq, x3cu)
     return np.stack([x1, x2, x3], axis=1)[x1 > 0.0]
 
 
-def _constraint_violated(q: InvariantCubic, x: np.ndarray) -> np.ndarray:
-    """Sign of the vector-block diagonal of -Hess(log q) at each row of x:
-    a x1 + b x3 <= 0 forces a non-positive tangent direction (rank 3 only)."""
+def _level_x1(q: InvariantCubic, x2, x3, x3sq, x3cu):
+    """x1 on {q = 1} at rank-3 diagonal (x2, x3), a != 0, given x3^2 and x3^3:
+    arrays, or floats, where a zero a x2 x3 divides as a stack does."""
+    a, b, c = q.coeffs
+    num, den = 1.0 - b * x2 * x3sq - c * x3cu, a * x2 * x3
+    return num / den if isinstance(den, np.ndarray) or den else num * math.copysign(math.inf, den)
+
+
+def _constraint_violated(q: InvariantCubic, x):
+    """Sign of the vector-block diagonal of -Hess(log q) at each row of x, or
+    at one point's floats: a x1 + b x3 <= 0 forces a non-positive tangent
+    direction (rank 3 only)."""
     if q.cone.rank != 3:
         return np.zeros(len(x), dtype=bool)
     a, b, _ = q.coeffs
-    return a * x[:, 0] + b * x[:, 2] <= 0.0
+    x1, _, x3 = _unpack(x)[0]
+    return a * x1 + b * x3 <= 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -543,10 +555,10 @@ def _constraint_violated(q: InvariantCubic, x: np.ndarray) -> np.ndarray:
 # in min_minor.  Powers go through np.float_power, which rounds like the
 # scalar ** of the dense path; numpy's array ** does not.  At one point q,
 # its derivatives and block scalars, the entries of -Hess(log q), the basis
-# input and the core's scaling and minors are Python floats, whose
-# arithmetic, ** and math.sqrt round as numpy's elementwise ufuncs do; the
-# gradient norm (a BLAS dot), the QR, the restriction (BLAS fused
-# multiply-adds) and the tail stay numpy calls.
+# input, the core's scaling and minors, the block signs and the tail are
+# Python floats, whose arithmetic, ** and math.sqrt round as numpy's
+# elementwise ufuncs do; the gradient norm (a BLAS dot), the QR and the
+# restriction (BLAS fused multiply-adds) stay numpy calls.
 #
 # The tail is never formed.  Within a block of sign s its signs are constant
 # (s = 1), alternate (s = -1) or vanish (s = 0), so the entries at the
@@ -669,8 +681,11 @@ def _every(mask) -> bool:
 def _tail_minors(alg, det_core, signs):
     """The tail minors det(core) * cumprod(block signs x Gram pivots) at the
     positions that stand for the whole tail (see above), bit for bit, for
-    each row of block signs (last axis) or for one point's."""
+    each row of block signs (last axis), or as floats for one point's list."""
     columns, P = alg._tail_entries
+    if isinstance(signs, list):
+        powers = [1.0] * len(signs) + signs + [s * s for s in signs]
+        return [det_core * (math.prod([powers[j] for j in js]) * p) for js, p in zip(columns.tolist(), P.tolist())]
     powers = np.concatenate([np.ones_like(signs), signs, signs * signs], axis=-1)
     return np.asarray(det_core)[..., None] * (np.multiply.reduce(powers[..., columns], axis=-1) * P)
 
@@ -711,11 +726,14 @@ def _diagonal_minors(q: InvariantCubic, x: np.ndarray):
             if not ((norm > 0.0) & (norm < math.inf)).all():
                 raise OutsideConeError("the gradient norm is not finite at the level set")
             M, basis = _neg_hess_log(qx, g, H), _tangent_basis(g / norm[:, None])
-        core = _scaled_core_minors(_restricted(M, basis))
-        minors = np.concatenate([np.array(core).T, _tail_minors(q.cone.algebra, core[-1], np.sign(blocks))], axis=-1)
-        if not np.isfinite(minors).all():
+        core, alg = _scaled_core_minors(_restricted(M, basis)), q.cone.algebra
+        if x.ndim == 1:  # np.sign, the tail, the concatenation and the finiteness check on floats
+            minors = core + _tail_minors(alg, core[-1], [float((s > 0) - (s < 0)) if s == s else s for s in blocks])
+        else:
+            minors = np.concatenate([np.array(core).T, _tail_minors(alg, core[-1], np.sign(blocks))], axis=-1)
+        if not (all(map(math.isfinite, minors)) if x.ndim == 1 else np.isfinite(minors).all()):
             raise OutsideConeError("the minors of the Hessian metric are not finite at the level set")
-    return minors
+    return np.asarray(minors)
 
 
 # ---------------------------------------------------------------------------
@@ -740,20 +758,22 @@ MARGIN_BAND = 1e-12  # a margin |1 - t| <= band * max(1, t) is degenerate
 ARGMIN_DELTA = 1e-2  # relative reach of the argmin candidates over the smallest
 
 
-def _inertia_kinds(q: InvariantCubic, x: np.ndarray, qx: np.ndarray) -> np.ndarray:
-    """The kind code (index into _KINDS) of g(q) at each row of x, diagonal
-    points with q = qx > 0 inside the slope constraint.  Positive-definite
-    where b > 0 (rank 2), or a > 0 and a margin 1 - t, t = 4c x3^3 / q, above
-    MARGIN_BAND relative to max(1, t) (rank 3); degenerate where the leading
-    coefficient (b or a) is 0 or the margin is within the band, so a margin
-    of 0 is degenerate; indefinite elsewhere."""
+def _inertia_kinds(q: InvariantCubic, x, qx):
+    """The kind code (index into _KINDS) of g(q) at each row of x, or one
+    point's floats, diagonal points with q = qx > 0 inside the slope
+    constraint: positive-definite where b > 0 (rank 2), or a > 0 and a margin
+    1 - t, t = 4c x3^3 / q, above MARGIN_BAND relative to max(1, t) (rank 3);
+    degenerate where b or a is 0 or the margin is within the band, 0 included;
+    indefinite elsewhere."""
     lead = q.coeffs[1] if q.cone.rank == 2 else q.coeffs[0]
     if q.cone.rank == 2 or not lead > 0.0 or q.coeffs[2] <= 0.0:  # a > 0, c <= 0: a margin of at least 1
-        return np.full(len(x), _PD if lead > 0.0 else _DEGENERATE if lead == 0.0 else _INDEFINITE)
-    x3 = x[:, 2]
+        return np.full(np.shape(qx), _PD if lead > 0.0 else _DEGENERATE if lead == 0.0 else _INDEFINITE)
+    x3 = _unpack(x)[0][2]
     f = 4.0 * q.coeffs[2] * (x3 * x3 * x3)  # the margin times q, and its scale, need no division
-    band = MARGIN_BAND * np.maximum(qx, f)
-    return np.where(qx - f > band, _PD, np.where(qx - f < -band, _INDEFINITE, _DEGENERATE))
+    if isinstance(f, np.ndarray):
+        band = MARGIN_BAND * np.maximum(qx, f)
+        return np.where(qx - f > band, _PD, np.where(qx - f < -band, _INDEFINITE, _DEGENERATE))
+    return _PD if qx - f > (band := MARGIN_BAND * max(qx, f)) else _INDEFINITE if qx - f < -band else _DEGENERATE
 
 
 def _core_minors(x: np.ndarray, g, H) -> np.ndarray:
@@ -785,11 +805,10 @@ def _core_minors(x: np.ndarray, g, H) -> np.ndarray:
 
 
 @np.errstate(all="ignore")  # an overflow leaves a q that is not finite, which raises
-def _classify_slice(q: InvariantCubic, grid: DiagonalGrid | SearchGrid, rows: int | None = None):
-    """The diagonal points of {q = 1} on the grid, or in its first ``rows``
-    x2 rows (see _slice_points), and the kind code of each: constraint where
-    the slope constraint fails, else the inertia rule's."""
-    x = _slice_points(q, grid, rows)
+def _classify_slice(q: InvariantCubic, grid: DiagonalGrid | SearchGrid):
+    """The diagonal points of {q = 1} on the grid and the kind code of each:
+    constraint where the slope constraint fails, else the inertia rule's."""
+    x = _slice_points(q, grid)
     inside = ~_constraint_violated(q, x)
     xs = x[inside]
     qx = _diagonal_q(q, xs)
@@ -798,6 +817,24 @@ def _classify_slice(q: InvariantCubic, grid: DiagonalGrid | SearchGrid, rows: in
     kinds = np.full(len(x), _CONSTRAINT)
     kinds[inside] = _inertia_kinds(q, xs, qx)
     return x, kinds
+
+
+def _first_row_witness(q: InvariantCubic, grid: DiagonalGrid):
+    """The first point (floats) and kind code of the first x2 row of the slice
+    (a, c > 0) that is not positive-definite, or None: that row of
+    _classify_slice on floats, which checks q at every inside point."""
+    x2, witness, qs = float(grid._xs[0]), None, []
+    for x3 in sorted({t for t in grid._probed_rows[0].tolist() + _boundary_probes(q, x2) if t <= PROBE_MAX}):
+        x = [_level_x1(q, x2, x3, x3**2, x3**3), x2, x3]
+        if x[0] > 0.0 and _constraint_violated(q, x):
+            witness = witness or (x, _CONSTRAINT)
+        elif x[0] > 0.0:
+            qs.append(_diagonal_q(q, x))
+            if witness is None and (kind := _inertia_kinds(q, x, qs[-1])) != _PD:
+                witness = (x, kind)
+    if not all(0.0 < qx < math.inf for qx in qs):
+        raise _q_error(qs)
+    return witness
 
 
 def _candidate_minors(q: InvariantCubic, x: np.ndarray) -> np.ndarray:
@@ -899,10 +936,10 @@ def scan_parameter_plane(
     diagonal sweep.  Deterministic: rows ordered by the input value order.
     Each cell gives the row that admissibility_on_diagonal's report gives,
     with the kernel run only at the argmin candidates of an
-    all-positive-definite slice or else at the first witness.  No cell is
-    locally-admissible: by the inertia rule an eps2 <= 0 cell is
-    positive-definite at every slice point.  An eps2 > 0 cell classifies its
-    first x2 row alone where that row holds a witness.  ``search`` is ignored."""
+    all-positive-definite slice or else at the first witness, which an
+    eps2 > 0 cell takes from its first x2 row, on floats, where it has one.
+    No cell is locally-admissible: by the inertia rule an eps2 <= 0 cell is
+    positive-definite everywhere.  ``search`` is ignored."""
     if cone.rank != 3:
         raise SpecError("parameter-plane scan is for rank-3 cones")
     _require_euclidean(cone)
@@ -912,18 +949,19 @@ def scan_parameter_plane(
         for e2 in eps2_values:
             e1, e2 = float(e1), float(e2)
             q = InvariantCubic.rank3_family(cone, e1, e2)
-            first = _classify_slice(q, grid, 1) if e2 > 0.0 else None
-            x, kinds = first if first is not None and (first[1] != _PD).any() else _classify_slice(q, grid)
-            if not len(x):
-                raise OutsideConeError("empty feasible diagonal grid")
-            pd = kinds == _PD
-            if pd.all():
-                i, minor = _first_smallest(_candidate_minors(q, x))
-                rows.append(ScanCell(e1, e2, ADMISSIBLE_ON_SAMPLE, *x[i, 1:].tolist(), minor))
-            else:
-                j = int(np.argmin(pd))  # the first witness, whose minor the row reads
-                minor = float(_diagonal_minors(q, x[j]).min()) if kinds[j] != _CONSTRAINT else math.nan
-                rows.append(ScanCell(e1, e2, NOT_ADMISSIBLE, *x[j, 1:].tolist(), minor))
+            w = _first_row_witness(q, grid) if e2 > 0.0 else None
+            if w is None:
+                x, kinds = _classify_slice(q, grid)
+                if not len(x):
+                    raise OutsideConeError("empty feasible diagonal grid")
+                if (kinds == _PD).all():
+                    i, minor = _first_smallest(_candidate_minors(q, x))
+                    rows.append(ScanCell(e1, e2, ADMISSIBLE_ON_SAMPLE, *x[i, 1:].tolist(), minor))
+                    continue
+                j = int(np.argmax(kinds != _PD))  # the first witness, whose minor the row reads
+                w = x[j].tolist(), kinds[j]
+            minor = float(_diagonal_minors(q, np.array(w[0])).min()) if w[1] != _CONSTRAINT else math.nan
+            rows.append(ScanCell(e1, e2, NOT_ADMISSIBLE, *w[0][1:], minor))
     return rows
 
 

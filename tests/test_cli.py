@@ -534,6 +534,33 @@ class TestScanBounds:
         assert err.startswith("error: cannot write --out ") and err.count("\n") == 1, err
         assert not (tmp_path / "missing").exists()
 
+    @pytest.mark.parametrize(
+        "flag,message",
+        [
+            ("--eps1=a:b", "range must be LO:HI:STEP"),
+            ("--eps2=1:0:1", "bad range"),
+            ("--grid=0", "--grid must be"),
+            ("--out=missing/x.csv", "cannot write --out"),
+        ],
+    )
+    def test_usage_errors_exit_2_before_the_cone_is_built(self, tmp_path, capsys, monkeypatch, flag, message):
+        # a dim_v = 19 spec exits 3 when its module is built; each bad flag
+        # exits 2 first, without the build
+        spec = write_json(tmp_path / "d19.json", {"rank": 3, "dim_v": 19})
+
+        def no_build(obj):
+            raise AssertionError("parse_spec called for a scan usage error")
+
+        monkeypatch.setattr(cli, "parse_spec", no_build)
+        monkeypatch.chdir(tmp_path)
+        args = {"--eps1": "0:0:1", "--eps2": "0:0:1", "--grid": "8", "--out": "x.csv"}
+        args.update([flag.split("=", 1)])
+        rc = cli.main(["scan", "--spec", spec, *(f"{k}={v}" for k, v in args.items())])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and err.count("\n") == 1, err
+        assert not (tmp_path / "x.csv").exists() and not (tmp_path / "missing").exists()
+
     def test_failed_write_exits_2(self, spec3, tmp_path, capsys, monkeypatch):
         from vinberg_cones import cubics
 

@@ -874,6 +874,23 @@ class TestDiagonalKernelOracle:
         kept = cubics._tail_minors(alg, det_core, signs)
         assert np.array_equal(np.min(kept, axis=1), np.min(tail, axis=1), equal_nan=True)
 
+    @pytest.mark.parametrize(
+        "alg",
+        [rank3_cone(3).algebra, rank3_cone(1, 2).algebra, vc.rank2_algebra(vc.MetricSpace.with_gram(FULL_S))],
+        ids=["4-4-3", "2-2-1", "gram4"],
+    )
+    def test_float_tail_is_the_stacked_row(self, alg):
+        # one point's tail on floats gives its row of the stacked tail bit
+        # for bit: signed zeros, nan signs and every kind of det(core)
+        nblocks = len(alg.offdiag_keys)
+        signs = np.array(np.meshgrid(*[[-1.0, -0.0, 0.0, 1.0, np.nan]] * nblocks)).reshape(nblocks, -1).T
+        dets = np.array([1.0, -1.0, 0.0, -0.0, 3e-13, -3e-13, 0.7, np.inf, -np.inf, np.nan, 5e-324])
+        signs, det_core = np.repeat(signs, len(dets), axis=0), np.tile(dets, len(signs))
+        with np.errstate(all="ignore"):  # inf det(core) times a zero sign
+            stacked = cubics._tail_minors(alg, det_core, signs)
+        for d, s, want in zip(det_core.tolist(), signs.tolist(), stacked):
+            assert np.array(cubics._tail_minors(alg, d, s)).tobytes() == want.tobytes(), (d, s)
+
     def test_tail_entries(self):
         # a dimension-4 block with unequal pivots: P at offsets 0 and 2
         # (sign to the power 1, column 1 of [1 | s | s^2]) and 1 and 3
@@ -1074,40 +1091,107 @@ class TestScanOracle:
                 scan(cone, [1e12], [0.0], vc.DiagonalGrid(n=12), vc.SearchGrid(n=12))
 
 
+def first_row_grid(grid):
+    """A copy of a DiagonalGrid whose slice is the grid's first x2 row: the
+    spacing cut to its first value, with that value's row of x3."""
+    row = vc.DiagonalGrid(grid.lo, grid.hi, grid.n)
+    row.__dict__.update(_xs=grid._xs[:1], _probed_rows=grid._probed_rows[:1])
+    return row
+
+
+def outcome(f, *args):
+    """f(*args), or the type and message of the OutsideConeError it raises."""
+    try:
+        return f(*args)
+    except OutsideConeError as exc:
+        return OutsideConeError, str(exc)
+
+
+def assert_first_row_witness(q, grid) -> bool:
+    """The scalar first row gives the point (bit for bit) and kind of the
+    first point that is not positive-definite in the first x2 row of
+    _classify_slice, or None where there is none, and raises as that row
+    does; where the whole slice classifies, that row is its leading points.
+    Returns whether a witness was found.  The row's boundary probes from
+    one x2 as a float are those of a one-row stack, bit for bit."""
+    with np.errstate(all="ignore"):
+        stacked = outcome(lambda: tuple(cubics._boundary_probes(q, grid._xs[:1])[0].tolist()))
+    assert same_bits(outcome(lambda: tuple(cubics._boundary_probes(q, float(grid._xs[0])))), stacked), q.coeffs
+    got = outcome(cubics._first_row_witness, q, grid)
+    row = outcome(cubics._classify_slice, q, first_row_grid(grid))
+    if row[0] is OutsideConeError:
+        assert got == row, q.coeffs
+        return False
+    x, kinds = row
+    bad = np.flatnonzero(kinds != cubics._PD)
+    if not bad.size:
+        assert got is None, q.coeffs
+    else:
+        assert same_bits((tuple(got[0]), got[1]), (tuple(x[bad[0]].tolist()), int(kinds[bad[0]]))), q.coeffs
+    whole = outcome(cubics._classify_slice, q, grid)
+    if whole[0] is not OutsideConeError:
+        assert same_bits(whole[0][: len(x)], x) and same_bits(whole[1][: len(x)], kinds), q.coeffs
+        assert not (whole[0][len(x) :, 1] == grid._xs[0]).any(), q.coeffs
+    return got is not None
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestFirstRowScan:
-    """A scan cell with eps2 > 0 classifies the first x2 row of its slice,
-    and the whole slice only where that row holds no witness (or no point):
-    its row reads the first witness, and a row-major slice holds it there."""
+    """A scan cell with eps2 > 0 takes the witness of the first x2 row of
+    its slice, found on Python floats, and classifies the whole slice only
+    where that row holds no witness (or no point): its row reads the first
+    witness, and a row-major slice holds it there."""
 
     E1 = [-1e4, -100.0, -2.0, -0.5, 0.0, 0.5, 2.0, 100.0, 1e4]
     E2 = [1e-300, 1e-6, 0.25, 1.0, 100.0]
+    EXTREME_E1 = [-1e200, -1e100, -1e12, -1e10, -1e4, -1.0, 0.0, 1.0, 1e4, 1e10, 1e12]
+    EXTREME_E2 = [5e-324, 1e-300, 1e-12, 1e-8, 1e-6, 1e-4, 1.0, 1e6, 1e12]
 
     @pytest.mark.parametrize("n", [1, 8, 12, 30])
     @pytest.mark.parametrize("dim_v", [1, 8])
     def test_first_row_is_the_leading_points_of_the_slice(self, dim_v, n):
         cone, grid = rank3_cone(dim_v), vc.DiagonalGrid(n=n)
-        for e in itertools.product(self.E1, self.E2):
+        cells = itertools.product(self.E1, self.E2)
+        found = [assert_first_row_witness(vc.InvariantCubic.rank3_family(cone, *e), grid) for e in cells]
+        assert any(found)
+
+    @pytest.mark.parametrize("n", [8, 12])
+    @pytest.mark.parametrize("dim_v", [1, 8])
+    def test_extreme_cells(self, dim_v, n):
+        # rows that cancel or overflow q, boundary probes that overflow
+        # (eps2 = 5e-324) and slope-constraint witnesses (eps1 = -1e200)
+        cone, grid = rank3_cone(dim_v), vc.DiagonalGrid(n=n)
+        cells = itertools.product(self.EXTREME_E1, self.EXTREME_E2)
+        found = [assert_first_row_witness(vc.InvariantCubic.rank3_family(cone, *e), grid) for e in cells]
+        assert 0 < sum(found) < len(found)
+
+    @pytest.mark.parametrize("lo", [1e-200, 1e-300])
+    def test_x2_x3_that_underflows(self, lo):
+        # x2 x3 = 0 at the row's small x3: a float x1 divides by zero as a
+        # stack does, to inf, and the row raises that its q is not finite
+        cone, grid = rank3_cone(1), vc.DiagonalGrid(lo=lo, hi=1e2, n=8)
+        for e in itertools.product([-1e12, 0.0, 1.0, 1e4], [1e-300, 1.0, 1e12, 1e301]):
             q = vc.InvariantCubic.rank3_family(cone, *e)
-            with np.errstate(all="ignore"):
-                whole, first = cubics._slice_points(q, grid), cubics._slice_points(q, grid, 1)
-            assert same_bits(first, whole[: len(first)]), e
-            assert (first[:, 1] == grid._xs[0]).all() and not (whole[len(first) :, 1] == grid._xs[0]).any(), e
+            assert not assert_first_row_witness(q, grid)
+            with pytest.raises(OutsideConeError, match=r"q\(X\) is not finite"):
+                cubics._first_row_witness(q, grid)
 
     @staticmethod
     def spied_scan(monkeypatch, cone, e1, e2, grid):
         """The scan's rows, checked against the oracle's bit for bit, and
-        for each cell the row arguments of its _classify_slice calls."""
-        classify, calls = cubics._classify_slice, []
+        for each cell the names of the classifiers it called, in order."""
+        calls = []
+        for name in ("_first_row_witness", "_classify_slice"):
 
-        def spy(q, grid, *rows):
-            calls.append((q.coeffs[1:], rows))
-            return classify(q, grid, *rows)
+            def spy(q, grid, f=getattr(cubics, name), name=name):
+                calls.append((q.coeffs[1:], name))
+                return f(q, grid)
 
-        monkeypatch.setattr(cubics, "_classify_slice", spy)
+            monkeypatch.setattr(cubics, name, spy)
         got = vc.scan_parameter_plane(cone, e1, e2, grid)
         monkeypatch.undo()
         assert same_bits(tuple(got), tuple(reference_scan_parameter_plane(cone, e1, e2, grid, vc.SearchGrid(n=12))))
-        return got, [[rows for eps, rows in calls if eps == (r.eps1, r.eps2)] for r in got]
+        return got, [[name for eps, name in calls if eps == (r.eps1, r.eps2)] for r in got]
 
     def test_first_row_without_a_witness_falls_back_to_the_slice(self, monkeypatch):
         # ROADMAP item 1's misreads: the sweep's floor x2 >= 1e-2 misses the
@@ -1116,7 +1200,7 @@ class TestFirstRowScan:
         cone, grid = rank3_cone(1), vc.DiagonalGrid(n=12)
         for e in [(1.0, 1e-4), (100.0, 0.25), (1e4, 100.0)]:
             (row,), calls = self.spied_scan(monkeypatch, cone, [e[0]], [e[1]], grid)
-            assert calls == [[(1,), ()]], e
+            assert calls == [["_first_row_witness", "_classify_slice"]], e
             assert row.classification == cubics.ADMISSIBLE_ON_SAMPLE, e
 
     def test_roadmap_plane_reads_the_first_row_alone(self, monkeypatch):
@@ -1124,8 +1208,8 @@ class TestFirstRowScan:
         # first x2 row; the eps2 <= 0 cells classify the whole slice
         e1, e2 = sorted({e for e, _ in PLANE}), sorted({e for _, e in PLANE})
         rows, calls = self.spied_scan(monkeypatch, rank3_cone(8), e1, e2, vc.DiagonalGrid(n=12))
-        assert [c for r, c in zip(rows, calls) if r.eps2 > 0.0] == [[(1,)]] * 36
-        assert [c for r, c in zip(rows, calls) if r.eps2 <= 0.0] == [[()]] * 45
+        assert [c for r, c in zip(rows, calls) if r.eps2 > 0.0] == [["_first_row_witness"]] * 36
+        assert [c for r, c in zip(rows, calls) if r.eps2 <= 0.0] == [["_classify_slice"]] * 45
 
     @pytest.mark.parametrize("e", [(-1e12, 1e-8), (-1e200, 1.0)])
     def test_later_rows_that_raise_no_longer_abort_the_cell(self, e):
@@ -1364,10 +1448,13 @@ class TestOnePointKernel:
         assert checked > 80 * 4 * n
 
     @pytest.mark.parametrize("dim_v", [1, 8])
-    @pytest.mark.parametrize("coeffs", [(0.0, 1.0, 0.0), (0.0, 1.0, 0.5), (0.0, 1.0, -0.5), (0.0, 2.0, 1.0)])
+    @pytest.mark.parametrize(
+        "coeffs", [(0.0, 1.0, 0.0), (0.0, 1.0, 0.5), (0.0, 1.0, -0.5), (0.0, 2.0, 1.0), (-0.0, 1.0, 0.5)]
+    )
     def test_cubics_without_the_det_term(self, dim_v, coeffs):
-        # zero block signs and zero pivots: the tail's signed zeros and the
-        # det route of the core's minors
+        # zero block signs and zero pivots: the tail's signed zeros (a = -0
+        # gives -0 block scalars, whose np.sign is +0) and the det route of
+        # the core's minors
         q = vc.InvariantCubic(rank3_cone(dim_v), coeffs)
         assert sum(assert_point_calls_match_stack(q, vc.DiagonalGrid(n=n)) for n in (8, 12)) > 0
 
