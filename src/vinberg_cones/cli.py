@@ -223,21 +223,23 @@ def cmd_eval(args) -> int:
     cone, _, _ = parse_spec(_load_json(args.spec))
     X = herm_from_json(cone.algebra, _load_json(args.point))
     result: dict = {"op": args.op}
-    if args.op == "p":
-        result["p"] = list(cone_mod.p_polynomials(cone, X))
-    elif args.op == "d":
-        result["d"] = cone_mod.det_cubic(cone, X)
-    elif args.op == "dprime":
-        result["dprime"] = cone_mod.d_prime(cone, X)
-    elif args.op == "chi":
-        result["chi"] = cone_mod.characteristic_function(cone, X)
-    elif args.op == "membership":
-        result["member"] = cone_mod.membership(cone, X)
-    else:
-        gc = cone_mod.group_coordinates(cone, X)
-        A = gc.element.to_json()
-        result["diag"], result["offdiag"] = A["diag"], A["offdiag"]
-        result["residual"] = gc.max_residual
+    # no numpy overflow warnings: the check below and membership report them in one line
+    with np.errstate(all="ignore"):
+        if args.op == "p":
+            result["p"] = list(cone_mod.p_polynomials(cone, X))
+        elif args.op == "d":
+            result["d"] = cone_mod.det_cubic(cone, X)
+        elif args.op == "dprime":
+            result["dprime"] = cone_mod.d_prime(cone, X)
+        elif args.op == "chi":
+            result["chi"] = cone_mod.characteristic_function(cone, X)
+        elif args.op == "membership":
+            result["member"] = cone_mod.membership(cone, X)
+        else:
+            gc = cone_mod.group_coordinates(cone, X)
+            A = gc.element.to_json()
+            result["diag"], result["offdiag"] = A["diag"], A["offdiag"]
+            result["residual"] = gc.max_residual
     if not _all_finite(result):
         raise OutsideConeError(f"{args.op} is not finite at this point: {dumps17(result)}")
     print(dumps17(result))

@@ -42,71 +42,38 @@ def _is_int(x) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _exact_diagonal(g: np.ndarray) -> np.ndarray | None:
-    """diag(g) if g is square and diagonal and ``np.linalg.eigvalsh`` returns
-    that diagonal exactly (LAPACK's dsyevd splits it into 1x1 blocks, and
-    rescales only a largest |entry| outside [2**-485, 2**485]), else None."""
-    if g.ndim != 2 or g.shape[0] != g.shape[1]:
-        return None
-    d = np.diag(g)
-    diagonal = np.count_nonzero(g) == np.count_nonzero(d)
-    return d if diagonal and 2.0**-400 <= np.max(np.abs(d), initial=0.0) <= 2.0**400 else None
-
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class MetricSpace:
-    """A finite-dimensional real vector space with a fixed inner product.
-
-    The Gram matrix G and its inverse are stored explicitly; canonical
-    constructors produce diagonal +/-1 matrices (identity in the Euclidean
-    case), as does every module :func:`build_clifford_module` builds.  When
-    G is diagonal, ``weights`` and ``inv_weights`` hold the diagonals of G
-    and G^-1, and :meth:`lower` and :meth:`raise_` multiply by them
-    elementwise: x_j g_j rounds once, as in the dense product, so the values
-    are those of the dense products (an exact zero may change sign).
-    Otherwise both are None and the two methods take the dense products.
-    Every product with G or G^-1 in the library goes through these two.
-    A diagonal G takes its spectrum from its entries and its inverse from
-    reciprocals, with the values ``eigvalsh`` and ``inv`` give, and skips
-    the dense symmetry and off-diagonal scans.
+    """A finite-dimensional real vector space with a fixed inner product, in
+    a pseudo-orthonormal basis: its Gram matrix G is diag(``weights``), p
+    entries +1 and q entries -1 for the ``signature`` (p, q).  Every space
+    the library builds is one, and by Sylvester's law every metric has such
+    a basis; any other Gram matrix raises SpecError.  As G^-1 = G,
+    :meth:`lower` and :meth:`raise_`, every product with G or G^-1 in the
+    library, multiply by the read-only weights; ``gram`` builds the dense G
+    on each read.
     """
 
     dim: int
     signature: tuple[int, int]
-    gram: np.ndarray
-    gram_inv: np.ndarray = field(init=False, repr=False)
-    weights: np.ndarray | None = field(init=False, repr=False)
-    inv_weights: np.ndarray | None = field(init=False, repr=False)
+    weights: np.ndarray = field(repr=False)
 
-    def __post_init__(self):
-        if self.dim < 1:
+    def __init__(self, dim: int, signature: tuple[int, int], gram):
+        if dim < 1:
             raise DimensionMismatchError("dim must be >= 1")
-        p, q = self.signature
-        if p < 0 or q < 0 or p + q != self.dim:
-            raise SpecError(f"signature {self.signature} incompatible with dim {self.dim}")
-        g = np.asarray(self.gram, dtype=float)
-        if g.shape != (self.dim, self.dim):
+        p, q = signature
+        if p < 0 or q < 0 or p + q != dim:
+            raise SpecError(f"signature {signature} incompatible with dim {dim}")
+        g = np.asarray(gram, dtype=float)
+        if g.shape != (dim, dim):
             raise DimensionMismatchError("gram matrix has wrong shape")
-        d = _exact_diagonal(g)  # a diagonal G is symmetric and needs no dense scan
-        if d is None and not np.allclose(g, g.T, atol=1e-12):
-            raise SpecError("gram matrix must be symmetric")
-        ev = np.linalg.eigvalsh(g) if d is None else d
-        if np.min(np.abs(ev)) <= 1e-12 * max(1.0, np.max(np.abs(ev))):
-            raise SpecError("gram matrix is degenerate")
-        if (int(np.sum(ev > 0)), int(np.sum(ev < 0))) != (p, q):
+        w = np.diag(g).copy()
+        if np.count_nonzero(g) != dim or not np.all(np.abs(w) == 1.0):
+            raise SpecError("gram matrix must be diagonal with entries +1 and -1: pick a pseudo-orthonormal basis")
+        if int(np.sum(w > 0)) != p:
             raise SpecError("declared signature does not match the gram matrix")
-        g.setflags(write=False)
-        object.__setattr__(self, "gram", g)
-        # row i of I / g_ii keeps the signed zeros of LAPACK's solve
-        inv = np.linalg.inv(g) if d is None else np.eye(self.dim) / d[:, None]
-        inv.setflags(write=False)
-        object.__setattr__(self, "gram_inv", inv)
-        # diag(G^-1), not 1 / diag(G): a division rounds differently
-        diagonal = d is not None or all(np.count_nonzero(m - np.diag(np.diag(m))) == 0 for m in (g, inv))
-        for name, m in (("weights", g), ("inv_weights", inv)):
-            w = np.diag(m).copy()
-            w.setflags(write=False)
-            object.__setattr__(self, name, w if diagonal else None)
+        w.setflags(write=False)
+        self.__dict__.update(dim=dim, signature=signature, weights=w)  # past the frozen __setattr__
 
     @classmethod
     def euclidean(cls, dim: int) -> "MetricSpace":
@@ -120,11 +87,15 @@ class MetricSpace:
 
     @classmethod
     def with_gram(cls, gram: np.ndarray) -> "MetricSpace":
+        """The space of a +/-1 diagonal Gram matrix, its signature read off."""
         g = np.asarray(gram, dtype=float)
-        d = _exact_diagonal(g)
-        ev = np.linalg.eigvalsh(g) if d is None else d
-        sig = (int(np.sum(ev > 0)), int(np.sum(ev < 0)))
-        return cls(g.shape[0], sig, g)
+        p = int(np.sum(np.diagonal(g) > 0)) if g.ndim == 2 else 0
+        return cls(len(g), (p, len(g) - p), g)
+
+    @property
+    def gram(self) -> np.ndarray:
+        """The dense Gram matrix diag(weights), built on each read."""
+        return np.diag(self.weights)
 
     @property
     def is_euclidean(self) -> bool:
@@ -132,15 +103,11 @@ class MetricSpace:
 
     def lower(self, x) -> np.ndarray:
         """x . G over the last axis: the covector <x, .> of x, or of each row."""
-        if self.weights is None:
-            return np.asarray(x) @ self.gram
         return np.multiply(x, self.weights)
 
     def raise_(self, z) -> np.ndarray:
-        """z . G^-1 over the last axis: the vector x with <x, .> = z, or one per row."""
-        if self.inv_weights is None:
-            return np.asarray(z) @ self.gram_inv
-        return np.multiply(z, self.inv_weights)
+        """z . G^-1 = z . G over the last axis: the x with <x, .> = z, or one per row."""
+        return np.multiply(z, self.weights)
 
     def ip(self, x, y):
         """Inner product <x, y> over the last axis (pairwise sums, as accurate as a dot).
@@ -407,10 +374,9 @@ class CliffordModule:
                 "multiplicity >= 1 and a (dim_v, dim_s, dim_s) integer gamma stack, dim_s even if q > 0"
             )
         v_space = MetricSpace.canonical(p, q)
-        s_gram = _spinor_gram(dim_s, euclidean=(q == 0))
-        s_space = MetricSpace.with_gram(s_gram)
+        s_space = _spinor_space(dim_s, euclidean=(q == 0))
         tables = _monomial(gammas, "Clifford relation failed")
-        _check_clifford_relations(*tables, v_space.gram, s_gram)
+        _check_clifford_relations(*tables, v_space.gram, s_space.gram)
         return cls(v_space, s_space, s_space, multiplicity=mult, tables=tables)
 
 
@@ -430,11 +396,11 @@ def _row_times(x, M) -> np.ndarray:
     return (np.asarray(x, dtype=float)[..., None, :] @ M)[..., 0, :]
 
 
-def _spinor_gram(dim_s: int, euclidean: bool) -> np.ndarray:
+def _spinor_space(dim_s: int, euclidean: bool) -> MetricSpace:
     if euclidean:
-        return np.eye(dim_s)
+        return MetricSpace.euclidean(dim_s)
     # split metric diag(+1, -1, +1, -1, ...) from the doubling construction
-    return np.diag(np.tile([1.0, -1.0], dim_s // 2))
+    return MetricSpace.with_gram(np.diag(np.tile([1.0, -1.0], dim_s // 2)))
 
 
 def build_clifford_module(dim_v: int, signature: tuple[int, int] | None = None, multiplicity: int = 1) -> CliffordModule:
@@ -475,7 +441,7 @@ def build_clifford_module(dim_v: int, signature: tuple[int, int] | None = None, 
         gammas = _kron(gammas, _stack(*[_identity(2)] * p, *[_EPS] * q))
     gammas = _kron(_identity(multiplicity), gammas)
     v_space = MetricSpace.canonical(p, q)
-    s_space = MetricSpace.with_gram(_spinor_gram(dim_s, euclidean=(q == 0)))
+    s_space = _spinor_space(dim_s, euclidean=(q == 0))
     _check_clifford_relations(*gammas, v_space.gram, s_space.gram)
     return CliffordModule(v_space, s_space, s_space, tables=gammas, multiplicity=multiplicity)
 

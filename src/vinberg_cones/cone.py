@@ -90,8 +90,13 @@ def _require_euclidean(cone: ConeDescriptor) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _truth(mask):
-    return bool(mask) if np.ndim(mask) == 0 else mask
+def _all_positive(*values):
+    """Whether every value is > 0 (a bool, or one per point of a stack); raises where one is nan."""
+    mask = np.logical_and.reduce([v > 0.0 for v in values])
+    mask = bool(mask) if np.ndim(mask) == 0 else mask
+    if mask is not True and any(np.isnan(v).any() for v in values):  # nan > 0 is False
+        raise OutsideConeError("a defining polynomial is nan at this point: its terms overflow")
+    return mask
 
 
 def _det_form(alg: NilAlgebra, X: HermMatrix, n):
@@ -164,10 +169,11 @@ def g_determinant_sq(cone: ConeDescriptor, X: HermMatrix):
 
 
 def membership(cone: ConeDescriptor, X: HermMatrix):
-    """Strict positivity of all m defining inequalities (open cone)."""
+    """Strict positivity of all m defining inequalities (open cone); raises
+    OutsideConeError where a p_i is nan."""
     check_same_algebra(cone.algebra, X)
     _require_euclidean(cone)
-    return _truth(np.logical_and.reduce([p > 0.0 for p in p_polynomials(cone, X)]))
+    return _all_positive(*p_polynomials(cone, X))
 
 
 # ---------------------------------------------------------------------------
@@ -320,15 +326,16 @@ def dual_membership(cone: ConeDescriptor, X: HermMatrix):
 
     Rank 2: x11 > 0 and pi^2 > 0.  Rank 3: x1 > 0, x1 x2 - |s0|^2 > 0 and
     d'(X) > 0, tested as x1 d'(X) > 0.  Equivalent to membership of the
-    anti-transposed point in the dual-algebra cone.
+    anti-transposed point in the dual-algebra cone.  Raises
+    OutsideConeError where one of these is nan.
     """
     check_same_algebra(cone.algebra, X)
     _require_euclidean(cone)
     if cone.rank == 2:
-        return _truth((X.diag.T[0] > 0.0) & (p_polynomials(cone, X)[0] > 0.0))
+        return _all_positive(X.diag.T[0], p_polynomials(cone, X)[0])
     if cone.algebra.kind != "rank3-special":
         return membership(dual_cone(cone), anti_transpose(X))
     x1, x2, _ = X.diag.T
     d, gap, n = _d_prime_parts(cone, X)
     p2_dual = x1 * x2 - n[0]
-    return _truth((x1 > 0.0) & (p2_dual > 0.0) & (x1 * d + gap > 0.0))
+    return _all_positive(x1, p2_dual, x1 * d + gap)

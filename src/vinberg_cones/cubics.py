@@ -183,8 +183,7 @@ def cubic_hessian(q: InvariantCubic, X: HermMatrix) -> np.ndarray:
 
 
 def _gram_block(space, coef: float) -> np.ndarray:
-    """coef times the Gram matrix of ``space``: coef I lowered, so a diagonal
-    Gram fills the block from its weights."""
+    """coef times the Gram matrix of ``space``: coef I lowered by its weights."""
     return space.lower(coef * np.eye(space.dim))
 
 
@@ -540,11 +539,10 @@ def _constraint_violated(q: InvariantCubic, x):
 #
 # At a diagonal point the gradient has no off-diagonal part, so -Hess(log q)
 # is a rank x rank core plus, on each off-diagonal block, a scalar times the
-# block's Gram matrix.  ker dq then splits the same way, and the leading
-# minors of the Jacobi-scaled restriction are those of a (rank-1)-square core
-# followed by the tail det(core) times the running product of block signs
-# times the running product P of the pivots of the Jacobi-scaled Gram
-# matrices (P is all 1 for the orthonormal bases the library builds).  The
+# block's Gram matrix, the identity on the Euclidean cones the sweeps accept.
+# ker dq then splits the same way, and the leading minors of the
+# Jacobi-scaled restriction are those of a (rank-1)-square core followed by
+# the tail det(core) times the running product of block signs.  The
 # kernel below evaluates that for a stack of points or at one point, through
 # the dense path's _neg_hess_log, tangent basis and restriction, and the
 # core's Jacobi scaling and minors entry by entry.  Every value that reaches
@@ -562,13 +560,10 @@ def _constraint_violated(q: InvariantCubic, x):
 #
 # The tail is never formed.  Within a block of sign s its signs are constant
 # (s = 1), alternate (s = -1) or vanish (s = 0), so the entries at the
-# block's even and at its odd offsets share one sign each, and a rounded
-# det(core) * P is monotone in P.  The entries at the smallest and the
-# largest P of each such class bound it: they carry its minimum, all that
-# min_minor reads.
-# The kernel computes only those, at most four per block, as det(core) times
-# the sign product up to each times P there: the cumprod's values bit for
-# bit, as the signs are exact.
+# block's even and at its odd offsets are equal, and its first two entries
+# carry its minimum, all that min_minor reads.  The kernel computes only
+# those, at most two per block, as det(core) times the sign product up to
+# each: the cumprod's values bit for bit, as the signs are exact.
 
 
 def _unpack(x):
@@ -679,15 +674,14 @@ def _every(mask) -> bool:
 
 
 def _tail_minors(alg, det_core, signs):
-    """The tail minors det(core) * cumprod(block signs x Gram pivots) at the
-    positions that stand for the whole tail (see above), bit for bit, for
-    each row of block signs (last axis), or as floats for one point's list."""
-    columns, P = alg._tail_entries
+    """The tail minors det(core) * cumprod(block signs) at the positions
+    that stand for the whole tail (see above), bit for bit, for each row of
+    block signs (last axis), or as floats for one point's list."""
     if isinstance(signs, list):
         powers = [1.0] * len(signs) + signs + [s * s for s in signs]
-        return [det_core * (math.prod([powers[j] for j in js]) * p) for js, p in zip(columns.tolist(), P.tolist())]
+        return [det_core * math.prod([powers[j] for j in js]) for js in alg._tail_entries.tolist()]
     powers = np.concatenate([np.ones_like(signs), signs, signs * signs], axis=-1)
-    return np.asarray(det_core)[..., None] * (np.multiply.reduce(powers[..., columns], axis=-1) * P)
+    return np.asarray(det_core)[..., None] * np.multiply.reduce(powers[..., alg._tail_entries], axis=-1)
 
 
 def _diagonal_minors(q: InvariantCubic, x: np.ndarray):

@@ -80,34 +80,18 @@ class NilAlgebra:
         return all(s.is_euclidean for s in self.spaces.values())
 
     @cached_property
-    def gram_pivots(self) -> np.ndarray:
-        """Ratios of consecutive leading minors (squared Cholesky diagonals) of
-        each Jacobi-scaled block Gram matrix, in flat off-diagonal order
-        (Euclidean algebras only; computed once)."""
-        out = []
-        for key in self.offdiag_keys:
-            G = self.spaces[key].gram
-            s = np.sqrt(np.diag(G))
-            out.append(np.diag(np.linalg.cholesky(G / np.outer(s, s))) ** 2)
-        return np.concatenate(out)
-
-    @cached_property
-    def _tail_entries(self) -> tuple[np.ndarray, np.ndarray]:
-        """The positions of P = cumprod(gram_pivots) with the smallest and the
-        largest P among each block's even and among its odd offsets, which
-        stand for all of P in the diagonal kernel's tail minors (see
-        cubics._tail_minors).  Per position: the column, in [1 | signs |
-        signs^2] of the blocks, of each block's factor of the running sign
-        product up to it (none after it, its sign for an odd count, its
-        square for an even one), and P there (computed once)."""
-        P = np.cumprod(self.gram_pivots)
+    def _tail_entries(self) -> np.ndarray:
+        """At the first two offsets of each block, which stand for all of the
+        diagonal kernel's tail minors (see cubics._tail_minors): the column,
+        in [1 | signs | signs^2] of the blocks, of each block's factor of the
+        running sign product up to there (none after it, its sign for an odd
+        count, its square for an even one); computed once."""
         dims = np.array([self.dim(k) for k in self.offdiag_keys])
         starts = np.cumsum(dims) - dims
-        classes = [start + np.arange(parity, m, 2) for start, m in zip(starts, dims) for parity in (0, 1)]
-        at = sorted({j for c in classes if c.size for j in (c[np.argmin(P[c])], c[np.argmax(P[c])])})
-        count = np.clip(np.array(at)[:, None] + 1 - starts, 0, dims)
+        at = np.concatenate([start + np.arange(min(m, 2)) for start, m in zip(starts, dims)])
+        count = np.clip(at[:, None] + 1 - starts, 0, dims)
         power = np.where(count == 0, 0, 2 - count % 2)
-        return power * len(dims) + np.arange(len(dims)), P[at]
+        return power * len(dims) + np.arange(len(dims))
 
     def ip(self, key: Key, x, y):
         return self.spaces[key].ip(x, y)
@@ -116,29 +100,22 @@ class NilAlgebra:
         return self.spaces[key].ip(x, x)
 
     @cached_property
-    def _segments(self) -> tuple:
+    def _segments(self) -> tuple[np.ndarray, np.ndarray]:
         """The flat weight vector (1 on the diagonal, then every block's
-        ``MetricSpace.weights``; None if a block Gram is not diagonal) and
-        the start of each off-diagonal block (built on first use)."""
-        weights = [self.spaces[k].weights for k in self.offdiag_keys]
-        flat = None if any(w is None for w in weights) else np.concatenate([np.ones(self.rank), *weights])
-        return flat, np.array([self.layout[k].start for k in self.offdiag_keys])
+        weights) and the start of each off-diagonal block (built once)."""
+        weights = np.concatenate([np.ones(self.rank), *(self.spaces[k].weights for k in self.offdiag_keys)])
+        return weights, np.array([self.layout[k].start for k in self.offdiag_keys])
 
     def block_products(self, x, y) -> np.ndarray:
         """<x_k, y_k>_k for every off-diagonal block k of two flat vectors (or
         stacks), along a last axis in ``offdiag_keys`` order: one weighted
         product and one segmented sum, which gives each row of a stack the
-        bits of its single point (a matmul against a block indicator would
-        not).  A non-diagonal block Gram takes the per-block
-        ``MetricSpace.ip``."""
+        bits of its single point (a matmul by a block indicator would not)."""
         x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
         if x.shape[-1:] != (self.herm_dim,) or y.shape[-1:] != (self.herm_dim,):
             raise DimensionMismatchError(f"block_products: flat shapes {x.shape}, {y.shape} are wrong")
-        flat, starts = self._segments
-        if flat is None:
-            lay = self.layout
-            return np.stack([self.spaces[k].ip(x[..., lay[k]], y[..., lay[k]]) for k in self.offdiag_keys], -1)
-        return np.add.reduceat(x * flat * y, starts, axis=-1)
+        weights, starts = self._segments
+        return np.add.reduceat(x * weights * y, starts, axis=-1)
 
     @cached_property
     def block_rows_cols(self) -> tuple[np.ndarray, np.ndarray]:

@@ -6,11 +6,11 @@ self-test, which only evaluates q), explicit closed forms at diagonal
 points, the Hurwitz-Radon bound for spinor dimensions, the dense generator
 recursion for the table-built Clifford modules, the dense polarized loop
 for the relation residual that ``clifford`` reads off the tables, the
-eigvalsh/inv route for diagonal metrics, the dense product tensor for the
-gathered algebra products, dense Gram products for the diagonal metric
+eigvalsh/inv route for the +/-1 metric weights, the dense product tensor
+for the gathered algebra products, dense Gram products for the metric
 weights, dense 3x3 determinants for the self-adjoint instance, the
 diagonal kernel's tail formed entry by entry for the tail that ``cubics``
-reads off per-block extremes, one determinant per leading minor for the
+reads off each block's first two entries, one determinant per leading minor for the
 minors that ``cubics`` takes from the pivots of one elimination, and the
 scan loop built on the sweep's reports for the scan that reads the point
 codes.
@@ -20,6 +20,7 @@ import math
 from functools import lru_cache
 
 import numpy as np
+import pytest
 
 import vinberg_cones as vc
 from vinberg_cones import clifford, cubics
@@ -28,8 +29,9 @@ from vinberg_cones.cubics import fd_hessian_log  # noqa: F401  (re-exported for 
 
 _CONES = {}
 
-# metrics other than the library's +/-1 ones: diagonal with non-unit weights,
-# and non-diagonal (the dense fallback of the weight paths)
+# positive-definite metrics outside a pseudo-orthonormal basis: diagonal with
+# non-unit weights, and non-diagonal.  MetricSpace refuses them; the tests
+# that ran the library on them are negative controls.
 SCALED_V = np.diag([2.0, 0.5, 3.0])
 SCALED_S = np.diag([2.0, 0.5, 3.0, 1.25])
 FULL_V = np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.3], [0.0, 0.3, 3.0]])
@@ -37,10 +39,28 @@ FULL_S = np.array([[2.0, 0.5, 0.0, 0.1], [0.5, 1.0, 0.3, 0.0], [0.0, 0.3, 3.0, 0
 
 
 def regauged_module(v_gram, s_gram) -> "vc.CliffordModule":
-    """The gammas of build_clifford_module(3) under other metrics on V and S:
-    the gathers ignore the metrics, the pairings and adjoints use them."""
+    """The gammas of build_clifford_module(3) under other metrics on V and S
+    (refused unless both are +/-1 diagonal)."""
     s_space = vc.MetricSpace.with_gram(s_gram)
     return vc.CliffordModule(vc.MetricSpace.with_gram(v_gram), s_space, s_space, vc.build_clifford_module(3).gammas)
+
+
+class Refused:
+    """A test case whose metric is outside a pseudo-orthonormal basis: the
+    test checks that ``make()`` raises SpecError, its negative control."""
+
+    def __init__(self, make):
+        self.make = make
+
+
+def made(case):
+    """case() for a case the library builds; for a :class:`Refused` one,
+    None after checking that making it raises SpecError."""
+    if not isinstance(case, Refused):
+        return case()
+    with pytest.raises(vc.SpecError, match="pseudo-orthonormal basis"):
+        case.make()
+    return None
 
 
 def rank2_cone(dim_w: int):
@@ -247,8 +267,7 @@ def corrupt_stack(stack: np.ndarray, kind: str, rng) -> np.ndarray:
 # Dense generator oracle: the Cayley-Dickson tower and the period-8 recursion
 # on dense integer matrices, every left multiplication built one column at a
 # time and every tensor step an np.kron, which the library's (perm, sign)
-# tables replace; and the eigvalsh/inv route of MetricSpace that its
-# diagonal branch replaces
+# tables replace; and the eigvalsh/inv route for MetricSpace's weights
 # ---------------------------------------------------------------------------
 
 _TAU = np.array([[1, 0], [0, -1]], dtype=np.int64)
@@ -293,33 +312,15 @@ def dense_module_stack(dim_v: int, signature=None, multiplicity: int = 1) -> tup
     return np.stack([np.kron(eye_m, g) for g in gammas]), np.kron(eye_m, s_gram)
 
 
-def dense_metric_fields(dim, signature, gram) -> dict:
-    """gram, gram_inv, weights and inv_weights as MetricSpace made them with
-    np.linalg.eigvalsh and np.linalg.inv on every Gram matrix; raises the
-    same errors in the same order.  ``signature=None`` counts the signs of
-    eigvalsh, as MetricSpace.with_gram does."""
+def eigvalsh_metric_fields(gram) -> dict:
+    """signature, gram and weights of a +/-1 diagonal Gram matrix, the
+    signature from the signs of np.linalg.eigvalsh and the weights the
+    diagonal of np.linalg.inv; G G == I checks that G is its own inverse."""
     g = np.asarray(gram, dtype=float)
-    if signature is None:
-        ev = np.linalg.eigvalsh(g)
-        dim, signature = g.shape[0], (int(np.sum(ev > 0)), int(np.sum(ev < 0)))
-    if dim < 1:
-        raise vc.DimensionMismatchError("dim must be >= 1")
-    p, q = signature
-    if p < 0 or q < 0 or p + q != dim:
-        raise vc.SpecError(f"signature {signature} incompatible with dim {dim}")
-    if g.shape != (dim, dim):
-        raise vc.DimensionMismatchError("gram matrix has wrong shape")
-    if not np.allclose(g, g.T, atol=1e-12):
-        raise vc.SpecError("gram matrix must be symmetric")
+    assert np.array_equal(g @ g, np.eye(len(g))) and np.array_equal(g, np.diag(np.diag(g)))
     ev = np.linalg.eigvalsh(g)
-    if np.min(np.abs(ev)) <= 1e-12 * max(1.0, np.max(np.abs(ev))):
-        raise vc.SpecError("gram matrix is degenerate")
-    if (int(np.sum(ev > 0)), int(np.sum(ev < 0))) != (p, q):
-        raise vc.SpecError("declared signature does not match the gram matrix")
-    inv = np.linalg.inv(g)
-    diagonal = all(np.count_nonzero(m - np.diag(np.diag(m))) == 0 for m in (g, inv))
-    weights = (np.diag(g).copy(), np.diag(inv).copy()) if diagonal else (None, None)
-    return {"signature": signature, "gram": g, "gram_inv": inv, "weights": weights[0], "inv_weights": weights[1]}
+    signature = (int(np.sum(ev > 0)), int(np.sum(ev < 0)))
+    return {"signature": signature, "gram": g, "weights": np.diag(np.linalg.inv(g)).copy()}
 
 
 # ---------------------------------------------------------------------------
@@ -357,12 +358,12 @@ def _dense_form13(alg, x13) -> np.ndarray:
 
 def dense_mult_flat_right(alg, x13, x23) -> np.ndarray:
     z = np.einsum("...ia,...a->...i", _dense_form13(alg, x13), x23)
-    return z @ alg.spaces[(1, 2)].gram_inv
+    return z @ np.linalg.inv(alg.spaces[(1, 2)].gram)
 
 
 def dense_mult_flat_left(alg, x12, x13) -> np.ndarray:
     z = np.einsum("...i,...ia->...a", x12, _dense_form13(alg, x13))
-    return z @ alg.spaces[(2, 3)].gram_inv
+    return z @ np.linalg.inv(alg.spaces[(2, 3)].gram)
 
 
 def dense_cubic_derivatives(q, X, tensor: bool = True) -> tuple[np.ndarray, np.ndarray]:
@@ -432,8 +433,9 @@ def dense_cubic_derivatives(q, X, tensor: bool = True) -> tuple[np.ndarray, np.n
 
 # ---------------------------------------------------------------------------
 # Dense-Gram oracle: every product with a Gram matrix or its inverse a full
-# matmul, which MetricSpace's weights replace on diagonal Gram matrices, and
-# mu_v as the einsum over the dense gammas that its scatter replaces
+# matmul (the inverse from np.linalg.inv), which MetricSpace's weights
+# replace, and mu_v as the einsum over the dense gammas that its scatter
+# replaces
 # ---------------------------------------------------------------------------
 
 
@@ -460,17 +462,17 @@ def dense_flat_product(alg, x13, x, key) -> np.ndarray:
         z = (x[..., None, :] @ P)[..., 0, :]
     else:
         z = (P @ x[..., None])[..., 0]
-    return z @ alg.spaces[key].gram_inv
+    return z @ np.linalg.inv(alg.spaces[key].gram)
 
 
 def dense_clifford_bilinear(module, s1, s0) -> np.ndarray:
     z = np.einsum("...k,aki,...i->...a", np.asarray(s1) @ module.s1_space.gram, module.gammas, s0)
-    return z @ module.v_space.gram_inv
+    return z @ np.linalg.inv(module.v_space.gram)
 
 
 def dense_clifford_mult_adjoint(module, v, s1) -> np.ndarray:
     z = dense_mu(module, v).T @ (module.s1_space.gram @ s1)
-    return z @ module.s0_space.gram_inv
+    return z @ np.linalg.inv(module.s0_space.gram)
 
 
 def dense_symmetric_3x3(X) -> np.ndarray:
@@ -645,8 +647,8 @@ def project_to_level_set(q, X):
 # ---------------------------------------------------------------------------
 # Reference diagonal kernel: each point's kind from the eigvalsh inertia of
 # its restricted form, min_minor from the tail det(core) * cumprod(block
-# signs x Gram pivots) formed over every off-diagonal coordinate (np.repeat,
-# then cumprod), and the reports built from them; the oracle for the
+# signs) formed over every off-diagonal coordinate (np.repeat, then
+# cumprod), and the reports built from them; the oracle for the
 # inertia rule, cubics._diagonal_minors and the sweeps on top of them
 # ---------------------------------------------------------------------------
 
@@ -684,14 +686,14 @@ def kernel_core_forms(q, x):
 def reference_diagonal_kinds(q, x) -> tuple[np.ndarray, np.ndarray]:
     """Kind strings and min_minor at each row of x.  The restricted form at a
     diagonal point is the core plus, on each off-diagonal block, the block's
-    scalar times its positive-definite Gram matrix: its eigenvalues have the
+    scalar times its Gram matrix, the identity: its eigenvalues have the
     signs of the Jacobi-scaled core's eigvalsh and of the block scalars, one
     per block coordinate.  Every tail minor is formed."""
     M, u, blocks = kernel_core_forms(q, x)
     _, R, core, _ = cubics._restrict(M, u)
     dims = [q.cone.algebra.dim(k) for k in q.cone.algebra.offdiag_keys]
     signs = np.repeat(np.sign(blocks), dims, axis=1)
-    tail = core[:, -1:] * np.cumprod(signs * q.cone.algebra.gram_pivots, axis=1)
+    tail = core[:, -1:] * np.cumprod(signs, axis=1)
     ev = np.concatenate([np.linalg.eigvalsh(jacobi_scaled(R)), signs], axis=1)
     degenerate = np.any(np.abs(ev) <= EIGEN_BAND * np.max(np.abs(ev), axis=1, keepdims=True), axis=1)
     kinds = np.where(degenerate, DEGENERATE, np.where(np.all(ev > 0.0, axis=1), PD, INDEFINITE)).astype(object)

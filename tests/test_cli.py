@@ -210,6 +210,27 @@ class TestEval:
         assert cli.main(["eval", "--spec", spec3, "--op", "dprime", I]) == 0
         assert json.loads(capsys.readouterr().out)["dprime"] == 1.0
 
+    @pytest.mark.parametrize(
+        "tag,op",
+        [("w1", op) for op in ("membership", "p", "chi")] + [("d1", op) for op in ("membership", "p", "d", "dprime", "chi")],
+    )
+    def test_overflowing_point_fails_with_one_line(self, tmp_path, tag, op):
+        # p_1 is inf - inf = nan at these points, which decompose places in
+        # the cone: membership printed "member": false with exit 0, and the
+        # other ops numpy's RuntimeWarnings before their failure line
+        spec, point = {
+            "w1": ({"rank": 2, "dim_w": 1}, {"rank": 2, "diag": [1e200, 1e200], "offdiag": {"12": [5e199]}}),
+            "d1": ({"rank": 3, "dim_v": 1}, {"rank": 3, "diag": [1e120] * 3, "offdiag": {"12": [5e119]}}),
+        }[tag]
+        spec, X = write_json(tmp_path / "s.json", spec), write_json(tmp_path / "X.json", point)
+        run = _run_cli("eval", "--spec", spec, "--op", op, X)
+        assert run.returncode == 1 and run.stdout == ""
+        assert run.stderr.startswith("failure: ") and run.stderr.count("\n") == 1, run.stderr
+        if op == "membership":
+            assert "nan" in run.stderr
+            run = _run_cli("eval", "--spec", spec, "--op", "decompose", X)
+            assert run.returncode == 0 and min(json.loads(run.stdout)["diag"]) > 0.0
+
     @pytest.mark.parametrize("op", ["chi", "membership"])
     def test_euclidean_only_op_on_indefinite_cone_exits_3(self, tmp_path, capsys, op):
         spec = write_json(tmp_path / "s.json", {"rank": 3, "dim_v": 2, "signature": [1, 1]})

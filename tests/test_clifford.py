@@ -20,6 +20,8 @@ from vinberg_cones.errors import (
 
 from _support import (
     PRODUCT_MODULES,
+    FULL_S,
+    FULL_V,
     SCALED_S,
     SCALED_V,
     corrupt_stack,
@@ -28,10 +30,10 @@ from _support import (
     dense_check_j_family,
     dense_cl_neg_generators,
     dense_from_tables,
-    dense_metric_fields,
     dense_module_stack,
     dense_mu,
     dense_polarized_residual,
+    eigvalsh_metric_fields,
     hurwitz_radon,
     j_relation_check,
     min_dim_by_radon,
@@ -586,7 +588,7 @@ def _same_bits(got, want) -> None:
 
 
 def _space_fields(space) -> dict:
-    return {name: getattr(space, name) for name in ("signature", "gram", "gram_inv", "weights", "inv_weights")}
+    return {name: getattr(space, name) for name in ("signature", "gram", "weights")}
 
 
 def _assert_same_space(got: dict, want: dict) -> None:
@@ -613,9 +615,9 @@ class TestTableBuild:
         _same_bits(mod.gammas, gammas)
         p, q = signature or (dim_v, 0)
         v_gram = np.diag(np.concatenate([np.ones(p), -np.ones(q)]))
-        _assert_same_space(_space_fields(mod.v_space), dense_metric_fields(dim_v, (p, q), v_gram))
+        _assert_same_space(_space_fields(mod.v_space), eigvalsh_metric_fields(v_gram))
         for space in (mod.s0_space, mod.s1_space):
-            _assert_same_space(_space_fields(space), dense_metric_fields(None, None, s_gram))
+            _assert_same_space(_space_fields(space), eigvalsh_metric_fields(s_gram))
 
     def test_orbit_chain_never_materializes_the_dense_stack(self):
         mod = vc.build_clifford_module(16)
@@ -714,7 +716,8 @@ class TestTableNegativeControls:
         clifford._check_clifford_relations(perm, val.astype(np.int64), mod.v_space.gram, mod.s0_space.gram)
 
 
-# diagonal Gram matrices for the diagonal branch of MetricSpace
+# diagonal Gram matrices: the +/-1 ones a MetricSpace holds as its weights,
+# and every other one, which it refuses
 _DIAGONAL_GRAMS = {
     "identity": np.eye(4),
     "signs": np.diag([1.0, -1.0, -1.0, 1.0]),
@@ -728,43 +731,55 @@ _DIAGONAL_GRAMS = {
     "wide-range": np.diag([1e-300, -1e300]),
     "infinite": np.diag([1.0, np.inf]),
 }
-
-
-def _metric_outcome(make):
-    try:
-        fields = make()
-    except (SpecError, DimensionMismatchError) as exc:
-        return type(exc), str(exc)
-    return fields
+_PSEUDO_ORTHONORMAL = ("identity", "signs", "split-128")
 
 
 class TestMetricSpaceDiagonalBranch:
-    """A diagonal Gram takes its signature from the signs and its inverse
-    from reciprocals: every field and every error as the eigvalsh/inv route
-    gives it."""
+    """A +/-1 diagonal Gram gives the signature and weights of the
+    eigvalsh/inv route and a wrong declared signature the mismatch error;
+    every other Gram raises SpecError, with_gram's naming a
+    pseudo-orthonormal basis."""
 
     @pytest.mark.parametrize("declared", ["with-gram", "true", "wrong"])
     @pytest.mark.parametrize("name", list(_DIAGONAL_GRAMS))
     def test_matches_eigvalsh_inv_route(self, name, declared):
         g = _DIAGONAL_GRAMS[name]
         n = len(g)
-        if declared == "with-gram":
-            got = _metric_outcome(lambda: _space_fields(MetricSpace.with_gram(g)))
-            want = _metric_outcome(lambda: dense_metric_fields(None, None, g))
+        d = np.diag(g)
+        sig = (int(np.sum(d > 0)), int(np.sum(d < 0)))
+        if declared == "wrong":
+            sig = (n, 0) if sig != (n, 0) else (n - 1, 1)
+        make = (lambda: MetricSpace.with_gram(g)) if declared == "with-gram" else (lambda: MetricSpace(n, sig, g))
+        if name not in _PSEUDO_ORTHONORMAL:
+            with pytest.raises(SpecError, match="pseudo-orthonormal basis" if declared == "with-gram" else None):
+                make()
+        elif declared == "wrong":
+            with pytest.raises(SpecError, match="declared signature does not match"):
+                make()
         else:
-            d = np.diag(g)
-            sig = (int(np.sum(d > 0)), int(np.sum(d < 0)))
-            if declared == "wrong":
-                sig = (n, 0) if sig != (n, 0) else (n - 1, 1)
-            got = _metric_outcome(lambda: _space_fields(MetricSpace(n, sig, g)))
-            want = _metric_outcome(lambda: dense_metric_fields(n, sig, g))
-        if isinstance(want, tuple):
-            assert got == want
-        else:
-            _assert_same_space(got, want)
+            _assert_same_space(_space_fields(make()), eigvalsh_metric_fields(g))
 
     def test_signed_zeros_of_the_inverse(self):
-        # LAPACK's solve leaves -0.0 off the diagonal in the rows of negative
-        # entries; the reciprocal route keeps them
+        # raise_ multiplies by the weights of G^-1 = G, so a zero covector
+        # gives -0.0 in the timelike directions
         space = MetricSpace.canonical(1, 2)
-        assert np.signbit(space.gram_inv).tolist() == [[False] * 3, [True] * 3, [True] * 3]
+        assert np.signbit(space.raise_(np.zeros(3))).tolist() == [False, True, True]
+
+
+class TestPseudoOrthonormalOnly:
+    """Negative controls: a Gram matrix outside a pseudo-orthonormal basis
+    raises SpecError in both constructors, whatever signature is declared
+    (a wrong declared signature: test_matches_eigvalsh_inv_route)."""
+
+    @pytest.mark.parametrize(
+        "gram",
+        [FULL_V, FULL_S, SCALED_V, SCALED_S, np.diag([1.0, 0.0, -1.0])],
+        ids=["full-v", "full-s", "scaled-v", "scaled-s", "zero"],
+    )
+    def test_refused_grams(self, gram):
+        n = len(gram)
+        with pytest.raises(SpecError, match="pseudo-orthonormal basis"):
+            MetricSpace.with_gram(gram)
+        for p in range(n + 1):
+            with pytest.raises(SpecError):
+                MetricSpace(n, (p, n - p), gram)

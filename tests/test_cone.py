@@ -121,7 +121,32 @@ class TestDeterminant:
         )
 
 
+def overflow_point(tag):
+    """A point of the cone where p_1 is inf - inf = nan (x1 x2 - |w|^2 at
+    rank 2, x3 d on d1), as a single point and in a stack after the
+    identity."""
+    cone, diag, offdiag = {
+        "w1": (rank2_cone(1), [1e200, 1e200], {(1, 2): [5e199]}),
+        "d1": (rank3_cone(1), [1e120] * 3, {(1, 2): [5e119]}),
+    }[tag]
+    X = vc.HermMatrix(cone.algebra, diag, offdiag)
+    stack = vc.herm_from_vector(cone.algebra, [vc.herm_identity(cone.algebra).to_vector(), X.to_vector()])
+    return cone, X, stack
+
+
 class TestMembership:
+    @pytest.mark.parametrize("tag", ["w1", "d1"])
+    def test_nan_p_raises(self, tag):
+        # membership read False here, although the decomposition finds a
+        # positive diagonal
+        cone, X, stack = overflow_point(tag)
+        with np.errstate(all="ignore"):
+            assert np.isnan(vc.p_polynomials(cone, X)[0])
+            assert vc.group_coordinates(cone, X).element.in_group
+            for Y in (X, stack):
+                with pytest.raises(OutsideConeError, match="nan"):
+                    vc.membership(cone, Y)
+
     def test_identity_inside(self):
         for cone in (rank2_cone(3), rank3_cone(2)):
             assert vc.membership(cone, vc.herm_identity(cone.algebra))
@@ -530,6 +555,15 @@ class TestDuality:
 
 
 class TestDualMembership:
+    @pytest.mark.parametrize("tag", ["w1", "d1"])
+    def test_nan_invariant_raises(self, tag):
+        # dual_membership read False here
+        cone, X, stack = overflow_point(tag)
+        with np.errstate(all="ignore"):
+            for Y in (X, stack):
+                with pytest.raises(OutsideConeError, match="nan"):
+                    vc.dual_membership(cone, Y)
+
     def test_identity(self):
         for cone in (rank2_cone(2), rank3_cone(2)):
             assert vc.dual_membership(cone, vc.herm_identity(cone.algebra))

@@ -715,9 +715,11 @@ class TestDiagonalKernel:
         assert_kernel_matches_dense(q, diagonal_points(q))
 
     def test_non_orthonormal_block_gram(self):
+        # refused; in a pseudo-orthonormal basis this metric is the Euclidean one
         gram = np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.3], [0.0, 0.3, 3.0]])
-        cone = vc.cone_from_algebra(vc.rank2_algebra(vc.MetricSpace(3, (3, 0), gram)))
-        q = vc.InvariantCubic.rank2_family(cone, 0.5)
+        with pytest.raises(SpecError, match="pseudo-orthonormal basis"):
+            vc.MetricSpace(3, (3, 0), gram)
+        q = vc.InvariantCubic.rank2_family(rank2_cone(3), 0.5)
         assert_kernel_matches_dense(q, diagonal_points(q, 20))
 
     @pytest.mark.parametrize("eps", [(0.0, 0.0), (0.5, -0.25), (-1.0, 0.5)])
@@ -782,8 +784,8 @@ def signed_diagonal_points(q, n: int, seed: int) -> np.ndarray:
 
 
 class TestDiagonalKernelOracle:
-    """The kernel's tail, read off each block's sign and parity and the
-    cone's pivot extremes, against the tail formed over every off-diagonal
+    """The kernel's tail, read off each block's sign and parity at its
+    first two entries, against the tail formed over every off-diagonal
     coordinate: min_minor array_equal at every point, and the inertia rule's
     kind that of the eigvalsh inertia."""
 
@@ -810,11 +812,12 @@ class TestDiagonalKernelOracle:
     @pytest.mark.parametrize("gram", [FULL_V, FULL_S], ids=["dim3", "dim4"])
     @pytest.mark.parametrize("coeffs", [(0.5, 1.0), (1.0, -1.0), (-0.3, 1.0)])
     def test_non_orthonormal_block_gram(self, gram, coeffs):
-        # pivots other than 1; b < 0 makes the block sign -1, so the tail
-        # alternates in sign along the running pivot products
-        cone = vc.cone_from_algebra(vc.rank2_algebra(vc.MetricSpace.with_gram(gram)))
-        assert np.ptp(cone.algebra.gram_pivots) > 0.1
-        q = vc.InvariantCubic(cone, coeffs)
+        # the Gram matrix is refused; in a pseudo-orthonormal basis its metric
+        # is the Euclidean one, where b < 0 makes the block sign -1, so the
+        # tail alternates in sign
+        with pytest.raises(SpecError, match="pseudo-orthonormal basis"):
+            vc.MetricSpace.with_gram(gram)
+        q = vc.InvariantCubic(rank2_cone(len(gram)), coeffs)
         assert assert_sweeps_match_oracle(q, vc.DiagonalGrid(n=40)) > 0
         assert_kernel_matches_oracle(q, signed_diagonal_points(q, 200, 7))
 
@@ -857,10 +860,10 @@ class TestDiagonalKernelOracle:
         [
             rank3_cone(3).algebra,
             rank3_cone(1, 2).algebra,
-            vc.rank2_algebra(vc.MetricSpace.with_gram(FULL_V)),
-            vc.rank2_algebra(vc.MetricSpace.with_gram(FULL_S)),
+            rank2_cone(3).algebra,
+            rank2_cone(4).algebra,
         ],
-        ids=["4-4-3", "2-2-1", "gram3", "gram4"],
+        ids=["4-4-3", "2-2-1", "gram3", "gram4"],  # gram3, gram4: a rank-2 block of dimension 3, 4
     )
     def test_tail_stands_for_every_sign_pattern(self, alg):
         # every pattern of block signs in {-1, 0, 1} against every kind of
@@ -870,14 +873,14 @@ class TestDiagonalKernelOracle:
         dets = np.array([1.0, -1.0, 0.0, 3e-13, -3e-13, 0.7, np.nan])
         signs, det_core = np.repeat(signs, len(dets), axis=0), np.tile(dets, len(signs))
         dims = [alg.dim(k) for k in alg.offdiag_keys]
-        tail = det_core[:, None] * np.cumprod(np.repeat(signs, dims, axis=1) * alg.gram_pivots, axis=1)
+        tail = det_core[:, None] * np.cumprod(np.repeat(signs, dims, axis=1), axis=1)
         kept = cubics._tail_minors(alg, det_core, signs)
         assert np.array_equal(np.min(kept, axis=1), np.min(tail, axis=1), equal_nan=True)
 
     @pytest.mark.parametrize(
         "alg",
-        [rank3_cone(3).algebra, rank3_cone(1, 2).algebra, vc.rank2_algebra(vc.MetricSpace.with_gram(FULL_S))],
-        ids=["4-4-3", "2-2-1", "gram4"],
+        [rank3_cone(3).algebra, rank3_cone(1, 2).algebra, rank2_cone(4).algebra],
+        ids=["4-4-3", "2-2-1", "gram4"],  # gram4: a rank-2 block of dimension 4
     )
     def test_float_tail_is_the_stacked_row(self, alg):
         # one point's tail on floats gives its row of the stacked tail bit
@@ -892,19 +895,15 @@ class TestDiagonalKernelOracle:
             assert np.array(cubics._tail_minors(alg, d, s)).tobytes() == want.tobytes(), (d, s)
 
     def test_tail_entries(self):
-        # a dimension-4 block with unequal pivots: P at offsets 0 and 2
-        # (sign to the power 1, column 1 of [1 | s | s^2]) and 1 and 3
-        # (power 2, column 2) are all extremes of their parity
-        alg = vc.rank2_algebra(vc.MetricSpace.with_gram(FULL_S))
-        columns, values = alg._tail_entries
-        P = np.cumprod(alg.gram_pivots)
-        assert columns.tolist() == [[1], [2], [1], [2]]
-        assert values.tolist() == P.tolist()
-        # orthonormal blocks of dimensions 4, 4, 3: P is all 1, one entry per
-        # block and parity; the powers of the earlier blocks follow their
-        # parities, later blocks contribute 1 (column b of the first third)
-        columns, values = rank3_cone(3).algebra._tail_entries
-        assert values.tolist() == [1.0] * 6
+        # a dimension-4 block: offset 0 (sign to the power 1, column 1 of
+        # [1 | s | s^2]) and offset 1 (power 2, column 2); a dimension-1
+        # block has offset 0 alone
+        assert rank2_cone(4).algebra._tail_entries.tolist() == [[1], [2]]
+        assert rank2_cone(1).algebra._tail_entries.tolist() == [[1]]
+        # blocks of dimensions 4, 4, 3: the first two offsets of each; the
+        # powers of the earlier blocks follow their parities, later blocks
+        # contribute 1 (column b of the first third)
+        columns = rank3_cone(3).algebra._tail_entries
         assert columns.tolist() == [[3, 1, 2], [6, 1, 2], [6, 4, 2], [6, 7, 2], [6, 7, 5], [6, 7, 8]]
 
 
