@@ -94,11 +94,13 @@ def dumps17(obj) -> str:
 
 
 def _corrupt_gamma(module: CliffordModule) -> CliffordModule:
-    """Test hook: a copy of a module with one gamma entry bumped."""
-    gam = np.array(module.gammas, dtype=np.int64)
-    gam[0, 0, 0] += 1
+    """Test hook: a copy of a module with one gamma entry bumped, the value
+    of Gamma_0 e_0 in its integer tables (Gamma_0 = I in a built module)."""
+    perm, val = module._tables
+    val = val.copy()
+    val[0, 0] += 1
     return CliffordModule(
-        module.v_space, module.s0_space, module.s1_space, gam, multiplicity=module.multiplicity
+        module.v_space, module.s0_space, module.s1_space, tables=(perm, val), multiplicity=module.multiplicity
     )
 
 
@@ -112,7 +114,8 @@ def parse_spec(obj: dict):
     """Validate a cone spec and build the descriptor.  Unknown keys, values
     that are not exact integers and a negative seed are rejected (SpecError),
     and so is a rank-2 space whose dim_w**2 exceeds MAX_GAMMA_ENTRIES
-    (ModuleTooLargeError), before anything is built."""
+    (ModuleTooLargeError), before anything is built: the self-test's dense
+    dim_herm x dim_herm forms grow with it."""
     if not isinstance(obj, dict):
         raise SpecError("spec must be a JSON object")
     rank = obj.get("rank")
@@ -293,7 +296,7 @@ def _invariant_suite(cone, module, seed: int):
 
     if module is not None:
         yield "clifford-isometry", verify_isometry(module, 1000, seed), 1e-12
-        relation = _relation_residual(*module.monomial_tables[:2], module.v_space.gram, module.s1_space.gram)
+        relation = _relation_residual(*module.monomial_tables[:2], module.v_space.weights, module.s1_space.weights)
         yield "clifford-polarized-relation", relation, 1e-12
         s1, s0 = rng.uniform(-1, 1, (50, 2, module.dim_s)).transpose(1, 0, 2)
         basis = np.eye(module.dim_v)[:, None, :]  # every e_a against every sample

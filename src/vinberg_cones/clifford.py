@@ -27,8 +27,9 @@ from .errors import CliffordRelationError, DimensionMismatchError, ModuleTooLarg
 # Largest dim_v * dim_s**2 that build_clifford_module accepts: the entries of
 # the dense gamma stack that to_json writes, unchanged although a module holds
 # tables.  dim_v = 18 (4.7M entries) is the largest Euclidean module under it;
-# dim_v = 19 would hold 20M entries.  The CLI holds the dim_w x dim_w Gram
-# matrix of a rank-2 spec to the same bound.
+# dim_v = 19 would hold 20M entries.  The CLI holds dim_w**2 of a rank-2 spec
+# to the same bound: the dim_herm x dim_herm dense forms that selftest builds
+# (cubic_hessian, hessian_log, fd_hessian_log) grow with it.
 MAX_GAMMA_ENTRIES = 2**23
 
 
@@ -45,56 +46,42 @@ def _is_int(x) -> bool:
 @dataclass(frozen=True, eq=False, init=False)
 class MetricSpace:
     """A finite-dimensional real vector space with a fixed inner product, in
-    a pseudo-orthonormal basis: its Gram matrix G is diag(``weights``), p
-    entries +1 and q entries -1 for the ``signature`` (p, q).  Every space
-    the library builds is one, and by Sylvester's law every metric has such
-    a basis; any other Gram matrix raises SpecError.  As G^-1 = G,
+    a pseudo-orthonormal basis, given by its ``weights``: a vector of +1 and
+    -1 entries, the diagonal of its Gram matrix G.  ``dim`` and the
+    ``signature`` (p, q) are read from it, p entries +1 and q entries -1.
+    Every space the library builds is one, and by Sylvester's law every
+    metric has such a basis; other weights raise SpecError.  As G^-1 = G,
     :meth:`lower` and :meth:`raise_`, every product with G or G^-1 in the
-    library, multiply by the read-only weights; ``gram`` builds the dense G
-    on each read.
+    library, multiply by the read-only weights.
     """
 
     dim: int
     signature: tuple[int, int]
     weights: np.ndarray = field(repr=False)
 
-    def __init__(self, dim: int, signature: tuple[int, int], gram):
-        if dim < 1:
-            raise DimensionMismatchError("dim must be >= 1")
-        p, q = signature
-        if p < 0 or q < 0 or p + q != dim:
-            raise SpecError(f"signature {signature} incompatible with dim {dim}")
-        g = np.asarray(gram, dtype=float)
-        if g.shape != (dim, dim):
-            raise DimensionMismatchError("gram matrix has wrong shape")
-        w = np.diag(g).copy()
-        if np.count_nonzero(g) != dim or not np.all(np.abs(w) == 1.0):
-            raise SpecError("gram matrix must be diagonal with entries +1 and -1: pick a pseudo-orthonormal basis")
-        if int(np.sum(w > 0)) != p:
-            raise SpecError("declared signature does not match the gram matrix")
+    def __init__(self, weights):
+        w = np.array(weights, dtype=float)
+        if w.ndim != 1 or not w.size:
+            raise DimensionMismatchError(f"weights must be a non-empty vector, got shape {w.shape}")
+        if not np.all(np.abs(w) == 1.0):
+            raise SpecError("weights must be +1 and -1: pick a pseudo-orthonormal basis")
         w.setflags(write=False)
-        self.__dict__.update(dim=dim, signature=signature, weights=w)  # past the frozen __setattr__
+        p = int(np.count_nonzero(w > 0))
+        self.__dict__.update(dim=w.size, signature=(p, w.size - p), weights=w)  # past the frozen __setattr__
 
     @classmethod
     def euclidean(cls, dim: int) -> "MetricSpace":
-        return cls(dim, (dim, 0), np.eye(dim))
+        return cls(np.ones(dim))
 
     @classmethod
     def canonical(cls, p: int, q: int) -> "MetricSpace":
-        """Pseudo-orthonormal basis: gram = diag(+1 x p, -1 x q)."""
-        diag = np.concatenate([np.ones(p), -np.ones(q)])
-        return cls(p + q, (p, q), np.diag(diag))
-
-    @classmethod
-    def with_gram(cls, gram: np.ndarray) -> "MetricSpace":
-        """The space of a +/-1 diagonal Gram matrix, its signature read off."""
-        g = np.asarray(gram, dtype=float)
-        p = int(np.sum(np.diagonal(g) > 0)) if g.ndim == 2 else 0
-        return cls(len(g), (p, len(g) - p), g)
+        """Weights +1 x p, then -1 x q."""
+        return cls(np.concatenate([np.ones(p), -np.ones(q)]))
 
     @property
     def gram(self) -> np.ndarray:
-        """The dense Gram matrix diag(weights), built on each read."""
+        """The dense Gram matrix diag(weights), built on each read for the
+        test oracles; no library code reads it."""
         return np.diag(self.weights)
 
     @property
@@ -205,14 +192,14 @@ def _cl_neg_generators(k: int) -> tuple[np.ndarray, np.ndarray]:
     return fam
 
 
-def _monomial(stack: np.ndarray, message: str) -> tuple[np.ndarray, np.ndarray]:
+def _monomial(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(perm, val) of a (k, d, d) stack of monomial matrices, with
     ``stack[a, perm[a, j], j] == val[a, j] != 0`` and every other entry zero.
-    Raises :class:`CliffordRelationError` with ``message`` unless every matrix
-    has one nonzero per row and a nonzero in every column."""
+    Raises :class:`CliffordRelationError` unless every matrix has one
+    nonzero per row and a nonzero in every column."""
     nonzero = stack != 0
     if not (np.all(nonzero.sum(axis=2) == 1) and np.all(nonzero.any(axis=1))):
-        raise CliffordRelationError(message)
+        raise CliffordRelationError("Clifford relation failed")
     perm = nonzero.argmax(axis=1)
     return perm, stack[np.arange(len(stack))[:, None], perm, np.arange(stack.shape[2])]
 
@@ -243,12 +230,12 @@ def minimal_spinor_dim(dim_v: int, signature: tuple[int, int] | None = None) -> 
 class CliffordModule:
     """Graded Clifford module data: gamma maps S0 -> S1 plus the metrics.
 
-    A module is its index tables: (dim_v, dim_s) arrays (perm, val) with
-    ``Gamma_a e_j = val[a, j] e_perm[a, j]``, given as ``tables`` (as
-    build_clifford_module does) or read at construction from a dense
-    (dim_v, dim_s, dim_s) stack ``gammas`` (``gammas[a]`` multiplies by the
-    a-th basis vector of V), which raises CliffordRelationError after the
-    shape checks unless every gamma is monomial.
+    A module is its index tables: (dim_v, dim_s) arrays ``tables = (perm,
+    val)`` with ``Gamma_a e_j = val[a, j] e_perm[a, j]``, Gamma_a the map of
+    the a-th basis vector of V.  ``tables`` is keyword-only: a dense
+    (2, 2, 2) stack has the shapes of a (perm, val) pair on dim_v = dim_s
+    = 2.  The constructor checks shapes only; :func:`build_clifford_module`
+    and :meth:`from_json`, the dense entry point, check the relation.
     """
 
     v_space: MetricSpace
@@ -256,19 +243,12 @@ class CliffordModule:
     s1_space: MetricSpace
     multiplicity: int = 1
 
-    def __init__(self, v_space, s0_space, s1_space, gammas=None, multiplicity=1, *, tables=None):
-        if (gammas is None) == (tables is None):
-            raise TypeError("CliffordModule needs either gammas or tables")
+    def __init__(self, v_space, s0_space, s1_space, *, tables, multiplicity=1):
         if s0_space.dim != s1_space.dim:
             raise DimensionMismatchError("graded module needs dim S0 == dim S1")
-        expected = (v_space.dim, s1_space.dim, s0_space.dim)
-        if tables is None:
-            g = np.asarray(gammas)
-            if g.shape != expected:
-                raise DimensionMismatchError(f"gammas shape {g.shape} != {expected}")
-            tables = _monomial(g, "gammas must be monomial: one nonzero per row and per column")
-        elif tables[0].shape != expected[:2]:
-            raise DimensionMismatchError(f"tables shape {tables[0].shape} != {expected[:2]}")
+        expected = (v_space.dim, s0_space.dim)
+        if any(np.shape(t) != expected for t in tables):
+            raise DimensionMismatchError(f"tables shapes {[np.shape(t) for t in tables]} != {expected}")
         fields = dict(v_space=v_space, s0_space=s0_space, s1_space=s1_space, multiplicity=multiplicity)
         self.__dict__.update(fields, _tables=tables)  # past the frozen __setattr__
 
@@ -287,7 +267,7 @@ class CliffordModule:
     @cached_property
     def gammas(self) -> np.ndarray:
         """The read-only dense stack, scattered from the tables on first read,
-        in the dtype of their values; no operation reads it."""
+        in the dtype of their values; only :meth:`to_json` reads it."""
         perm, val = self._tables
         k, d = perm.shape
         g = np.zeros((k, d, d), dtype=val.dtype)
@@ -375,8 +355,8 @@ class CliffordModule:
             )
         v_space = MetricSpace.canonical(p, q)
         s_space = _spinor_space(dim_s, euclidean=(q == 0))
-        tables = _monomial(gammas, "Clifford relation failed")
-        _check_clifford_relations(*tables, v_space.gram, s_space.gram)
+        tables = _monomial(gammas)
+        _check_clifford_relations(*tables, v_space.weights, s_space.weights)
         return cls(v_space, s_space, s_space, multiplicity=mult, tables=tables)
 
 
@@ -397,10 +377,8 @@ def _row_times(x, M) -> np.ndarray:
 
 
 def _spinor_space(dim_s: int, euclidean: bool) -> MetricSpace:
-    if euclidean:
-        return MetricSpace.euclidean(dim_s)
-    # split metric diag(+1, -1, +1, -1, ...) from the doubling construction
-    return MetricSpace.with_gram(np.diag(np.tile([1.0, -1.0], dim_s // 2)))
+    # indefinite: the split metric diag(+1, -1, +1, -1, ...) of the doubling construction
+    return MetricSpace(np.ones(dim_s) if euclidean else np.tile([1.0, -1.0], dim_s // 2))
 
 
 def build_clifford_module(dim_v: int, signature: tuple[int, int] | None = None, multiplicity: int = 1) -> CliffordModule:
@@ -442,40 +420,37 @@ def build_clifford_module(dim_v: int, signature: tuple[int, int] | None = None, 
     gammas = _kron(_identity(multiplicity), gammas)
     v_space = MetricSpace.canonical(p, q)
     s_space = _spinor_space(dim_s, euclidean=(q == 0))
-    _check_clifford_relations(*gammas, v_space.gram, s_space.gram)
+    _check_clifford_relations(*gammas, v_space.weights, s_space.weights)
     return CliffordModule(v_space, s_space, s_space, tables=gammas, multiplicity=multiplicity)
 
 
-def _relation_residual(perm, val, g_v, g_s) -> float:
+def _relation_residual(perm, val, w_v, w_s) -> float:
     """Largest |entry| of Gamma_a^T G_S Gamma_b + Gamma_b^T G_S Gamma_a - 2 g_ab G_S
-    over all a, b, from (k, d) tables of monomial gammas and a diagonal G_S,
-    in O(dim_v^2 dim_s).  Column j of M_ab = Gamma_a^T G_S Gamma_b has its one
-    nonzero in row R[a, b, j] = perm_a^-1(perm_b(j)), with value
-    V[a, b, j] = val_b(j) G_S[perm_b(j)] val_a(R[a, b, j]), so column j of the
+    over all a, b, from (k, d) tables of monomial gammas and the weight
+    vectors w_v = diag(g), w_s = diag(G_S), in O(dim_v^2 dim_s).  Column j of
+    M_ab = Gamma_a^T G_S Gamma_b has its one nonzero in row
+    R[a, b, j] = perm_a^-1(perm_b(j)), with value
+    V[a, b, j] = val_b(j) w_s[perm_b(j)] val_a(R[a, b, j]), so column j of the
     residual is zero outside rows R[a, b, j], R[b, a, j] and j, and is the
     column sum at each.  Rows R and j over all ordered pairs give every
-    entry.  On integer tables and metrics the entries are exact, those of the
-    dense products; on +/-1 metrics a zero residual forces |val| = 1 (the
+    entry.  On integer tables and weights the entries are exact, those of the
+    dense products; on +/-1 weights a zero residual forces |val| = 1 (the
     a = b columns), so it is zero exactly when the relation holds.
     """
-    g_s = np.asarray(g_s, dtype=float)
-    gs = np.diag(g_s)
-    if not np.array_equal(g_s, np.diag(gs)):
-        raise CliffordRelationError("spinor metric must be diagonal")
     n, d = perm.shape
     j = np.arange(d)
     rows = np.arange(n)[:, None, None]
     R = np.argsort(perm, axis=1)[rows, perm[None]]
-    V = (val * gs[perm])[None] * val[rows, R]
+    V = (val * w_s[perm])[None] * val[rows, R]
     Rt, Vt = R.swapaxes(0, 1), V.swapaxes(0, 1)
-    target = 2.0 * np.asarray(g_v, dtype=float)[:, :, None] * gs
+    target = 2.0 * np.diag(w_v)[:, :, None] * w_s
     return float(max(np.max(np.abs(V * (R == row) + Vt * (Rt == row) - target * (j == row))) for row in (R, j)))
 
 
-def _check_clifford_relations(perm, val, g_v, g_s) -> None:
+def _check_clifford_relations(perm, val, w_v, w_s) -> None:
     """Raise :class:`CliffordRelationError` unless the tables satisfy the
     Clifford relation exactly (a zero :func:`_relation_residual`)."""
-    if _relation_residual(perm, val, g_v, g_s):
+    if _relation_residual(perm, val, w_v, w_s):
         raise CliffordRelationError("Clifford relation failed")
 
 

@@ -30,5 +30,6 @@ class CliffordRelationError(VinbergError, ArithmeticError):
 
 
 class ModuleTooLargeError(VinbergError):
-    """A requested Clifford module, or the entry space of a rank-2 spec,
-    exceeds the documented size bound MAX_GAMMA_ENTRIES."""
+    """A requested Clifford module, or the dense dim_herm x dim_herm forms
+    of a rank-2 spec's self-test, exceed the documented size bound
+    MAX_GAMMA_ENTRIES."""

@@ -29,36 +29,45 @@ from vinberg_cones.cubics import fd_hessian_log  # noqa: F401  (re-exported for 
 
 _CONES = {}
 
-# positive-definite metrics outside a pseudo-orthonormal basis: diagonal with
-# non-unit weights, and non-diagonal.  MetricSpace refuses them; the tests
-# that ran the library on them are negative controls.
-SCALED_V = np.diag([2.0, 0.5, 3.0])
-SCALED_S = np.diag([2.0, 0.5, 3.0, 1.25])
+# positive-definite metrics outside a pseudo-orthonormal basis, given as
+# MetricSpace weights: diagonal ones with weights other than +/-1, and
+# non-diagonal Gram matrices, which are no weight vector.  MetricSpace
+# refuses them; the tests that ran the library on them are negative controls.
+SCALED_V = np.array([2.0, 0.5, 3.0])
+SCALED_S = np.array([2.0, 0.5, 3.0, 1.25])
 FULL_V = np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.3], [0.0, 0.3, 3.0]])
 FULL_S = np.array([[2.0, 0.5, 0.0, 0.1], [0.5, 1.0, 0.3, 0.0], [0.0, 0.3, 3.0, 0.2], [0.1, 0.0, 0.2, 1.5]])
 
 
-def regauged_module(v_gram, s_gram) -> "vc.CliffordModule":
-    """The gammas of build_clifford_module(3) under other metrics on V and S
-    (refused unless both are +/-1 diagonal)."""
-    s_space = vc.MetricSpace.with_gram(s_gram)
-    return vc.CliffordModule(vc.MetricSpace.with_gram(v_gram), s_space, s_space, vc.build_clifford_module(3).gammas)
+def regauged_module(v_weights, s_weights) -> "vc.CliffordModule":
+    """The tables of build_clifford_module(3) under other weights on V and S
+    (refused unless both are +/-1 vectors)."""
+    s_space = vc.MetricSpace(s_weights)
+    tables = vc.build_clifford_module(3).monomial_tables[:2]
+    return vc.CliffordModule(vc.MetricSpace(v_weights), s_space, s_space, tables=tables)
 
 
 class Refused:
     """A test case whose metric is outside a pseudo-orthonormal basis: the
-    test checks that ``make()`` raises SpecError, its negative control."""
+    test checks that ``make()`` raises, its negative control."""
 
     def __init__(self, make):
         self.make = make
 
 
+def refused():
+    """pytest.raises for what MetricSpace raises on weights other than +1
+    and -1 (SpecError) and on an array that is not a non-empty vector, a
+    Gram matrix in place of its weights for one (DimensionMismatchError)."""
+    return pytest.raises((vc.SpecError, vc.DimensionMismatchError), match="pseudo-orthonormal basis|non-empty vector")
+
+
 def made(case):
     """case() for a case the library builds; for a :class:`Refused` one,
-    None after checking that making it raises SpecError."""
+    None after checking that making it raises."""
     if not isinstance(case, Refused):
         return case()
-    with pytest.raises(vc.SpecError, match="pseudo-orthonormal basis"):
+    with refused():
         case.make()
     return None
 
@@ -198,21 +207,21 @@ def j_relation_check(perm, sign) -> None:
     J's are skew, orthogonal and anticommuting."""
     k, d = np.shape(perm)
     stack = clifford._stack(clifford._identity(d), (perm, sign))
-    clifford._check_clifford_relations(*stack, np.eye(k + 1), np.eye(d))
+    clifford._check_clifford_relations(*stack, np.ones(k + 1), np.ones(d))
 
 
 def table_check_j_family(fam) -> None:
     """j_relation_check on the (perm, sign) tables of a dense family (on R^1
     if it is empty), read as CliffordModule.from_json reads a gamma stack."""
     stack = np.stack(fam) if len(fam) else np.zeros((0, 1, 1), dtype=np.int64)
-    j_relation_check(*clifford._monomial(stack, "Clifford relation failed"))
+    j_relation_check(*clifford._monomial(stack))
 
 
-def table_check_clifford_relations(gammas, g_v, g_s) -> None:
-    """clifford._check_clifford_relations on the tables of a dense stack, the
-    way CliffordModule.from_json runs it."""
-    perm, sign = clifford._monomial(np.asarray(gammas), "Clifford relation failed")
-    clifford._check_clifford_relations(perm, sign, g_v, g_s)
+def table_check_clifford_relations(gammas, w_v, w_s) -> None:
+    """clifford._check_clifford_relations on the tables of a dense stack and
+    the metric weights, the way CliffordModule.from_json runs it."""
+    perm, sign = clifford._monomial(np.asarray(gammas))
+    clifford._check_clifford_relations(perm, sign, w_v, w_s)
 
 
 def dense_from_tables(perm, sign) -> np.ndarray:
@@ -267,7 +276,7 @@ def corrupt_stack(stack: np.ndarray, kind: str, rng) -> np.ndarray:
 # Dense generator oracle: the Cayley-Dickson tower and the period-8 recursion
 # on dense integer matrices, every left multiplication built one column at a
 # time and every tensor step an np.kron, which the library's (perm, sign)
-# tables replace; and the eigvalsh/inv route for MetricSpace's weights
+# tables replace; and the eigvalsh/inv route for MetricSpace's fields
 # ---------------------------------------------------------------------------
 
 _TAU = np.array([[1, 0], [0, -1]], dtype=np.int64)
@@ -312,12 +321,13 @@ def dense_module_stack(dim_v: int, signature=None, multiplicity: int = 1) -> tup
     return np.stack([np.kron(eye_m, g) for g in gammas]), np.kron(eye_m, s_gram)
 
 
-def eigvalsh_metric_fields(gram) -> dict:
-    """signature, gram and weights of a +/-1 diagonal Gram matrix, the
-    signature from the signs of np.linalg.eigvalsh and the weights the
-    diagonal of np.linalg.inv; G G == I checks that G is its own inverse."""
-    g = np.asarray(gram, dtype=float)
-    assert np.array_equal(g @ g, np.eye(len(g))) and np.array_equal(g, np.diag(np.diag(g)))
+def eigvalsh_metric_fields(weights) -> dict:
+    """signature, gram and weights of the space of +/-1 weights, from its
+    dense Gram matrix G: the signature from the signs of np.linalg.eigvalsh
+    and the weights the diagonal of np.linalg.inv; G G == I checks that G is
+    its own inverse."""
+    g = np.diag(np.asarray(weights, dtype=float))
+    assert np.array_equal(g @ g, np.eye(len(g)))
     ev = np.linalg.eigvalsh(g)
     signature = (int(np.sum(ev > 0)), int(np.sum(ev < 0)))
     return {"signature": signature, "gram": g, "weights": np.diag(np.linalg.inv(g)).copy()}

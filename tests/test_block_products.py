@@ -21,13 +21,13 @@ from _support import FULL_S, FULL_V, SCALED_V, Refused, made, rank2_cone, rank3_
 ALGEBRAS = {
     "w4": lambda: rank2_cone(4).algebra,
     "w-signs": lambda: vc.rank2_algebra(MetricSpace.canonical(1, 2)),
-    "w-scaled": Refused(lambda: vc.rank2_algebra(MetricSpace.with_gram(SCALED_V))),
+    "w-scaled": Refused(lambda: vc.rank2_algebra(MetricSpace(SCALED_V))),
     "d1": lambda: rank3_cone(1).algebra,
     "d8": lambda: rank3_cone(8).algebra,
     "dual-d4": lambda: vc.dual_algebra(rank3_cone(4).algebra),
     "split-2-1": lambda: vc.rank3_special(vc.build_clifford_module(3, (2, 1))),
     "split-1-3-dual": lambda: vc.dual_algebra(vc.rank3_special(vc.build_clifford_module(4, (1, 3)))),
-    "w-non-diagonal": Refused(lambda: vc.rank2_algebra(MetricSpace.with_gram(FULL_V))),
+    "w-non-diagonal": Refused(lambda: vc.rank2_algebra(MetricSpace(FULL_V))),
     "d3-non-diagonal": Refused(lambda: vc.rank3_special(regauged_module(FULL_V, FULL_S))),
 }
 

@@ -3,6 +3,7 @@ import itertools
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +39,7 @@ from _support import (
     j_relation_check,
     min_dim_by_radon,
     rank3_cone,
+    refused,
     table_check_clifford_relations,
     table_check_j_family,
 )
@@ -58,16 +60,50 @@ class TestMetricSpace:
         assert s.ip([0, 1, 0], [0, 1, 0]) == -1.0
 
     def test_rejects_wrong_signature(self):
-        with pytest.raises(SpecError):
+        # the signature is read from the weights: none can be declared
+        assert MetricSpace([1.0, -1.0]).signature == (1, 1)
+        with pytest.raises(TypeError):
             MetricSpace(2, (2, 0), np.diag([1.0, -1.0]))
 
     def test_rejects_degenerate_gram(self):
-        with pytest.raises(SpecError):
-            MetricSpace(2, (1, 1), np.array([[1.0, 1.0], [1.0, 1.0]]))
+        with pytest.raises(SpecError, match="pseudo-orthonormal basis"):
+            MetricSpace([1.0, 0.0])
+        with pytest.raises(DimensionMismatchError):
+            MetricSpace(np.array([[1.0, 1.0], [1.0, 1.0]]))
 
     def test_rejects_asymmetric_gram(self):
-        with pytest.raises(SpecError):
-            MetricSpace(2, (2, 0), np.array([[1.0, 0.5], [0.0, 1.0]]))
+        with pytest.raises(DimensionMismatchError):
+            MetricSpace(np.array([[1.0, 0.5], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("weights", [np.zeros(0), np.ones((1, 1)), 1.0], ids=["empty", "1x1", "scalar"])
+    def test_rejects_weights_that_are_no_vector(self, weights):
+        with pytest.raises(DimensionMismatchError, match="non-empty vector"):
+            MetricSpace(weights)
+
+    def test_weights_are_a_read_only_copy(self):
+        given = np.array([1.0, -1.0, 1.0])
+        space = MetricSpace(given)
+        given[0] = -1.0
+        assert space.signature == (2, 1) and space.dim == 3
+        assert space.weights.tolist() == [1.0, -1.0, 1.0] and not space.weights.flags.writeable
+        assert given.flags.writeable
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: MetricSpace.euclidean(2896), lambda: MetricSpace.canonical(1448, 1448)],
+        ids=["euclidean-2896", "canonical-1448-1448"],
+    )
+    def test_largest_rank2_space_allocates_no_matrix(self, make):
+        # dim_w = 2896 is the largest rank-2 space the CLI accepts; a dense
+        # Gram matrix of it would take 67 MB
+        tracemalloc.start()
+        try:
+            space = make()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert space.dim == 2896
+        assert peak < 2**20
 
 
 class TestConstruction:
@@ -211,7 +247,8 @@ class TestOperations:
     def test_mu_sums_gammas_that_share_an_entry(self):
         # monomial but not a Clifford module: both gammas fill entry (0, 0)
         space = MetricSpace.euclidean(2)
-        module = CliffordModule(space, space, space, np.array([np.eye(2), [[3, 0], [0, -1]]], dtype=np.int64))
+        tables = (np.array([[0, 1], [0, 1]]), np.array([[1, 1], [3, -1]]))  # I and [[3, 0], [0, -1]]
+        module = CliffordModule(space, space, space, tables=tables)
         np.testing.assert_array_equal(module.mu([0.5, 2.0]), [[6.5, 0.0], [0.0, -1.5]])
 
     def test_mult_dimension_mismatch(self):
@@ -278,10 +315,24 @@ class TestInvariants:
 
     def test_corrupted_gamma_detected(self):
         mod = vc.build_clifford_module(4)
-        gam = np.array(mod.gammas)
-        gam[0, 0, 0] += 1
-        bad = CliffordModule(mod.v_space, mod.s0_space, mod.s1_space, gam)
+        perm, val = mod.monomial_tables[:2]
+        val = val.copy()
+        val[0, 0] += 1  # entry (0, 0) of Gamma_0 = I
+        bad = CliffordModule(mod.v_space, mod.s0_space, mod.s1_space, tables=(perm, val))
         assert vc.verify_isometry(bad, 200, seed=0) > 0.1
+
+    def test_relation_breaking_stack_enters_only_through_from_json(self):
+        # one row of Gamma_1 negated: still monomial, but no Clifford module
+        # (an isometry residual of order one); the one dense entry point checks
+        mod = vc.build_clifford_module(2)
+        gam = np.array(mod.gammas)
+        gam[1, 0] *= -1
+        unchecked = CliffordModule(mod.v_space, mod.s0_space, mod.s1_space, tables=clifford._monomial(gam))
+        assert vc.verify_isometry(unchecked, 200, seed=0) > 0.1
+        with pytest.raises(TypeError):
+            CliffordModule(mod.v_space, mod.s0_space, mod.s1_space, gam)
+        with pytest.raises(CliffordRelationError, match="Clifford relation failed"):
+            CliffordModule.from_json({**mod.to_json(), "gammas": gam.tolist()})
 
     def test_exact_checks_survive_optimized_mode(self):
         # the integer relation check must raise under `python -O`, which
@@ -308,11 +359,11 @@ gp_swapped = gp.copy()
 gp_swapped[2, [0, 3]] = gp_swapped[2, [3, 0]]
 gam = np.array(mod.gammas)
 gam[0, 0, 0] += 1
-g_v, g_s = mod.v_space.gram, np.eye(mod.dim_s)
+g_v, g_s = mod.v_space.weights, np.ones(mod.dim_s)
 checks = [
     lambda: j_relation_check(perm, flipped),
     lambda: j_relation_check(swapped, sign),
-    lambda: clifford._check_clifford_relations(*clifford._monomial(gam, "Clifford relation failed"), g_v, g_s),
+    lambda: clifford._check_clifford_relations(*clifford._monomial(gam), g_v, g_s),
     lambda: clifford._check_clifford_relations(gp, gs_flipped, g_v, g_s),
     lambda: clifford._check_clifford_relations(gp_swapped, gs, g_v, g_s),
 ]
@@ -337,14 +388,10 @@ print("optimize", sys.flags.optimize)
         # an integral Lorentz transformation of x^2 + y^2 - z^2: the dense
         # relation holds, but the matrix is no signed permutation
         gamma = np.array([[[1, 2, 2], [2, 1, 2], [2, 2, 3]]])
-        g_s = np.diag([1, 1, -1])
-        dense_check_clifford_relations(gamma, np.eye(1), g_s)
+        w_s = np.array([1, 1, -1])
+        dense_check_clifford_relations(gamma, np.eye(1), np.diag(w_s))
         with pytest.raises(CliffordRelationError, match="Clifford relation failed"):
-            table_check_clifford_relations(gamma, np.eye(1), g_s)
-
-    def test_spinor_metric_must_be_diagonal(self):
-        with pytest.raises(CliffordRelationError, match="diagonal"):
-            table_check_clifford_relations(np.eye(2, dtype=np.int64)[None], np.eye(1), np.array([[2, 1], [1, 2]]))
+            table_check_clifford_relations(gamma, np.ones(1), w_s)
 
     @pytest.mark.parametrize(
         "fam",
@@ -383,9 +430,10 @@ print("optimize", sys.flags.optimize)
         # a corrupted module, so that the worst deviation is of order one:
         # one nonzero entry doubled keeps the gammas monomial
         mod = vc.build_clifford_module(dim_v, signature)
-        gam = np.array(mod.gammas)
-        gam[-1, np.flatnonzero(gam[-1, :, 0])[0], 0] *= 2
-        bad = CliffordModule(mod.v_space, mod.s0_space, mod.s1_space, gam)
+        perm, val = mod.monomial_tables[:2]
+        val = val.copy()
+        val[-1, 0] *= 2  # the nonzero of the last gamma's first column
+        bad = CliffordModule(mod.v_space, mod.s0_space, mod.s1_space, tables=(perm, val))
         rng = np.random.default_rng(11)
         v = rng.uniform(-1.0, 1.0, (50, bad.dim_v))
         s = rng.uniform(-1.0, 1.0, (50, bad.dim_s))
@@ -436,10 +484,9 @@ class TestExactChecksAgainstDenseOracle:
         gam = np.asarray(mod.gammas)
         if kind is not None:
             gam = corrupt_stack(gam, kind, np.random.default_rng(_MODULE_CASES.index(case)))
-        g_s = np.asarray(mod.s0_space.gram, dtype=np.int64)
-        args = (gam, mod.v_space.gram, g_s)
-        want = _outcome(dense_check_clifford_relations, *args)
-        assert _outcome(table_check_clifford_relations, *args) is want
+        w_v, w_s = mod.v_space.weights, mod.s0_space.weights
+        want = _outcome(dense_check_clifford_relations, gam, np.diag(w_v), np.diag(w_s).astype(np.int64))
+        assert _outcome(table_check_clifford_relations, gam, w_v, w_s) is want
         if kind is None:
             assert want is None
         elif kind in ("bump", "duplicate") and case[0] > 1:
@@ -452,22 +499,10 @@ class TestExactChecksAgainstDenseOracle:
         mod = _module(*case)
         for module in (mod, cli._corrupt_gamma(mod)):
             perm, val = module.monomial_tables[:2]
-            got = clifford._relation_residual(perm, val, module.v_space.gram, module.s1_space.gram)
+            got = clifford._relation_residual(perm, val, module.v_space.weights, module.s1_space.weights)
             want = dense_polarized_residual(module)
             assert np.float64(got).tobytes() == np.float64(want).tobytes()
             assert (got == 0.0) is (module is mod)
-
-    @pytest.mark.parametrize("second", ["identity", "complex-structure"])
-    def test_relations_with_off_diagonal_metric(self, second):
-        # g_01 = 1: Gamma_0 = Gamma_1 = I satisfies the relation; I and a
-        # complex structure J do not (I J + J^T I = 0 != 2 I), although the
-        # rows of M_01 and M_10 then coincide and their values cancel
-        J = dense_cl_neg_generators(1)[0]
-        gam = np.stack([np.eye(2, dtype=np.int64), J if second != "identity" else np.eye(2)])
-        args = (gam.astype(np.int64), np.ones((2, 2)), np.eye(2, dtype=np.int64))
-        want = _outcome(dense_check_clifford_relations, *args)
-        assert want is (None if second == "identity" else CliffordRelationError)
-        assert _outcome(table_check_clifford_relations, *args) is want
 
     @pytest.mark.parametrize("kind", _CORRUPTIONS)
     @pytest.mark.parametrize("k", range(17))
@@ -609,15 +644,17 @@ class TestTableBuild:
         gammas, s_gram = dense_module_stack(*case)
         mod = vc.build_clifford_module(*case)
         assert "gammas" not in vars(mod)
-        dense = CliffordModule(mod.v_space, mod.s0_space, mod.s1_space, gammas, multiplicity=mult)
+        # the oracle's stack read into tables as from_json reads it
+        tables = clifford._monomial(gammas)
+        dense = CliffordModule(mod.v_space, mod.s0_space, mod.s1_space, tables=tables, multiplicity=mult)
         for got, want in zip(mod.monomial_tables, dense.monomial_tables, strict=True):
             _same_bits(got, want)
         _same_bits(mod.gammas, gammas)
         p, q = signature or (dim_v, 0)
-        v_gram = np.diag(np.concatenate([np.ones(p), -np.ones(q)]))
-        _assert_same_space(_space_fields(mod.v_space), eigvalsh_metric_fields(v_gram))
+        v_weights = np.concatenate([np.ones(p), -np.ones(q)])
+        _assert_same_space(_space_fields(mod.v_space), eigvalsh_metric_fields(v_weights))
         for space in (mod.s0_space, mod.s1_space):
-            _assert_same_space(_space_fields(space), eigvalsh_metric_fields(s_gram))
+            _assert_same_space(_space_fields(space), eigvalsh_metric_fields(np.diagonal(s_gram)))
 
     def test_orbit_chain_never_materializes_the_dense_stack(self):
         mod = vc.build_clifford_module(16)
@@ -653,17 +690,17 @@ class TestTableBuild:
         assert "gammas" not in vars(mod)
 
     def test_dense_gammas_are_kept_as_given(self):
-        # read into tables at construction and scattered back, on first read,
+        # read into tables by from_json and scattered back, on first read,
         # in the dtype they came in
         gam = np.array(vc.build_clifford_module(2).gammas, dtype=np.int32)
-        space = MetricSpace.euclidean(2)
-        mod = CliffordModule(space, space, space, gam)
+        mod = CliffordModule.from_json({"dim_v": 2, "signature": [2, 0], "multiplicity": 1, "gammas": gam})
         assert "gammas" not in vars(mod)
         assert mod.gammas.dtype == np.int32 and not mod.gammas.flags.writeable
         np.testing.assert_array_equal(mod.gammas, gam)
         np.testing.assert_array_equal(mod.monomial_tables[0], vc.build_clifford_module(2).monomial_tables[0])
 
     def test_needs_exactly_one_of_gammas_and_tables(self):
+        # tables, keyword-only, and no dense stack
         mod = vc.build_clifford_module(2)
         space = mod.v_space
         with pytest.raises(TypeError):
@@ -672,6 +709,28 @@ class TestTableBuild:
             CliffordModule(space, space, space, mod.gammas, tables=mod.monomial_tables[:2])
         with pytest.raises(DimensionMismatchError):
             CliffordModule(MetricSpace.euclidean(3), space, space, tables=mod.monomial_tables[:2])
+
+    @pytest.mark.parametrize("dense", ["gammas", "tables-shaped"])
+    def test_dense_stack_passed_positionally_raises(self, dense):
+        # on dim_v = dim_s = 2 a dense (2, 2, 2) stack has the shapes of a
+        # (perm, val) pair: only the keyword keeps it out
+        mod = vc.build_clifford_module(2)
+        stack = np.array(mod.gammas) if dense == "gammas" else np.stack(mod.monomial_tables[:2])
+        assert stack.shape == (2, 2, 2)
+        with pytest.raises(TypeError):
+            CliffordModule(mod.v_space, mod.s0_space, mod.s1_space, stack)
+        with pytest.raises(TypeError):
+            CliffordModule(mod.v_space, mod.s0_space, mod.s1_space, stack, 1)
+
+    def test_tables_shapes_are_checked(self):
+        mod = vc.build_clifford_module(3)
+        perm, val = mod.monomial_tables[:2]
+        space = mod.s0_space
+        for tables in ((perm[:2], val), (perm, val[:, :2]), (perm[None], val[None])):
+            with pytest.raises(DimensionMismatchError):
+                CliffordModule(mod.v_space, space, space, tables=tables)
+        with pytest.raises(DimensionMismatchError):
+            CliffordModule(mod.v_space, space, MetricSpace.euclidean(2), tables=(perm, val))
 
 
 def _message(check, *args):
@@ -703,61 +762,62 @@ class TestTableNegativeControls:
         mod = _module(*case)
         perm, val = mod.monomial_tables[:2]
         perm, sign = corrupt_tables(perm, val.astype(np.int64), kind, np.random.default_rng(case[0]))
-        g_v, g_s = mod.v_space.gram, mod.s0_space.gram
-        want = _message(dense_check_clifford_relations, dense_from_tables(perm, sign), g_v, g_s)
+        w_v, w_s = mod.v_space.weights, mod.s0_space.weights
+        want = _message(dense_check_clifford_relations, dense_from_tables(perm, sign), np.diag(w_v), np.diag(w_s))
         assert want is not None
-        assert _message(clifford._check_clifford_relations, perm, sign, g_v, g_s) == want
+        assert _message(clifford._check_clifford_relations, perm, sign, w_v, w_s) == want
 
     def test_uncorrupted_tables_pass(self):
         for k in range(17):
             j_relation_check(*clifford._cl_neg_generators(k))
         mod = _module(5, (3, 2), 2)
         perm, val = mod.monomial_tables[:2]
-        clifford._check_clifford_relations(perm, val.astype(np.int64), mod.v_space.gram, mod.s0_space.gram)
+        clifford._check_clifford_relations(perm, val.astype(np.int64), mod.v_space.weights, mod.s0_space.weights)
 
 
-# diagonal Gram matrices: the +/-1 ones a MetricSpace holds as its weights,
-# and every other one, which it refuses
-_DIAGONAL_GRAMS = {
-    "identity": np.eye(4),
-    "signs": np.diag([1.0, -1.0, -1.0, 1.0]),
-    "split-128": np.diag(np.tile([1.0, -1.0], 64)),
+# diagonal metrics as weights: the +/-1 ones a MetricSpace holds, and every
+# other one, which it refuses
+_DIAGONAL_WEIGHTS = {
+    "identity": np.ones(4),
+    "signs": np.array([1.0, -1.0, -1.0, 1.0]),
+    "split-128": np.tile([1.0, -1.0], 64),
     "scaled-v": SCALED_V,
     "scaled-s": SCALED_S,
-    "mixed": np.diag([3.0, -7.0, 0.1, -2.5e-3, 1e6]),
-    "zero-entry": np.diag([1.0, 0.0, -1.0]),
-    "near-zero": np.diag([1.0, -1e-13]),
-    "all-zero": np.zeros((2, 2)),
-    "wide-range": np.diag([1e-300, -1e300]),
-    "infinite": np.diag([1.0, np.inf]),
+    "mixed": np.array([3.0, -7.0, 0.1, -2.5e-3, 1e6]),
+    "zero-entry": np.array([1.0, 0.0, -1.0]),
+    "near-zero": np.array([1.0, -1e-13]),
+    "all-zero": np.zeros(2),
+    "wide-range": np.array([1e-300, -1e300]),
+    "infinite": np.array([1.0, np.inf]),
+    "nan": np.array([np.nan, -1.0]),
+    "minus-half": np.array([1.0, -0.5]),
+    "minus-infinite": np.array([-np.inf]),
 }
 _PSEUDO_ORTHONORMAL = ("identity", "signs", "split-128")
 
 
 class TestMetricSpaceDiagonalBranch:
-    """A +/-1 diagonal Gram gives the signature and weights of the
-    eigvalsh/inv route and a wrong declared signature the mismatch error;
-    every other Gram raises SpecError, with_gram's naming a
-    pseudo-orthonormal basis."""
+    """+/-1 weights give the signature and weights of the eigvalsh/inv
+    route on their Gram matrix; every other weight vector raises SpecError,
+    naming a pseudo-orthonormal basis.  A Gram matrix in place of the
+    weights is refused, and no signature can be declared."""
 
     @pytest.mark.parametrize("declared", ["with-gram", "true", "wrong"])
-    @pytest.mark.parametrize("name", list(_DIAGONAL_GRAMS))
+    @pytest.mark.parametrize("name", list(_DIAGONAL_WEIGHTS))
     def test_matches_eigvalsh_inv_route(self, name, declared):
-        g = _DIAGONAL_GRAMS[name]
-        n = len(g)
-        d = np.diag(g)
-        sig = (int(np.sum(d > 0)), int(np.sum(d < 0)))
-        if declared == "wrong":
-            sig = (n, 0) if sig != (n, 0) else (n - 1, 1)
-        make = (lambda: MetricSpace.with_gram(g)) if declared == "with-gram" else (lambda: MetricSpace(n, sig, g))
-        if name not in _PSEUDO_ORTHONORMAL:
-            with pytest.raises(SpecError, match="pseudo-orthonormal basis" if declared == "with-gram" else None):
-                make()
-        elif declared == "wrong":
-            with pytest.raises(SpecError, match="declared signature does not match"):
-                make()
+        w = _DIAGONAL_WEIGHTS[name]
+        n = len(w)
+        if declared == "with-gram":  # the Gram matrix in place of its weights
+            with pytest.raises(DimensionMismatchError, match="non-empty vector"):
+                MetricSpace(np.diag(w))
+        elif declared == "wrong":  # the signature is read from the weights
+            with pytest.raises(TypeError):
+                MetricSpace(n, (n, 0), w)
+        elif name not in _PSEUDO_ORTHONORMAL:
+            with pytest.raises(SpecError, match="pseudo-orthonormal basis"):
+                MetricSpace(w)
         else:
-            _assert_same_space(_space_fields(make()), eigvalsh_metric_fields(g))
+            _assert_same_space(_space_fields(MetricSpace(w)), eigvalsh_metric_fields(w))
 
     def test_signed_zeros_of_the_inverse(self):
         # raise_ multiplies by the weights of G^-1 = G, so a zero covector
@@ -767,19 +827,19 @@ class TestMetricSpaceDiagonalBranch:
 
 
 class TestPseudoOrthonormalOnly:
-    """Negative controls: a Gram matrix outside a pseudo-orthonormal basis
-    raises SpecError in both constructors, whatever signature is declared
-    (a wrong declared signature: test_matches_eigvalsh_inv_route)."""
+    """Negative controls: a metric outside a pseudo-orthonormal basis is
+    refused, as its Gram matrix (no weight vector) and as its diagonal
+    (weights other than +/-1)."""
 
     @pytest.mark.parametrize(
         "gram",
-        [FULL_V, FULL_S, SCALED_V, SCALED_S, np.diag([1.0, 0.0, -1.0])],
+        [FULL_V, FULL_S, np.diag(SCALED_V), np.diag(SCALED_S), np.diag([1.0, 0.0, -1.0])],
         ids=["full-v", "full-s", "scaled-v", "scaled-s", "zero"],
     )
     def test_refused_grams(self, gram):
-        n = len(gram)
+        with pytest.raises(DimensionMismatchError, match="non-empty vector"):
+            MetricSpace(gram)
         with pytest.raises(SpecError, match="pseudo-orthonormal basis"):
-            MetricSpace.with_gram(gram)
-        for p in range(n + 1):
-            with pytest.raises(SpecError):
-                MetricSpace(n, (p, n - p), gram)
+            MetricSpace(np.diagonal(gram))
+        with refused():
+            MetricSpace(gram)

@@ -38,6 +38,7 @@ from _support import (
     reference_rank3_slice_points,
     reference_scan_parameter_plane,
     reference_search_points,
+    refused,
     rel_to_scale,
     same_bits,
 )
@@ -717,8 +718,10 @@ class TestDiagonalKernel:
     def test_non_orthonormal_block_gram(self):
         # refused; in a pseudo-orthonormal basis this metric is the Euclidean one
         gram = np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.3], [0.0, 0.3, 3.0]])
+        with refused():
+            vc.MetricSpace(gram)
         with pytest.raises(SpecError, match="pseudo-orthonormal basis"):
-            vc.MetricSpace(3, (3, 0), gram)
+            vc.MetricSpace(np.diagonal(gram))
         q = vc.InvariantCubic.rank2_family(rank2_cone(3), 0.5)
         assert_kernel_matches_dense(q, diagonal_points(q, 20))
 
@@ -815,8 +818,10 @@ class TestDiagonalKernelOracle:
         # the Gram matrix is refused; in a pseudo-orthonormal basis its metric
         # is the Euclidean one, where b < 0 makes the block sign -1, so the
         # tail alternates in sign
+        with refused():
+            vc.MetricSpace(gram)
         with pytest.raises(SpecError, match="pseudo-orthonormal basis"):
-            vc.MetricSpace.with_gram(gram)
+            vc.MetricSpace(np.diagonal(gram))
         q = vc.InvariantCubic(rank2_cone(len(gram)), coeffs)
         assert assert_sweeps_match_oracle(q, vc.DiagonalGrid(n=40)) > 0
         assert_kernel_matches_oracle(q, signed_diagonal_points(q, 200, 7))

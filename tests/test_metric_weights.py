@@ -8,7 +8,7 @@ import pytest
 
 import vinberg_cones as vc
 from vinberg_cones.clifford import CliffordModule, MetricSpace
-from vinberg_cones.errors import SpecError
+from vinberg_cones.errors import DimensionMismatchError, SpecError
 
 from _support import (
     FULL_S,
@@ -44,8 +44,8 @@ MODULES = {
 SPACES = {
     "identity": lambda: MetricSpace.euclidean(3),
     "signs": lambda: MetricSpace.canonical(1, 2),
-    "scaled": Refused(lambda: MetricSpace.with_gram(SCALED_V)),
-    "non-diagonal": Refused(lambda: MetricSpace.with_gram(FULL_V)),
+    "scaled": Refused(lambda: MetricSpace(SCALED_V)),
+    "non-diagonal": Refused(lambda: MetricSpace(FULL_V)),
 }
 
 
@@ -81,9 +81,12 @@ class TestWeightsPath:
         assert_weights(space, space.signature)
 
     def test_non_diagonal_gram_takes_dense_path(self):
-        # there is no dense path: a non-diagonal Gram matrix is refused
+        # there is no dense path: a non-diagonal Gram matrix is no weight
+        # vector, and its diagonal is no +/-1 one
+        with pytest.raises(DimensionMismatchError, match="non-empty vector"):
+            MetricSpace(FULL_V)
         with pytest.raises(SpecError, match="pseudo-orthonormal basis"):
-            MetricSpace.with_gram(FULL_V)
+            MetricSpace(np.diagonal(FULL_V))
 
     def test_d18_spaces_hold_no_matrix(self):
         module = vc.build_clifford_module(18)

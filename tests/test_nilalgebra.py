@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import vinberg_cones as vc
+from vinberg_cones import clifford
 from vinberg_cones.errors import (
     AlgebraMismatchError,
     CliffordRelationError,
@@ -81,7 +82,7 @@ class TestAlgebraConstruction:
         mod = vc.build_clifford_module(2)
         with pytest.raises(DimensionMismatchError):
             vc.CliffordModule(
-                mod.v_space, mod.s0_space, vc.MetricSpace.euclidean(3), np.zeros((2, 3, 2))
+                mod.v_space, mod.s0_space, vc.MetricSpace.euclidean(3), tables=mod.monomial_tables[:2]
             )
 
 
@@ -147,12 +148,15 @@ class TestGathersAgainstDenseTensor:
 
 class TestMonomialGammas:
     """A module is its index tables, which exist only for monomial gammas
-    (one nonzero per row and per column): the constructor reads a dense
-    stack into them or rejects it."""
+    (one nonzero per row and per column): from_json, the one dense entry
+    point, reads a dense stack into them or rejects it."""
 
     def module_with(self, gamma_1):
+        """The module of the tables that from_json reads off [I, gamma_1],
+        without its relation check."""
         mod = vc.build_clifford_module(2)
-        return vc.CliffordModule(mod.v_space, mod.s0_space, mod.s1_space, np.stack([np.eye(2, dtype=int), gamma_1]))
+        tables = clifford._monomial(np.stack([np.eye(2, dtype=int), gamma_1]))
+        return vc.CliffordModule(mod.v_space, mod.s0_space, mod.s1_space, tables=tables)
 
     @pytest.mark.parametrize(
         "gamma_1",
@@ -160,8 +164,11 @@ class TestMonomialGammas:
         ids=["dense", "empty-column", "empty-row"],
     )
     def test_non_monomial_stack_rejected(self, gamma_1):
-        with pytest.raises(CliffordRelationError, match="monomial"):
+        with pytest.raises(CliffordRelationError, match="Clifford relation failed"):
             self.module_with(np.array(gamma_1))
+        obj = {**vc.build_clifford_module(2).to_json(), "gammas": [np.eye(2, dtype=int).tolist(), gamma_1]}
+        with pytest.raises(CliffordRelationError, match="Clifford relation failed"):
+            vc.CliffordModule.from_json(obj)
 
     def test_scaled_entry_is_monomial(self):
         # the self-test's --corrupt-gamma module: one entry bumped to 2
@@ -475,7 +482,7 @@ def blockwise_orbit_point(A, star):
 FLAT_WRITE_ALGEBRAS = {
     "w1": lambda: alg2(1),
     "w4": lambda: alg2(4),
-    "w3-full-gram": Refused(lambda: vc.rank2_algebra(vc.MetricSpace.with_gram(FULL_V))),
+    "w3-full-gram": Refused(lambda: vc.rank2_algebra(vc.MetricSpace(FULL_V))),
     "d1": lambda: alg3(1),
     "d8": lambda: alg3(8),
     "d3x2": lambda: alg3(3, mult=2),
