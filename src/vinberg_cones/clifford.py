@@ -71,11 +71,13 @@ class MetricSpace:
 
     @classmethod
     def euclidean(cls, dim: int) -> "MetricSpace":
-        return cls(np.ones(dim))
+        return cls.canonical(dim, 0)
 
     @classmethod
     def canonical(cls, p: int, q: int) -> "MetricSpace":
         """Weights +1 x p, then -1 x q."""
+        if min(p, q) < 0:
+            raise DimensionMismatchError(f"signature ({p}, {q}) has a negative count")
         return cls(np.concatenate([np.ones(p), -np.ones(q)]))
 
     @property
@@ -234,8 +236,9 @@ class CliffordModule:
     val)`` with ``Gamma_a e_j = val[a, j] e_perm[a, j]``, Gamma_a the map of
     the a-th basis vector of V.  ``tables`` is keyword-only: a dense
     (2, 2, 2) stack has the shapes of a (perm, val) pair on dim_v = dim_s
-    = 2.  The constructor checks shapes only; :func:`build_clifford_module`
-    and :meth:`from_json`, the dense entry point, check the relation.
+    = 2.  The constructor checks the shapes, and that every row of ``perm``
+    is a permutation of 0..dim_s-1; :func:`build_clifford_module` and
+    :meth:`from_json`, the dense entry point, check the relation.
     """
 
     v_space: MetricSpace
@@ -249,6 +252,11 @@ class CliffordModule:
         expected = (v_space.dim, s0_space.dim)
         if any(np.shape(t) != expected for t in tables):
             raise DimensionMismatchError(f"tables shapes {[np.shape(t) for t in tables]} != {expected}")
+        perm, seen = np.asarray(tables[0]), np.zeros(expected, dtype=bool)
+        if perm.dtype.kind in "iu" and ((perm >= 0) & (perm < s0_space.dim)).all():
+            seen[np.arange(v_space.dim)[:, None], perm] = True  # O(dim_v dim_s)
+        if not seen.all():
+            raise SpecError("every row of the perm table must be a permutation of 0..dim_s-1")
         fields = dict(v_space=v_space, s0_space=s0_space, s1_space=s1_space, multiplicity=multiplicity)
         self.__dict__.update(fields, _tables=tables)  # past the frozen __setattr__
 

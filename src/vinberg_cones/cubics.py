@@ -30,6 +30,7 @@ from .errors import OutsideConeError, SpecError
 from .nilalgebra import HermMatrix, check_same_algebra, herm_from_vector
 
 PIVOT_BAND = 1e-12  # dense pivots within +/- band*scale count as degenerate
+FD_STEP = 1e-5  # the step h of fd_hessian_log
 
 PD = "positive-definite"
 INDEFINITE = "indefinite"
@@ -211,15 +212,15 @@ def _neg_hess_log_entry(qx, qsq, gi, gj, hij):
     return (gi * gj - qx * hij) / qsq
 
 
-def fd_hessian_log(q: InvariantCubic, X: HermMatrix, h: float = 1e-5) -> np.ndarray:
+def fd_hessian_log(q: InvariantCubic, X: HermMatrix) -> np.ndarray:
     """Central-difference -Hess(log q) with one Richardson step, (4 H(h) -
-    H(2h)) / 3: the coarse oracle that the self-test and the tests hold
-    hessian_log against (one step alone fails dim_v = 16 by truncation or
-    the small cones by rounding).  Each row's points are one stack."""
+    H(2h)) / 3, h = FD_STEP: the coarse oracle the self-test and the tests
+    hold hessian_log against (one step alone fails dim_v = 16 by truncation
+    or the small cones by rounding).  Each row's points are one stack."""
     x0 = X.to_vector()
     n = x0.size
     eye = np.eye(n)
-    steps = np.array([h, 2.0 * h])
+    steps = np.array([FD_STEP, 2.0 * FD_STEP])
     richardson = np.array([4.0, -1.0]) / 3.0  # weights of H(h) and H(2h)
 
     def f(z):
@@ -307,10 +308,16 @@ def _restrict(M, u):
     diagonal (Jacobi) rescaling, and that rescaled form's largest entry."""
     basis = _tangent_basis(u)
     R = _restricted(M, basis)
+    Rn = _jacobi_scaled(R)
+    return basis, R, _leading_minors(Rn), np.abs(Rn).max(axis=(-2, -1))
+
+
+def _jacobi_scaled(R):
+    """Each form R (last two axes) over d d^T, d = sqrt|diag R| (1 where that
+    is 0): the Jacobi congruence the minors are taken after."""
     d = np.sqrt(np.abs(R.diagonal(axis1=-2, axis2=-1)))
     d[d == 0.0] = 1.0
-    Rn = R / (d[..., :, None] * d[..., None, :])
-    return basis, R, _leading_minors(Rn), np.abs(Rn).max(axis=(-2, -1))
+    return R / (d[..., :, None] * d[..., None, :])
 
 
 def _tangent_basis(u):
@@ -539,13 +546,13 @@ def _constraint_violated(q: InvariantCubic, x):
 #
 # At a diagonal point the gradient has no off-diagonal part, so -Hess(log q)
 # is a rank x rank core plus, on each off-diagonal block, a scalar times the
-# block's Gram matrix, the identity on the Euclidean cones the sweeps accept.
-# ker dq then splits the same way, and the leading minors of the
+# block's Gram matrix, the identity on the Euclidean cones the kernel
+# accepts.  ker dq then splits the same way, and the leading minors of the
 # Jacobi-scaled restriction are those of a (rank-1)-square core followed by
-# the tail det(core) times the running product of block signs.  The
-# kernel below evaluates that for a stack of points or at one point, through
-# the dense path's _neg_hess_log, tangent basis and restriction, and the
-# core's Jacobi scaling and minors entry by entry.  Every value that reaches
+# the tail det(core) times the running product of block signs.  The kernel
+# below evaluates that for a stack of points through the dense path's
+# _neg_hess_log, _tangent_basis, _restricted, _jacobi_scaled and
+# _leading_minors, or at one point.  Every value that reaches
 # the core repeats the float operations of eval_cubic (d = x1 x2 x3 from
 # det_cubic, p2 = x3 x2 and p3 = x3 from cone._lower_p), gradient and
 # cubic_hessian with zero off-diagonal entries, in the same grouping:
@@ -627,7 +634,7 @@ def _diagonal_parts(q: InvariantCubic, x: np.ndarray):
 
 
 def _point_forms(q: InvariantCubic, x: list):
-    """The unit gradient, -Hess(log q) and the block scalars at one diagonal
+    """The unit gradient, -Hess(log q) and the block signs at one diagonal
     point x (floats) with q > 0, projected onto {q = 1}: the stacked
     kernel's steps on Python floats."""
     qx = _diagonal_q(q, x)
@@ -645,61 +652,53 @@ def _point_forms(q: InvariantCubic, x: list):
         raise OutsideConeError("the gradient norm is not finite at the level set")
     qsq, r = qx**2, range(len(g))
     M = [[_neg_hess_log_entry(qx, qsq, g[i], g[j], hs.get((min(i, j), max(i, j)), 0.0)) for j in r] for i in r]
-    return [gi / norm for gi in g], np.array(M), _block_scalars(q, x, hs, qx)
+    signs = [float((s > 0) - (s < 0)) if s == s else s for s in _block_scalars(q, x, hs, qx)]  # as np.sign
+    return [gi / norm for gi in g], np.array(M), signs
 
 
 def _scaled_core_minors(R):
-    """The leading minors of each symmetric core R (last two axes, at most
-    2 x 2) after _restrict's Jacobi scaling, as a list of entries (floats at
-    one point, columns over a stack): _leading_minors, entry by entry."""
-    E, sqrt = (R.tolist(), math.sqrt) if R.ndim == 2 else (R.T, np.sqrt)  # E[i][j]: entry (j, i)
-    m = len(E)
-    d = [sqrt(abs(E[i][i])) for i in range(m)]
-    d = [di + (di == 0.0) for di in d]
+    """The leading minors of one point's symmetric core R (at most 2 x 2)
+    after _jacobi_scaled, as floats: _leading_minors, entry by entry."""
+    E, m = R.tolist(), len(R)
+    d = [math.sqrt(abs(E[i][i])) or 1.0 for i in range(m)]
     n = [E[i][j] / (d[i] * d[j]) for i in range(m) for j in range(i, m)]
-    try:
-        pivots = n[:1] if m == 1 else [n[0], n[2] - n[1] * (n[1] / n[0])]
-    except ZeroDivisionError:  # a zero first pivot at one point
-        pivots = [0.0]
-    minors = [n[0]] + [n[0] * p for p in pivots[1:]]
-    if not all(_every((p != 0.0) & (p * 0.0 == 0.0)) for p in pivots):  # a zero or non-finite pivot
-        d = np.array(d).T
-        minors = list(_leading_minors(R / (d[..., :, None] * d[..., None, :])).T)
-    return minors
-
-
-def _every(mask) -> bool:
-    """Whether a mask holds at one point (a bool) or at every row of a stack."""
-    return mask.all() if isinstance(mask, np.ndarray) else mask
+    pivots = n[:1] if m == 1 or n[0] == 0.0 else [n[0], n[2] - n[1] * (n[1] / n[0])]
+    if not all(p != 0.0 and p * 0.0 == 0.0 for p in pivots):  # a zero or non-finite pivot
+        return list(_leading_minors(_jacobi_scaled(R)))
+    return [n[0]] + [n[0] * p for p in pivots[1:]]
 
 
 def _tail_minors(alg, det_core, signs):
-    """The tail minors det(core) * cumprod(block signs) at the positions
-    that stand for the whole tail (see above), bit for bit, for each row of
-    block signs (last axis), or as floats for one point's list."""
-    if isinstance(signs, list):
-        powers = [1.0] * len(signs) + signs + [s * s for s in signs]
-        return [det_core * math.prod([powers[j] for j in js]) for js in alg._tail_entries.tolist()]
-    powers = np.concatenate([np.ones_like(signs), signs, signs * signs], axis=-1)
-    return np.asarray(det_core)[..., None] * np.multiply.reduce(powers[..., alg._tail_entries], axis=-1)
+    """The tail minors det(core) * cumprod(block signs) that stand for the
+    whole tail (see above): floats from one point's signs, columns from a stack's."""
+    minors, run = [], 1.0
+    for key, s in zip(alg.offdiag_keys, signs):
+        odd = run * s
+        even = odd * s
+        minors.append(det_core * odd)
+        if alg.dim(key) > 1:
+            minors.append(det_core * even)
+        run = odd if alg.dim(key) % 2 else even
+    return minors
 
 
 def _diagonal_minors(q: InvariantCubic, x: np.ndarray):
     """The leading minors of tangent_restriction's Jacobi-scaled form that
-    its min_minor reads (core, then tail; last axis), at each row of x, an
-    (N, rank) stack of diagonal points with q > 0, or at one point x of
-    shape (rank,) (see above).  Raises where the gradient norm or a minor is
-    not finite."""
+    its min_minor reads (core, then tail; last axis) at each row of x, an
+    (N, rank) stack of diagonal points with q > 0, or at one point (rank,).
+    Raises on a non-Euclidean cone and where a minor or |grad q| is not finite."""
+    _require_euclidean(q.cone)
     with np.errstate(all="ignore"):
         if x.ndim == 1:
             try:
-                u, M, blocks = _point_forms(q, x.tolist())
+                u, M, signs = _point_forms(q, x.tolist())
             except (OverflowError, ZeroDivisionError):  # where a stack gets inf or nan
                 raise OutsideConeError("the level set overflows at a diagonal point") from None
-            au = [abs(ui) for ui in u]
-            drop = au.index(max(au))
-            keep = [k for k in range(len(u)) if k != drop]  # as _tangent_basis keeps them
+            drop = max(range(len(u)), key=lambda k: abs(u[k]))  # as _tangent_basis drops it
+            keep = [k for k in range(len(u)) if k != drop]
             basis = np.linalg.qr(np.array([[(i == k) - ui * u[k] for k in keep] for i, ui in enumerate(u)]))[0]
+            core = _scaled_core_minors(_restricted(M, basis))  # the tail and its check on floats too
+            minors = core + _tail_minors(q.cone.algebra, core[-1], signs)
         else:
             qx, g, H, blocks = _diagonal_parts(q, x)
             if not ((qx > 0.0) & (qx < math.inf)).all():
@@ -719,12 +718,9 @@ def _diagonal_minors(q: InvariantCubic, x: np.ndarray):
             norm = np.sqrt((padded[:, None, :] @ padded[:, :, None])[:, 0, 0])
             if not ((norm > 0.0) & (norm < math.inf)).all():
                 raise OutsideConeError("the gradient norm is not finite at the level set")
-            M, basis = _neg_hess_log(qx, g, H), _tangent_basis(g / norm[:, None])
-        core, alg = _scaled_core_minors(_restricted(M, basis)), q.cone.algebra
-        if x.ndim == 1:  # np.sign, the tail, the concatenation and the finiteness check on floats
-            minors = core + _tail_minors(alg, core[-1], [float((s > 0) - (s < 0)) if s == s else s for s in blocks])
-        else:
-            minors = np.concatenate([np.array(core).T, _tail_minors(alg, core[-1], np.sign(blocks))], axis=-1)
+            R = _restricted(_neg_hess_log(qx, g, H), _tangent_basis(g / norm[:, None]))
+            core = _leading_minors(_jacobi_scaled(R))
+            minors = np.column_stack([core, *_tail_minors(q.cone.algebra, core[:, -1], np.sign(blocks).T)])
         if not (all(map(math.isfinite, minors)) if x.ndim == 1 else np.isfinite(minors).all()):
             raise OutsideConeError("the minors of the Hessian metric are not finite at the level set")
     return np.asarray(minors)

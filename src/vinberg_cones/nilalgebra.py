@@ -79,20 +79,6 @@ class NilAlgebra:
     def is_euclidean(self) -> bool:
         return all(s.is_euclidean for s in self.spaces.values())
 
-    @cached_property
-    def _tail_entries(self) -> np.ndarray:
-        """At the first two offsets of each block, which stand for all of the
-        diagonal kernel's tail minors (see cubics._tail_minors): the column,
-        in [1 | signs | signs^2] of the blocks, of each block's factor of the
-        running sign product up to there (none after it, its sign for an odd
-        count, its square for an even one); computed once."""
-        dims = np.array([self.dim(k) for k in self.offdiag_keys])
-        starts = np.cumsum(dims) - dims
-        at = np.concatenate([start + np.arange(min(m, 2)) for start, m in zip(starts, dims)])
-        count = np.clip(at[:, None] + 1 - starts, 0, dims)
-        power = np.where(count == 0, 0, 2 - count % 2)
-        return power * len(dims) + np.arange(len(dims))
-
     def ip(self, key: Key, x, y):
         return self.spaces[key].ip(x, y)
 

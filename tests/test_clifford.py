@@ -75,6 +75,15 @@ class TestMetricSpace:
         with pytest.raises(DimensionMismatchError):
             MetricSpace(np.array([[1.0, 0.5], [0.0, 1.0]]))
 
+    def test_negative_dimensions_raise_dimension_mismatch(self):
+        # not numpy's "negative dimensions are not allowed"
+        with pytest.raises(DimensionMismatchError):
+            MetricSpace.euclidean(-1)
+        with pytest.raises(DimensionMismatchError):
+            MetricSpace.canonical(-1, 2)
+        with pytest.raises(DimensionMismatchError):
+            MetricSpace.canonical(2, -1)
+
     @pytest.mark.parametrize("weights", [np.zeros(0), np.ones((1, 1)), 1.0], ids=["empty", "1x1", "scalar"])
     def test_rejects_weights_that_are_no_vector(self, weights):
         with pytest.raises(DimensionMismatchError, match="non-empty vector"):
@@ -731,6 +740,18 @@ class TestTableBuild:
                 CliffordModule(mod.v_space, space, space, tables=tables)
         with pytest.raises(DimensionMismatchError):
             CliffordModule(mod.v_space, space, MetricSpace.euclidean(2), tables=(perm, val))
+
+    @pytest.mark.parametrize(
+        "perm",
+        [[[0, 0]], [[1, 1]], [[0, 2]], [[-1, 0]], [[0.0, 1.0]], [[True, False]]],
+        ids=["repeat-0", "repeat-1", "too-large", "negative", "float", "bool"],
+    )
+    def test_perm_rows_must_be_permutations(self, perm):
+        # with a repeated entry, clifford_mult(m, [1], [1, 2]) and
+        # mu([1]) @ [1, 2] disagree ([1, 2] against [3, 0])
+        v, s = MetricSpace.euclidean(1), MetricSpace.euclidean(2)
+        with pytest.raises(SpecError, match="permutation"):
+            CliffordModule(v, s, s, tables=(np.array(perm), np.array([[1, 1]])))
 
 
 def _message(check, *args):

@@ -749,6 +749,16 @@ class TestDiagonalKernel:
         with pytest.raises(OutsideConeError):
             cubics._diagonal_minors(q, np.array([[-1.0, 1.0]]))
 
+    def test_refuses_indefinite_cone(self):
+        # the tail takes every block Gram as the identity, so on a split
+        # cone it would give the Euclidean cone's minors
+        cone = vc.cone_from_algebra(vc.rank3_special(vc.build_clifford_module(2, (1, 1))))
+        q = vc.InvariantCubic.rank3_family(cone, 0.5, -0.25)
+        x = np.array([1.0, 1.0, 1.0])
+        for points in (x, x[None]):
+            with pytest.raises(IndefiniteSignatureError):
+                cubics._diagonal_minors(q, points)
+
 
 # the ROADMAP epsilon plane, as the CLI's -2:2:0.5 and -1:1:0.25 ranges space it
 PLANE = [(-2.0 + 0.5 * i, -1.0 + 0.25 * j) for i in range(9) for j in range(9)]
@@ -879,7 +889,7 @@ class TestDiagonalKernelOracle:
         signs, det_core = np.repeat(signs, len(dets), axis=0), np.tile(dets, len(signs))
         dims = [alg.dim(k) for k in alg.offdiag_keys]
         tail = det_core[:, None] * np.cumprod(np.repeat(signs, dims, axis=1), axis=1)
-        kept = cubics._tail_minors(alg, det_core, signs)
+        kept = np.column_stack(cubics._tail_minors(alg, det_core, signs.T))
         assert np.array_equal(np.min(kept, axis=1), np.min(tail, axis=1), equal_nan=True)
 
     @pytest.mark.parametrize(
@@ -895,21 +905,9 @@ class TestDiagonalKernelOracle:
         dets = np.array([1.0, -1.0, 0.0, -0.0, 3e-13, -3e-13, 0.7, np.inf, -np.inf, np.nan, 5e-324])
         signs, det_core = np.repeat(signs, len(dets), axis=0), np.tile(dets, len(signs))
         with np.errstate(all="ignore"):  # inf det(core) times a zero sign
-            stacked = cubics._tail_minors(alg, det_core, signs)
+            stacked = np.column_stack(cubics._tail_minors(alg, det_core, signs.T))
         for d, s, want in zip(det_core.tolist(), signs.tolist(), stacked):
             assert np.array(cubics._tail_minors(alg, d, s)).tobytes() == want.tobytes(), (d, s)
-
-    def test_tail_entries(self):
-        # a dimension-4 block: offset 0 (sign to the power 1, column 1 of
-        # [1 | s | s^2]) and offset 1 (power 2, column 2); a dimension-1
-        # block has offset 0 alone
-        assert rank2_cone(4).algebra._tail_entries.tolist() == [[1], [2]]
-        assert rank2_cone(1).algebra._tail_entries.tolist() == [[1]]
-        # blocks of dimensions 4, 4, 3: the first two offsets of each; the
-        # powers of the earlier blocks follow their parities, later blocks
-        # contribute 1 (column b of the first third)
-        columns = rank3_cone(3).algebra._tail_entries
-        assert columns.tolist() == [[3, 1, 2], [6, 1, 2], [6, 4, 2], [6, 7, 2], [6, 7, 5], [6, 7, 8]]
 
 
 class TestLocalSearch:
