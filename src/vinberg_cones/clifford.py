@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, reduce
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,6 +59,7 @@ class MetricSpace:
     dim: int
     signature: tuple[int, int]
     weights: np.ndarray = field(repr=False)
+    is_euclidean: bool = field(repr=False)
 
     def __init__(self, weights):
         w = np.array(weights, dtype=float)
@@ -67,7 +69,8 @@ class MetricSpace:
             raise SpecError("weights must be +1 and -1: pick a pseudo-orthonormal basis")
         w.setflags(write=False)
         p = int(np.count_nonzero(w > 0))
-        self.__dict__.update(dim=w.size, signature=(p, w.size - p), weights=w)  # past the frozen __setattr__
+        fields = dict(dim=w.size, signature=(p, w.size - p), weights=w, is_euclidean=(p == w.size))
+        self.__dict__.update(fields)  # past the frozen __setattr__
 
     @classmethod
     def euclidean(cls, dim: int) -> "MetricSpace":
@@ -75,7 +78,10 @@ class MetricSpace:
 
     @classmethod
     def canonical(cls, p: int, q: int) -> "MetricSpace":
-        """Weights +1 x p, then -1 x q."""
+        """Weights +1 x p, then -1 x q; counts that are no integer >= 0 raise
+        DimensionMismatchError."""
+        if not (_is_int(p) and _is_int(q)):
+            raise DimensionMismatchError(f"signature ({p!r}, {q!r}) needs integer counts")
         if min(p, q) < 0:
             raise DimensionMismatchError(f"signature ({p}, {q}) has a negative count")
         return cls(np.concatenate([np.ones(p), -np.ones(q)]))
@@ -85,10 +91,6 @@ class MetricSpace:
         """The dense Gram matrix diag(weights), built on each read for the
         test oracles; no library code reads it."""
         return np.diag(self.weights)
-
-    @property
-    def is_euclidean(self) -> bool:
-        return self.signature == (self.dim, 0)
 
     def lower(self, x) -> np.ndarray:
         """x . G over the last axis: the covector <x, .> of x, or of each row."""
@@ -100,11 +102,12 @@ class MetricSpace:
 
     def ip(self, x, y):
         """Inner product <x, y> over the last axis (pairwise sums, as accurate as a dot).
-        Leading axes broadcast; a last axis other than ``dim`` raises."""
-        x, y = np.asarray(x), np.asarray(y)
+        Leading axes broadcast; a last axis other than ``dim`` raises.  A
+        weight of 1 multiplies exactly, so a Euclidean space skips lowering x."""
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
         if x.shape[-1:] != (self.dim,) or y.shape[-1:] != (self.dim,):
             raise DimensionMismatchError(f"ip on a space of dim {self.dim}: shapes {x.shape}, {y.shape}")
-        return (self.lower(x) * y).sum(-1)
+        return np.add.reduce((x if self.is_euclidean else x * self.weights) * y, axis=-1)
 
     def norm_sq(self, x) -> float:
         return self.ip(x, x)
@@ -308,20 +311,34 @@ class CliffordModule:
         flat = np.bincount((perm * d + np.arange(d)).ravel(), (v[:, None] * val).ravel(), d * d)
         return flat.reshape(d, d)
 
+    @cached_property
+    def _products(self) -> "_ProductTables":
+        """The tables the products read, built once.  The S1 weight that
+        lowers s1 in gamma_pairing is folded into its values: a product by
+        +/-1 is exact, so the gather has the bits of one on the lowered s1.
+        The weights that raise a result (S0 for mult_adjoint, V for bilinear)
+        multiply the sum after it, on an indefinite space only: folded into
+        the sum's terms they would flip the sign of a sum that is zero."""
+        perm, val, inv, inv_val = self.monomial_tables
+        pair_val = val * self.s1_space.weights[perm]
+        pair_val.setflags(write=False)
+        raise_s0, raise_v = (None if s.is_euclidean else s.weights for s in (self.s0_space, self.v_space))
+        return _ProductTables(perm, pair_val, inv, inv_val, raise_s0, raise_v)
+
     # mult, bilinear and mult_adjoint, the unchecked cores of the public
     # operations and of the NilAlgebra products, gather one factor through the
     # tables and contract the other in one matmul: O(dim_v dim_s) per point.
 
     def gamma_images(self, s0) -> np.ndarray:
         """The (..., dim_v, dim_s) matrix whose row a is Gamma_a s0."""
-        _, _, inv, inv_val = self.monomial_tables
-        return _gather(s0, inv, inv_val)
+        t = self._products
+        return _gather(s0, t.inv, t.inv_val)
 
     def gamma_pairing(self, s1) -> np.ndarray:
         """The (..., dim_v, dim_s) matrix P with P[a, j] = <s1, Gamma_a e_j>_S1,
         so that <s1, mu_v(s0)>_S1 = v . P . s0."""
-        perm, val, _, _ = self.monomial_tables
-        return _gather(self.s1_space.lower(s1), perm, val)
+        t = self._products
+        return _gather(s1, t.perm, t.pair_val)
 
     def mult(self, v, s0) -> np.ndarray:
         """mu_v(s0) in S1."""
@@ -329,12 +346,17 @@ class CliffordModule:
 
     def bilinear(self, s1, s0) -> np.ndarray:
         """The w in V with <w, v>_V = <s1, mu_v(s0)>_S1 for all v."""
-        z = self.gamma_pairing(s1) @ np.asarray(s0, dtype=float)[..., None]
-        return self.v_space.raise_(z[..., 0])
+        s0 = np.asarray(s0, dtype=float)
+        P = self.gamma_pairing(s1)
+        w = P @ s0 if s0.ndim == 1 else (P @ s0[..., None])[..., 0]
+        weights = self._products.raise_v
+        return w if weights is None else w * weights
 
     def mult_adjoint(self, v, s1) -> np.ndarray:
         """The u in S0 with <u, s>_S0 = <s1, mu_v(s)>_S1 for all s."""
-        return self.s0_space.raise_(_row_times(v, self.gamma_pairing(s1)))
+        u = _row_times(v, self.gamma_pairing(s1))
+        weights = self._products.raise_s0
+        return u if weights is None else u * weights
 
     def to_json(self) -> dict:
         return {
@@ -369,19 +391,35 @@ class CliffordModule:
 
 
 def _gather(x, index: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """values[a, j] * x[..., index[a, j]], of shape (..., dim_v, dim_s).  The
-    method ``take`` spares a single point the 2 us of ``np.take``'s wrapper,
-    and the product is taken in place: a stack's gather is large, and a
-    second array that size costs more to allocate than the gather itself."""
+    """values[a, j] * x[..., index[a, j]], of shape (..., dim_v, dim_s): one
+    take and one product.  A single point takes by fancy indexing, about
+    1 us under the method ``take``; a stack by ``take`` along its last axis,
+    which fancy indexing behind an ellipsis does at several times the cost.
+    The product is taken in place: a stack's gather is large, and a second
+    array that size costs more to allocate than the gather itself."""
     x = np.asarray(x, dtype=float)
-    out = x.take(index.ravel(), axis=-1).reshape(x.shape[:-1] + index.shape)
+    out = x[index] if x.ndim == 1 else x.take(index, axis=-1)
     out *= values
     return out
 
 
 def _row_times(x, M) -> np.ndarray:
-    """x . M over the last axes: (..., n) times (..., n, k) gives (..., k)."""
-    return (np.asarray(x, dtype=float)[..., None, :] @ M)[..., 0, :]
+    """x . M over the last axes: (..., n) times (..., n, k) gives (..., k).
+    One vector x is a plain vector-matrix product, with the same core
+    dimensions, and so the same bits, as the stacked form."""
+    x = np.asarray(x, dtype=float)
+    return x @ M if x.ndim == 1 else (x[..., None, :] @ M)[..., 0, :]
+
+
+class _ProductTables(NamedTuple):
+    """CliffordModule._products: gather tables and the raising weights."""
+
+    perm: np.ndarray
+    pair_val: np.ndarray
+    inv: np.ndarray
+    inv_val: np.ndarray
+    raise_s0: np.ndarray | None
+    raise_v: np.ndarray | None
 
 
 def _spinor_space(dim_s: int, euclidean: bool) -> MetricSpace:

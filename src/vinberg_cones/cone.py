@@ -9,6 +9,7 @@ Coordinates): floats and bools for one point, arrays for a stack.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -20,11 +21,12 @@ from .nilalgebra import (
     HermMatrix,
     NilAlgebra,
     TriangularElement,
+    _entries,
+    _orbit_vector,
     anti_transpose,
     block_norms,
     check_same_algebra,
     dual_algebra,
-    herm_from_triangular,
 )
 
 # A radicand a_ii^2 at or below RADICAND_FLOOR * max |x| counts as outside the
@@ -56,6 +58,11 @@ class ConeDescriptor:
         n_i - n_{i-1} - ... - n_1 (computed once per cone)."""
         n = self.exponents
         return tuple(n[i] - sum(n[:i], Fraction(0)) for i in range(self.rank))
+
+    @cached_property
+    def _float_characteristic_exponents(self) -> tuple[float, ...]:
+        """The characteristic exponents as floats (converted once per cone)."""
+        return tuple(map(float, self.characteristic_exponents))
 
     @cached_property
     def dual(self) -> "ConeDescriptor":
@@ -90,11 +97,20 @@ def _require_euclidean(cone: ConeDescriptor) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _any_zero(x) -> bool:
+    """Whether x is 0 (one point) or any point of a stack x is."""
+    return x == 0.0 if isinstance(x, float) else bool((x == 0.0).any())
+
+
 def _all_positive(*values):
     """Whether every value is > 0 (a bool, or one per point of a stack); raises where one is nan."""
-    mask = np.logical_and.reduce([v > 0.0 for v in values])
-    mask = bool(mask) if np.ndim(mask) == 0 else mask
-    if mask is not True and any(np.isnan(v).any() for v in values):  # nan > 0 is False
+    if isinstance(values[0], float):  # one point: Python or numpy floats
+        mask = all(v > 0.0 for v in values)
+        nan = not mask and any(v != v for v in values)  # nan > 0 is False
+    else:
+        mask = np.logical_and.reduce([v > 0.0 for v in values])
+        nan = any(np.isnan(v).any() for v in values)
+    if nan:
         raise OutsideConeError("a defining polynomial is nan at this point: its terms overflow")
     return mask
 
@@ -163,7 +179,7 @@ def g_determinant_sq(cone: ConeDescriptor, X: HermMatrix):
     if cone.algebra.kind == "rank3-special":
         return det_cubic(cone, X)
     x3 = X.diag.T[2]
-    if (x3 == 0.0).any():
+    if _any_zero(x3):
         raise OutsideConeError("squared G-determinant undefined at x3 = 0")
     return _p1_rank3(cone, X, block_norms(X)) / x3
 
@@ -194,55 +210,63 @@ class GroupCoordinates:
         return np.max(list(self.residuals.values()), axis=0)
 
 
-def _back_substitute(cone: ConeDescriptor, X: HermMatrix, floor) -> tuple:
-    """The radicands a_ii^2 and their roots a_ii (tuples over i, each root
-    with a trailing axis of length 1), and the flat vector of the
-    off-diagonal blocks of the A with positive diagonal and X = A . A^*
-    (its diagonal left unset), solved back to front.  Raises
-    OutsideConeError unless every radicand is above ``floor`` (a float, or
-    one per point of a stack)."""
-    alg = cone.algebra
-
-    def root(r, name):
-        if not (r > floor).all():
+def _root(r, floor, name: str):
+    """sqrt(r): a float for one point, an (N, 1) column for a stack of N.
+    Raises OutsideConeError unless every radicand r is above ``floor``."""
+    if isinstance(r, float):  # one point: Python or numpy floats
+        if not r > floor:
             raise OutsideConeError(f"{name} radicand <= 0")
-        return np.sqrt(r)[..., None]
+        return math.sqrt(r)  # correctly rounded, as np.sqrt
+    if not np.logical_and.reduce(r > floor, axis=None):
+        raise OutsideConeError(f"{name} radicand <= 0")
+    return np.sqrt(r)[:, None]
 
+
+def _back_substitute(cone: ConeDescriptor, X: HermMatrix, floor) -> tuple:
+    """The radicands a_ii^2 and their roots a_ii (tuples over i, see
+    :func:`_root`), the flat vector of the off-diagonal blocks of the A with
+    positive diagonal and X = A . A^* (its diagonal left unset), solved back
+    to front, and at rank 3 the product term a_13 . a_23^flat (else None).
+    Raises OutsideConeError unless every radicand is above ``floor`` (a
+    float, or one per point of a stack)."""
+    alg = cone.algebra
     if cone.rank == 2:
-        x1, x2 = X.diag.T
-        a2 = root(x2, "x22")
+        x1, x2 = _entries(X.diag)
+        a2 = _root(x2, floor, "x22")
         a = X.to_vector() / a2  # its (1,2) block is a12
         r1 = x1 - alg.norm_sq((1, 2), a[..., alg.layout[(1, 2)]])
-        return (r1, x2), (root(r1, "x11"), a2), a
-    x1, x2, x3 = X.diag.T
-    a3 = root(x3, "x33")
+        return (r1, x2), (_root(r1, floor, "x11"), a2), a, None
+    x1, x2, x3 = _entries(X.diag)
+    a3 = _root(x3, floor, "x33")
     a = X.to_vector() / a3  # its (1,3) and (2,3) blocks are t1 and w
-    t1, w = a[..., alg.layout[(1, 3)]], a[..., alg.layout[(2, 3)]]
-    _, n13, n23 = alg.block_products(a, a).T
+    (_, sl12), (_, sl13), (_, sl23) = alg.offdiag_slices
+    _, n13, n23 = _entries(alg._block_products(a, a))
     r2 = x2 - n23
-    a2 = root(r2, "x22")
-    a[..., alg.layout[(1, 2)]] = (X.offdiag[(1, 2)] - alg.mult_flat_right(t1, w)) / a2
-    r1 = x1 - alg.norm_sq((1, 2), a[..., alg.layout[(1, 2)]]) - n13  # |t0|^2
-    return (r1, r2, x3), (root(r1, "x11"), a2, a3), a
+    a2 = _root(r2, floor, "x22")
+    product = alg.mult_flat_right(a[..., sl13], a[..., sl23])
+    a[..., sl12] = (X.offdiag[(1, 2)] - product) / a2
+    r1 = x1 - alg.norm_sq((1, 2), a[..., sl12]) - n13  # |t0|^2
+    return (r1, r2, x3), (_root(r1, floor, "x11"), a2, a3), a, product
 
 
 def group_coordinates(cone: ConeDescriptor, X: HermMatrix) -> GroupCoordinates:
     """Solve X = A . A^* back-to-front for the unique A with positive diagonal
     (at every point of a stack).  Raises OutsideConeError when a radicand is
     at or below RADICAND_FLOOR times the point's largest entry: the point is
-    outside the open cone or near its boundary."""
+    outside the open cone or near its boundary.  The reconstruction A . A^*
+    reuses the back-substitution's product term, which has the same inputs."""
     check_same_algebra(cone.algebra, X)
     alg = cone.algebra
     x = X.to_vector()
-    largest = np.abs(x).max(-1)
-    _, roots, a = _back_substitute(cone, X, RADICAND_FLOOR * largest)
-    a[..., : cone.rank] = np.concatenate(roots, axis=-1)
-    A = TriangularElement._from_flat(alg, a)
-    scale = np.maximum(1.0, largest)
-    err = np.abs(herm_from_triangular(A).to_vector() - x)
+    largest = np.maximum.reduce(np.abs(x), axis=-1)
+    _, roots, a, product = _back_substitute(cone, X, RADICAND_FLOOR * largest)
+    for i, root in enumerate(roots):
+        a[..., i : i + 1] = root
+    err = np.abs(_orbit_vector(alg, a, False, product) - x)
     # one max per layout slice: the diagonal from 0, each block from its start
-    worst = np.maximum.reduceat(err, np.concatenate(([0], alg._segments[1])), axis=-1) / scale[..., None]
-    names = ["diag", *(f"{i}{j}" for i, j in alg.offdiag_keys)]
+    starts, names = alg.residual_blocks
+    worst = np.maximum.reduceat(err, starts, axis=-1) / np.maximum(1.0, largest)[..., None]
+    A = TriangularElement._from_flat(alg, a)
     return GroupCoordinates(A, dict(zip(names, worst.T)))  # points are at most a 2-D stack
 
 
@@ -268,7 +292,7 @@ def characteristic_function(cone: ConeDescriptor, X: HermMatrix):
     # any positive radicand: the open cone has points at every scale
     for r in reversed(_back_substitute(cone, X, 0.0)[0]):
         log_p.insert(0, np.log(r) + sum(log_p))
-    return np.exp(sum(float(e) * lp for e, lp in zip(cone.characteristic_exponents, log_p)))
+    return np.exp(sum(e * lp for e, lp in zip(cone._float_characteristic_exponents, log_p)))
 
 
 def characteristic_degree(cone: ConeDescriptor) -> Fraction:
@@ -307,7 +331,7 @@ def d_prime(cone: ConeDescriptor, X: HermMatrix):
     """
     d, gap, _ = _d_prime_parts(cone, X)
     x1 = X.diag.T[0]
-    if (x1 == 0.0).any():
+    if _any_zero(x1):
         raise OutsideConeError("d' undefined at x1 = 0")
     return d + gap / x1
 

@@ -45,6 +45,8 @@ class NilAlgebra:
     layout: dict = field(init=False, repr=False)
     herm_dim: int = field(init=False, repr=False)
     offdiag_keys: tuple[Key, ...] = field(init=False, repr=False)
+    # (key, slice) of every off-diagonal block, the views a container keeps
+    offdiag_slices: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.rank not in (2, 3):
@@ -59,6 +61,7 @@ class NilAlgebra:
         object.__setattr__(self, "layout", layout)
         object.__setattr__(self, "herm_dim", pos)
         object.__setattr__(self, "offdiag_keys", tuple(expect))
+        object.__setattr__(self, "offdiag_slices", tuple((key, layout[key]) for key in expect))
         if self.rank == 2:
             if self.clifford is not None:
                 raise SpecError("rank-2 algebras have no product")
@@ -86,11 +89,20 @@ class NilAlgebra:
         return self.spaces[key].ip(x, x)
 
     @cached_property
-    def _segments(self) -> tuple[np.ndarray, np.ndarray]:
+    def _segments(self) -> tuple[np.ndarray | None, np.ndarray]:
         """The flat weight vector (1 on the diagonal, then every block's
-        weights) and the start of each off-diagonal block (built once)."""
+        weights), None when every weight is 1, and the start of each
+        off-diagonal block (built once)."""
         weights = np.concatenate([np.ones(self.rank), *(self.spaces[k].weights for k in self.offdiag_keys)])
-        return weights, np.array([self.layout[k].start for k in self.offdiag_keys])
+        return None if self.is_euclidean else weights, np.array([sl.start for _, sl in self.offdiag_slices])
+
+    @cached_property
+    def residual_blocks(self) -> tuple[np.ndarray, tuple[str, ...]]:
+        """The start of the diagonal and of every block in the flat vector,
+        and their names "diag", "12", ...: the segments of the residuals of
+        group coordinates (built once)."""
+        starts = np.concatenate(([0], self._segments[1]))
+        return starts, ("diag", *(f"{i}{j}" for i, j in self.offdiag_keys))
 
     def block_products(self, x, y) -> np.ndarray:
         """<x_k, y_k>_k for every off-diagonal block k of two flat vectors (or
@@ -100,16 +112,27 @@ class NilAlgebra:
         x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
         if x.shape[-1:] != (self.herm_dim,) or y.shape[-1:] != (self.herm_dim,):
             raise DimensionMismatchError(f"block_products: flat shapes {x.shape}, {y.shape} are wrong")
+        return self._block_products(x, y)
+
+    def _block_products(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """block_products on float arrays of the right shape, unchecked.  A
+        weight of 1 multiplies exactly, so an algebra whose weights are all 1
+        skips the product with them."""
         weights, starts = self._segments
-        return np.add.reduceat(x * weights * y, starts, axis=-1)
+        return np.add.reduceat(x * y if weights is None else x * weights * y, starts, axis=-1)
 
     @cached_property
     def block_rows_cols(self) -> tuple[np.ndarray, np.ndarray]:
-        """i - 1 and j - 1 for every off-diagonal flat entry, (i, j) being its
-        block: the diagonal entries of its row and its column (built on
-        first use)."""
+        """i - 1 and j - 1 for every flat entry, (i, j) being its block, and
+        i for diagonal entry i: the diagonal entries of its row and its
+        column, so that v.take(rows) * v scales every entry of a flat vector
+        v as its row's diagonal entry does, and squares the diagonal (built
+        on first use)."""
         sizes = [self.dim(k) for k in self.offdiag_keys]
-        return tuple(np.repeat([k[side] - 1 for k in self.offdiag_keys], sizes) for side in (0, 1))
+        diag = np.arange(self.rank)
+        return tuple(
+            np.concatenate((diag, np.repeat([k[side] - 1 for k in self.offdiag_keys], sizes))) for side in (0, 1)
+        )
 
     @cached_property
     def anti_transpose_index(self) -> np.ndarray:
@@ -139,7 +162,7 @@ class NilAlgebra:
         gamma_pairing(x13) and (s0, v) the factors of the product: one
         gather, no adjoint."""
         s0, v = (x12, x23) if self._special else (x23, x12)
-        return (_row_times(v, self._module().gamma_pairing(x13)) * s0).sum(-1)
+        return np.add.reduce(_row_times(v, self._module().gamma_pairing(x13)) * s0, axis=-1)
 
     def mult(self, x12, x23) -> np.ndarray:
         """The algebra product N_12 x N_23 -> N_13."""
@@ -231,10 +254,11 @@ class _FlatEntries:
         if vec.ndim not in (1, 2) or vec.shape[-1] != algebra.herm_dim:
             raise DimensionMismatchError(f"{type(self).__name__}: flat shape {vec.shape} is wrong")
         vec.setflags(write=False)
-        views = {key: vec[..., sl] for key, sl in algebra.layout.items()}
-        fields = {"algebra": algebra, "_vector": vec, "diag": views.pop("diag"), "offdiag": views}
-        for name, value in fields.items():
-            object.__setattr__(self, name, value)
+        put = object.__setattr__
+        put(self, "algebra", algebra)
+        put(self, "_vector", vec)
+        put(self, "diag", vec[..., : algebra.rank])
+        put(self, "offdiag", {key: vec[..., sl] for key, sl in algebra.offdiag_slices})
 
     @classmethod
     def _from_flat(cls, algebra: NilAlgebra, vec: np.ndarray):
@@ -266,7 +290,10 @@ class TriangularElement(_FlatEntries):
 
     @property
     def in_group(self) -> bool:
-        return bool((self.diag > 0).all())
+        d = self.diag
+        if d.ndim == 1:  # one element: Python floats, nan > 0 False as in numpy
+            return all(x > 0.0 for x in d.tolist())
+        return bool((d > 0.0).all())
 
 
 class HermMatrix(_FlatEntries):
@@ -360,8 +387,9 @@ def _uniform_entries(algebra: NilAlgebra, rng, shape: tuple, diag_range=(0.5, 2.
 
 def check_same_algebra(algebra: NilAlgebra, *operands) -> None:
     """Raise AlgebraMismatchError unless every operand lives over ``algebra``."""
-    if any(x.algebra is not algebra for x in operands):
-        raise AlgebraMismatchError("operands live over different algebras")
+    for x in operands:
+        if x.algebra is not algebra:
+            raise AlgebraMismatchError("operands live over different algebras")
 
 
 def triangular_product(A: TriangularElement, B: TriangularElement) -> TriangularElement:
@@ -370,8 +398,8 @@ def triangular_product(A: TriangularElement, B: TriangularElement) -> Triangular
     check_same_algebra(A.algebra, B)
     alg, a, b = A.algebra, A.to_vector(), B.to_vector()
     m, (rows, cols) = alg.rank, alg.block_rows_cols
-    off = a[..., rows] * b[..., m:] + a[..., m:] * b[..., cols]
-    out = np.concatenate((a[..., :m] * b[..., :m], off), axis=-1)
+    out = a.take(rows, axis=-1) * b  # a_ii b_ii, then a_ii b_ij
+    out[..., m:] += a[..., m:] * b.take(cols[m:], axis=-1)
     if m == 3:
         out[..., alg.layout[(1, 3)]] += alg.mult(A.offdiag[(1, 2)], B.offdiag[(2, 3)])
     return TriangularElement._from_flat(alg, out)
@@ -381,33 +409,46 @@ def block_norms(E) -> np.ndarray:
     """|e_k|^2 for every off-diagonal block k of E, one row per block (each
     an (N,) array for a stack)."""
     v = E.to_vector()
-    return E.algebra.block_products(v, v).T
+    return E.algebra._block_products(v, v).T
 
 
-def _orbit_point(A: TriangularElement, star: bool) -> HermMatrix:
-    """A . A^*, or A^* . A when ``star``.  Diagonal entry i is a_ii^2 plus
+def _entries(z: np.ndarray) -> list:
+    """The entries of z along its last axis: Python floats for one point,
+    whose arithmetic has numpy's bits at a fraction of its per-call cost,
+    and (N,) arrays for a stack of N."""
+    return z.tolist() if z.ndim == 1 else list(z.T)
+
+
+def _orbit_vector(alg: NilAlgebra, v: np.ndarray, star: bool, product=None) -> np.ndarray:
+    """The flat vector of A . A^*, or of A^* . A when ``star``, from the flat
+    vector v of A (or a stack), unchecked.  Diagonal entry i is a_ii^2 plus
     |a_ij|^2 over the blocks of row i (of column i when ``star``), added in
     flat order; block (i, j) is a_ij times a_jj (a_ii), plus at rank 3 the
     one product term, a_13 . a_23^flat at (1, 2) (a_12^flat . a_13 at
-    (2, 3))."""
-    if not A.in_group:
-        raise SpecError(f"{'A^* . A' if star else 'A . A^*'} requires a strictly positive diagonal")
-    alg, v, a = A.algebra, A.to_vector(), A.diag
+    (2, 3)), or ``product`` when the caller has it.  One take and one
+    product give the squares and the scaled blocks."""
     m, (rows, cols) = alg.rank, alg.block_rows_cols
-    diag, n = list((a * a).T), alg.block_products(v, v).T  # per-point values along the first axis
+    out = v.take(rows if star else cols, axis=-1)
+    out *= v
+    diag, n = _entries(out[..., :m]), _entries(alg._block_products(v, v))
     for k, (i, j) in enumerate(alg.offdiag_keys):
         s = (j if star else i) - 1
         diag[s] = diag[s] + n[k]
-    out = np.empty(v.shape)
     out.T[:m] = diag
-    out[..., m:] = a[..., rows if star else cols] * v[..., m:]
     if m == 3:
-        t0, t1, w = (A.offdiag[k] for k in alg.offdiag_keys)
-        if star:
-            out[..., alg.layout[(2, 3)]] += alg.mult_flat_left(t0, t1)
-        else:
-            out[..., alg.layout[(1, 2)]] += alg.mult_flat_right(t1, w)
-    return HermMatrix._from_flat(alg, out)
+        if product is None:
+            t0, t1, w = (v[..., sl] for _, sl in alg.offdiag_slices)
+            product = alg.mult_flat_left(t0, t1) if star else alg.mult_flat_right(t1, w)
+        block = out[..., alg.layout[(2, 3) if star else (1, 2)]]
+        block += product
+    return out
+
+
+def _orbit_point(A: TriangularElement, star: bool) -> HermMatrix:
+    """A . A^*, or A^* . A when ``star``, for A in the group."""
+    if not A.in_group:
+        raise SpecError(f"{'A^* . A' if star else 'A . A^*'} requires a strictly positive diagonal")
+    return HermMatrix._from_flat(A.algebra, _orbit_vector(A.algebra, A.to_vector(), star))
 
 
 def herm_from_triangular(A: TriangularElement) -> HermMatrix:
@@ -433,5 +474,5 @@ anti_transpose_triangular = anti_transpose
 def herm_pairing(X: HermMatrix, Y: HermMatrix):
     """Trace-form inner product sum_i x_i y_i + 2 sum_{i<j} <x_ij, y_ij>."""
     check_same_algebra(X.algebra, Y)
-    blocks = X.algebra.block_products(X.to_vector(), Y.to_vector())
-    return (X.diag * Y.diag).sum(-1) + 2.0 * blocks.sum(-1)
+    blocks = X.algebra._block_products(X.to_vector(), Y.to_vector())
+    return np.add.reduce(X.diag * Y.diag, axis=-1) + 2.0 * np.add.reduce(blocks, axis=-1)

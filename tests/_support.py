@@ -17,6 +17,7 @@ codes.
 """
 
 import math
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -483,6 +484,65 @@ def dense_clifford_bilinear(module, s1, s0) -> np.ndarray:
 def dense_clifford_mult_adjoint(module, v, s1) -> np.ndarray:
     z = dense_mu(module, v).T @ (module.s1_space.gram @ s1)
     return z @ np.linalg.inv(module.s0_space.gram)
+
+
+def unfolded_products(module) -> dict:
+    """The Clifford products by the formula that keeps the +/-1 weights out
+    of the tables: lower s1 by MetricSpace.lower, gather through the
+    module's (perm, val) or (inv, inv_val) tables, contract in the stacked
+    matmul, and raise the result by MetricSpace.raise_.  The library's
+    products, on sign-folded tables, must give these bits."""
+    perm, val, inv, inv_val = module.monomial_tables
+
+    def gather(x, index, values):
+        x = np.asarray(x, dtype=float)
+        return x.take(index.ravel(), axis=-1).reshape(x.shape[:-1] + index.shape) * values
+
+    def row_times(x, M):
+        return (np.asarray(x, dtype=float)[..., None, :] @ M)[..., 0, :]
+
+    def pairing(s1):
+        return gather(module.s1_space.lower(s1), perm, val)
+
+    return {
+        "gamma_pairing": pairing,
+        "mult": lambda v, s0: row_times(v, gather(s0, inv, inv_val)),
+        "bilinear": lambda s1, s0: module.v_space.raise_((pairing(s1) @ np.asarray(s0, dtype=float)[..., None])[..., 0]),
+        "mult_adjoint": lambda v, s1: module.s0_space.raise_(row_times(v, pairing(s1))),
+        "trilinear": lambda s0, s1, v: (row_times(v, pairing(s1)) * s0).sum(-1),
+    }
+
+
+def exact_core_minor(coeffs, x) -> Fraction:
+    """det(Rn) of the diagonal kernel's 2 x 2 core at the rank-3 diagonal
+    point x, in exact rationals from the floats of coeffs and x.  The
+    kernel's convention (cubics._tangent_basis): drop the axis where |g| is
+    largest, project the other two axes off g in order, orthogonalize the
+    second against the first (QR), restrict M = -Hess(log q) and take the
+    Jacobi-scaled determinant det R / |R11 R22|.  Every normalization cancels
+    in it, so it is a rational number; it does not depend on the scale of x."""
+    a, b, c = map(Fraction, coeffs)
+    x1, x2, x3 = map(Fraction, x)
+    q = a * x1 * x2 * x3 + b * x2 * x3 * x3 + c * x3**3
+    g = [a * x2 * x3, a * x1 * x3 + b * x3 * x3, a * x1 * x2 + 2 * b * x2 * x3 + 3 * c * x3 * x3]
+    h12 = a * x1 + 2 * b * x3
+    H = [[0, a * x3, a * x2], [a * x3, 0, h12], [a * x2, h12, 2 * b * x2 + 6 * c * x3]]
+    M = [[(g[i] * g[j] - q * H[i][j]) / (q * q) for j in range(3)] for i in range(3)]
+    gg = sum(t * t for t in g)
+    drop = max(range(3), key=lambda k: abs(g[k]))
+    c1, c2 = ([int(i == k) - g[i] * g[k] / gg for i in range(3)] for k in range(3) if k != drop)
+
+    def dot(u, w):
+        return sum(s * t for s, t in zip(u, w))
+
+    def form(u, w):
+        return dot(u, [dot(row, w) for row in M])
+
+    c2 = [t - dot(c1, c2) / dot(c1, c1) * s for s, t in zip(c1, c2)]
+    n1, n2 = dot(c1, c1), dot(c2, c2)
+    r11, r22 = form(c1, c1) / n1, form(c2, c2) / n2
+    det = (form(c1, c1) * form(c2, c2) - form(c1, c2) ** 2) / (n1 * n2)
+    return det / abs(r11 * r22)
 
 
 def dense_symmetric_3x3(X) -> np.ndarray:

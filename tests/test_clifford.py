@@ -42,6 +42,7 @@ from _support import (
     refused,
     table_check_clifford_relations,
     table_check_j_family,
+    unfolded_products,
 )
 
 
@@ -76,13 +77,20 @@ class TestMetricSpace:
             MetricSpace(np.array([[1.0, 0.5], [0.0, 1.0]]))
 
     def test_negative_dimensions_raise_dimension_mismatch(self):
-        # not numpy's "negative dimensions are not allowed"
+        # not numpy's "negative dimensions are not allowed", nor its TypeError
+        # on a count that is no integer
         with pytest.raises(DimensionMismatchError):
             MetricSpace.euclidean(-1)
         with pytest.raises(DimensionMismatchError):
             MetricSpace.canonical(-1, 2)
         with pytest.raises(DimensionMismatchError):
             MetricSpace.canonical(2, -1)
+        with pytest.raises(DimensionMismatchError, match="integer counts"):
+            MetricSpace.euclidean(2.0)
+        with pytest.raises(DimensionMismatchError, match="integer counts"):
+            MetricSpace.canonical(1.5, 0)
+        with pytest.raises(DimensionMismatchError, match="integer counts"):
+            MetricSpace.euclidean(True)
 
     @pytest.mark.parametrize("weights", [np.zeros(0), np.ones((1, 1)), 1.0], ids=["empty", "1x1", "scalar"])
     def test_rejects_weights_that_are_no_vector(self, weights):
@@ -864,3 +872,62 @@ class TestPseudoOrthonormalOnly:
             MetricSpace(np.diagonal(gram))
         with refused():
             MetricSpace(gram)
+
+
+def _with_zeros(x: np.ndarray, rng) -> np.ndarray:
+    """x with about a quarter of its entries 0.0 and a quarter -0.0."""
+    x = x.copy()
+    u = rng.random(x.shape)
+    x[u < 0.25] = 0.0
+    x[(u >= 0.25) & (u < 0.5)] = -0.0
+    return x
+
+
+def _bits(x) -> tuple:
+    x = np.asarray(x)
+    return x.dtype.str, x.shape, x.tobytes()
+
+
+class TestFoldedTables:
+    """The products run on tables with the S1 weights folded into their
+    values; they give the bits of the lower -> gather -> raise formula
+    (``unfolded_products``), signed zeros included, on split signatures and
+    at multiplicity 2, for one point and for stacks."""
+
+    @pytest.mark.parametrize(
+        "dim_v, signature, multiplicity",
+        [(2, (1, 1), 1), (3, (2, 1), 1), (4, (1, 3), 1), (5, (3, 2), 1), (3, None, 2), (2, (1, 1), 2)],
+        ids=["1-1", "2-1", "1-3", "3-2", "euclidean-3-mult-2", "1-1-mult-2"],
+    )
+    @pytest.mark.parametrize("shape", [(), (5,), (2, 3)], ids=["point", "stack", "stack-2d"])
+    def test_products_keep_the_bits_of_the_unfolded_formula(self, dim_v, signature, multiplicity, shape):
+        mod = vc.build_clifford_module(dim_v, signature, multiplicity)
+        want = unfolded_products(mod)
+        rng = np.random.default_rng(dim_v + 10 * multiplicity + len(shape))
+        v, s0, s1 = (_with_zeros(rng.uniform(-1.0, 1.0, shape + (n,)), rng) for n in (dim_v, mod.dim_s, mod.dim_s))
+        zero_v, zero_s = np.zeros_like(v), -np.zeros_like(s0)  # sums of signed zeros only
+        cases = {
+            "mult": [(v, s0), (zero_v, s0)],
+            "mult_adjoint": [(v, s1), (zero_v, s1), (v, zero_s)],
+            "bilinear": [(s1, s0), (s1, zero_s), (zero_s, s0)],
+            "gamma_pairing": [(s1,), (zero_s,)],
+        }
+        for name, calls in cases.items():
+            for args in calls:
+                assert _bits(getattr(mod, name)(*args)) == _bits(want[name](*args)), name
+        for alg in (vc.rank3_special(mod), vc.dual_algebra(vc.rank3_special(mod))):
+            for x12, x23 in ((s0, v), (zero_s, v), (s0, zero_v)):
+                if alg.kind == "rank3-dual":
+                    x12, x23 = x23, x12
+                s0_, v_ = (x12, x23) if alg.kind == "rank3-special" else (x23, x12)
+                got = alg.trilinear(x12, s1, x23)
+                assert _bits(got) == _bits(want["trilinear"](s0_, s1, v_)), alg.kind
+
+    def test_indefinite_results_keep_the_raising_sign(self):
+        # folded into a zero sum's terms, a -1 raising weight would give +0.0
+        # where raise_ gives -0.0; the products raise after the sum instead
+        mod = vc.build_clifford_module(2, (1, 1))
+        got = mod.mult_adjoint(np.zeros(2), np.ones(mod.dim_s))
+        assert np.signbit(got).tolist() == np.signbit(mod.s0_space.weights).tolist()
+        got = mod.bilinear(np.ones(mod.dim_s), np.zeros(mod.dim_s))
+        assert np.signbit(got).tolist() == np.signbit(mod.v_space.weights).tolist()

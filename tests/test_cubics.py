@@ -1,8 +1,10 @@
+import csv
 import itertools
 import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +22,7 @@ from _support import (
     dense_cubic_derivatives,
     dense_inertia_kind,
     det_leading_minors,
+    exact_core_minor,
     fd_hessian_log,
     hessian_log_from_gradient_differences,
     jacobi_scaled,
@@ -1387,8 +1390,9 @@ class TestArgminCandidates:
             assert same_bits((tuple(x[got[0]].tolist()), got[1]), (tuple(x[want[0]].tolist()), want[1])), eps
 
     def test_closed_form_core_minor_tracks_the_kernels(self):
-        # the closed form and the kernel round differently; the largest gap
-        # on the plane is 3.2e-4 relative, 30 times inside ARGMIN_DELTA
+        # the gap is the kernel's rounding (the closed form is within 1.1e-10
+        # of the exact minor, see the next test); the largest on the plane is
+        # 3.2e-4 relative, 30 times inside ARGMIN_DELTA
         cone, grid = rank3_cone(8), vc.DiagonalGrid(n=12)
         for eps in PLANE:
             q = vc.InvariantCubic.rank3_family(cone, *eps)
@@ -1398,6 +1402,29 @@ class TestArgminCandidates:
                 core = cubics._core_minors(x, *cubics._diagonal_derivatives(q, x))
                 want = cubics._diagonal_minors(q, x).min(axis=-1)
                 assert np.max(np.abs(core - want) / np.abs(want)) < cubics.ARGMIN_DELTA / 30, eps
+
+    def test_closed_form_core_minor_is_the_accurate_one(self):
+        # det(Rn) in exact rationals at the argmin of each of the 45
+        # admissible rows of the d8 reference: the closed form is within
+        # 1.1e-10 relative of it; the kernel's min_minor, which the reference
+        # pins, is off by up to 2.9e-4 (34 rows by more than 1e-6), inside
+        # the ARGMIN_DELTA / 30 the argmin candidates allow for
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "scan_d8.csv"
+        with open(path, newline="") as fh:
+            rows = [r for r in list(csv.reader(fh))[1:] if r[2] == cubics.ADMISSIBLE_ON_SAMPLE]
+        assert len(rows) == 45
+        cone, grid = rank3_cone(8), vc.DiagonalGrid(n=12)
+        kernel_gap = 0.0
+        for e1, e2, _, x2, x3, pinned in rows:
+            q = vc.InvariantCubic.rank3_family(cone, float(e1), float(e2))
+            x = cubics._classify_slice(q, grid)[0]
+            x = x[(x[:, 1] == float(x2)) & (x[:, 2] == float(x3))]
+            assert len(x) == 1, (e1, e2)
+            exact = exact_core_minor(q.coeffs, x[0])
+            core = float(cubics._core_minors(x, *cubics._diagonal_derivatives(q, x))[0])
+            assert abs(Fraction(core) - exact) <= Fraction(1e-9) * abs(exact), (e1, e2)
+            kernel_gap = max(kernel_gap, float(abs(Fraction(float(pinned)) - exact) / abs(exact)))
+        assert kernel_gap < cubics.ARGMIN_DELTA / 30
 
     def test_kernel_sees_few_points_per_cell(self, monkeypatch):
         # one kernel call per cell of the d8 plane at grid 12, at the first
