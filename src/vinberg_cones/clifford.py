@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, reduce
-from typing import NamedTuple
 
 import numpy as np
 
@@ -312,33 +311,31 @@ class CliffordModule:
         return flat.reshape(d, d)
 
     @cached_property
-    def _products(self) -> "_ProductTables":
-        """The tables the products read, built once.  The S1 weight that
-        lowers s1 in gamma_pairing is folded into its values: a product by
-        +/-1 is exact, so the gather has the bits of one on the lowered s1.
-        The weights that raise a result (S0 for mult_adjoint, V for bilinear)
-        multiply the sum after it, on an indefinite space only: folded into
-        the sum's terms they would flip the sign of a sum that is zero."""
-        perm, val, inv, inv_val = self.monomial_tables
-        pair_val = val * self.s1_space.weights[perm]
-        pair_val.setflags(write=False)
-        raise_s0, raise_v = (None if s.is_euclidean else s.weights for s in (self.s0_space, self.v_space))
-        return _ProductTables(perm, pair_val, inv, inv_val, raise_s0, raise_v)
+    def _pairing_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """(perm, val[a, j] * w_S1[perm[a, j]]), built once: the S1 weights
+        that lower s1 folded into the values.  A product by +/-1 is exact, so
+        a gather on them has the bits of one on the lowered s1."""
+        perm, val, _, _ = self.monomial_tables
+        folded = val * self.s1_space.weights[perm]
+        folded.setflags(write=False)
+        return perm, folded
 
     # mult, bilinear and mult_adjoint, the unchecked cores of the public
     # operations and of the NilAlgebra products, gather one factor through the
     # tables and contract the other in one matmul: O(dim_v dim_s) per point.
+    # The weights that raise a result (S0, V) multiply it after the sum, on an
+    # indefinite space only: folded into the sum's terms, a -1 would give a
+    # zero sum the other sign.
 
     def gamma_images(self, s0) -> np.ndarray:
         """The (..., dim_v, dim_s) matrix whose row a is Gamma_a s0."""
-        t = self._products
-        return _gather(s0, t.inv, t.inv_val)
+        _, _, inv, inv_val = self.monomial_tables
+        return _gather(s0, inv, inv_val)
 
     def gamma_pairing(self, s1) -> np.ndarray:
         """The (..., dim_v, dim_s) matrix P with P[a, j] = <s1, Gamma_a e_j>_S1,
         so that <s1, mu_v(s0)>_S1 = v . P . s0."""
-        t = self._products
-        return _gather(s1, t.perm, t.pair_val)
+        return _gather(s1, *self._pairing_tables)
 
     def mult(self, v, s0) -> np.ndarray:
         """mu_v(s0) in S1."""
@@ -346,17 +343,14 @@ class CliffordModule:
 
     def bilinear(self, s1, s0) -> np.ndarray:
         """The w in V with <w, v>_V = <s1, mu_v(s0)>_S1 for all v."""
-        s0 = np.asarray(s0, dtype=float)
-        P = self.gamma_pairing(s1)
+        s0, P = np.asarray(s0, dtype=float), self.gamma_pairing(s1)
         w = P @ s0 if s0.ndim == 1 else (P @ s0[..., None])[..., 0]
-        weights = self._products.raise_v
-        return w if weights is None else w * weights
+        return w if self.v_space.is_euclidean else w * self.v_space.weights
 
     def mult_adjoint(self, v, s1) -> np.ndarray:
         """The u in S0 with <u, s>_S0 = <s1, mu_v(s)>_S1 for all s."""
         u = _row_times(v, self.gamma_pairing(s1))
-        weights = self._products.raise_s0
-        return u if weights is None else u * weights
+        return u if self.s0_space.is_euclidean else u * self.s0_space.weights
 
     def to_json(self) -> dict:
         return {
@@ -409,17 +403,6 @@ def _row_times(x, M) -> np.ndarray:
     dimensions, and so the same bits, as the stacked form."""
     x = np.asarray(x, dtype=float)
     return x @ M if x.ndim == 1 else (x[..., None, :] @ M)[..., 0, :]
-
-
-class _ProductTables(NamedTuple):
-    """CliffordModule._products: gather tables and the raising weights."""
-
-    perm: np.ndarray
-    pair_val: np.ndarray
-    inv: np.ndarray
-    inv_val: np.ndarray
-    raise_s0: np.ndarray | None
-    raise_v: np.ndarray | None
 
 
 def _spinor_space(dim_s: int, euclidean: bool) -> MetricSpace:

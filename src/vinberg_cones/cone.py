@@ -260,8 +260,7 @@ def group_coordinates(cone: ConeDescriptor, X: HermMatrix) -> GroupCoordinates:
     x = X.to_vector()
     largest = np.maximum.reduce(np.abs(x), axis=-1)
     _, roots, a, product = _back_substitute(cone, X, RADICAND_FLOOR * largest)
-    for i, root in enumerate(roots):
-        a[..., i : i + 1] = root
+    a[..., : cone.rank] = roots if a.ndim == 1 else np.concatenate(roots, axis=-1)
     err = np.abs(_orbit_vector(alg, a, False, product) - x)
     # one max per layout slice: the diagonal from 0, each block from its start
     starts, names = alg.residual_blocks
