@@ -387,8 +387,9 @@ class CliffordModule:
 def _gather(x, index: np.ndarray, values: np.ndarray) -> np.ndarray:
     """values[a, j] * x[..., index[a, j]], of shape (..., dim_v, dim_s): one
     take and one product.  A single point takes by fancy indexing, about
-    1 us under the method ``take``; a stack by ``take`` along its last axis,
-    which fancy indexing behind an ellipsis does at several times the cost.
+    0.5 us under the method ``take``; a stack by ``take`` along its last
+    axis, which fancy indexing behind an ellipsis does at several times the
+    cost.
     The product is taken in place: a stack's gather is large, and a second
     array that size costs more to allocate than the gather itself."""
     x = np.asarray(x, dtype=float)

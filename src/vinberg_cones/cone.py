@@ -219,7 +219,7 @@ def _root(r, floor, name: str):
         return math.sqrt(r)  # correctly rounded, as np.sqrt
     if not np.logical_and.reduce(r > floor, axis=None):
         raise OutsideConeError(f"{name} radicand <= 0")
-    return np.sqrt(r)[:, None]
+    return np.sqrt(r)[..., None]
 
 
 def _back_substitute(cone: ConeDescriptor, X: HermMatrix, floor) -> tuple:
@@ -263,7 +263,7 @@ def group_coordinates(cone: ConeDescriptor, X: HermMatrix) -> GroupCoordinates:
     a[..., : cone.rank] = roots if a.ndim == 1 else np.concatenate(roots, axis=-1)
     err = np.abs(_orbit_vector(alg, a, False, product) - x)
     # one max per layout slice: the diagonal from 0, each block from its start
-    starts, names = alg.residual_blocks
+    starts, names = alg._residual_blocks
     worst = np.maximum.reduceat(err, starts, axis=-1) / np.maximum(1.0, largest)[..., None]
     A = TriangularElement._from_flat(alg, a)
     return GroupCoordinates(A, dict(zip(names, worst.T)))  # points are at most a 2-D stack

@@ -97,7 +97,7 @@ class NilAlgebra:
         return None if self.is_euclidean else weights, np.array([sl.start for _, sl in self.offdiag_slices])
 
     @cached_property
-    def residual_blocks(self) -> tuple[np.ndarray, tuple[str, ...]]:
+    def _residual_blocks(self) -> tuple[np.ndarray, tuple[str, ...]]:
         """The start of the diagonal and of every block in the flat vector,
         and their names "diag", "12", ...: the segments of the residuals of
         group coordinates (built once)."""
