@@ -58,7 +58,6 @@ class MetricSpace:
     dim: int
     signature: tuple[int, int]
     weights: np.ndarray = field(repr=False)
-    is_euclidean: bool = field(repr=False)
 
     def __init__(self, weights):
         w = np.array(weights, dtype=float)
@@ -68,8 +67,7 @@ class MetricSpace:
             raise SpecError("weights must be +1 and -1: pick a pseudo-orthonormal basis")
         w.setflags(write=False)
         p = int(np.count_nonzero(w > 0))
-        fields = dict(dim=w.size, signature=(p, w.size - p), weights=w, is_euclidean=(p == w.size))
-        self.__dict__.update(fields)  # past the frozen __setattr__
+        self.__dict__.update(dim=w.size, signature=(p, w.size - p), weights=w)  # past the frozen __setattr__
 
     @classmethod
     def euclidean(cls, dim: int) -> "MetricSpace":
@@ -91,6 +89,10 @@ class MetricSpace:
         test oracles; no library code reads it."""
         return np.diag(self.weights)
 
+    @property
+    def is_euclidean(self) -> bool:
+        return self.signature == (self.dim, 0)
+
     def lower(self, x) -> np.ndarray:
         """x . G over the last axis: the covector <x, .> of x, or of each row."""
         return np.multiply(x, self.weights)
@@ -101,12 +103,11 @@ class MetricSpace:
 
     def ip(self, x, y):
         """Inner product <x, y> over the last axis (pairwise sums, as accurate as a dot).
-        Leading axes broadcast; a last axis other than ``dim`` raises.  A
-        weight of 1 multiplies exactly, so a Euclidean space skips lowering x."""
-        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        Leading axes broadcast; a last axis other than ``dim`` raises."""
+        x, y = np.asarray(x), np.asarray(y)
         if x.shape[-1:] != (self.dim,) or y.shape[-1:] != (self.dim,):
             raise DimensionMismatchError(f"ip on a space of dim {self.dim}: shapes {x.shape}, {y.shape}")
-        return np.add.reduce((x if self.is_euclidean else x * self.weights) * y, axis=-1)
+        return (self.lower(x) * y).sum(-1)
 
     def norm_sq(self, x) -> float:
         return self.ip(x, x)
@@ -323,9 +324,8 @@ class CliffordModule:
     # mult, bilinear and mult_adjoint, the unchecked cores of the public
     # operations and of the NilAlgebra products, gather one factor through the
     # tables and contract the other in one matmul: O(dim_v dim_s) per point.
-    # The weights that raise a result (S0, V) multiply it after the sum, on an
-    # indefinite space only: folded into the sum's terms, a -1 would give a
-    # zero sum the other sign.
+    # The weights that raise a result (S0, V) multiply it after the sum:
+    # folded into the sum's terms, a -1 would give a zero sum the other sign.
 
     def gamma_images(self, s0) -> np.ndarray:
         """The (..., dim_v, dim_s) matrix whose row a is Gamma_a s0."""
@@ -345,12 +345,12 @@ class CliffordModule:
         """The w in V with <w, v>_V = <s1, mu_v(s0)>_S1 for all v."""
         s0, P = np.asarray(s0, dtype=float), self.gamma_pairing(s1)
         w = P @ s0 if s0.ndim == 1 else (P @ s0[..., None])[..., 0]
-        return w if self.v_space.is_euclidean else w * self.v_space.weights
+        return w * self.v_space.weights
 
     def mult_adjoint(self, v, s1) -> np.ndarray:
         """The u in S0 with <u, s>_S0 = <s1, mu_v(s)>_S1 for all s."""
         u = _row_times(v, self.gamma_pairing(s1))
-        return u if self.s0_space.is_euclidean else u * self.s0_space.weights
+        return u * self.s0_space.weights
 
     def to_json(self) -> dict:
         return {

@@ -217,7 +217,7 @@ def _root(r, floor, name: str):
         if not r > floor:
             raise OutsideConeError(f"{name} radicand <= 0")
         return math.sqrt(r)  # correctly rounded, as np.sqrt
-    if not np.logical_and.reduce(r > floor, axis=None):
+    if not (r > floor).all():
         raise OutsideConeError(f"{name} radicand <= 0")
     return np.sqrt(r)[..., None]
 
@@ -239,7 +239,7 @@ def _back_substitute(cone: ConeDescriptor, X: HermMatrix, floor) -> tuple:
     x1, x2, x3 = _entries(X.diag)
     a3 = _root(x3, floor, "x33")
     a = X.to_vector() / a3  # its (1,3) and (2,3) blocks are t1 and w
-    (_, sl12), (_, sl13), (_, sl23) = alg.offdiag_slices
+    sl12, sl13, sl23 = (alg.layout[k] for k in alg.offdiag_keys)
     _, n13, n23 = _entries(alg._block_products(a, a))
     r2 = x2 - n23
     a2 = _root(r2, floor, "x22")
@@ -258,7 +258,7 @@ def group_coordinates(cone: ConeDescriptor, X: HermMatrix) -> GroupCoordinates:
     check_same_algebra(cone.algebra, X)
     alg = cone.algebra
     x = X.to_vector()
-    largest = np.maximum.reduce(np.abs(x), axis=-1)
+    largest = np.abs(x).max(-1)
     _, roots, a, product = _back_substitute(cone, X, RADICAND_FLOOR * largest)
     a[..., : cone.rank] = roots if a.ndim == 1 else np.concatenate(roots, axis=-1)
     err = np.abs(_orbit_vector(alg, a, False, product) - x)

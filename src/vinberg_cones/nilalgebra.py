@@ -45,8 +45,6 @@ class NilAlgebra:
     layout: dict = field(init=False, repr=False)
     herm_dim: int = field(init=False, repr=False)
     offdiag_keys: tuple[Key, ...] = field(init=False, repr=False)
-    # (key, slice) of every off-diagonal block, the views a container keeps
-    offdiag_slices: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.rank not in (2, 3):
@@ -61,7 +59,6 @@ class NilAlgebra:
         object.__setattr__(self, "layout", layout)
         object.__setattr__(self, "herm_dim", pos)
         object.__setattr__(self, "offdiag_keys", tuple(expect))
-        object.__setattr__(self, "offdiag_slices", tuple((key, layout[key]) for key in expect))
         if self.rank == 2:
             if self.clifford is not None:
                 raise SpecError("rank-2 algebras have no product")
@@ -89,12 +86,11 @@ class NilAlgebra:
         return self.spaces[key].ip(x, x)
 
     @cached_property
-    def _segments(self) -> tuple[np.ndarray | None, np.ndarray]:
+    def _segments(self) -> tuple[np.ndarray, np.ndarray]:
         """The flat weight vector (1 on the diagonal, then every block's
-        weights), None when every weight is 1, and the start of each
-        off-diagonal block (built once)."""
+        weights) and the start of each off-diagonal block (built once)."""
         weights = np.concatenate([np.ones(self.rank), *(self.spaces[k].weights for k in self.offdiag_keys)])
-        return None if self.is_euclidean else weights, np.array([sl.start for _, sl in self.offdiag_slices])
+        return weights, np.array([self.layout[k].start for k in self.offdiag_keys])
 
     @cached_property
     def _residual_blocks(self) -> tuple[np.ndarray, tuple[str, ...]]:
@@ -115,11 +111,9 @@ class NilAlgebra:
         return self._block_products(x, y)
 
     def _block_products(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """block_products on float arrays of the right shape, unchecked.  A
-        weight of 1 multiplies exactly, so an algebra whose weights are all 1
-        skips the product with them."""
+        """block_products on float arrays of the right shape, unchecked."""
         weights, starts = self._segments
-        return np.add.reduceat(x * y if weights is None else x * weights * y, starts, axis=-1)
+        return np.add.reduceat(x * weights * y, starts, axis=-1)
 
     @cached_property
     def block_rows_cols(self) -> tuple[np.ndarray, np.ndarray]:
@@ -162,7 +156,7 @@ class NilAlgebra:
         gamma_pairing(x13) and (s0, v) the factors of the product: one
         gather, no adjoint."""
         s0, v = (x12, x23) if self._special else (x23, x12)
-        return np.add.reduce(_row_times(v, self._module().gamma_pairing(x13)) * s0, axis=-1)
+        return (_row_times(v, self._module().gamma_pairing(x13)) * s0).sum(-1)
 
     def mult(self, x12, x23) -> np.ndarray:
         """The algebra product N_12 x N_23 -> N_13."""
@@ -254,11 +248,10 @@ class _FlatEntries:
         if vec.ndim not in (1, 2) or vec.shape[-1] != algebra.herm_dim:
             raise DimensionMismatchError(f"{type(self).__name__}: flat shape {vec.shape} is wrong")
         vec.setflags(write=False)
-        put = object.__setattr__
-        put(self, "algebra", algebra)
-        put(self, "_vector", vec)
-        put(self, "diag", vec[..., : algebra.rank])
-        put(self, "offdiag", {key: vec[..., sl] for key, sl in algebra.offdiag_slices})
+        views = {key: vec[..., sl] for key, sl in algebra.layout.items()}
+        fields = {"algebra": algebra, "_vector": vec, "diag": views.pop("diag"), "offdiag": views}
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
 
     @classmethod
     def _from_flat(cls, algebra: NilAlgebra, vec: np.ndarray):
@@ -387,9 +380,8 @@ def _uniform_entries(algebra: NilAlgebra, rng, shape: tuple, diag_range=(0.5, 2.
 
 def check_same_algebra(algebra: NilAlgebra, *operands) -> None:
     """Raise AlgebraMismatchError unless every operand lives over ``algebra``."""
-    for x in operands:
-        if x.algebra is not algebra:
-            raise AlgebraMismatchError("operands live over different algebras")
+    if any(x.algebra is not algebra for x in operands):
+        raise AlgebraMismatchError("operands live over different algebras")
 
 
 def triangular_product(A: TriangularElement, B: TriangularElement) -> TriangularElement:
@@ -437,7 +429,7 @@ def _orbit_vector(alg: NilAlgebra, v: np.ndarray, star: bool, product=None) -> n
     out.T[:m] = diag
     if m == 3:
         if product is None:
-            t0, t1, w = (v[..., sl] for _, sl in alg.offdiag_slices)
+            t0, t1, w = (v[..., alg.layout[k]] for k in alg.offdiag_keys)
             product = alg.mult_flat_left(t0, t1) if star else alg.mult_flat_right(t1, w)
         block = out[..., alg.layout[(2, 3) if star else (1, 2)]]
         block += product
@@ -475,4 +467,4 @@ def herm_pairing(X: HermMatrix, Y: HermMatrix):
     """Trace-form inner product sum_i x_i y_i + 2 sum_{i<j} <x_ij, y_ij>."""
     check_same_algebra(X.algebra, Y)
     blocks = X.algebra._block_products(X.to_vector(), Y.to_vector())
-    return np.add.reduce(X.diag * Y.diag, axis=-1) + 2.0 * np.add.reduce(blocks, axis=-1)
+    return (X.diag * Y.diag).sum(-1) + 2.0 * blocks.sum(-1)

@@ -883,11 +883,6 @@ def _with_zeros(x: np.ndarray, rng) -> np.ndarray:
     return x
 
 
-def _bits(x) -> tuple:
-    x = np.asarray(x)
-    return x.dtype.str, x.shape, x.tobytes()
-
-
 class TestFoldedTables:
     """The products run on tables with the S1 weights folded into their
     values; they give the bits of the lower -> gather -> raise formula
@@ -914,14 +909,14 @@ class TestFoldedTables:
         }
         for name, calls in cases.items():
             for args in calls:
-                assert _bits(getattr(mod, name)(*args)) == _bits(want[name](*args)), name
+                _same_bits(getattr(mod, name)(*args), want[name](*args))
         for alg in (vc.rank3_special(mod), vc.dual_algebra(vc.rank3_special(mod))):
             for x12, x23 in ((s0, v), (zero_s, v), (s0, zero_v)):
                 if alg.kind == "rank3-dual":
                     x12, x23 = x23, x12
                 s0_, v_ = (x12, x23) if alg.kind == "rank3-special" else (x23, x12)
                 got = alg.trilinear(x12, s1, x23)
-                assert _bits(got) == _bits(want["trilinear"](s0_, s1, v_)), alg.kind
+                _same_bits(got, want["trilinear"](s0_, s1, v_))
 
     def test_indefinite_results_keep_the_raising_sign(self):
         # folded into a zero sum's terms, a -1 raising weight would give +0.0
