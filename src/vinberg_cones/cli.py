@@ -23,6 +23,7 @@ from .clifford import (
     MAX_GAMMA_ENTRIES,
     CliffordModule,
     MetricSpace,
+    _check_signature,
     _is_int,
     _relation_residual,
     build_clifford_module,
@@ -113,6 +114,7 @@ def _check_seed(seed: int) -> None:
 def parse_spec(obj: dict):
     """Validate a cone spec and build the descriptor.  Unknown keys, values
     that are not exact integers and a negative seed are rejected (SpecError),
+    a ``signature`` [p, q] with q > 0 is refused (IndefiniteSignatureError),
     and so is a rank-2 space whose dim_w**2 exceeds MAX_GAMMA_ENTRIES
     (ModuleTooLargeError), before anything is built: the self-test's dense
     dim_herm x dim_herm forms grow with it."""
@@ -144,10 +146,9 @@ def parse_spec(obj: dict):
                 raise ModuleTooLargeError(
                     f"dim_w^2 = {dim_w}^2 exceeds MAX_GAMMA_ENTRIES = {MAX_GAMMA_ENTRIES}"
                 )
-            if sig is not None and (min(sig) < 0 or sum(sig) != dim_w):
-                raise SpecError("signature inconsistent with dim_w")
-            space = MetricSpace.euclidean(dim_w) if sig is None else MetricSpace.canonical(*sig)
-            algebra = rank2_algebra(space)
+            if sig is not None:
+                _check_signature(sig, dim_w)
+            algebra = rank2_algebra(MetricSpace.euclidean(dim_w))
             module = None
         else:
             if "dim_v" not in obj:
@@ -157,7 +158,7 @@ def parse_spec(obj: dict):
             mult = obj.get("multiplicity", obj.get("mult", 1))
             module = build_clifford_module(obj["dim_v"], None if sig is None else tuple(sig), mult)
             algebra = rank3_special(module)
-    except SpecError:
+    except (SpecError, IndefiniteSignatureError):
         raise
     except ValueError as exc:
         raise SpecError(f"bad spec value: {exc}") from exc
@@ -200,7 +201,7 @@ def cmd_build(args) -> int:
         "dim_herm": cone.dim_herm,
         "block_dims": {f"{i}{j}": alg.dim((i, j)) for (i, j) in alg.offdiag_keys},
         "exponents": [float(e) for e in cone.exponents],
-        "euclidean": alg.is_euclidean,
+        "euclidean": True,
     }
     if module is not None:
         out["dim_s"] = module.dim_s
@@ -262,9 +263,6 @@ def cmd_scan(args) -> int:
     if cone.rank != 3:
         print("scan requires a rank-3 cone", file=sys.stderr)
         return EXIT_UNSUPPORTED
-    if not cone.is_euclidean:
-        print("scan requires a Euclidean cone", file=sys.stderr)
-        return EXIT_UNSUPPORTED
     rows = cubics_mod.scan_parameter_plane(cone, eps1, eps2, cubics_mod.DiagonalGrid(n=args.grid))
     try:
         cubics_mod.scan_to_csv(rows, args.out)
@@ -296,7 +294,7 @@ def _invariant_suite(cone, module, seed: int):
 
     if module is not None:
         yield "clifford-isometry", verify_isometry(module, 1000, seed), 1e-12
-        relation = _relation_residual(*module.monomial_tables[:2], module.v_space.weights, module.s1_space.weights)
+        relation = _relation_residual(*module.monomial_tables[:2])
         yield "clifford-polarized-relation", relation, 1e-12
         s1, s0 = rng.uniform(-1, 1, (50, 2, module.dim_s)).transpose(1, 0, 2)
         basis = np.eye(module.dim_v)[:, None, :]  # every e_a against every sample
@@ -326,9 +324,8 @@ def _invariant_suite(cone, module, seed: int):
     Y = herm_from_triangular(B)
     px, py = (np.stack(cone_mod.p_polynomials(cone, Z), axis=-1) for Z in (X, Y))
     yield "unipotent-invariance-p", worst(px - py, py), 1e-9
-    if cone.is_euclidean:  # chi lives on the open cone, which needs a Euclidean algebra
-        cx, cy = (cone_mod.characteristic_function(cone, Z) for Z in (X, Y))
-        yield "unipotent-invariance-chi", worst(cx - cy, cy), 1e-9
+    cx, cy = (cone_mod.characteristic_function(cone, Z) for Z in (X, Y))
+    yield "unipotent-invariance-chi", worst(cx - cy, cy), 1e-9
 
     if cone.rank == 3:
         (A,) = _draws(alg, rng, n_round)
@@ -337,8 +334,6 @@ def _invariant_suite(cone, module, seed: int):
         via = cone_mod.d_prime_via_dual(cone, Y)
         expect = np.prod(A.diag, axis=-1) ** 2
         yield "dual-determinant-two-routes", worst([direct - via, direct - expect], expect), 1e-10
-
-    if cone.rank == 3 and cone.is_euclidean:  # the pairing is positive on Euclidean cones only
         A, B = _draws(alg, rng, 300, 2)
         pairing = herm_pairing(herm_from_triangular(A), herm_from_triangular_star(B))
         yield "dual-pairing-positivity", float(np.max(-pairing)), 0.0
@@ -347,28 +342,27 @@ def _invariant_suite(cone, module, seed: int):
     back = anti_transpose(anti_transpose(X))
     yield "anti-transpose-involution", worst(back.to_vector() - X.to_vector()), 1e-15
 
-    if cone.is_euclidean:
-        from . import cubics as cubics_mod
+    from . import cubics as cubics_mod
 
-        if cone.rank == 2:
-            cubs = [cubics_mod.InvariantCubic.rank2_family(cone, e) for e in (0.0, 0.5)]
-        else:
-            cubs = [
-                cubics_mod.InvariantCubic.rank3_family(cone, 0.0, 0.0),
-                cubics_mod.InvariantCubic.rank3_family(cone, 0.5, -0.25),
-            ]
-        residuals = [0.0]
-        for q in cubs:
-            (A,) = _draws(alg, rng, 5)
-            X = herm_from_triangular(A)
-            qx = cubics_mod.eval_cubic(q, X)
-            keep = qx > 1e-6
-            # hessian_log takes one point; the oracle stacks each point's rows
-            for x in X.to_vector()[keep] / qx[keep, None] ** (1.0 / 3.0):
-                Xk = herm_from_vector(alg, x)
-                M = cubics_mod.hessian_log(q, Xk)
-                residuals.append(worst(M - cubics_mod.fd_hessian_log(q, Xk), np.max(np.abs(M))))
-        yield "hessian-log-vs-finite-differences", max(residuals), 1e-5
+    if cone.rank == 2:
+        cubs = [cubics_mod.InvariantCubic.rank2_family(cone, e) for e in (0.0, 0.5)]
+    else:
+        cubs = [
+            cubics_mod.InvariantCubic.rank3_family(cone, 0.0, 0.0),
+            cubics_mod.InvariantCubic.rank3_family(cone, 0.5, -0.25),
+        ]
+    residuals = [0.0]
+    for q in cubs:
+        (A,) = _draws(alg, rng, 5)
+        X = herm_from_triangular(A)
+        qx = cubics_mod.eval_cubic(q, X)
+        keep = qx > 1e-6
+        # hessian_log takes one point; the oracle stacks each point's rows
+        for x in X.to_vector()[keep] / qx[keep, None] ** (1.0 / 3.0):
+            Xk = herm_from_vector(alg, x)
+            M = cubics_mod.hessian_log(q, Xk)
+            residuals.append(worst(M - cubics_mod.fd_hessian_log(q, Xk), np.max(np.abs(M))))
+    yield "hessian-log-vs-finite-differences", max(residuals), 1e-5
 
 
 def cmd_selftest(args) -> int:

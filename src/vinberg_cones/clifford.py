@@ -10,23 +10,29 @@ isometry identity
 exactly, because every Gamma_a is a signed permutation, built as index
 tables by the Cayley-Dickson tower (complexes, quaternions, octonions) and
 the period-8 tensor recursion, and checked once, by the Clifford relation
-on the module's tables; every operation runs on them.  For Euclidean V the
-spinor dimension is the minimal one allowed by the Hurwitz-Radon bound;
-indefinite signatures use a doubled spinor space with split metric.
+on the module's tables; every operation runs on them.  Every space is
+Euclidean, as the blocks of a T-algebra are, and the spinor dimension is the
+minimal one allowed by the Hurwitz-Radon bound.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
-from .errors import CliffordRelationError, DimensionMismatchError, ModuleTooLargeError, SpecError
+from .errors import (
+    CliffordRelationError,
+    DimensionMismatchError,
+    IndefiniteSignatureError,
+    ModuleTooLargeError,
+    SpecError,
+)
 
 # Largest dim_v * dim_s**2 that build_clifford_module accepts: the entries of
 # the dense gamma stack that to_json writes, unchanged although a module holds
-# tables.  dim_v = 18 (4.7M entries) is the largest Euclidean module under it;
+# tables.  dim_v = 18 (4.7M entries) is the largest module under it;
 # dim_v = 19 would hold 20M entries.  The CLI holds dim_w**2 of a rank-2 spec
 # to the same bound: the dim_herm x dim_herm dense forms that selftest builds
 # (cubic_hessian, hessian_log, fd_hessian_log) grow with it.
@@ -43,74 +49,46 @@ def _is_int(x) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True)
 class MetricSpace:
-    """A finite-dimensional real vector space with a fixed inner product, in
-    a pseudo-orthonormal basis, given by its ``weights``: a vector of +1 and
-    -1 entries, the diagonal of its Gram matrix G.  ``dim`` and the
-    ``signature`` (p, q) are read from it, p entries +1 and q entries -1.
-    Every space the library builds is one, and by Sylvester's law every
-    metric has such a basis; other weights raise SpecError.  As G^-1 = G,
-    :meth:`lower` and :meth:`raise_`, every product with G or G^-1 in the
-    library, multiply by the read-only weights.
-    """
+    """R^dim with the Euclidean inner product of its standard basis, the
+    metric of every block of a T-algebra.  A ``dim`` that is no integer
+    >= 1 raises DimensionMismatchError."""
 
     dim: int
-    signature: tuple[int, int]
-    weights: np.ndarray = field(repr=False)
 
-    def __init__(self, weights):
-        w = np.array(weights, dtype=float)
-        if w.ndim != 1 or not w.size:
-            raise DimensionMismatchError(f"weights must be a non-empty vector, got shape {w.shape}")
-        if not np.all(np.abs(w) == 1.0):
-            raise SpecError("weights must be +1 and -1: pick a pseudo-orthonormal basis")
-        w.setflags(write=False)
-        p = int(np.count_nonzero(w > 0))
-        self.__dict__.update(dim=w.size, signature=(p, w.size - p), weights=w)  # past the frozen __setattr__
+    def __post_init__(self):
+        if not _is_int(self.dim) or self.dim < 1:
+            raise DimensionMismatchError(f"a metric space needs an integer dim >= 1, got {self.dim!r}")
 
     @classmethod
     def euclidean(cls, dim: int) -> "MetricSpace":
-        return cls.canonical(dim, 0)
-
-    @classmethod
-    def canonical(cls, p: int, q: int) -> "MetricSpace":
-        """Weights +1 x p, then -1 x q; counts that are no integer >= 0 raise
-        DimensionMismatchError."""
-        if not (_is_int(p) and _is_int(q)):
-            raise DimensionMismatchError(f"signature ({p!r}, {q!r}) needs integer counts")
-        if min(p, q) < 0:
-            raise DimensionMismatchError(f"signature ({p}, {q}) has a negative count")
-        return cls(np.concatenate([np.ones(p), -np.ones(q)]))
-
-    @property
-    def gram(self) -> np.ndarray:
-        """The dense Gram matrix diag(weights), built on each read for the
-        test oracles; no library code reads it."""
-        return np.diag(self.weights)
-
-    @property
-    def is_euclidean(self) -> bool:
-        return self.signature == (self.dim, 0)
-
-    def lower(self, x) -> np.ndarray:
-        """x . G over the last axis: the covector <x, .> of x, or of each row."""
-        return np.multiply(x, self.weights)
-
-    def raise_(self, z) -> np.ndarray:
-        """z . G^-1 = z . G over the last axis: the x with <x, .> = z, or one per row."""
-        return np.multiply(z, self.weights)
+        return cls(dim)
 
     def ip(self, x, y):
         """Inner product <x, y> over the last axis (pairwise sums, as accurate as a dot).
         Leading axes broadcast; a last axis other than ``dim`` raises."""
-        x, y = np.asarray(x), np.asarray(y)
+        x, y = np.asarray(x, dtype=float), np.asarray(y)
         if x.shape[-1:] != (self.dim,) or y.shape[-1:] != (self.dim,):
             raise DimensionMismatchError(f"ip on a space of dim {self.dim}: shapes {x.shape}, {y.shape}")
-        return (self.lower(x) * y).sum(-1)
+        return (x * y).sum(-1)
 
     def norm_sq(self, x) -> float:
         return self.ip(x, x)
+
+
+def _check_signature(signature, dim: int) -> None:
+    """Raise unless ``signature`` is the Euclidean (dim, 0): SpecError when
+    it is no pair of integer counts >= 0 that sum to dim,
+    IndefiniteSignatureError when its q > 0, since a split metric makes no
+    convex cone."""
+    p, q = signature
+    if not (_is_int(p) and _is_int(q)) or min(p, q) < 0 or p + q != dim:
+        raise SpecError(f"signature {list(signature)} incompatible with dim {dim}")
+    if q:
+        raise IndefiniteSignatureError(
+            f"signature {list(signature)} is indefinite: a Vinberg cone needs Euclidean blocks, [{dim}, 0]"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -209,21 +187,15 @@ def _monomial(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return perm, stack[np.arange(len(stack))[:, None], perm, np.arange(stack.shape[2])]
 
 
-def minimal_spinor_dim(dim_v: int, signature: tuple[int, int] | None = None) -> int:
-    """Spinor dimension used by :func:`build_clifford_module` at multiplicity 1.
-
-    Euclidean: the minimal graded-module dimension (period-8 table,
-    1,2,4,4,8,8,8,8,16,...).  Indefinite signatures use twice the Euclidean
-    value for p+q, on a split metric.  Closed form: builds no generators.
+def minimal_spinor_dim(dim_v: int) -> int:
+    """Spinor dimension used by :func:`build_clifford_module` at multiplicity
+    1: the minimal graded-module dimension (period-8 table,
+    1,2,4,4,8,8,8,8,16,...).  Closed form: builds no generators.
     """
-    if signature is None:
-        signature = (dim_v, 0)
-    p, q = signature
-    if p + q < 1:
+    if dim_v < 1:
         raise DimensionMismatchError("dim_v must be >= 1")
-    periods, k = divmod(p + q - 1, 8)
-    d = 16**periods * _PERIOD8_SPINOR_DIMS[k]
-    return d if q == 0 else 2 * d
+    periods, k = divmod(dim_v - 1, 8)
+    return 16**periods * _PERIOD8_SPINOR_DIMS[k]
 
 
 # ---------------------------------------------------------------------------
@@ -271,10 +243,6 @@ class CliffordModule:
     def dim_s(self) -> int:
         return self.s0_space.dim
 
-    @property
-    def is_euclidean(self) -> bool:
-        return all(s.is_euclidean for s in (self.v_space, self.s0_space, self.s1_space))
-
     @cached_property
     def gammas(self) -> np.ndarray:
         """The read-only dense stack, scattered from the tables on first read,
@@ -311,21 +279,9 @@ class CliffordModule:
         flat = np.bincount((perm * d + np.arange(d)).ravel(), (v[:, None] * val).ravel(), d * d)
         return flat.reshape(d, d)
 
-    @cached_property
-    def _pairing_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """(perm, val[a, j] * w_S1[perm[a, j]]), built once: the S1 weights
-        that lower s1 folded into the values.  A product by +/-1 is exact, so
-        a gather on them has the bits of one on the lowered s1."""
-        perm, val, _, _ = self.monomial_tables
-        folded = val * self.s1_space.weights[perm]
-        folded.setflags(write=False)
-        return perm, folded
-
     # mult, bilinear and mult_adjoint, the unchecked cores of the public
     # operations and of the NilAlgebra products, gather one factor through the
     # tables and contract the other in one matmul: O(dim_v dim_s) per point.
-    # The weights that raise a result (S0, V) multiply it after the sum:
-    # folded into the sum's terms, a -1 would give a zero sum the other sign.
 
     def gamma_images(self, s0) -> np.ndarray:
         """The (..., dim_v, dim_s) matrix whose row a is Gamma_a s0."""
@@ -335,7 +291,7 @@ class CliffordModule:
     def gamma_pairing(self, s1) -> np.ndarray:
         """The (..., dim_v, dim_s) matrix P with P[a, j] = <s1, Gamma_a e_j>_S1,
         so that <s1, mu_v(s0)>_S1 = v . P . s0."""
-        return _gather(s1, *self._pairing_tables)
+        return _gather(s1, *self.monomial_tables[:2])
 
     def mult(self, v, s0) -> np.ndarray:
         """mu_v(s0) in S1."""
@@ -344,18 +300,16 @@ class CliffordModule:
     def bilinear(self, s1, s0) -> np.ndarray:
         """The w in V with <w, v>_V = <s1, mu_v(s0)>_S1 for all v."""
         s0, P = np.asarray(s0, dtype=float), self.gamma_pairing(s1)
-        w = P @ s0 if s0.ndim == 1 else (P @ s0[..., None])[..., 0]
-        return w * self.v_space.weights
+        return P @ s0 if s0.ndim == 1 else (P @ s0[..., None])[..., 0]
 
     def mult_adjoint(self, v, s1) -> np.ndarray:
         """The u in S0 with <u, s>_S0 = <s1, mu_v(s)>_S1 for all s."""
-        u = _row_times(v, self.gamma_pairing(s1))
-        return u * self.s0_space.weights
+        return _row_times(v, self.gamma_pairing(s1))
 
     def to_json(self) -> dict:
         return {
             "dim_v": self.dim_v,
-            "signature": list(self.v_space.signature),
+            "signature": [self.dim_v, 0],
             "multiplicity": self.multiplicity,
             "gammas": [g.tolist() for g in np.asarray(self.gammas, dtype=np.int64)],
         }
@@ -363,6 +317,7 @@ class CliffordModule:
     @classmethod
     def from_json(cls, obj: dict) -> "CliffordModule":
         """The module of :meth:`to_json`; SpecError on a malformed object,
+        IndefiniteSignatureError on a signature with q > 0 and
         CliffordRelationError unless its gammas pass the exact checks."""
         try:
             dim_v, (p, q), mult = obj["dim_v"], obj["signature"], obj["multiplicity"]
@@ -372,16 +327,16 @@ class CliffordModule:
         dim_s = gammas.shape[-1] if gammas.ndim else 0
         ints = all(map(_is_int, (dim_v, p, q, mult))) and min(p, q) >= 0 and p + q == dim_v and mult >= 1
         stack = gammas.dtype.kind == "i" and gammas.shape == (dim_v, dim_s, dim_s) and dim_s > 0
-        if not (ints and stack) or (q and dim_s % 2):
+        if not (ints and stack):
             raise SpecError(
                 "bad Clifford-module JSON: need integers (not bools or floats) p, q >= 0 with p + q == dim_v, "
-                "multiplicity >= 1 and a (dim_v, dim_s, dim_s) integer gamma stack, dim_s even if q > 0"
+                "multiplicity >= 1 and a (dim_v, dim_s, dim_s) integer gamma stack"
             )
-        v_space = MetricSpace.canonical(p, q)
-        s_space = _spinor_space(dim_s, euclidean=(q == 0))
+        _check_signature((p, q), dim_v)  # refuses q > 0
         tables = _monomial(gammas)
-        _check_clifford_relations(*tables, v_space.weights, s_space.weights)
-        return cls(v_space, s_space, s_space, multiplicity=mult, tables=tables)
+        _check_clifford_relations(*tables)
+        s_space = MetricSpace(dim_s)
+        return cls(MetricSpace(dim_v), s_space, s_space, multiplicity=mult, tables=tables)
 
 
 def _gather(x, index: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -406,23 +361,17 @@ def _row_times(x, M) -> np.ndarray:
     return x @ M if x.ndim == 1 else (x[..., None, :] @ M)[..., 0, :]
 
 
-def _spinor_space(dim_s: int, euclidean: bool) -> MetricSpace:
-    # indefinite: the split metric diag(+1, -1, +1, -1, ...) of the doubling construction
-    return MetricSpace(np.ones(dim_s) if euclidean else np.tile([1.0, -1.0], dim_s // 2))
-
-
 def build_clifford_module(dim_v: int, signature: tuple[int, int] | None = None, multiplicity: int = 1) -> CliffordModule:
     """Construct a graded module over Cl(V, g_V) with exact integer gammas.
 
-    The Euclidean construction takes Gamma_1 = identity and Gamma_{1+i} = J_i
-    with J_i the Cayley-Dickson complex structures; resulting spinor spaces
-    carry the identity metric.  For signature (p, q) with q > 0, all gammas
-    are tensored with a 2x2 factor (identity for spacelike directions, a
-    rotation by pi/2 for timelike ones) acting on a split-metric plane, which
-    doubles the spinor dimension.  Reducible modules are block-diagonal
-    copies of the irreducible one.  Every step runs on (perm, sign) tables,
-    and the module carries them as its ``monomial_tables``.
+    The construction takes Gamma_1 = identity and Gamma_{1+i} = J_i with J_i
+    the Cayley-Dickson complex structures; V and the spinor spaces carry the
+    identity metric.  Reducible modules are block-diagonal copies of the
+    irreducible one.  Every step runs on (perm, sign) tables, and the module
+    carries them as its ``monomial_tables``.
 
+    ``signature`` may only name the Euclidean (dim_v, 0): one with q > 0
+    raises :class:`IndefiniteSignatureError` (see :func:`_check_signature`).
     Raises :class:`ModuleTooLargeError`, before building anything, when
     dim_v * dim_s**2 (dim_s including the multiplicity) exceeds
     ``MAX_GAMMA_ENTRIES``.
@@ -431,56 +380,48 @@ def build_clifford_module(dim_v: int, signature: tuple[int, int] | None = None, 
         raise DimensionMismatchError("dim_v must be >= 1")
     if multiplicity < 1:
         raise DimensionMismatchError("multiplicity must be >= 1")
-    if signature is None:
-        signature = (dim_v, 0)
-    p, q = signature
-    if p < 0 or q < 0 or p + q != dim_v:
-        raise SpecError(f"signature {signature} incompatible with dim_v {dim_v}")
+    if signature is not None:
+        _check_signature(signature, dim_v)
     if dim_v > MAX_GAMMA_ENTRIES:  # dim_s >= 1; spares computing a 16**(dim_v / 8) dim_s
         raise ModuleTooLargeError(f"dim_v = {dim_v} exceeds MAX_GAMMA_ENTRIES = {MAX_GAMMA_ENTRIES}")
-    dim_s = minimal_spinor_dim(dim_v, signature) * multiplicity
+    dim_s = minimal_spinor_dim(dim_v) * multiplicity
     if dim_v * dim_s**2 > MAX_GAMMA_ENTRIES:
         raise ModuleTooLargeError(
             f"dim_v * dim_s^2 = {dim_v} * {dim_s}^2 exceeds MAX_GAMMA_ENTRIES = {MAX_GAMMA_ENTRIES}"
         )
     jf = _cl_neg_generators(dim_v - 1)
-    gammas = _stack(_identity(jf[0].shape[1]), jf)
-    if q:
-        gammas = _kron(gammas, _stack(*[_identity(2)] * p, *[_EPS] * q))
-    gammas = _kron(_identity(multiplicity), gammas)
-    v_space = MetricSpace.canonical(p, q)
-    s_space = _spinor_space(dim_s, euclidean=(q == 0))
-    _check_clifford_relations(*gammas, v_space.weights, s_space.weights)
-    return CliffordModule(v_space, s_space, s_space, tables=gammas, multiplicity=multiplicity)
+    gammas = _kron(_identity(multiplicity), _stack(_identity(jf[0].shape[1]), jf))
+    _check_clifford_relations(*gammas)
+    s_space = MetricSpace(dim_s)
+    return CliffordModule(MetricSpace(dim_v), s_space, s_space, tables=gammas, multiplicity=multiplicity)
 
 
-def _relation_residual(perm, val, w_v, w_s) -> float:
-    """Largest |entry| of Gamma_a^T G_S Gamma_b + Gamma_b^T G_S Gamma_a - 2 g_ab G_S
-    over all a, b, from (k, d) tables of monomial gammas and the weight
-    vectors w_v = diag(g), w_s = diag(G_S), in O(dim_v^2 dim_s).  Column j of
-    M_ab = Gamma_a^T G_S Gamma_b has its one nonzero in row
-    R[a, b, j] = perm_a^-1(perm_b(j)), with value
-    V[a, b, j] = val_b(j) w_s[perm_b(j)] val_a(R[a, b, j]), so column j of the
-    residual is zero outside rows R[a, b, j], R[b, a, j] and j, and is the
-    column sum at each.  Rows R and j over all ordered pairs give every
-    entry.  On integer tables and weights the entries are exact, those of the
-    dense products; on +/-1 weights a zero residual forces |val| = 1 (the
-    a = b columns), so it is zero exactly when the relation holds.
+def _relation_residual(perm, val) -> float:
+    """Largest |entry| of Gamma_a^T Gamma_b + Gamma_b^T Gamma_a - 2 delta_ab I
+    over all a, b, from (k, d) tables of monomial gammas, in
+    O(dim_v^2 dim_s).  Column j of M_ab = Gamma_a^T Gamma_b has its one
+    nonzero in row R[a, b, j] = perm_a^-1(perm_b(j)), with value
+    V[a, b, j] = val_b(j) val_a(R[a, b, j]), so column j of the residual is
+    zero outside rows R[a, b, j], R[b, a, j] and j, and is the column sum at
+    each.  Rows R and j over all ordered pairs give every entry.  On integer
+    tables the entries are exact, those of the dense products; a zero
+    residual forces |val| = 1 (the a = b columns), so it is zero exactly
+    when the relation holds.
     """
     n, d = perm.shape
     j = np.arange(d)
     rows = np.arange(n)[:, None, None]
     R = np.argsort(perm, axis=1)[rows, perm[None]]
-    V = (val * w_s[perm])[None] * val[rows, R]
+    V = val[None] * val[rows, R]
     Rt, Vt = R.swapaxes(0, 1), V.swapaxes(0, 1)
-    target = 2.0 * np.diag(w_v)[:, :, None] * w_s
+    target = 2.0 * np.eye(n)[:, :, None]
     return float(max(np.max(np.abs(V * (R == row) + Vt * (Rt == row) - target * (j == row))) for row in (R, j)))
 
 
-def _check_clifford_relations(perm, val, w_v, w_s) -> None:
+def _check_clifford_relations(perm, val) -> None:
     """Raise :class:`CliffordRelationError` unless the tables satisfy the
     Clifford relation exactly (a zero :func:`_relation_residual`)."""
-    if _relation_residual(perm, val, w_v, w_s):
+    if _relation_residual(perm, val):
         raise CliffordRelationError("Clifford relation failed")
 
 

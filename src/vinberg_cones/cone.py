@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import IndefiniteSignatureError, OutsideConeError, SpecError
+from .errors import OutsideConeError, SpecError
 from .nilalgebra import (
     HermMatrix,
     NilAlgebra,
@@ -47,10 +47,6 @@ class ConeDescriptor:
     @property
     def rank(self) -> int:
         return self.algebra.rank
-
-    @property
-    def is_euclidean(self) -> bool:
-        return self.algebra.is_euclidean
 
     @cached_property
     def characteristic_exponents(self) -> tuple[Fraction, ...]:
@@ -83,13 +79,6 @@ def cone_from_algebra(algebra: NilAlgebra) -> ConeDescriptor:
 
 def dual_cone(cone: ConeDescriptor) -> ConeDescriptor:
     return cone.dual
-
-
-def _require_euclidean(cone: ConeDescriptor) -> None:
-    if not cone.is_euclidean:
-        raise IndefiniteSignatureError(
-            "operation defined for Euclidean algebras only"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +177,6 @@ def membership(cone: ConeDescriptor, X: HermMatrix):
     """Strict positivity of all m defining inequalities (open cone); raises
     OutsideConeError where a p_i is nan."""
     check_same_algebra(cone.algebra, X)
-    _require_euclidean(cone)
     return _all_positive(*p_polynomials(cone, X))
 
 
@@ -286,7 +274,6 @@ def characteristic_function(cone: ConeDescriptor, X: HermMatrix):
     Defined on the open cone, which is where every radicand a_ii^2 =
     p_i / prod_{s>i} p_s is positive; raises OutsideConeError elsewhere."""
     check_same_algebra(cone.algebra, X)
-    _require_euclidean(cone)
     log_p = []
     # any positive radicand: the open cone has points at every scale
     for r in reversed(_back_substitute(cone, X, 0.0)[0]):
@@ -353,7 +340,6 @@ def dual_membership(cone: ConeDescriptor, X: HermMatrix):
     OutsideConeError where one of these is nan.
     """
     check_same_algebra(cone.algebra, X)
-    _require_euclidean(cone)
     if cone.rank == 2:
         return _all_positive(X.diag.T[0], p_polynomials(cone, X)[0])
     if cone.algebra.kind != "rank3-special":

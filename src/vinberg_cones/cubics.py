@@ -25,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .cone import ConeDescriptor, _lower_p, _require_euclidean, det_cubic, p_polynomials
+from .cone import ConeDescriptor, _lower_p, det_cubic, p_polynomials
 from .errors import OutsideConeError, SpecError
 from .nilalgebra import HermMatrix, check_same_algebra, herm_from_vector
 
@@ -121,25 +121,22 @@ def gradient(q: InvariantCubic, X: HermMatrix) -> np.ndarray:
         a, b = q.coeffs
         x1, x2 = X.diag
         w = X.offdiag[(1, 2)]
-        gw = alg.spaces[(1, 2)].lower(w)
         g[0] = b * x2**2
-        g[1] = 3.0 * a * x2**2 + 2.0 * b * x1 * x2 - b * (w @ gw)
-        g[lay[(1, 2)]] = -2.0 * b * x2 * gw
+        g[1] = 3.0 * a * x2**2 + 2.0 * b * x1 * x2 - b * (w @ w)
+        g[lay[(1, 2)]] = -2.0 * b * x2 * w
         return g
     a, b, c = q.coeffs
     x1, x2, x3 = X.diag
     s0, s1, v = X.offdiag[(1, 2)], X.offdiag[(1, 3)], X.offdiag[(2, 3)]
-    S0, S1, SV = (alg.spaces[k] for k in ((1, 2), (1, 3), (2, 3)))
-    g0s0, g1s1, gvv = S0.lower(s0), S1.lower(s1), SV.lower(v)
-    n0, n1, nv = s0 @ g0s0, s1 @ g1s1, v @ gvv
+    n0, n1, nv = s0 @ s0, s1 @ s1, v @ v
     pair = alg.clifford.gamma_pairing(s1)  # <s0 . v, s1> = v . pair . s0
     g[0] = a * (x2 * x3 - nv)
     g[1] = a * (x1 * x3 - n1) + b * x3**2
     g[2] = a * (x1 * x2 - n0) + 2.0 * b * x2 * x3 - b * nv + 3.0 * c * x3**2
     # <s0 . v, s1> differentiated in each slot
-    g[lay[(1, 2)]] = -2.0 * a * x3 * g0s0 + 2.0 * a * (v @ pair)
-    g[lay[(1, 3)]] = -2.0 * a * x2 * g1s1 + 2.0 * a * S1.lower(alg.mult(s0, v))
-    g[lay[(2, 3)]] = -2.0 * (a * x1 + b * x3) * gvv + 2.0 * a * (pair @ s0)
+    g[lay[(1, 2)]] = -2.0 * a * x3 * s0 + 2.0 * a * (v @ pair)
+    g[lay[(1, 3)]] = -2.0 * a * x2 * s1 + 2.0 * a * alg.mult(s0, v)
+    g[lay[(2, 3)]] = -2.0 * (a * x1 + b * x3) * v + 2.0 * a * (pair @ s0)
     return g
 
 
@@ -153,39 +150,32 @@ def cubic_hessian(q: InvariantCubic, X: HermMatrix) -> np.ndarray:
     for (i, j), h in _diagonal_derivatives(q, X.diag)[1].items():
         H[i, j] = H[j, i] = h
     if q.cone.rank == 2:
-        b, W, wsl = q.coeffs[1], alg.spaces[(1, 2)], lay[(1, 2)]
-        H[1, wsl] = H[wsl, 1] = -2.0 * b * W.lower(X.offdiag[(1, 2)])
-        H[wsl, wsl] = _gram_block(W, -2.0 * b * X.diag[1])
+        b, wsl = q.coeffs[1], lay[(1, 2)]
+        H[1, wsl] = H[wsl, 1] = -2.0 * b * X.offdiag[(1, 2)]
+        H[wsl, wsl] = -2.0 * b * X.diag[1] * np.eye(alg.dim((1, 2)))
         return H
     a, b, _ = q.coeffs
     x1, x2, x3 = X.diag
     s0, s1, v = X.offdiag[(1, 2)], X.offdiag[(1, 3)], X.offdiag[(2, 3)]
-    S0, S1, SV = (alg.spaces[k] for k in ((1, 2), (1, 3), (2, 3)))
-    g0s0, g1s1, gvv = S0.lower(s0), S1.lower(s1), SV.lower(v)
     s0sl, s1sl, vsl = lay[(1, 2)], lay[(1, 3)], lay[(2, 3)]
-    H[0, vsl] = H[vsl, 0] = -2.0 * a * gvv
-    H[1, s1sl] = H[s1sl, 1] = -2.0 * a * g1s1
-    H[2, s0sl] = H[s0sl, 2] = -2.0 * a * g0s0
-    H[2, vsl] = H[vsl, 2] = -2.0 * b * gvv
-    H[s0sl, s0sl] = _gram_block(S0, -2.0 * a * x3)
-    H[s1sl, s1sl] = _gram_block(S1, -2.0 * a * x2)
-    H[vsl, vsl] = _gram_block(SV, -2.0 * (a * x1 + b * x3))
+    H[0, vsl] = H[vsl, 0] = -2.0 * a * v
+    H[1, s1sl] = H[s1sl, 1] = -2.0 * a * s1
+    H[2, s0sl] = H[s0sl, 2] = -2.0 * a * s0
+    H[2, vsl] = H[vsl, 2] = -2.0 * b * v
+    H[s0sl, s0sl] = -2.0 * a * x3 * np.eye(s0.size)
+    H[s1sl, s1sl] = -2.0 * a * x2 * np.eye(s1.size)
+    H[vsl, vsl] = -2.0 * (a * x1 + b * x3) * np.eye(v.size)
     # cross blocks from 2 <s0 . v, s1>
-    blk_01 = 2.0 * a * S1.lower(alg.clifford.mu(v).T)  # d(s0) d(s1)
+    blk_01 = 2.0 * a * alg.clifford.mu(v).T  # d(s0) d(s1)
     H[s0sl, s1sl] = blk_01
     H[s1sl, s0sl] = blk_01.T
     blk_0v = 2.0 * a * alg.clifford.gamma_pairing(s1).T  # d(s0) d(v)
     H[s0sl, vsl] = blk_0v
     H[vsl, s0sl] = blk_0v.T
-    blk_1v = 2.0 * a * S1.lower(alg.clifford.gamma_images(s0)).T  # d(s1) d(v)
+    blk_1v = 2.0 * a * alg.clifford.gamma_images(s0).T  # d(s1) d(v)
     H[s1sl, vsl] = blk_1v
     H[vsl, s1sl] = blk_1v.T
     return H
-
-
-def _gram_block(space, coef: float) -> np.ndarray:
-    """coef times the Gram matrix of ``space``: coef I lowered by its weights."""
-    return space.lower(coef * np.eye(space.dim))
 
 
 def hessian_log(q: InvariantCubic, X: HermMatrix) -> np.ndarray:
@@ -279,7 +269,6 @@ def tangent_restriction(q: InvariantCubic, X: HermMatrix) -> HessianReport:
     entry of 0, or not a number, makes the form degenerate.  Raises, as the
     kernel does, where q(X), the gradient norm or a minor is not finite.
     """
-    _require_euclidean(q.cone)
     with np.errstate(all="ignore"):  # an overflow leaves a value that is not finite, which raises
         qx = eval_cubic(q, X)
         if not 0.0 < qx < math.inf:
@@ -546,10 +535,10 @@ def _constraint_violated(q: InvariantCubic, x):
 #
 # At a diagonal point the gradient has no off-diagonal part, so -Hess(log q)
 # is a rank x rank core plus, on each off-diagonal block, a scalar times the
-# block's Gram matrix, the identity on the Euclidean cones the kernel
-# accepts.  ker dq then splits the same way, and the leading minors of the
-# Jacobi-scaled restriction are those of a (rank-1)-square core followed by
-# the tail det(core) times the running product of block signs.  The kernel
+# block's Gram matrix, the identity.  ker dq then splits the same way, and
+# the leading minors of the Jacobi-scaled restriction are those of a
+# (rank-1)-square core followed by the tail det(core) times the running
+# product of block signs.  The kernel
 # below evaluates that for a stack of points through the dense path's
 # _neg_hess_log, _tangent_basis, _restricted, _jacobi_scaled and
 # _leading_minors, or at one point.  Every value that reaches
@@ -686,8 +675,7 @@ def _diagonal_minors(q: InvariantCubic, x: np.ndarray):
     """The leading minors of tangent_restriction's Jacobi-scaled form that
     its min_minor reads (core, then tail; last axis) at each row of x, an
     (N, rank) stack of diagonal points with q > 0, or at one point (rank,).
-    Raises on a non-Euclidean cone and where a minor or |grad q| is not finite."""
-    _require_euclidean(q.cone)
+    Raises where a minor or |grad q| is not finite."""
     with np.errstate(all="ignore"):
         if x.ndim == 1:
             try:
@@ -857,7 +845,6 @@ def admissibility_on_diagonal(q: InvariantCubic, grid: DiagonalGrid | None = Non
     cubic reduces to positive definiteness there, which the inertia rule
     decides.  The kernel reads the minors of the witnesses inside the slope
     constraint and of the argmin candidates."""
-    _require_euclidean(q.cone)
     x, kinds = _classify_slice(q, grid or DiagonalGrid())
     if not len(x):
         raise OutsideConeError("empty feasible diagonal grid")
@@ -885,7 +872,6 @@ def admissibility_on_diagonal(q: InvariantCubic, grid: DiagonalGrid | None = Non
 def find_locally_admissible_point(q: InvariantCubic, search: SearchGrid | None = None):
     """Deterministic grid search over the diagonal slice; returns the first
     point that the inertia rule calls positive-definite, or None."""
-    _require_euclidean(q.cone)
     if q.cone.rank != 3:
         raise SpecError("local-admissibility search is for rank-3 cones")
     if q.coeffs[0] == 0.0:  # no point is PD; the sampler's q can cancel to <= 0 at extreme c
@@ -932,7 +918,6 @@ def scan_parameter_plane(
     positive-definite everywhere.  ``search`` is ignored."""
     if cone.rank != 3:
         raise SpecError("parameter-plane scan is for rank-3 cones")
-    _require_euclidean(cone)
     grid = grid or DiagonalGrid()  # one spacing per plane
     rows = []
     for e1 in eps1_values:

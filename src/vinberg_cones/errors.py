@@ -14,7 +14,8 @@ class AlgebraMismatchError(VinbergError, ValueError):
 
 
 class IndefiniteSignatureError(VinbergError, ValueError):
-    """Operation requires a Euclidean algebra but got an indefinite one."""
+    """A spec or a module asks for a signature [p, q] with q > 0: a split
+    metric makes no convex cone, so every space is Euclidean."""
 
 
 class OutsideConeError(VinbergError, ArithmeticError):

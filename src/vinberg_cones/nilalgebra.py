@@ -75,10 +75,6 @@ class NilAlgebra:
     def dim(self, key: Key) -> int:
         return self.spaces[key].dim
 
-    @cached_property
-    def is_euclidean(self) -> bool:
-        return all(s.is_euclidean for s in self.spaces.values())
-
     def ip(self, key: Key, x, y):
         return self.spaces[key].ip(x, y)
 
@@ -86,24 +82,22 @@ class NilAlgebra:
         return self.spaces[key].ip(x, x)
 
     @cached_property
-    def _segments(self) -> tuple[np.ndarray, np.ndarray]:
-        """The flat weight vector (1 on the diagonal, then every block's
-        weights) and the start of each off-diagonal block (built once)."""
-        weights = np.concatenate([np.ones(self.rank), *(self.spaces[k].weights for k in self.offdiag_keys)])
-        return weights, np.array([self.layout[k].start for k in self.offdiag_keys])
+    def _segments(self) -> np.ndarray:
+        """The start of each off-diagonal block in the flat vector (built once)."""
+        return np.array([self.layout[k].start for k in self.offdiag_keys])
 
     @cached_property
     def _residual_blocks(self) -> tuple[np.ndarray, tuple[str, ...]]:
         """The start of the diagonal and of every block in the flat vector,
         and their names "diag", "12", ...: the segments of the residuals of
         group coordinates (built once)."""
-        starts = np.concatenate(([0], self._segments[1]))
+        starts = np.concatenate(([0], self._segments))
         return starts, ("diag", *(f"{i}{j}" for i, j in self.offdiag_keys))
 
     def block_products(self, x, y) -> np.ndarray:
         """<x_k, y_k>_k for every off-diagonal block k of two flat vectors (or
-        stacks), along a last axis in ``offdiag_keys`` order: one weighted
-        product and one segmented sum, which gives each row of a stack the
+        stacks), along a last axis in ``offdiag_keys`` order: one product and
+        one segmented sum, which gives each row of a stack the
         bits of its single point (a matmul by a block indicator would not)."""
         x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
         if x.shape[-1:] != (self.herm_dim,) or y.shape[-1:] != (self.herm_dim,):
@@ -112,8 +106,7 @@ class NilAlgebra:
 
     def _block_products(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """block_products on float arrays of the right shape, unchecked."""
-        weights, starts = self._segments
-        return np.add.reduceat(x * weights * y, starts, axis=-1)
+        return np.add.reduceat(x * y, self._segments, axis=-1)
 
     @cached_property
     def block_rows_cols(self) -> tuple[np.ndarray, np.ndarray]:
@@ -178,7 +171,7 @@ class NilAlgebra:
             "rank": self.rank,
             "kind": self.kind,
             "spaces": {
-                f"{i}{j}": {"dim": s.dim, "signature": list(s.signature)}
+                f"{i}{j}": {"dim": s.dim, "signature": [s.dim, 0]}
                 for (i, j), s in sorted(self.spaces.items())
             },
         }

@@ -5,10 +5,9 @@ finite differences for Hessians (``cubics.fd_hessian_log``, shared with the
 self-test, which only evaluates q), explicit closed forms at diagonal
 points, the Hurwitz-Radon bound for spinor dimensions, the dense generator
 recursion for the table-built Clifford modules, the dense polarized loop
-for the relation residual that ``clifford`` reads off the tables, the
-eigvalsh/inv route for the +/-1 metric weights, the dense product tensor
-for the gathered algebra products, dense Gram products for the metric
-weights, dense 3x3 determinants for the self-adjoint instance, the
+for the relation residual that ``clifford`` reads off the tables, the dense
+product tensor and einsums over the dense gammas for the gathered algebra
+products, dense 3x3 determinants for the self-adjoint instance, the
 diagonal kernel's tail formed entry by entry for the tail that ``cubics``
 reads off each block's first two entries, one determinant per leading minor for the
 minors that ``cubics`` takes from the pivots of one elimination, and the
@@ -30,10 +29,10 @@ from vinberg_cones.cubics import fd_hessian_log  # noqa: F401  (re-exported for 
 
 _CONES = {}
 
-# positive-definite metrics outside a pseudo-orthonormal basis, given as
-# MetricSpace weights: diagonal ones with weights other than +/-1, and
-# non-diagonal Gram matrices, which are no weight vector.  MetricSpace
-# refuses them; the tests that ran the library on them are negative controls.
+# positive-definite metrics other than the identity: diagonal ones given by
+# their weights, and non-diagonal Gram matrices.  A MetricSpace takes only its
+# dimension and refuses them; the tests that ran the library on them are
+# negative controls.
 SCALED_V = np.array([2.0, 0.5, 3.0])
 SCALED_S = np.array([2.0, 0.5, 3.0, 1.25])
 FULL_V = np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.3], [0.0, 0.3, 3.0]])
@@ -41,26 +40,30 @@ FULL_S = np.array([[2.0, 0.5, 0.0, 0.1], [0.5, 1.0, 0.3, 0.0], [0.0, 0.3, 3.0, 0
 
 
 def regauged_module(v_weights, s_weights) -> "vc.CliffordModule":
-    """The tables of build_clifford_module(3) under other weights on V and S
-    (refused unless both are +/-1 vectors)."""
+    """The tables of build_clifford_module(3) under other metrics on V and S,
+    given as weight vectors or Gram matrices: refused, as MetricSpace takes
+    no metric but its dimension."""
     s_space = vc.MetricSpace(s_weights)
     tables = vc.build_clifford_module(3).monomial_tables[:2]
     return vc.CliffordModule(vc.MetricSpace(v_weights), s_space, s_space, tables=tables)
 
 
 class Refused:
-    """A test case whose metric is outside a pseudo-orthonormal basis: the
-    test checks that ``make()`` raises, its negative control."""
+    """A test case whose metric is not the identity, or whose signature is
+    indefinite: the test checks that ``make()`` raises, its negative
+    control."""
 
     def __init__(self, make):
         self.make = make
 
 
 def refused():
-    """pytest.raises for what MetricSpace raises on weights other than +1
-    and -1 (SpecError) and on an array that is not a non-empty vector, a
-    Gram matrix in place of its weights for one (DimensionMismatchError)."""
-    return pytest.raises((vc.SpecError, vc.DimensionMismatchError), match="pseudo-orthonormal basis|non-empty vector")
+    """pytest.raises for what MetricSpace raises on a metric in place of its
+    dimension (DimensionMismatchError), and what a signature [p, q] with
+    q > 0 raises (IndefiniteSignatureError)."""
+    return pytest.raises(
+        (vc.DimensionMismatchError, vc.IndefiniteSignatureError), match="integer dim|is indefinite"
+    )
 
 
 def made(case):
@@ -81,11 +84,21 @@ def rank2_cone(dim_w: int):
 
 
 def rank3_cone(dim_v: int, mult: int = 1, signature=None):
+    """The rank-3 special cone; a ``signature`` with q > 0 raises
+    IndefiniteSignatureError."""
     key = ("r3", dim_v, mult, signature)
     if key not in _CONES:
         module = vc.build_clifford_module(dim_v, signature, mult)
         _CONES[key] = vc.cone_from_algebra(vc.rank3_special(module))
     return _CONES[key]
+
+
+def made_cone(case):
+    """rank3_cone(*case) for a Euclidean case (dim_v, multiplicity,
+    signature); for one with an indefinite signature, None after checking
+    that building it is refused."""
+    make = lambda: rank3_cone(*case)  # noqa: E731
+    return made(make if case[2] is None else Refused(make))
 
 
 def random_orbit_point(cone, rng):
@@ -156,33 +169,31 @@ def _exact_float(*arrays) -> list:
     return [a.astype(np.float64) for a in arrays]
 
 
-def dense_check_clifford_relations(gammas, g_v, g_s) -> None:
+def dense_check_clifford_relations(gammas) -> None:
     """Dense oracle for clifford._check_clifford_relations: for every pair,
-    Gamma_a^T G_S Gamma_b + Gamma_b^T G_S Gamma_a == 2 g_ab G_S by full
-    matrix products (int64 matmul is not BLAS-backed and takes about 25 s at
+    Gamma_a^T Gamma_b + Gamma_b^T Gamma_a == 2 delta_ab I by full matrix
+    products (int64 matmul is not BLAS-backed and takes about 25 s at
     dim_v = 17, so the exact integer products run in float64)."""
-    gs = np.asarray(g_s, dtype=np.int64)
-    gv = np.asarray(np.round(g_v), dtype=np.int64)
-    gam, gsf = _exact_float(np.asarray(gammas, dtype=np.int64), gs)
-    n = gam.shape[0]
+    (gam,) = _exact_float(np.asarray(gammas, dtype=np.int64))
+    n, d = gam.shape[0], gam.shape[-1]
     for a in range(n):
         for b in range(a, n):
-            lhs = gam[a].T @ gsf @ gam[b] + gam[b].T @ gsf @ gam[a]
-            if not np.array_equal(lhs, 2 * gv[a, b] * gsf):
+            lhs = gam[a].T @ gam[b] + gam[b].T @ gam[a]
+            if not np.array_equal(lhs, 2 * (a == b) * np.eye(d)):
                 raise vc.CliffordRelationError("Clifford relation failed")
 
 
 def dense_polarized_residual(module) -> float:
     """Dense oracle for clifford._relation_residual on a module: the largest
-    |entry| of Gamma_a^T G_S1 Gamma_b + Gamma_b^T G_S1 Gamma_a - 2 g_ab G_S0
-    over all pairs, by full matrix products of the dense gammas."""
+    |entry| of Gamma_a^T Gamma_b + Gamma_b^T Gamma_a - 2 delta_ab I over all
+    pairs, by full matrix products of the dense gammas."""
     largest = 0.0
-    g0, g1, gv = module.s0_space.gram, module.s1_space.gram, module.v_space.gram
     gam = np.asarray(module.gammas, dtype=float)
+    eye = np.eye(module.dim_s)
     for a in range(module.dim_v):
         for b in range(module.dim_v):
-            lhs = gam[a].T @ g1 @ gam[b] + gam[b].T @ g1 @ gam[a]
-            largest = max(largest, float(np.max(np.abs(lhs - 2.0 * gv[a, b] * g0))))
+            lhs = gam[a].T @ gam[b] + gam[b].T @ gam[a]
+            largest = max(largest, float(np.max(np.abs(lhs - 2.0 * (a == b) * eye))))
     return largest
 
 
@@ -203,12 +214,11 @@ def dense_check_j_family(fam) -> None:
 
 def j_relation_check(perm, sign) -> None:
     """The check that covers a (k, d) J family in a built module:
-    clifford._check_clifford_relations on the tables of [I, J_1..J_k] with
-    identity metrics, whose entries (0, i), (i, i) and (i, j) say that the
-    J's are skew, orthogonal and anticommuting."""
-    k, d = np.shape(perm)
-    stack = clifford._stack(clifford._identity(d), (perm, sign))
-    clifford._check_clifford_relations(*stack, np.ones(k + 1), np.ones(d))
+    clifford._check_clifford_relations on the tables of [I, J_1..J_k],
+    whose entries (0, i), (i, i) and (i, j) say that the J's are skew,
+    orthogonal and anticommuting."""
+    d = np.shape(perm)[1]
+    clifford._check_clifford_relations(*clifford._stack(clifford._identity(d), (perm, sign)))
 
 
 def table_check_j_family(fam) -> None:
@@ -218,11 +228,10 @@ def table_check_j_family(fam) -> None:
     j_relation_check(*clifford._monomial(stack))
 
 
-def table_check_clifford_relations(gammas, w_v, w_s) -> None:
-    """clifford._check_clifford_relations on the tables of a dense stack and
-    the metric weights, the way CliffordModule.from_json runs it."""
-    perm, sign = clifford._monomial(np.asarray(gammas))
-    clifford._check_clifford_relations(perm, sign, w_v, w_s)
+def table_check_clifford_relations(gammas) -> None:
+    """clifford._check_clifford_relations on the tables of a dense stack, the
+    way CliffordModule.from_json runs it."""
+    clifford._check_clifford_relations(*clifford._monomial(np.asarray(gammas)))
 
 
 def dense_from_tables(perm, sign) -> np.ndarray:
@@ -277,7 +286,7 @@ def corrupt_stack(stack: np.ndarray, kind: str, rng) -> np.ndarray:
 # Dense generator oracle: the Cayley-Dickson tower and the period-8 recursion
 # on dense integer matrices, every left multiplication built one column at a
 # time and every tensor step an np.kron, which the library's (perm, sign)
-# tables replace; and the eigvalsh/inv route for MetricSpace's fields
+# tables replace
 # ---------------------------------------------------------------------------
 
 _TAU = np.array([[1, 0], [0, -1]], dtype=np.int64)
@@ -307,31 +316,13 @@ def dense_cl_neg_generators(k: int) -> tuple[np.ndarray, ...]:
     return tuple(np.kron(j, omega) for j in base) + tuple(np.kron(eye_d, b) for b in beta)
 
 
-def dense_module_stack(dim_v: int, signature=None, multiplicity: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """The int64 gamma stack and spinor Gram of build_clifford_module, built
-    with dense Kronecker products."""
-    p, q = signature or (dim_v, 0)
+def dense_module_stack(dim_v: int, multiplicity: int = 1) -> np.ndarray:
+    """The int64 gamma stack of build_clifford_module, built with dense
+    Kronecker products."""
     jf = dense_cl_neg_generators(dim_v - 1)
     d = jf[0].shape[0] if jf else 1
-    gammas = [np.eye(d, dtype=np.int64), *jf]
-    s_gram = np.eye(d, dtype=np.int64)
-    if q:
-        gammas = [np.kron(g, np.eye(2, dtype=np.int64) if a < p else _EPS) for a, g in enumerate(gammas)]
-        s_gram = np.kron(s_gram, _TAU)
     eye_m = np.eye(multiplicity, dtype=np.int64)
-    return np.stack([np.kron(eye_m, g) for g in gammas]), np.kron(eye_m, s_gram)
-
-
-def eigvalsh_metric_fields(weights) -> dict:
-    """signature, gram and weights of the space of +/-1 weights, from its
-    dense Gram matrix G: the signature from the signs of np.linalg.eigvalsh
-    and the weights the diagonal of np.linalg.inv; G G == I checks that G is
-    its own inverse."""
-    g = np.diag(np.asarray(weights, dtype=float))
-    assert np.array_equal(g @ g, np.eye(len(g)))
-    ev = np.linalg.eigvalsh(g)
-    signature = (int(np.sum(ev > 0)), int(np.sum(ev < 0)))
-    return {"signature": signature, "gram": g, "weights": np.diag(np.linalg.inv(g)).copy()}
+    return np.stack([np.kron(eye_m, g) for g in (np.eye(d, dtype=np.int64), *jf)])
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +333,8 @@ def eigvalsh_metric_fields(weights) -> dict:
 
 
 # rank3_cone arguments (dim_v, multiplicity, signature) of the modules the
-# gathers are checked on
+# gathers are checked on; the two with an indefinite signature are refused
+# (see made_cone), negative controls
 PRODUCT_MODULES = [(d, 1, None) for d in range(1, 18)] + [
     (3, 1, (2, 1)),
     (4, 1, (1, 3)),
@@ -363,25 +355,23 @@ def dense_mult(alg, x12, x23) -> np.ndarray:
 
 def _dense_form13(alg, x13) -> np.ndarray:
     """(u, y) -> <x13, u . y>_13 as a (..., d12, d23) matrix."""
-    y = np.asarray(x13, dtype=float) @ alg.spaces[(1, 3)].gram
-    return np.einsum("...k,kia->...ia", y, dense_product_tensor(alg))
+    return np.einsum("...k,kia->...ia", np.asarray(x13, dtype=float), dense_product_tensor(alg))
 
 
 def dense_mult_flat_right(alg, x13, x23) -> np.ndarray:
-    z = np.einsum("...ia,...a->...i", _dense_form13(alg, x13), x23)
-    return z @ np.linalg.inv(alg.spaces[(1, 2)].gram)
+    return np.einsum("...ia,...a->...i", _dense_form13(alg, x13), x23)
 
 
 def dense_mult_flat_left(alg, x12, x13) -> np.ndarray:
-    z = np.einsum("...i,...ia->...a", x12, _dense_form13(alg, x13))
-    return z @ np.linalg.inv(alg.spaces[(2, 3)].gram)
+    return np.einsum("...i,...ia->...a", x12, _dense_form13(alg, x13))
 
 
 def dense_cubic_derivatives(q, X, tensor: bool = True) -> tuple[np.ndarray, np.ndarray]:
-    """Gradient and Hessian of an invariant cubic at one point, every Gram
-    product a dense matmul.  At rank 3 the terms of 2 <s0 . v, s1> contract
-    the dense product tensor; with ``tensor=False`` they take the library's
-    gathers in the library's order of operations, the dense-Gram oracle."""
+    """Gradient and Hessian of an invariant cubic at one point from the
+    closed forms, each block's metric the identity.  At rank 3 the terms of
+    2 <s0 . v, s1> contract the dense product tensor; with ``tensor=False``
+    they take the library's gathers in the library's order of operations,
+    an oracle for the assembly of the blocks alone."""
     alg = q.cone.algebra
     lay = alg.layout
     n = alg.herm_dim
@@ -389,53 +379,51 @@ def dense_cubic_derivatives(q, X, tensor: bool = True) -> tuple[np.ndarray, np.n
     if q.cone.rank == 2:
         a, b = q.coeffs
         x1, x2 = X.diag
-        w, G, wsl = X.offdiag[(1, 2)], alg.spaces[(1, 2)].gram, lay[(1, 2)]
-        gw = G @ w
+        w, wsl = X.offdiag[(1, 2)], lay[(1, 2)]
         g[0] = b * x2**2
-        g[1] = 3.0 * a * x2**2 + 2.0 * b * x1 * x2 - b * (w @ gw)
-        g[wsl] = -2.0 * b * x2 * gw
+        g[1] = 3.0 * a * x2**2 + 2.0 * b * x1 * x2 - b * (w @ w)
+        g[wsl] = -2.0 * b * x2 * w
         H[0, 1] = H[1, 0] = 2.0 * b * x2
         H[1, 1] = 6.0 * a * x2 + 2.0 * b * x1
-        H[1, wsl] = H[wsl, 1] = -2.0 * b * gw
-        H[wsl, wsl] = -2.0 * b * x2 * G
+        H[1, wsl] = H[wsl, 1] = -2.0 * b * w
+        H[wsl, wsl] = -2.0 * b * x2 * np.eye(w.size)
         return g, H
     a, b, c = q.coeffs
     x1, x2, x3 = X.diag
     s0, s1, v = X.offdiag[(1, 2)], X.offdiag[(1, 3)], X.offdiag[(2, 3)]
-    G0, G1, GV = (alg.spaces[k].gram for k in ((1, 2), (1, 3), (2, 3)))
     s0sl, s1sl, vsl = lay[(1, 2)], lay[(1, 3)], lay[(2, 3)]
-    # derivatives of <s0 . v, s1> in s0, in s1 before G1, and in v, and the
-    # blocks mu_v (S1 x S0), P^T (S0 x V) and Gamma_a s0 (S1 x V)
+    # derivatives of <s0 . v, s1> in s0, in s1 and in v, and the blocks
+    # mu_v (S1 x S0), P^T (S0 x V) and Gamma_a s0 (S1 x V)
     if tensor:
-        P, y = dense_product_tensor(alg), G1 @ s1
-        d_s0, d_s1, d_v = np.einsum("kia,k,a->i", P, y, v), dense_mult(alg, s0, v), np.einsum("kia,k,i->a", P, y, s0)
-        mu, pair_t, images = np.einsum("kia,a->ki", P, v), np.einsum("kia,k->ia", P, y), np.einsum("kia,i->ka", P, s0)
+        P = dense_product_tensor(alg)
+        d_s0, d_s1, d_v = np.einsum("kia,k,a->i", P, s1, v), dense_mult(alg, s0, v), np.einsum("kia,k,i->a", P, s1, s0)
+        mu, pair_t, images = np.einsum("kia,a->ki", P, v), np.einsum("kia,k->ia", P, s1), np.einsum("kia,i->ka", P, s0)
     else:
         pair = dense_gamma_pairing(alg, s1)
         d_s0, d_s1, d_v = v @ pair, alg.mult(s0, v), pair @ s0
         mu, pair_t, images = dense_mu(alg.clifford, v), pair.T, alg.clifford.gamma_images(s0).T
-    n0, n1, nv = s0 @ (G0 @ s0), s1 @ (G1 @ s1), v @ (GV @ v)
+    n0, n1, nv = s0 @ s0, s1 @ s1, v @ v
     g[0] = a * (x2 * x3 - nv)
     g[1] = a * (x1 * x3 - n1) + b * x3**2
     g[2] = a * (x1 * x2 - n0) + 2.0 * b * x2 * x3 - b * nv + 3.0 * c * x3**2
-    g[s0sl] = -2.0 * a * x3 * (G0 @ s0) + 2.0 * a * d_s0
-    g[s1sl] = -2.0 * a * x2 * (G1 @ s1) + 2.0 * a * (G1 @ d_s1)
-    g[vsl] = -2.0 * (a * x1 + b * x3) * (GV @ v) + 2.0 * a * d_v
+    g[s0sl] = -2.0 * a * x3 * s0 + 2.0 * a * d_s0
+    g[s1sl] = -2.0 * a * x2 * s1 + 2.0 * a * d_s1
+    g[vsl] = -2.0 * (a * x1 + b * x3) * v + 2.0 * a * d_v
     H[0, 1] = H[1, 0] = a * x3
     H[0, 2] = H[2, 0] = a * x2
     H[1, 2] = H[2, 1] = a * x1 + 2.0 * b * x3
     H[2, 2] = 2.0 * b * x2 + 6.0 * c * x3
-    H[0, vsl] = H[vsl, 0] = -2.0 * a * (GV @ v)
-    H[1, s1sl] = H[s1sl, 1] = -2.0 * a * (G1 @ s1)
-    H[2, s0sl] = H[s0sl, 2] = -2.0 * a * (G0 @ s0)
-    H[2, vsl] = H[vsl, 2] = -2.0 * b * (GV @ v)
-    H[s0sl, s0sl] = -2.0 * a * x3 * G0
-    H[s1sl, s1sl] = -2.0 * a * x2 * G1
-    H[vsl, vsl] = -2.0 * (a * x1 + b * x3) * GV
+    H[0, vsl] = H[vsl, 0] = -2.0 * a * v
+    H[1, s1sl] = H[s1sl, 1] = -2.0 * a * s1
+    H[2, s0sl] = H[s0sl, 2] = -2.0 * a * s0
+    H[2, vsl] = H[vsl, 2] = -2.0 * b * v
+    H[s0sl, s0sl] = -2.0 * a * x3 * np.eye(s0.size)
+    H[s1sl, s1sl] = -2.0 * a * x2 * np.eye(s1.size)
+    H[vsl, vsl] = -2.0 * (a * x1 + b * x3) * np.eye(v.size)
     for rows, cols, blk in (
-        (s0sl, s1sl, 2.0 * a * (mu.T @ G1)),
+        (s0sl, s1sl, 2.0 * a * mu.T),
         (s0sl, vsl, 2.0 * a * pair_t),
-        (s1sl, vsl, 2.0 * a * (G1 @ images)),
+        (s1sl, vsl, 2.0 * a * images),
     ):
         H[rows, cols] = blk
         H[cols, rows] = blk.T
@@ -443,15 +431,14 @@ def dense_cubic_derivatives(q, X, tensor: bool = True) -> tuple[np.ndarray, np.n
 
 
 # ---------------------------------------------------------------------------
-# Dense-Gram oracle: every product with a Gram matrix or its inverse a full
-# matmul (the inverse from np.linalg.inv), which MetricSpace's weights
-# replace, and mu_v as the einsum over the dense gammas that its scatter
-# replaces
+# Dense oracles: the inner product through a matmul by the identity Gram
+# matrix, mu_v as the einsum over the dense gammas that its scatter replaces,
+# and the products as a take of the whole table and einsums
 # ---------------------------------------------------------------------------
 
 
 def dense_ip(space, x, y):
-    return ((np.asarray(x) @ space.gram) * y).sum(-1)
+    return ((np.asarray(x) @ np.eye(space.dim)) * y).sum(-1)
 
 
 def dense_mu(module, v) -> np.ndarray:
@@ -462,7 +449,7 @@ def dense_gamma_pairing(alg, x13) -> np.ndarray:
     perm, val, _, _ = alg.clifford.monomial_tables
     # np.take returns a C-ordered array, as the library's gathers do; a stack
     # laid out otherwise takes another matmul path, which rounds differently
-    return np.take(np.asarray(x13, dtype=float) @ alg.spaces[(1, 3)].gram, perm, axis=-1) * val
+    return np.take(np.asarray(x13, dtype=float), perm, axis=-1) * val
 
 
 def dense_flat_product(alg, x13, x, key) -> np.ndarray:
@@ -470,28 +457,23 @@ def dense_flat_product(alg, x13, x, key) -> np.ndarray:
     P = dense_gamma_pairing(alg, x13)
     x = np.asarray(x, dtype=float)
     if (key == (1, 2)) == (alg.kind == "rank3-special"):  # x is the factor in V
-        z = (x[..., None, :] @ P)[..., 0, :]
-    else:
-        z = (P @ x[..., None])[..., 0]
-    return z @ np.linalg.inv(alg.spaces[key].gram)
+        return (x[..., None, :] @ P)[..., 0, :]
+    return (P @ x[..., None])[..., 0]
 
 
 def dense_clifford_bilinear(module, s1, s0) -> np.ndarray:
-    z = np.einsum("...k,aki,...i->...a", np.asarray(s1) @ module.s1_space.gram, module.gammas, s0)
-    return z @ np.linalg.inv(module.v_space.gram)
+    return np.einsum("...k,aki,...i->...a", np.asarray(s1), module.gammas, s0)
 
 
 def dense_clifford_mult_adjoint(module, v, s1) -> np.ndarray:
-    z = dense_mu(module, v).T @ (module.s1_space.gram @ s1)
-    return z @ np.linalg.inv(module.s0_space.gram)
+    return dense_mu(module, v).T @ s1
 
 
-def unfolded_products(module) -> dict:
-    """The Clifford products by the formula that keeps the +/-1 weights out
-    of the tables: lower s1 by MetricSpace.lower, gather through the
-    module's (perm, val) or (inv, inv_val) tables, contract in the stacked
-    matmul, and raise the result by MetricSpace.raise_.  The library's
-    products, on sign-folded tables, must give these bits."""
+def gather_products(module) -> dict:
+    """The Clifford products by the gather formula on whole tables: take s1
+    or s0 through the module's (perm, val) or (inv, inv_val) tables, raveled
+    and reshaped, and contract in the stacked matmul, one point as a stack
+    of one.  The library's products must give these bits."""
     perm, val, inv, inv_val = module.monomial_tables
 
     def gather(x, index, values):
@@ -502,13 +484,13 @@ def unfolded_products(module) -> dict:
         return (np.asarray(x, dtype=float)[..., None, :] @ M)[..., 0, :]
 
     def pairing(s1):
-        return gather(module.s1_space.lower(s1), perm, val)
+        return gather(s1, perm, val)
 
     return {
         "gamma_pairing": pairing,
         "mult": lambda v, s0: row_times(v, gather(s0, inv, inv_val)),
-        "bilinear": lambda s1, s0: module.v_space.raise_((pairing(s1) @ np.asarray(s0, dtype=float)[..., None])[..., 0]),
-        "mult_adjoint": lambda v, s1: module.s0_space.raise_(row_times(v, pairing(s1))),
+        "bilinear": lambda s1, s0: (pairing(s1) @ np.asarray(s0, dtype=float)[..., None])[..., 0],
+        "mult_adjoint": lambda v, s1: row_times(v, pairing(s1)),
         "trilinear": lambda s0, s1, v: (row_times(v, pairing(s1)) * s0).sum(-1),
     }
 
@@ -846,7 +828,8 @@ def reference_scan_parameter_plane(cone, eps1_values, eps2_values, grid, search)
 
 def same_bits(a, b) -> bool:
     """Equal values of equal Python types, nested through tuples and
-    dataclasses; NaN equals NaN and a zero equals only a zero of its sign."""
+    dataclasses; NaN equals NaN and a zero equals only a zero of its sign,
+    in a float array as in a float."""
     if type(a) is not type(b):
         return False
     if isinstance(a, tuple):
@@ -858,5 +841,9 @@ def same_bits(a, b) -> bool:
     if isinstance(a, float):
         return math.copysign(1.0, a) == math.copysign(1.0, b) and (a == b or (a != a and b != b))
     if isinstance(a, np.ndarray):
-        return a.dtype == b.dtype and np.array_equal(a, b, equal_nan=a.dtype.kind == "f")
+        if a.dtype != b.dtype or a.shape != b.shape:
+            return False
+        if a.dtype.kind != "f":
+            return np.array_equal(a, b)
+        return np.array_equal(np.signbit(a), np.signbit(b)) and np.array_equal(a, b, equal_nan=True)
     return a == b

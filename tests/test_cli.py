@@ -233,6 +233,7 @@ class TestEval:
 
     @pytest.mark.parametrize("op", ["chi", "membership"])
     def test_euclidean_only_op_on_indefinite_cone_exits_3(self, tmp_path, capsys, op):
+        # the split spec is refused before any op runs
         spec = write_json(tmp_path / "s.json", {"rank": 3, "dim_v": 2, "signature": [1, 1]})
         X = write_json(tmp_path / "X.json", {"rank": 3, "diag": [2, 2, 2]})
         assert cli.main(["eval", "--spec", spec, "--op", op, X]) == 3
@@ -278,7 +279,7 @@ class TestScan:
             if float(eps2) == 0:
                 assert cls == "admissible-on-sample"
 
-    def test_indefinite_unsupported(self, tmp_path):
+    def test_indefinite_unsupported(self, tmp_path, capsys):
         spec = write_json(
             tmp_path / "s.json", {"rank": 3, "dim_v": 2, "signature": [1, 1]}
         )
@@ -286,6 +287,7 @@ class TestScan:
             ["scan", "--spec", spec, "--eps1=0:0:1", "--eps2=0:0:1", "--out", str(tmp_path / "x.csv")]
         )
         assert rc == 3
+        assert capsys.readouterr().err.count("\n") == 1 and not (tmp_path / "x.csv").exists()
 
     def test_rank2_unsupported(self, spec2, tmp_path):
         rc = cli.main(
@@ -352,15 +354,13 @@ class TestSelftest:
         ids=str,
     )
     def test_indefinite_signature_passes(self, tmp_path, capsys, spec):
-        # chi and the pairing with the dual cone need the open cone of a
-        # Euclidean algebra; the suite skips them, as it skips the cubics
+        # no suite runs on a split metric, whose orbit is no convex cone: the
+        # spec is refused, and every Euclidean suite runs every invariant
         path = write_json(tmp_path / "spec.json", spec)
-        assert cli.main(["selftest", "--spec", path]) == 0
-        out = capsys.readouterr().out
-        assert "FAIL" not in out and out.splitlines()[-1] == "selftest passed (0 failing invariants)"
-        assert "unipotent-invariance-p" in out
-        for skipped in ("unipotent-invariance-chi", "dual-pairing-positivity", "hessian-log"):
-            assert skipped not in out
+        assert cli.main(["selftest", "--spec", path]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert "is indefinite" in captured.err
 
     def test_corrupt_gamma_on_rank2_exits_3(self, spec2, capsys):
         assert cli.main(["selftest", "--spec", spec2, "--corrupt-gamma"]) == 3
@@ -605,6 +605,49 @@ class TestScanBounds:
         assert rc == 0 and out.exists()
 
 
+class TestIndefiniteSignature:
+    """A spec whose signature [p, q] has q > 0 asks for a split metric, whose
+    orbit is no convex cone: every subcommand refuses it with exit 3 and one
+    line on stderr, and writes no stdout and no CSV.  The Euclidean [n, 0]
+    changes no output byte."""
+
+    @pytest.mark.parametrize("command", ["build", "eval", "scan", "selftest"])
+    @pytest.mark.parametrize(
+        "spec",
+        [{"rank": 3, "dim_v": 2, "signature": [1, 1]}, {"rank": 2, "dim_w": 3, "signature": [2, 1]}],
+        ids=["d2-1-1", "w3-2-1"],
+    )
+    def test_exits_3_with_one_line(self, tmp_path, capsys, spec, command):
+        path = write_json(tmp_path / "s.json", spec)
+        point = write_json(tmp_path / "X.json", {"rank": spec["rank"], "diag": [1] * spec["rank"]})
+        csv_path = tmp_path / "scan.csv"
+        args = {
+            "build": [],
+            "eval": ["--op", "p", point],
+            "scan": ["--eps1=0:0:1", "--eps2=0:0:1", "--out", str(csv_path)],
+            "selftest": [],
+        }[command]
+        assert cli.main([command, "--spec", path, *args]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and not csv_path.exists()
+        p, q = spec["signature"]
+        assert captured.err == (
+            f"unsupported configuration: signature [{p}, {q}] is indefinite: "
+            f"a Vinberg cone needs Euclidean blocks, [{p + q}, 0]\n"
+        )
+
+    @pytest.mark.parametrize(
+        "spec", [{"rank": 3, "dim_v": 8}, {"rank": 3, "dim_v": 3, "multiplicity": 2}, {"rank": 2, "dim_w": 9}], ids=str
+    )
+    def test_euclidean_signature_changes_nothing(self, tmp_path, capsys, spec):
+        n = spec.get("dim_v", spec.get("dim_w"))
+        outputs = []
+        for obj in (spec, {**spec, "signature": [n, 0]}):
+            assert cli.main(["build", "--spec", write_json(tmp_path / "s.json", obj)]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1] and '"euclidean": true' in outputs[0]
+
+
 class TestSpecValues:
     @pytest.mark.parametrize(
         "spec",
@@ -655,8 +698,8 @@ class TestSpecValues:
         assert captured.err == f"error: {message}\n"
 
     def test_parse_spec_returns_exact_values(self):
-        cone, module, seed = cli.parse_spec({"rank": 3, "dim_v": 2, "signature": [1, 1], "seed": 7})
-        assert (cone.dim_herm, module.dim_v, module.v_space.signature, seed) == (13, 2, (1, 1), 7)
+        cone, module, seed = cli.parse_spec({"rank": 3, "dim_v": 2, "signature": [2, 0], "seed": 7})
+        assert (cone.dim_herm, module.dim_v, module.dim_s, seed) == (9, 2, 2, 7)
 
     def test_rank2_above_size_bound_exits_3_quickly(self, tmp_path):
         # before the bound, dim_w = 20000 needed a 3 GB Gram matrix and hours of eigvalsh
@@ -754,6 +797,10 @@ class TestSelftestStdout:
     @pytest.mark.parametrize("tag", SPECS)
     def test_same_bytes_as_drawing_one_sample_at_a_time(self, tmp_path, capsys, monkeypatch, tag):
         path = write_json(tmp_path / "spec.json", self.SPECS[tag])
+        if tag == "split-d2":  # a negative control: refused, nothing is drawn
+            assert cli.main(["selftest", "--spec", path, "--seed", "1"]) == 3
+            assert capsys.readouterr().out == ""
+            return
         got = run_selftest(capsys, path)
         assert got == self.per_sample_stdout(capsys, monkeypatch, path)
         assert got.endswith("selftest passed (0 failing invariants)\n")

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import json
 import os
 import subprocess
 import sys
@@ -15,6 +16,7 @@ from vinberg_cones.clifford import CliffordModule, MetricSpace
 from vinberg_cones.errors import (
     CliffordRelationError,
     DimensionMismatchError,
+    IndefiniteSignatureError,
     ModuleTooLargeError,
     SpecError,
 )
@@ -25,6 +27,7 @@ from _support import (
     FULL_V,
     SCALED_S,
     SCALED_V,
+    Refused,
     corrupt_stack,
     corrupt_tables,
     dense_check_clifford_relations,
@@ -34,92 +37,103 @@ from _support import (
     dense_module_stack,
     dense_mu,
     dense_polarized_residual,
-    eigvalsh_metric_fields,
+    gather_products,
     hurwitz_radon,
     j_relation_check,
+    made,
+    made_cone,
     min_dim_by_radon,
-    rank3_cone,
     refused,
+    same_bits,
     table_check_clifford_relations,
     table_check_j_family,
-    unfolded_products,
+)
+
+# a module JSON that CliffordModule.to_json wrote before the library took
+# Euclidean metrics only, for dim_v = 3: the bytes it still writes and reads
+D3_MODULE_JSON = (
+    '{"dim_v": 3, "signature": [3, 0], "multiplicity": 1, "gammas": [[[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], '
+    '[0, 0, 0, 1]], [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]], [[0, 0, -1, 0], [0, 0, 0, 1], '
+    '[1, 0, 0, 0], [0, -1, 0, 0]]]}'
+)
+# and the one it wrote for signature (1, 1), a doubled spinor space with a
+# split metric: from_json refuses it
+SPLIT_D2_MODULE_JSON = (
+    '{"dim_v": 2, "signature": [1, 1], "multiplicity": 1, "gammas": [[[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], '
+    '[0, 0, 0, 1]], [[0, 0, 0, -1], [0, 0, 1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]]]}'
 )
 
 
 class TestMetricSpace:
     def test_euclidean_canonical(self):
+        # a space is its dimension, with the identity Gram matrix
         s = MetricSpace.euclidean(3)
-        assert s.signature == (3, 0)
-        np.testing.assert_array_equal(s.gram, np.eye(3))
-        assert s.is_euclidean
+        assert s == MetricSpace(3) and vars(s) == {"dim": 3}
+        assert s.ip([1.0, 2.0, 0.0], [3.0, -1.0, 5.0]) == 1.0
+        assert s.norm_sq([1.0, -2.0, 2.0]) == 9.0
 
     def test_indefinite_canonical(self):
-        s = MetricSpace.canonical(1, 2)
-        assert s.signature == (1, 2)
-        assert not s.is_euclidean
-        assert s.ip([1, 0, 0], [1, 0, 0]) == 1.0
-        assert s.ip([0, 1, 0], [0, 1, 0]) == -1.0
+        # no space carries a signature; one with q > 0 is refused where it
+        # enters, here the module builder
+        assert not hasattr(MetricSpace, "canonical") and not hasattr(MetricSpace, "signature")
+        with pytest.raises(IndefiniteSignatureError, match=r"signature \[1, 2\] is indefinite"):
+            vc.build_clifford_module(3, signature=(1, 2))
 
     def test_rejects_wrong_signature(self):
-        # the signature is read from the weights: none can be declared
-        assert MetricSpace([1.0, -1.0]).signature == (1, 1)
+        # none can be declared
         with pytest.raises(TypeError):
-            MetricSpace(2, (2, 0), np.diag([1.0, -1.0]))
+            MetricSpace(2, (2, 0))
 
     def test_rejects_degenerate_gram(self):
-        with pytest.raises(SpecError, match="pseudo-orthonormal basis"):
+        with pytest.raises(DimensionMismatchError, match="integer dim"):
             MetricSpace([1.0, 0.0])
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(DimensionMismatchError, match="integer dim"):
             MetricSpace(np.array([[1.0, 1.0], [1.0, 1.0]]))
 
     def test_rejects_asymmetric_gram(self):
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(DimensionMismatchError, match="integer dim"):
             MetricSpace(np.array([[1.0, 0.5], [0.0, 1.0]]))
 
     def test_negative_dimensions_raise_dimension_mismatch(self):
         # not numpy's "negative dimensions are not allowed", nor its TypeError
         # on a count that is no integer
-        with pytest.raises(DimensionMismatchError):
-            MetricSpace.euclidean(-1)
-        with pytest.raises(DimensionMismatchError):
-            MetricSpace.canonical(-1, 2)
-        with pytest.raises(DimensionMismatchError):
-            MetricSpace.canonical(2, -1)
-        with pytest.raises(DimensionMismatchError, match="integer counts"):
-            MetricSpace.euclidean(2.0)
-        with pytest.raises(DimensionMismatchError, match="integer counts"):
-            MetricSpace.canonical(1.5, 0)
-        with pytest.raises(DimensionMismatchError, match="integer counts"):
-            MetricSpace.euclidean(True)
+        for dim in (-1, 0, 2.0, True):
+            with pytest.raises(DimensionMismatchError, match="integer dim"):
+                MetricSpace.euclidean(dim)
 
     @pytest.mark.parametrize("weights", [np.zeros(0), np.ones((1, 1)), 1.0], ids=["empty", "1x1", "scalar"])
     def test_rejects_weights_that_are_no_vector(self, weights):
-        with pytest.raises(DimensionMismatchError, match="non-empty vector"):
+        with pytest.raises(DimensionMismatchError, match="integer dim"):
             MetricSpace(weights)
 
     def test_weights_are_a_read_only_copy(self):
-        given = np.array([1.0, -1.0, 1.0])
-        space = MetricSpace(given)
-        given[0] = -1.0
-        assert space.signature == (2, 1) and space.dim == 3
-        assert space.weights.tolist() == [1.0, -1.0, 1.0] and not space.weights.flags.writeable
-        assert given.flags.writeable
+        # no weights are kept: a weight vector is refused, and the space is frozen
+        with pytest.raises(DimensionMismatchError, match="integer dim"):
+            MetricSpace(np.array([1.0, -1.0, 1.0]))
+        space = MetricSpace(3)
+        with pytest.raises(AttributeError):
+            space.dim = 4
+        assert not hasattr(space, "weights") and space.dim == 3
 
     @pytest.mark.parametrize(
         "make",
-        [lambda: MetricSpace.euclidean(2896), lambda: MetricSpace.canonical(1448, 1448)],
+        [
+            lambda: MetricSpace.euclidean(2896),
+            Refused(lambda: cli.parse_spec({"rank": 2, "dim_w": 2896, "signature": [1448, 1448]})),
+        ],
         ids=["euclidean-2896", "canonical-1448-1448"],
     )
     def test_largest_rank2_space_allocates_no_matrix(self, make):
         # dim_w = 2896 is the largest rank-2 space the CLI accepts; a dense
-        # Gram matrix of it would take 67 MB
+        # Gram matrix of it would take 67 MB.  A split signature of that
+        # size is refused before anything is built
         tracemalloc.start()
         try:
-            space = make()
+            space = made(make)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert space.dim == 2896
+        assert space is None or space.dim == 2896
         assert peak < 2**20
 
 
@@ -141,13 +155,12 @@ class TestConstruction:
         # anticommuting complex structures, so dim S is the smallest d with
         # rho(d) >= dim_v
         assert vc.minimal_spinor_dim(dim_v) == min_dim_by_radon(dim_v)
-        assert vc.minimal_spinor_dim(dim_v, (dim_v - 1, 1)) == 2 * min_dim_by_radon(dim_v)
 
     def test_size_bound_rejects_before_building(self):
         clifford._cl_neg_generators.cache_clear()
         with pytest.raises(ModuleTooLargeError):
             vc.build_clifford_module(24)
-        with pytest.raises(ModuleTooLargeError):
+        with pytest.raises(IndefiniteSignatureError):
             vc.build_clifford_module(18, signature=(17, 1))
         assert clifford._cl_neg_generators.cache_info().currsize == 0
 
@@ -199,7 +212,7 @@ class TestConstruction:
         a = vc.build_clifford_module(6, multiplicity=2)
         b = vc.build_clifford_module(6, multiplicity=2)
         assert np.array_equal(a.gammas, b.gammas)
-        np.testing.assert_array_equal(a.s0_space.gram, b.s0_space.gram)
+        assert a.s0_space == b.s0_space == MetricSpace(a.dim_s)
 
     def test_rejects_zero_inputs(self):
         with pytest.raises(DimensionMismatchError):
@@ -208,10 +221,14 @@ class TestConstruction:
             vc.build_clifford_module(2, multiplicity=0)
 
     def test_indefinite_signature_doubles(self):
-        mod = vc.build_clifford_module(2, signature=(1, 1))
-        assert mod.dim_s == 2 * vc.build_clifford_module(2).dim_s
-        assert not mod.is_euclidean
-        assert mod.s0_space.signature == (2, 2)
+        # no doubled spinor space: a split signature is refused, and the
+        # Euclidean one, named, gives the module of no signature
+        with pytest.raises(IndefiniteSignatureError):
+            vc.build_clifford_module(2, signature=(1, 1))
+        named, default = vc.build_clifford_module(2, signature=(2, 0)), vc.build_clifford_module(2)
+        assert named.dim_s == default.dim_s == vc.minimal_spinor_dim(2)
+        for got, want in zip(named.monomial_tables, default.monomial_tables, strict=True):
+            assert same_bits(got, want)
 
 
 class TestOperations:
@@ -256,7 +273,9 @@ class TestOperations:
 
     @pytest.mark.parametrize("case", PRODUCT_MODULES, ids=str)
     def test_mu_scatter_matches_einsum(self, case):
-        module = rank3_cone(*case).algebra.clifford
+        if (cone := made_cone(case)) is None:
+            return
+        module = cone.algebra.clifford
         rng = np.random.default_rng(case[0])
         for v in (rng.uniform(-1, 1, module.dim_v), np.eye(module.dim_v)[-1]):
             np.testing.assert_array_equal(module.mu(v), dense_mu(module, v))
@@ -317,18 +336,18 @@ class TestInvariants:
 
     @pytest.mark.parametrize("signature", [(1, 1), (0, 1), (2, 1), (1, 2)])
     def test_isometry_indefinite(self, signature):
-        mod = vc.build_clifford_module(sum(signature), signature=signature)
-        assert vc.verify_isometry(mod, 300, seed=5) <= 1e-12
+        # negative controls: no module is built on an indefinite signature
+        with pytest.raises(IndefiniteSignatureError, match="is indefinite"):
+            vc.build_clifford_module(sum(signature), signature=signature)
 
     @pytest.mark.parametrize("dim_v", [1, 3, 6, 8])
     def test_polarized_clifford_relation(self, dim_v):
         mod = vc.build_clifford_module(dim_v)
-        g0, g1, gv = mod.s0_space.gram, mod.s1_space.gram, mod.v_space.gram
         gam = np.asarray(mod.gammas, dtype=float)
         for a in range(dim_v):
             for b in range(dim_v):
-                lhs = gam[a].T @ g1 @ gam[b] + gam[b].T @ g1 @ gam[a]
-                np.testing.assert_allclose(lhs, 2.0 * gv[a, b] * g0, atol=1e-12)
+                lhs = gam[a].T @ gam[b] + gam[b].T @ gam[a]
+                np.testing.assert_allclose(lhs, 2.0 * (a == b) * np.eye(mod.dim_s), atol=1e-12)
 
     def test_corrupted_gamma_detected(self):
         mod = vc.build_clifford_module(4)
@@ -355,7 +374,7 @@ class TestInvariants:
         # the integer relation check must raise under `python -O`, which
         # strips assert statements: on a dense stack read as from_json reads
         # it, and on J and gamma tables with a flipped sign or swapped perm,
-        # a J family as the stack [I, J_1..J_3] with identity metrics
+        # a J family as the stack [I, J_1..J_3]
         code = """
 import sys
 import numpy as np
@@ -376,13 +395,12 @@ gp_swapped = gp.copy()
 gp_swapped[2, [0, 3]] = gp_swapped[2, [3, 0]]
 gam = np.array(mod.gammas)
 gam[0, 0, 0] += 1
-g_v, g_s = mod.v_space.weights, np.ones(mod.dim_s)
 checks = [
     lambda: j_relation_check(perm, flipped),
     lambda: j_relation_check(swapped, sign),
-    lambda: clifford._check_clifford_relations(*clifford._monomial(gam), g_v, g_s),
-    lambda: clifford._check_clifford_relations(gp, gs_flipped, g_v, g_s),
-    lambda: clifford._check_clifford_relations(gp_swapped, gs, g_v, g_s),
+    lambda: clifford._check_clifford_relations(*clifford._monomial(gam)),
+    lambda: clifford._check_clifford_relations(gp, gs_flipped),
+    lambda: clifford._check_clifford_relations(gp_swapped, gs),
 ]
 for check in checks:
     try:
@@ -402,13 +420,23 @@ print("optimize", sys.flags.optimize)
         assert lines[:-1] == ["raised Clifford relation failed"] * 5
 
     def test_signed_permutation_is_required(self):
-        # an integral Lorentz transformation of x^2 + y^2 - z^2: the dense
-        # relation holds, but the matrix is no signed permutation
-        gamma = np.array([[[1, 2, 2], [2, 1, 2], [2, 2, 3]]])
-        w_s = np.array([1, 1, -1])
-        dense_check_clifford_relations(gamma, np.eye(1), np.diag(w_s))
-        with pytest.raises(CliffordRelationError, match="Clifford relation failed"):
-            table_check_clifford_relations(gamma, np.ones(1), w_s)
+        # an integer matrix with Gamma^T Gamma = I is a signed permutation:
+        # on every 2 x 2 one with entries in -2..2 the table check, which
+        # reads only monomial stacks, gives the dense relation's verdict, and
+        # exactly the 8 signed permutations pass
+        passed = 0
+        for entries in itertools.product(range(-2, 3), repeat=4):
+            gamma = np.array(entries).reshape(1, 2, 2)
+            want = _outcome(dense_check_clifford_relations, gamma)
+            assert _outcome(table_check_clifford_relations, gamma) is want
+            passed += want is None
+        assert passed == 8
+        # an integral Lorentz transformation of x^2 + y^2 - z^2, a Clifford
+        # gamma for a split metric only, fails both
+        lorentz = np.array([[[1, 2, 2], [2, 1, 2], [2, 2, 3]]])
+        for check in (dense_check_clifford_relations, table_check_clifford_relations):
+            with pytest.raises(CliffordRelationError, match="Clifford relation failed"):
+                check(lorentz)
 
     @pytest.mark.parametrize(
         "fam",
@@ -445,8 +473,11 @@ print("optimize", sys.flags.optimize)
     @pytest.mark.parametrize("dim_v, signature", [(3, None), (8, None), (3, (2, 1))])
     def test_verify_isometry_matches_per_sample_definition(self, dim_v, signature):
         # a corrupted module, so that the worst deviation is of order one:
-        # one nonzero entry doubled keeps the gammas monomial
-        mod = vc.build_clifford_module(dim_v, signature)
+        # one nonzero entry doubled keeps the gammas monomial; the split
+        # signature is a negative control, refused
+        if (mod := made(Refused(lambda: vc.build_clifford_module(dim_v, signature)) if signature else
+                        lambda: vc.build_clifford_module(dim_v))) is None:
+            return
         perm, val = mod.monomial_tables[:2]
         val = val.copy()
         val[-1, 0] *= 2  # the nonzero of the last gamma's first column
@@ -483,6 +514,13 @@ def _module(dim_v, signature, mult):
     return vc.build_clifford_module(dim_v, signature, mult)
 
 
+def _made_module(case):
+    """_module(*case); for a case with an indefinite signature, None after
+    checking that building it is refused (a negative control)."""
+    make = functools.partial(_module, *case)
+    return made(make if case[1] is None else Refused(make))
+
+
 def _outcome(check, *args):
     try:
         check(*args)
@@ -497,13 +535,13 @@ class TestExactChecksAgainstDenseOracle:
     @pytest.mark.parametrize("kind", _CORRUPTIONS)
     @pytest.mark.parametrize("case", _MODULE_CASES, ids=str)
     def test_relations(self, case, kind):
-        mod = _module(*case)
+        if (mod := _made_module(case)) is None:
+            return
         gam = np.asarray(mod.gammas)
         if kind is not None:
             gam = corrupt_stack(gam, kind, np.random.default_rng(_MODULE_CASES.index(case)))
-        w_v, w_s = mod.v_space.weights, mod.s0_space.weights
-        want = _outcome(dense_check_clifford_relations, gam, np.diag(w_v), np.diag(w_s).astype(np.int64))
-        assert _outcome(table_check_clifford_relations, gam, w_v, w_s) is want
+        want = _outcome(dense_check_clifford_relations, gam)
+        assert _outcome(table_check_clifford_relations, gam) is want
         if kind is None:
             assert want is None
         elif kind in ("bump", "duplicate") and case[0] > 1:
@@ -513,10 +551,10 @@ class TestExactChecksAgainstDenseOracle:
     def test_relation_residual(self, case):
         # the self-test's residual from the tables, bit for bit the dense
         # polarized loop's, on the module and on its --corrupt-gamma copy
-        mod = _module(*case)
+        if (mod := _made_module(case)) is None:
+            return
         for module in (mod, cli._corrupt_gamma(mod)):
-            perm, val = module.monomial_tables[:2]
-            got = clifford._relation_residual(perm, val, module.v_space.weights, module.s1_space.weights)
+            got = clifford._relation_residual(*module.monomial_tables[:2])
             want = dense_polarized_residual(module)
             assert np.float64(got).tobytes() == np.float64(want).tobytes()
             assert (got == 0.0) is (module is mod)
@@ -541,13 +579,20 @@ class TestSerialization:
         back = CliffordModule.from_json(mod.to_json())
         assert np.array_equal(back.gammas, mod.gammas)
         assert back.multiplicity == 2
-        np.testing.assert_array_equal(back.s0_space.gram, mod.s0_space.gram)
+        assert (back.v_space, back.s0_space, back.s1_space) == (mod.v_space, mod.s0_space, mod.s1_space)
 
     def test_roundtrip_indefinite(self):
-        mod = vc.build_clifford_module(2, signature=(1, 1))
-        back = CliffordModule.from_json(mod.to_json())
-        assert np.array_equal(back.gammas, mod.gammas)
-        assert back.v_space.signature == (1, 1)
+        # a split module's JSON, written when the library built them, is
+        # refused before its gammas are read
+        with pytest.raises(IndefiniteSignatureError, match=r"signature \[1, 1\] is indefinite"):
+            CliffordModule.from_json(json.loads(SPLIT_D2_MODULE_JSON))
+
+    def test_module_json_keeps_its_bytes(self):
+        # a Euclidean module's JSON from before still loads, and the module
+        # writes the same bytes, "signature": [dim_v, 0] included
+        back = CliffordModule.from_json(json.loads(D3_MODULE_JSON))
+        assert json.dumps(back.to_json()) == json.dumps(vc.build_clifford_module(3).to_json()) == D3_MODULE_JSON
+        assert back.v_space == MetricSpace(3) and back.s0_space == back.s1_space == MetricSpace(4)
 
     def test_gammas_serialize_as_integers(self):
         obj = vc.build_clifford_module(2).to_json()
@@ -574,14 +619,17 @@ class TestSerialization:
     @pytest.mark.parametrize("signature", [None, (2, 1)])
     @pytest.mark.parametrize("kind", ["bump", "flip-column"])
     def test_corrupted_json_rejected(self, kind, signature):
-        obj = vc.build_clifford_module(3, signature, multiplicity=2).to_json()
+        # a split signature is refused before the gammas' relation is checked
+        obj = vc.build_clifford_module(3, multiplicity=2).to_json()
         gam = np.array(obj["gammas"])
         if kind == "bump":
             gam[1, 0, 0] += 1
         else:
             gam[0, :, 0] *= -1
         obj["gammas"] = gam.tolist()
-        with pytest.raises(CliffordRelationError):
+        if signature is not None:
+            obj["signature"] = list(signature)
+        with pytest.raises(CliffordRelationError if signature is None else IndefiniteSignatureError):
             CliffordModule.from_json(obj)
 
     @pytest.mark.parametrize(
@@ -610,20 +658,25 @@ class TestSerialization:
     )
     def test_bad_values_rejected(self, change):
         # integers by the CLI's rule, multiplicity >= 1 and a (dim_v, dim_s,
-        # dim_s) integer stack, each a SpecError
+        # dim_s) integer stack, each a SpecError; a well-formed signature
+        # with q > 0 is refused as indefinite, whatever its stack
         obj = {**vc.build_clifford_module(2).to_json(), **change}
+        if change.get("signature") == [1, 1]:
+            with pytest.raises(IndefiniteSignatureError):
+                CliffordModule.from_json(obj)
+            return
         with pytest.raises(SpecError, match="bad Clifford-module JSON"):
             CliffordModule.from_json(obj)
 
     def test_numpy_integers_accepted(self):
-        obj = vc.build_clifford_module(3, (2, 1)).to_json()
-        obj.update(dim_v=np.int64(3), signature=[np.int32(2), np.int64(1)], multiplicity=np.int16(1))
+        obj = vc.build_clifford_module(3).to_json()
+        obj.update(dim_v=np.int64(3), signature=[np.int32(3), np.int64(0)], multiplicity=np.int16(1))
         back = CliffordModule.from_json(obj)
-        assert back.v_space.signature == (2, 1) and back.multiplicity == 1
+        assert back.v_space == MetricSpace(3) and back.multiplicity == 1
 
 
 # build_clifford_module arguments (dim_v, signature, multiplicity) compared
-# with the dense recursion of the oracle
+# with the dense recursion of the oracle; the split ones are refused
 _TABLE_CASES = (
     [(d, None, 1) for d in range(1, 19)]
     + [(sum(sig), sig, m) for sig in [(1, 1), (2, 1), (1, 3), (3, 2)] for m in (1, 2, 3)]
@@ -631,47 +684,28 @@ _TABLE_CASES = (
 )
 
 
-def _same_bits(got, want) -> None:
-    if want is None:
-        assert got is None
-        return
-    assert (got.dtype, got.shape) == (want.dtype, want.shape)
-    assert got.tobytes() == want.tobytes()
-
-
-def _space_fields(space) -> dict:
-    return {name: getattr(space, name) for name in ("signature", "gram", "weights")}
-
-
-def _assert_same_space(got: dict, want: dict) -> None:
-    assert got.pop("signature") == want.pop("signature")
-    for name, value in want.items():
-        _same_bits(got[name], value)
-
-
 class TestTableBuild:
     """build_clifford_module makes its tables in the Cayley-Dickson and
     period-8 recursion; they equal, bit for bit, those read off the dense
-    recursion of the oracle, and so do the materialized gammas and the
-    metric spaces."""
+    recursion of the oracle, and so do the materialized gammas; the spaces
+    are those of its dimensions."""
 
     @pytest.mark.parametrize("case", _TABLE_CASES, ids=str)
     def test_matches_dense_oracle(self, case):
         dim_v, signature, mult = case
-        gammas, s_gram = dense_module_stack(*case)
-        mod = vc.build_clifford_module(*case)
+        if (mod := made(Refused(lambda: vc.build_clifford_module(*case)) if signature else
+                        lambda: vc.build_clifford_module(*case))) is None:
+            return
+        gammas = dense_module_stack(dim_v, mult)
         assert "gammas" not in vars(mod)
         # the oracle's stack read into tables as from_json reads it
         tables = clifford._monomial(gammas)
         dense = CliffordModule(mod.v_space, mod.s0_space, mod.s1_space, tables=tables, multiplicity=mult)
         for got, want in zip(mod.monomial_tables, dense.monomial_tables, strict=True):
-            _same_bits(got, want)
-        _same_bits(mod.gammas, gammas)
-        p, q = signature or (dim_v, 0)
-        v_weights = np.concatenate([np.ones(p), -np.ones(q)])
-        _assert_same_space(_space_fields(mod.v_space), eigvalsh_metric_fields(v_weights))
-        for space in (mod.s0_space, mod.s1_space):
-            _assert_same_space(_space_fields(space), eigvalsh_metric_fields(np.diagonal(s_gram)))
+            assert same_bits(got, want)
+        assert same_bits(mod.gammas, gammas)
+        assert mod.v_space == MetricSpace(dim_v)
+        assert mod.s0_space == mod.s1_space == MetricSpace(gammas.shape[-1])
 
     def test_orbit_chain_never_materializes_the_dense_stack(self):
         mod = vc.build_clifford_module(16)
@@ -788,24 +822,24 @@ class TestTableNegativeControls:
     @pytest.mark.parametrize("kind", _TABLE_CORRUPTIONS)
     @pytest.mark.parametrize("case", [c for c in _MODULE_CASES if c[0] > 1], ids=str)
     def test_gammas(self, case, kind):
-        mod = _module(*case)
+        if (mod := _made_module(case)) is None:
+            return
         perm, val = mod.monomial_tables[:2]
         perm, sign = corrupt_tables(perm, val.astype(np.int64), kind, np.random.default_rng(case[0]))
-        w_v, w_s = mod.v_space.weights, mod.s0_space.weights
-        want = _message(dense_check_clifford_relations, dense_from_tables(perm, sign), np.diag(w_v), np.diag(w_s))
+        want = _message(dense_check_clifford_relations, dense_from_tables(perm, sign))
         assert want is not None
-        assert _message(clifford._check_clifford_relations, perm, sign, w_v, w_s) == want
+        assert _message(clifford._check_clifford_relations, perm, sign) == want
 
     def test_uncorrupted_tables_pass(self):
         for k in range(17):
             j_relation_check(*clifford._cl_neg_generators(k))
-        mod = _module(5, (3, 2), 2)
+        mod = _module(5, None, 2)
         perm, val = mod.monomial_tables[:2]
-        clifford._check_clifford_relations(perm, val.astype(np.int64), mod.v_space.weights, mod.s0_space.weights)
+        clifford._check_clifford_relations(perm, val.astype(np.int64))
 
 
-# diagonal metrics as weights: the +/-1 ones a MetricSpace holds, and every
-# other one, which it refuses
+# diagonal metrics as weights, the +/-1 ones a MetricSpace once held among
+# them: a MetricSpace takes its dimension, and refuses each of them
 _DIAGONAL_WEIGHTS = {
     "identity": np.ones(4),
     "signs": np.array([1.0, -1.0, -1.0, 1.0]),
@@ -822,43 +856,45 @@ _DIAGONAL_WEIGHTS = {
     "minus-half": np.array([1.0, -0.5]),
     "minus-infinite": np.array([-np.inf]),
 }
-_PSEUDO_ORTHONORMAL = ("identity", "signs", "split-128")
 
 
 class TestMetricSpaceDiagonalBranch:
-    """+/-1 weights give the signature and weights of the eigvalsh/inv
-    route on their Gram matrix; every other weight vector raises SpecError,
-    naming a pseudo-orthonormal basis.  A Gram matrix in place of the
-    weights is refused, and no signature can be declared."""
+    """Negative controls: no weight vector makes a space, as its weights
+    ("true"), as its Gram matrix ("with-gram") or beside a declared
+    signature ("wrong"); the identity of the weights' length is the only
+    metric, with the inner product of a dense matmul by np.linalg.inv of
+    its Gram matrix."""
 
     @pytest.mark.parametrize("declared", ["with-gram", "true", "wrong"])
     @pytest.mark.parametrize("name", list(_DIAGONAL_WEIGHTS))
     def test_matches_eigvalsh_inv_route(self, name, declared):
         w = _DIAGONAL_WEIGHTS[name]
         n = len(w)
-        if declared == "with-gram":  # the Gram matrix in place of its weights
-            with pytest.raises(DimensionMismatchError, match="non-empty vector"):
+        if declared == "with-gram":
+            with pytest.raises(DimensionMismatchError, match="integer dim"):
                 MetricSpace(np.diag(w))
-        elif declared == "wrong":  # the signature is read from the weights
+        elif declared == "wrong":
             with pytest.raises(TypeError):
                 MetricSpace(n, (n, 0), w)
-        elif name not in _PSEUDO_ORTHONORMAL:
-            with pytest.raises(SpecError, match="pseudo-orthonormal basis"):
-                MetricSpace(w)
         else:
-            _assert_same_space(_space_fields(MetricSpace(w)), eigvalsh_metric_fields(w))
+            with pytest.raises(DimensionMismatchError, match="integer dim"):
+                MetricSpace(w)
+            x, y = np.random.default_rng(n).uniform(-1.0, 1.0, (2, n))
+            assert MetricSpace(n).ip(x, y) == pytest.approx(x @ np.linalg.inv(np.eye(n)) @ y, rel=1e-14, abs=1e-15)
 
     def test_signed_zeros_of_the_inverse(self):
-        # raise_ multiplies by the weights of G^-1 = G, so a zero covector
-        # gives -0.0 in the timelike directions
-        space = MetricSpace.canonical(1, 2)
-        assert np.signbit(space.raise_(np.zeros(3))).tolist() == [False, True, True]
+        # no raising weight: the adjoints of zero arguments are +0.0, and the
+        # gather of -0.0 takes the sign of each gamma entry alone
+        mod = vc.build_clifford_module(2)
+        assert not np.signbit(mod.mult_adjoint(np.zeros(2), np.ones(mod.dim_s))).any()
+        assert not np.signbit(mod.bilinear(np.ones(mod.dim_s), np.zeros(mod.dim_s))).any()
+        inv_val = mod.monomial_tables[3]
+        assert (np.signbit(mod.gamma_images(-np.zeros(mod.dim_s))) == (inv_val > 0)).all()
 
 
 class TestPseudoOrthonormalOnly:
-    """Negative controls: a metric outside a pseudo-orthonormal basis is
-    refused, as its Gram matrix (no weight vector) and as its diagonal
-    (weights other than +/-1)."""
+    """Negative controls: a metric other than the identity is refused, as
+    its Gram matrix and as its diagonal."""
 
     @pytest.mark.parametrize(
         "gram",
@@ -866,9 +902,9 @@ class TestPseudoOrthonormalOnly:
         ids=["full-v", "full-s", "scaled-v", "scaled-s", "zero"],
     )
     def test_refused_grams(self, gram):
-        with pytest.raises(DimensionMismatchError, match="non-empty vector"):
+        with pytest.raises(DimensionMismatchError, match="integer dim"):
             MetricSpace(gram)
-        with pytest.raises(SpecError, match="pseudo-orthonormal basis"):
+        with pytest.raises(DimensionMismatchError, match="integer dim"):
             MetricSpace(np.diagonal(gram))
         with refused():
             MetricSpace(gram)
@@ -884,10 +920,11 @@ def _with_zeros(x: np.ndarray, rng) -> np.ndarray:
 
 
 class TestFoldedTables:
-    """The products run on tables with the S1 weights folded into their
-    values; they give the bits of the lower -> gather -> raise formula
-    (``unfolded_products``), signed zeros included, on split signatures and
-    at multiplicity 2, for one point and for stacks."""
+    """The products gather on the gamma tables themselves, with no metric
+    folded into them: they give the bits of the gather formula on whole
+    tables (``gather_products``), signed zeros included, at multiplicity 1
+    and 2, for one point and for stacks.  The split signatures are refused,
+    negative controls."""
 
     @pytest.mark.parametrize(
         "dim_v, signature, multiplicity",
@@ -896,8 +933,10 @@ class TestFoldedTables:
     )
     @pytest.mark.parametrize("shape", [(), (5,), (2, 3)], ids=["point", "stack", "stack-2d"])
     def test_products_keep_the_bits_of_the_unfolded_formula(self, dim_v, signature, multiplicity, shape):
-        mod = vc.build_clifford_module(dim_v, signature, multiplicity)
-        want = unfolded_products(mod)
+        make = functools.partial(vc.build_clifford_module, dim_v, signature, multiplicity)
+        if (mod := made(Refused(make) if signature else make)) is None:
+            return
+        want = gather_products(mod)
         rng = np.random.default_rng(dim_v + 10 * multiplicity + len(shape))
         v, s0, s1 = (_with_zeros(rng.uniform(-1.0, 1.0, shape + (n,)), rng) for n in (dim_v, mod.dim_s, mod.dim_s))
         zero_v, zero_s = np.zeros_like(v), -np.zeros_like(s0)  # sums of signed zeros only
@@ -909,20 +948,21 @@ class TestFoldedTables:
         }
         for name, calls in cases.items():
             for args in calls:
-                _same_bits(getattr(mod, name)(*args), want[name](*args))
+                assert same_bits(getattr(mod, name)(*args), want[name](*args))
         for alg in (vc.rank3_special(mod), vc.dual_algebra(vc.rank3_special(mod))):
             for x12, x23 in ((s0, v), (zero_s, v), (s0, zero_v)):
                 if alg.kind == "rank3-dual":
                     x12, x23 = x23, x12
                 s0_, v_ = (x12, x23) if alg.kind == "rank3-special" else (x23, x12)
                 got = alg.trilinear(x12, s1, x23)
-                _same_bits(got, want["trilinear"](s0_, s1, v_))
+                assert same_bits(got, want["trilinear"](s0_, s1, v_))
 
     def test_indefinite_results_keep_the_raising_sign(self):
-        # folded into a zero sum's terms, a -1 raising weight would give +0.0
-        # where raise_ gives -0.0; the products raise after the sum instead
-        mod = vc.build_clifford_module(2, (1, 1))
-        got = mod.mult_adjoint(np.zeros(2), np.ones(mod.dim_s))
-        assert np.signbit(got).tolist() == np.signbit(mod.s0_space.weights).tolist()
-        got = mod.bilinear(np.ones(mod.dim_s), np.zeros(mod.dim_s))
-        assert np.signbit(got).tolist() == np.signbit(mod.v_space.weights).tolist()
+        # no raising sign is left: a zero sum stays +0.0 on every Euclidean
+        # module, and the split module whose -1 weights gave -0.0 is refused
+        for dim_v in (1, 2, 4, 8):
+            mod = vc.build_clifford_module(dim_v)
+            assert not np.signbit(mod.mult_adjoint(np.zeros(dim_v), np.ones(mod.dim_s))).any()
+            assert not np.signbit(mod.bilinear(np.ones(mod.dim_s), np.zeros(mod.dim_s))).any()
+        with pytest.raises(IndefiniteSignatureError):
+            vc.build_clifford_module(2, (1, 1))

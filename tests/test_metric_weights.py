@@ -1,14 +1,16 @@
-"""A metric space is its +/-1 weight vector: every product with a Gram
-matrix or its inverse against the dense-Gram oracle of _support, equal
-entry for entry; a metric with other weights or a non-diagonal Gram matrix
-is refused, and each test on one is a negative control."""
+"""Every block metric is the identity, and a metric space is its
+dimension: each product against the dense oracles of _support (dense
+gammas, einsums and a matmul by the identity Gram matrix), equal entry for
+entry.  A metric other than the identity, or an indefinite signature, is
+refused, and each test on one is a negative control."""
 
 import numpy as np
 import pytest
 
 import vinberg_cones as vc
+from vinberg_cones import cli
 from vinberg_cones.clifford import CliffordModule, MetricSpace
-from vinberg_cones.errors import DimensionMismatchError, SpecError
+from vinberg_cones.errors import DimensionMismatchError
 
 from _support import (
     FULL_S,
@@ -24,18 +26,18 @@ from _support import (
     dense_gamma_pairing,
     dense_ip,
     made,
+    made_cone,
     random_orbit_point,
-    rank3_cone,
     regauged_module,
     rel_to_scale,
 )
 
-# modules with +/-1 metrics: identity, +/-1 on V and S, a multiplicity; and
-# refused ones, with non-unit weights or non-diagonal Gram matrices
+# Euclidean modules: dim_v = 4 and 16, and a multiplicity; and refused ones,
+# on indefinite signatures, non-unit weights or non-diagonal Gram matrices
 MODULES = {
     "identity": lambda: vc.build_clifford_module(4),
-    "split-2-1": lambda: vc.build_clifford_module(3, (2, 1)),
-    "split-1-3": lambda: vc.build_clifford_module(4, (1, 3)),
+    "split-2-1": Refused(lambda: vc.build_clifford_module(3, (2, 1))),
+    "split-1-3": Refused(lambda: vc.build_clifford_module(4, (1, 3))),
     "multiplicity-2": lambda: vc.build_clifford_module(4, None, 2),
     "dim-v-16": lambda: vc.build_clifford_module(16),
     "scaled": Refused(lambda: regauged_module(SCALED_V, SCALED_S)),
@@ -43,56 +45,58 @@ MODULES = {
 }
 SPACES = {
     "identity": lambda: MetricSpace.euclidean(3),
-    "signs": lambda: MetricSpace.canonical(1, 2),
+    "signs": Refused(lambda: cli.parse_spec({"rank": 2, "dim_w": 3, "signature": [1, 2]})),
     "scaled": Refused(lambda: MetricSpace(SCALED_V)),
     "non-diagonal": Refused(lambda: MetricSpace(FULL_V)),
 }
 
 
-def assert_weights(space, signature) -> None:
-    """The space holds its signature and its +/-1 weights, read-only and
-    one per basis vector, and no dense matrix; gram is diag(weights), and
-    lower and raise_ multiply by them."""
-    p, q = signature
-    assert space.signature == signature and space.dim == p + q
-    assert sorted(space.weights.tolist(), reverse=True) == [1.0] * p + [-1.0] * q
-    assert not space.weights.flags.writeable
-    assert all(np.ndim(value) < 2 for value in vars(space).values())
-    np.testing.assert_array_equal(space.gram, np.diag(space.weights))
-    x = np.random.default_rng(0).uniform(-1, 1, (3, space.dim))
-    np.testing.assert_array_equal(space.lower(x), x @ space.gram)
-    np.testing.assert_array_equal(space.raise_(x), x @ np.linalg.inv(space.gram))
+def assert_identity(space, dim: int) -> None:
+    """The space holds its dimension and nothing else, no array, and its
+    inner product is that of the identity Gram matrix."""
+    assert space == MetricSpace(dim) and vars(space) == {"dim": dim}
+    x, y = np.random.default_rng(0).uniform(-1, 1, (2, 3, dim))
+    np.testing.assert_array_equal(space.ip(x, y), dense_ip(space, x, y))
 
 
 class TestWeightsPath:
     @pytest.mark.parametrize("case", PRODUCT_MODULES, ids=str)
     def test_built_modules_take_weights(self, case):
-        module = rank3_cone(*case).algebra.clifford
+        if (cone := made_cone(case)) is None:
+            return
+        module = cone.algebra.clifford
         back = CliffordModule.from_json(module.to_json())
-        dim_v, mult, signature = case
         for v_space in (module.v_space, back.v_space):
-            assert_weights(v_space, signature or (dim_v, 0))
-        half = module.dim_s // 2
+            assert_identity(v_space, case[0])
         for space in (module.s0_space, module.s1_space, back.s0_space, back.s1_space):
-            assert_weights(space, (module.dim_s, 0) if signature is None else (half, half))
+            assert_identity(space, module.dim_s)
 
-    @pytest.mark.parametrize("space", [MetricSpace.euclidean(5), MetricSpace.canonical(2, 3), MetricSpace.canonical(0, 1)])
+    @pytest.mark.parametrize(
+        "space",
+        [
+            lambda: MetricSpace.euclidean(5),
+            Refused(lambda: vc.build_clifford_module(5, (2, 3))),
+            Refused(lambda: vc.build_clifford_module(1, (0, 1))),
+        ],
+        ids=["space0", "space1", "space2"],
+    )
     def test_canonical_spaces_take_weights(self, space):
-        assert_weights(space, space.signature)
+        # the Euclidean space; a module on a signature with q > 0 is refused
+        if (made_space := made(space)) is not None:
+            assert_identity(made_space, 5)
 
     def test_non_diagonal_gram_takes_dense_path(self):
-        # there is no dense path: a non-diagonal Gram matrix is no weight
-        # vector, and its diagonal is no +/-1 one
-        with pytest.raises(DimensionMismatchError, match="non-empty vector"):
+        # there is no dense path: a Gram matrix is no dimension, and neither
+        # is its diagonal
+        with pytest.raises(DimensionMismatchError, match="integer dim"):
             MetricSpace(FULL_V)
-        with pytest.raises(SpecError, match="pseudo-orthonormal basis"):
+        with pytest.raises(DimensionMismatchError, match="integer dim"):
             MetricSpace(np.diagonal(FULL_V))
 
     def test_d18_spaces_hold_no_matrix(self):
         module = vc.build_clifford_module(18)
         for space in (module.v_space, module.s0_space, module.s1_space):
-            assert not any(np.ndim(value) == 2 for value in vars(space).values())
-            assert space.weights.shape == (space.dim,)
+            assert vars(space) == {"dim": space.dim}
 
 
 _MODULE_CASES = pytest.mark.parametrize("make", MODULES.values(), ids=MODULES.keys())
@@ -135,8 +139,8 @@ class TestAgainstDenseGrams:
 
     @_MODULE_CASES
     def test_clifford_bilinear(self, make):
-        # the gathered oracle with dense Grams (the algebra's mult_flat_left),
-        # and the einsum over the dense gammas to 1e-12
+        # the gathered oracle (the algebra's mult_flat_left), and the einsum
+        # over the dense gammas to 1e-12
         if (module := made(make)) is None:
             return
         alg = vc.rank3_special(module)
@@ -148,8 +152,8 @@ class TestAgainstDenseGrams:
 
     @_MODULE_CASES
     def test_clifford_mult_adjoint(self, make):
-        # the gathered oracle with dense Grams (the algebra's mult_flat_right),
-        # and mu_v^T over the dense gammas to 1e-12
+        # the gathered oracle (the algebra's mult_flat_right), and mu_v^T
+        # over the dense gammas to 1e-12
         if (module := made(make)) is None:
             return
         alg = vc.rank3_special(module)

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 import vinberg_cones as vc
-from vinberg_cones import clifford
+from vinberg_cones import cli, clifford
 from vinberg_cones.errors import (
     AlgebraMismatchError,
     CliffordRelationError,
     DimensionMismatchError,
+    IndefiniteSignatureError,
     SpecError,
 )
 
@@ -19,6 +20,7 @@ from _support import (
     dense_mult_flat_left,
     dense_mult_flat_right,
     made,
+    made_cone,
     max_block_error,
     per_block_draws,
     rank2_cone,
@@ -45,8 +47,10 @@ class TestAlgebraConstruction:
         assert alg2(9).herm_dim == 11
 
     def test_rank2_indefinite_flag(self):
-        a = vc.rank2_algebra(vc.MetricSpace.canonical(1, 1))
-        assert not a.is_euclidean
+        # no algebra carries a signature: a rank-2 spec with q > 0 is refused
+        assert not hasattr(alg2(2), "is_euclidean")
+        with pytest.raises(IndefiniteSignatureError):
+            cli.parse_spec({"rank": 2, "dim_w": 2, "signature": [1, 1]})
 
     def test_rank3_dims(self):
         a = alg3(1)
@@ -125,7 +129,9 @@ class TestGathersAgainstDenseTensor:
     @pytest.mark.parametrize("stack", [(), (5,)], ids=["point", "stack"])
     @pytest.mark.parametrize("case", PRODUCT_MODULES, ids=str)
     def test_products(self, case, stack, dual):
-        alg = rank3_cone(*case).algebra
+        if (cone := made_cone(case)) is None:
+            return
+        alg = cone.algebra
         if dual:
             alg = vc.dual_algebra(alg)
         rng = np.random.default_rng(case[0])
@@ -136,7 +142,9 @@ class TestGathersAgainstDenseTensor:
 
     @pytest.mark.parametrize("case", [(3, 1, None), (4, 1, (1, 3)), (3, 2, None)], ids=str)
     def test_tables_rebuild_the_gammas(self, case):
-        module = rank3_cone(*case).algebra.clifford
+        if (cone := made_cone(case)) is None:
+            return
+        module = cone.algebra.clifford
         perm, val, inv, inv_val = module.monomial_tables
         n, d = perm.shape
         dense = np.zeros((n, d, d))
@@ -477,8 +485,8 @@ def blockwise_orbit_point(A, star):
     return vc.HermMatrix(alg, np.array(diag).T, off)
 
 
-# the two full-gram algebras, on non-diagonal Gram matrices, are refused:
-# each test on them is a negative control
+# the two full-gram algebras, on non-diagonal Gram matrices, and the split
+# one are refused: each test on them is a negative control
 FLAT_WRITE_ALGEBRAS = {
     "w1": lambda: alg2(1),
     "w4": lambda: alg2(4),
@@ -487,7 +495,7 @@ FLAT_WRITE_ALGEBRAS = {
     "d8": lambda: alg3(8),
     "d3x2": lambda: alg3(3, mult=2),
     "dual-d4": lambda: vc.dual_algebra(alg3(4)),
-    "split-d2": lambda: rank3_cone(2, 1, (1, 1)).algebra,
+    "split-d2": Refused(lambda: rank3_cone(2, 1, (1, 1)).algebra),
     "full-gram": Refused(lambda: vc.rank3_special(regauged_module(FULL_V, FULL_S))),
 }
 
