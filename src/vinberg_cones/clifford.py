@@ -71,7 +71,7 @@ class MetricSpace:
         x, y = np.asarray(x, dtype=float), np.asarray(y)
         if x.shape[-1:] != (self.dim,) or y.shape[-1:] != (self.dim,):
             raise DimensionMismatchError(f"ip on a space of dim {self.dim}: shapes {x.shape}, {y.shape}")
-        return (x * y).sum(-1)
+        return np.add.reduce(x * y, -1)
 
     def norm_sq(self, x) -> float:
         return self.ip(x, x)
@@ -280,8 +280,8 @@ class CliffordModule:
         return flat.reshape(d, d)
 
     # mult, bilinear and mult_adjoint, the unchecked cores of the public
-    # operations and of the NilAlgebra products, gather one factor through the
-    # tables and contract the other in one matmul: O(dim_v dim_s) per point.
+    # operations, gather one factor through the tables and contract the other
+    # in one gemv (_row_times, _mat_times), as the NilAlgebra products do.
 
     def gamma_images(self, s0) -> np.ndarray:
         """The (..., dim_v, dim_s) matrix whose row a is Gamma_a s0."""
@@ -291,7 +291,8 @@ class CliffordModule:
     def gamma_pairing(self, s1) -> np.ndarray:
         """The (..., dim_v, dim_s) matrix P with P[a, j] = <s1, Gamma_a e_j>_S1,
         so that <s1, mu_v(s0)>_S1 = v . P . s0."""
-        return _gather(s1, *self.monomial_tables[:2])
+        perm, val, _, _ = self.monomial_tables
+        return _gather(s1, perm, val)
 
     def mult(self, v, s0) -> np.ndarray:
         """mu_v(s0) in S1."""
@@ -299,8 +300,7 @@ class CliffordModule:
 
     def bilinear(self, s1, s0) -> np.ndarray:
         """The w in V with <w, v>_V = <s1, mu_v(s0)>_S1 for all v."""
-        s0, P = np.asarray(s0, dtype=float), self.gamma_pairing(s1)
-        return P @ s0 if s0.ndim == 1 else (P @ s0[..., None])[..., 0]
+        return _mat_times(self.gamma_pairing(s1), s0)
 
     def mult_adjoint(self, v, s1) -> np.ndarray:
         """The u in S0 with <u, s>_S0 = <s1, mu_v(s)>_S1 for all s."""
@@ -354,11 +354,17 @@ def _gather(x, index: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 
 def _row_times(x, M) -> np.ndarray:
-    """x . M over the last axes: (..., n) times (..., n, k) gives (..., k).
-    One vector x is a plain vector-matrix product, with the same core
-    dimensions, and so the same bits, as the stacked form."""
+    """x . M over the last axes: (..., n) times (..., n, k) gives (..., k).  Each
+    product is the BLAS gemv of a vector times a matrix, so a stack's row has its
+    single point's bits; ``ndarray.dot`` calls it at half the cost of a matmul."""
     x = np.asarray(x, dtype=float)
-    return x @ M if x.ndim == 1 else (x[..., None, :] @ M)[..., 0, :]
+    return x.dot(M) if x.ndim == 1 and M.ndim == 2 else (x[..., None, :] @ M)[..., 0, :]
+
+
+def _mat_times(M, x) -> np.ndarray:
+    """M . x over the last axes, (..., k, n) times (..., n), by gemv as :func:`_row_times`."""
+    x = np.asarray(x, dtype=float)
+    return M.dot(x) if x.ndim == 1 and M.ndim == 2 else (M @ x[..., None])[..., 0]
 
 
 def build_clifford_module(dim_v: int, signature: tuple[int, int] | None = None, multiplicity: int = 1) -> CliffordModule:

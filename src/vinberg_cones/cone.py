@@ -23,6 +23,7 @@ from .nilalgebra import (
     TriangularElement,
     _entries,
     _orbit_vector,
+    _sq_norm,
     anti_transpose,
     block_norms,
     check_same_algebra,
@@ -44,7 +45,7 @@ class ConeDescriptor:
     dim_herm: int
     exponents: tuple[Fraction, ...]
 
-    @property
+    @cached_property
     def rank(self) -> int:
         return self.algebra.rank
 
@@ -94,7 +95,7 @@ def _any_zero(x) -> bool:
 def _all_positive(*values):
     """Whether every value is > 0 (a bool, or one per point of a stack); raises where one is nan."""
     if isinstance(values[0], float):  # one point: Python or numpy floats
-        mask = all(v > 0.0 for v in values)
+        mask = all(map((0.0).__lt__, values))
         nan = not mask and any(v != v for v in values)  # nan > 0 is False
     else:
         mask = np.logical_and.reduce([v > 0.0 for v in values])
@@ -104,11 +105,12 @@ def _all_positive(*values):
     return mask
 
 
-def _det_form(alg: NilAlgebra, X: HermMatrix, n):
+def _det_form(alg: NilAlgebra, X: HermMatrix, n, P=None):
     """x1 x2 x3 - x3 |x12|^2 - x2 |x13|^2 - x1 |x23|^2 + 2 <x12 . x23, x13>
-    on a rank-3 algebra of either kind; n is ``block_norms(X)``."""
-    x1, x2, x3 = X.diag.T
-    trilinear = alg.trilinear(X.offdiag[(1, 2)], X.offdiag[(1, 3)], X.offdiag[(2, 3)])
+    on a rank-3 algebra of either kind, unchecked; n is ``block_norms(X)``
+    and P, when the caller has it, the module's gamma_pairing(x13)."""
+    x1, x2, x3 = _entries(X.diag)
+    trilinear = alg.trilinear(X.offdiag[(1, 2)], X.offdiag[(1, 3)], X.offdiag[(2, 3)], P)
     return x1 * x2 * x3 - x3 * n[0] - x2 * n[1] - x1 * n[2] + 2.0 * trilinear
 
 
@@ -121,62 +123,63 @@ def det_cubic(cone: ConeDescriptor, X: HermMatrix):
     G-determinant: d(A . A^*) = (a11 a22 a33)^2.
     """
     check_same_algebra(cone.algebra, X)
-    if cone.algebra.kind != "rank3-special":
+    if not cone.algebra._special:
         raise SpecError("determinant cubic requires a rank-3 special algebra")
     return _det_form(cone.algebra, X, block_norms(X))
 
 
-def _p1_rank3(cone: ConeDescriptor, X: HermMatrix, n):
+def _p1_rank3(alg: NilAlgebra, X: HermMatrix, n):
     """Degree-4 polynomial p_1 = x3 * pi^2 for any rank-3 algebra (the
-    cleared form of the rational squared G-determinant); n is
-    ``block_norms(X)``."""
-    alg = cone.algebra
-    p1 = X.diag.T[2] * _det_form(alg, X, n)
-    if alg.kind == "rank3-special":
+    cleared form of the rational squared G-determinant), unchecked; n is
+    ``block_norms(X)``.  The determinant form and, on the dual, the
+    adjoint share one gather."""
+    x13 = X.offdiag[(1, 3)]
+    P = alg._module.gamma_pairing(x13)
+    p1 = X.diag.T[2] * _det_form(alg, X, n, P)
+    if alg._special:
         return p1
-    adj = alg.mult_flat_right(X.offdiag[(1, 3)], X.offdiag[(2, 3)])
-    return p1 + (n[2] * n[1] - alg.norm_sq((1, 2), adj))
+    adj = alg.mult_flat_right(x13, X.offdiag[(2, 3)], P)
+    return p1 + (n[2] * n[1] - _sq_norm(adj))
 
 
 def _lower_p(cone: ConeDescriptor, X: HermMatrix, n=None) -> tuple:
-    """(p_2, ..., p_m), which involve only the entries below the first row;
-    n is ``block_norms(X)`` when the caller has it."""
-    check_same_algebra(cone.algebra, X)
+    """(p_2, ..., p_m), which involve only the entries below the first row,
+    unchecked; n is ``block_norms(X)`` when the caller has it."""
     if cone.rank == 2:
         return (X.diag.T[1],)
-    _, x2, x3 = X.diag.T
-    return (x3 * x2 - (block_norms(X) if n is None else n)[2], x3)
+    x = X.diag.T
+    return (x[2] * x[1] - (block_norms(X) if n is None else n)[2], x[2])
 
 
 def p_polynomials(cone: ConeDescriptor, X: HermMatrix) -> tuple:
     """(p_1, ..., p_m): the homogeneous polynomials with
     a_ii(X)^2 = p_i / prod_{s>i} p_s; deg p_i = 2^(m-i)."""
+    check_same_algebra(cone.algebra, X)
     n = block_norms(X)
     lower = _lower_p(cone, X, n)
     if cone.rank == 2:
         x1, x2 = X.diag.T
         return (x1 * x2 - n[0], *lower)
-    return (_p1_rank3(cone, X, n), *lower)
+    return (_p1_rank3(cone.algebra, X, n), *lower)
 
 
 def g_determinant_sq(cone: ConeDescriptor, X: HermMatrix):
     """pi^2(X): rank 2 -> p_1; rank-3 special -> the determinant cubic;
     rank-3 dual -> the degree-3 rational function p_1 / p_3."""
-    check_same_algebra(cone.algebra, X)
     if cone.rank == 2:
         return p_polynomials(cone, X)[0]
-    if cone.algebra.kind == "rank3-special":
+    if cone.algebra._special:
         return det_cubic(cone, X)
+    check_same_algebra(cone.algebra, X)
     x3 = X.diag.T[2]
     if _any_zero(x3):
         raise OutsideConeError("squared G-determinant undefined at x3 = 0")
-    return _p1_rank3(cone, X, block_norms(X)) / x3
+    return _p1_rank3(cone.algebra, X, block_norms(X)) / x3
 
 
 def membership(cone: ConeDescriptor, X: HermMatrix):
     """Strict positivity of all m defining inequalities (open cone); raises
     OutsideConeError where a p_i is nan."""
-    check_same_algebra(cone.algebra, X)
     return _all_positive(*p_polynomials(cone, X))
 
 
@@ -210,30 +213,30 @@ def _root(r, floor, name: str):
     return np.sqrt(r)[..., None]
 
 
-def _back_substitute(cone: ConeDescriptor, X: HermMatrix, floor) -> tuple:
+def _back_substitute(alg: NilAlgebra, X: HermMatrix, floor) -> tuple:
     """The radicands a_ii^2 and their roots a_ii (tuples over i, see
     :func:`_root`), the flat vector of the off-diagonal blocks of the A with
     positive diagonal and X = A . A^* (its diagonal left unset), solved back
     to front, and at rank 3 the product term a_13 . a_23^flat (else None).
     Raises OutsideConeError unless every radicand is above ``floor`` (a
-    float, or one per point of a stack)."""
-    alg = cone.algebra
-    if cone.rank == 2:
+    float, or one per point of a stack); unchecked."""
+    lay = alg.layout
+    if alg.rank == 2:
         x1, x2 = _entries(X.diag)
         a2 = _root(x2, floor, "x22")
-        a = X.to_vector() / a2  # its (1,2) block is a12
-        r1 = x1 - alg.norm_sq((1, 2), a[..., alg.layout[(1, 2)]])
+        a = X._vector / a2  # its (1,2) block is a12
+        r1 = x1 - _sq_norm(a[..., lay[(1, 2)]])
         return (r1, x2), (_root(r1, floor, "x11"), a2), a, None
     x1, x2, x3 = _entries(X.diag)
     a3 = _root(x3, floor, "x33")
-    a = X.to_vector() / a3  # its (1,3) and (2,3) blocks are t1 and w
-    sl12, sl13, sl23 = (alg.layout[k] for k in alg.offdiag_keys)
+    a = X._vector / a3  # its (1,3) and (2,3) blocks are t1 and w
     _, n13, n23 = _entries(alg._block_products(a, a))
     r2 = x2 - n23
     a2 = _root(r2, floor, "x22")
-    product = alg.mult_flat_right(a[..., sl13], a[..., sl23])
-    a[..., sl12] = (X.offdiag[(1, 2)] - product) / a2
-    r1 = x1 - alg.norm_sq((1, 2), a[..., sl12]) - n13  # |t0|^2
+    product = alg.mult_flat_right(a[..., lay[(1, 3)]], a[..., lay[(2, 3)]])
+    t0 = (X.offdiag[(1, 2)] - product) / a2
+    a[..., lay[(1, 2)]] = t0
+    r1 = x1 - _sq_norm(t0) - n13
     return (r1, r2, x3), (_root(r1, floor, "x11"), a2, a3), a, product
 
 
@@ -245,10 +248,10 @@ def group_coordinates(cone: ConeDescriptor, X: HermMatrix) -> GroupCoordinates:
     reuses the back-substitution's product term, which has the same inputs."""
     check_same_algebra(cone.algebra, X)
     alg = cone.algebra
-    x = X.to_vector()
-    largest = np.abs(x).max(-1)
-    _, roots, a, product = _back_substitute(cone, X, RADICAND_FLOOR * largest)
-    a[..., : cone.rank] = roots if a.ndim == 1 else np.concatenate(roots, axis=-1)
+    x = X._vector
+    largest = np.maximum.reduce(np.abs(x), -1)
+    _, roots, a, product = _back_substitute(alg, X, RADICAND_FLOOR * largest)
+    a[..., : alg.rank] = roots if a.ndim == 1 else np.concatenate(roots, axis=-1)
     err = np.abs(_orbit_vector(alg, a, False, product) - x)
     # one max per layout slice: the diagonal from 0, each block from its start
     starts, names = alg._residual_blocks
@@ -276,7 +279,7 @@ def characteristic_function(cone: ConeDescriptor, X: HermMatrix):
     check_same_algebra(cone.algebra, X)
     log_p = []
     # any positive radicand: the open cone has points at every scale
-    for r in reversed(_back_substitute(cone, X, 0.0)[0]):
+    for r in reversed(_back_substitute(cone.algebra, X, 0.0)[0]):
         log_p.insert(0, np.log(r) + sum(log_p))
     return np.exp(sum(e * lp for e, lp in zip(cone._float_characteristic_exponents, log_p)))
 
@@ -295,15 +298,17 @@ def characteristic_degree(cone: ConeDescriptor) -> Fraction:
 
 def _d_prime_parts(cone: ConeDescriptor, X: HermMatrix) -> tuple:
     """d(X), the gap |s0|^2 |s1|^2 - |b(s1, s0)|^2 of d' = d + gap / x1, and
-    ``block_norms(X)``."""
+    ``block_norms(X)``; d and b share one gather."""
     check_same_algebra(cone.algebra, X)
     alg = cone.algebra
-    if alg.kind != "rank3-special":
+    if not alg._special:
         raise SpecError("d' is defined on rank-3 special cones")
     n = block_norms(X)
-    b = alg.mult_flat_left(X.offdiag[(1, 2)], X.offdiag[(1, 3)])  # in V: <b, v> = <s1, s0 . v>
-    gap = n[0] * n[1] - alg.norm_sq((2, 3), b)
-    return _det_form(alg, X, n), gap, n
+    s0, s1 = X.offdiag[(1, 2)], X.offdiag[(1, 3)]
+    P = alg._module.gamma_pairing(s1)
+    b = alg.mult_flat_left(s0, s1, P)  # in V: <b, v> = <s1, s0 . v>
+    gap = n[0] * n[1] - _sq_norm(b)
+    return _det_form(alg, X, n, P), gap, n
 
 
 def d_prime(cone: ConeDescriptor, X: HermMatrix):
@@ -316,7 +321,7 @@ def d_prime(cone: ConeDescriptor, X: HermMatrix):
     computed in the dual algebra, and d'(A^* . A) = (a11 a22 a33)^2.
     """
     d, gap, _ = _d_prime_parts(cone, X)
-    x1 = X.diag.T[0]
+    x1 = _entries(X.diag)[0]
     if _any_zero(x1):
         raise OutsideConeError("d' undefined at x1 = 0")
     return d + gap / x1
@@ -325,10 +330,9 @@ def d_prime(cone: ConeDescriptor, X: HermMatrix):
 def d_prime_via_dual(cone: ConeDescriptor, X: HermMatrix):
     """Independent evaluation of d' through the anti-transposition route:
     the rational squared G-determinant of t'(X) in the dual algebra."""
-    check_same_algebra(cone.algebra, X)
-    if cone.algebra.kind != "rank3-special":
+    if not cone.algebra._special:
         raise SpecError("d' is defined on rank-3 special cones")
-    return g_determinant_sq(dual_cone(cone), anti_transpose(X))
+    return g_determinant_sq(cone.dual, anti_transpose(X))  # checks that t'(X), so X, is over the algebra
 
 
 def dual_membership(cone: ConeDescriptor, X: HermMatrix):
@@ -339,12 +343,11 @@ def dual_membership(cone: ConeDescriptor, X: HermMatrix):
     anti-transposed point in the dual-algebra cone.  Raises
     OutsideConeError where one of these is nan.
     """
-    check_same_algebra(cone.algebra, X)
-    if cone.rank == 2:
+    if cone.rank == 2:  # p_polynomials checks X's algebra
         return _all_positive(X.diag.T[0], p_polynomials(cone, X)[0])
-    if cone.algebra.kind != "rank3-special":
-        return membership(dual_cone(cone), anti_transpose(X))
-    x1, x2, _ = X.diag.T
+    if not cone.algebra._special:  # t'(X) is over the dual algebra iff X is over this one
+        return membership(cone.dual, anti_transpose(X))
     d, gap, n = _d_prime_parts(cone, X)
+    x1, x2, _ = _entries(X.diag)
     p2_dual = x1 * x2 - n[0]
     return _all_positive(x1, p2_dual, x1 * d + gap)

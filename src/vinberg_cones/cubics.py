@@ -107,8 +107,8 @@ def eval_cubic(q: InvariantCubic, X: HermMatrix):
         p1, x2 = p_polynomials(q.cone, X)
         return a * pw(x2, 3) + b * x2 * p1
     a, b, c = q.coeffs
-    p2, p3 = _lower_p(q.cone, X)
-    return a * det_cubic(q.cone, X) + b * (p2 * p3) + c * pw(p3, 3)
+    d, (p2, p3) = det_cubic(q.cone, X), _lower_p(q.cone, X)  # det_cubic checks X's algebra
+    return a * d + b * (p2 * p3) + c * pw(p3, 3)
 
 
 def gradient(q: InvariantCubic, X: HermMatrix) -> np.ndarray:

@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .clifford import CliffordModule, MetricSpace, _row_times
+from .clifford import CliffordModule, MetricSpace, _mat_times, _row_times
 from .errors import AlgebraMismatchError, DimensionMismatchError, SpecError
 
 Key = tuple[int, int]
@@ -133,38 +133,41 @@ class NilAlgebra:
     # Rank 3 only, on block vectors or stacks of them.  The product is
     # (s0, v) -> mu_v(s0) with (s0, v) in (N_12, N_23), or in (N_23, N_12)
     # for the dual; it and its two metric adjoints are the Clifford module's
-    # gathers (CliffordModule.mult, mult_adjoint and bilinear).
+    # gathers (CliffordModule.mult, mult_adjoint and bilinear).  ``P``, given
+    # when the caller has gamma_pairing(x13), lets two products share a gather.
 
-    @property
+    @cached_property
     def _special(self) -> bool:
         return self.kind == "rank3-special"
 
+    @cached_property
     def _module(self) -> CliffordModule:
         if self.rank != 3:
             raise SpecError("rank-2 algebra has no composable product")
         return self.clifford
 
-    def trilinear(self, x12, x13, x23):
+    def trilinear(self, x12, x13, x23, P=None):
         """<x12 . x23, x13>_13 as v . P . s0, with P the module's
         gamma_pairing(x13) and (s0, v) the factors of the product: one
         gather, no adjoint."""
         s0, v = (x12, x23) if self._special else (x23, x12)
-        return (_row_times(v, self._module().gamma_pairing(x13)) * s0).sum(-1)
+        P = self._module.gamma_pairing(x13) if P is None else P
+        return np.add.reduce(_row_times(v, P) * s0, -1)
 
     def mult(self, x12, x23) -> np.ndarray:
         """The algebra product N_12 x N_23 -> N_13."""
         s0, v = (x12, x23) if self._special else (x23, x12)
-        return self._module().mult(v, s0)
+        return self._module.mult(v, s0)
 
-    def mult_flat_right(self, x13, x23) -> np.ndarray:
+    def mult_flat_right(self, x13, x23, P=None) -> np.ndarray:
         """x13 . x23^flat in N_12: <out, u>_12 = <x13, u . x23>_13 for all u."""
-        module = self._module()
-        return module.mult_adjoint(x23, x13) if self._special else module.bilinear(x13, x23)
+        P = self._module.gamma_pairing(x13) if P is None else P
+        return _row_times(x23, P) if self._special else _mat_times(P, x23)
 
-    def mult_flat_left(self, x12, x13) -> np.ndarray:
+    def mult_flat_left(self, x12, x13, P=None) -> np.ndarray:
         """x12^flat . x13 in N_23: <out, y>_23 = <x13, x12 . y>_13 for all y."""
-        module = self._module()
-        return module.bilinear(x13, x12) if self._special else module.mult_adjoint(x12, x13)
+        P = self._module.gamma_pairing(x13) if P is None else P
+        return _mat_times(P, x12) if self._special else _row_times(x12, P)
 
     def to_json(self) -> dict:
         out = {
@@ -226,6 +229,9 @@ class _FlatEntries:
     __slots__ = ("algebra", "diag", "offdiag", "_vector")
 
     def __init__(self, algebra: NilAlgebra, diag, offdiag: dict):
+        unknown = [key for key in offdiag if key not in algebra.offdiag_keys]
+        if unknown:  # a misspelled block is not read as zeros
+            raise DimensionMismatchError(f"{type(self).__name__}: unknown blocks {unknown}, not {algebra.offdiag_keys}")
         diag = np.asarray(diag, dtype=float)
         vec = np.zeros(diag.shape[:-1] + (algebra.herm_dim,))
         entries = {"diag": diag, **offdiag}
@@ -241,10 +247,11 @@ class _FlatEntries:
         if vec.ndim not in (1, 2) or vec.shape[-1] != algebra.herm_dim:
             raise DimensionMismatchError(f"{type(self).__name__}: flat shape {vec.shape} is wrong")
         vec.setflags(write=False)
-        views = {key: vec[..., sl] for key, sl in algebra.layout.items()}
-        fields = {"algebra": algebra, "_vector": vec, "diag": views.pop("diag"), "offdiag": views}
-        for name, value in fields.items():
-            object.__setattr__(self, name, value)
+        put = object.__setattr__
+        put(self, "algebra", algebra)
+        put(self, "_vector", vec)
+        put(self, "diag", vec[..., : algebra.rank])
+        put(self, "offdiag", {key: vec[..., algebra.layout[key]] for key in algebra.offdiag_keys})
 
     @classmethod
     def _from_flat(cls, algebra: NilAlgebra, vec: np.ndarray):
@@ -278,7 +285,7 @@ class TriangularElement(_FlatEntries):
     def in_group(self) -> bool:
         d = self.diag
         if d.ndim == 1:  # one element: Python floats, nan > 0 False as in numpy
-            return all(x > 0.0 for x in d.tolist())
+            return all(map((0.0).__lt__, d.tolist()))
         return bool((d > 0.0).all())
 
 
@@ -373,15 +380,16 @@ def _uniform_entries(algebra: NilAlgebra, rng, shape: tuple, diag_range=(0.5, 2.
 
 def check_same_algebra(algebra: NilAlgebra, *operands) -> None:
     """Raise AlgebraMismatchError unless every operand lives over ``algebra``."""
-    if any(x.algebra is not algebra for x in operands):
-        raise AlgebraMismatchError("operands live over different algebras")
+    for x in operands:
+        if x.algebra is not algebra:
+            raise AlgebraMismatchError("operands live over different algebras")
 
 
 def triangular_product(A: TriangularElement, B: TriangularElement) -> TriangularElement:
     """Associative product in the solvable matrix algebra T(N): block (i, j)
     is a_ii b_ij + a_ij b_jj, plus a_12 . b_23 at (1, 3)."""
     check_same_algebra(A.algebra, B)
-    alg, a, b = A.algebra, A.to_vector(), B.to_vector()
+    alg, a, b = A.algebra, A._vector, B._vector
     m, (rows, cols) = alg.rank, alg.block_rows_cols
     out = a.take(rows, axis=-1) * b  # a_ii b_ii, then a_ii b_ij
     out[..., m:] += a[..., m:] * b.take(cols[m:], axis=-1)
@@ -390,11 +398,16 @@ def triangular_product(A: TriangularElement, B: TriangularElement) -> Triangular
     return TriangularElement._from_flat(alg, out)
 
 
-def block_norms(E) -> np.ndarray:
-    """|e_k|^2 for every off-diagonal block k of E, one row per block (each
-    an (N,) array for a stack)."""
-    v = E.to_vector()
-    return E.algebra._block_products(v, v).T
+def block_norms(E) -> list:
+    """|e_k|^2 for every off-diagonal block k of E, in ``offdiag_keys`` order:
+    floats for one point (see :func:`_entries`), (N,) arrays for a stack."""
+    v = E._vector
+    return _entries(E.algebra._block_products(v, v))
+
+
+def _sq_norm(x: np.ndarray):
+    """|x|^2 along the last axis of a float array: MetricSpace.ip(x, x), unchecked."""
+    return np.add.reduce(x * x, -1)
 
 
 def _entries(z: np.ndarray) -> list:
@@ -415,16 +428,16 @@ def _orbit_vector(alg: NilAlgebra, v: np.ndarray, star: bool, product=None) -> n
     m, (rows, cols) = alg.rank, alg.block_rows_cols
     out = v.take(rows if star else cols, axis=-1)
     out *= v
-    diag, n = _entries(out[..., :m]), _entries(alg._block_products(v, v))
-    for k, (i, j) in enumerate(alg.offdiag_keys):
-        s = (j if star else i) - 1
-        diag[s] = diag[s] + n[k]
+    diag, side = _entries(out[..., :m]), int(star)
+    for key, n in zip(alg.offdiag_keys, _entries(alg._block_products(v, v))):
+        diag[key[side] - 1] += n
     out.T[:m] = diag
     if m == 3:
+        lay = alg.layout
         if product is None:
-            t0, t1, w = (v[..., alg.layout[k]] for k in alg.offdiag_keys)
-            product = alg.mult_flat_left(t0, t1) if star else alg.mult_flat_right(t1, w)
-        block = out[..., alg.layout[(2, 3) if star else (1, 2)]]
+            t1, other = v[..., lay[(1, 3)]], v[..., lay[(1, 2) if star else (2, 3)]]
+            product = alg.mult_flat_left(other, t1) if star else alg.mult_flat_right(t1, other)
+        block = out[..., lay[(2, 3) if star else (1, 2)]]
         block += product
     return out
 
@@ -433,7 +446,7 @@ def _orbit_point(A: TriangularElement, star: bool) -> HermMatrix:
     """A . A^*, or A^* . A when ``star``, for A in the group."""
     if not A.in_group:
         raise SpecError(f"{'A^* . A' if star else 'A . A^*'} requires a strictly positive diagonal")
-    return HermMatrix._from_flat(A.algebra, _orbit_vector(A.algebra, A.to_vector(), star))
+    return HermMatrix._from_flat(A.algebra, _orbit_vector(A.algebra, A._vector, star))
 
 
 def herm_from_triangular(A: TriangularElement) -> HermMatrix:
@@ -450,7 +463,7 @@ def anti_transpose(X):
     """Reflection of a Hermitian matrix or a triangular element across the
     anti-diagonal; lands in the dual algebra.  One take of the flat vector."""
     alg = X.algebra
-    return type(X)._from_flat(dual_algebra(alg), X.to_vector().take(alg.anti_transpose_index, axis=-1))
+    return type(X)._from_flat(dual_algebra(alg), X._vector.take(alg.anti_transpose_index, axis=-1))
 
 
 anti_transpose_triangular = anti_transpose
@@ -459,5 +472,5 @@ anti_transpose_triangular = anti_transpose
 def herm_pairing(X: HermMatrix, Y: HermMatrix):
     """Trace-form inner product sum_i x_i y_i + 2 sum_{i<j} <x_ij, y_ij>."""
     check_same_algebra(X.algebra, Y)
-    blocks = X.algebra._block_products(X.to_vector(), Y.to_vector())
-    return (X.diag * Y.diag).sum(-1) + 2.0 * blocks.sum(-1)
+    blocks = X.algebra._block_products(X._vector, Y._vector)
+    return np.add.reduce(X.diag * Y.diag, -1) + 2.0 * np.add.reduce(blocks, -1)

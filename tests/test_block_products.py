@@ -11,11 +11,12 @@ import pytest
 
 import vinberg_cones as vc
 from vinberg_cones import cli
+from vinberg_cones import cone as cone_mod
 from vinberg_cones.clifford import MetricSpace
 from vinberg_cones.errors import DimensionMismatchError
 from vinberg_cones.nilalgebra import block_norms
 
-from _support import FULL_S, FULL_V, SCALED_V, Refused, made, rank2_cone, rank3_cone, regauged_module
+from _support import FULL_S, FULL_V, SCALED_V, Refused, made, rank2_cone, rank3_cone, regauged_module, same_bits
 
 # Euclidean algebras, and refused ones: three whose block metrics are not the
 # identity (non-unit weights, non-diagonal) and three on indefinite signatures
@@ -106,8 +107,9 @@ def dict_anti_transpose(X):
 
 TRILINEAR_ALGEBRAS = {
     **{f"d{d}": (lambda d=d: rank3_cone(d).algebra) for d in (1, 2, 4, 8, 16)},
-    **{f"dual-d{d}": (lambda d=d: vc.dual_algebra(rank3_cone(d).algebra)) for d in (1, 4, 8, 16)},
+    **{f"dual-d{d}": (lambda d=d: vc.dual_algebra(rank3_cone(d).algebra)) for d in (1, 2, 4, 8, 16)},
     "multiplicity-2": lambda: rank3_cone(4, 2).algebra,
+    "dual-multiplicity-2": lambda: vc.dual_algebra(rank3_cone(4, 2).algebra),
     "split-2-1": ALGEBRAS["split-2-1"],
     "split-1-3-dual": ALGEBRAS["split-1-3-dual"],
 }
@@ -125,6 +127,28 @@ def test_trilinear_matches_the_adjoint_route(make):
     assert np.all(np.abs(got - want) <= 1e-14 * scale)
     singles = [alg.trilinear(*xs) for xs in zip(x12, x13, x23)]
     np.testing.assert_allclose(got, singles, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("stack", [(), (5,)], ids=["point", "stack"])
+@pytest.mark.parametrize("make", TRILINEAR_ALGEBRAS.values(), ids=TRILINEAR_ALGEBRAS.keys())
+def test_shared_gather_matches_the_public_products(make, stack):
+    """d and the gap of d' on a special algebra, and p_1 on a dual one, take
+    two products from one gather of gamma_pairing(x13): the bits of the
+    public products, which gather once each."""
+    if (alg := made(make)) is None:
+        return
+    rng = np.random.default_rng(alg.herm_dim)
+    X = vc.herm_from_vector(alg, rng.uniform(-1.0, 1.0, stack + (alg.herm_dim,)))
+    x1, x2, x3 = X.diag.T
+    x12, x13, x23 = (X.offdiag[k] for k in alg.offdiag_keys)
+    n = block_norms(X)
+    det = x1 * x2 * x3 - x3 * n[0] - x2 * n[1] - x1 * n[2] + 2.0 * alg.trilinear(x12, x13, x23)
+    if alg.kind == "rank3-special":
+        gap = n[0] * n[1] - alg.norm_sq((2, 3), alg.mult_flat_left(x12, x13))
+        assert same_bits(cone_mod._d_prime_parts(vc.cone_from_algebra(alg), X)[:2], (det, gap))
+    else:
+        adj = alg.mult_flat_right(x13, x23)
+        assert same_bits(cone_mod._p1_rank3(alg, X, n), x3 * det + (n[2] * n[1] - alg.norm_sq((1, 2), adj)))
 
 
 class TestCachedStructure:

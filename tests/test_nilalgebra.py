@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -423,6 +425,13 @@ class TestFlatStorage:
     def test_wrong_block_shape_rejected(self, diag, off):
         with pytest.raises(DimensionMismatchError):
             vc.HermMatrix(alg3(1), diag, off)
+
+    @pytest.mark.parametrize("key", [(2, 1), "12", (1, 4), "diag"])
+    @pytest.mark.parametrize("container", [vc.HermMatrix, vc.TriangularElement])
+    def test_misspelled_block_rejected(self, container, key):
+        # a misspelled block was read as zeros, and "diag" replaced the diagonal
+        with pytest.raises(DimensionMismatchError, match=re.escape(repr(key))):
+            container(alg3(2), [1.0, 2.0, 3.0], {key: [5.0, 5.0] if key != "diag" else [7.0, 8.0, 9.0]})
 
     def test_attributes_cannot_be_rebound(self):
         X = vc.herm_identity(alg3(1))
