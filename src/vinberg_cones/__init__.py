@@ -26,13 +26,11 @@ from .cone import (
     ConeDescriptor,
     GroupCoordinates,
     characteristic_degree,
-    characteristic_exponents,
     characteristic_function,
     cone_from_algebra,
     d_prime,
     d_prime_via_dual,
     det_cubic,
-    dual_cone,
     dual_membership,
     g_determinant_sq,
     group_coordinates,
@@ -54,7 +52,6 @@ from .nilalgebra import (
     NilAlgebra,
     TriangularElement,
     anti_transpose,
-    anti_transpose_triangular,
     dual_algebra,
     herm_from_json,
     herm_from_triangular,

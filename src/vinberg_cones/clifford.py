@@ -77,6 +77,11 @@ class MetricSpace:
         return self.ip(x, x)
 
 
+def _sq_norm(x: np.ndarray):
+    """|x|^2 along the last axis of a float array: MetricSpace.ip(x, x), unchecked."""
+    return np.add.reduce(x * x, -1)
+
+
 def _check_signature(signature, dim: int) -> None:
     """Raise unless ``signature`` is the Euclidean (dim, 0): SpecError when
     it is no pair of integer counts >= 0 that sum to dim,
@@ -205,43 +210,35 @@ def minimal_spinor_dim(dim_v: int) -> int:
 
 @dataclass(frozen=True, eq=False, init=False)
 class CliffordModule:
-    """Graded Clifford module data: gamma maps S0 -> S1 plus the metrics.
+    """Graded Clifford module: one gamma map S0 -> S1 per basis vector of V,
+    every space Euclidean.
 
     A module is its index tables: (dim_v, dim_s) arrays ``tables = (perm,
     val)`` with ``Gamma_a e_j = val[a, j] e_perm[a, j]``, Gamma_a the map of
-    the a-th basis vector of V.  ``tables`` is keyword-only: a dense
-    (2, 2, 2) stack has the shapes of a (perm, val) pair on dim_v = dim_s
-    = 2.  The constructor checks the shapes, and that every row of ``perm``
-    is a permutation of 0..dim_s-1; :func:`build_clifford_module` and
+    the a-th basis vector of V, and dim S0 = dim S1 = dim_s.  ``tables`` is
+    keyword-only: a dense (2, 2, 2) stack has the shapes of a (perm, val)
+    pair on dim_v = dim_s = 2.  The constructor checks that the two tables
+    have one non-empty 2-D shape and that every row of ``perm`` is a
+    permutation of 0..dim_s-1; :func:`build_clifford_module` and
     :meth:`from_json`, the dense entry point, check the relation.
     """
 
-    v_space: MetricSpace
-    s0_space: MetricSpace
-    s1_space: MetricSpace
+    dim_v: int
+    dim_s: int
     multiplicity: int = 1
 
-    def __init__(self, v_space, s0_space, s1_space, *, tables, multiplicity=1):
-        if s0_space.dim != s1_space.dim:
-            raise DimensionMismatchError("graded module needs dim S0 == dim S1")
-        expected = (v_space.dim, s0_space.dim)
-        if any(np.shape(t) != expected for t in tables):
-            raise DimensionMismatchError(f"tables shapes {[np.shape(t) for t in tables]} != {expected}")
-        perm, seen = np.asarray(tables[0]), np.zeros(expected, dtype=bool)
-        if perm.dtype.kind in "iu" and ((perm >= 0) & (perm < s0_space.dim)).all():
-            seen[np.arange(v_space.dim)[:, None], perm] = True  # O(dim_v dim_s)
+    def __init__(self, *, tables, multiplicity=1):
+        shapes = [np.shape(t) for t in tables]
+        if len(shapes) != 2 or shapes[0] != shapes[1] or len(shapes[0]) != 2 or 0 in shapes[0]:
+            raise DimensionMismatchError(f"tables need two arrays of one non-empty 2-D shape, got shapes {shapes}")
+        (dim_v, dim_s), perm = shapes[0], np.asarray(tables[0])
+        seen = np.zeros((dim_v, dim_s), dtype=bool)
+        if perm.dtype.kind in "iu" and ((perm >= 0) & (perm < dim_s)).all():
+            seen[np.arange(dim_v)[:, None], perm] = True  # O(dim_v dim_s)
         if not seen.all():
             raise SpecError("every row of the perm table must be a permutation of 0..dim_s-1")
-        fields = dict(v_space=v_space, s0_space=s0_space, s1_space=s1_space, multiplicity=multiplicity)
-        self.__dict__.update(fields, _tables=tables)  # past the frozen __setattr__
-
-    @property
-    def dim_v(self) -> int:
-        return self.v_space.dim
-
-    @property
-    def dim_s(self) -> int:
-        return self.s0_space.dim
+        # past the frozen __setattr__
+        self.__dict__.update(dim_v=dim_v, dim_s=dim_s, multiplicity=multiplicity, _tables=tables)
 
     @cached_property
     def gammas(self) -> np.ndarray:
@@ -335,8 +332,7 @@ class CliffordModule:
         _check_signature((p, q), dim_v)  # refuses q > 0
         tables = _monomial(gammas)
         _check_clifford_relations(*tables)
-        s_space = MetricSpace(dim_s)
-        return cls(MetricSpace(dim_v), s_space, s_space, multiplicity=mult, tables=tables)
+        return cls(tables=tables, multiplicity=mult)
 
 
 def _gather(x, index: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -398,8 +394,7 @@ def build_clifford_module(dim_v: int, signature: tuple[int, int] | None = None, 
     jf = _cl_neg_generators(dim_v - 1)
     gammas = _kron(_identity(multiplicity), _stack(_identity(jf[0].shape[1]), jf))
     _check_clifford_relations(*gammas)
-    s_space = MetricSpace(dim_s)
-    return CliffordModule(MetricSpace(dim_v), s_space, s_space, tables=gammas, multiplicity=multiplicity)
+    return CliffordModule(tables=gammas, multiplicity=multiplicity)
 
 
 def _relation_residual(perm, val) -> float:
@@ -470,5 +465,5 @@ def verify_isometry(module: CliffordModule, n_samples: int = 1000, seed: int = 0
     v = rng.uniform(-1.0, 1.0, (n_samples, module.dim_v))
     s = rng.uniform(-1.0, 1.0, (n_samples, module.dim_s))
     out = module.mult(v, s)
-    dev = module.s1_space.norm_sq(out) - module.v_space.norm_sq(v) * module.s0_space.norm_sq(s)
+    dev = _sq_norm(out) - _sq_norm(v) * _sq_norm(s)
     return float(np.max(np.abs(dev)))

@@ -16,6 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .clifford import _sq_norm
 from .errors import OutsideConeError, SpecError
 from .nilalgebra import (
     HermMatrix,
@@ -23,7 +24,6 @@ from .nilalgebra import (
     TriangularElement,
     _entries,
     _orbit_vector,
-    _sq_norm,
     anti_transpose,
     block_norms,
     check_same_algebra,
@@ -76,10 +76,6 @@ def cone_from_algebra(algebra: NilAlgebra) -> ConeDescriptor:
         )
         exps.append(1 + Fraction(total, 2))
     return ConeDescriptor(algebra, algebra.herm_dim, tuple(exps))
-
-
-def dual_cone(cone: ConeDescriptor) -> ConeDescriptor:
-    return cone.dual
 
 
 # ---------------------------------------------------------------------------
@@ -263,11 +259,6 @@ def group_coordinates(cone: ConeDescriptor, X: HermMatrix) -> GroupCoordinates:
 # ---------------------------------------------------------------------------
 # Characteristic function
 # ---------------------------------------------------------------------------
-
-
-def characteristic_exponents(cone: ConeDescriptor) -> tuple[Fraction, ...]:
-    """Exponent of p_i in the characteristic function: n_i - n_{i-1} - ... - n_1."""
-    return cone.characteristic_exponents
 
 
 def characteristic_function(cone: ConeDescriptor, X: HermMatrix):

@@ -26,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from .cone import ConeDescriptor, _lower_p, det_cubic, p_polynomials
-from .errors import OutsideConeError, SpecError
+from .errors import DimensionMismatchError, OutsideConeError, SpecError
 from .nilalgebra import HermMatrix, check_same_algebra, herm_from_vector
 
 PIVOT_BAND = 1e-12  # dense pivots within +/- band*scale count as degenerate
@@ -58,6 +58,8 @@ class InvariantCubic:
 
     def __post_init__(self):
         want = 2 if self.cone.rank == 2 else 3
+        if want == 3 and not self.cone.algebra._special:  # d, so q, is undefined on the dual
+            raise SpecError("an invariant cubic on a rank-3 cone requires a rank-3 special algebra")
         if len(self.coeffs) != want:
             raise SpecError(f"rank-{self.cone.rank} cubic needs {want} coefficients")
         coeffs = tuple(float(c) for c in self.coeffs)
@@ -111,9 +113,16 @@ def eval_cubic(q: InvariantCubic, X: HermMatrix):
     return a * d + b * (p2 * p3) + c * pw(p3, 3)
 
 
-def gradient(q: InvariantCubic, X: HermMatrix) -> np.ndarray:
-    """Gradient of q in flat coordinates (closed-form polynomials)."""
+def _check_point(name: str, q: InvariantCubic, X: HermMatrix) -> None:
+    """Raise unless X is one point over q's algebra, not a stack."""
     check_same_algebra(q.cone.algebra, X)
+    if X.diag.ndim != 1:
+        raise DimensionMismatchError(f"{name} takes one point, not the flat shape {X.to_vector().shape}")
+
+
+def gradient(q: InvariantCubic, X: HermMatrix) -> np.ndarray:
+    """Gradient of q in flat coordinates (closed-form polynomials) at one point."""
+    _check_point("gradient", q, X)
     alg = q.cone.algebra
     lay = alg.layout
     g = np.zeros(q.cone.dim_herm)
@@ -141,8 +150,8 @@ def gradient(q: InvariantCubic, X: HermMatrix) -> np.ndarray:
 
 
 def cubic_hessian(q: InvariantCubic, X: HermMatrix) -> np.ndarray:
-    """Hessian of q in flat coordinates (constant + linear polynomial entries)."""
-    check_same_algebra(q.cone.algebra, X)
+    """Hessian of q in flat coordinates (constant + linear polynomial entries) at one point."""
+    _check_point("cubic_hessian", q, X)
     alg = q.cone.algebra
     lay = alg.layout
     n = q.cone.dim_herm
@@ -179,8 +188,9 @@ def cubic_hessian(q: InvariantCubic, X: HermMatrix) -> np.ndarray:
 
 
 def hessian_log(q: InvariantCubic, X: HermMatrix) -> np.ndarray:
-    """-Hess(log q) at X, assembled exactly as (grad q grad q^T - q Hess q) / q^2.
+    """-Hess(log q) at one point X, assembled exactly as (grad q grad q^T - q Hess q) / q^2.
     Raises where an entry is not finite: where q(X) = 0 or an overflow."""
+    _check_point("hessian_log", q, X)
     with np.errstate(all="ignore"):
         M = _neg_hess_log(eval_cubic(q, X), gradient(q, X), cubic_hessian(q, X))
     if not np.isfinite(M).all():
@@ -207,6 +217,7 @@ def fd_hessian_log(q: InvariantCubic, X: HermMatrix) -> np.ndarray:
     H(2h)) / 3, h = FD_STEP: the coarse oracle the self-test and the tests
     hold hessian_log against (one step alone fails dim_v = 16 by truncation
     or the small cones by rounding).  Each row's points are one stack."""
+    _check_point("fd_hessian_log", q, X)
     x0 = X.to_vector()
     n = x0.size
     eye = np.eye(n)
@@ -269,6 +280,7 @@ def tangent_restriction(q: InvariantCubic, X: HermMatrix) -> HessianReport:
     entry of 0, or not a number, makes the form degenerate.  Raises, as the
     kernel does, where q(X), the gradient norm or a minor is not finite.
     """
+    _check_point("tangent_restriction", q, X)
     with np.errstate(all="ignore"):  # an overflow leaves a value that is not finite, which raises
         qx = eval_cubic(q, X)
         if not 0.0 < qx < math.inf:

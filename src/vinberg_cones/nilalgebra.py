@@ -191,8 +191,8 @@ def rank2_algebra(w_space: MetricSpace) -> NilAlgebra:
 def rank3_special(module: CliffordModule) -> NilAlgebra:
     """Rank-3 special Nil-algebra: (1,2) = S0, (1,3) = S1, (2,3) = V,
     product (s0, v) -> mu_v(s0)."""
-    spaces = {(1, 2): module.s0_space, (1, 3): module.s1_space, (2, 3): module.v_space}
-    return NilAlgebra(3, spaces, clifford=module, kind="rank3-special")
+    s, v = MetricSpace(module.dim_s), MetricSpace(module.dim_v)
+    return NilAlgebra(3, {(1, 2): s, (1, 3): s, (2, 3): v}, clifford=module, kind="rank3-special")
 
 
 def dual_algebra(algebra: NilAlgebra) -> NilAlgebra:
@@ -405,11 +405,6 @@ def block_norms(E) -> list:
     return _entries(E.algebra._block_products(v, v))
 
 
-def _sq_norm(x: np.ndarray):
-    """|x|^2 along the last axis of a float array: MetricSpace.ip(x, x), unchecked."""
-    return np.add.reduce(x * x, -1)
-
-
 def _entries(z: np.ndarray) -> list:
     """The entries of z along its last axis: Python floats for one point,
     whose arithmetic has numpy's bits at a fraction of its per-call cost,
@@ -464,9 +459,6 @@ def anti_transpose(X):
     anti-diagonal; lands in the dual algebra.  One take of the flat vector."""
     alg = X.algebra
     return type(X)._from_flat(dual_algebra(alg), X._vector.take(alg.anti_transpose_index, axis=-1))
-
-
-anti_transpose_triangular = anti_transpose
 
 
 def herm_pairing(X: HermMatrix, Y: HermMatrix):

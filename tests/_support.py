@@ -42,10 +42,10 @@ FULL_S = np.array([[2.0, 0.5, 0.0, 0.1], [0.5, 1.0, 0.3, 0.0], [0.0, 0.3, 3.0, 0
 def regauged_module(v_weights, s_weights) -> "vc.CliffordModule":
     """The tables of build_clifford_module(3) under other metrics on V and S,
     given as weight vectors or Gram matrices: refused, as MetricSpace takes
-    no metric but its dimension."""
-    s_space = vc.MetricSpace(s_weights)
-    tables = vc.build_clifford_module(3).monomial_tables[:2]
-    return vc.CliffordModule(vc.MetricSpace(v_weights), s_space, s_space, tables=tables)
+    no metric but its dimension, and a module holds no space."""
+    for weights in (v_weights, s_weights):
+        vc.MetricSpace(weights)  # raises
+    return vc.CliffordModule(tables=vc.build_clifford_module(3).monomial_tables[:2])
 
 
 class Refused:

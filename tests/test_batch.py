@@ -15,7 +15,7 @@ CONES = {
     "w4": rank2_cone(4),
     "d1": rank3_cone(1),
     "d8": rank3_cone(8),
-    "dual-d4": vc.dual_cone(rank3_cone(4)),
+    "dual-d4": rank3_cone(4).dual,
 }
 
 

@@ -212,7 +212,7 @@ class TestConstruction:
         a = vc.build_clifford_module(6, multiplicity=2)
         b = vc.build_clifford_module(6, multiplicity=2)
         assert np.array_equal(a.gammas, b.gammas)
-        assert a.s0_space == b.s0_space == MetricSpace(a.dim_s)
+        assert (a.dim_v, a.dim_s) == (b.dim_v, b.dim_s) == (6, 2 * vc.minimal_spinor_dim(6))
 
     def test_rejects_zero_inputs(self):
         with pytest.raises(DimensionMismatchError):
@@ -282,9 +282,8 @@ class TestOperations:
 
     def test_mu_sums_gammas_that_share_an_entry(self):
         # monomial but not a Clifford module: both gammas fill entry (0, 0)
-        space = MetricSpace.euclidean(2)
         tables = (np.array([[0, 1], [0, 1]]), np.array([[1, 1], [3, -1]]))  # I and [[3, 0], [0, -1]]
-        module = CliffordModule(space, space, space, tables=tables)
+        module = CliffordModule(tables=tables)
         np.testing.assert_array_equal(module.mu([0.5, 2.0]), [[6.5, 0.0], [0.0, -1.5]])
 
     def test_mult_dimension_mismatch(self):
@@ -311,8 +310,8 @@ class TestOperations:
             for a in range(3):
                 e = np.zeros(3)
                 e[a] = 1.0
-                lhs = mod.v_space.ip(out, e)
-                rhs = mod.s1_space.ip(s1, vc.clifford_mult(mod, e, s0))
+                lhs = out @ e
+                rhs = s1 @ vc.clifford_mult(mod, e, s0)
                 assert lhs == pytest.approx(rhs, abs=1e-12)
 
     def test_mult_adjoint_identity(self):
@@ -323,8 +322,8 @@ class TestOperations:
             s1 = rng.uniform(-1, 1, mod.dim_s)
             u = rng.uniform(-1, 1, mod.dim_s)
             adj = vc.clifford_mult_adjoint(mod, v, s1)
-            lhs = mod.s0_space.ip(adj, u)
-            rhs = mod.s1_space.ip(s1, vc.clifford_mult(mod, v, u))
+            lhs = adj @ u
+            rhs = s1 @ vc.clifford_mult(mod, v, u)
             assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
@@ -354,7 +353,7 @@ class TestInvariants:
         perm, val = mod.monomial_tables[:2]
         val = val.copy()
         val[0, 0] += 1  # entry (0, 0) of Gamma_0 = I
-        bad = CliffordModule(mod.v_space, mod.s0_space, mod.s1_space, tables=(perm, val))
+        bad = CliffordModule(tables=(perm, val))
         assert vc.verify_isometry(bad, 200, seed=0) > 0.1
 
     def test_relation_breaking_stack_enters_only_through_from_json(self):
@@ -363,10 +362,10 @@ class TestInvariants:
         mod = vc.build_clifford_module(2)
         gam = np.array(mod.gammas)
         gam[1, 0] *= -1
-        unchecked = CliffordModule(mod.v_space, mod.s0_space, mod.s1_space, tables=clifford._monomial(gam))
+        unchecked = CliffordModule(tables=clifford._monomial(gam))
         assert vc.verify_isometry(unchecked, 200, seed=0) > 0.1
         with pytest.raises(TypeError):
-            CliffordModule(mod.v_space, mod.s0_space, mod.s1_space, gam)
+            CliffordModule(gam)
         with pytest.raises(CliffordRelationError, match="Clifford relation failed"):
             CliffordModule.from_json({**mod.to_json(), "gammas": gam.tolist()})
 
@@ -481,12 +480,12 @@ print("optimize", sys.flags.optimize)
         perm, val = mod.monomial_tables[:2]
         val = val.copy()
         val[-1, 0] *= 2  # the nonzero of the last gamma's first column
-        bad = CliffordModule(mod.v_space, mod.s0_space, mod.s1_space, tables=(perm, val))
+        bad = CliffordModule(tables=(perm, val))
         rng = np.random.default_rng(11)
         v = rng.uniform(-1.0, 1.0, (50, bad.dim_v))
         s = rng.uniform(-1.0, 1.0, (50, bad.dim_s))
         want = max(
-            abs(bad.s1_space.norm_sq(vc.clifford_mult(bad, vi, si)) - bad.v_space.norm_sq(vi) * bad.s0_space.norm_sq(si))
+            abs(np.sum(vc.clifford_mult(bad, vi, si) ** 2) - np.sum(vi**2) * np.sum(si**2))
             for vi, si in zip(v, s)
         )
         assert want > 0.01
@@ -579,7 +578,7 @@ class TestSerialization:
         back = CliffordModule.from_json(mod.to_json())
         assert np.array_equal(back.gammas, mod.gammas)
         assert back.multiplicity == 2
-        assert (back.v_space, back.s0_space, back.s1_space) == (mod.v_space, mod.s0_space, mod.s1_space)
+        assert (back.dim_v, back.dim_s) == (mod.dim_v, mod.dim_s) == (3, 8)
 
     def test_roundtrip_indefinite(self):
         # a split module's JSON, written when the library built them, is
@@ -592,7 +591,7 @@ class TestSerialization:
         # writes the same bytes, "signature": [dim_v, 0] included
         back = CliffordModule.from_json(json.loads(D3_MODULE_JSON))
         assert json.dumps(back.to_json()) == json.dumps(vc.build_clifford_module(3).to_json()) == D3_MODULE_JSON
-        assert back.v_space == MetricSpace(3) and back.s0_space == back.s1_space == MetricSpace(4)
+        assert (back.dim_v, back.dim_s) == (3, 4)
 
     def test_gammas_serialize_as_integers(self):
         obj = vc.build_clifford_module(2).to_json()
@@ -672,7 +671,7 @@ class TestSerialization:
         obj = vc.build_clifford_module(3).to_json()
         obj.update(dim_v=np.int64(3), signature=[np.int32(3), np.int64(0)], multiplicity=np.int16(1))
         back = CliffordModule.from_json(obj)
-        assert back.v_space == MetricSpace(3) and back.multiplicity == 1
+        assert back.dim_v == 3 and back.multiplicity == 1
 
 
 # build_clifford_module arguments (dim_v, signature, multiplicity) compared
@@ -700,12 +699,12 @@ class TestTableBuild:
         assert "gammas" not in vars(mod)
         # the oracle's stack read into tables as from_json reads it
         tables = clifford._monomial(gammas)
-        dense = CliffordModule(mod.v_space, mod.s0_space, mod.s1_space, tables=tables, multiplicity=mult)
+        dense = CliffordModule(tables=tables, multiplicity=mult)
         for got, want in zip(mod.monomial_tables, dense.monomial_tables, strict=True):
             assert same_bits(got, want)
         assert same_bits(mod.gammas, gammas)
-        assert mod.v_space == MetricSpace(dim_v)
-        assert mod.s0_space == mod.s1_space == MetricSpace(gammas.shape[-1])
+        assert (mod.dim_v, mod.dim_s) == (dense.dim_v, dense.dim_s) == (dim_v, gammas.shape[-1])
+        assert type(mod.dim_v) is type(mod.dim_s) is int
 
     def test_orbit_chain_never_materializes_the_dense_stack(self):
         mod = vc.build_clifford_module(16)
@@ -751,15 +750,16 @@ class TestTableBuild:
         np.testing.assert_array_equal(mod.monomial_tables[0], vc.build_clifford_module(2).monomial_tables[0])
 
     def test_needs_exactly_one_of_gammas_and_tables(self):
-        # tables, keyword-only, and no dense stack
+        # tables, keyword-only, and no dense stack or spaces
         mod = vc.build_clifford_module(2)
-        space = mod.v_space
+        space = MetricSpace.euclidean(2)
         with pytest.raises(TypeError):
-            CliffordModule(space, space, space)
+            CliffordModule()
         with pytest.raises(TypeError):
-            CliffordModule(space, space, space, mod.gammas, tables=mod.monomial_tables[:2])
-        with pytest.raises(DimensionMismatchError):
-            CliffordModule(MetricSpace.euclidean(3), space, space, tables=mod.monomial_tables[:2])
+            CliffordModule(mod.gammas, tables=mod.monomial_tables[:2])
+        with pytest.raises(TypeError):
+            CliffordModule(space, space, space, tables=mod.monomial_tables[:2])
+        assert not any(hasattr(mod, f"{name}_space") for name in ("v", "s0", "s1"))
 
     @pytest.mark.parametrize("dense", ["gammas", "tables-shaped"])
     def test_dense_stack_passed_positionally_raises(self, dense):
@@ -769,19 +769,20 @@ class TestTableBuild:
         stack = np.array(mod.gammas) if dense == "gammas" else np.stack(mod.monomial_tables[:2])
         assert stack.shape == (2, 2, 2)
         with pytest.raises(TypeError):
-            CliffordModule(mod.v_space, mod.s0_space, mod.s1_space, stack)
+            CliffordModule(stack)
         with pytest.raises(TypeError):
-            CliffordModule(mod.v_space, mod.s0_space, mod.s1_space, stack, 1)
+            CliffordModule(stack, 1)
 
     def test_tables_shapes_are_checked(self):
         mod = vc.build_clifford_module(3)
         perm, val = mod.monomial_tables[:2]
-        space = mod.s0_space
-        for tables in ((perm[:2], val), (perm, val[:, :2]), (perm[None], val[None])):
-            with pytest.raises(DimensionMismatchError):
-                CliffordModule(mod.v_space, space, space, tables=tables)
-        with pytest.raises(DimensionMismatchError):
-            CliffordModule(mod.v_space, space, MetricSpace.euclidean(2), tables=(perm, val))
+        # tables of two shapes, not 2-D, empty, or not a pair
+        cases = [(perm[:2], val), (perm, val[:, :2]), (perm[None], val[None]), (perm[0], val[0]), (perm[:0], val[:0])]
+        for tables in cases + [(perm,), (perm, val, val)]:
+            with pytest.raises(DimensionMismatchError, match="one non-empty 2-D shape"):
+                CliffordModule(tables=tables)
+        mod = CliffordModule(tables=(perm, val))
+        assert (mod.dim_v, mod.dim_s) == perm.shape == (3, 4)
 
     @pytest.mark.parametrize(
         "perm",
@@ -791,9 +792,8 @@ class TestTableBuild:
     def test_perm_rows_must_be_permutations(self, perm):
         # with a repeated entry, clifford_mult(m, [1], [1, 2]) and
         # mu([1]) @ [1, 2] disagree ([1, 2] against [3, 0])
-        v, s = MetricSpace.euclidean(1), MetricSpace.euclidean(2)
         with pytest.raises(SpecError, match="permutation"):
-            CliffordModule(v, s, s, tables=(np.array(perm), np.array([[1, 1]])))
+            CliffordModule(tables=(np.array(perm), np.array([[1, 1]])))
 
 
 def _message(check, *args):

@@ -6,7 +6,7 @@ import pytest
 
 import vinberg_cones as vc
 from vinberg_cones import cli
-from vinberg_cones.cone import characteristic_degree, characteristic_exponents
+from vinberg_cones.cone import characteristic_degree
 from vinberg_cones.errors import IndefiniteSignatureError, OutsideConeError, SpecError
 
 from _support import (
@@ -203,7 +203,7 @@ class TestGroupCoordinates:
 
     @pytest.mark.parametrize(
         "cone",
-        [rank2_cone(3), rank3_cone(4), vc.dual_cone(rank3_cone(4)), vc.dual_cone(rank3_cone(1, mult=2))],
+        [rank2_cone(3), rank3_cone(4), rank3_cone(4).dual, rank3_cone(1, mult=2).dual],
     )
     def test_squared_diagonal_ratio_identity(self, cone):
         # a_ii^2 = p_i / prod_{s>i} p_s (also on dual algebras, where p_1 is
@@ -219,7 +219,7 @@ class TestGroupCoordinates:
                 assert A.diag[i] ** 2 * denom == pytest.approx(ps[i], rel=1e-10)
 
     @pytest.mark.parametrize(
-        "cone", [rank2_cone(1), rank2_cone(4), rank3_cone(1), rank3_cone(8), vc.dual_cone(rank3_cone(4))]
+        "cone", [rank2_cone(1), rank2_cone(4), rank3_cone(1), rank3_cone(8), rank3_cone(4).dual]
     )
     def test_residuals_are_the_max_per_layout_slice(self, cone):
         # reference: one max per slice of the layout, relative to the point's scale
@@ -240,7 +240,7 @@ class TestGroupCoordinates:
 
     @pytest.mark.parametrize(
         "cone",
-        [rank2_cone(1), rank2_cone(4), rank3_cone(1), rank3_cone(8), rank3_cone(3, 2), vc.dual_cone(rank3_cone(4))],
+        [rank2_cone(1), rank2_cone(4), rank3_cone(1), rank3_cone(8), rank3_cone(3, 2), rank3_cone(4).dual],
     )
     def test_element_is_the_blockwise_back_substitution(self, cone):
         # the element is written as one flat vector; each entry keeps the bits
@@ -299,7 +299,7 @@ class TestGroupCoordinates:
     def test_decomposes_dual_algebra_points(self):
         # the same code runs in the dual algebra (used by the duality oracle)
         cone = rank3_cone(4)
-        dcone = vc.dual_cone(cone)
+        dcone = cone.dual
         rng = np.random.default_rng(8)
         for _ in range(20):
             B = vc.random_triangular(dcone.algebra, rng)
@@ -339,17 +339,17 @@ class TestCharacteristicFunction:
     def test_exponent_bookkeeping(self):
         cone = rank3_cone(1)
         n1, n2, n3 = cone.exponents
-        assert characteristic_exponents(cone) == (n1, n2 - n1, n3 - n2 - n1)
+        assert cone.characteristic_exponents == (n1, n2 - n1, n3 - n2 - n1)
 
     def test_exponents_computed_once_per_cone(self):
         cone = vc.cone_from_algebra(rank3_cone(4).algebra)
-        first = characteristic_exponents(cone)
+        first = cone.characteristic_exponents
         assert all(isinstance(e, Fraction) for e in first)
-        assert characteristic_exponents(cone) is first
+        assert cone.characteristic_exponents is first
 
     @pytest.mark.parametrize(
         "cone",
-        [rank2_cone(3), rank2_cone(4), rank3_cone(1), rank3_cone(4), vc.dual_cone(rank3_cone(1, mult=2))],
+        [rank2_cone(3), rank2_cone(4), rank3_cone(1), rank3_cone(4), rank3_cone(1, mult=2).dual],
     )
     def test_homogeneity_matches_descriptor(self, cone):
         rng = np.random.default_rng(9)
@@ -404,7 +404,7 @@ def _p1_root(cone, X) -> float:
     return -at0 / (at1 - at0)
 
 
-CHI_DOMAIN_CONES = {"w4": rank2_cone(4), "d1": rank3_cone(1), "d8": rank3_cone(8), "dual-d4": vc.dual_cone(rank3_cone(4))}
+CHI_DOMAIN_CONES = {"w4": rank2_cone(4), "d1": rank3_cone(1), "d8": rank3_cone(8), "dual-d4": rank3_cone(4).dual}
 
 
 class TestCharacteristicDomain:
@@ -494,8 +494,8 @@ class TestDuality:
 
     def test_dual_cone_built_once(self):
         cone = vc.cone_from_algebra(rank3_cone(4).algebra)
-        dual = vc.dual_cone(cone)
-        assert vc.dual_cone(cone) is dual
+        dual = cone.dual
+        assert cone.dual is dual
         assert dual.algebra is vc.dual_algebra(cone.algebra)
         fresh = vc.cone_from_algebra(vc.dual_algebra(cone.algebra))
         assert dual.exponents == fresh.exponents and dual.dim_herm == fresh.dim_herm
@@ -510,7 +510,7 @@ class TestDuality:
         # d'(A^* A) = (prod diag)^2, cross-checked by decomposing the
         # anti-transposed point in the dual algebra
         cone = rank3_cone(dim_v)
-        dcone = vc.dual_cone(cone)
+        dcone = cone.dual
         rng = np.random.default_rng(13)
         for _ in range(50):
             A = vc.random_triangular(cone.algebra, rng)
@@ -569,7 +569,7 @@ class TestDualMembership:
 
     @pytest.mark.parametrize("cone", [rank2_cone(3), rank3_cone(4)])
     def test_matches_anti_transpose_route(self, cone):
-        dcone = vc.dual_cone(cone)
+        dcone = cone.dual
         rng = np.random.default_rng(16)
         for _ in range(50):
             X = random_dual_point(cone, rng)

@@ -1663,10 +1663,12 @@ class TestOneFormulaPerInvariant:
             assert H.tolist() == [vc.cubic_hessian(q, X)[:rank, :rank].tolist() for X in points]
 
     def test_det_cubic_needs_the_special_algebra(self):
-        dcone = vc.dual_cone(rank3_cone(1))
-        q = vc.InvariantCubic(dcone, (1.0, 0.0, 0.0))
-        with pytest.raises(SpecError):
-            vc.eval_cubic(q, vc.herm_identity(dcone.algebra))
+        # d is undefined on the dual, and so is every cubic of its span
+        dcone = rank3_cone(1).dual
+        with pytest.raises(SpecError, match="special algebra"):
+            vc.det_cubic(dcone, vc.herm_identity(dcone.algebra))
+        with pytest.raises(SpecError, match="special algebra"):
+            vc.InvariantCubic(dcone, (1.0, 0.0, 0.0))
 
     @pytest.mark.parametrize("op", [vc.eval_cubic, vc.gradient, vc.cubic_hessian])
     def test_point_over_another_algebra_rejected(self, op):
@@ -1676,6 +1678,40 @@ class TestOneFormulaPerInvariant:
 
     def test_finite_difference_oracle_is_the_library_copy(self):
         assert fd_hessian_log is cubics.fd_hessian_log
+
+
+class TestCubicDomain:
+    """A cubic lives on a rank-2 or a rank-3 special cone, and the one-point
+    functions take one point: both are refused with a semantic error."""
+
+    @pytest.mark.parametrize("dim_v", [1, 2, 4, 8])
+    def test_no_cubic_on_a_rank3_dual(self, dim_v):
+        # d is undefined on the dual, so no cubic of its span is made there,
+        # and neither its derivatives nor a sweep or a scan can read one
+        dcone = rank3_cone(dim_v).dual
+        for make in (
+            lambda: vc.InvariantCubic(dcone, (1.0, 0.0, 0.0)),
+            lambda: vc.InvariantCubic.rank3_family(dcone, 0.5, -0.25),
+            lambda: vc.scan_parameter_plane(dcone, [0.0], [0.5]),
+        ):
+            with pytest.raises(SpecError, match="requires a rank-3 special algebra"):
+                make()
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("rank", [2, 3])
+    @pytest.mark.parametrize(
+        "op",
+        [vc.gradient, vc.cubic_hessian, vc.hessian_log, vc.tangent_restriction, fd_hessian_log],
+        ids=lambda op: op.__name__,
+    )
+    def test_one_point_functions_refuse_a_stack(self, op, rank, n):
+        cone = rank2_cone(3) if rank == 2 else rank3_cone(2)
+        q = vc.InvariantCubic(cone, (0.5, 1.0) if rank == 2 else (1.0, 0.5, -0.25))
+        rng = np.random.default_rng(n)
+        X = vc.herm_from_vector(cone.algebra, [random_orbit_point(cone, rng).to_vector() for _ in range(n)])
+        shape = rf"\({n}, {cone.dim_herm}\)"
+        with pytest.raises(DimensionMismatchError, match=rf"^{op.__name__} takes one point, not the flat shape {shape}$"):
+            op(q, X)
 
 
 class TestSameBits:

@@ -64,12 +64,16 @@ class TestWeightsPath:
     def test_built_modules_take_weights(self, case):
         if (cone := made_cone(case)) is None:
             return
+        # a module holds no space: the algebra's blocks are Euclidean spaces
+        # of the dimensions of its tables, before and after a JSON round trip
         module = cone.algebra.clifford
         back = CliffordModule.from_json(module.to_json())
-        for v_space in (module.v_space, back.v_space):
-            assert_identity(v_space, case[0])
-        for space in (module.s0_space, module.s1_space, back.s0_space, back.s1_space):
-            assert_identity(space, module.dim_s)
+        for mod in (module, back):
+            assert not any(hasattr(mod, f"{name}_space") for name in ("v", "s0", "s1"))
+            alg = vc.rank3_special(mod)
+            assert_identity(alg.spaces[(2, 3)], case[0])
+            for key in ((1, 2), (1, 3)):
+                assert_identity(alg.spaces[key], module.dim_s)
 
     @pytest.mark.parametrize(
         "space",
@@ -95,7 +99,8 @@ class TestWeightsPath:
 
     def test_d18_spaces_hold_no_matrix(self):
         module = vc.build_clifford_module(18)
-        for space in (module.v_space, module.s0_space, module.s1_space):
+        assert {k: v for k, v in vars(module).items() if k != "_tables"} == {"dim_v": 18, "dim_s": 512, "multiplicity": 1}
+        for space in vc.rank3_special(module).spaces.values():
             assert vars(space) == {"dim": space.dim}
 
 

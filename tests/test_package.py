@@ -12,16 +12,17 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# every public name of the package as it was when it imported cubics eagerly
+# every public name of the package; the names that only repeated others
+# (dual_cone, characteristic_exponents, anti_transpose_triangular) are gone
 EXPORTED = [
     "AlgebraMismatchError", "CliffordModule", "CliffordRelationError", "ConeDescriptor", "DiagonalGrid",
     "DiagonalReport", "DimensionMismatchError", "GroupCoordinates", "HermMatrix", "HessianReport",
     "IndefiniteSignatureError", "InvariantCubic", "MAX_GAMMA_ENTRIES", "MetricSpace", "ModuleTooLargeError",
     "NilAlgebra", "OutsideConeError", "ScanCell", "SearchGrid", "SpecError", "TriangularElement", "VinbergError",
-    "admissibility_on_diagonal", "anti_transpose", "anti_transpose_triangular", "build_clifford_module",
-    "characteristic_degree", "characteristic_exponents", "characteristic_function", "clifford",
+    "admissibility_on_diagonal", "anti_transpose", "build_clifford_module",
+    "characteristic_degree", "characteristic_function", "clifford",
     "clifford_bilinear", "clifford_mult", "clifford_mult_adjoint", "cone", "cone_from_algebra", "cubic_hessian",
-    "cubics", "d_prime", "d_prime_via_dual", "det_cubic", "dual_algebra", "dual_cone", "dual_membership", "errors",
+    "cubics", "d_prime", "d_prime_via_dual", "det_cubic", "dual_algebra", "dual_membership", "errors",
     "eval_cubic", "find_locally_admissible_point", "g_determinant_sq", "gradient", "group_coordinates",
     "herm_from_json", "herm_from_triangular", "herm_from_triangular_star", "herm_from_vector", "herm_identity",
     "herm_pairing", "hessian_log", "identity_triangular", "membership", "minimal_spinor_dim", "nilalgebra",
@@ -113,6 +114,16 @@ def test_star_import_takes_every_exported_name():
         "print(json.dumps(sorted(n for n in dir() if not n.startswith('_') and n != 'json')))"
     )
     assert names == EXPORTED
+
+
+def test_one_name_per_object():
+    # cone.dual, the cached ConeDescriptor.characteristic_exponents,
+    # anti_transpose and cli._fmt are the only names of their objects
+    from vinberg_cones import cli, cone, nilalgebra
+
+    for mod, name in [(cone, "dual_cone"), (cone, "characteristic_exponents"),
+                      (nilalgebra, "anti_transpose_triangular"), (cli, "dumps17")]:
+        assert not hasattr(mod, name), name
 
 
 def test_unknown_attribute_raises():
