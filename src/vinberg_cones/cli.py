@@ -19,25 +19,9 @@ import sys
 import numpy as np
 
 from . import cone as cone_mod
-from .clifford import (
-    MAX_GAMMA_ENTRIES,
-    CliffordModule,
-    MetricSpace,
-    _check_signature,
-    _is_int,
-    _relation_residual,
-    build_clifford_module,
-    clifford_bilinear,
-    clifford_mult,
-    verify_isometry,
-)
-from .errors import (
-    IndefiniteSignatureError,
-    ModuleTooLargeError,
-    OutsideConeError,
-    SpecError,
-    VinbergError,
-)
+from .clifford import MAX_GAMMA_ENTRIES, CliffordModule, MetricSpace, _check_signature, _is_int, _relation_residual
+from .clifford import build_clifford_module, clifford_bilinear, clifford_mult, verify_isometry
+from .errors import IndefiniteSignatureError, ModuleTooLargeError, OutsideConeError, SpecError, VinbergError
 from .nilalgebra import (
     TriangularElement,
     _uniform_entries,

@@ -22,13 +22,8 @@ from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
-from .errors import (
-    CliffordRelationError,
-    DimensionMismatchError,
-    IndefiniteSignatureError,
-    ModuleTooLargeError,
-    SpecError,
-)
+from .errors import CliffordRelationError, DimensionMismatchError, IndefiniteSignatureError
+from .errors import ModuleTooLargeError, SpecError
 
 # Largest dim_v * dim_s**2 that build_clifford_module accepts: the entries of
 # the dense gamma stack that to_json writes, unchanged although a module holds
@@ -219,8 +214,9 @@ class CliffordModule:
     keyword-only: a dense (2, 2, 2) stack has the shapes of a (perm, val)
     pair on dim_v = dim_s = 2.  The constructor checks that the two tables
     have one non-empty 2-D shape and that every row of ``perm`` is a
-    permutation of 0..dim_s-1; :func:`build_clifford_module` and
-    :meth:`from_json`, the dense entry point, check the relation.
+    permutation of 0..dim_s-1, and keeps read-only copies of them;
+    :func:`build_clifford_module` and :meth:`from_json`, the dense entry
+    point, check the relation.
     """
 
     dim_v: int
@@ -237,6 +233,9 @@ class CliffordModule:
             seen[np.arange(dim_v)[:, None], perm] = True  # O(dim_v dim_s)
         if not seen.all():
             raise SpecError("every row of the perm table must be a permutation of 0..dim_s-1")
+        tables = tuple(np.array(t) for t in tables)  # read-only copies: the caller's arrays stay theirs
+        for t in tables:
+            t.setflags(write=False)
         # past the frozen __setattr__
         self.__dict__.update(dim_v=dim_v, dim_s=dim_s, multiplicity=multiplicity, _tables=tables)
 

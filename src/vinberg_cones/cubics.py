@@ -20,7 +20,7 @@ from __future__ import annotations
 import csv
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -156,8 +156,8 @@ def cubic_hessian(q: InvariantCubic, X: HermMatrix) -> np.ndarray:
     lay = alg.layout
     n = q.cone.dim_herm
     H = np.zeros((n, n))
-    for (i, j), h in _diagonal_derivatives(q, X.diag)[1].items():
-        H[i, j] = H[j, i] = h
+    r = q.cone.rank
+    H[:r, :r] = _diagonal_derivatives(q, X.diag)[1]
     if q.cone.rank == 2:
         b, wsl = q.coeffs[1], lay[(1, 2)]
         H[1, wsl] = H[wsl, 1] = -2.0 * b * X.offdiag[(1, 2)]
@@ -203,13 +203,7 @@ def _neg_hess_log(qx, g, H) -> np.ndarray:
     Hessian, at one point or a stack.  np.float_power rounds like the scalar
     ** of one point; numpy's array ** does not."""
     qx = np.asarray(qx)[..., None, None]
-    return _neg_hess_log_entry(qx, np.float_power(qx, 2), g[..., :, None], g[..., None, :], H)
-
-
-def _neg_hess_log_entry(qx, qsq, gi, gj, hij):
-    """(gi gj - q hij) / q^2 given qsq = q^2: entries of -Hess(log q), as
-    floats or as arrays."""
-    return (gi * gj - qx * hij) / qsq
+    return (g[..., :, None] * g[..., None, :] - qx * H) / np.float_power(qx, 2)
 
 
 def fd_hessian_log(q: InvariantCubic, X: HermMatrix) -> np.ndarray:
@@ -450,18 +444,22 @@ def _boundary_probes(q: InvariantCubic, x2):
     as a list for one x2 given as a float: the largest positive root of
     c t^3 + b x2 t^2 - 1 times (1 - offset), inf where there is none.  The
     roots are the eigenvalues of the companion matrices that np.roots builds,
-    all rows in one call."""
+    all rows in one call; one row's is one nested list of floats."""
     _, b, c = q.coeffs
-    A = np.zeros((np.size(x2), 3, 3))
-    A[:, 0, 0] = -(b * x2) / c  # the first row is -(b x2, 0, -1) / c
+    if not isinstance(x2, np.ndarray):  # the same steps on one row's floats
+        first = [-(b * x2) / c, -0.0 / c, 1.0 / c]  # -(b x2, 0, -1) / c
+        if not all(map(math.isfinite, first)):
+            raise OutsideConeError("the feasibility boundary of the diagonal slice overflows")
+        roots = np.linalg.eigvals([first, [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]).tolist()
+        t = max(r.real if abs(r.imag) < 1e-9 and r.real > 0.0 else 0.0 for r in roots)
+        return [t * (1.0 - o) if t > 0.0 else math.inf for o in BOUNDARY_OFFSETS]
+    A = np.zeros((x2.size, 3, 3))
+    A[:, 0, 0] = -(b * x2) / c
     A[:, 0, 1:] = -0.0 / c, 1.0 / c
     A[:, 1, 0] = A[:, 2, 1] = 1.0
     if not np.isfinite(A).all():
         raise OutsideConeError("the feasibility boundary of the diagonal slice overflows")
     roots = np.linalg.eigvals(A)
-    if not isinstance(x2, np.ndarray):  # the same steps on one row's floats
-        t = max(r.real if abs(r.imag) < 1e-9 and r.real > 0.0 else 0.0 for r in roots[0].tolist())
-        return [t * (1.0 - o) if t > 0.0 else math.inf for o in BOUNDARY_OFFSETS]
     real = (np.abs(roots.imag) < 1e-9) & (roots.real > 0.0)
     t = np.where(real, roots.real, 0.0).max(axis=1)[:, None]
     return np.where(t > 0.0, t * (1.0 - np.array(BOUNDARY_OFFSETS)), np.inf)
@@ -519,21 +517,18 @@ def _slice_points(q: InvariantCubic, grid: DiagonalGrid | SearchGrid) -> np.ndar
     else:
         x2, x3, x3sq, x3cu = grid._square
     x1 = _level_x1(q, x2, x3, x3sq, x3cu)
-    return np.stack([x1, x2, x3], axis=1)[x1 > 0.0]
+    return np.array([x1, x2, x3]).T[x1 > 0.0]
 
 
 def _level_x1(q: InvariantCubic, x2, x3, x3sq, x3cu):
-    """x1 on {q = 1} at rank-3 diagonal (x2, x3), a != 0, given x3^2 and x3^3:
-    arrays, or floats, where a zero a x2 x3 divides as a stack does."""
+    """x1 on {q = 1} at rank-3 diagonal (x2, x3), a != 0, given x3^2 and x3^3 (arrays)."""
     a, b, c = q.coeffs
-    num, den = 1.0 - b * x2 * x3sq - c * x3cu, a * x2 * x3
-    return num / den if isinstance(den, np.ndarray) or den else num * math.copysign(math.inf, den)
+    return (1.0 - b * x2 * x3sq - c * x3cu) / (a * x2 * x3)
 
 
 def _constraint_violated(q: InvariantCubic, x):
-    """Sign of the vector-block diagonal of -Hess(log q) at each row of x, or
-    at one point's floats: a x1 + b x3 <= 0 forces a non-positive tangent
-    direction (rank 3 only)."""
+    """Sign of the vector-block diagonal of -Hess(log q) at each row of x:
+    a x1 + b x3 <= 0 forces a non-positive tangent direction (rank 3 only)."""
     if q.cone.rank != 3:
         return np.zeros(len(x), dtype=bool)
     a, b, _ = q.coeffs
@@ -550,21 +545,16 @@ def _constraint_violated(q: InvariantCubic, x):
 # block's Gram matrix, the identity.  ker dq then splits the same way, and
 # the leading minors of the Jacobi-scaled restriction are those of a
 # (rank-1)-square core followed by the tail det(core) times the running
-# product of block signs.  The kernel
-# below evaluates that for a stack of points through the dense path's
-# _neg_hess_log, _tangent_basis, _restricted, _jacobi_scaled and
-# _leading_minors, or at one point.  Every value that reaches
-# the core repeats the float operations of eval_cubic (d = x1 x2 x3 from
-# det_cubic, p2 = x3 x2 and p3 = x3 from cone._lower_p), gradient and
+# product of block signs.  The kernel evaluates that for a stack of points
+# through the dense path's _neg_hess_log, _tangent_basis and _restricted, or
+# at one point on Python floats (whose arithmetic, ** and math.sqrt round
+# as numpy's elementwise ufuncs do) but for the gradient norm (a BLAS dot),
+# the QR and the restriction (BLAS fused multiply-adds).  Every value that
+# reaches the core repeats the float operations of eval_cubic, gradient and
 # cubic_hessian with zero off-diagonal entries, in the same grouping:
 # near-singular cores amplify a last-bit change in an entry about 1e5-fold
 # in min_minor.  Powers go through np.float_power, which rounds like the
-# scalar ** of the dense path; numpy's array ** does not.  At one point q,
-# its derivatives and block scalars, the entries of -Hess(log q), the basis
-# input, the core's scaling and minors, the block signs and the tail are
-# Python floats, whose arithmetic, ** and math.sqrt round as numpy's
-# elementwise ufuncs do; the gradient norm (a BLAS dot), the QR and the
-# restriction (BLAS fused multiply-adds) stay numpy calls.
+# scalar ** of the dense path; numpy's array ** does not.
 #
 # The tail is never formed.  Within a block of sign s its signs are constant
 # (s = 1), alternate (s = -1) or vanish (s = 0), so the entries at the
@@ -594,79 +584,70 @@ def _diagonal_q(q: InvariantCubic, x):
 
 
 def _diagonal_derivatives(q: InvariantCubic, x):
-    """The entries of q's gradient and the upper entries {(i, j): ...} of its
-    Hessian in the diagonal coordinates, each an (N,) array over the rows of
-    x, or a number at one point x; the Hessian's other upper entries are 0."""
+    """The entries of q's gradient and the rows of its Hessian (zeros
+    included) in the diagonal coordinates, each an (N,) array over the rows
+    of x, or a number at one point x."""
     xs, pw = _unpack(x)
     if q.cone.rank == 2:
         a, b = q.coeffs
         x1, x2 = xs
-        x2sq = pw(x2, 2)
-        g = (b * x2sq, 3.0 * a * x2sq + 2.0 * b * x1 * x2)
-        return g, {(0, 1): 2.0 * b * x2, (1, 1): 6.0 * a * x2 + 2.0 * b * x1}
+        x2sq, h01 = pw(x2, 2), 2.0 * b * x2
+        return (b * x2sq, 3.0 * a * x2sq + 2.0 * b * x1 * x2), ((0.0, h01), (h01, 6.0 * a * x2 + 2.0 * b * x1))
     a, b, c = q.coeffs
     x1, x2, x3 = xs
-    x3sq = pw(x3, 2)
-    g = (a * (x2 * x3), a * (x1 * x3) + b * x3sq, a * (x1 * x2) + 2.0 * b * x2 * x3 + 3.0 * c * x3sq)
-    H = {(0, 1): a * x3, (0, 2): a * x2, (1, 2): a * x1 + 2.0 * b * x3, (2, 2): 2.0 * b * x2 + 6.0 * c * x3}
-    return g, H
-
-
-def _block_scalars(q: InvariantCubic, x, hs, qx) -> tuple:
-    """The scalar of -Hess(log q) on each off-diagonal block, from the rows
-    of x or one point, its Hessian entries hs and q = qx != 0 there."""
-    if q.cone.rank == 2:
-        return (hs[(0, 1)] / qx,)
-    a, b, _ = q.coeffs
-    x1, x2, x3 = _unpack(x)[0]
-    return (2.0 * a * x3 / qx, 2.0 * a * x2 / qx, 2.0 * (a * x1 + b * x3) / qx)
+    x3sq, b2x2 = pw(x3, 2), 2.0 * b * x2
+    g = (a * (x2 * x3), a * (x1 * x3) + b * x3sq, a * (x1 * x2) + b2x2 * x3 + 3.0 * c * x3sq)
+    h01, h02, h12 = a * x3, a * x2, a * x1 + 2.0 * b * x3
+    return g, ((0.0, h01, h02), (h01, 0.0, h12), (h02, h12, b2x2 + 6.0 * c * x3))
 
 
 def _diagonal_parts(q: InvariantCubic, x: np.ndarray):
-    """q, its gradient and Hessian in the diagonal coordinates, and the
-    scalar of -Hess(log q) on each off-diagonal block, at the rows of x.
-    The block scalars divide by q; the caller checks 0 < q < inf."""
+    """q, its gradient (N, rank) and Hessian (N, rank, rank) in the diagonal
+    coordinates, and the scalar of -Hess(log q) on each off-diagonal block
+    (N, blocks), at the rows of x.  The block scalars divide by q; the
+    caller checks 0 < q < inf."""
     qx = _diagonal_q(q, x)
     gs, hs = _diagonal_derivatives(q, x)
-    H = np.zeros(x.shape + x.shape[1:])
-    for (i, j), h in hs.items():
-        H[:, i, j] = H[:, j, i] = h
-    return qx, np.array(gs).T, H, np.array(_block_scalars(q, x, hs, qx)).T
-
-
-def _point_forms(q: InvariantCubic, x: list):
-    """The unit gradient, -Hess(log q) and the block signs at one diagonal
-    point x (floats) with q > 0, projected onto {q = 1}: the stacked
-    kernel's steps on Python floats."""
-    qx = _diagonal_q(q, x)
-    if not 0.0 < qx < math.inf:
-        raise _q_error(qx)
-    if abs(qx - 1.0) > 1e-9:
-        s = qx ** (1.0 / 3.0)
-        x = [xi / s for xi in x]
-        qx = _diagonal_q(q, x)
-    g, hs = _diagonal_derivatives(q, x)
-    padded = np.zeros(q.cone.dim_herm)
-    padded[: len(g)] = g
-    norm = math.sqrt(padded @ padded)  # the stacked kernel's BLAS dot
-    if not 0.0 < norm < math.inf:
-        raise OutsideConeError("the gradient norm is not finite at the level set")
-    qsq, r = qx**2, range(len(g))
-    M = [[_neg_hess_log_entry(qx, qsq, g[i], g[j], hs.get((min(i, j), max(i, j)), 0.0)) for j in r] for i in r]
-    signs = [float((s > 0) - (s < 0)) if s == s else s for s in _block_scalars(q, x, hs, qx)]  # as np.sign
-    return [gi / norm for gi in g], np.array(M), signs
+    n, r = x.shape
+    g, H = np.empty((n, r)), np.empty((n, r, r))
+    for i in range(r):
+        g[:, i] = gs[i]
+        for j in range(r):
+            H[:, i, j] = hs[i][j]
+    if r == 2:
+        return qx, g, H, (hs[0][1] / qx)[:, None]
+    (a, b, _), (x1, x2, x3) = q.coeffs, x.T
+    return qx, g, H, np.array([2.0 * a * x3 / qx, 2.0 * a * x2 / qx, 2.0 * (a * x1 + b * x3) / qx]).T
 
 
 def _scaled_core_minors(R):
-    """The leading minors of one point's symmetric core R (at most 2 x 2)
-    after _jacobi_scaled, as floats: _leading_minors, entry by entry."""
-    E, m = R.tolist(), len(R)
-    d = [math.sqrt(abs(E[i][i])) or 1.0 for i in range(m)]
-    n = [E[i][j] / (d[i] * d[j]) for i in range(m) for j in range(i, m)]
-    pivots = n[:1] if m == 1 or n[0] == 0.0 else [n[0], n[2] - n[1] * (n[1] / n[0])]
-    if not all(p != 0.0 and p * 0.0 == 0.0 for p in pivots):  # a zero or non-finite pivot
+    """The leading minors of the symmetric core R (at most 2 x 2; the last
+    two axes) after _jacobi_scaled, as _leading_minors' elimination takes
+    them: n00 and n00 (n11 - n10 (n01 / n00)).  Floats at one point, columns
+    for a stack; where a pivot is zero or not finite, _leading_minors'
+    determinants."""
+    one = R.ndim == 2
+    if one:
+        E = R.tolist()
+        d = [math.sqrt(abs(E[i][i])) or 1.0 for i in range(len(E))]
+        n = [[e / (di * dj) for e, dj in zip(row, d)] for row, di in zip(E, d)]
+    else:
+        n = _jacobi_scaled(R).transpose(1, 2, 0)
+    pivots = [n[0][0]]
+    if len(n) == 2 and (not one or pivots[0]):  # a float / 0 raises
+        pivots.append(n[1][1] - n[1][0] * (n[0][1] / n[0][0]))
+    minors = [pivots[0]] + [pivots[0] * p for p in pivots[1:]]
+    if one:
+        if len(pivots) == len(n) and all(p != 0.0 and p * 0.0 == 0.0 for p in pivots):
+            return minors
         return list(_leading_minors(_jacobi_scaled(R)))
-    return [n[0]] + [n[0] * p for p in pivots[1:]]
+    # n00 is 0, nan or finite and nonzero, and where it is 0 or nan the last
+    # pivot is not finite: that pivot alone flags the rows
+    if not (pivots[-1].all() and np.isfinite(pivots[-1]).all()):
+        bad = (pivots[-1] == 0.0) | ~np.isfinite(pivots[-1])
+        for m, fixed in zip(minors, _leading_minors(_jacobi_scaled(R[bad])).T):
+            m[bad] = fixed
+    return minors
 
 
 def _tail_minors(alg, det_core, signs):
@@ -683,6 +664,43 @@ def _tail_minors(alg, det_core, signs):
     return minors
 
 
+def _point_minors(q: InvariantCubic, x: list) -> list:
+    """The minors at one diagonal point x (floats) with q > 0, projected onto
+    {q = 1}: the stacked kernel's steps on Python floats but for the gradient
+    norm (the stack's BLAS dot), the QR and the restriction."""
+    qx = _diagonal_q(q, x)
+    if not 0.0 < qx < math.inf:
+        raise _q_error(qx)
+    if abs(qx - 1.0) > 1e-9:
+        s = qx ** (1.0 / 3.0)
+        x = [xi / s for xi in x]
+        qx = _diagonal_q(q, x)
+    if len(x) == 2:  # _diagonal_derivatives and _diagonal_parts' block scalars, inline
+        (a, b), (x1, x2) = q.coeffs, x
+        x2sq, h01 = x2**2, 2.0 * b * x2
+        g = [b * x2sq, 3.0 * a * x2sq + 2.0 * b * x1 * x2]
+        H, blocks = ((0.0, h01), (h01, 6.0 * a * x2 + 2.0 * b * x1)), (h01 / qx,)
+    else:
+        (a, b, c), (x1, x2, x3) = q.coeffs, x
+        x3sq, b2x2, h01, h02, h12 = x3**2, 2.0 * b * x2, a * x3, a * x2, a * x1 + 2.0 * b * x3
+        g = [a * (x2 * x3), a * (x1 * x3) + b * x3sq, a * (x1 * x2) + b2x2 * x3 + 3.0 * c * x3sq]
+        H = ((0.0, h01, h02), (h01, 0.0, h12), (h02, h12, b2x2 + 6.0 * c * x3))
+        blocks = (2.0 * a * x3 / qx, 2.0 * a * x2 / qx, 2.0 * (a * x1 + b * x3) / qx)
+    padded = np.zeros(q.cone.dim_herm)
+    padded[: len(g)] = g
+    norm = math.sqrt(padded @ padded)
+    if not 0.0 < norm < math.inf:
+        raise OutsideConeError("the gradient norm is not finite at the level set")
+    qsq, u = qx**2, [gi / norm for gi in g]
+    M = [[(gi * gj - qx * h) / qsq for gj, h in zip(g, row)] for gi, row in zip(g, H)]
+    au = [abs(t) for t in u]
+    drop = au.index(max(au))  # the first largest, as _tangent_basis drops it
+    basis = np.linalg.qr([[(i == k) - ui * uk for k, uk in enumerate(u) if k != drop] for i, ui in enumerate(u)])[0]
+    core = _scaled_core_minors(_restricted(np.array(M), basis))
+    signs = [float((s > 0) - (s < 0)) if s == s else s for s in blocks]  # as np.sign
+    return core + _tail_minors(q.cone.algebra, core[-1], signs)
+
+
 def _diagonal_minors(q: InvariantCubic, x: np.ndarray):
     """The leading minors of tangent_restriction's Jacobi-scaled form that
     its min_minor reads (core, then tail; last axis) at each row of x, an
@@ -691,39 +709,35 @@ def _diagonal_minors(q: InvariantCubic, x: np.ndarray):
     with np.errstate(all="ignore"):
         if x.ndim == 1:
             try:
-                u, M, signs = _point_forms(q, x.tolist())
+                minors = _point_minors(q, x.tolist())
             except (OverflowError, ZeroDivisionError):  # where a stack gets inf or nan
                 raise OutsideConeError("the level set overflows at a diagonal point") from None
-            drop = max(range(len(u)), key=lambda k: abs(u[k]))  # as _tangent_basis drops it
-            keep = [k for k in range(len(u)) if k != drop]
-            basis = np.linalg.qr(np.array([[(i == k) - ui * u[k] for k in keep] for i, ui in enumerate(u)]))[0]
-            core = _scaled_core_minors(_restricted(M, basis))  # the tail and its check on floats too
-            minors = core + _tail_minors(q.cone.algebra, core[-1], signs)
-        else:
-            qx, g, H, blocks = _diagonal_parts(q, x)
+            if not all(map(math.isfinite, minors)):
+                raise OutsideConeError("the minors of the Hessian metric are not finite at the level set")
+            return np.array(minors)
+        qx, g, H, blocks = _diagonal_parts(q, x)
+        off = ~(np.abs(qx - 1.0) <= 1e-9)  # nan too: a q within 1e-9 of 1 needs no other check
+        if off.any():
             if not ((qx > 0.0) & (qx < math.inf)).all():
                 raise _q_error(qx)
-            off = np.abs(qx - 1.0) > 1e-9
-            if off.any():
-                x = x.copy()
-                x[off] /= np.float_power(qx[off, None], 1.0 / 3.0)
-                qx, g, H, blocks = _diagonal_parts(q, x)
-            # np.linalg.norm in the dense path is sqrt(g.dot(g)) over the full
-            # zero-padded gradient, a BLAS dot that rounds differently from one
-            # over the rank entries alone; a stacked (1, n) @ (n, 1) matmul
-            # rounds like it (einsum does not).  g != 0 by Euler's identity
-            # x . grad q = 3 q > 0.
-            padded = np.zeros((len(x), q.cone.dim_herm))
-            padded[:, : q.cone.rank] = g
-            norm = np.sqrt((padded[:, None, :] @ padded[:, :, None])[:, 0, 0])
-            if not ((norm > 0.0) & (norm < math.inf)).all():
-                raise OutsideConeError("the gradient norm is not finite at the level set")
-            R = _restricted(_neg_hess_log(qx, g, H), _tangent_basis(g / norm[:, None]))
-            core = _leading_minors(_jacobi_scaled(R))
-            minors = np.column_stack([core, *_tail_minors(q.cone.algebra, core[:, -1], np.sign(blocks).T)])
-        if not (all(map(math.isfinite, minors)) if x.ndim == 1 else np.isfinite(minors).all()):
+            x = x.copy()
+            x[off] /= np.float_power(qx[off, None], 1.0 / 3.0)
+            qx, g, H, blocks = _diagonal_parts(q, x)
+        # np.linalg.norm in the dense path is sqrt(g.dot(g)) over the full
+        # zero-padded gradient, a BLAS dot that rounds differently from one
+        # over the rank entries alone; a stacked (1, n) @ (n, 1) matmul
+        # rounds like it (einsum does not).  g != 0 by Euler's identity
+        # x . grad q = 3 q > 0.
+        padded = np.zeros((len(x), q.cone.dim_herm))
+        padded[:, : q.cone.rank] = g
+        norm = np.sqrt((padded[:, None, :] @ padded[:, :, None])[:, 0, 0])
+        if not ((norm > 0.0) & (norm < math.inf)).all():
+            raise OutsideConeError("the gradient norm is not finite at the level set")
+        core = _scaled_core_minors(_restricted(_neg_hess_log(qx, g, H), _tangent_basis(g / norm[:, None])))
+        minors = np.array(core + _tail_minors(q.cone.algebra, core[-1], np.sign(blocks).T)).T.copy()
+        if not np.isfinite(minors).all():
             raise OutsideConeError("the minors of the Hessian metric are not finite at the level set")
-    return np.asarray(minors)
+    return minors
 
 
 # ---------------------------------------------------------------------------
@@ -749,21 +763,18 @@ ARGMIN_DELTA = 1e-2  # relative reach of the argmin candidates over the smallest
 
 
 def _inertia_kinds(q: InvariantCubic, x, qx):
-    """The kind code (index into _KINDS) of g(q) at each row of x, or one
-    point's floats, diagonal points with q = qx > 0 inside the slope
-    constraint: positive-definite where b > 0 (rank 2), or a > 0 and a margin
+    """The kind code (index into _KINDS) of g(q) at each row of x, diagonal
+    points with q = qx > 0 inside the slope constraint: positive-definite where b > 0 (rank 2), or a > 0 and a margin
     1 - t, t = 4c x3^3 / q, above MARGIN_BAND relative to max(1, t) (rank 3);
     degenerate where b or a is 0 or the margin is within the band, 0 included;
     indefinite elsewhere."""
     lead = q.coeffs[1] if q.cone.rank == 2 else q.coeffs[0]
     if q.cone.rank == 2 or not lead > 0.0 or q.coeffs[2] <= 0.0:  # a > 0, c <= 0: a margin of at least 1
         return np.full(np.shape(qx), _PD if lead > 0.0 else _DEGENERATE if lead == 0.0 else _INDEFINITE)
-    x3 = _unpack(x)[0][2]
+    x3 = x[:, 2]
     f = 4.0 * q.coeffs[2] * (x3 * x3 * x3)  # the margin times q, and its scale, need no division
-    if isinstance(f, np.ndarray):
-        band = MARGIN_BAND * np.maximum(qx, f)
-        return np.where(qx - f > band, _PD, np.where(qx - f < -band, _INDEFINITE, _DEGENERATE))
-    return _PD if qx - f > (band := MARGIN_BAND * max(qx, f)) else _INDEFINITE if qx - f < -band else _DEGENERATE
+    band = MARGIN_BAND * np.maximum(qx, f)
+    return np.where(qx - f > band, _PD, np.where(qx - f < -band, _INDEFINITE, _DEGENERATE))
 
 
 def _core_minors(x: np.ndarray, g, H) -> np.ndarray:
@@ -777,7 +788,7 @@ def _core_minors(x: np.ndarray, g, H) -> np.ndarray:
     axis it keeps (1 where |g_0| is the largest, else 0), which gives R11
     from g_i and (H g)_i alone; det(Rn) = det R / |R11 R22|."""
     g0, g1, g2 = g
-    h01, h02, h12, h22 = (H[k] for k in ((0, 1), (0, 2), (1, 2), (2, 2)))
+    (_, h01, h02), (_, _, h12), (_, _, h22) = H
     hg0, hg1 = h01 * g1 + h02 * g2, h01 * g0 + h12 * g2
     ghg = g0 * hg0 + g1 * hg1 + g2 * (h02 * g0 + h12 * g1 + h22 * g2)
     nn = g0 * g0 + g1 * g1 + g2 * g2
@@ -800,10 +811,12 @@ def _classify_slice(q: InvariantCubic, grid: DiagonalGrid | SearchGrid):
     constraint where the slope constraint fails, else the inertia rule's."""
     x = _slice_points(q, grid)
     inside = ~_constraint_violated(q, x)
-    xs = x[inside]
+    xs = x if inside.all() else x[inside]
     qx = _diagonal_q(q, xs)
     if not ((qx > 0.0) & (qx < math.inf)).all():
         raise _q_error(qx)
+    if xs is x:
+        return x, _inertia_kinds(q, x, qx)
     kinds = np.full(len(x), _CONSTRAINT)
     kinds[inside] = _inertia_kinds(q, xs, qx)
     return x, kinds
@@ -812,16 +825,25 @@ def _classify_slice(q: InvariantCubic, grid: DiagonalGrid | SearchGrid):
 def _first_row_witness(q: InvariantCubic, grid: DiagonalGrid):
     """The first point (floats) and kind code of the first x2 row of the slice
     (a, c > 0) that is not positive-definite, or None: that row of
-    _classify_slice on floats, which checks q at every inside point."""
+    _classify_slice on floats, which checks q at every inside point.  Its x1
+    (a zero a x2 x3 divides as a stack does), slope constraint, q and margin
+    repeat _level_x1, _constraint_violated, _diagonal_q and _inertia_kinds
+    inline."""
+    a, b, c = q.coeffs
     x2, witness, qs = float(grid._xs[0]), None, []
     for x3 in sorted({t for t in grid._probed_rows[0].tolist() + _boundary_probes(q, x2) if t <= PROBE_MAX}):
-        x = [_level_x1(q, x2, x3, x3**2, x3**3), x2, x3]
-        if x[0] > 0.0 and _constraint_violated(q, x):
-            witness = witness or (x, _CONSTRAINT)
-        elif x[0] > 0.0:
-            qs.append(_diagonal_q(q, x))
-            if witness is None and (kind := _inertia_kinds(q, x, qs[-1])) != _PD:
-                witness = (x, kind)
+        x3cu, den = x3**3, a * x2 * x3
+        num = 1.0 - b * x2 * x3**2 - c * x3cu
+        x1 = num / den if den else num * math.copysign(math.inf, den)
+        if not x1 > 0.0:
+            continue
+        if a * x1 + b * x3 <= 0.0:
+            witness = witness or ([x1, x2, x3], _CONSTRAINT)
+            continue
+        qs.append(qx := a * (x1 * x2 * x3) + b * ((x3 * x2) * x3) + c * x3cu)
+        f = 4.0 * c * (x3 * x3 * x3)
+        if witness is None and not qx - f > (band := MARGIN_BAND * max(qx, f)):
+            witness = ([x1, x2, x3], _INDEFINITE if qx - f < -band else _DEGENERATE)
     if not all(0.0 < qx < math.inf for qx in qs):
         raise _q_error(qs)
     return witness
@@ -961,13 +983,4 @@ def scan_to_csv(rows: list[ScanCell], path) -> None:
         writer = csv.writer(fh)
         writer.writerow(["eps1", "eps2", "classification", "witness_x2", "witness_x3", "min_minor"])
         for r in rows:
-            writer.writerow(
-                [
-                    _fmt17(r.eps1),
-                    _fmt17(r.eps2),
-                    r.classification,
-                    _fmt17(r.witness_x2),
-                    _fmt17(r.witness_x3),
-                    _fmt17(r.min_minor),
-                ]
-            )
+            writer.writerow([_fmt17(r.eps1), _fmt17(r.eps2), r.classification, *map(_fmt17, astuple(r)[3:])])

@@ -795,6 +795,21 @@ class TestTableBuild:
         with pytest.raises(SpecError, match="permutation"):
             CliffordModule(tables=(np.array(perm), np.array([[1, 1]])))
 
+    def test_tables_are_copied(self):
+        # a module keeps read-only copies of its tables: writing the caller's
+        # perm afterwards once gave clifford_mult(m, [1, 0], [1, 2]) = [1, 2]
+        # against m.mu([1, 0]) @ [1, 2] = [3, 0], and the module flipped the
+        # caller's perm to read-only when it completed its tables
+        perm, val = np.array([[0, 1], [1, 0]]), np.array([[1, 1], [-1, 1]])
+        m = CliffordModule(tables=(perm, val))
+        perm[0] = [0, 0]
+        val[1] = [7, 7]
+        np.testing.assert_array_equal(vc.clifford_mult(m, [1, 0], [1, 2]), m.mu([1, 0]) @ [1, 2])
+        np.testing.assert_array_equal(m.mu([1, 0]) @ [1, 2], [1, 2])
+        assert m.monomial_tables[0].tolist() == [[0, 1], [1, 0]]
+        assert perm.flags.writeable and val.flags.writeable
+        assert not any(t.flags.writeable for t in m.monomial_tables)
+
 
 def _message(check, *args):
     try:

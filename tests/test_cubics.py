@@ -1511,6 +1511,78 @@ class TestOnePointKernel:
                 cubics._diagonal_minors(q, points)
 
 
+def recorded_kernel_stacks(monkeypatch, cone, cells, grid):
+    """The points each scan cell hands the diagonal kernel, by cell: one
+    point (rank,) or a stack (N, rank)."""
+    seen, kernel = {}, cubics._diagonal_minors
+
+    def recording(q, x):
+        seen.setdefault(tuple(q.coeffs[1:]), []).append(x.copy())
+        return kernel(q, x)
+
+    monkeypatch.setattr(cubics, "_diagonal_minors", recording)
+    for eps in cells:
+        vc.scan_parameter_plane(cone, [eps[0]], [eps[1]], grid)
+    monkeypatch.undo()
+    return seen
+
+
+def assert_rows_are_point_calls(q, stack) -> None:
+    """Each row of the stacked kernel call gives the one-point call's minors,
+    byte for byte."""
+    minors = cubics._diagonal_minors(q, stack)
+    assert minors.shape[0] == len(stack) and minors.flags.c_contiguous
+    for row, m in zip(stack, minors):
+        assert cubics._diagonal_minors(q, row).tobytes() == m.tobytes(), (q.coeffs, row)
+
+
+class TestKernelStackShapes:
+    """The kernel on the stacks the scan really passes it: the argmin
+    candidates of the eps2 <= 0 cells (2-8 rows, the 106 of eps = (0, 0) on
+    dim_v = 8, one point), each also as a stack of one.  Every row is the
+    one-point call's, and the candidates' smallest is the reference scan's
+    row, bit for bit."""
+
+    @pytest.mark.parametrize("dim_v", [1, 8, 16])
+    def test_roadmap_plane_stacks(self, monkeypatch, dim_v):
+        cone, grid = rank3_cone(dim_v), vc.DiagonalGrid(n=12)
+        cells = [e for e in PLANE if e[1] <= 0.0]
+        seen = recorded_kernel_stacks(monkeypatch, cone, cells, grid)
+        sizes = set()
+        for eps in cells:
+            (x,) = seen[eps]
+            q = vc.InvariantCubic.rank3_family(cone, *eps)
+            stack = x[None] if x.ndim == 1 else x
+            sizes.add(len(stack) if x.ndim == 2 else 0)
+            assert_rows_are_point_calls(q, stack)
+            if x.ndim == 2:
+                for row in stack:
+                    assert cubics._diagonal_minors(q, row[None]).tobytes() == cubics._diagonal_minors(q, row).tobytes()
+            # the candidates' first smallest is the reference scan's row
+            pd, kinds = cubics._classify_slice(q, grid)
+            pd = pd[kinds == cubics._PD]
+            i, minor = cubics._first_smallest(cubics._candidate_minors(q, pd))
+            (want,) = reference_scan_parameter_plane(cone, [eps[0]], [eps[1]], grid, vc.SearchGrid(n=12))
+            assert same_bits((*pd[i, 1:].tolist(), minor), (want.witness_x2, want.witness_x3, want.min_minor)), eps
+        assert 0 in sizes and sizes & set(range(2, 9)) and max(sizes) > 100, sizes
+        if dim_v == 8:
+            assert sizes == {0, 2, 3, 4, 5, 6, 8, 106}
+
+    @pytest.mark.parametrize("eps", [-2.0, -0.25, 0.0, 0.5, 2.0])
+    def test_rank2_stacks(self, eps):
+        # rank 2 reads every positive-definite point: stacks of 1, 2-8 and
+        # the whole slice; the first smallest is the reference report's
+        q, grid = vc.InvariantCubic.rank2_family(rank2_cone(4), eps), vc.DiagonalGrid(n=12)
+        x, kinds = cubics._classify_slice(q, grid)
+        x = x[kinds == cubics._PD]
+        assert len(x) > 8
+        for n in (1, 2, 5, 8, len(x)):
+            assert_rows_are_point_calls(q, x[:n])
+        i, minor = cubics._first_smallest(cubics._candidate_minors(q, x))
+        want = reference_admissibility_on_diagonal(q, grid)
+        assert same_bits((tuple(x[i].tolist()), minor), (want.min_minor_coords, want.min_minor))
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestOverflow:
     """Cubics and points whose arithmetic overflows: the sweeps, the kernel
