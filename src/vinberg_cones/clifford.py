@@ -39,6 +39,14 @@ def _is_int(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
+def _check_count(name: str, n) -> None:
+    """Raise DimensionMismatchError unless n is an exact integer >= 1."""
+    if not _is_int(n):
+        raise DimensionMismatchError(f"{name} must be an integer, got {n!r}")
+    if n < 1:
+        raise DimensionMismatchError(f"{name} must be >= 1")
+
+
 # ---------------------------------------------------------------------------
 # Metric vector spaces
 # ---------------------------------------------------------------------------
@@ -192,8 +200,7 @@ def minimal_spinor_dim(dim_v: int) -> int:
     1: the minimal graded-module dimension (period-8 table,
     1,2,4,4,8,8,8,8,16,...).  Closed form: builds no generators.
     """
-    if dim_v < 1:
-        raise DimensionMismatchError("dim_v must be >= 1")
+    _check_count("dim_v", dim_v)
     periods, k = divmod(dim_v - 1, 8)
     return 16**periods * _PERIOD8_SPINOR_DIMS[k]
 
@@ -377,10 +384,8 @@ def build_clifford_module(dim_v: int, signature: tuple[int, int] | None = None, 
     dim_v * dim_s**2 (dim_s including the multiplicity) exceeds
     ``MAX_GAMMA_ENTRIES``.
     """
-    if dim_v < 1:
-        raise DimensionMismatchError("dim_v must be >= 1")
-    if multiplicity < 1:
-        raise DimensionMismatchError("multiplicity must be >= 1")
+    _check_count("dim_v", dim_v)
+    _check_count("multiplicity", multiplicity)
     if signature is not None:
         _check_signature(signature, dim_v)
     if dim_v > MAX_GAMMA_ENTRIES:  # dim_s >= 1; spares computing a 16**(dim_v / 8) dim_s
@@ -458,8 +463,7 @@ def clifford_mult_adjoint(module: CliffordModule, v, s1) -> np.ndarray:
 
 def verify_isometry(module: CliffordModule, n_samples: int = 1000, seed: int = 0) -> float:
     """Worst absolute violation of |mu_v(s)|^2 = |v|^2 |s|^2 over random samples."""
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
+    _check_count("n_samples", n_samples)
     rng = np.random.default_rng(seed)
     v = rng.uniform(-1.0, 1.0, (n_samples, module.dim_v))
     s = rng.uniform(-1.0, 1.0, (n_samples, module.dim_s))

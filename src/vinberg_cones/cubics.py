@@ -387,11 +387,14 @@ class _LogSpaced:
 
     @cached_property
     def _square(self) -> tuple[np.ndarray, ...]:
-        """The sampler's (x2, x3, x3^2, x3^3) with the spacing as each x2's
-        row of x3, which is all a rank-3 slice takes from the grid unless
-        probes join the rows."""
-        rows = np.tile(self._xs, (self.n, 1))
-        return tuple(map(_read_only, _row_points(self._xs, rows, isinstance(self, DiagonalGrid))))
+        """The sampler's (x2, x3, x3^2, x3^3) over the spacing's x2, each with
+        one row of x3, which is all a rank-3 slice takes from the grid unless
+        probes join the rows: the spacing itself, or for a sweep its distinct
+        values up to PROBE_MAX, sorted."""
+        xs = self._xs
+        row = np.unique(xs[xs <= PROBE_MAX]) if isinstance(self, DiagonalGrid) else xs
+        x3 = np.tile(row, self.n)
+        return tuple(map(_read_only, (np.repeat(xs, row.size), x3, np.float_power(x3, 2), np.float_power(x3, 3))))
 
 
 # Rank-3 sweeps with a, c > 0 also probe each x2 row just inside its
@@ -410,10 +413,10 @@ class DiagonalGrid(_LogSpaced):
     n: int = 100
 
     @cached_property
-    def _probed_rows(self) -> np.ndarray:
-        """The spacing followed by the 8 large-x3 probes, a row of x3 for each x2."""
-        row = np.concatenate([self._xs, np.geomspace(self.hi, PROBE_MAX, 8)])
-        return _read_only(np.tile(row, (self.n, 1)))
+    def _probed_row(self) -> list:
+        """The spacing followed by the 8 large-x3 probes, as floats: the x3 of
+        every x2 row before its boundary probes."""
+        return self._xs.tolist() + np.geomspace(self.hi, PROBE_MAX, 8).tolist()
 
 
 @dataclass(frozen=True)
@@ -439,42 +442,25 @@ class DiagonalReport:
     min_minor_coords: tuple[float, ...]
 
 
-def _boundary_probes(q: InvariantCubic, x2):
-    """x3 just inside the feasibility boundary of each x2 row (an array), or
-    as a list for one x2 given as a float: the largest positive root of
-    c t^3 + b x2 t^2 - 1 times (1 - offset), inf where there is none.  The
-    roots are the eigenvalues of the companion matrices that np.roots builds,
-    all rows in one call; one row's is one nested list of floats."""
+def _boundary_probes(q: InvariantCubic, x2: float) -> list:
+    """x3 just inside the feasibility boundary of the row of x2 (a float):
+    the largest positive root of c t^3 + b x2 t^2 - 1 times (1 - offset), inf
+    where there is none.  The roots are the eigenvalues of the companion
+    matrix that np.roots builds, made from one nested list of floats."""
     _, b, c = q.coeffs
-    if not isinstance(x2, np.ndarray):  # the same steps on one row's floats
-        first = [-(b * x2) / c, -0.0 / c, 1.0 / c]  # -(b x2, 0, -1) / c
-        if not all(map(math.isfinite, first)):
-            raise OutsideConeError("the feasibility boundary of the diagonal slice overflows")
-        roots = np.linalg.eigvals([first, [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]).tolist()
-        t = max(r.real if abs(r.imag) < 1e-9 and r.real > 0.0 else 0.0 for r in roots)
-        return [t * (1.0 - o) if t > 0.0 else math.inf for o in BOUNDARY_OFFSETS]
-    A = np.zeros((x2.size, 3, 3))
-    A[:, 0, 0] = -(b * x2) / c
-    A[:, 0, 1:] = -0.0 / c, 1.0 / c
-    A[:, 1, 0] = A[:, 2, 1] = 1.0
-    if not np.isfinite(A).all():
+    first = [-(b * x2) / c, -0.0 / c, 1.0 / c]  # -(b x2, 0, -1) / c
+    if not all(map(math.isfinite, first)):
         raise OutsideConeError("the feasibility boundary of the diagonal slice overflows")
-    roots = np.linalg.eigvals(A)
-    real = (np.abs(roots.imag) < 1e-9) & (roots.real > 0.0)
-    t = np.where(real, roots.real, 0.0).max(axis=1)[:, None]
-    return np.where(t > 0.0, t * (1.0 - np.array(BOUNDARY_OFFSETS)), np.inf)
+    roots = np.linalg.eigvals([first, [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]).tolist()
+    t = max(r.real if abs(r.imag) < 1e-9 and r.real > 0.0 else 0.0 for r in roots)
+    return [t * (1.0 - o) if t > 0.0 else math.inf for o in BOUNDARY_OFFSETS]
 
 
-def _row_points(xs: np.ndarray, x3: np.ndarray, sweep: bool) -> tuple[np.ndarray, ...]:
-    """(x2, x3, x3^2, x3^3) at the finite x3 of each row, x2 = xs[row], row by
-    row; a sweep takes each row's x3 sorted, without duplicates and none above
-    PROBE_MAX (so the order they come in does not matter)."""
-    if sweep:
-        x3 = np.sort(np.where(x3 <= PROBE_MAX, x3, np.inf), axis=1)
-        x3[:, 1:][x3[:, 1:] == x3[:, :-1]] = np.inf
-    kept = np.isfinite(x3)
-    x3 = x3[kept]
-    return np.broadcast_to(xs[:, None], kept.shape)[kept], x3, np.float_power(x3, 2), np.float_power(x3, 3)
+def _sweep_row(q: InvariantCubic, grid: DiagonalGrid, x2: float) -> list:
+    """The x3 (floats) that a sweep samples on the row of x2 (a float) when
+    a, c > 0: the grid's spacing, its 8 large-x3 probes and the row's 4
+    boundary probes, sorted, distinct and none above PROBE_MAX."""
+    return sorted({t for t in grid._probed_row + _boundary_probes(q, x2) if t <= PROBE_MAX})
 
 
 def _slice_points(q: InvariantCubic, grid: DiagonalGrid | SearchGrid) -> np.ndarray:
@@ -482,7 +468,7 @@ def _slice_points(q: InvariantCubic, grid: DiagonalGrid | SearchGrid) -> np.ndar
 
     A DiagonalGrid gives the sweep's points: the log grid over the free
     coordinates and, for rank 3 with a != 0, per x2 row the sorted distinct
-    x3 of the grid and the probes, up to PROBE_MAX.
+    x3 of the grid up to PROBE_MAX, or _sweep_row's where a, c > 0.
     A SearchGrid gives the local search's x2 x x3 square (rank 3, a != 0).
     Each point solves the level set for one coordinate and is kept when that
     one is positive.  np.float_power rounds like the scalar ** of eval_cubic;
@@ -511,9 +497,10 @@ def _slice_points(q: InvariantCubic, grid: DiagonalGrid | SearchGrid) -> np.ndar
             return np.stack([u, v, np.full_like(u, (1.0 / c) ** (1.0 / 3.0))], axis=1)
         x2 = (1.0 - c * pw(u, 3)) / (b * pw(u, 2))
         return np.stack([v, x2, u], axis=1)[x2 > 0.0]
-    # one row of x3 values per x2; inf marks no value
     if isinstance(grid, DiagonalGrid) and a > 0.0 and c > 0.0:
-        x2, x3, x3sq, x3cu = _row_points(xs, np.hstack([grid._probed_rows, _boundary_probes(q, xs)]), True)
+        rows = [_sweep_row(q, grid, x2) for x2 in xs.tolist()]
+        x2, x3 = np.repeat(xs, list(map(len, rows))), np.concatenate(rows)
+        x3sq, x3cu = pw(x3, 2), pw(x3, 3)
     else:
         x2, x3, x3sq, x3cu = grid._square
     x1 = _level_x1(q, x2, x3, x3sq, x3cu)
@@ -614,10 +601,18 @@ def _diagonal_parts(q: InvariantCubic, x: np.ndarray):
         g[:, i] = gs[i]
         for j in range(r):
             H[:, i, j] = hs[i][j]
-    if r == 2:
-        return qx, g, H, (hs[0][1] / qx)[:, None]
-    (a, b, _), (x1, x2, x3) = q.coeffs, x.T
-    return qx, g, H, np.array([2.0 * a * x3 / qx, 2.0 * a * x2 / qx, 2.0 * (a * x1 + b * x3) / qx]).T
+    return qx, g, H, np.array(_block_scalars(q, x, qx)).T
+
+
+def _block_scalars(q: InvariantCubic, x, qx) -> tuple:
+    """The scalar of -Hess(log q) on each off-diagonal block, in the
+    algebra's block order, at the rows of x or at one point x given as
+    floats, where q = qx."""
+    xs = _unpack(x)[0]
+    if q.cone.rank == 2:
+        return (2.0 * q.coeffs[1] * xs[1] / qx,)
+    (a, b, _), (x1, x2, x3) = q.coeffs, xs
+    return (2.0 * a * x3 / qx, 2.0 * a * x2 / qx, 2.0 * (a * x1 + b * x3) / qx)
 
 
 def _scaled_core_minors(R):
@@ -675,17 +670,7 @@ def _point_minors(q: InvariantCubic, x: list) -> list:
         s = qx ** (1.0 / 3.0)
         x = [xi / s for xi in x]
         qx = _diagonal_q(q, x)
-    if len(x) == 2:  # _diagonal_derivatives and _diagonal_parts' block scalars, inline
-        (a, b), (x1, x2) = q.coeffs, x
-        x2sq, h01 = x2**2, 2.0 * b * x2
-        g = [b * x2sq, 3.0 * a * x2sq + 2.0 * b * x1 * x2]
-        H, blocks = ((0.0, h01), (h01, 6.0 * a * x2 + 2.0 * b * x1)), (h01 / qx,)
-    else:
-        (a, b, c), (x1, x2, x3) = q.coeffs, x
-        x3sq, b2x2, h01, h02, h12 = x3**2, 2.0 * b * x2, a * x3, a * x2, a * x1 + 2.0 * b * x3
-        g = [a * (x2 * x3), a * (x1 * x3) + b * x3sq, a * (x1 * x2) + b2x2 * x3 + 3.0 * c * x3sq]
-        H = ((0.0, h01, h02), (h01, 0.0, h12), (h02, h12, b2x2 + 6.0 * c * x3))
-        blocks = (2.0 * a * x3 / qx, 2.0 * a * x2 / qx, 2.0 * (a * x1 + b * x3) / qx)
+    g, H = _diagonal_derivatives(q, x)
     padded = np.zeros(q.cone.dim_herm)
     padded[: len(g)] = g
     norm = math.sqrt(padded @ padded)
@@ -697,7 +682,7 @@ def _point_minors(q: InvariantCubic, x: list) -> list:
     drop = au.index(max(au))  # the first largest, as _tangent_basis drops it
     basis = np.linalg.qr([[(i == k) - ui * uk for k, uk in enumerate(u) if k != drop] for i, ui in enumerate(u)])[0]
     core = _scaled_core_minors(_restricted(np.array(M), basis))
-    signs = [float((s > 0) - (s < 0)) if s == s else s for s in blocks]  # as np.sign
+    signs = [float((s > 0) - (s < 0)) if s == s else s for s in _block_scalars(q, x, qx)]  # as np.sign
     return core + _tail_minors(q.cone.algebra, core[-1], signs)
 
 
@@ -831,7 +816,7 @@ def _first_row_witness(q: InvariantCubic, grid: DiagonalGrid):
     inline."""
     a, b, c = q.coeffs
     x2, witness, qs = float(grid._xs[0]), None, []
-    for x3 in sorted({t for t in grid._probed_rows[0].tolist() + _boundary_probes(q, x2) if t <= PROBE_MAX}):
+    for x3 in _sweep_row(q, grid, x2):
         x3cu, den = x3**3, a * x2 * x3
         num = 1.0 - b * x2 * x3**2 - c * x3cu
         x1 = num / den if den else num * math.copysign(math.inf, den)
@@ -952,7 +937,9 @@ def scan_parameter_plane(
     positive-definite everywhere.  ``search`` is ignored."""
     if cone.rank != 3:
         raise SpecError("parameter-plane scan is for rank-3 cones")
-    grid = grid or DiagonalGrid()  # one spacing per plane
+    grid = DiagonalGrid() if grid is None else grid  # one spacing per plane
+    if not isinstance(grid, DiagonalGrid):
+        raise SpecError(f"parameter-plane scan samples a DiagonalGrid, got {type(grid).__name__}")
     rows = []
     for e1 in eps1_values:
         for e2 in eps2_values:

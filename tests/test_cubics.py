@@ -636,8 +636,10 @@ class TestSlicePoints:
         (-1.0, 0.5, 0.5),
         (1.0, 0.0, 0.0),
     ]
-    # the last grid reaches past PROBE_MAX, where the sweep stops
-    GRIDS = [vc.DiagonalGrid(n=n) for n in (1, 5, 12, 100)] + [vc.DiagonalGrid(0.5, 5e3, 30)]
+    # the grid at 0.5-5e3 reaches past PROBE_MAX, where the sweep stops; the
+    # one at 1-1 repeats its spacing, which each row takes once
+    GRIDS = [vc.DiagonalGrid(n=n) for n in (1, 5, 12, 100)]
+    GRIDS += [vc.DiagonalGrid(0.5, 5e3, 30), vc.DiagonalGrid(1.0, 1.0, 4)]
 
     @pytest.mark.parametrize("grid", GRIDS, ids=_grid_id)
     @pytest.mark.parametrize("coeffs", RANK2)
@@ -1097,9 +1099,9 @@ class TestScanOracle:
 
 def first_row_grid(grid):
     """A copy of a DiagonalGrid whose slice is the grid's first x2 row: the
-    spacing cut to its first value, with that value's row of x3."""
+    spacing cut to its first value, with the grid's row of x3."""
     row = vc.DiagonalGrid(grid.lo, grid.hi, grid.n)
-    row.__dict__.update(_xs=grid._xs[:1], _probed_rows=grid._probed_rows[:1])
+    row.__dict__.update(_xs=grid._xs[:1], _probed_row=grid._probed_row)
     return row
 
 
@@ -1116,11 +1118,7 @@ def assert_first_row_witness(q, grid) -> bool:
     first point that is not positive-definite in the first x2 row of
     _classify_slice, or None where there is none, and raises as that row
     does; where the whole slice classifies, that row is its leading points.
-    Returns whether a witness was found.  The row's boundary probes from
-    one x2 as a float are those of a one-row stack, bit for bit."""
-    with np.errstate(all="ignore"):
-        stacked = outcome(lambda: tuple(cubics._boundary_probes(q, grid._xs[:1])[0].tolist()))
-    assert same_bits(outcome(lambda: tuple(cubics._boundary_probes(q, float(grid._xs[0])))), stacked), q.coeffs
+    Returns whether a witness was found."""
     got = outcome(cubics._first_row_witness, q, grid)
     row = outcome(cubics._classify_slice, q, first_row_grid(grid))
     if row[0] is OutsideConeError:

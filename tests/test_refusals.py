@@ -65,6 +65,9 @@ CASES = {
     "eps12-not-normalizable": (
         lambda: vc.InvariantCubic(rank3_cone(1), (0.0, 1.0, 1.0)).eps12,
         SpecError, "eps12 defined for normalizable rank-3 cubics"),
+    "scan-with-search-grid": (
+        lambda: vc.scan_parameter_plane(rank3_cone(1), [0.0], [0.5], vc.SearchGrid()),
+        SpecError, "parameter-plane scan samples a DiagonalGrid, got SearchGrid"),
     "local-search-on-rank-2": (
         lambda: vc.find_locally_admissible_point(vc.InvariantCubic.rank2_family(rank2_cone(1), 0.5)),
         SpecError, "local-admissibility search is for rank-3 cones"),
@@ -72,6 +75,18 @@ CASES = {
         lambda: vc.build_clifford_module(3).mu(np.ones(2)), DimensionMismatchError, "v has wrong dimension"),
     "minimal-spinor-dim-0": (
         lambda: vc.minimal_spinor_dim(0), DimensionMismatchError, "dim_v must be >= 1"),
+    "minimal-spinor-dim-float": (
+        lambda: vc.minimal_spinor_dim(2.5), DimensionMismatchError, r"dim_v must be an integer, got 2\.5"),
+    "build-dim-v-float": (
+        lambda: vc.build_clifford_module(2.0), DimensionMismatchError, r"dim_v must be an integer, got 2\.0"),
+    "build-dim-v-bool": (
+        lambda: vc.build_clifford_module(True), DimensionMismatchError, "dim_v must be an integer, got True"),
+    "build-multiplicity-float": (
+        lambda: vc.build_clifford_module(2, None, 1.5),
+        DimensionMismatchError, r"multiplicity must be an integer, got 1\.5"),
+    "verify-isometry-samples-float": (
+        lambda: vc.verify_isometry(vc.build_clifford_module(2), 2.5),
+        DimensionMismatchError, r"n_samples must be an integer, got 2\.5"),
     # refused before the spinor dimension, 16**(dim_v / 8), is computed
     "build-above-bound": (
         lambda: vc.build_clifford_module(vc.MAX_GAMMA_ENTRIES + 1),
