@@ -17,6 +17,7 @@ Gradients and Hessians are in the flat coordinates of the algebra's layout
 
 from __future__ import annotations
 
+import bisect
 import csv
 import math
 import numbers
@@ -24,6 +25,7 @@ from dataclasses import astuple, dataclass
 from functools import cached_property
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .cone import ConeDescriptor, _lower_p, det_cubic, p_polynomials
 from .errors import DimensionMismatchError, OutsideConeError, SpecError
@@ -38,6 +40,27 @@ DEGENERATE = "degenerate"
 # the sweep carries each point's kind as its index here
 _KINDS = (PD, INDEFINITE, DEGENERATE, "constraint")
 _PD, _INDEFINITE, _DEGENERATE, _CONSTRAINT = range(len(_KINDS))
+
+_QR_RAW = getattr(_umath_linalg, "qr_r_raw", None) or _umath_linalg.qr_r_raw_n  # numpy 1.x names it by shape
+
+
+@np.errstate(all="ignore")
+def _lapack(op: str, a):
+    """numpy.linalg's op(a) for op "det", "eigvals" (complex) or "qr" (Q alone;
+    rows > columns), bit for bit, by the LAPACK gufunc and signature it calls,
+    without its Python wrapper, which costs more than LAPACK at 3 x 3.  numpy
+    flags a LAPACK failure and fills its result with nan (numpy.linalg raised
+    LinAlgError); that raises here, never warns.  det cannot fail."""
+    if op == "det":
+        return _umath_linalg.det(a, signature="d->d")
+    if op == "qr":
+        a = np.array(a, dtype=np.float64)  # a fresh copy: qr_r_raw leaves its reflectors in it
+        out = _umath_linalg.qr_reduced(a, _QR_RAW(a, signature="d->d"), signature="dd->d")
+    else:
+        out = _umath_linalg.eigvals(a, signature="d->D")
+    if np.isnan(out).any():
+        raise OutsideConeError(f"LAPACK's {op} failed")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -264,16 +287,12 @@ def tangent_restriction(q: InvariantCubic, X: HermMatrix) -> HessianReport:
     """Project X onto {q = 1} (requires q(X) > 0), restrict -Hess(log q) to
     an orthonormal basis of ker dq, and classify by the signs of the pivots
     of the elimination behind its leading principal minors (Sylvester's law
-    of inertia).
-
-    The minors are taken after a diagonal (Jacobi) rescaling of the
-    restricted form; the rescaling is a congruence, so the signs agree with
-    those of the raw form while staying meaningful across the huge entry
-    scales that extreme slice points produce.  The pivots are the ratios of
-    successive minors; one within PIVOT_BAND times the scaled form's largest
+    of inertia).  The minors are taken after a diagonal (Jacobi) rescaling,
+    a congruence: their signs are the raw form's, and they stay meaningful
+    across the huge entry scales of extreme slice points.  A pivot (a ratio
+    of successive minors) within PIVOT_BAND times the scaled form's largest
     entry of 0, or not a number, makes the form degenerate.  Raises, as the
-    kernel does, where q(X), the gradient norm or a minor is not finite.
-    """
+    kernel does, where q(X), the gradient norm or a minor is not finite."""
     _check_point("tangent_restriction", q, X)
     with np.errstate(all="ignore"):  # an overflow leaves a value that is not finite, which raises
         qx = eval_cubic(q, X)
@@ -283,7 +302,7 @@ def tangent_restriction(q: InvariantCubic, X: HermMatrix) -> HessianReport:
             X = herm_from_vector(q.cone.algebra, X.to_vector() / qx ** (1.0 / 3.0))
             qx = eval_cubic(q, X)
         g = gradient(q, X)
-        gnorm = float(np.linalg.norm(g))
+        gnorm = math.sqrt(g.dot(g))  # numpy.linalg's norm(g), bit for bit
         if not 0.0 < gnorm < math.inf:
             raise OutsideConeError("the gradient norm is not finite at the level set")
         M = _neg_hess_log(qx, g, cubic_hessian(q, X))
@@ -325,7 +344,7 @@ def _tangent_basis(u):
     keep = np.arange(r - 1)
     keep = keep + (keep >= drop)
     u_keep = u[np.arange(r) != drop].reshape(keep.shape)
-    return np.linalg.qr((np.arange(r)[:, None] == keep[..., None, :]) - u[..., :, None] * u_keep[..., None, :])[0]
+    return _lapack("qr", (np.arange(r)[:, None] == keep[..., None, :]) - u[..., :, None] * u_keep[..., None, :])
 
 
 def _restricted(M, basis):
@@ -337,10 +356,9 @@ def _restricted(M, basis):
 def _leading_minors(A: np.ndarray) -> np.ndarray:
     """Leading principal minors of each square form A (last two axes), at one
     point or a stack: the running products of the pivots of one Gaussian
-    elimination without row exchanges, O(n^3) in all.  A row whose
-    elimination meets a zero or non-finite pivot (a zero row of a degenerate
-    cubic's form, say) has no such products; it takes each minor as its own
-    determinant instead."""
+    elimination without row exchanges, O(n^3).  A form whose elimination
+    meets a zero or non-finite pivot (a degenerate cubic's zero row, say)
+    takes each minor as its own determinant instead."""
     n = A.shape[-1]
     U = A.copy()
     minors = np.empty(A.shape[:-1])
@@ -354,7 +372,7 @@ def _leading_minors(A: np.ndarray) -> np.ndarray:
             # a boolean index by the 0-d flag of one form selects it as a stack of one
             bad = ((pivots == 0.0) | ~np.isfinite(pivots)).any(axis=-1)
             A = A[bad]
-            minors[bad] = np.stack([np.linalg.det(A[..., : k + 1, : k + 1]) for k in range(n)], axis=-1)
+            minors[bad] = np.stack([_lapack("det", A[..., : k + 1, : k + 1]) for k in range(n)], axis=-1)
     return minors
 
 
@@ -371,8 +389,7 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 class _LogSpaced:
     """The log-uniform spacing of a grid and its square of points, made on
     first use and kept on the (frozen) grid object, so that every cubic swept
-    on it shares them.  A grid is checked when it is made: finite
-    0 < lo <= hi and an integer n >= 1."""
+    on it shares them.  Checked when made: finite 0 < lo <= hi, integer n >= 1."""
 
     def __post_init__(self):
         lo, hi, n = self.lo, self.hi, self.n
@@ -381,6 +398,14 @@ class _LogSpaced:
         if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
             raise SpecError(f"grid needs an integer n >= 1, got n={n!r}")
 
+    @classmethod
+    def _given(cls, grid, sampler: str):
+        """grid, or this kind's default for None; a grid of another kind is refused."""
+        grid = cls() if grid is None else grid
+        if not isinstance(grid, cls):
+            raise SpecError(f"{sampler} samples a {cls.__name__}, got {type(grid).__name__}")
+        return grid
+
     @cached_property
     def _xs(self) -> np.ndarray:
         return _read_only(np.geomspace(self.lo, self.hi, self.n))
@@ -388,9 +413,8 @@ class _LogSpaced:
     @cached_property
     def _square(self) -> tuple[np.ndarray, ...]:
         """The sampler's (x2, x3, x3^2, x3^3) over the spacing's x2, each with
-        one row of x3, which is all a rank-3 slice takes from the grid unless
-        probes join the rows: the spacing itself, or for a sweep its distinct
-        values up to PROBE_MAX, sorted."""
+        one row of x3 where no probes join it: the spacing itself, or for a
+        sweep its distinct values up to PROBE_MAX, sorted."""
         xs = self._xs
         row = np.unique(xs[xs <= PROBE_MAX]) if isinstance(self, DiagonalGrid) else xs
         x3 = np.tile(row, self.n)
@@ -414,9 +438,9 @@ class DiagonalGrid(_LogSpaced):
 
     @cached_property
     def _probed_row(self) -> list:
-        """The spacing followed by the 8 large-x3 probes, as floats: the x3 of
-        every x2 row before its boundary probes."""
-        return self._xs.tolist() + np.geomspace(self.hi, PROBE_MAX, 8).tolist()
+        """The x3 (floats) of every x2 row before its boundary probes: the
+        spacing and the 8 large-x3 probes, sorted, distinct, up to PROBE_MAX."""
+        return sorted({t for t in self._xs.tolist() + np.geomspace(self.hi, PROBE_MAX, 8).tolist() if t <= PROBE_MAX})
 
 
 @dataclass(frozen=True)
@@ -443,15 +467,14 @@ class DiagonalReport:
 
 
 def _boundary_probes(q: InvariantCubic, x2: float) -> list:
-    """x3 just inside the feasibility boundary of the row of x2 (a float):
-    the largest positive root of c t^3 + b x2 t^2 - 1 times (1 - offset), inf
-    where there is none.  The roots are the eigenvalues of the companion
-    matrix that np.roots builds, made from one nested list of floats."""
+    """x3 just inside the feasibility boundary of the row of x2 (a float): the
+    largest positive root of c t^3 + b x2 t^2 - 1 (an eigenvalue of np.roots'
+    companion matrix) times (1 - offset), inf where there is none."""
     _, b, c = q.coeffs
     first = [-(b * x2) / c, -0.0 / c, 1.0 / c]  # -(b x2, 0, -1) / c
     if not all(map(math.isfinite, first)):
         raise OutsideConeError("the feasibility boundary of the diagonal slice overflows")
-    roots = np.linalg.eigvals([first, [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]).tolist()
+    roots = _lapack("eigvals", [first, [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]).tolist()
     t = max(r.real if abs(r.imag) < 1e-9 and r.real > 0.0 else 0.0 for r in roots)
     return [t * (1.0 - o) if t > 0.0 else math.inf for o in BOUNDARY_OFFSETS]
 
@@ -460,15 +483,18 @@ def _sweep_row(q: InvariantCubic, grid: DiagonalGrid, x2: float) -> list:
     """The x3 (floats) that a sweep samples on the row of x2 (a float) when
     a, c > 0: the grid's spacing, its 8 large-x3 probes and the row's 4
     boundary probes, sorted, distinct and none above PROBE_MAX."""
-    return sorted({t for t in grid._probed_row + _boundary_probes(q, x2) if t <= PROBE_MAX})
+    row = grid._probed_row.copy()
+    for t in _boundary_probes(q, x2):
+        i = bisect.bisect_left(row, t)
+        if t <= PROBE_MAX and row[i : i + 1] != [t]:
+            row.insert(i, t)
+    return row
 
 
 def _slice_points(q: InvariantCubic, grid: DiagonalGrid | SearchGrid) -> np.ndarray:
-    """Diagonal points of {q = 1} as an (N, rank) array.
-
-    A DiagonalGrid gives the sweep's points: the log grid over the free
-    coordinates and, for rank 3 with a != 0, per x2 row the sorted distinct
-    x3 of the grid up to PROBE_MAX, or _sweep_row's where a, c > 0.
+    """Diagonal points of {q = 1} as an (N, rank) array.  A DiagonalGrid
+    gives the sweep's: the log grid over the free coordinates and, for rank
+    3 with a != 0, per x2 row _square's x3, or _sweep_row's where a, c > 0.
     A SearchGrid gives the local search's x2 x x3 square (rank 3, a != 0).
     Each point solves the level set for one coordinate and is kept when that
     one is positive.  np.float_power rounds like the scalar ** of eval_cubic;
@@ -528,27 +554,25 @@ def _constraint_violated(q: InvariantCubic, x):
 # ---------------------------------------------------------------------------
 #
 # At a diagonal point the gradient has no off-diagonal part, so -Hess(log q)
-# is a rank x rank core plus, on each off-diagonal block, a scalar times the
-# block's Gram matrix, the identity.  ker dq then splits the same way, and
-# the leading minors of the Jacobi-scaled restriction are those of a
-# (rank-1)-square core followed by the tail det(core) times the running
-# product of block signs.  The kernel evaluates that for a stack of points
-# through the dense path's _neg_hess_log, _tangent_basis and _restricted, or
-# at one point on Python floats (whose arithmetic, ** and math.sqrt round
-# as numpy's elementwise ufuncs do) but for the gradient norm (a BLAS dot),
-# the QR and the restriction (BLAS fused multiply-adds).  Every value that
-# reaches the core repeats the float operations of eval_cubic, gradient and
-# cubic_hessian with zero off-diagonal entries, in the same grouping:
-# near-singular cores amplify a last-bit change in an entry about 1e5-fold
-# in min_minor.  Powers go through np.float_power, which rounds like the
-# scalar ** of the dense path; numpy's array ** does not.
+# is a rank x rank core plus a scalar times the identity on each off-diagonal
+# block.  ker dq splits the same way: the leading minors of the Jacobi-scaled
+# restriction are a (rank-1)-square core's, then the tail det(core) times the
+# running product of block signs.  The kernel takes a stack of points through
+# the dense path's _neg_hess_log, _tangent_basis and _restricted, and one
+# point on Python floats (whose arithmetic, ** and math.sqrt round as numpy's
+# ufuncs do) but for the gradient norm (a BLAS dot), the QR (LAPACK's geqrf
+# and orgqr, by _lapack) and the restriction (BLAS fused multiply-adds).
+# Every value that reaches the core repeats the float operations of
+# eval_cubic, gradient and cubic_hessian with zero off-diagonal entries, in
+# their grouping: a near-singular core amplifies a last-bit change in an
+# entry about 1e5-fold in min_minor.  Powers go through np.float_power,
+# which rounds like the scalar ** of the dense path; numpy's array ** does not.
 #
 # The tail is never formed.  Within a block of sign s its signs are constant
-# (s = 1), alternate (s = -1) or vanish (s = 0), so the entries at the
-# block's even and at its odd offsets are equal, and its first two entries
-# carry its minimum, all that min_minor reads.  The kernel computes only
-# those, at most two per block, as det(core) times the sign product up to
-# each: the cumprod's values bit for bit, as the signs are exact.
+# (s = 1), alternate (s = -1) or vanish (s = 0), so its entries at even and
+# at odd offsets are equal, and its first two carry its minimum, all that
+# min_minor reads.  The kernel computes only those, as det(core) times the
+# sign product up to each: the cumprod's values bit for bit (exact signs).
 
 
 def _unpack(x):
@@ -591,8 +615,7 @@ def _diagonal_derivatives(q: InvariantCubic, x):
 def _diagonal_parts(q: InvariantCubic, x: np.ndarray):
     """q, its gradient (N, rank) and Hessian (N, rank, rank) in the diagonal
     coordinates, and the scalar of -Hess(log q) on each off-diagonal block
-    (N, blocks), at the rows of x.  The block scalars divide by q; the
-    caller checks 0 < q < inf."""
+    (N, blocks), at the rows of x; those divide by q, which the caller checks."""
     qx = _diagonal_q(q, x)
     gs, hs = _diagonal_derivatives(q, x)
     n, r = x.shape
@@ -618,9 +641,8 @@ def _block_scalars(q: InvariantCubic, x, qx) -> tuple:
 def _scaled_core_minors(R):
     """The leading minors of the symmetric core R (at most 2 x 2; the last
     two axes) after _jacobi_scaled, as _leading_minors' elimination takes
-    them: n00 and n00 (n11 - n10 (n01 / n00)).  Floats at one point, columns
-    for a stack; where a pivot is zero or not finite, _leading_minors'
-    determinants."""
+    them: n00 and n00 (n11 - n10 (n01 / n00)), or its determinants where a
+    pivot is zero or not finite.  Floats at one point, columns for a stack."""
     one = R.ndim == 2
     if one:
         E = R.tolist()
@@ -680,7 +702,7 @@ def _point_minors(q: InvariantCubic, x: list) -> list:
     M = [[(gi * gj - qx * h) / qsq for gj, h in zip(g, row)] for gi, row in zip(g, H)]
     au = [abs(t) for t in u]
     drop = au.index(max(au))  # the first largest, as _tangent_basis drops it
-    basis = np.linalg.qr([[(i == k) - ui * uk for k, uk in enumerate(u) if k != drop] for i, ui in enumerate(u)])[0]
+    basis = _lapack("qr", [[(i == k) - ui * uk for k, uk in enumerate(u) if k != drop] for i, ui in enumerate(u)])
     core = _scaled_core_minors(_restricted(np.array(M), basis))
     signs = [float((s > 0) - (s < 0)) if s == s else s for s in _block_scalars(q, x, qx)]  # as np.sign
     return core + _tail_minors(q.cone.algebra, core[-1], signs)
@@ -708,11 +730,10 @@ def _diagonal_minors(q: InvariantCubic, x: np.ndarray):
             x = x.copy()
             x[off] /= np.float_power(qx[off, None], 1.0 / 3.0)
             qx, g, H, blocks = _diagonal_parts(q, x)
-        # np.linalg.norm in the dense path is sqrt(g.dot(g)) over the full
-        # zero-padded gradient, a BLAS dot that rounds differently from one
-        # over the rank entries alone; a stacked (1, n) @ (n, 1) matmul
-        # rounds like it (einsum does not).  g != 0 by Euler's identity
-        # x . grad q = 3 q > 0.
+        # The dense path's norm, sqrt(g.dot(g)) over the full zero-padded
+        # gradient, is a BLAS dot that rounds unlike one over the rank entries
+        # alone; a stacked (1, n) @ (n, 1) matmul rounds like it (einsum does
+        # not).  g != 0 by Euler's identity x . grad q = 3 q > 0.
         padded = np.zeros((len(x), q.cone.dim_herm))
         padded[:, : q.cone.rank] = g
         norm = np.sqrt((padded[:, None, :] @ padded[:, :, None])[:, 0, 0])
@@ -749,10 +770,10 @@ ARGMIN_DELTA = 1e-2  # relative reach of the argmin candidates over the smallest
 
 def _inertia_kinds(q: InvariantCubic, x, qx):
     """The kind code (index into _KINDS) of g(q) at each row of x, diagonal
-    points with q = qx > 0 inside the slope constraint: positive-definite where b > 0 (rank 2), or a > 0 and a margin
-    1 - t, t = 4c x3^3 / q, above MARGIN_BAND relative to max(1, t) (rank 3);
-    degenerate where b or a is 0 or the margin is within the band, 0 included;
-    indefinite elsewhere."""
+    points with q = qx > 0 inside the slope constraint: positive-definite
+    where b > 0 (rank 2), or a > 0 and a margin 1 - t, t = 4c x3^3 / q,
+    above MARGIN_BAND relative to max(1, t) (rank 3); degenerate where b or
+    a is 0 or the margin is within the band, 0 included; else indefinite."""
     lead = q.coeffs[1] if q.cone.rank == 2 else q.coeffs[0]
     if q.cone.rank == 2 or not lead > 0.0 or q.coeffs[2] <= 0.0:  # a > 0, c <= 0: a margin of at least 1
         return np.full(np.shape(qx), _PD if lead > 0.0 else _DEGENERATE if lead == 0.0 else _INDEFINITE)
@@ -810,10 +831,9 @@ def _classify_slice(q: InvariantCubic, grid: DiagonalGrid | SearchGrid):
 def _first_row_witness(q: InvariantCubic, grid: DiagonalGrid):
     """The first point (floats) and kind code of the first x2 row of the slice
     (a, c > 0) that is not positive-definite, or None: that row of
-    _classify_slice on floats, which checks q at every inside point.  Its x1
-    (a zero a x2 x3 divides as a stack does), slope constraint, q and margin
-    repeat _level_x1, _constraint_violated, _diagonal_q and _inertia_kinds
-    inline."""
+    _classify_slice on floats, which checks q at every inside point.  It
+    repeats _level_x1 (a zero a x2 x3 divides as a stack does),
+    _constraint_violated, _diagonal_q and _inertia_kinds inline."""
     a, b, c = q.coeffs
     x2, witness, qs = float(grid._xs[0]), None, []
     for x3 in _sweep_row(q, grid, x2):
@@ -836,10 +856,9 @@ def _first_row_witness(q: InvariantCubic, grid: DiagonalGrid):
 
 def _candidate_minors(q: InvariantCubic, x: np.ndarray) -> np.ndarray:
     """The kernel's min_minor at the rows of x (positive-definite slice
-    points) that may hold the smallest, nan at the others: for rank 3 the
-    rows whose closed-form core minor is within ARGMIN_DELTA relative of the
-    smallest, or is nan; for rank 2 all, as their minors tie.  A single
-    such row goes to the kernel as one point."""
+    points) that may hold the smallest, nan at the others: for rank 3 those
+    whose closed-form core minor is nan or within ARGMIN_DELTA relative of the
+    smallest, for rank 2 all (their minors tie).  One such row goes as a point."""
     minors = np.full(len(x), math.nan)
     if len(x):
         rows = np.arange(len(x))
@@ -864,7 +883,7 @@ def admissibility_on_diagonal(q: InvariantCubic, grid: DiagonalGrid | None = Non
     cubic reduces to positive definiteness there, which the inertia rule
     decides.  The kernel reads the minors of the witnesses inside the slope
     constraint and of the argmin candidates."""
-    x, kinds = _classify_slice(q, grid or DiagonalGrid())
+    x, kinds = _classify_slice(q, DiagonalGrid._given(grid, "the diagonal sweep"))
     if not len(x):
         raise OutsideConeError("empty feasible diagonal grid")
     pd = kinds == _PD
@@ -875,16 +894,11 @@ def admissibility_on_diagonal(q: InvariantCubic, grid: DiagonalGrid | None = Non
     minors[pd] = _candidate_minors(q, x[pd])
     i, min_minor = _first_smallest(minors)
     w = np.flatnonzero(~pd)
-    witnesses = tuple(
-        DiagonalWitness(tuple(row), _KINDS[k], m)
-        for row, k, m in zip(x[w].tolist(), kinds[w].tolist(), minors[w].tolist())
-    )
+    found = zip(x[w].tolist(), kinds[w].tolist(), minors[w].tolist())
+    witnesses = tuple(DiagonalWitness(tuple(row), _KINDS[k], m) for row, k, m in found)
+    coords = tuple(x[i].tolist())
     return DiagonalReport(
-        all_pd=not witnesses,
-        checked=len(x),
-        witnesses=witnesses,
-        min_minor=min_minor,
-        min_minor_coords=tuple(x[i].tolist()),
+        all_pd=not witnesses, checked=len(x), witnesses=witnesses, min_minor=min_minor, min_minor_coords=coords
     )
 
 
@@ -893,9 +907,10 @@ def find_locally_admissible_point(q: InvariantCubic, search: SearchGrid | None =
     point that the inertia rule calls positive-definite, or None."""
     if q.cone.rank != 3:
         raise SpecError("local-admissibility search is for rank-3 cones")
+    search = SearchGrid._given(search, "local-admissibility search")
     if q.coeffs[0] == 0.0:  # no point is PD; the sampler's q can cancel to <= 0 at extreme c
         return None
-    x, kinds = _classify_slice(q, search or SearchGrid())
+    x, kinds = _classify_slice(q, search)
     found = np.flatnonzero(kinds == _PD)
     # the dense restriction at that one point fills in the whole report
     return tangent_restriction(q, HermMatrix(q.cone.algebra, x[found[0]], {})) if found.size else None
@@ -937,9 +952,7 @@ def scan_parameter_plane(
     positive-definite everywhere.  ``search`` is ignored."""
     if cone.rank != 3:
         raise SpecError("parameter-plane scan is for rank-3 cones")
-    grid = DiagonalGrid() if grid is None else grid  # one spacing per plane
-    if not isinstance(grid, DiagonalGrid):
-        raise SpecError(f"parameter-plane scan samples a DiagonalGrid, got {type(grid).__name__}")
+    grid = DiagonalGrid._given(grid, "parameter-plane scan")  # one spacing per plane
     rows = []
     for e1 in eps1_values:
         for e2 in eps2_values:

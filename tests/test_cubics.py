@@ -1803,3 +1803,166 @@ class TestSameBits:
         assert not same_bits(np.array([1.0, 2.0]), np.array([[1.0, 2.0]]))
         assert not same_bits(np.array([1.0, 2.0]), np.array([1.0, 3.0]))
         assert same_bits(np.array([1, 2]), np.array([1, 2])) and not same_bits(np.array([1, 2]), np.array([1, 3]))
+
+
+def tangent_basis_input(u: np.ndarray) -> np.ndarray:
+    """The matrix (or stack) whose Q _tangent_basis takes for the unit
+    vectors u (last axis): the axes other than the one most aligned with u,
+    projected off u."""
+    r = u.shape[-1]
+    drop = np.abs(u).argmax(axis=-1)[..., None]
+    keep = np.arange(r - 1) + (np.arange(r - 1) >= drop)
+    u_keep = np.take_along_axis(u, keep, -1)
+    return (np.arange(r)[:, None] == keep[..., None, :]) - u[..., :, None] * u_keep[..., None, :]
+
+
+def companion(b: float, c: float, x2: float) -> list:
+    """_boundary_probes' companion matrix of c t^3 + b x2 t^2 - 1."""
+    return [[-(b * x2) / c, -0.0 / c, 1.0 / c], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
+
+
+def flagged_nan(shape, dtype=float):
+    """What numpy's LAPACK gufuncs return where LAPACK fails: nan, with the
+    invalid floating-point flag raised (np.sqrt(-1) raises it)."""
+    return np.sqrt(-np.ones(shape)).astype(dtype)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestLapack:
+    """cubics._lapack calls the LAPACK gufuncs behind numpy.linalg's qr,
+    eigvals and det, without their Python wrappers: on every shape the layer
+    passes, each result equals the wrapper's byte for byte.  A LAPACK failure
+    raises one OutsideConeError line, never a warning, a nan root or an inf
+    probe; and no call of the layer reaches a numpy.linalg wrapper."""
+
+    # one point of rank 3, the stacks the scan passes (2-8 argmin candidates,
+    # the 106-row (0, 0) cell), a rank-2 point, the dense d1 and d8 bases
+    @pytest.mark.parametrize("shape", [(3,), (1, 3), (2, 3), (8, 3), (106, 3), (2,), (4, 2), (6,), (27,)])
+    def test_qr_is_numpy_qr(self, shape):
+        u = np.random.default_rng(sum(shape)).normal(size=shape)
+        u /= np.sqrt((u * u).sum(axis=-1, keepdims=True))
+        a = tangent_basis_input(u)
+        before = a.copy()
+        want = np.linalg.qr(a)[0]
+        got = cubics._lapack("qr", a)
+        assert got.dtype == want.dtype and got.shape == want.shape == a.shape
+        assert got.tobytes() == want.tobytes()
+        assert same_bits(a, before)  # qr_r_raw overwrote a copy, not the input
+        assert cubics._lapack("qr", a.tolist()).tobytes() == want.tobytes()  # _point_minors' nested list
+        assert cubics._tangent_basis(u).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "b,c,x2,real",
+        [
+            (3.0, 1.0, 1.0, True),  # t^3 + 3 t^2 - 1: three real roots
+            (1.0, 0.01, 2.0, True),
+            (0.5, 0.5, 0.01, False),  # one real root and a complex pair
+            (-1.0, 2.0, 100.0, False),
+        ],
+    )
+    def test_eigvals_is_numpy_eigvals(self, b, c, x2, real):
+        C = companion(b, c, x2)
+        want = np.linalg.eigvals(C)
+        got = cubics._lapack("eigvals", C)
+        assert got.dtype == np.complex128 and np.isrealobj(want) == real
+        if real:  # numpy.linalg drops an all-zero imaginary part
+            assert got.real.tobytes() == want.tobytes() and not got.imag.any()
+        else:
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("shape", [(1, 1), (2, 2), (5, 5), (26, 26), (32, 2, 2), (64, 1, 1), (3, 6, 6)])
+    def test_det_is_numpy_det(self, shape):
+        rng = np.random.default_rng(shape[-1] * len(shape))
+        A = rng.normal(size=shape)
+        A = A + A.swapaxes(-1, -2)
+        A[..., 0, :] = A[..., :, 0] = 0.0  # a degenerate form's zero row
+        for k in range(shape[-1]):  # _leading_minors' leading blocks, views of A
+            got, want = cubics._lapack("det", A[..., : k + 1, : k + 1]), np.linalg.det(A[..., : k + 1, : k + 1])
+            assert type(got) is type(want) and np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        A[..., -1, -1] = np.nan
+        with np.errstate(invalid="ignore"):  # numpy.linalg.det warns, as _lapack does not
+            want = np.linalg.det(A)
+        assert same_bits(cubics._lapack("det", A), want)  # nan, which the callers check
+
+    @pytest.mark.parametrize("op,gufunc", [("qr", "qr_reduced"), ("eigvals", "eigvals")])
+    def test_a_lapack_failure_raises(self, monkeypatch, op, gufunc):
+        arg, shape, dtype = (np.ones((3, 2)), (3, 2), float) if op == "qr" else (companion(0.5, 0.5, 0.01), 3, complex)
+        monkeypatch.setattr(cubics._umath_linalg, gufunc, lambda *a, **k: flagged_nan(shape, dtype))
+        with pytest.raises(OutsideConeError, match=f"^LAPACK's {op} failed$"):
+            cubics._lapack(op, arg)
+
+    def test_nan_roots_fail_the_probes_and_the_scan(self, monkeypatch, tmp_path, capsys):
+        # eigenvalues of nan, without the flag: read as no root, they would
+        # make every probe of the row inf, which the row then drops
+        monkeypatch.setattr(cubics._umath_linalg, "eigvals", lambda *a, **k: np.full(3, complex(math.nan)))
+        q = vc.InvariantCubic.rank3_family(rank3_cone(1), 0.5, 0.5)
+        with pytest.raises(OutsideConeError, match="^LAPACK's eigvals failed$"):
+            cubics._boundary_probes(q, 0.01)
+        spec, out = tmp_path / "spec.json", tmp_path / "x.csv"
+        spec.write_text('{"rank": 3, "dim_v": 1}')
+        rc = cli.main(
+            ["scan", "--spec", str(spec), "--eps1=0.5:0.5:1", "--eps2=0.5:0.5:1", "--grid", "8", "--out", str(out)]
+        )
+        assert rc == 1
+        assert capsys.readouterr().err == "failure: LAPACK's eigvals failed\n"
+        assert not out.exists()
+
+    @staticmethod
+    def layer_calls():
+        """A d1 plane (acceptance criterion 10's, grid 8), one dense
+        restriction and a degenerate cubic's sweep, whose witnesses take the
+        det fallback: every route of the layer into LAPACK."""
+        cone = rank3_cone(1)
+        grid = vc.DiagonalGrid(n=8)
+        plane = vc.scan_parameter_plane(cone, np.arange(-1, 1.25, 0.5), np.arange(-0.5, 0.75, 0.25), grid)
+        X = vc.herm_from_vector(cone.algebra, [1.0, 2.0, 1.5, 0.1, 0.2, 0.3])
+        rep = vc.tangent_restriction(vc.InvariantCubic.rank3_family(cone, 0.5, -0.25), X)
+        degenerate = vc.admissibility_on_diagonal(vc.InvariantCubic(cone, (0.0, 1.0, 1.0)), grid)
+        report = (rep.point.to_vector(), rep.hessian, rep.tangent_basis, rep.restricted, rep.leading_minors)
+        return plane, report, degenerate
+
+    def test_no_numpy_linalg_wrapper_is_called(self, monkeypatch):
+        want = self.layer_calls()
+        ops = []
+        lapack = cubics._lapack
+        monkeypatch.setattr(cubics, "_lapack", lambda op, a: ops.append(op) or lapack(op, a))
+        for name in ("qr", "eigvals", "det", "norm"):
+            monkeypatch.setattr(np.linalg, name, lambda *a, _n=name, **k: pytest.fail(f"numpy.linalg.{_n} called"))
+        assert same_bits(self.layer_calls(), want)
+        assert set(ops) == {"qr", "eigvals", "det"}
+
+    def test_the_layer_keeps_numpy_linalgs_bits(self, monkeypatch):
+        # the same calls through numpy.linalg's wrappers
+        want = self.layer_calls()
+        wrappers = {"qr": lambda a: np.linalg.qr(a)[0], "eigvals": np.linalg.eigvals, "det": np.linalg.det}
+        monkeypatch.setattr(cubics, "_lapack", lambda op, a: wrappers[op](a))
+        assert same_bits(self.layer_calls(), want)
+
+    @pytest.mark.parametrize("dim_v", [1, 8, 16])
+    def test_gradient_norm_is_numpy_norm(self, dim_v):
+        # tangent_restriction takes |grad q| as sqrt(g . g), numpy.linalg.norm's own steps
+        cone, rng = rank3_cone(dim_v), np.random.default_rng(dim_v)
+        q = vc.InvariantCubic.rank3_family(cone, 0.5, -0.25)
+        for _ in range(20):
+            g = vc.gradient(q, random_orbit_point(cone, rng))
+            assert same_bits(math.sqrt(g.dot(g)), float(np.linalg.norm(g)))
+
+
+class TestSweepRow:
+    """_sweep_row merges a row's boundary probes into the grid's cached
+    sorted, distinct row, giving the sorted set of them all (TestSlicePoints
+    holds real probes against the reference).  Here the probes fall on the
+    row's points, on each other and past PROBE_MAX."""
+
+    GRIDS = [vc.DiagonalGrid(), vc.DiagonalGrid(n=12), vc.DiagonalGrid(0.5, 0.5, 3), vc.DiagonalGrid(1.0, 2000.0, 7)]
+
+    @pytest.mark.parametrize("grid", GRIDS, ids=repr)
+    def test_probes_merge_once(self, monkeypatch, grid):
+        row = grid._probed_row
+        probes = [row[0] / 2, row[0], row[-1], row[-1], cubics.PROBE_MAX, 2 * cubics.PROBE_MAX, math.inf]
+        monkeypatch.setattr(cubics, "_boundary_probes", lambda q, x2: probes)
+        q = vc.InvariantCubic.rank3_family(rank3_cone(1), 1.0, 0.5)
+        spaced = grid._xs.tolist() + np.geomspace(grid.hi, cubics.PROBE_MAX, 8).tolist()
+        want = sorted({t for t in spaced + probes if t <= cubics.PROBE_MAX})
+        assert same_bits(cubics._sweep_row(q, grid, 1.0), want)
+        assert grid._probed_row is row and row == sorted(set(row))  # the cached row is left as it was

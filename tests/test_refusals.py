@@ -68,6 +68,13 @@ CASES = {
     "scan-with-search-grid": (
         lambda: vc.scan_parameter_plane(rank3_cone(1), [0.0], [0.5], vc.SearchGrid()),
         SpecError, "parameter-plane scan samples a DiagonalGrid, got SearchGrid"),
+    "sweep-with-search-grid": (
+        lambda: vc.admissibility_on_diagonal(vc.InvariantCubic.rank3_family(rank3_cone(1), 1.0, 0.5), vc.SearchGrid()),
+        SpecError, "the diagonal sweep samples a DiagonalGrid, got SearchGrid"),
+    "local-search-with-diagonal-grid": (
+        lambda: vc.find_locally_admissible_point(
+            vc.InvariantCubic.rank3_family(rank3_cone(1), 1.0, 0.5), vc.DiagonalGrid()),
+        SpecError, "local-admissibility search samples a SearchGrid, got DiagonalGrid"),
     "local-search-on-rank-2": (
         lambda: vc.find_locally_admissible_point(vc.InvariantCubic.rank2_family(rank2_cone(1), 0.5)),
         SpecError, "local-admissibility search is for rank-3 cones"),
