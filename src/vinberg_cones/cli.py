@@ -44,7 +44,7 @@ EXIT_UNSUPPORTED = 3
 
 _SPEC_KEYS = {
     2: {"rank", "dim_w", "signature", "seed"},
-    3: {"rank", "dim_v", "multiplicity", "mult", "signature", "seed"},
+    3: {"rank", "dim_v", "multiplicity", "signature", "seed"},
 }
 
 # Most values one scan range LO:HI:STEP may hold; a scan runs one cell per
@@ -80,7 +80,7 @@ def _corrupt_gamma(module: CliffordModule) -> CliffordModule:
     perm, val = module._tables
     val = val.copy()
     val[0, 0] += 1
-    return CliffordModule(tables=(perm, val), multiplicity=module.multiplicity)
+    return CliffordModule(tables=(perm, val))
 
 
 def _check_seed(seed: int) -> None:
@@ -127,20 +127,16 @@ def parse_spec(obj: dict):
             if sig is not None:
                 _check_signature(sig, dim_w)
             algebra = rank2_algebra(MetricSpace.euclidean(dim_w))
-            module = None
         else:
             if "dim_v" not in obj:
                 raise SpecError("rank-3 spec needs dim_v")
-            if "multiplicity" in obj and "mult" in obj:
-                raise SpecError("give either multiplicity or mult, not both")
-            mult = obj.get("multiplicity", obj.get("mult", 1))
-            module = build_clifford_module(obj["dim_v"], None if sig is None else tuple(sig), mult)
+            module = build_clifford_module(obj["dim_v"], sig, obj.get("multiplicity", 1))
             algebra = rank3_special(module)
     except (SpecError, IndefiniteSignatureError):
         raise
     except ValueError as exc:
         raise SpecError(f"bad spec value: {exc}") from exc
-    return cone_mod.cone_from_algebra(algebra), module, obj.get("seed", 0)
+    return cone_mod.cone_from_algebra(algebra), algebra.clifford, obj.get("seed", 0)
 
 
 def _load_json(path: str):
@@ -178,7 +174,7 @@ def cmd_build(args) -> int:
         "rank": cone.rank,
         "dim_herm": cone.dim_herm,
         "block_dims": {f"{i}{j}": alg.dim((i, j)) for (i, j) in alg.offdiag_keys},
-        "exponents": [float(e) for e in cone.exponents],
+        "exponents": list(cone.exponents),
         "euclidean": True,
     }
     if module is not None:

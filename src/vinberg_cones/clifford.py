@@ -54,8 +54,8 @@ def _check_count(name: str, n) -> None:
 
 @dataclass(frozen=True)
 class MetricSpace:
-    """R^dim with the Euclidean inner product of its standard basis, the
-    metric of every block of a T-algebra.  A ``dim`` that is no integer
+    """R^dim with the Euclidean inner product of its standard basis: the
+    block W that ``rank2_algebra`` takes.  A ``dim`` that is no integer
     >= 1 raises DimensionMismatchError."""
 
     dim: int
@@ -68,20 +68,9 @@ class MetricSpace:
     def euclidean(cls, dim: int) -> "MetricSpace":
         return cls(dim)
 
-    def ip(self, x, y):
-        """Inner product <x, y> over the last axis (pairwise sums, as accurate as a dot).
-        Leading axes broadcast; a last axis other than ``dim`` raises."""
-        x, y = np.asarray(x, dtype=float), np.asarray(y)
-        if x.shape[-1:] != (self.dim,) or y.shape[-1:] != (self.dim,):
-            raise DimensionMismatchError(f"ip on a space of dim {self.dim}: shapes {x.shape}, {y.shape}")
-        return np.add.reduce(x * y, -1)
-
-    def norm_sq(self, x) -> float:
-        return self.ip(x, x)
-
 
 def _sq_norm(x: np.ndarray):
-    """|x|^2 along the last axis of a float array: MetricSpace.ip(x, x), unchecked."""
+    """|x|^2 along the last axis of a float array by pairwise sums (as accurate as a dot), unchecked."""
     return np.add.reduce(x * x, -1)
 
 
@@ -220,17 +209,17 @@ class CliffordModule:
     the a-th basis vector of V, and dim S0 = dim S1 = dim_s.  ``tables`` is
     keyword-only: a dense (2, 2, 2) stack has the shapes of a (perm, val)
     pair on dim_v = dim_s = 2.  The constructor checks that the two tables
-    have one non-empty 2-D shape and that every row of ``perm`` is a
-    permutation of 0..dim_s-1, and keeps read-only copies of them;
+    have one non-empty 2-D shape, that every row of ``perm`` is a
+    permutation of 0..dim_s-1 and that dim_s is a multiple of the minimal
+    spinor dimension, and keeps read-only copies of them;
     :func:`build_clifford_module` and :meth:`from_json`, the dense entry
     point, check the relation.
     """
 
     dim_v: int
     dim_s: int
-    multiplicity: int = 1
 
-    def __init__(self, *, tables, multiplicity=1):
+    def __init__(self, *, tables):
         shapes = [np.shape(t) for t in tables]
         if len(shapes) != 2 or shapes[0] != shapes[1] or len(shapes[0]) != 2 or 0 in shapes[0]:
             raise DimensionMismatchError(f"tables need two arrays of one non-empty 2-D shape, got shapes {shapes}")
@@ -240,11 +229,18 @@ class CliffordModule:
             seen[np.arange(dim_v)[:, None], perm] = True  # O(dim_v dim_s)
         if not seen.all():
             raise SpecError("every row of the perm table must be a permutation of 0..dim_s-1")
+        if dim_s % minimal_spinor_dim(dim_v):
+            raise DimensionMismatchError(f"dim_s = {dim_s} is no multiple of minimal_spinor_dim({dim_v})")
         tables = tuple(np.array(t) for t in tables)  # read-only copies: the caller's arrays stay theirs
         for t in tables:
             t.setflags(write=False)
         # past the frozen __setattr__
-        self.__dict__.update(dim_v=dim_v, dim_s=dim_s, multiplicity=multiplicity, _tables=tables)
+        self.__dict__.update(dim_v=dim_v, dim_s=dim_s, _tables=tables)
+
+    @cached_property
+    def multiplicity(self) -> int:
+        """The number of copies of the minimal module: dim_s / minimal_spinor_dim(dim_v)."""
+        return self.dim_s // minimal_spinor_dim(self.dim_v)
 
     @cached_property
     def gammas(self) -> np.ndarray:
@@ -319,9 +315,10 @@ class CliffordModule:
 
     @classmethod
     def from_json(cls, obj: dict) -> "CliffordModule":
-        """The module of :meth:`to_json`; SpecError on a malformed object,
-        IndefiniteSignatureError on a signature with q > 0 and
-        CliffordRelationError unless its gammas pass the exact checks."""
+        """The module of :meth:`to_json`; SpecError on a malformed object or
+        a multiplicity its gammas do not have, IndefiniteSignatureError on a
+        signature with q > 0 and CliffordRelationError unless its gammas
+        pass the exact checks."""
         try:
             dim_v, (p, q), mult = obj["dim_v"], obj["signature"], obj["multiplicity"]
             gammas = np.asarray(obj["gammas"])
@@ -338,7 +335,10 @@ class CliffordModule:
         _check_signature((p, q), dim_v)  # refuses q > 0
         tables = _monomial(gammas)
         _check_clifford_relations(*tables)
-        return cls(tables=tables, multiplicity=mult)
+        module = cls(tables=tables)
+        if mult != module.multiplicity:
+            raise SpecError(f"bad Clifford-module JSON: multiplicity {mult}, but its gammas have {module.multiplicity}")
+        return module
 
 
 def _gather(x, index: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -398,7 +398,7 @@ def build_clifford_module(dim_v: int, signature: tuple[int, int] | None = None, 
     jf = _cl_neg_generators(dim_v - 1)
     gammas = _kron(_identity(multiplicity), _stack(_identity(jf[0].shape[1]), jf))
     _check_clifford_relations(*gammas)
-    return CliffordModule(tables=gammas, multiplicity=multiplicity)
+    return CliffordModule(tables=gammas)
 
 
 def _relation_residual(perm, val) -> float:

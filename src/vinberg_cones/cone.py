@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -37,45 +36,43 @@ RADICAND_FLOOR = 1e-14
 
 @dataclass(frozen=True, eq=False)
 class ConeDescriptor:
-    """A rank-2 or rank-3 cone: algebra, ambient dimension and the
-    exponents n_i = 1 + (1/2) sum_{s != i} dim N_is (kept as exact
-    rationals)."""
+    """A rank-2 or rank-3 cone, fixed by its algebra; its ambient dimension
+    and exponents follow from it (each computed once per cone)."""
 
     algebra: NilAlgebra
-    dim_herm: int
-    exponents: tuple[Fraction, ...]
 
     @cached_property
     def rank(self) -> int:
         return self.algebra.rank
 
     @cached_property
-    def characteristic_exponents(self) -> tuple[Fraction, ...]:
-        """Exponent of p_i in the characteristic function:
-        n_i - n_{i-1} - ... - n_1 (computed once per cone)."""
-        n = self.exponents
-        return tuple(n[i] - sum(n[:i], Fraction(0)) for i in range(self.rank))
+    def dim_herm(self) -> int:
+        return self.algebra.herm_dim
 
     @cached_property
-    def _float_characteristic_exponents(self) -> tuple[float, ...]:
-        """The characteristic exponents as floats (converted once per cone)."""
-        return tuple(map(float, self.characteristic_exponents))
+    def exponents(self) -> tuple[float, ...]:
+        """n_i = 1 + (1/2) sum_{s != i} dim N_is: half-integers, which floats
+        hold exactly."""
+        alg, m = self.algebra, self.rank
+        return tuple(
+            1 + sum(alg.dim((min(i, s), max(i, s))) for s in range(1, m + 1) if s != i) / 2 for i in range(1, m + 1)
+        )
+
+    @cached_property
+    def characteristic_exponents(self) -> tuple[float, ...]:
+        """Exponent of p_i in the characteristic function:
+        n_i - n_{i-1} - ... - n_1."""
+        n = self.exponents
+        return tuple(n[i] - sum(n[:i]) for i in range(self.rank))
 
     @cached_property
     def dual(self) -> "ConeDescriptor":
         """The cone of the anti-transposed dual algebra (built once per cone)."""
-        return cone_from_algebra(dual_algebra(self.algebra))
+        return ConeDescriptor(dual_algebra(self.algebra))
 
 
 def cone_from_algebra(algebra: NilAlgebra) -> ConeDescriptor:
-    m = algebra.rank
-    exps = []
-    for i in range(1, m + 1):
-        total = sum(
-            algebra.dim((min(i, s), max(i, s))) for s in range(1, m + 1) if s != i
-        )
-        exps.append(1 + Fraction(total, 2))
-    return ConeDescriptor(algebra, algebra.herm_dim, tuple(exps))
+    return ConeDescriptor(algebra)
 
 
 # ---------------------------------------------------------------------------
@@ -272,14 +269,13 @@ def characteristic_function(cone: ConeDescriptor, X: HermMatrix):
     # any positive radicand: the open cone has points at every scale
     for r in reversed(_back_substitute(cone.algebra, X, 0.0)[0]):
         log_p.insert(0, np.log(r) + sum(log_p))
-    return np.exp(sum(e * lp for e, lp in zip(cone._float_characteristic_exponents, log_p)))
+    return np.exp(sum(e * lp for e, lp in zip(cone.characteristic_exponents, log_p)))
 
 
-def characteristic_degree(cone: ConeDescriptor) -> Fraction:
+def characteristic_degree(cone: ConeDescriptor) -> float:
     """Homogeneity degree sum_i deg(p_i) * exponent_i (equals sum_i n_i)."""
     m = cone.rank
-    exps = cone.characteristic_exponents
-    return sum((Fraction(2 ** (m - i - 1)) * exps[i] for i in range(m)), Fraction(0))
+    return sum(2 ** (m - i - 1) * e for i, e in enumerate(cone.characteristic_exponents))
 
 
 # ---------------------------------------------------------------------------

@@ -68,6 +68,11 @@ def _lapack(op: str, a):
 # ---------------------------------------------------------------------------
 
 
+def _is_real(x) -> bool:
+    """A real number, numpy's included, not a bool; a float skips the ABC check (about 0.5 us a call)."""
+    return type(x) is float or (isinstance(x, numbers.Real) and not isinstance(x, bool))
+
+
 @dataclass(frozen=True, eq=False)
 class InvariantCubic:
     """Coefficients of an invariant cubic.
@@ -85,6 +90,8 @@ class InvariantCubic:
             raise SpecError("an invariant cubic on a rank-3 cone requires a rank-3 special algebra")
         if len(self.coeffs) != want:
             raise SpecError(f"rank-{self.cone.rank} cubic needs {want} coefficients")
+        if not all(map(_is_real, self.coeffs)):
+            raise SpecError(f"cubic coefficients must be real numbers, got {self.coeffs!r}")
         coeffs = tuple(float(c) for c in self.coeffs)
         if not all(map(math.isfinite, coeffs)):
             raise SpecError(f"cubic coefficients must be finite, got {coeffs}")
@@ -393,7 +400,7 @@ class _LogSpaced:
 
     def __post_init__(self):
         lo, hi, n = self.lo, self.hi, self.n
-        if not (isinstance(lo, numbers.Real) and isinstance(hi, numbers.Real) and 0.0 < lo <= hi < math.inf):
+        if not (_is_real(lo) and _is_real(hi) and 0.0 < lo <= hi < math.inf):
             raise SpecError(f"grid needs finite 0 < lo <= hi, got lo={lo!r}, hi={hi!r}")
         if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
             raise SpecError(f"grid needs an integer n >= 1, got n={n!r}")
@@ -956,8 +963,8 @@ def scan_parameter_plane(
     rows = []
     for e1 in eps1_values:
         for e2 in eps2_values:
-            e1, e2 = float(e1), float(e2)
-            q = InvariantCubic.rank3_family(cone, e1, e2)
+            q = InvariantCubic.rank3_family(cone, e1, e2)  # refuses a value that is no real number
+            _, e1, e2 = q.coeffs
             w = _first_row_witness(q, grid) if e2 > 0.0 else None
             if w is None:
                 x, kinds = _classify_slice(q, grid)

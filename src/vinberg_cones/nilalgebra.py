@@ -1,9 +1,10 @@
 """Nil-algebras of generalized matrices, their triangular groups and
 Hermitian matrices.
 
-A rank-m Nil-algebra stores one metric space per strictly-upper slot (i, j)
-and, for rank 3, the Clifford module whose multiplication is the single
-bilinear isometric product N_12 x N_23 -> N_13.  Triangular elements (the
+A Nil-algebra is fixed by its kind and, at rank 2, the dimension of its one
+block W or, at rank 3, the Clifford module whose multiplication is the
+single bilinear isometric product N_12 x N_23 -> N_13; every block is
+Euclidean, of a dimension that input fixes.  Triangular elements (the
 solvable group when the diagonal is positive) and Hermitian matrices are
 coordinate containers over a fixed algebra, each one flat vector in the
 algebra's layout (see README, Coordinates); all products needed downstream
@@ -27,59 +28,54 @@ Key = tuple[int, int]
 
 @dataclass(frozen=True, eq=False)
 class NilAlgebra:
-    """Upper-triangular generalized-matrix algebra of rank 2 or 3.
+    """Upper-triangular generalized-matrix algebra of rank 2 or 3, fixed by
+    its ``kind`` and ``dim_w`` (kind "rank2") or ``clifford`` (a rank-3
+    kind); the rank, the block dimensions and the layout follow from them.
 
     At rank 3 the bilinear map N_12 x N_23 -> N_13 is Clifford
     multiplication (s0, v) -> mu_v(s0) of ``clifford``.  ``kind``
-    distinguishes the special orientation (entry (1,2) even spinor s0, (2,3)
-    vector v), for which the squared G-determinant is a cubic polynomial,
-    from its dual, which multiplies (v, s0) -> mu_v(s0).
+    distinguishes the special orientation "rank3-special" (entry (1,2) even
+    spinor s0, (2,3) vector v), for which the squared G-determinant is a
+    cubic polynomial, from its dual "rank3-dual", which multiplies (v, s0).
     """
 
-    rank: int
-    spaces: dict[Key, MetricSpace]
+    kind: str
     clifford: CliffordModule | None = None
-    kind: str = "rank2"
-    _dual: "NilAlgebra | None" = field(default=None, repr=False)
+    dim_w: int | None = None
+    _dual: "NilAlgebra | None" = field(default=None, init=False, repr=False)
+    rank: int = field(init=False)
+    _special: bool = field(init=False, repr=False)
+    _dims: dict = field(init=False, repr=False)
     # slice of the diagonal ("diag") and of each block in the flat vector
     layout: dict = field(init=False, repr=False)
     herm_dim: int = field(init=False, repr=False)
     offdiag_keys: tuple[Key, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.rank not in (2, 3):
-            raise SpecError("only ranks 2 and 3 are supported")
-        expect = [(i, j) for i in range(1, self.rank + 1) for j in range(i + 1, self.rank + 1)]
-        if sorted(self.spaces) != expect:
-            raise SpecError(f"spaces must be indexed by {expect}")
-        layout, pos = {"diag": slice(0, self.rank)}, self.rank
-        for key in expect:
-            layout[key] = slice(pos, pos + self.dim(key))
-            pos += self.dim(key)
-        object.__setattr__(self, "layout", layout)
-        object.__setattr__(self, "herm_dim", pos)
-        object.__setattr__(self, "offdiag_keys", tuple(expect))
-        if self.rank == 2:
+        if self.kind == "rank2":
             if self.clifford is not None:
                 raise SpecError("rank-2 algebras have no product")
-            return
-        if self.clifford is None or self.kind not in ("rank3-special", "rank3-dual"):
-            raise SpecError("rank-3 algebras need a Clifford module and a rank-3 kind")
-        dims = (self.dim((1, 2)), self.dim((1, 3)), self.dim((2, 3)))
-        s, v = self.clifford.dim_s, self.clifford.dim_v
-        if dims != ((s, s, v) if self._special else (v, s, s)):
-            raise DimensionMismatchError(f"block dimensions {dims} do not fit the Clifford module")
+            rank, dims = 2, {(1, 2): MetricSpace(self.dim_w).dim}  # W refuses a dim_w that is no integer >= 1
+        elif self.kind in ("rank3-special", "rank3-dual"):
+            if not isinstance(self.clifford, CliffordModule) or self.dim_w is not None:
+                raise SpecError("rank-3 algebras need a Clifford module and no dim_w")
+            s, v = self.clifford.dim_s, self.clifford.dim_v
+            sizes = (s, s, v) if self.kind == "rank3-special" else (v, s, s)
+            rank, dims = 3, dict(zip([(1, 2), (1, 3), (2, 3)], sizes))
+        else:
+            raise SpecError(f"kind must be 'rank2', 'rank3-special' or 'rank3-dual', got {self.kind!r}")
+        layout, pos = {"diag": slice(0, rank)}, rank
+        for key, d in dims.items():
+            layout[key] = slice(pos, pos + d)
+            pos += d
+        # past the frozen __setattr__
+        self.__dict__.update(rank=rank, _special=self.kind == "rank3-special", _dims=dims, layout=layout)
+        self.__dict__.update(herm_dim=pos, offdiag_keys=tuple(dims))
 
     # -- structure ---------------------------------------------------------
 
     def dim(self, key: Key) -> int:
-        return self.spaces[key].dim
-
-    def ip(self, key: Key, x, y):
-        return self.spaces[key].ip(x, y)
-
-    def norm_sq(self, key: Key, x):
-        return self.spaces[key].ip(x, x)
+        return self._dims[key]
 
     @cached_property
     def _segments(self) -> np.ndarray:
@@ -137,10 +133,6 @@ class NilAlgebra:
     # when the caller has gamma_pairing(x13), lets two products share a gather.
 
     @cached_property
-    def _special(self) -> bool:
-        return self.kind == "rank3-special"
-
-    @cached_property
     def _module(self) -> CliffordModule:
         if self.rank != 3:
             raise SpecError("rank-2 algebra has no composable product")
@@ -173,10 +165,7 @@ class NilAlgebra:
         out = {
             "rank": self.rank,
             "kind": self.kind,
-            "spaces": {
-                f"{i}{j}": {"dim": s.dim, "signature": [s.dim, 0]}
-                for (i, j), s in sorted(self.spaces.items())
-            },
+            "spaces": {f"{i}{j}": {"dim": d, "signature": [d, 0]} for (i, j), d in self._dims.items()},
         }
         if self.clifford is not None:
             out["clifford"] = self.clifford.to_json()
@@ -185,14 +174,13 @@ class NilAlgebra:
 
 def rank2_algebra(w_space: MetricSpace) -> NilAlgebra:
     """Rank-2 Nil-algebra with single entry space W at slot (1, 2)."""
-    return NilAlgebra(2, {(1, 2): w_space}, kind="rank2")
+    return NilAlgebra("rank2", dim_w=w_space.dim)
 
 
 def rank3_special(module: CliffordModule) -> NilAlgebra:
     """Rank-3 special Nil-algebra: (1,2) = S0, (1,3) = S1, (2,3) = V,
     product (s0, v) -> mu_v(s0)."""
-    s, v = MetricSpace(module.dim_s), MetricSpace(module.dim_v)
-    return NilAlgebra(3, {(1, 2): s, (1, 3): s, (2, 3): v}, clifford=module, kind="rank3-special")
+    return NilAlgebra("rank3-special", clifford=module)
 
 
 def dual_algebra(algebra: NilAlgebra) -> NilAlgebra:
@@ -200,15 +188,8 @@ def dual_algebra(algebra: NilAlgebra) -> NilAlgebra:
     space, products compose in reversed order.  Involutive at object level."""
     if algebra._dual is not None:
         return algebra._dual
-    m = algebra.rank
-    spaces = {
-        (i, j): algebra.spaces[(m + 1 - j, m + 1 - i)]
-        for (i, j) in algebra.offdiag_keys
-    }
-    kind = {"rank2": "rank2", "rank3-special": "rank3-dual", "rank3-dual": "rank3-special"}[
-        algebra.kind
-    ]
-    dual = NilAlgebra(m, spaces, clifford=algebra.clifford, kind=kind)
+    kind = {"rank2": "rank2", "rank3-special": "rank3-dual", "rank3-dual": "rank3-special"}[algebra.kind]
+    dual = NilAlgebra(kind, algebra.clifford, algebra.dim_w)
     object.__setattr__(dual, "_dual", algebra)
     object.__setattr__(algebra, "_dual", dual)
     return dual

@@ -437,8 +437,14 @@ def dense_cubic_derivatives(q, X, tensor: bool = True) -> tuple[np.ndarray, np.n
 # ---------------------------------------------------------------------------
 
 
-def dense_ip(space, x, y):
-    return ((np.asarray(x) @ np.eye(space.dim)) * y).sum(-1)
+def ip(x, y):
+    """<x, y> over the last axis by pairwise sums: the Euclidean inner product
+    of a block, summed as the library sums its norms (leading axes broadcast)."""
+    return np.add.reduce(np.asarray(x, dtype=float) * y, -1)
+
+
+def dense_ip(dim: int, x, y):
+    return ((np.asarray(x) @ np.eye(dim)) * y).sum(-1)
 
 
 def dense_mu(module, v) -> np.ndarray:

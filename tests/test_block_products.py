@@ -2,7 +2,7 @@
 inner product of a point in one segmented sum (`NilAlgebra.block_products`),
 the trilinear term in one gather (`NilAlgebra.trilinear`) and
 anti-transposition as one take, each against the per-block formula it
-replaces; plus the shape checks of `MetricSpace.ip`.  Algebras on metrics
+replaces.  Algebras on metrics
 other than the identity or on an indefinite signature are refused: each
 test on them is a negative control."""
 
@@ -16,7 +16,7 @@ from vinberg_cones.clifford import MetricSpace
 from vinberg_cones.errors import DimensionMismatchError
 from vinberg_cones.nilalgebra import block_norms
 
-from _support import FULL_S, FULL_V, SCALED_V, Refused, made, rank2_cone, rank3_cone, regauged_module, same_bits
+from _support import FULL_S, FULL_V, SCALED_V, Refused, ip, made, rank2_cone, rank3_cone, regauged_module, same_bits
 
 # Euclidean algebras, and refused ones: three whose block metrics are not the
 # identity (non-unit weights, non-diagonal) and three on indefinite signatures
@@ -47,11 +47,11 @@ class TestBlockProducts:
         got = alg.block_products(x, y)
         assert got.shape == (7, len(alg.offdiag_keys))
         for col, key in enumerate(alg.offdiag_keys):
-            sl, space = alg.layout[key], alg.spaces[key]
-            want = space.ip(x[:, sl], y[:, sl])
+            sl = alg.layout[key]
+            want = ip(x[:, sl], y[:, sl])
             # the same terms, summed in another order: a few ulps of their size
             size = np.abs(x[:, sl] * y[:, sl]).sum(-1)
-            assert np.all(np.abs(got[:, col] - want) <= 1e-15 * space.dim * size)
+            assert np.all(np.abs(got[:, col] - want) <= 1e-15 * alg.dim(key) * size)
 
     def test_stack_rows_equal_single_points(self, make):
         if (alg := made(make)) is None:
@@ -68,7 +68,7 @@ class TestBlockProducts:
         A = vc.random_triangular(alg, np.random.default_rng(3))
         norms = block_norms(A)
         for col, key in enumerate(alg.offdiag_keys):
-            assert norms[col] == pytest.approx(alg.norm_sq(key, A.offdiag[key]), rel=1e-14, abs=1e-15)
+            assert norms[col] == pytest.approx(ip(A.offdiag[key], A.offdiag[key]), rel=1e-14, abs=1e-15)
 
     def test_wrong_flat_length_rejected(self, make):
         if (alg := made(make)) is None:
@@ -122,7 +122,7 @@ def test_trilinear_matches_the_adjoint_route(make):
     rng = np.random.default_rng(5)
     x12, x13, x23 = (rng.uniform(-1.0, 1.0, (6, alg.dim(k))) for k in ((1, 2), (1, 3), (2, 3)))
     got = alg.trilinear(x12, x13, x23)
-    want = alg.ip((2, 3), alg.mult_flat_left(x12, x13), x23)
+    want = ip(alg.mult_flat_left(x12, x13), x23)
     scale = np.linalg.norm(x12, axis=-1) * np.linalg.norm(x13, axis=-1) * np.linalg.norm(x23, axis=-1)
     assert np.all(np.abs(got - want) <= 1e-14 * scale)
     singles = [alg.trilinear(*xs) for xs in zip(x12, x13, x23)]
@@ -144,11 +144,12 @@ def test_shared_gather_matches_the_public_products(make, stack):
     n = block_norms(X)
     det = x1 * x2 * x3 - x3 * n[0] - x2 * n[1] - x1 * n[2] + 2.0 * alg.trilinear(x12, x13, x23)
     if alg.kind == "rank3-special":
-        gap = n[0] * n[1] - alg.norm_sq((2, 3), alg.mult_flat_left(x12, x13))
+        b = alg.mult_flat_left(x12, x13)
+        gap = n[0] * n[1] - ip(b, b)
         assert same_bits(cone_mod._d_prime_parts(vc.cone_from_algebra(alg), X)[:2], (det, gap))
     else:
         adj = alg.mult_flat_right(x13, x23)
-        assert same_bits(cone_mod._p1_rank3(alg, X, n), x3 * det + (n[2] * n[1] - alg.norm_sq((1, 2), adj)))
+        assert same_bits(cone_mod._p1_rank3(alg, X, n), x3 * det + (n[2] * n[1] - ip(adj, adj)))
 
 
 class TestCachedStructure:
@@ -166,29 +167,3 @@ class TestCachedStructure:
         vc.herm_from_triangular(vc.identity_triangular(alg))
         assert "_segments" in vars(alg)
 
-
-class TestIpShapes:
-    def test_short_last_axis_rejected(self):
-        with pytest.raises(DimensionMismatchError):
-            MetricSpace.euclidean(3).ip(np.ones(1), np.ones(3))
-        with pytest.raises(DimensionMismatchError):
-            MetricSpace.euclidean(3).ip(np.ones(3), np.ones(1))
-
-    def test_algebra_norm_rejects_a_short_block(self):
-        alg = vc.rank3_special(vc.build_clifford_module(2))
-        with pytest.raises(DimensionMismatchError):
-            alg.norm_sq((1, 2), np.ones(1))
-        with pytest.raises(DimensionMismatchError):
-            alg.ip((2, 3), np.ones(2), np.ones(3))
-
-    def test_scalars_rejected(self):
-        with pytest.raises(DimensionMismatchError):
-            MetricSpace.euclidean(1).ip(1.0, 1.0)
-
-    def test_leading_axes_broadcast(self):
-        space = MetricSpace.euclidean(3)
-        rng = np.random.default_rng(6)
-        x, y = rng.uniform(-1.0, 1.0, (4, 3)), rng.uniform(-1.0, 1.0, (5, 1, 3))
-        got = space.ip(x, y)
-        assert got.shape == (5, 4)
-        np.testing.assert_array_equal(got[2, 1], space.ip(x[1], y[2, 0]))

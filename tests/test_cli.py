@@ -21,7 +21,7 @@ def write_json(path, obj):
 
 @pytest.fixture
 def spec3(tmp_path):
-    return write_json(tmp_path / "spec3.json", {"rank": 3, "dim_v": 1, "mult": 1})
+    return write_json(tmp_path / "spec3.json", {"rank": 3, "dim_v": 1, "multiplicity": 1})
 
 
 @pytest.fixture
@@ -56,11 +56,32 @@ class TestBuild:
         p.write_text("{not json")
         assert cli.main(["build", "--spec", str(p)]) == 2
 
-    def test_both_mult_spellings_rejected_together(self, tmp_path):
-        spec = write_json(
-            tmp_path / "s.json", {"rank": 3, "dim_v": 1, "mult": 1, "multiplicity": 1}
-        )
-        assert cli.main(["build", "--spec", spec]) == 2
+    def test_both_mult_spellings_rejected_together(self, tmp_path, capsys):
+        # "mult" is no spelling of "multiplicity": it is an unknown field,
+        # alone or beside the one key
+        for spec in ({"rank": 3, "dim_v": 1, "mult": 1, "multiplicity": 1}, {"rank": 3, "dim_v": 1, "mult": 2}):
+            path = write_json(tmp_path / "s.json", spec)
+            assert cli.main(["build", "--spec", path]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: unknown spec fields: ['mult']\n"
+
+    @pytest.mark.parametrize(
+        "spec,line",
+        [
+            ({"rank": 2, "dim_w": 1},
+             '{"rank": 2, "dim_herm": 3, "block_dims": {"12": 1}, "exponents": [1.5, 1.5], "euclidean": true}'),
+            ({"rank": 3, "dim_v": 3, "multiplicity": 2},
+             '{"rank": 3, "dim_herm": 22, "block_dims": {"12": 8, "13": 8, "23": 3}, "exponents": [9, 6.5, 6.5], '
+             '"euclidean": true, "dim_s": 8}'),
+        ],
+        ids=["w1", "d3x2"],
+    )
+    def test_derived_dimensions_and_exponents(self, tmp_path, capsys, spec, line):
+        # the block dimensions, the half-integer exponents and dim_s that the
+        # spec's one input fixes, with the bytes they had as Fractions
+        assert cli.main(["build", "--spec", write_json(tmp_path / "s.json", spec)]) == 0
+        assert capsys.readouterr().out == line + "\n"
 
     def test_non_integer_dim_rejected(self, tmp_path):
         spec = write_json(tmp_path / "s.json", {"rank": 3, "dim_v": "eight"})
@@ -660,7 +681,7 @@ class TestSpecValues:
             {"rank": 3.0, "dim_v": 1},
             {"rank": True, "dim_w": 1},
             {"rank": 3, "dim_v": 1, "multiplicity": 1.5},
-            {"rank": 3, "dim_v": 1, "mult": True},
+            {"rank": 3, "dim_v": 1, "multiplicity": True},
             {"rank": 3, "dim_v": 1, "seed": 1.0},
             {"rank": 2, "dim_w": 1, "seed": "1"},
             {"rank": 2, "dim_w": 1, "signature": [1]},

@@ -69,8 +69,9 @@ class TestMetricSpace:
         # a space is its dimension, with the identity Gram matrix
         s = MetricSpace.euclidean(3)
         assert s == MetricSpace(3) and vars(s) == {"dim": 3}
-        assert s.ip([1.0, 2.0, 0.0], [3.0, -1.0, 5.0]) == 1.0
-        assert s.norm_sq([1.0, -2.0, 2.0]) == 9.0
+        # no inner product of its own: the algebra's block products take it
+        assert not hasattr(s, "ip") and not hasattr(s, "norm_sq")
+        assert vc.rank2_algebra(s).block_products([1.0, 1.0, 1.0, 2.0, 0.0], [1.0, 1.0, 3.0, -1.0, 5.0]).tolist() == [1.0]
 
     def test_indefinite_canonical(self):
         # no space carries a signature; one with q > 0 is refused where it
@@ -699,12 +700,13 @@ class TestTableBuild:
         assert "gammas" not in vars(mod)
         # the oracle's stack read into tables as from_json reads it
         tables = clifford._monomial(gammas)
-        dense = CliffordModule(tables=tables, multiplicity=mult)
+        dense = CliffordModule(tables=tables)
         for got, want in zip(mod.monomial_tables, dense.monomial_tables, strict=True):
             assert same_bits(got, want)
         assert same_bits(mod.gammas, gammas)
         assert (mod.dim_v, mod.dim_s) == (dense.dim_v, dense.dim_s) == (dim_v, gammas.shape[-1])
         assert type(mod.dim_v) is type(mod.dim_s) is int
+        assert mod.multiplicity == dense.multiplicity == mult
 
     def test_orbit_chain_never_materializes_the_dense_stack(self):
         mod = vc.build_clifford_module(16)
@@ -895,7 +897,8 @@ class TestMetricSpaceDiagonalBranch:
             with pytest.raises(DimensionMismatchError, match="integer dim"):
                 MetricSpace(w)
             x, y = np.random.default_rng(n).uniform(-1.0, 1.0, (2, n))
-            assert MetricSpace(n).ip(x, y) == pytest.approx(x @ np.linalg.inv(np.eye(n)) @ y, rel=1e-14, abs=1e-15)
+            (got,) = vc.rank2_algebra(MetricSpace(n)).block_products(np.r_[1.0, 1.0, x], np.r_[1.0, 1.0, y])
+            assert got == pytest.approx(x @ np.linalg.inv(np.eye(n)) @ y, rel=1e-14, abs=1e-15)
 
     def test_signed_zeros_of_the_inverse(self):
         # no raising weight: the adjoints of zero arguments are +0.0, and the

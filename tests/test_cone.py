@@ -11,6 +11,7 @@ from vinberg_cones.errors import IndefiniteSignatureError, OutsideConeError, Spe
 
 from _support import (
     dense_symmetric_3x3,
+    ip,
     max_block_error,
     random_dual_point,
     random_orbit_point,
@@ -18,6 +19,39 @@ from _support import (
     rank3_cone,
     triangular_scale,
 )
+
+
+# (n_i; characteristic exponents; degree) per cone, as the cone kept them
+# when it held Fractions
+PINNED_EXPONENTS = {
+    "w1": "3/2 3/2; 3/2 0; 3",
+    "w2": "2 2; 2 0; 4",
+    "w3": "5/2 5/2; 5/2 0; 5",
+    "w4": "3 3; 3 0; 6",
+    "w5": "7/2 7/2; 7/2 0; 7",
+    "w6": "4 4; 4 0; 8",
+    "w7": "9/2 9/2; 9/2 0; 9",
+    "w8": "5 5; 5 0; 10",
+    "w9": "11/2 11/2; 11/2 0; 11",
+    "d1": "2 2 2; 2 0 -2; 6",
+    "d2": "3 3 3; 3 0 -3; 9",
+    "d3": "5 9/2 9/2; 5 -1/2 -5; 14",
+    "d4": "5 5 5; 5 0 -5; 15",
+    "d5": "9 15/2 15/2; 9 -3/2 -9; 24",
+    "d6": "9 8 8; 9 -1 -9; 25",
+    "d7": "9 17/2 17/2; 9 -1/2 -9; 26",
+    "d8": "9 9 9; 9 0 -9; 27",
+    "d9": "17 27/2 27/2; 17 -7/2 -17; 44",
+    "d16": "129 73 73; 129 -56 -129; 275",
+    "d3x2": "9 13/2 13/2; 9 -5/2 -9; 22",
+    "d1-dual": "2 2 2; 2 0 -2; 6",
+    "d3-dual": "9/2 9/2 5; 9/2 0 -4; 14",
+    "d5-dual": "15/2 15/2 9; 15/2 0 -6; 24",
+    "d6-dual": "8 8 9; 8 0 -7; 25",
+    "d9-dual": "27/2 27/2 17; 27/2 0 -10; 44",
+    "d16-dual": "73 73 129; 73 0 -17; 275",
+    "d3x2-dual": "13/2 13/2 9; 13/2 0 -4; 22",
+}
 
 
 class TestDescriptor:
@@ -39,6 +73,26 @@ class TestDescriptor:
     def test_exponent_sum_is_ambient_dimension(self):
         for cone in (rank2_cone(4), rank3_cone(2), rank3_cone(4, mult=2)):
             assert sum(cone.exponents) == cone.dim_herm
+
+    def test_one_input(self):
+        alg = rank3_cone(1).algebra
+        assert vc.cone_from_algebra(alg).algebra is alg and vc.ConeDescriptor(alg).dim_herm == 6
+        with pytest.raises(TypeError):
+            vc.ConeDescriptor(alg, 6, (2, 2, 2))
+
+    @pytest.mark.parametrize("tag,want", list(PINNED_EXPONENTS.items()), ids=list(PINNED_EXPONENTS))
+    def test_exponents_keep_their_values(self, tag, want):
+        # the exact rationals the cone once kept, as floats: n_i, the
+        # characteristic exponents and the degree
+        if tag.startswith("w"):
+            cone = rank2_cone(int(tag[1:]))
+        else:
+            cone = rank3_cone(*map(int, tag[1:].removesuffix("-dual").split("x")))
+            cone = cone.dual if tag.endswith("-dual") else cone
+        got = (cone.exponents, cone.characteristic_exponents, (characteristic_degree(cone),))
+        for values, text in zip(got, want.split(";")):
+            assert all(type(e) is float for e in values)
+            assert [Fraction(e) for e in values] == [Fraction(t) for t in text.split()]
 
 
 class TestPPolynomials:
@@ -254,13 +308,13 @@ class TestGroupCoordinates:
             y = Z.to_vector() / last
             if cone.rank == 2:
                 a12 = y[..., alg.layout[(1, 2)]]
-                diag = (x[0] - alg.norm_sq((1, 2), a12), x[1])
+                diag = (x[0] - ip(a12, a12), x[1])
                 off = {(1, 2): a12}
             else:
                 t1, w = y[..., alg.layout[(1, 3)]], y[..., alg.layout[(2, 3)]]
                 _, n13, n23 = alg.block_products(y, y).T
                 t0 = (Z.offdiag[(1, 2)] - alg.mult_flat_right(t1, w)) / np.sqrt(x[1] - n23)[..., None]
-                diag = (x[0] - alg.norm_sq((1, 2), t0) - n13, x[1] - n23, x[2])
+                diag = (x[0] - ip(t0, t0) - n13, x[1] - n23, x[2])
                 off = {(1, 2): t0, (1, 3): t1, (2, 3): w}
             want = vc.TriangularElement(alg, np.sqrt(np.array(diag).T), off)
             got = vc.group_coordinates(cone, Z).element
@@ -342,10 +396,12 @@ class TestCharacteristicFunction:
         assert cone.characteristic_exponents == (n1, n2 - n1, n3 - n2 - n1)
 
     def test_exponents_computed_once_per_cone(self):
+        # a cone holds its algebra; the rest is derived on first read, as floats
         cone = vc.cone_from_algebra(rank3_cone(4).algebra)
+        assert vars(cone) == {"algebra": cone.algebra}
         first = cone.characteristic_exponents
-        assert all(isinstance(e, Fraction) for e in first)
-        assert cone.characteristic_exponents is first
+        assert all(type(e) is float for e in first + cone.exponents)
+        assert cone.characteristic_exponents is first and cone.exponents is cone.exponents
 
     @pytest.mark.parametrize(
         "cone",

@@ -1,7 +1,7 @@
 """Every block metric is the identity, and a metric space is its
 dimension: each product against the dense oracles of _support (dense
 gammas, einsums and a matmul by the identity Gram matrix), equal entry for
-entry.  A metric other than the identity, or an indefinite signature, is
+entry, the block inner products to the rounding of another summation order.  A metric other than the identity, or an indefinite signature, is
 refused, and each test on one is a negative control."""
 
 import numpy as np
@@ -11,6 +11,7 @@ import vinberg_cones as vc
 from vinberg_cones import cli
 from vinberg_cones.clifford import CliffordModule, MetricSpace
 from vinberg_cones.errors import DimensionMismatchError
+from vinberg_cones.nilalgebra import block_norms
 
 from _support import (
     FULL_S,
@@ -51,12 +52,19 @@ SPACES = {
 }
 
 
-def assert_identity(space, dim: int) -> None:
-    """The space holds its dimension and nothing else, no array, and its
-    inner product is that of the identity Gram matrix."""
-    assert space == MetricSpace(dim) and vars(space) == {"dim": dim}
-    x, y = np.random.default_rng(0).uniform(-1, 1, (2, 3, dim))
-    np.testing.assert_array_equal(space.ip(x, y), dense_ip(space, x, y))
+def assert_identity(alg, dims: tuple, seed: int = 0) -> None:
+    """The algebra's blocks have the dimensions ``dims``, in ``offdiag_keys``
+    order, and the inner product of the identity Gram matrix: its block
+    products and norms against a matmul by it, on a stack and on one point."""
+    assert tuple(alg.dim(k) for k in alg.offdiag_keys) == dims
+    x, y = np.random.default_rng(seed).uniform(-1, 1, (2, 6, alg.herm_dim))
+    for sl in (slice(None), 0):
+        blocks = [(x[sl, alg.layout[k]], y[sl, alg.layout[k]]) for k in alg.offdiag_keys]
+        want = np.stack([dense_ip(len(a.T), a, b) for a, b in blocks], -1)
+        norms = np.stack([dense_ip(len(a.T), a, a) for a, _ in blocks], -1)
+        atol = 1e-15 * max(dims)
+        np.testing.assert_allclose(alg.block_products(x[sl], y[sl]), want, rtol=0.0, atol=atol)
+        np.testing.assert_allclose(block_norms(vc.herm_from_vector(alg, x[sl])), norms.T, rtol=0.0, atol=atol)
 
 
 class TestWeightsPath:
@@ -64,16 +72,17 @@ class TestWeightsPath:
     def test_built_modules_take_weights(self, case):
         if (cone := made_cone(case)) is None:
             return
-        # a module holds no space: the algebra's blocks are Euclidean spaces
-        # of the dimensions of its tables, before and after a JSON round trip
+        # neither a module nor an algebra holds a space: the algebra's blocks
+        # are Euclidean, of the dimensions of its module's tables, before and
+        # after a JSON round trip
         module = cone.algebra.clifford
         back = CliffordModule.from_json(module.to_json())
         for mod in (module, back):
             assert not any(hasattr(mod, f"{name}_space") for name in ("v", "s0", "s1"))
             alg = vc.rank3_special(mod)
-            assert_identity(alg.spaces[(2, 3)], case[0])
-            for key in ((1, 2), (1, 3)):
-                assert_identity(alg.spaces[key], module.dim_s)
+            assert not hasattr(alg, "spaces")
+            assert_identity(alg, (module.dim_s, module.dim_s, case[0]))
+            assert_identity(vc.dual_algebra(alg), (case[0], module.dim_s, module.dim_s))
 
     @pytest.mark.parametrize(
         "space",
@@ -87,7 +96,8 @@ class TestWeightsPath:
     def test_canonical_spaces_take_weights(self, space):
         # the Euclidean space; a module on a signature with q > 0 is refused
         if (made_space := made(space)) is not None:
-            assert_identity(made_space, 5)
+            assert made_space == MetricSpace(5) and vars(made_space) == {"dim": 5}
+            assert_identity(vc.rank2_algebra(made_space), (5,))
 
     def test_non_diagonal_gram_takes_dense_path(self):
         # there is no dense path: a Gram matrix is no dimension, and neither
@@ -99,9 +109,11 @@ class TestWeightsPath:
 
     def test_d18_spaces_hold_no_matrix(self):
         module = vc.build_clifford_module(18)
-        assert {k: v for k, v in vars(module).items() if k != "_tables"} == {"dim_v": 18, "dim_s": 512, "multiplicity": 1}
-        for space in vc.rank3_special(module).spaces.values():
-            assert vars(space) == {"dim": space.dim}
+        assert {k: v for k, v in vars(module).items() if k != "_tables"} == {"dim_v": 18, "dim_s": 512}
+        assert module.multiplicity == 1
+        alg = vc.rank3_special(module)
+        assert (alg.dim((1, 2)), alg.dim((1, 3)), alg.dim((2, 3)), alg.herm_dim) == (512, 512, 18, 1045)
+        assert not any(isinstance(v, np.ndarray) for v in vars(alg).values())
 
 
 _MODULE_CASES = pytest.mark.parametrize("make", MODULES.values(), ids=MODULES.keys())
@@ -111,12 +123,10 @@ _SPACE_CASES = pytest.mark.parametrize("make", SPACES.values(), ids=SPACES.keys(
 class TestAgainstDenseGrams:
     @_SPACE_CASES
     def test_ip(self, make):
+        # the inner product on W is the rank-2 algebra's block product
         if (space := made(make)) is None:
             return
-        x, y = np.random.default_rng(1).uniform(-1, 1, (2, 6, space.dim))
-        np.testing.assert_array_equal(space.ip(x, y), dense_ip(space, x, y))
-        np.testing.assert_array_equal(space.ip(x[0], y[0]), dense_ip(space, x[0], y[0]))
-        np.testing.assert_array_equal(space.norm_sq(x), dense_ip(space, x, x))
+        assert_identity(vc.rank2_algebra(space), (space.dim,), seed=1)
 
     @_MODULE_CASES
     def test_gamma_pairing(self, make):

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import re
 
 import numpy as np
@@ -21,6 +23,7 @@ from _support import (
     dense_mult,
     dense_mult_flat_left,
     dense_mult_flat_right,
+    ip,
     made,
     made_cone,
     max_block_error,
@@ -80,19 +83,94 @@ class TestAlgebraConstruction:
             s0 = rng.uniform(-1, 1, a.dim((1, 2)))
             v = rng.uniform(-1, 1, a.dim((2, 3)))
             out = a.mult(s0, v)
-            lhs = a.ip((1, 3), out, out)
-            rhs = a.ip((1, 2), s0, s0) * a.ip((2, 3), v, v)
-            assert lhs == pytest.approx(rhs, abs=1e-12)
+            assert ip(out, out) == pytest.approx(ip(s0, s0) * ip(v, v), abs=1e-12)
 
     def test_rank3_requires_equal_spinor_dims(self):
         # the module has one spinor dimension, its tables' dim_s, and the
-        # algebra refuses S0 and S1 blocks of two dimensions
+        # algebra takes S0 and S1 from it: no block dimension can be given
         mod = vc.build_clifford_module(2)
         a = vc.rank3_special(mod)
         assert a.dim((1, 2)) == a.dim((1, 3)) == mod.dim_s and a.dim((2, 3)) == mod.dim_v
+        assert not hasattr(a, "spaces")
         s, v = vc.MetricSpace.euclidean(mod.dim_s), vc.MetricSpace.euclidean(mod.dim_v)
-        with pytest.raises(DimensionMismatchError, match="do not fit the Clifford module"):
+        with pytest.raises(TypeError):
             vc.NilAlgebra(3, {(1, 2): s, (1, 3): vc.MetricSpace.euclidean(3), (2, 3): v}, mod, "rank3-special")
+        with pytest.raises(SpecError, match="no dim_w"):
+            vc.NilAlgebra("rank3-special", mod, 3)
+
+    @pytest.mark.parametrize("kind", ["rank3-special", "rank3-dual"])
+    def test_rank2_algebra_of_a_rank3_kind_refused(self, kind):
+        # once accepted as NilAlgebra(2, {(1, 2): MetricSpace(3)}, kind=...):
+        # a rank-2 algebra whose dual had kind "rank3-special" and whose JSON
+        # named a rank-3 kind
+        with pytest.raises(TypeError):
+            vc.NilAlgebra(2, {(1, 2): vc.MetricSpace(3)}, kind=kind)
+        with pytest.raises(SpecError, match="rank-3 algebras need a Clifford module and no dim_w"):
+            vc.NilAlgebra(kind, dim_w=3)
+        for alg in (vc.NilAlgebra("rank2", dim_w=3), vc.rank2_algebra(vc.MetricSpace(3))):
+            assert (alg.rank, alg.kind, alg.clifford, alg._special) == (2, "rank2", None, False)
+            assert (vc.dual_algebra(alg).kind, vc.dual_algebra(alg).to_json()["kind"]) == ("rank2", "rank2")
+
+    def test_derived_from_the_defining_input(self):
+        # kind plus dim_w or the module fix the rank, the blocks and the layout
+        mod = vc.build_clifford_module(3, multiplicity=2)
+        for alg, rank, dims in [
+            (vc.NilAlgebra("rank2", dim_w=4), 2, {(1, 2): 4}),
+            (vc.NilAlgebra("rank3-special", mod), 3, {(1, 2): 8, (1, 3): 8, (2, 3): 3}),
+            (vc.NilAlgebra("rank3-dual", mod), 3, {(1, 2): 3, (1, 3): 8, (2, 3): 8}),
+        ]:
+            assert alg.rank == rank and {k: alg.dim(k) for k in alg.offdiag_keys} == dims
+            assert alg.herm_dim == rank + sum(dims.values())
+            assert alg.layout["diag"] == slice(0, rank) and alg.layout[alg.offdiag_keys[-1]].stop == alg.herm_dim
+        assert vc.dual_algebra(vc.NilAlgebra("rank3-special", mod)).layout == vc.NilAlgebra("rank3-dual", mod).layout
+
+
+# sha256 of json.dumps of the algebra's, its dual's and its module's to_json,
+# as written when an algebra held one metric space per block and a module
+# its multiplicity
+PINNED_JSON = {
+    "w3": (
+        "ae0a82481221406053c235790b69966a20176995c44071b058b0a0afe1d8946d",
+        "ae0a82481221406053c235790b69966a20176995c44071b058b0a0afe1d8946d",
+        None,
+    ),
+    "d1": (
+        "28b2f97d57d74bedd3452e2729692029c279832f8852071a0ec8e4eb1b3762b2",
+        "c074917ac6e5bb8458431abd9f2a1ac37a99265b47ea4d4a070e31e92cbe5bba",
+        "93e2f923ab3f764e84e394c2490e9c46c3df144b8e8a25062d8b5bfb544e7a37",
+    ),
+    "d3x2": (
+        "bb55154b0cd80772055aec2e793d9297a44d1f9acc299a9e7171158e3b64de00",
+        "14c41ff5b85d2b40bbd24cffe80bc5797e6399a15e659bce4788aec232ae1e20",
+        "a32aa467d7b6b5581a8e377c0b261e4207c9d6fe860ed159481fdae94d156f19",
+    ),
+    "d8": (
+        "7ea88461c780e72df6f01362a1c3bdd8c17d4dcb1432e157982cb532292ccedc",
+        "881e7723cf646089b4c0bb3010e2905efbd1315c533a7a797b3484eeef2f5eef",
+        "326a9c6eb4b07f4cbe9e82f78517d2d4088ff2e8669c06dafb03a6b7c7c998bf",
+    ),
+}
+
+
+class TestJsonBytes:
+    @pytest.mark.parametrize("tag", PINNED_JSON)
+    def test_to_json_keeps_its_bytes(self, tag):
+        alg = alg2(3) if tag == "w3" else alg3(*map(int, tag[1:].split("x")))
+        digest = lambda obj: hashlib.sha256(json.dumps(obj).encode()).hexdigest()  # noqa: E731
+        got = (digest(alg.to_json()), digest(vc.dual_algebra(alg).to_json()))
+        module = alg.clifford
+        if module is not None:
+            back = vc.CliffordModule.from_json(json.loads(json.dumps(module.to_json())))
+            assert digest(back.to_json()) == digest(module.to_json())
+        assert got + (module and digest(module.to_json()),) == PINNED_JSON[tag]
+
+    def test_spaces_are_written_from_the_block_dimensions(self):
+        assert json.dumps(alg2(3).to_json()) == (
+            '{"rank": 2, "kind": "rank2", "spaces": {"12": {"dim": 3, "signature": [3, 0]}}}'
+        )
+        spaces = {"12": {"dim": 3, "signature": [3, 0]}, "13": {"dim": 8, "signature": [8, 0]},
+                  "23": {"dim": 8, "signature": [8, 0]}}
+        assert vc.dual_algebra(alg3(3, 2)).to_json()["spaces"] == spaces
 
 
 class TestDualAlgebra:

@@ -68,6 +68,21 @@ def test_import_does_not_load_cubics():
     assert loaded is False
 
 
+def test_cli_loads_neither_fractions_nor_decimal(files):
+    # a cone's exponents are floats: neither the CLI's import nor its build
+    # and eval runs load fractions, or decimal, which fractions imports
+    assert fresh_json(
+        "import json, sys\n"
+        "import vinberg_cones.cli\n"
+        "print(json.dumps(sorted({'fractions', 'decimal'} & set(sys.modules))))"
+    ) == []
+    spec, point, _ = files
+    report = "print(sorted({'fractions', 'decimal'} & set(sys.modules)), file=sys.stderr)\n"
+    for args in (("build", "--spec", spec), ("eval", "--spec", spec, "--op", "chi", point)):
+        result = fresh(RUN_MAIN + report, *map(str, args))
+        assert result.stderr.splitlines()[-2:] == ["exit=0 cubics=False", "[]"]
+
+
 @pytest.fixture
 def files(tmp_path):
     spec = tmp_path / "d1.json"

@@ -12,31 +12,51 @@ from vinberg_cones.errors import DimensionMismatchError, ModuleTooLargeError, Ou
 from _support import rank2_cone, rank3_cone
 
 
-def _spaces(*dims):
-    return {key: vc.MetricSpace(d) for key, d in zip([(1, 2), (1, 3), (2, 3)], dims)}
-
-
 def _dual_point(diag):
     dcone = rank3_cone(2).dual
     return dcone, vc.HermMatrix(dcone.algebra, diag, {})
 
 
+# a (3, 2) perm table whose rows are permutations: dim_s = 2 with dim_v = 3,
+# which needs a multiple of 4
+_PERMS_3X2 = (np.array([[0, 1], [1, 0], [0, 1]]), np.ones((3, 2), dtype=np.int64))
+
 CASES = {
     "algebra-rank-4": (
-        lambda: vc.NilAlgebra(4, {}), SpecError, "only ranks 2 and 3 are supported"),
+        lambda: vc.NilAlgebra("rank4"), SpecError, "kind must be 'rank2', 'rank3-special' or 'rank3-dual', got 'rank4'"),
+    # the spaces dict an algebra once took is no dimension of W
     "algebra-wrong-keys": (
-        lambda: vc.NilAlgebra(2, {(1, 3): vc.MetricSpace(2)}), SpecError, r"spaces must be indexed by \[\(1, 2\)\]"),
+        lambda: vc.NilAlgebra("rank2", dim_w={(1, 2): vc.MetricSpace(2)}),
+        DimensionMismatchError, r"a metric space needs an integer dim >= 1, got \{"),
     "algebra-rank-2-with-module": (
-        lambda: vc.NilAlgebra(2, _spaces(1), vc.build_clifford_module(1)), SpecError, "rank-2 algebras have no product"),
+        lambda: vc.NilAlgebra("rank2", vc.build_clifford_module(1), 1), SpecError, "rank-2 algebras have no product"),
+    "algebra-rank-2-dim-w-bool": (
+        lambda: vc.NilAlgebra("rank2", dim_w=True), DimensionMismatchError, "needs an integer dim >= 1, got True"),
     "algebra-rank-3-without-module": (
-        lambda: vc.NilAlgebra(3, _spaces(1, 1, 1), kind="rank3-special"),
-        SpecError, "rank-3 algebras need a Clifford module and a rank-3 kind"),
+        lambda: vc.NilAlgebra("rank3-special"), SpecError, "rank-3 algebras need a Clifford module and no dim_w"),
     "algebra-rank-3-without-kind": (
-        lambda: vc.NilAlgebra(3, _spaces(1, 1, 1), vc.build_clifford_module(1)),
-        SpecError, "rank-3 algebras need a Clifford module and a rank-3 kind"),
+        lambda: vc.NilAlgebra(clifford=vc.build_clifford_module(1)),
+        TypeError, "missing 1 required positional argument: 'kind'"),
+    "algebra-rank-3-module-not-a-module": (
+        lambda: vc.NilAlgebra("rank3-special", vc.build_clifford_module(1).to_json()),
+        SpecError, "rank-3 algebras need a Clifford module and no dim_w"),
+    # a block dimension beside the module that fixes them all
     "algebra-blocks-misfit-module": (
-        lambda: vc.NilAlgebra(3, _spaces(4, 4, 3), vc.build_clifford_module(3), "rank3-dual"),
-        DimensionMismatchError, r"block dimensions \(4, 4, 3\) do not fit the Clifford module"),
+        lambda: vc.NilAlgebra("rank3-dual", vc.build_clifford_module(3), 4),
+        SpecError, "rank-3 algebras need a Clifford module and no dim_w"),
+    # the rank-2 algebra of a rank-3 kind, once accepted with a "rank3-special" dual
+    "algebra-rank-2-of-rank-3-kind": (
+        lambda: vc.NilAlgebra("rank3-dual", dim_w=3), SpecError, "rank-3 algebras need a Clifford module and no dim_w"),
+    "module-dim-s-no-multiple": (
+        lambda: vc.CliffordModule(tables=_PERMS_3X2),
+        DimensionMismatchError, r"dim_s = 2 is no multiple of minimal_spinor_dim\(3\)"),
+    "module-multiplicity-given": (
+        lambda: vc.CliffordModule(tables=vc.build_clifford_module(1).monomial_tables[:2], multiplicity=-3),
+        TypeError, "unexpected keyword argument 'multiplicity'"),
+    # once accepted, and written back as "multiplicity": 5 for a dim_s = 4 module
+    "module-json-wrong-multiplicity": (
+        lambda: vc.CliffordModule.from_json({**vc.build_clifford_module(3).to_json(), "multiplicity": 5}),
+        SpecError, "bad Clifford-module JSON: multiplicity 5, but its gammas have 1"),
     "algebra-rank-2-module": (
         lambda: rank2_cone(2).algebra._module, SpecError, "rank-2 algebra has no composable product"),
     "d-prime-on-dual": (
@@ -49,6 +69,28 @@ CASES = {
     "g-determinant-on-dual-at-x3-0": (
         lambda: vc.g_determinant_sq(*_dual_point([1.0, 1.0, 0.0])),
         OutsideConeError, "squared G-determinant undefined at x3 = 0"),
+    # coefficients once read by float(): a string, a bool, a list
+    "cubic-string-coefficients": (
+        lambda: vc.InvariantCubic(rank3_cone(1), ("1", "0.5", "-0.25")),
+        SpecError, "cubic coefficients must be real numbers, got"),
+    "cubic-bool-coefficient": (
+        lambda: vc.InvariantCubic(rank3_cone(1), (True, 0.5, -0.25)), SpecError, "must be real numbers"),
+    "cubic-list-coefficient": (
+        lambda: vc.InvariantCubic(rank3_cone(1), ([1.0], 0.5, -0.25)), SpecError, "must be real numbers"),
+    "rank2-family-string-eps": (
+        lambda: vc.InvariantCubic.rank2_family(rank2_cone(1), "0.5"), SpecError, "must be real numbers"),
+    "scan-string-eps2": (
+        lambda: vc.scan_parameter_plane(rank3_cone(1), [0.0], ["0.5"]), SpecError, "must be real numbers"),
+    "scan-non-number-eps1": (
+        lambda: vc.scan_parameter_plane(rank3_cone(1), ["x"], [0.0]), SpecError, "must be real numbers"),
+    "scan-bool-eps2": (
+        lambda: vc.scan_parameter_plane(rank3_cone(1), [0.0], [False]), SpecError, "must be real numbers"),
+    "grid-bool-lo": (
+        lambda: vc.DiagonalGrid(lo=True, hi=10.0, n=3), SpecError, "grid needs finite 0 < lo <= hi, got lo=True"),
+    "grid-bool-hi": (
+        lambda: vc.DiagonalGrid(lo=0.5, hi=True, n=3), SpecError, "grid needs finite 0 < lo <= hi, got lo=0.5, hi=True"),
+    "search-grid-bool-lo": (
+        lambda: vc.SearchGrid(lo=True), SpecError, "grid needs finite 0 < lo <= hi, got lo=True"),
     "rank2-family-on-rank-3": (
         lambda: vc.InvariantCubic.rank2_family(rank3_cone(1), 0.5), SpecError, "rank2_family needs a rank-2 cone"),
     "rank3-family-on-rank-2": (
