@@ -2,9 +2,9 @@
 inner product of a point in one segmented sum (`NilAlgebra.block_products`),
 the trilinear term in one gather (`NilAlgebra.trilinear`) and
 anti-transposition as one take, each against the per-block formula it
-replaces.  Algebras on metrics
-other than the identity or on an indefinite signature are refused: each
-test on them is a negative control."""
+replaces.  Algebras on metrics other than the identity or on an
+indefinite signature are refused: each test on them is a negative
+control."""
 
 import numpy as np
 import pytest

@@ -1,7 +1,8 @@
 """Every block metric is the identity, and a metric space is its
 dimension: each product against the dense oracles of _support (dense
 gammas, einsums and a matmul by the identity Gram matrix), equal entry for
-entry, the block inner products to the rounding of another summation order.  A metric other than the identity, or an indefinite signature, is
+entry, the block inner products to the rounding of another summation
+order.  A metric other than the identity, or an indefinite signature, is
 refused, and each test on one is a negative control."""
 
 import numpy as np
@@ -60,8 +61,8 @@ def assert_identity(alg, dims: tuple, seed: int = 0) -> None:
     x, y = np.random.default_rng(seed).uniform(-1, 1, (2, 6, alg.herm_dim))
     for sl in (slice(None), 0):
         blocks = [(x[sl, alg.layout[k]], y[sl, alg.layout[k]]) for k in alg.offdiag_keys]
-        want = np.stack([dense_ip(len(a.T), a, b) for a, b in blocks], -1)
-        norms = np.stack([dense_ip(len(a.T), a, a) for a, _ in blocks], -1)
+        want = np.stack([dense_ip(a.shape[-1], a, b) for a, b in blocks], -1)
+        norms = np.stack([dense_ip(a.shape[-1], a, a) for a, _ in blocks], -1)
         atol = 1e-15 * max(dims)
         np.testing.assert_allclose(alg.block_products(x[sl], y[sl]), want, rtol=0.0, atol=atol)
         np.testing.assert_allclose(block_norms(vc.herm_from_vector(alg, x[sl])), norms.T, rtol=0.0, atol=atol)
