@@ -191,33 +191,32 @@ def _all_finite(x) -> bool:
     return not isinstance(x, (float, np.floating)) or bool(np.isfinite(x))
 
 
-_EVAL_OPS = ("p", "d", "dprime", "chi", "membership", "decompose")
+def _decomposition(cone, X) -> dict:
+    gc = cone_mod.group_coordinates(cone, X)
+    A = gc.element.to_json()
+    return {"diag": A["diag"], "offdiag": A["offdiag"], "residual": gc.max_residual}
+
+
+# each eval op and the result fields it computes at (cone, X)
+_EVAL_OPS = {
+    "p": lambda cone, X: {"p": list(cone_mod.p_polynomials(cone, X))},
+    "d": lambda cone, X: {"d": cone_mod.det_cubic(cone, X)},
+    "dprime": lambda cone, X: {"dprime": cone_mod.d_prime(cone, X)},
+    "chi": lambda cone, X: {"chi": cone_mod.characteristic_function(cone, X)},
+    "membership": lambda cone, X: {"member": cone_mod.membership(cone, X)},
+    "decompose": _decomposition,
+}
 
 
 def cmd_eval(args) -> int:
     if args.op not in _EVAL_OPS:  # before the cone, whose build may be large
-        print(f"unknown op {args.op!r}; choose from {_EVAL_OPS}", file=sys.stderr)
+        print(f"unknown op {args.op!r}; choose from {tuple(_EVAL_OPS)}", file=sys.stderr)
         return EXIT_USAGE
     cone, _, _ = parse_spec(_load_json(args.spec))
     X = herm_from_json(cone.algebra, _load_json(args.point))
-    result: dict = {"op": args.op}
     # no numpy overflow warnings: the check below and membership report them in one line
     with np.errstate(all="ignore"):
-        if args.op == "p":
-            result["p"] = list(cone_mod.p_polynomials(cone, X))
-        elif args.op == "d":
-            result["d"] = cone_mod.det_cubic(cone, X)
-        elif args.op == "dprime":
-            result["dprime"] = cone_mod.d_prime(cone, X)
-        elif args.op == "chi":
-            result["chi"] = cone_mod.characteristic_function(cone, X)
-        elif args.op == "membership":
-            result["member"] = cone_mod.membership(cone, X)
-        else:
-            gc = cone_mod.group_coordinates(cone, X)
-            A = gc.element.to_json()
-            result["diag"], result["offdiag"] = A["diag"], A["offdiag"]
-            result["residual"] = gc.max_residual
+        result = {"op": args.op, **_EVAL_OPS[args.op](cone, X)}
     if not _all_finite(result):
         raise OutsideConeError(f"{args.op} is not finite at this point: {_fmt(result)}")
     print(_fmt(result))

@@ -41,6 +41,10 @@ class ConeDescriptor:
 
     algebra: NilAlgebra
 
+    def __post_init__(self):
+        if not isinstance(self.algebra, NilAlgebra):
+            raise SpecError(f"a cone needs a NilAlgebra, got {type(self.algebra).__name__}")
+
     @cached_property
     def rank(self) -> int:
         return self.algebra.rank

@@ -32,6 +32,7 @@ from .errors import DimensionMismatchError, OutsideConeError, SpecError
 from .nilalgebra import HermMatrix, check_same_algebra, herm_from_vector
 
 PIVOT_BAND = 1e-12  # dense pivots within +/- band*scale count as degenerate
+LEVEL_TOL = 1e-9  # a q(X) within this of 1 is on {q = 1}; others are projected onto it
 FD_STEP = 1e-5  # the step h of fd_hessian_log
 
 PD = "positive-definite"
@@ -88,11 +89,18 @@ class InvariantCubic:
         want = 2 if self.cone.rank == 2 else 3
         if want == 3 and not self.cone.algebra._special:  # d, so q, is undefined on the dual
             raise SpecError("an invariant cubic on a rank-3 cone requires a rank-3 special algebra")
-        if len(self.coeffs) != want:
+        try:
+            count = len(self.coeffs)
+        except TypeError:  # no sequence: a number, None, a cone
+            count = None
+        if count != want:
             raise SpecError(f"rank-{self.cone.rank} cubic needs {want} coefficients")
         if not all(map(_is_real, self.coeffs)):
             raise SpecError(f"cubic coefficients must be real numbers, got {self.coeffs!r}")
-        coeffs = tuple(float(c) for c in self.coeffs)
+        try:
+            coeffs = tuple(float(c) for c in self.coeffs)
+        except OverflowError:  # an int or a Fraction beyond float range
+            raise SpecError("cubic coefficients must be finite, got one beyond float range") from None
         if not all(map(math.isfinite, coeffs)):
             raise SpecError(f"cubic coefficients must be finite, got {coeffs}")
         object.__setattr__(self, "coeffs", coeffs)
@@ -305,7 +313,7 @@ def tangent_restriction(q: InvariantCubic, X: HermMatrix) -> HessianReport:
         qx = eval_cubic(q, X)
         if not 0.0 < qx < math.inf:
             raise _q_error(qx)
-        if abs(qx - 1.0) > 1e-9:
+        if abs(qx - 1.0) > LEVEL_TOL:
             X = herm_from_vector(q.cone.algebra, X.to_vector() / qx ** (1.0 / 3.0))
             qx = eval_cubic(q, X)
         g = gradient(q, X)
@@ -313,24 +321,16 @@ def tangent_restriction(q: InvariantCubic, X: HermMatrix) -> HessianReport:
         if not 0.0 < gnorm < math.inf:
             raise OutsideConeError("the gradient norm is not finite at the level set")
         M = _neg_hess_log(qx, g, cubic_hessian(q, X))
-        basis, R, minors, scale = _restrict(M, g / gnorm)
+        basis = _tangent_basis(g / gnorm)
+        R = _restricted(M, basis)
+        Rn = _jacobi_scaled(R)
+        minors = _leading_minors(Rn)
         if not (np.isfinite(M).all() and np.isfinite(minors).all()):
             raise OutsideConeError("the minors of the Hessian metric are not finite at the level set")
         pivots = minors / np.concatenate([[1.0], minors[:-1]])  # their signs are the form's inertia
-        clear = np.abs(pivots) > PIVOT_BAND * scale
+        clear = np.abs(pivots) > PIVOT_BAND * np.abs(Rn).max()
     verdict = DEGENERATE if not clear.all() else PD if (pivots > 0.0).all() else INDEFINITE
     return HessianReport(X, M, basis, R, verdict, minors)
-
-
-def _restrict(M, u):
-    """Restrict each form M (last two axes) to an orthonormal basis of the
-    complement of the unit vector u, at one point or a stack: the basis, the
-    symmetrized restricted form R, the leading principal minors of R after a
-    diagonal (Jacobi) rescaling, and that rescaled form's largest entry."""
-    basis = _tangent_basis(u)
-    R = _restricted(M, basis)
-    Rn = _jacobi_scaled(R)
-    return basis, R, _leading_minors(Rn), np.abs(Rn).max(axis=(-2, -1))
 
 
 def _jacobi_scaled(R):
@@ -368,13 +368,11 @@ def _leading_minors(A: np.ndarray) -> np.ndarray:
     takes each minor as its own determinant instead."""
     n = A.shape[-1]
     U = A.copy()
-    minors = np.empty(A.shape[:-1])
-    minors[..., 0] = A[..., 0, 0]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for k in range(1, n):
             U[..., k:, k:] -= U[..., k:, k - 1, None] * (U[..., None, k - 1, k:] / U[..., k - 1, k - 1, None, None])
-            minors[..., k] = minors[..., k - 1] * U[..., k, k]
         pivots = U.diagonal(axis1=-2, axis2=-1)
+        minors = np.multiply.accumulate(pivots, axis=-1)
         if not (pivots.all() and np.isfinite(pivots).all()):
             # a boolean index by the 0-d flag of one form selects it as a stack of one
             bad = ((pivots == 0.0) | ~np.isfinite(pivots)).any(axis=-1)
@@ -695,7 +693,7 @@ def _point_minors(q: InvariantCubic, x: list) -> list:
     qx = _diagonal_q(q, x)
     if not 0.0 < qx < math.inf:
         raise _q_error(qx)
-    if abs(qx - 1.0) > 1e-9:
+    if abs(qx - 1.0) > LEVEL_TOL:
         s = qx ** (1.0 / 3.0)
         x = [xi / s for xi in x]
         qx = _diagonal_q(q, x)
@@ -730,7 +728,7 @@ def _diagonal_minors(q: InvariantCubic, x: np.ndarray):
                 raise OutsideConeError("the minors of the Hessian metric are not finite at the level set")
             return np.array(minors)
         qx, g, H, blocks = _diagonal_parts(q, x)
-        off = ~(np.abs(qx - 1.0) <= 1e-9)  # nan too: a q within 1e-9 of 1 needs no other check
+        off = ~(np.abs(qx - 1.0) <= LEVEL_TOL)  # nan too: a q within LEVEL_TOL of 1 needs no other check
         if off.any():
             if not ((qx > 0.0) & (qx < math.inf)).all():
                 raise _q_error(qx)
@@ -797,7 +795,7 @@ def _core_minors(x: np.ndarray, g, H) -> np.ndarray:
     g g^T term of -Hess(log q) vanishes, so R = -B^T H B / q.  There
     det R = g^T adj(H) g / (|g| q)^2, where H x = 2g (Euler) makes
     adj(H) g = det(H) x / 2; and R11 + R22 = (g^T H g / |g|^2 - tr H) / q.
-    _restrict's first basis vector is b1 ~ |g|^2 e_i - g_i g, i the first
+    _tangent_basis' first vector is b1 ~ |g|^2 e_i - g_i g, i the first
     axis it keeps (1 where |g_0| is the largest, else 0), which gives R11
     from g_i and (H g)_i alone; det(Rn) = det R / |R11 R22|."""
     g0, g1, g2 = g

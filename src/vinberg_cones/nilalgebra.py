@@ -174,6 +174,8 @@ class NilAlgebra:
 
 def rank2_algebra(w_space: MetricSpace) -> NilAlgebra:
     """Rank-2 Nil-algebra with single entry space W at slot (1, 2)."""
+    if not isinstance(w_space, MetricSpace):
+        raise SpecError(f"a rank-2 algebra needs a MetricSpace, got {type(w_space).__name__}")
     return NilAlgebra("rank2", dim_w=w_space.dim)
 
 

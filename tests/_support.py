@@ -723,14 +723,25 @@ def dense_inertia_kind(M):
     return PD if np.all(ev > 0.0) else INDEFINITE
 
 
+def restrict(M, u):
+    """tangent_restriction's steps after -Hess(log q), at one form or a stack:
+    the orthonormal basis of the complement of each unit vector u, the
+    symmetrized restricted form R, the leading minors of R after the Jacobi
+    rescaling, and that rescaled form's largest entry."""
+    basis = cubics._tangent_basis(u)
+    R = cubics._restricted(M, basis)
+    Rn = cubics._jacobi_scaled(R)
+    return basis, R, cubics._leading_minors(Rn), np.abs(Rn).max(axis=(-2, -1))
+
+
 def kernel_core_forms(q, x):
     """-Hess(log q) on the diagonal coordinates and the unit gradient u at
     each row of x, projected onto {q = 1}, as the diagonal kernel builds them
-    for _restrict, and the block scalars there."""
+    for restrict, and the block scalars there."""
     qx, g, H, blocks = cubics._diagonal_parts(q, x)
     if np.any(qx <= 0.0):
         raise vc.OutsideConeError("projection onto the level set requires q(X) > 0")
-    off = np.abs(qx - 1.0) > 1e-9
+    off = np.abs(qx - 1.0) > cubics.LEVEL_TOL
     if np.any(off):
         x = x.copy()
         x[off] /= np.float_power(qx[off, None], 1.0 / 3.0)
@@ -748,7 +759,7 @@ def reference_diagonal_kinds(q, x) -> tuple[np.ndarray, np.ndarray]:
     signs of the Jacobi-scaled core's eigvalsh and of the block scalars, one
     per block coordinate.  Every tail minor is formed."""
     M, u, blocks = kernel_core_forms(q, x)
-    _, R, core, _ = cubics._restrict(M, u)
+    _, R, core, _ = restrict(M, u)
     dims = [q.cone.algebra.dim(k) for k in q.cone.algebra.offdiag_keys]
     signs = np.repeat(np.sign(blocks), dims, axis=1)
     tail = core[:, -1:] * np.cumprod(signs, axis=1)
@@ -799,8 +810,8 @@ def reference_find_locally_admissible_point(q, search):
 
 
 def jacobi_scaled(R: np.ndarray) -> np.ndarray:
-    """R / (d d^T) with d = sqrt|diag R| (1 where that is 0), as _restrict
-    scales the restricted form before its minors."""
+    """R / (d d^T) with d = sqrt|diag R| (1 where that is 0), as
+    tangent_restriction scales the restricted form before its minors."""
     d = np.sqrt(np.abs(R.diagonal(axis1=-2, axis2=-1)))
     d = np.where(d == 0.0, 1.0, d)
     return R / (d[..., :, None] * d[..., None, :])

@@ -50,6 +50,7 @@ from _support import (
     reference_search_points,
     refused,
     rel_to_scale,
+    restrict,
     same_bits,
 )
 
@@ -337,15 +338,15 @@ class TestSharedSteps:
     @pytest.mark.parametrize("r", [2, 3, 27])
     def test_stack_rows_equal_single_calls(self, r):
         M, u = random_forms(r, 40, r)
-        stacked = cubics._restrict(M, u)
+        stacked = restrict(M, u)
         for i in range(len(M)):
-            for got, want in zip(stacked, cubics._restrict(M[i], u[i])):
+            for got, want in zip(stacked, restrict(M[i], u[i])):
                 assert np.array_equal(got[i], want), i
 
     @pytest.mark.parametrize("r", [2, 3, 27])
     def test_basis_orthonormal_and_orthogonal_to_u(self, r):
         M, u = random_forms(r, 40, 100 + r)
-        basis, R, minors, scale = cubics._restrict(M, u)
+        basis, R, minors, scale = restrict(M, u)
         assert basis.shape == (40, r, r - 1) and R.shape == (40, r - 1, r - 1) and minors.shape == (40, r - 1)
         assert np.max(np.abs(u[:, None, :] @ basis)) <= 1e-14
         np.testing.assert_allclose(basis.transpose(0, 2, 1) @ basis, np.broadcast_to(np.eye(r - 1), R.shape), atol=1e-14)
@@ -422,7 +423,7 @@ def zero_pivot_points(q) -> np.ndarray:
 
 
 def assert_minors_match_oracle(minors, R, rel: float) -> float:
-    """The minors of _restrict against one det per minor of the Jacobi-scaled
+    """The minors of restrict against one det per minor of the Jacobi-scaled
     R: bit for bit in every form with an exactly zero minor (those take the
     det route), within rel of each minor elsewhere; returns the worst
     relative deviation."""
@@ -435,6 +436,60 @@ def assert_minors_match_oracle(minors, R, rel: float) -> float:
     return float(np.max(dev, initial=0.0))
 
 
+def stepwise_leading_minors(A: np.ndarray) -> np.ndarray:
+    """_leading_minors' elimination with each minor written as its step
+    ends, minors[k] = minors[k - 1] * U[k, k], and the same det route."""
+    n = A.shape[-1]
+    U = A.copy()
+    minors = np.empty(A.shape[:-1])
+    minors[..., 0] = A[..., 0, 0]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for k in range(1, n):
+            U[..., k:, k:] -= U[..., k:, k - 1, None] * (U[..., None, k - 1, k:] / U[..., k - 1, k - 1, None, None])
+            minors[..., k] = minors[..., k - 1] * U[..., k, k]
+        pivots = U.diagonal(axis1=-2, axis2=-1)
+        bad = ((pivots == 0.0) | ~np.isfinite(pivots)).any(axis=-1)
+        if bad.any():
+            minors[bad] = det_leading_minors(A[bad])
+    return minors
+
+
+SWAP_FORM = np.array([[0.0, 1.0], [1.0, 0.0]])
+
+
+def zero_row_form() -> np.ndarray:
+    """A form whose third pivot is 0 after two nonzero ones."""
+    A = np.diag([1.0, -2.0, 0.0, 3.0])
+    A[0, 3] = A[3, 0] = 0.5
+    return A
+
+
+def overflowing_forms() -> np.ndarray:
+    """A stack whose elimination overflows: a pivot of -inf (the det route),
+    running products that overflow to +-inf from finite pivots, a nan
+    entry, and products that underflow to signed zeros."""
+    return np.stack([
+        [[1e-300, 1e300, 0.0], [1e300, 1.0, 0.0], [0.0, 0.0, 1.0]],
+        np.diag([1e200, -1e200, 1e200]),
+        np.diag([1.0, math.nan, 1.0]),
+        np.diag([-1e-200, 1e-200, 1e-200]),
+        [[2.0, 1e160, 1.0], [1e160, -3.0, 1e160], [1.0, 1e160, 5.0]],
+    ])
+
+
+# the stacks whose minors are pinned to stepwise_leading_minors' bits: random
+# Jacobi-scaled restricted forms and raw forms of mixed scale, the zero-pivot
+# forms of the det route, and overflow
+PINNED_STACKS = {
+    **{f"restricted-r{r}": lambda r=r: jacobi_scaled(restrict(*random_forms(r, 40, 300 + r))[1]) for r in (2, 3, 27)},
+    **{f"raw-r{r}": lambda r=r: random_forms(r, 40, 400 + r)[0] for r in (2, 3, 27)},
+    "swap": lambda: SWAP_FORM,
+    "swap-in-stack": lambda: np.stack([np.eye(2), SWAP_FORM, 2.0 * np.eye(2), np.diag([-1.0, 0.0])]),
+    "zero-row": zero_row_form,
+    "overflow": overflowing_forms,
+}
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestLeadingMinorsOracle:
     """The pivot-product minors against one determinant per minor.  The
@@ -445,26 +500,35 @@ class TestLeadingMinorsOracle:
     def test_random_forms(self, r):
         # worst deviation seen: 0 (r = 2), 4.0e-16 (r = 3), 1.6e-11 (r = 27)
         M, u = random_forms(r, 40, 200 + r)
-        _, R, minors, _ = cubics._restrict(M, u)
+        _, R, minors, _ = restrict(M, u)
         assert_minors_match_oracle(minors, R, 1e-9)
+
+    @pytest.mark.parametrize("name", PINNED_STACKS)
+    def test_accumulated_pivots_are_the_stepwise_product(self, name):
+        # the minors as accumulated pivots, bit for bit: nan where nan, and
+        # each zero with its sign
+        A = PINNED_STACKS[name]()
+        got, want = cubics._leading_minors(A), stepwise_leading_minors(A)
+        assert got.shape == want.shape == A.shape[:-1]
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
 
     def test_swap_form(self):
         # the first pivot is 0: the det route, alone and inside a stack
-        A = np.array([[0.0, 1.0], [1.0, 0.0]])
+        A = SWAP_FORM
         assert np.array_equal(cubics._leading_minors(A), det_leading_minors(A))
         stack = np.stack([np.eye(2), A, 2.0 * np.eye(2)])
         assert np.array_equal(cubics._leading_minors(stack), [[1.0, 1.0], [0.0, -1.0], [2.0, 4.0]])
 
     def test_zero_row_later(self):
-        A = np.diag([1.0, -2.0, 0.0, 3.0])
-        A[0, 3] = A[3, 0] = 0.5
+        A = zero_row_form()
         assert np.array_equal(cubics._leading_minors(A), det_leading_minors(A))
 
     @pytest.mark.parametrize("cone,coeffs", ZERO_PIVOT_CUBICS)
     def test_zero_pivot_cubics_kernel_cores(self, cone, coeffs):
         q = vc.InvariantCubic(cone, coeffs)
         M, u, _ = kernel_core_forms(q, zero_pivot_points(q))
-        _, R, minors, _ = cubics._restrict(M, u)
+        _, R, minors, _ = restrict(M, u)
         assert np.any(det_leading_minors(jacobi_scaled(R)) == 0.0)
         assert_minors_match_oracle(minors, R, 1e-9)
 

@@ -77,6 +77,22 @@ CASES = {
         lambda: vc.InvariantCubic(rank3_cone(1), (True, 0.5, -0.25)), SpecError, "must be real numbers"),
     "cubic-list-coefficient": (
         lambda: vc.InvariantCubic(rank3_cone(1), ([1.0], 0.5, -0.25)), SpecError, "must be real numbers"),
+    # coefficients that len() and float() once refused with TypeError and OverflowError
+    "cubic-coefficients-a-number": (
+        lambda: vc.InvariantCubic(rank3_cone(1), 5), SpecError, "^rank-3 cubic needs 3 coefficients$"),
+    "cubic-coefficients-none": (
+        lambda: vc.InvariantCubic(rank2_cone(1), None), SpecError, "^rank-2 cubic needs 2 coefficients$"),
+    "cubic-coefficient-beyond-float-range": (
+        lambda: vc.InvariantCubic(rank3_cone(1), (10**400, 0, 0)),
+        SpecError, "cubic coefficients must be finite, got one beyond float range"),
+    # once made, and failing on first read with AttributeError
+    "cone-of-no-algebra": (
+        lambda: vc.ConeDescriptor("x"), SpecError, "a cone needs a NilAlgebra, got str"),
+    "cone-from-no-algebra": (
+        lambda: vc.cone_from_algebra(vc.build_clifford_module(1)),
+        SpecError, "a cone needs a NilAlgebra, got CliffordModule"),
+    "rank2-algebra-of-no-metric-space": (
+        lambda: vc.rank2_algebra(5), SpecError, "a rank-2 algebra needs a MetricSpace, got int"),
     "rank2-family-string-eps": (
         lambda: vc.InvariantCubic.rank2_family(rank2_cone(1), "0.5"), SpecError, "must be real numbers"),
     "scan-string-eps2": (
