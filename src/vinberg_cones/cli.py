@@ -21,7 +21,8 @@ import numpy as np
 from . import cone as cone_mod
 from .clifford import MAX_GAMMA_ENTRIES, CliffordModule, MetricSpace, _check_signature, _is_int, _relation_residual
 from .clifford import build_clifford_module, clifford_bilinear, clifford_mult, verify_isometry
-from .errors import IndefiniteSignatureError, ModuleTooLargeError, OutsideConeError, SpecError, VinbergError
+from .errors import DimensionMismatchError, IndefiniteSignatureError, ModuleTooLargeError, OutsideConeError
+from .errors import SpecError, VinbergError
 from .nilalgebra import (
     TriangularElement,
     _uniform_entries,
@@ -104,38 +105,27 @@ def parse_spec(obj: dict):
     unknown = set(obj) - _SPEC_KEYS[rank]
     if unknown:
         raise SpecError(f"unknown spec fields: {sorted(unknown)}")
-    sig = obj.get("signature")
-    if sig is not None and not (isinstance(sig, (list, tuple)) and len(sig) == 2):
-        raise SpecError(f"signature must be a list [p, q], got {sig!r}")
-    ints = {k: v for k, v in obj.items() if k not in ("rank", "signature")}
-    ints.update(zip(("signature p", "signature q"), sig or ()))
-    for name, value in ints.items():
-        if not _is_int(value):
+    for name, value in obj.items():
+        if name not in ("rank", "signature") and not _is_int(value):
             raise SpecError(f"spec field {name} must be an integer, got {value!r}")
     _check_seed(obj.get("seed", 0))
-    try:
-        if rank == 2:
-            if "dim_w" not in obj:
-                raise SpecError("rank-2 spec needs dim_w")
-            dim_w = obj["dim_w"]
-            if dim_w < 1:
-                raise SpecError("dim_w must be >= 1")
-            if dim_w**2 > MAX_GAMMA_ENTRIES:
-                raise ModuleTooLargeError(
-                    f"dim_w^2 = {dim_w}^2 exceeds MAX_GAMMA_ENTRIES = {MAX_GAMMA_ENTRIES}"
-                )
-            if sig is not None:
-                _check_signature(sig, dim_w)
-            algebra = rank2_algebra(MetricSpace.euclidean(dim_w))
-        else:
-            if "dim_v" not in obj:
-                raise SpecError("rank-3 spec needs dim_v")
-            module = build_clifford_module(obj["dim_v"], sig, obj.get("multiplicity", 1))
-            algebra = rank3_special(module)
-    except (SpecError, IndefiniteSignatureError):
-        raise
-    except ValueError as exc:
-        raise SpecError(f"bad spec value: {exc}") from exc
+    dim_key = "dim_w" if rank == 2 else "dim_v"
+    if dim_key not in obj:
+        raise SpecError(f"rank-{rank} spec needs {dim_key}")
+    if obj.get("signature") is not None:
+        _check_signature(obj["signature"], obj[dim_key])
+    if rank == 2:
+        dim_w = obj["dim_w"]
+        if dim_w < 1:
+            raise SpecError("dim_w must be >= 1")
+        if dim_w**2 > MAX_GAMMA_ENTRIES:
+            raise ModuleTooLargeError(f"dim_w^2 = {dim_w}^2 exceeds MAX_GAMMA_ENTRIES = {MAX_GAMMA_ENTRIES}")
+        algebra = rank2_algebra(MetricSpace.euclidean(dim_w))
+    else:
+        try:
+            algebra = rank3_special(build_clifford_module(obj["dim_v"], obj.get("multiplicity", 1)))
+        except DimensionMismatchError as exc:  # a dim_v or multiplicity below 1
+            raise SpecError(f"bad spec value: {exc}") from exc
     return cone_mod.cone_from_algebra(algebra), algebra.clifford, obj.get("seed", 0)
 
 

@@ -78,7 +78,10 @@ def _check_signature(signature, dim: int) -> None:
     """Raise unless ``signature`` is the Euclidean (dim, 0): SpecError when
     it is no pair of integer counts >= 0 that sum to dim,
     IndefiniteSignatureError when its q > 0, since a split metric makes no
-    convex cone."""
+    convex cone.  The one check of a signature, where it arrives as data:
+    a spec's key and :meth:`CliffordModule.from_json`."""
+    if not isinstance(signature, (list, tuple)) or len(signature) != 2:
+        raise SpecError(f"signature must be a list [p, q], got {signature!r}")
     p, q = signature
     if not (_is_int(p) and _is_int(q)) or min(p, q) < 0 or p + q != dim:
         raise SpecError(f"signature {list(signature)} incompatible with dim {dim}")
@@ -280,7 +283,8 @@ class CliffordModule:
 
     # mult, bilinear and mult_adjoint, the unchecked cores of the public
     # operations, gather one factor through the tables and contract the other
-    # in one gemv (_row_times, _mat_times), as the NilAlgebra products do.
+    # in one gemv (_row_times, _mat_times); the two adjoints take a shared
+    # gamma_pairing(s1) gather as ``P``, and no other code contracts one.
 
     def gamma_images(self, s0) -> np.ndarray:
         """The (..., dim_v, dim_s) matrix whose row a is Gamma_a s0."""
@@ -297,13 +301,13 @@ class CliffordModule:
         """mu_v(s0) in S1."""
         return _row_times(v, self.gamma_images(s0))
 
-    def bilinear(self, s1, s0) -> np.ndarray:
+    def bilinear(self, s1, s0, P=None) -> np.ndarray:
         """The w in V with <w, v>_V = <s1, mu_v(s0)>_S1 for all v."""
-        return _mat_times(self.gamma_pairing(s1), s0)
+        return _mat_times(self.gamma_pairing(s1) if P is None else P, s0)
 
-    def mult_adjoint(self, v, s1) -> np.ndarray:
+    def mult_adjoint(self, v, s1, P=None) -> np.ndarray:
         """The u in S0 with <u, s>_S0 = <s1, mu_v(s)>_S1 for all s."""
-        return _row_times(v, self.gamma_pairing(s1))
+        return _row_times(v, self.gamma_pairing(s1) if P is None else P)
 
     def to_json(self) -> dict:
         return {
@@ -320,19 +324,22 @@ class CliffordModule:
         signature with q > 0 and CliffordRelationError unless its gammas
         pass the exact checks."""
         try:
-            dim_v, (p, q), mult = obj["dim_v"], obj["signature"], obj["multiplicity"]
+            dim_v, signature, mult = obj["dim_v"], obj["signature"], obj["multiplicity"]
             gammas = np.asarray(obj["gammas"])
         except (KeyError, TypeError, ValueError) as exc:
             raise SpecError(f"bad Clifford-module JSON: {exc}") from exc
         dim_s = gammas.shape[-1] if gammas.ndim else 0
-        ints = all(map(_is_int, (dim_v, p, q, mult))) and min(p, q) >= 0 and p + q == dim_v and mult >= 1
+        ints = _is_int(dim_v) and _is_int(mult) and mult >= 1
         stack = gammas.dtype.kind == "i" and gammas.shape == (dim_v, dim_s, dim_s) and dim_s > 0
         if not (ints and stack):
             raise SpecError(
-                "bad Clifford-module JSON: need integers (not bools or floats) p, q >= 0 with p + q == dim_v, "
+                "bad Clifford-module JSON: need integers (not bools or floats) dim_v and "
                 "multiplicity >= 1 and a (dim_v, dim_s, dim_s) integer gamma stack"
             )
-        _check_signature((p, q), dim_v)  # refuses q > 0
+        try:
+            _check_signature(signature, dim_v)
+        except SpecError as exc:  # IndefiniteSignatureError, on q > 0, passes
+            raise SpecError(f"bad Clifford-module JSON: {exc}") from None
         tables = _monomial(gammas)
         _check_clifford_relations(*tables)
         module = cls(tables=tables)
@@ -369,7 +376,7 @@ def _mat_times(M, x) -> np.ndarray:
     return M.dot(x) if x.ndim == 1 and M.ndim == 2 else (M @ x[..., None])[..., 0]
 
 
-def build_clifford_module(dim_v: int, signature: tuple[int, int] | None = None, multiplicity: int = 1) -> CliffordModule:
+def build_clifford_module(dim_v: int, multiplicity: int = 1) -> CliffordModule:
     """Construct a graded module over Cl(V, g_V) with exact integer gammas.
 
     The construction takes Gamma_1 = identity and Gamma_{1+i} = J_i with J_i
@@ -378,16 +385,12 @@ def build_clifford_module(dim_v: int, signature: tuple[int, int] | None = None, 
     irreducible one.  Every step runs on (perm, sign) tables, and the module
     carries them as its ``monomial_tables``.
 
-    ``signature`` may only name the Euclidean (dim_v, 0): one with q > 0
-    raises :class:`IndefiniteSignatureError` (see :func:`_check_signature`).
     Raises :class:`ModuleTooLargeError`, before building anything, when
     dim_v * dim_s**2 (dim_s including the multiplicity) exceeds
     ``MAX_GAMMA_ENTRIES``.
     """
     _check_count("dim_v", dim_v)
     _check_count("multiplicity", multiplicity)
-    if signature is not None:
-        _check_signature(signature, dim_v)
     if dim_v > MAX_GAMMA_ENTRIES:  # dim_s >= 1; spares computing a 16**(dim_v / 8) dim_s
         raise ModuleTooLargeError(f"dim_v = {dim_v} exceeds MAX_GAMMA_ENTRIES = {MAX_GAMMA_ENTRIES}")
     dim_s = minimal_spinor_dim(dim_v) * multiplicity

@@ -176,14 +176,14 @@ def gradient(q: InvariantCubic, X: HermMatrix) -> np.ndarray:
     x1, x2, x3 = X.diag
     s0, s1, v = X.offdiag[(1, 2)], X.offdiag[(1, 3)], X.offdiag[(2, 3)]
     n0, n1, nv = s0 @ s0, s1 @ s1, v @ v
-    pair = alg.clifford.gamma_pairing(s1)  # <s0 . v, s1> = v . pair . s0
+    pair = alg.clifford.gamma_pairing(s1)  # one gather for the partials in s0 and in v
     g[0] = a * (x2 * x3 - nv)
     g[1] = a * (x1 * x3 - n1) + b * x3**2
     g[2] = a * (x1 * x2 - n0) + 2.0 * b * x2 * x3 - b * nv + 3.0 * c * x3**2
     # <s0 . v, s1> differentiated in each slot
-    g[lay[(1, 2)]] = -2.0 * a * x3 * s0 + 2.0 * a * (v @ pair)
+    g[lay[(1, 2)]] = -2.0 * a * x3 * s0 + 2.0 * a * alg.mult_flat_right(s1, v, pair)
     g[lay[(1, 3)]] = -2.0 * a * x2 * s1 + 2.0 * a * alg.mult(s0, v)
-    g[lay[(2, 3)]] = -2.0 * (a * x1 + b * x3) * v + 2.0 * a * (pair @ s0)
+    g[lay[(2, 3)]] = -2.0 * (a * x1 + b * x3) * v + 2.0 * a * alg.mult_flat_left(s0, s1, pair)
     return g
 
 

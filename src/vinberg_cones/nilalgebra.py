@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .clifford import CliffordModule, MetricSpace, _mat_times, _row_times
+from .clifford import CliffordModule, MetricSpace
 from .errors import AlgebraMismatchError, DimensionMismatchError, SpecError
 
 Key = tuple[int, int]
@@ -129,8 +129,9 @@ class NilAlgebra:
     # Rank 3 only, on block vectors or stacks of them.  The product is
     # (s0, v) -> mu_v(s0) with (s0, v) in (N_12, N_23), or in (N_23, N_12)
     # for the dual; it and its two metric adjoints are the Clifford module's
-    # gathers (CliffordModule.mult, mult_adjoint and bilinear).  ``P``, given
-    # when the caller has gamma_pairing(x13), lets two products share a gather.
+    # mult, mult_adjoint and bilinear, and each method here only picks the
+    # orientation.  ``P``, given when the caller has gamma_pairing(x13), lets
+    # two products share a gather.
 
     @cached_property
     def _module(self) -> CliffordModule:
@@ -139,12 +140,10 @@ class NilAlgebra:
         return self.clifford
 
     def trilinear(self, x12, x13, x23, P=None):
-        """<x12 . x23, x13>_13 as v . P . s0, with P the module's
-        gamma_pairing(x13) and (s0, v) the factors of the product: one
-        gather, no adjoint."""
+        """<x12 . x23, x13>_13 as <mu_v^#(x13), s0>, with (s0, v) the factors
+        of the product: one gather, one adjoint."""
         s0, v = (x12, x23) if self._special else (x23, x12)
-        P = self._module.gamma_pairing(x13) if P is None else P
-        return np.add.reduce(_row_times(v, P) * s0, -1)
+        return np.add.reduce(self._module.mult_adjoint(v, x13, P) * s0, -1)
 
     def mult(self, x12, x23) -> np.ndarray:
         """The algebra product N_12 x N_23 -> N_13."""
@@ -153,13 +152,13 @@ class NilAlgebra:
 
     def mult_flat_right(self, x13, x23, P=None) -> np.ndarray:
         """x13 . x23^flat in N_12: <out, u>_12 = <x13, u . x23>_13 for all u."""
-        P = self._module.gamma_pairing(x13) if P is None else P
-        return _row_times(x23, P) if self._special else _mat_times(P, x23)
+        m = self._module
+        return m.mult_adjoint(x23, x13, P) if self._special else m.bilinear(x13, x23, P)
 
     def mult_flat_left(self, x12, x13, P=None) -> np.ndarray:
         """x12^flat . x13 in N_23: <out, y>_23 = <x13, x12 . y>_13 for all y."""
-        P = self._module.gamma_pairing(x13) if P is None else P
-        return _mat_times(P, x12) if self._special else _row_times(x12, P)
+        m = self._module
+        return m.bilinear(x13, x12, P) if self._special else m.mult_adjoint(x12, x13, P)
 
     def to_json(self) -> dict:
         out = {

@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 import vinberg_cones as vc
-from vinberg_cones import clifford, cubics
+from vinberg_cones import cli, clifford, cubics
 from vinberg_cones.cubics import DEGENERATE, INDEFINITE, PD, PROBE_MAX
 from vinberg_cones.cubics import fd_hessian_log  # noqa: F401  (re-exported for the tests)
 
@@ -83,12 +83,22 @@ def rank2_cone(dim_w: int):
     return _CONES[key]
 
 
+def spec_module(dim_v: int, signature=None, mult: int = 1):
+    """The Clifford module of the rank-3 spec with these values.  A signature
+    enters the library only as data, a spec's key or a module's JSON: one
+    with q > 0 raises IndefiniteSignatureError there."""
+    spec = {"rank": 3, "dim_v": dim_v, "multiplicity": mult}
+    if signature is not None:
+        spec["signature"] = list(signature)
+    return cli.parse_spec(spec)[1]
+
+
 def rank3_cone(dim_v: int, mult: int = 1, signature=None):
     """The rank-3 special cone; a ``signature`` with q > 0 raises
     IndefiniteSignatureError."""
     key = ("r3", dim_v, mult, signature)
     if key not in _CONES:
-        module = vc.build_clifford_module(dim_v, signature, mult)
+        module = spec_module(dim_v, signature, mult)
         _CONES[key] = vc.cone_from_algebra(vc.rank3_special(module))
     return _CONES[key]
 

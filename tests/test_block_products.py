@@ -17,6 +17,7 @@ from vinberg_cones.errors import DimensionMismatchError
 from vinberg_cones.nilalgebra import block_norms
 
 from _support import FULL_S, FULL_V, SCALED_V, Refused, ip, made, rank2_cone, rank3_cone, regauged_module, same_bits
+from _support import spec_module
 
 # Euclidean algebras, and refused ones: three whose block metrics are not the
 # identity (non-unit weights, non-diagonal) and three on indefinite signatures
@@ -27,8 +28,8 @@ ALGEBRAS = {
     "d1": lambda: rank3_cone(1).algebra,
     "d8": lambda: rank3_cone(8).algebra,
     "dual-d4": lambda: vc.dual_algebra(rank3_cone(4).algebra),
-    "split-2-1": Refused(lambda: vc.rank3_special(vc.build_clifford_module(3, (2, 1)))),
-    "split-1-3-dual": Refused(lambda: vc.dual_algebra(vc.rank3_special(vc.build_clifford_module(4, (1, 3))))),
+    "split-2-1": Refused(lambda: vc.rank3_special(spec_module(3, (2, 1)))),
+    "split-1-3-dual": Refused(lambda: vc.dual_algebra(vc.rank3_special(spec_module(4, (1, 3))))),
     "w-non-diagonal": Refused(lambda: vc.rank2_algebra(MetricSpace(FULL_V))),
     "d3-non-diagonal": Refused(lambda: vc.rank3_special(regauged_module(FULL_V, FULL_S))),
 }

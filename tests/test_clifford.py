@@ -1,4 +1,5 @@
 import functools
+import inspect
 import itertools
 import json
 import os
@@ -45,6 +46,7 @@ from _support import (
     min_dim_by_radon,
     refused,
     same_bits,
+    spec_module,
     table_check_clifford_relations,
     table_check_j_family,
 )
@@ -75,10 +77,13 @@ class TestMetricSpace:
 
     def test_indefinite_canonical(self):
         # no space carries a signature; one with q > 0 is refused where it
-        # enters, here the module builder
+        # enters as data, here a spec's key, and the module builder takes none
         assert not hasattr(MetricSpace, "canonical") and not hasattr(MetricSpace, "signature")
         with pytest.raises(IndefiniteSignatureError, match=r"signature \[1, 2\] is indefinite"):
-            vc.build_clifford_module(3, signature=(1, 2))
+            spec_module(3, (1, 2))
+        assert list(inspect.signature(vc.build_clifford_module).parameters) == ["dim_v", "multiplicity"]
+        with pytest.raises(TypeError, match="signature"):
+            vc.build_clifford_module(3, signature=(3, 0))
 
     def test_rejects_wrong_signature(self):
         # none can be declared
@@ -162,7 +167,7 @@ class TestConstruction:
         with pytest.raises(ModuleTooLargeError):
             vc.build_clifford_module(24)
         with pytest.raises(IndefiniteSignatureError):
-            vc.build_clifford_module(18, signature=(17, 1))
+            spec_module(18, (17, 1))
         assert clifford._cl_neg_generators.cache_info().currsize == 0
 
     def test_size_bound_counts_multiplicity(self):
@@ -225,8 +230,8 @@ class TestConstruction:
         # no doubled spinor space: a split signature is refused, and the
         # Euclidean one, named, gives the module of no signature
         with pytest.raises(IndefiniteSignatureError):
-            vc.build_clifford_module(2, signature=(1, 1))
-        named, default = vc.build_clifford_module(2, signature=(2, 0)), vc.build_clifford_module(2)
+            spec_module(2, (1, 1))
+        named, default = spec_module(2, (2, 0)), vc.build_clifford_module(2)
         assert named.dim_s == default.dim_s == vc.minimal_spinor_dim(2)
         for got, want in zip(named.monomial_tables, default.monomial_tables, strict=True):
             assert same_bits(got, want)
@@ -338,7 +343,7 @@ class TestInvariants:
     def test_isometry_indefinite(self, signature):
         # negative controls: no module is built on an indefinite signature
         with pytest.raises(IndefiniteSignatureError, match="is indefinite"):
-            vc.build_clifford_module(sum(signature), signature=signature)
+            spec_module(sum(signature), signature)
 
     @pytest.mark.parametrize("dim_v", [1, 3, 6, 8])
     def test_polarized_clifford_relation(self, dim_v):
@@ -475,7 +480,7 @@ print("optimize", sys.flags.optimize)
         # a corrupted module, so that the worst deviation is of order one:
         # one nonzero entry doubled keeps the gammas monomial; the split
         # signature is a negative control, refused
-        if (mod := made(Refused(lambda: vc.build_clifford_module(dim_v, signature)) if signature else
+        if (mod := made(Refused(lambda: spec_module(dim_v, signature)) if signature else
                         lambda: vc.build_clifford_module(dim_v))) is None:
             return
         perm, val = mod.monomial_tables[:2]
@@ -511,7 +516,7 @@ _MODULE_CASES = [(dim_v, None, 1) for dim_v in range(1, 18)] + [
 
 @functools.lru_cache(maxsize=None)
 def _module(dim_v, signature, mult):
-    return vc.build_clifford_module(dim_v, signature, mult)
+    return spec_module(dim_v, signature, mult)
 
 
 def _made_module(case):
@@ -675,7 +680,7 @@ class TestSerialization:
         assert back.dim_v == 3 and back.multiplicity == 1
 
 
-# build_clifford_module arguments (dim_v, signature, multiplicity) compared
+# spec values (dim_v, signature, multiplicity) whose modules are compared
 # with the dense recursion of the oracle; the split ones are refused
 _TABLE_CASES = (
     [(d, None, 1) for d in range(1, 19)]
@@ -693,8 +698,8 @@ class TestTableBuild:
     @pytest.mark.parametrize("case", _TABLE_CASES, ids=str)
     def test_matches_dense_oracle(self, case):
         dim_v, signature, mult = case
-        if (mod := made(Refused(lambda: vc.build_clifford_module(*case)) if signature else
-                        lambda: vc.build_clifford_module(*case))) is None:
+        if (mod := made(Refused(lambda: spec_module(*case)) if signature else
+                        lambda: vc.build_clifford_module(dim_v, mult))) is None:
             return
         gammas = dense_module_stack(dim_v, mult)
         assert "gammas" not in vars(mod)
@@ -951,7 +956,7 @@ class TestFoldedTables:
     )
     @pytest.mark.parametrize("shape", [(), (5,), (2, 3)], ids=["point", "stack", "stack-2d"])
     def test_products_keep_the_bits_of_the_unfolded_formula(self, dim_v, signature, multiplicity, shape):
-        make = functools.partial(vc.build_clifford_module, dim_v, signature, multiplicity)
+        make = functools.partial(spec_module, dim_v, signature, multiplicity)
         if (mod := made(Refused(make) if signature else make)) is None:
             return
         want = gather_products(mod)
@@ -983,4 +988,4 @@ class TestFoldedTables:
             assert not np.signbit(mod.mult_adjoint(np.zeros(dim_v), np.ones(mod.dim_s))).any()
             assert not np.signbit(mod.bilinear(np.ones(mod.dim_s), np.zeros(mod.dim_s))).any()
         with pytest.raises(IndefiniteSignatureError):
-            vc.build_clifford_module(2, (1, 1))
+            spec_module(2, (1, 1))

@@ -17,6 +17,7 @@ from _support import (
     random_orbit_point,
     rank2_cone,
     rank3_cone,
+    spec_module,
     triangular_scale,
 )
 
@@ -382,7 +383,7 @@ class TestLargerCones:
         # no split algebra is built, so none reaches the decomposition or the
         # determinant: its orbit is no convex cone
         with pytest.raises(IndefiniteSignatureError):
-            vc.build_clifford_module(3, signature=(2, 1))
+            spec_module(3, (2, 1))
 
 
 class TestCharacteristicFunction:

@@ -315,9 +315,9 @@ class TestTangentRestriction:
 
     def test_refuses_indefinite_rank3_cone(self):
         with pytest.raises(IndefiniteSignatureError):
-            vc.build_clifford_module(2, signature=(1, 1))
-        with pytest.raises(IndefiniteSignatureError):
             cli.parse_spec({"rank": 3, "dim_v": 2, "signature": [1, 1]})
+        with pytest.raises(IndefiniteSignatureError):
+            vc.CliffordModule.from_json({**vc.build_clifford_module(2).to_json(), "signature": [1, 1]})
 
 
 def random_forms(r: int, n: int, seed: int):
@@ -823,9 +823,9 @@ class TestDiagonalKernel:
 
     def test_refuses_indefinite_cone(self):
         # the tail takes every block Gram as the identity, which is right on
-        # every cone there is: the split one is refused where it is built
+        # every cone there is: the split one is refused where its spec is read
         with pytest.raises(IndefiniteSignatureError):
-            vc.build_clifford_module(2, (1, 1))
+            cli.parse_spec({"rank": 3, "dim_v": 2, "signature": [1, 1]})
 
 
 # the ROADMAP epsilon plane, as the CLI's -2:2:0.5 and -1:1:0.25 ranges space it

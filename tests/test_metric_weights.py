@@ -32,15 +32,16 @@ from _support import (
     random_orbit_point,
     regauged_module,
     rel_to_scale,
+    spec_module,
 )
 
 # Euclidean modules: dim_v = 4 and 16, and a multiplicity; and refused ones,
 # on indefinite signatures, non-unit weights or non-diagonal Gram matrices
 MODULES = {
     "identity": lambda: vc.build_clifford_module(4),
-    "split-2-1": Refused(lambda: vc.build_clifford_module(3, (2, 1))),
-    "split-1-3": Refused(lambda: vc.build_clifford_module(4, (1, 3))),
-    "multiplicity-2": lambda: vc.build_clifford_module(4, None, 2),
+    "split-2-1": Refused(lambda: spec_module(3, (2, 1))),
+    "split-1-3": Refused(lambda: spec_module(4, (1, 3))),
+    "multiplicity-2": lambda: vc.build_clifford_module(4, 2),
     "dim-v-16": lambda: vc.build_clifford_module(16),
     "scaled": Refused(lambda: regauged_module(SCALED_V, SCALED_S)),
     "non-diagonal": Refused(lambda: regauged_module(FULL_V, FULL_S)),
@@ -89,8 +90,8 @@ class TestWeightsPath:
         "space",
         [
             lambda: MetricSpace.euclidean(5),
-            Refused(lambda: vc.build_clifford_module(5, (2, 3))),
-            Refused(lambda: vc.build_clifford_module(1, (0, 1))),
+            Refused(lambda: spec_module(5, (2, 3))),
+            Refused(lambda: spec_module(1, (0, 1))),
         ],
         ids=["space0", "space1", "space2"],
     )

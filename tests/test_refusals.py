@@ -147,7 +147,7 @@ CASES = {
     "build-dim-v-bool": (
         lambda: vc.build_clifford_module(True), DimensionMismatchError, "dim_v must be an integer, got True"),
     "build-multiplicity-float": (
-        lambda: vc.build_clifford_module(2, None, 1.5),
+        lambda: vc.build_clifford_module(2, 1.5),
         DimensionMismatchError, r"multiplicity must be an integer, got 1\.5"),
     "verify-isometry-samples-float": (
         lambda: vc.verify_isometry(vc.build_clifford_module(2), 2.5),
