@@ -21,8 +21,7 @@ import numpy as np
 from . import cone as cone_mod
 from .clifford import MAX_GAMMA_ENTRIES, CliffordModule, MetricSpace, _check_signature, _is_int, _relation_residual
 from .clifford import build_clifford_module, clifford_bilinear, clifford_mult, verify_isometry
-from .errors import DimensionMismatchError, IndefiniteSignatureError, ModuleTooLargeError, OutsideConeError
-from .errors import SpecError, VinbergError
+from .errors import IndefiniteSignatureError, ModuleTooLargeError, OutsideConeError, SpecError, VinbergError
 from .nilalgebra import (
     TriangularElement,
     _uniform_entries,
@@ -112,20 +111,18 @@ def parse_spec(obj: dict):
     dim_key = "dim_w" if rank == 2 else "dim_v"
     if dim_key not in obj:
         raise SpecError(f"rank-{rank} spec needs {dim_key}")
+    for name in (dim_key, "multiplicity"):
+        if obj.get(name, 1) < 1:
+            raise SpecError(f"{name} must be >= 1")
+    dim = obj[dim_key]
     if obj.get("signature") is not None:
-        _check_signature(obj["signature"], obj[dim_key])
+        _check_signature(obj["signature"], dim)
     if rank == 2:
-        dim_w = obj["dim_w"]
-        if dim_w < 1:
-            raise SpecError("dim_w must be >= 1")
-        if dim_w**2 > MAX_GAMMA_ENTRIES:
-            raise ModuleTooLargeError(f"dim_w^2 = {dim_w}^2 exceeds MAX_GAMMA_ENTRIES = {MAX_GAMMA_ENTRIES}")
-        algebra = rank2_algebra(MetricSpace.euclidean(dim_w))
+        if dim**2 > MAX_GAMMA_ENTRIES:
+            raise ModuleTooLargeError(f"dim_w^2 = {dim}^2 exceeds MAX_GAMMA_ENTRIES = {MAX_GAMMA_ENTRIES}")
+        algebra = rank2_algebra(MetricSpace.euclidean(dim))
     else:
-        try:
-            algebra = rank3_special(build_clifford_module(obj["dim_v"], obj.get("multiplicity", 1)))
-        except DimensionMismatchError as exc:  # a dim_v or multiplicity below 1
-            raise SpecError(f"bad spec value: {exc}") from exc
+        algebra = rank3_special(build_clifford_module(dim, obj.get("multiplicity", 1)))
     return cone_mod.cone_from_algebra(algebra), algebra.clifford, obj.get("seed", 0)
 
 

@@ -326,6 +326,9 @@ class CliffordModule:
         try:
             dim_v, signature, mult = obj["dim_v"], obj["signature"], obj["multiplicity"]
             gammas = np.asarray(obj["gammas"])
+            _check_signature(signature, dim_v)
+        except IndefiniteSignatureError:
+            raise
         except (KeyError, TypeError, ValueError) as exc:
             raise SpecError(f"bad Clifford-module JSON: {exc}") from exc
         dim_s = gammas.shape[-1] if gammas.ndim else 0
@@ -336,10 +339,6 @@ class CliffordModule:
                 "bad Clifford-module JSON: need integers (not bools or floats) dim_v and "
                 "multiplicity >= 1 and a (dim_v, dim_s, dim_s) integer gamma stack"
             )
-        try:
-            _check_signature(signature, dim_v)
-        except SpecError as exc:  # IndefiniteSignatureError, on q > 0, passes
-            raise SpecError(f"bad Clifford-module JSON: {exc}") from None
         tables = _monomial(gammas)
         _check_clifford_relations(*tables)
         module = cls(tables=tables)

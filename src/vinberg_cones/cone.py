@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .clifford import _sq_norm
-from .errors import OutsideConeError, SpecError
+from .errors import OutsideConeError, SpecError, require
 from .nilalgebra import (
     HermMatrix,
     NilAlgebra,
@@ -42,8 +42,7 @@ class ConeDescriptor:
     algebra: NilAlgebra
 
     def __post_init__(self):
-        if not isinstance(self.algebra, NilAlgebra):
-            raise SpecError(f"a cone needs a NilAlgebra, got {type(self.algebra).__name__}")
+        require(self.algebra, NilAlgebra, "a cone")
 
     @cached_property
     def rank(self) -> int:
@@ -77,6 +76,12 @@ class ConeDescriptor:
 
 def cone_from_algebra(algebra: NilAlgebra) -> ConeDescriptor:
     return ConeDescriptor(algebra)
+
+
+def _check_on(cone: ConeDescriptor, X) -> None:
+    """Raise SpecError unless ``cone`` is a cone, and unless X is a point over its algebra."""
+    require(cone, ConeDescriptor, "a cone invariant")
+    check_same_algebra(cone.algebra, X)
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +124,7 @@ def det_cubic(cone: ConeDescriptor, X: HermMatrix):
     with s0, s1, v the entries at (1,2), (1,3), (2,3).  Equals the squared
     G-determinant: d(A . A^*) = (a11 a22 a33)^2.
     """
-    check_same_algebra(cone.algebra, X)
+    _check_on(cone, X)
     if not cone.algebra._special:
         raise SpecError("determinant cubic requires a rank-3 special algebra")
     return _det_form(cone.algebra, X, block_norms(X))
@@ -151,7 +156,7 @@ def _lower_p(cone: ConeDescriptor, X: HermMatrix, n=None) -> tuple:
 def p_polynomials(cone: ConeDescriptor, X: HermMatrix) -> tuple:
     """(p_1, ..., p_m): the homogeneous polynomials with
     a_ii(X)^2 = p_i / prod_{s>i} p_s; deg p_i = 2^(m-i)."""
-    check_same_algebra(cone.algebra, X)
+    _check_on(cone, X)
     n = block_norms(X)
     lower = _lower_p(cone, X, n)
     if cone.rank == 2:
@@ -167,7 +172,7 @@ def g_determinant_sq(cone: ConeDescriptor, X: HermMatrix):
         return p_polynomials(cone, X)[0]
     if cone.algebra._special:
         return det_cubic(cone, X)
-    check_same_algebra(cone.algebra, X)
+    _check_on(cone, X)
     x3 = X.diag.T[2]
     if _any_zero(x3):
         raise OutsideConeError("squared G-determinant undefined at x3 = 0")
@@ -243,7 +248,7 @@ def group_coordinates(cone: ConeDescriptor, X: HermMatrix) -> GroupCoordinates:
     at or below RADICAND_FLOOR times the point's largest entry: the point is
     outside the open cone or near its boundary.  The reconstruction A . A^*
     reuses the back-substitution's product term, which has the same inputs."""
-    check_same_algebra(cone.algebra, X)
+    _check_on(cone, X)
     alg = cone.algebra
     x = X._vector
     largest = np.maximum.reduce(np.abs(x), -1)
@@ -268,7 +273,7 @@ def characteristic_function(cone: ConeDescriptor, X: HermMatrix):
     coordinates: the cancellation in p_1 stays out of the large exponents.
     Defined on the open cone, which is where every radicand a_ii^2 =
     p_i / prod_{s>i} p_s is positive; raises OutsideConeError elsewhere."""
-    check_same_algebra(cone.algebra, X)
+    _check_on(cone, X)
     log_p = []
     # any positive radicand: the open cone has points at every scale
     for r in reversed(_back_substitute(cone.algebra, X, 0.0)[0]):
@@ -290,7 +295,7 @@ def characteristic_degree(cone: ConeDescriptor) -> float:
 def _d_prime_parts(cone: ConeDescriptor, X: HermMatrix) -> tuple:
     """d(X), the gap |s0|^2 |s1|^2 - |b(s1, s0)|^2 of d' = d + gap / x1, and
     ``block_norms(X)``; d and b share one gather."""
-    check_same_algebra(cone.algebra, X)
+    _check_on(cone, X)
     alg = cone.algebra
     if not alg._special:
         raise SpecError("d' is defined on rank-3 special cones")

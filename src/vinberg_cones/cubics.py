@@ -28,7 +28,7 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .cone import ConeDescriptor, _lower_p, det_cubic, p_polynomials
-from .errors import DimensionMismatchError, OutsideConeError, SpecError
+from .errors import DimensionMismatchError, OutsideConeError, SpecError, require
 from .nilalgebra import HermMatrix, check_same_algebra, herm_from_vector
 
 PIVOT_BAND = 1e-12  # dense pivots within +/- band*scale count as degenerate
@@ -86,6 +86,7 @@ class InvariantCubic:
     coeffs: tuple[float, ...]
 
     def __post_init__(self):
+        require(self.cone, ConeDescriptor, "an invariant cubic")
         want = 2 if self.cone.rank == 2 else 3
         if want == 3 and not self.cone.algebra._special:  # d, so q, is undefined on the dual
             raise SpecError("an invariant cubic on a rank-3 cone requires a rank-3 special algebra")
@@ -152,7 +153,8 @@ def eval_cubic(q: InvariantCubic, X: HermMatrix):
 
 
 def _check_point(name: str, q: InvariantCubic, X: HermMatrix) -> None:
-    """Raise unless X is one point over q's algebra, not a stack."""
+    """Raise unless q is a cubic and X one point over its algebra, not a stack."""
+    require(q, InvariantCubic, name)
     check_same_algebra(q.cone.algebra, X)
     if X.diag.ndim != 1:
         raise DimensionMismatchError(f"{name} takes one point, not the flat shape {X.to_vector().shape}")
@@ -888,6 +890,7 @@ def admissibility_on_diagonal(q: InvariantCubic, grid: DiagonalGrid | None = Non
     cubic reduces to positive definiteness there, which the inertia rule
     decides.  The kernel reads the minors of the witnesses inside the slope
     constraint and of the argmin candidates."""
+    require(q, InvariantCubic, "the diagonal sweep")
     x, kinds = _classify_slice(q, DiagonalGrid._given(grid, "the diagonal sweep"))
     if not len(x):
         raise OutsideConeError("empty feasible diagonal grid")
@@ -955,9 +958,14 @@ def scan_parameter_plane(
     eps2 > 0 cell takes from its first x2 row, on floats, where it has one.
     No cell is locally-admissible: by the inertia rule an eps2 <= 0 cell is
     positive-definite everywhere.  ``search`` is ignored."""
+    require(cone, ConeDescriptor, "parameter-plane scan")
     if cone.rank != 3:
         raise SpecError("parameter-plane scan is for rank-3 cones")
     grid = DiagonalGrid._given(grid, "parameter-plane scan")  # one spacing per plane
+    try:  # each a list: every eps1 row reads all of eps2, an iterator's values included
+        eps1_values, eps2_values = list(eps1_values), list(eps2_values)
+    except TypeError:
+        raise SpecError("parameter-plane scan needs iterables of eps1 and eps2 values") from None
     rows = []
     for e1 in eps1_values:
         for e2 in eps2_values:

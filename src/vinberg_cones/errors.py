@@ -26,6 +26,13 @@ class SpecError(VinbergError, ValueError):
     """Malformed cone specification or serialized object."""
 
 
+def require(x, kind: type, who: str) -> None:
+    """Raise SpecError unless x is a ``kind``, which ``who`` needs."""
+    if not isinstance(x, kind):
+        article = "an" if kind.__name__[0] in "AEIOU" else "a"
+        raise SpecError(f"{who} needs {article} {kind.__name__}, got {type(x).__name__}")
+
+
 class CliffordRelationError(VinbergError, ArithmeticError):
     """A gamma or J family fails one of its exact integer relations."""
 

@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .clifford import CliffordModule, MetricSpace
-from .errors import AlgebraMismatchError, DimensionMismatchError, SpecError
+from .errors import AlgebraMismatchError, DimensionMismatchError, SpecError, require
 
 Key = tuple[int, int]
 
@@ -173,8 +173,7 @@ class NilAlgebra:
 
 def rank2_algebra(w_space: MetricSpace) -> NilAlgebra:
     """Rank-2 Nil-algebra with single entry space W at slot (1, 2)."""
-    if not isinstance(w_space, MetricSpace):
-        raise SpecError(f"a rank-2 algebra needs a MetricSpace, got {type(w_space).__name__}")
+    require(w_space, MetricSpace, "a rank-2 algebra")
     return NilAlgebra("rank2", dim_w=w_space.dim)
 
 
@@ -283,7 +282,11 @@ class HermMatrix(_FlatEntries):
 def herm_from_vector(algebra: NilAlgebra, vec) -> HermMatrix:
     """A Hermitian matrix (or a stack of them) holding a copy of the flat
     coordinates ``vec``, of shape (herm_dim,) or (N, herm_dim)."""
-    return HermMatrix._from_flat(algebra, np.array(vec, dtype=float))
+    try:
+        vec = np.array(vec, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise SpecError(f"flat coordinates must be real numbers: {exc}") from None
+    return HermMatrix._from_flat(algebra, vec)
 
 
 _POINT_KEYS = {"rank", "diag", "offdiag"}
@@ -361,8 +364,11 @@ def _uniform_entries(algebra: NilAlgebra, rng, shape: tuple, diag_range=(0.5, 2.
 
 
 def check_same_algebra(algebra: NilAlgebra, *operands) -> None:
-    """Raise AlgebraMismatchError unless every operand lives over ``algebra``."""
+    """Raise SpecError unless every operand is a HermMatrix or a
+    TriangularElement, and AlgebraMismatchError unless it lives over ``algebra``."""
     for x in operands:
+        if not isinstance(x, _FlatEntries):
+            raise SpecError(f"an operand needs to be a HermMatrix or a TriangularElement, got {type(x).__name__}")
         if x.algebra is not algebra:
             raise AlgebraMismatchError("operands live over different algebras")
 
@@ -370,7 +376,7 @@ def check_same_algebra(algebra: NilAlgebra, *operands) -> None:
 def triangular_product(A: TriangularElement, B: TriangularElement) -> TriangularElement:
     """Associative product in the solvable matrix algebra T(N): block (i, j)
     is a_ii b_ij + a_ij b_jj, plus a_12 . b_23 at (1, 3)."""
-    check_same_algebra(A.algebra, B)
+    check_same_algebra(getattr(A, "algebra", None), A, B)
     alg, a, b = A.algebra, A._vector, B._vector
     m, (rows, cols) = alg.rank, alg.block_rows_cols
     out = a.take(rows, axis=-1) * b  # a_ii b_ii, then a_ii b_ij
@@ -445,6 +451,6 @@ def anti_transpose(X):
 
 def herm_pairing(X: HermMatrix, Y: HermMatrix):
     """Trace-form inner product sum_i x_i y_i + 2 sum_{i<j} <x_ij, y_ij>."""
-    check_same_algebra(X.algebra, Y)
+    check_same_algebra(getattr(X, "algebra", None), X, Y)
     blocks = X.algebra._block_products(X._vector, Y._vector)
     return np.add.reduce(X.diag * Y.diag, -1) + 2.0 * np.add.reduce(blocks, -1)

@@ -153,6 +153,32 @@ def test_shared_gather_matches_the_public_products(make, stack):
         assert same_bits(cone_mod._p1_rank3(alg, X, n), x3 * det + (n[2] * n[1] - ip(adj, adj)))
 
 
+@pytest.mark.parametrize("stack", [(), (5,)], ids=["point", "stack"])
+@pytest.mark.parametrize("dim_v, mult", [(1, 1), (1, 2), (2, 1), (2, 2), (8, 1), (8, 2)], ids=lambda x: str(x))
+@pytest.mark.parametrize("kind", ["special", "dual"])
+def test_products_are_the_module_adjoints(kind, dim_v, mult, stack):
+    """The algebra's flat products only pick the orientation, (s0, v) =
+    (x12, x23) on the special algebra and (x23, x12) on the dual: they are
+    the module's two adjoints on it, and the trilinear term is
+    <mu_v^#(x13), s0>, bit for bit, with and without a shared gather."""
+    mod = vc.build_clifford_module(dim_v, multiplicity=mult)
+    alg = vc.rank3_special(mod)
+    alg = alg if kind == "special" else vc.dual_algebra(alg)
+    rng = np.random.default_rng(10 * dim_v + mult)
+    x12, x13, x23 = (rng.uniform(-1.0, 1.0, stack + (alg.dim(k),)) for k in alg.offdiag_keys)
+    if kind == "special":
+        s0, v = x12, x23
+        right, left = vc.clifford_mult_adjoint(mod, x23, x13), vc.clifford_bilinear(mod, x13, x12)
+    else:
+        s0, v = x23, x12
+        right, left = vc.clifford_bilinear(mod, x13, x23), vc.clifford_mult_adjoint(mod, x12, x13)
+    trilinear = np.add.reduce(vc.clifford_mult_adjoint(mod, v, x13) * s0, -1)
+    for P in (None, mod.gamma_pairing(x13)):
+        assert same_bits(alg.mult_flat_right(x13, x23, P), right)
+        assert same_bits(alg.mult_flat_left(x12, x13, P), left)
+        assert same_bits(alg.trilinear(x12, x13, x23, P), trilinear)
+
+
 class TestCachedStructure:
     def test_offdiag_keys_and_is_euclidean_are_built_once(self):
         # the keys are built once; no algebra is anything but Euclidean, so

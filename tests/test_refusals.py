@@ -20,6 +20,7 @@ def _dual_point(diag):
 # a (3, 2) perm table whose rows are permutations: dim_s = 2 with dim_v = 3,
 # which needs a multiple of 4
 _PERMS_3X2 = (np.array([[0, 1], [1, 0], [0, 1]]), np.ones((3, 2), dtype=np.int64))
+_NO_OPERAND = "^an operand needs to be a HermMatrix or a TriangularElement, got str$"
 
 CASES = {
     "algebra-rank-4": (
@@ -160,14 +161,45 @@ CASES = {
         lambda: clifford._cl_neg_generators(-1), ValueError, "k must be >= 0"),
     "json-writer-unserializable": (
         lambda: cli._fmt({"x": [1.0, object()]}), TypeError, "cannot serialize <class 'object'>"),
+    # operands of the wrong type, once failing deep inside with AttributeError,
+    # TypeError or numpy's ValueError
+    "cubic-of-no-cone": (
+        lambda: vc.InvariantCubic("x", (1.0, 2.0)), SpecError, "^an invariant cubic needs a ConeDescriptor, got str$"),
+    "sweep-of-no-cubic": (
+        lambda: vc.admissibility_on_diagonal("x"), SpecError, "^the diagonal sweep needs an InvariantCubic, got str$"),
+    "scan-of-no-cone": (
+        lambda: vc.scan_parameter_plane("x", [0.0], [0.0]),
+        SpecError, "^parameter-plane scan needs a ConeDescriptor, got str$"),
+    "tangent-restriction-at-no-point": (
+        lambda: vc.tangent_restriction(vc.InvariantCubic.rank3_family(rank3_cone(1), 0.5, -0.25), "x"),
+        SpecError, _NO_OPERAND),
+    "gradient-of-no-cubic": (
+        lambda: vc.gradient("x", vc.herm_identity(rank3_cone(1).algebra)),
+        SpecError, "^gradient needs an InvariantCubic, got str$"),
+    "p-at-no-point": (lambda: vc.p_polynomials(rank3_cone(1), "x"), SpecError, _NO_OPERAND),
+    "group-coordinates-at-no-point": (lambda: vc.group_coordinates(rank3_cone(1), "x"), SpecError, _NO_OPERAND),
+    "membership-of-no-cone": (
+        lambda: vc.membership("x", vc.herm_identity(rank3_cone(1).algebra)),
+        SpecError, "^a cone invariant needs a ConeDescriptor, got str$"),
+    "triangular-product-of-no-elements": (lambda: vc.triangular_product("x", "y"), SpecError, _NO_OPERAND),
+    "herm-pairing-with-no-point": (
+        lambda: vc.herm_pairing(vc.herm_identity(rank3_cone(1).algebra), None), SpecError, "got NoneType$"),
+    "scan-scalar-eps1": (
+        lambda: vc.scan_parameter_plane(rank3_cone(1), 0.5, [0.0]),
+        SpecError, "^parameter-plane scan needs iterables of eps1 and eps2 values$"),
+    "herm-from-string-vector": (
+        lambda: vc.herm_from_vector(rank3_cone(1).algebra, "abc"),
+        SpecError, "^flat coordinates must be real numbers: could not convert string to float: 'abc'$"),
 }
 
 
 @pytest.mark.parametrize("make, error, message", CASES.values(), ids=CASES.keys())
 def test_refused(make, error, message):
+    # pytest.fail, not assert: the check stays under python -O
     with pytest.raises(error, match=message) as info:
         make()
-    assert type(info.value) is error
+    if type(info.value) is not error:
+        pytest.fail(f"raised {type(info.value).__name__}, not {error.__name__}")
 
 
 def test_json_writer_writes_none_as_null():
