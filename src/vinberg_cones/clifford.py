@@ -327,7 +327,7 @@ class CliffordModule:
             dim_v, signature, mult = obj["dim_v"], obj["signature"], obj["multiplicity"]
             gammas = np.asarray(obj["gammas"])
             _check_signature(signature, dim_v)
-        except IndefiniteSignatureError:
+        except IndefiniteSignatureError:  # a ValueError, but a refusal of its own
             raise
         except (KeyError, TypeError, ValueError) as exc:
             raise SpecError(f"bad Clifford-module JSON: {exc}") from exc
